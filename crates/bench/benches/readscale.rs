@@ -1,13 +1,12 @@
-//! Read-path microbench: single-reader op cost through each replica-lock
-//! implementation, plus the raw lock acquire/release cost. Complements the
+//! Read-path microbench: single-reader op cost under each fairness mode,
+//! plus the raw lock acquire/release cost. Complements the
 //! `prep-bench -- readscale` figure (which sweeps threads) with a stable
-//! criterion baseline for the uncontended fast path — the case the
-//! distributed lock must not regress while it removes shared-line traffic.
+//! criterion baseline for the uncontended fast path.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use prep_bench::workload::{prefilled_hashmap, MapOpGen};
 use prep_nr::{FairnessMode, NodeReplicated, NoopHooks};
-use prep_sync::{DistRwLock, ReaderId, RwSpinLock, SeqVersion};
+use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, SeqVersion};
 use prep_topology::Topology;
 
 const KEYS: u64 = 8_192;
@@ -38,10 +37,8 @@ fn nr_reads(c: &mut Criterion, fairness: FairnessMode, name: &str) {
 }
 
 fn bench_nr_read_path(c: &mut Criterion) {
-    nr_reads(c, FairnessMode::Throughput, "NR-DistRwLock");
-    nr_reads(c, FairnessMode::ThroughputCentralized, "NR-RwSpinLock");
-    nr_reads(c, FairnessMode::Optimistic, "NR-Optimistic");
-    nr_reads(c, FairnessMode::Adaptive, "NR-Adaptive");
+    nr_reads(c, FairnessMode::Throughput, "NR-Throughput");
+    nr_reads(c, FairnessMode::StarvationFree, "NR-StarvationFree");
 }
 
 fn bench_raw_locks(c: &mut Criterion) {
@@ -71,8 +68,8 @@ fn bench_raw_locks(c: &mut Criterion) {
         });
     });
 
-    g.bench_function("RwSpinLock", |b| {
-        let lock = RwSpinLock::new(0u64);
+    g.bench_function("PhaseFairRwLock", |b| {
+        let lock = PhaseFairRwLock::new(0u64);
         b.iter(|| {
             let mut acc = 0u64;
             for _ in 0..BATCH {

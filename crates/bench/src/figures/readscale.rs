@@ -1,30 +1,25 @@
-//! Read-path scaling figure (repo extension, anchored to NR §3's
-//! distributed reader-writer lock and this repo's optimistic seqlock
-//! read path).
+//! Read-path scaling figure (repo extension, anchored to the paper's §4.2
+//! liveness pair and this repo's seqlock-validated read path).
 //!
 //! The paper's headline workloads are 90%-read (Fig. 1a/1b, Fig. 2,
 //! Fig. 6), so the replica read path is the throughput-critical section.
-//! This figure sweeps threads × read ratio {90%, 100%} × read-path mode
-//! {centralized `RwSpinLock`, distributed `DistRwLock`, lock-free
-//! `Optimistic`, self-tuning `Adaptive`} on the prefilled hashmap under
-//! volatile NR (no latency model — the read path is the only variable).
-//! With the distributed lock a caught-up reader touches only its own
-//! cacheline-padded slot (one RMW + one store); an optimistic reader
-//! touches *no* shared line at all — two loads of the replica seqlock
+//! This figure sweeps threads × read ratio {10, 50, 90, 100}% × the two
+//! [`FairnessMode`]s on the prefilled hashmap under volatile NR (no latency
+//! model — the read path is the only variable). A caught-up `Throughput`
+//! reader touches *no* shared line: two loads of the replica seqlock
 //! version bracket the read, and validation failure falls back to the
-//! slot path. Adaptive starts on the slot path and migrates per the
-//! observed read/write mix.
+//! reader's own `DistRwLock` slot. A `StarvationFree` reader always takes
+//! the phase-fair lock.
 //!
-//! Caveat: on a single-CPU VM the kernel timeslices the "concurrent"
-//! readers, so the centralized line never actually ping-pongs between cores
-//! and the measured gaps understate real-hardware behavior (see
-//! EXPERIMENTS.md § readscale). The counter columns make the path taken
-//! visible: `opt` counts validated optimistic reads, `vfail` seqlock
-//! validation failures, `slow` locked reads that missed the
-//! zero-contention fast path.
+//! Every cell is run [`REPEATS`] times (repeats outermost, so slow host
+//! drift spreads over all cells instead of biasing one) and reported as
+//! median, min, max and inter-quartile spread. The counter columns make the
+//! path taken visible: `opt` counts validated lock-free reads, `vfail`
+//! seqlock validation failures, `slow` reads that found their replica
+//! behind `completedTail`.
 //!
-//! Also records the sweep as `BENCH_readscale.json` in the working
-//! directory — the perf-trajectory baseline future sessions diff against.
+//! Also records the sweep, with a host fingerprint, as
+//! `BENCH_readscale.json` in the working directory.
 
 use prep_nr::FairnessMode;
 
@@ -34,20 +29,43 @@ use crate::targets::{run_nr_fair, CellResult};
 use crate::workload::prefilled_hashmap;
 use crate::RunOpts;
 
-const LOCKS: [(FairnessMode, &str); 4] = [
-    (FairnessMode::ThroughputCentralized, "RwSpinLock"),
-    (FairnessMode::Throughput, "DistRwLock"),
-    (FairnessMode::Optimistic, "Optimistic"),
-    (FairnessMode::Adaptive, "Adaptive"),
+const MODES: [(FairnessMode, &str); 2] = [
+    (FairnessMode::Throughput, "Throughput"),
+    (FairnessMode::StarvationFree, "StarvationFree"),
 ];
 
-const READ_PCTS: [u32; 2] = [90, 100];
+const READ_PCTS: [u32; 4] = [10, 50, 90, 100];
 
-struct Record {
+/// Runs per cell; odd, so the median is a run that happened.
+const REPEATS: usize = 5;
+
+/// One (read ratio, threads, mode) cell: its runs sorted by throughput.
+struct Cell {
     read_pct: u32,
-    lock: &'static str,
     threads: usize,
-    cell: CellResult,
+    fairness: FairnessMode,
+    mode: &'static str,
+    runs: Vec<CellResult>,
+}
+
+impl Cell {
+    fn ops(&self, i: usize) -> f64 {
+        self.runs[i].m.ops_per_sec()
+    }
+
+    fn median(&self) -> &CellResult {
+        &self.runs[self.runs.len() / 2]
+    }
+
+    fn median_ops(&self) -> f64 {
+        self.median().m.ops_per_sec()
+    }
+
+    /// Distance between the quartiles of the runs.
+    fn iqr(&self) -> f64 {
+        let n = self.runs.len();
+        self.ops(n - 1 - n / 4) - self.ops(n / 4)
+    }
 }
 
 /// Runs the read-scaling sweep.
@@ -56,105 +74,141 @@ pub fn run(opts: &RunOpts) {
     let keys = opts.key_range(); // 1M keys at full scale (paper hashmap)
     report::banner(
         "Readscale",
-        "read-path scaling: threads x read ratio x read-path mode \
-         (volatile NR, hashmap, latency model off)",
+        "read-path scaling: threads x read ratio x fairness mode \
+         (volatile NR, hashmap, latency model off; median run of each cell)",
     );
 
-    let mut records: Vec<Record> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
     for read_pct in READ_PCTS {
         for threads in thread_sweep(opts) {
-            for (fairness, lname) in LOCKS {
-                let cell = run_nr_fair(
-                    prefilled_hashmap(keys),
-                    topo,
-                    opts.log_size(),
-                    fairness,
-                    threads,
-                    opts.seconds,
-                    &map_stream(read_pct, keys),
-                );
-                report::row(&format!("hashmap-{read_pct}r"), lname, &cell);
-                println!(
-                    "      opt={} vfail={} slow={}",
-                    cell.reads.fast_optimistic,
-                    cell.reads.validation_failures,
-                    cell.reads.slow_paths
-                );
-                records.push(Record {
+            for (fairness, mode) in MODES {
+                cells.push(Cell {
                     read_pct,
-                    lock: lname,
                     threads,
-                    cell,
+                    fairness,
+                    mode,
+                    runs: Vec::with_capacity(REPEATS),
                 });
             }
         }
     }
+    for _ in 0..REPEATS {
+        for cell in &mut cells {
+            cell.runs.push(run_nr_fair(
+                prefilled_hashmap(keys),
+                topo,
+                opts.log_size(),
+                cell.fairness,
+                cell.threads,
+                opts.seconds,
+                &map_stream(cell.read_pct, keys),
+            ));
+        }
+    }
+    for cell in &mut cells {
+        cell.runs
+            .sort_by(|a, b| a.m.ops_per_sec().total_cmp(&b.m.ops_per_sec()));
+    }
 
-    print_ratio_summary(&records);
-    write_json(opts, &records);
+    for c in &cells {
+        let med = c.median();
+        report::row(&format!("hashmap-{}r", c.read_pct), c.mode, med);
+        println!(
+            "      min={:.0} max={:.0} iqr={:.0}  opt={} vfail={} slow={}",
+            c.ops(0),
+            c.ops(REPEATS - 1),
+            c.iqr(),
+            med.reads.fast_optimistic,
+            med.reads.validation_failures,
+            med.reads.slow_paths
+        );
+    }
+
+    print_winner_summary(&cells);
+    write_json(opts, &cells);
 }
 
-/// Prints, per (read ratio, threads) cell, each mode's throughput ratio
-/// over the centralized `RwSpinLock` baseline — the figure's headline
-/// numbers.
-fn print_ratio_summary(records: &[Record]) {
+/// Prints, per (read ratio, threads) panel, the mode with the highest
+/// median and whether its lead over the runner-up exceeds both cells'
+/// inter-quartile spread.
+fn print_winner_summary(cells: &[Cell]) {
     println!();
-    println!("-- speedup vs RwSpinLock (read throughput ratio)");
-    let mut panels: Vec<(u32, usize)> = records.iter().map(|r| (r.read_pct, r.threads)).collect();
-    panels.dedup();
-    for (read_pct, threads) in panels {
-        let per = |lock: &str| {
-            records
-                .iter()
-                .find(|r| r.read_pct == read_pct && r.threads == threads && r.lock == lock)
-                .map(|r| r.cell.m.ops_per_sec())
+    println!("-- best mode per panel (median ops/sec over {REPEATS} runs)");
+    for panel in cells.chunks(MODES.len()) {
+        let mut ranked: Vec<&Cell> = panel.iter().collect();
+        ranked.sort_by(|a, b| b.median_ops().total_cmp(&a.median_ops()));
+        let (best, second) = (ranked[0], ranked[1]);
+        let verdict = if best.median_ops() - second.median_ops() > best.iqr().max(second.iqr()) {
+            "beyond spread"
+        } else {
+            "within spread"
         };
-        let Some(central) = per("RwSpinLock") else {
-            continue;
-        };
-        let ratio = |ops: f64| {
-            if central > 0.0 {
-                ops / central
-            } else {
-                f64::INFINITY
-            }
-        };
-        let (dist, opt, adapt) = (per("DistRwLock"), per("Optimistic"), per("Adaptive"));
-        if let (Some(dist), Some(opt), Some(adapt)) = (dist, opt, adapt) {
-            println!(
-                "{read_pct:>3}% reads  {threads:>3} threads  dist {:>6.2}x  opt {:>6.2}x  adapt {:>6.2}x",
-                ratio(dist),
-                ratio(opt),
-                ratio(adapt)
-            );
-        }
+        println!(
+            "{:>3}% reads  {:>3} threads  {:<16} {:>6.3}x over {:<16} ({verdict})",
+            best.read_pct,
+            best.threads,
+            best.mode,
+            best.median_ops() / second.median_ops(),
+            second.mode,
+        );
     }
 }
 
+/// The host a recording was made on, as a JSON object: core count, CPU
+/// model and kernel release (empty strings where `/proc` does not say).
+fn host_fingerprint() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu_model = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .unwrap_or_default();
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
+    format!(
+        "{{\"nproc\": {nproc}, \"cpu_model\": \"{}\", \"kernel\": \"{}\"}}",
+        cpu_model.trim(),
+        kernel.trim()
+    )
+}
+
 /// Hand-rolled JSON dump (no serde in the dependency closure): one object
-/// per cell, flat fields only.
-fn write_json(opts: &RunOpts, records: &[Record]) {
+/// per cell, flat fields plus the sorted per-run throughputs.
+fn write_json(opts: &RunOpts, cells: &[Cell]) {
     let mut out = String::from("{\n  \"bench\": \"readscale\",\n");
     out.push_str(&format!(
-        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"latency_model\": \"off\",\n  \"cells\": [\n",
+        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"repeats\": {REPEATS},\n  \
+         \"latency_model\": \"off\",\n  \
+         \"host\": {},\n  \
+         \"cells\": [\n",
         if opts.full { "full" } else { "quick" },
-        opts.seconds
+        opts.seconds,
+        host_fingerprint(),
     ));
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 == records.len() { "" } else { "," };
+    for (i, c) in cells.iter().enumerate() {
+        let sep = if i + 1 == cells.len() { "" } else { "," };
+        let med = c.median();
+        let runs: Vec<String> = (0..c.runs.len())
+            .map(|i| format!("{:.0}", c.ops(i)))
+            .collect();
         out.push_str(&format!(
-            "    {{\"read_pct\": {}, \"lock\": \"{}\", \"threads\": {}, \
-             \"total_ops\": {}, \"ops_per_sec\": {:.0}, \
+            "    {{\"read_pct\": {}, \"mode\": \"{}\", \"threads\": {}, \
+             \"ops_per_sec_median\": {:.0}, \"ops_per_sec_min\": {:.0}, \
+             \"ops_per_sec_max\": {:.0}, \"ops_per_sec_iqr\": {:.0}, \
+             \"ops_per_sec_runs\": [{}], \
              \"read_fast_optimistic\": {}, \"read_validation_failures\": {}, \
              \"read_slow_paths\": {}}}{}\n",
-            r.read_pct,
-            r.lock,
-            r.threads,
-            r.cell.m.total_ops,
-            r.cell.m.ops_per_sec(),
-            r.cell.reads.fast_optimistic,
-            r.cell.reads.validation_failures,
-            r.cell.reads.slow_paths,
+            c.read_pct,
+            c.mode,
+            c.threads,
+            c.median_ops(),
+            c.ops(0),
+            c.ops(REPEATS - 1),
+            c.iqr(),
+            runs.join(", "),
+            med.reads.fast_optimistic,
+            med.reads.validation_failures,
+            med.reads.slow_paths,
             sep
         ));
     }

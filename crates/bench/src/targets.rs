@@ -136,8 +136,7 @@ where
 }
 
 /// Runs one cell against volatile NR with an explicit [`FairnessMode`] —
-/// the readscale figure's knob for sweeping replica-lock implementations
-/// (distributed vs centralized vs phase-fair).
+/// the readscale figure's knob — and captures the read-path counters.
 pub fn run_nr_fair<T, G>(
     obj: T,
     topo: Topology,

@@ -81,8 +81,9 @@ pub struct PrepConfig {
     /// once per batch. The paper's single-fence-per-batch scheme (§4.1) is
     /// the default; per-entry fencing quantifies what batching saves.
     pub fence_per_entry: bool,
-    /// Liveness mode (§4.2): throughput-first (the paper's default) or
-    /// starvation-free (fair reservation lock + phase-fair replica locks).
+    /// Liveness mode (§4.2): throughput-first (the default; lock-free
+    /// validated reads) or starvation-free (fair reservation lock +
+    /// phase-fair replica locks, every read locked).
     pub fairness: prep_nr::FairnessMode,
     /// Deliberately seeded ordering bug for sanitizer-validation tests
     /// (`None` in every real configuration).
@@ -101,7 +102,7 @@ impl PrepConfig {
             allocator_swap: true,
             flush_strategy: FlushStrategy::Wbinvd,
             fence_per_entry: false,
-            fairness: prep_nr::FairnessMode::Throughput,
+            fairness: prep_nr::FairnessMode::default(),
             psan_fault: None,
         }
     }

@@ -126,8 +126,9 @@ impl<T: SequentialObject> MultiLogUc<T> {
     }
 
     /// The multi-log recovery procedure (module docs): stable cut vector,
-    /// then (durable mode) per-log replay plus the cross-log completion
-    /// pass, then a fresh construction from the recovered lane states.
+    /// then per-log replay of whatever the image persisted plus the
+    /// cross-log completion pass, then a fresh construction from the
+    /// recovered lane states.
     pub fn recover(
         _crash: CrashToken,
         image: MlCrashImage<T>,
@@ -138,46 +139,47 @@ impl<T: SequentialObject> MultiLogUc<T> {
         let snap = image.stable_snapshot();
         let logs = snap.state.lanes.len();
         let mut lanes: Vec<T> = snap.state.lanes.iter().map(|s| s.clone_object()).collect();
-        if config.durability == DurabilityLevel::Durable {
-            // Every persisted multi payload, by gate id — any lane's image
-            // can complete any other lane's missing suffix (module docs).
-            let mut all_multis: BTreeMap<u64, T::Op> = BTreeMap::new();
-            for lane_entries in &image.log_entries {
-                for (_, entry) in lane_entries {
-                    if let MlOp::Multi { id, op } = entry {
-                        all_multis.insert(*id, op.clone());
-                    }
+        // What to replay is a property of the image, not of `config`: a
+        // buffered instance persists no tails and no entries, so for its
+        // images everything below is a no-op (cf. `PrepUc::recover`).
+        // Every persisted multi payload, by gate id — any lane's image
+        // can complete any other lane's missing suffix (module docs).
+        let mut all_multis: BTreeMap<u64, T::Op> = BTreeMap::new();
+        for lane_entries in &image.log_entries {
+            for (_, entry) in lane_entries {
+                if let MlOp::Multi { id, op } = entry {
+                    all_multis.insert(*id, op.clone());
                 }
             }
-            // Per-log replay of the durable suffix, in log order.
-            let mut replayed_ids: BTreeSet<u64> = BTreeSet::new();
-            let mut seen: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); logs];
-            for l in 0..logs {
-                let from = snap.state.tails[l];
-                let to = image.completed_tails[l];
-                for (idx, entry) in &image.log_entries[l] {
-                    if *idx < from || *idx >= to {
-                        continue;
-                    }
-                    match entry {
-                        MlOp::Single { op, .. } => {
-                            lanes[l].apply(op);
-                        }
-                        MlOp::Multi { id, op } => {
-                            lanes[l].apply(op);
-                            seen[l].insert(*id);
-                            replayed_ids.insert(*id);
-                        }
-                    }
+        }
+        // Per-log replay of the durable suffix, in log order.
+        let mut replayed_ids: BTreeSet<u64> = BTreeSet::new();
+        let mut seen: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); logs];
+        for l in 0..logs {
+            let from = snap.state.tails[l];
+            let to = image.completed_tails[l];
+            for (idx, entry) in &image.log_entries[l] {
+                if *idx < from || *idx >= to {
+                    continue;
                 }
-            }
-            // Completion pass: a multi that took effect in any lane takes
-            // effect in every lane. Ascending id = log order (module docs).
-            for l in 0..logs {
-                for (id, op) in &all_multis {
-                    if replayed_ids.contains(id) && !seen[l].contains(id) {
+                match entry {
+                    MlOp::Single { op, .. } => {
                         lanes[l].apply(op);
                     }
+                    MlOp::Multi { id, op } => {
+                        lanes[l].apply(op);
+                        seen[l].insert(*id);
+                        replayed_ids.insert(*id);
+                    }
+                }
+            }
+        }
+        // Completion pass: a multi that took effect in any lane takes
+        // effect in every lane. Ascending id = log order (module docs).
+        for l in 0..logs {
+            for (id, op) in &all_multis {
+                if replayed_ids.contains(id) && !seen[l].contains(id) {
+                    lanes[l].apply(op);
                 }
             }
         }

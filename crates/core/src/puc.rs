@@ -127,14 +127,14 @@ impl<T: SequentialObject> PrepUc<T> {
 
     /// Read-only operations that missed the zero-contention read fast path
     /// (their replica was behind `completedTail` at invocation), summed over
-    /// replicas. Diagnostic for the distributed-lock read path.
+    /// replicas.
     pub fn read_slow_paths(&self) -> u64 {
         self.nr.read_slow_paths()
     }
 
     /// Validated optimistic (lock-free) fast-path reads — zero atomic RMWs,
     /// zero shared-cacheline stores each — summed over replicas. Nonzero
-    /// only under the optimistic-capable fairness modes.
+    /// only under [`prep_nr::FairnessMode::Throughput`].
     pub fn read_fast_optimistic(&self) -> u64 {
         self.nr.read_fast_optimistic()
     }

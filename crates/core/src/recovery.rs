@@ -126,8 +126,9 @@ impl<T: SequentialObject> PrepUc<T> {
     ///
     /// 1. Identify the stable persistent replica via `p_activePReplica`.
     /// 2. Start from its snapshot.
-    /// 3. **Durable only:** replay the persisted, non-empty log entries in
-    ///    `[stable.localTail, completedTail)` onto it.
+    /// 3. Replay the persisted, non-empty log entries in
+    ///    `[stable.localTail, completedTail)` onto it (a durable instance's
+    ///    image has them; a buffered instance's has none).
     /// 4. Instantiate every replica (N volatile + 2 persistent) as copies of
     ///    the result; reset the log, all tails, and the flush boundary; the
     ///    new instance's NVM images start from the recovered state.
@@ -139,13 +140,15 @@ impl<T: SequentialObject> PrepUc<T> {
     ) -> Self {
         let snap = image.stable_snapshot();
         let mut obj = snap.state.clone_object();
-        if config.durability == DurabilityLevel::Durable {
-            let from = snap.local_tail;
-            let to = image.completed_tail;
-            for (idx, op) in &image.log_entries {
-                if *idx >= from && *idx < to {
-                    obj.apply(op);
-                }
+        // What to replay is a property of the image, not of the config the
+        // new instance will run under: a buffered instance persists neither
+        // `completedTail` nor log entries, so this loop is empty for its
+        // images, and a durable image recovers fully under any config.
+        let from = snap.local_tail;
+        let to = image.completed_tail;
+        for (idx, op) in &image.log_entries {
+            if *idx >= from && *idx < to {
+                obj.apply(op);
             }
         }
         PrepUc::new(obj, assignment, config)

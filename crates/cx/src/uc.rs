@@ -26,11 +26,6 @@ pub struct CxConfig {
     /// distinct cachelines instead of funneling through one counter.
     /// [`CxConfig::volatile`]/[`CxConfig::persistent`] set one per thread.
     pub reader_slots: usize,
-    /// Serve read-only operations through the seqlock-validated optimistic
-    /// path first (zero lock-stripe RMWs on success), falling back to the
-    /// strong-try read lock on validation failure. On by default; disable
-    /// to measure the pure strong-try baseline.
-    pub optimistic_reads: bool,
 }
 
 impl CxConfig {
@@ -40,7 +35,6 @@ impl CxConfig {
             replicas: 2 * threads.max(1),
             persistence: None,
             reader_slots: threads.max(1),
-            optimistic_reads: true,
         }
     }
 
@@ -50,7 +44,6 @@ impl CxConfig {
             replicas: 2 * threads.max(1),
             persistence: Some(rt),
             reader_slots: threads.max(1),
-            optimistic_reads: true,
         }
     }
 
@@ -63,12 +56,6 @@ impl CxConfig {
     /// Overrides the read-indicator stripe count (builder style).
     pub fn with_reader_slots(mut self, slots: usize) -> Self {
         self.reader_slots = slots.max(1);
-        self
-    }
-
-    /// Enables or disables the optimistic read path (builder style).
-    pub fn with_optimistic_reads(mut self, on: bool) -> Self {
-        self.optimistic_reads = on;
         self
     }
 }
@@ -98,8 +85,6 @@ pub struct CxUc<T: SequentialObject> {
     persistence: Option<Arc<PmemRuntime>>,
     /// Round-robin hint so threads scatter across replicas.
     next_hint: CachePadded<AtomicU64>,
-    /// Whether reads try the seqlock-validated optimistic path first.
-    optimistic_reads: bool,
     /// Validated optimistic fast-path reads. CX's read interface carries no
     /// registered identity, so (unlike NR's per-slot counters) this is one
     /// shared RMW per optimistic read — still strictly cheaper than the two
@@ -141,7 +126,6 @@ impl<T: SequentialObject> CxUc<T> {
             latest: CachePadded::new(AtomicU64::new(0)),
             persistence: config.persistence,
             next_hint: CachePadded::new(AtomicU64::new(0)),
-            optimistic_reads: config.optimistic_reads,
             read_fast_optimistic: CachePadded::new(AtomicU64::new(0)),
             read_validation_failures: CachePadded::new(AtomicU64::new(0)),
             _marker: UnsafeCell::new(()),
@@ -272,10 +256,8 @@ impl<T: SequentialObject> CxUc<T> {
             // visible (with the lock's own ordering as a second fence).
             let packed = self.latest.load(Ordering::Acquire);
             let replica = (packed & 0xffff) as usize;
-            if self.optimistic_reads {
-                if let Some(resp) = self.read_optimistic(replica, floor, &op) {
-                    return resp;
-                }
+            if let Some(resp) = self.read_optimistic(replica, floor, &op) {
+                return resp;
             }
             if let Some(guard) = self.replicas[replica].state.try_read() {
                 if guard.applied >= floor {
@@ -458,18 +440,6 @@ mod tests {
             "quiescent reads must all take the optimistic path"
         );
         assert_eq!(cx.read_validation_failures(), 0);
-
-        // Baseline with optimism off: same answers, counter stays zero.
-        let base = CxUc::new(
-            HashMap::new(),
-            CxConfig::volatile(2).with_optimistic_reads(false),
-        );
-        base.execute(MapOp::Insert { key: 1, value: 11 });
-        assert_eq!(
-            base.execute(MapOp::Get { key: 1 }),
-            MapResp::Value(Some(11))
-        );
-        assert_eq!(base.read_fast_optimistic(), 0);
     }
 
     #[test]

@@ -409,7 +409,7 @@ impl Default for Config {
                         allow: vec![],
                     },
                     message: "std::sync::RwLock in a hot-path crate: replica locks go through \
-                              the ReplicaLock trait (DistRwLock/RwSpinLock/PhaseFairRwLock)"
+                              the ReplicaLock trait (DistRwLock/PhaseFairRwLock)"
                         .into(),
                     suggestion: "use a prep-sync lock, or justify with \
                                  // lint:allow(forbidden-api): <reason>"

@@ -9,9 +9,9 @@
 //! local replica. Across nodes, the log is the only communication channel:
 //! its order *is* the linearization order of update operations.
 //!
-//! Read-only operations never touch the log; they take the replica's
-//! reader-writer lock in read mode once the replica has caught up to
-//! `completedTail`.
+//! Read-only operations never touch the log; once the replica has caught up
+//! to `completedTail` they read it — lock-free under a seqlock bracket, or
+//! under the replica's reader-writer lock (see [`FairnessMode`]).
 //!
 //! Three monotonically increasing indexes (paper Table 1):
 //!
@@ -57,53 +57,23 @@ pub const DEFAULT_LOG_SIZE: u64 = 1 << 20;
 /// CAS lose forever, and a stream of write-mode combiners can starve
 /// readers. The paper names the two changes that buy starvation-freedom —
 /// a fair lock around reservations and a starvation-free reader-writer
-/// lock per replica — and this enum selects them.
-///
-/// The `ThroughputCentralized` variant is not a paper mode: it keeps the
-/// centralized writer-preference spin lock that predates the distributed
-/// reader-writer lock, as the ablation baseline the distributed read path
-/// is measured against (`prep-bench -- readscale`). `Optimistic` and
-/// `Adaptive` go past the paper in the other direction: seqlock-validated
-/// reads touch no lock state at all (zero RMWs, zero shared-line stores),
-/// falling back to the reader slot only when a combiner overlaps the read.
+/// lock per replica — and this enum selects them. Each variant has exactly
+/// one read path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FairnessMode {
-    /// The paper's default: CAS reservations + NR §3's distributed
-    /// writer-preference reader-writer lock per replica (one cacheline-padded
-    /// slot per registered reader). Fastest; starvation possible under
-    /// adversarial scheduling. Includes a conservative optimistic skip: when
-    /// the replica version is unchanged since this reader's last locked
-    /// read (an observed write-free window), the read validates against the
-    /// version instead of RMW-ing its slot.
+    /// The default: CAS reservations + NR §3's distributed
+    /// writer-preference reader-writer lock per replica (one
+    /// cacheline-padded slot per registered reader). A caught-up read runs
+    /// lock-free against the replica and validates with the
+    /// [`prep_sync::SeqVersion`] bracket (zero atomic RMWs, zero stores to
+    /// shared cachelines); when a combiner overlaps, it falls back to the
+    /// reader's own lock slot. Writers never wait on lock-free readers.
+    /// Fastest; starvation possible under adversarial scheduling.
     #[default]
     Throughput,
-    /// Like [`FairnessMode::Throughput`] but with the centralized
-    /// writer-preference lock ([`prep_sync::RwSpinLock`]): every reader
-    /// bounces one shared cacheline. Ablation baseline only.
-    ThroughputCentralized,
     /// Starvation-free updates and reads: FIFO ticket lock around log
-    /// reservations, phase-fair reader-writer lock per replica.
+    /// reservations, phase-fair reader-writer lock per replica. Every read
+    /// takes the lock, so its wait is bounded by the lock's phase order and
+    /// never depends on winning a race against a combiner.
     StarvationFree,
-    /// Always-optimistic reads: every caught-up read runs lock-free against
-    /// the replica and validates with the [`prep_sync::SeqVersion`] bracket
-    /// (zero atomic RMWs, zero stores to shared cachelines); bounded retries
-    /// fall back to the distributed reader slot. Writers never wait on
-    /// optimistic readers.
-    Optimistic,
-    /// Contention-adaptive: route each read Centralized / Distributed /
-    /// Optimistic per [`prep_sync::AdaptiveSelector`]'s windowed view of the
-    /// read/write mix and optimistic validation-failure rate (hysteresis
-    /// over consecutive windows).
-    Adaptive,
-}
-
-impl FairnessMode {
-    /// Whether this mode's replicas may serve seqlock-validated lock-free
-    /// reads at all.
-    pub fn allows_optimistic(self) -> bool {
-        matches!(
-            self,
-            FairnessMode::Throughput | FairnessMode::Optimistic | FairnessMode::Adaptive
-        )
-    }
 }

@@ -4,10 +4,7 @@ use prep_sync::cell::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
-use prep_sync::{
-    AdaptiveSelector, DistRwLock, PhaseFairRwLock, ReadMode, ReaderId, ReplicaLock, RwSpinLock,
-    SeqVersion, TryLock,
-};
+use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, ReplicaLock, SeqVersion, TryLock};
 
 use crate::FairnessMode;
 
@@ -48,53 +45,6 @@ impl<O, R> BatchSlot<O, R> {
     }
 }
 
-/// Per-reader-slot read-path bookkeeping, one cacheline per slot.
-///
-/// Every field is written only by the slot's owning worker (plain
-/// load+store, never an RMW) and read by others only for rare, advisory
-/// aggregation (metrics, the adaptive selector's window) — so the whole
-/// struct shares one padded line without contention.
-pub(crate) struct SlotReadState {
-    /// Read-only operations routed through this slot (bumped in
-    /// [`FairnessMode::Adaptive`] to feed the selector's window).
-    // shared-line: single-writer line with its two siblings below; padding
-    // is applied once at the container (`CachePadded<SlotReadState>`).
-    pub(crate) reads: AtomicU64,
-    /// Validated optimistic (lock-free) fast-path reads.
-    // shared-line: see `reads` — same single-writer padded line.
-    pub(crate) fast_optimistic: AtomicU64,
-    /// Replica version observed by this slot's last *locked* read; when the
-    /// current version still equals it, the reader has proof of a write-free
-    /// window and may skip the slot RMW ([`FairnessMode::Throughput`]'s
-    /// optimistic skip).
-    // shared-line: see `reads` — same single-writer padded line.
-    pub(crate) last_version: AtomicU64,
-}
-
-impl SlotReadState {
-    fn new() -> Self {
-        SlotReadState {
-            reads: AtomicU64::new(0),
-            fast_optimistic: AtomicU64::new(0),
-            last_version: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Single-writer counter bump: a plain load + store on the owning
-    /// reader's private line — deliberately **not** `fetch_add`, so the
-    /// optimistic fast path stays free of atomic RMW instructions. Returns
-    /// the new value.
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) -> u64 {
-        // ord: single-writer statistics on the owner's private line; remote
-        // aggregation (metrics, selector windows) tolerates staleness.
-        let v = counter.load(Ordering::Relaxed) + 1;
-        // ord: single-writer statistics store (see the load above).
-        counter.store(v, Ordering::Relaxed);
-        v
-    }
-}
-
 /// A volatile replica: the sequential object plus its coordination state.
 pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// The combiner lock (paper: a trylock; winning it makes a thread the
@@ -105,8 +55,7 @@ pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// Reader-writer lock protecting the sequential object. Which lock is
     /// behind the trait object is [`FairnessMode`]'s choice: the NR §3
     /// distributed lock (one padded reader slot per worker on this node) by
-    /// default, the centralized spin lock for the ablation baseline, the
-    /// phase-fair lock for §4.2's starvation-free variant.
+    /// default, the phase-fair lock for §4.2's starvation-free variant.
     pub(crate) rw: Box<dyn ReplicaLock<T>>,
     /// First log index not yet applied to this replica.
     pub(crate) local_tail: CachePadded<AtomicU64>,
@@ -123,26 +72,21 @@ pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// inside `write_with` before the mutation, even after): the optimistic
     /// read path's validation word.
     pub(crate) version: SeqVersion,
-    /// Per-reader-slot read bookkeeping (one padded line per slot, indexed
-    /// like the lock's reader slots).
-    pub(crate) read_state: Box<[CachePadded<SlotReadState>]>,
+    /// Validated lock-free reads per reader slot (indexed like the lock's
+    /// reader slots). Each line is written only by the slot's owning worker
+    /// — see [`Replica::count_fast_optimistic`] — and read by others only
+    /// for advisory aggregation.
+    pub(crate) fast_optimistic: Box<[CachePadded<AtomicU64>]>,
     /// Optimistic reads that failed validation (a combiner overlapped the
     /// lock-free read). Bumped only on the failure path, which falls back
     /// to a real lock acquisition anyway.
     pub(crate) read_validation_failures: CachePadded<AtomicU64>,
-    /// Advisory read-mode selector, consulted in [`FairnessMode::Adaptive`].
-    pub(crate) selector: AdaptiveSelector,
 }
 
 impl<T: prep_seqds::SequentialObject> Replica<T> {
     pub(crate) fn new(ds: T, beta: usize, fairness: FairnessMode) -> Self {
         let rw: Box<dyn ReplicaLock<T>> = match fairness {
-            // The optimistic modes keep the distributed lock as their
-            // validated-read fallback and writer-side exclusion.
-            FairnessMode::Throughput | FairnessMode::Optimistic | FairnessMode::Adaptive => {
-                Box::new(DistRwLock::new(ds, beta))
-            }
-            FairnessMode::ThroughputCentralized => Box::new(RwSpinLock::new(ds)),
+            FairnessMode::Throughput => Box::new(DistRwLock::new(ds, beta)),
             FairnessMode::StarvationFree => Box::new(PhaseFairRwLock::new(ds)),
         };
         Replica {
@@ -153,13 +97,10 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
             update_now: CachePadded::new(AtomicBool::new(false)),
             read_slow: CachePadded::new(AtomicU64::new(0)),
             version: SeqVersion::new(),
-            read_state: (0..beta)
-                .map(|_| CachePadded::new(SlotReadState::new()))
+            fast_optimistic: (0..beta)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             read_validation_failures: CachePadded::new(AtomicU64::new(0)),
-            // Start distributed: the paper's default routing until a window
-            // of evidence argues otherwise.
-            selector: AdaptiveSelector::new(ReadMode::Distributed),
         }
     }
 
@@ -238,30 +179,26 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
         None
     }
 
-    /// Feeds the adaptive selector a fresh window: total reads across this
-    /// replica's slots, completed write brackets, validation failures.
-    /// Called amortized (once per `WINDOW_READS_PER_READER` of one reader's
-    /// reads), so the O(β) sum is off the per-read path.
-    pub(crate) fn evaluate_selector(&self) {
-        self.selector.observe(prep_sync::ReadWindow {
-            reads: self
-                .read_state
-                .iter()
-                // ord: advisory aggregation of single-writer counters.
-                .map(|s| s.reads.load(Ordering::Relaxed))
-                .sum(),
-            writes: self.version.writes(),
-            // ord: advisory aggregation (see above).
-            validation_failures: self.read_validation_failures.load(Ordering::Relaxed),
-        });
+    /// Counts one validated lock-free read by the owner of reader slot
+    /// `rslot`: a plain load + store on the owner's private line —
+    /// deliberately **not** `fetch_add`, so the fast path stays free of
+    /// atomic RMW instructions.
+    #[inline]
+    pub(crate) fn count_fast_optimistic(&self, rslot: usize) {
+        let counter = &self.fast_optimistic[rslot];
+        // ord: single-writer statistics on the owner's private line; remote
+        // aggregation (metrics) tolerates staleness.
+        let v = counter.load(Ordering::Relaxed) + 1;
+        // ord: single-writer statistics store (see the load above).
+        counter.store(v, Ordering::Relaxed);
     }
 
     /// Validated optimistic fast-path reads served by this replica.
     pub(crate) fn fast_optimistic_total(&self) -> u64 {
-        self.read_state
+        self.fast_optimistic
             .iter()
             // ord: advisory aggregation of single-writer counters.
-            .map(|s| s.fast_optimistic.load(Ordering::Relaxed))
+            .map(|c| c.load(Ordering::Relaxed))
             .sum()
     }
 }
@@ -288,9 +225,6 @@ mod tests {
     fn fairness_selects_reader_slot_layout() {
         let dist: Replica<Recorder> = Replica::new(Recorder::new(), 4, FairnessMode::Throughput);
         assert_eq!(dist.rw.reader_slots(), 4);
-        let central: Replica<Recorder> =
-            Replica::new(Recorder::new(), 4, FairnessMode::ThroughputCentralized);
-        assert_eq!(central.rw.reader_slots(), 0);
         let fair: Replica<Recorder> =
             Replica::new(Recorder::new(), 4, FairnessMode::StarvationFree);
         assert_eq!(fair.rw.reader_slots(), 0);

@@ -8,11 +8,9 @@ use prep_seqds::SequentialObject;
 use prep_sync::{ReaderId, TicketLock, Waiter};
 use prep_topology::ThreadAssignment;
 
-use prep_sync::{ReadMode, WINDOW_READS_PER_READER};
-
 use crate::hooks::{NoopHooks, NrHooks};
 use crate::log::Log;
-use crate::replica::{Replica, SlotReadState, SLOT_DONE, SLOT_EMPTY, SLOT_PENDING};
+use crate::replica::{Replica, SLOT_DONE, SLOT_EMPTY, SLOT_PENDING};
 use crate::FairnessMode;
 
 /// A registered worker's identity: its NUMA node (→ replica) and its slot in
@@ -83,7 +81,7 @@ pub struct NodeReplicated<T: SequentialObject, H: NrHooks<T::Op> = NoopHooks> {
     /// FIFO reservation lock, present in [`FairnessMode::StarvationFree`].
     fair_reserve: Option<TicketLock>,
     /// The fairness mode this instance was built with; routes the read path
-    /// (locked, optimistic, or adaptive).
+    /// (lock-free with a locked fallback, or always locked).
     fairness: FairnessMode,
 }
 
@@ -141,10 +139,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             registered,
             fair_reserve: match fairness {
                 FairnessMode::StarvationFree => Some(TicketLock::new()),
-                FairnessMode::Throughput
-                | FairnessMode::ThroughputCentralized
-                | FairnessMode::Optimistic
-                | FairnessMode::Adaptive => None,
+                FairnessMode::Throughput => None,
             },
             fairness,
         }
@@ -525,8 +520,8 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         let mut w = Waiter::new();
         loop {
             if replica.local_tail() >= ct {
-                // The replica just advanced, so its version just changed:
-                // optimism would only validate-fail. Take the slot path.
+                // The replica just advanced, so a combiner is at work on it:
+                // a lock-free read would likely fail validation. Lock.
                 return replica.read_with(ReaderId::Slot(token.rslot), |ds| ds.apply_readonly(&op));
             }
             // Become the combiner and catch the replica up, or wait for the
@@ -542,77 +537,21 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         }
     }
 
-    /// Serves a read-only op against a caught-up replica, routed by the
-    /// fairness mode:
+    /// Serves a read-only op against a caught-up replica.
     ///
-    /// * locked modes acquire this token's dedicated reader slot — zero
-    ///   stores to any cacheline shared with another reader;
-    /// * optimistic routes run the read lock-free under the seqlock bracket
-    ///   — zero RMWs, zero stores to *any* shared cacheline — and fall back
-    ///   to the slot on validation failure;
-    /// * [`FairnessMode::Adaptive`] consults the replica's selector and
-    ///   feeds it a window sample every [`WINDOW_READS_PER_READER`] of this
-    ///   reader's reads.
+    /// [`FairnessMode::Throughput`] runs the read lock-free under the seqlock
+    /// bracket — zero RMWs, zero stores to *any* shared cacheline — and on
+    /// validation failure falls back to this token's dedicated reader slot,
+    /// which stores to no cacheline shared with another reader.
+    /// [`FairnessMode::StarvationFree`] always takes the phase-fair lock.
     fn read_caught_up(&self, replica: &Replica<T>, rslot: usize, op: &T::Op) -> T::Resp {
-        let state = &replica.read_state[rslot];
-        match self.fairness {
-            FairnessMode::ThroughputCentralized | FairnessMode::StarvationFree => {
-                replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op))
-            }
-            FairnessMode::Throughput => {
-                // Optimistic skip, gated on an *observed write-free window*:
-                // the version is unchanged since this reader's last locked
-                // read, so combiners are quiet and validation is near-certain
-                // to succeed. Outside the window, pay the slot RMW — it is
-                // cheaper than likely-wasted optimistic attempts.
-                // ord: advisory gate; correctness comes from the
-                // read_begin/validate bracket inside read_optimistic.
-                if replica.version.current() == state.last_version.load(Ordering::Relaxed) {
-                    if let Some(resp) = replica.read_optimistic(|ds| ds.apply_readonly(op)) {
-                        SlotReadState::bump(&state.fast_optimistic);
-                        return resp;
-                    }
-                }
-                let resp = replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op));
-                // Record the version this locked read observed; while it
-                // stays put, later reads have their write-free window.
-                let observed = replica.version.current();
-                // ord: single-writer record on our own line (advisory gate).
-                state.last_version.store(observed, Ordering::Relaxed);
-                resp
-            }
-            FairnessMode::Optimistic => {
-                if let Some(resp) = replica.read_optimistic(|ds| ds.apply_readonly(op)) {
-                    SlotReadState::bump(&state.fast_optimistic);
-                    return resp;
-                }
-                replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op))
-            }
-            FairnessMode::Adaptive => {
-                let reads = SlotReadState::bump(&state.reads);
-                if reads.is_multiple_of(WINDOW_READS_PER_READER) {
-                    replica.evaluate_selector();
-                }
-                match replica.selector.mode() {
-                    ReadMode::Optimistic => {
-                        if let Some(resp) = replica.read_optimistic(|ds| ds.apply_readonly(op)) {
-                            SlotReadState::bump(&state.fast_optimistic);
-                            return resp;
-                        }
-                        replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op))
-                    }
-                    ReadMode::Distributed => {
-                        replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op))
-                    }
-                    // Route through the shared overflow line: all readers
-                    // count on one hot line, approximating the centralized
-                    // lock without swapping lock objects.
-                    ReadMode::Centralized => {
-                        replica.read_with(ReaderId::Shared, |ds| ds.apply_readonly(op))
-                    }
-                }
+        if self.fairness == FairnessMode::Throughput {
+            if let Some(resp) = replica.read_optimistic(|ds| ds.apply_readonly(op)) {
+                replica.count_fast_optimistic(rslot);
+                return resp;
             }
         }
+        replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op))
     }
 
     /// Current `completedTail` (used by the persistence thread and tests).
@@ -771,50 +710,8 @@ mod tests {
         assert_eq!(nr.read_slow_paths(), 0, "caught-up read took the slow path");
     }
 
-    #[test]
-    fn centralized_mode_preserves_correctness() {
-        // The readscale ablation baseline (centralized RwSpinLock) must be
-        // semantically identical to the distributed default.
-        const THREADS: usize = 4;
-        const PER_THREAD: u64 = 200;
-        let topo = Topology::new(2, 4, 1);
-        let asg = topo.assign_workers(THREADS);
-        let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
-            Recorder::new(),
-            asg,
-            128,
-            crate::NoopHooks,
-            FairnessMode::ThroughputCentralized,
-        ));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|w| {
-                let nr = Arc::clone(&nr);
-                std::thread::spawn(move || {
-                    let t = nr.register(w);
-                    for i in 0..PER_THREAD {
-                        nr.execute(&t, RecorderOp::Record((w as u64) << 32 | i));
-                        if i % 8 == 0 {
-                            nr.execute(&t, RecorderOp::Count);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let hist = nr.with_replica(0, |r| r.history().to_vec());
-        assert_eq!(hist.len() as u64, THREADS as u64 * PER_THREAD);
-        let mut next = [0u64; THREADS];
-        for id in &hist {
-            let w = (id >> 32) as usize;
-            assert_eq!(id & 0xffff_ffff, next[w], "FIFO violated (centralized)");
-            next[w] += 1;
-        }
-    }
-
-    /// The tentpole invariant, end to end: in optimistic mode a caught-up
-    /// read performs zero atomic RMWs and zero stores to any shared
+    /// The tentpole invariant, end to end: a caught-up `Throughput` read
+    /// performs zero atomic RMWs and zero stores to any shared
     /// cacheline — every lock state word and the version word are
     /// bit-identical across any number of reads, all of which take the
     /// optimistic fast path.
@@ -827,7 +724,7 @@ mod tests {
             asg,
             64,
             crate::NoopHooks,
-            FairnessMode::Optimistic,
+            FairnessMode::Throughput,
         );
         let t = nr.register(0);
         for i in 0..10u64 {
@@ -856,9 +753,8 @@ mod tests {
         assert_eq!(nr.read_slow_paths(), 0);
     }
 
-    /// The Throughput default's write-free-window skip: with writes quiet,
-    /// repeated reads converge to the optimistic path (at most one locked
-    /// read per reader per write), and a write re-opens the window.
+    /// Writes between reads do not push later reads onto the lock: once the
+    /// combiner's bracket has closed, the very next read is lock-free again.
     #[test]
     fn throughput_mode_skips_slot_rmw_in_write_free_window() {
         let (nr, _) = small_nr(1, 64);
@@ -867,68 +763,14 @@ mod tests {
         for _ in 0..100u64 {
             nr.execute(&t, RecorderOp::Count);
         }
-        // First read after the write is locked (records the version), the
-        // other 99 ride the write-free window.
-        assert_eq!(nr.read_fast_optimistic(), 99);
+        assert_eq!(nr.read_fast_optimistic(), 100);
         nr.execute(&t, RecorderOp::Record(2));
         nr.execute(&t, RecorderOp::Count);
         assert_eq!(
             nr.read_fast_optimistic(),
-            99,
-            "read after a write must re-probe under the lock"
+            101,
+            "read after a write left the lock-free path"
         );
-        nr.execute(&t, RecorderOp::Count);
-        assert_eq!(nr.read_fast_optimistic(), 100, "window re-opens");
-    }
-
-    #[test]
-    fn optimistic_and_adaptive_modes_preserve_correctness() {
-        for fairness in [FairnessMode::Optimistic, FairnessMode::Adaptive] {
-            const THREADS: usize = 4;
-            const PER_THREAD: u64 = 300;
-            let topo = Topology::new(2, 4, 1);
-            let asg = topo.assign_workers(THREADS);
-            let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
-                Recorder::new(),
-                asg,
-                128,
-                crate::NoopHooks,
-                fairness,
-            ));
-            let handles: Vec<_> = (0..THREADS)
-                .map(|w| {
-                    let nr = Arc::clone(&nr);
-                    std::thread::spawn(move || {
-                        let t = nr.register(w);
-                        let mut mine = 0u64;
-                        for i in 0..PER_THREAD {
-                            nr.execute(&t, RecorderOp::Record((w as u64) << 32 | i));
-                            mine += 1;
-                            match nr.execute(&t, RecorderOp::Count) {
-                                RecorderResp::Count(c) => {
-                                    assert!(
-                                        c >= mine,
-                                        "read missed completed updates ({fairness:?})"
-                                    )
-                                }
-                                other => panic!("unexpected resp {other:?}"),
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-            let hist = nr.with_replica(0, |r| r.history().to_vec());
-            assert_eq!(hist.len() as u64, THREADS as u64 * PER_THREAD);
-            let mut next = [0u64; THREADS];
-            for id in &hist {
-                let w = (id >> 32) as usize;
-                assert_eq!(id & 0xffff_ffff, next[w], "FIFO violated ({fairness:?})");
-                next[w] += 1;
-            }
-        }
     }
 
     #[test]

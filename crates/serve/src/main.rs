@@ -5,7 +5,7 @@
 //!            [--conn-threads 2] [--queue-depth 128]
 //!            [--durability buffered|durable] [--epsilon 64]
 //!            [--log-size 4096] [--latency off|optane|optane/N]
-//!            [--fairness adaptive|optimistic|throughput|centralized|fair]
+//!            [--fairness throughput|fair]
 //!            [--crash-sim]
 //! ```
 //!
@@ -22,7 +22,7 @@ fn usage() -> ! {
         "usage: prep-serve [--addr A] [--shards N] [--executors N] [--conn-threads N]\n\
          \x20                 [--queue-depth N] [--durability buffered|durable]\n\
          \x20                 [--epsilon N] [--log-size N] [--latency off|optane|optane/N]\n\
-         \x20                 [--fairness adaptive|optimistic|throughput|centralized|fair]\n\
+         \x20                 [--fairness throughput|fair]\n\
          \x20                 [--crash-sim]"
     );
     std::process::exit(2);
@@ -72,10 +72,7 @@ fn main() {
             "--latency" => cfg.latency = parse_latency(&val(&mut args)),
             "--fairness" => {
                 cfg.fairness = match val(&mut args).as_str() {
-                    "adaptive" => FairnessMode::Adaptive,
-                    "optimistic" => FairnessMode::Optimistic,
                     "throughput" => FairnessMode::Throughput,
-                    "centralized" => FairnessMode::ThroughputCentralized,
                     "fair" => FairnessMode::StarvationFree,
                     _ => usage(),
                 }

@@ -121,10 +121,8 @@ pub struct ServeConfig {
     pub log_size: u64,
     /// Simulated NVM latency model.
     pub latency: LatencyModel,
-    /// Replica read-path fairness mode. Defaults to
-    /// [`FairnessMode::Adaptive`]: GETs start on the distributed-lock slot
-    /// path and migrate to optimistic lock-free reads when the observed
-    /// read/write mix warrants it.
+    /// Liveness mode (§4.2). The default, [`FairnessMode::Throughput`],
+    /// serves caught-up GETs lock-free.
     pub fairness: FairnessMode,
     /// Enable crash simulation (`ADMIN CRASH`); costs image upkeep.
     pub crash_sim: bool,
@@ -145,7 +143,7 @@ impl Default for ServeConfig {
             epsilon: 64,
             log_size: 4096,
             latency: LatencyModel::off(),
-            fairness: FairnessMode::Adaptive,
+            fairness: FairnessMode::default(),
             crash_sim: false,
             watch_signals: false,
         }
@@ -890,24 +888,7 @@ fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> A
     loop {
         match inner.state() {
             CRASHING => {
-                // The crash interrupts every pending durable ack before
-                // its covering persist: those ops may or may not survive
-                // the cut, so they must NOT be acked `Done` — but the TCP
-                // connection outlives the simulated power failure, so
-                // silence would wedge the client forever. Downgrade each
-                // to `RETRY` (no durability claim; the client replays),
-                // preserving the invariant that every frame gets exactly
-                // one response.
-                let dropped: Vec<DurAck> = {
-                    let mut q = inner.locked(&pl.dur_queue);
-                    q.drain(..).collect()
-                };
-                let n = dropped.len();
-                for ack in dropped {
-                    ack.conn.respond(&Response::Retry { id: ack.id });
-                }
-                // ord: AcqRel pairs with the drain barrier's Acquire.
-                pl.dur_len.fetch_sub(n, Ordering::AcqRel);
+                retry_pending_durable_acks(inner, pl);
                 return After::Park;
             }
             STOPPED => return After::Exit,
@@ -935,6 +916,25 @@ fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> A
             None => w.wait(),
         }
     }
+}
+
+/// The crash interrupts every pending durable ack before its covering
+/// persist: those ops may or may not survive the cut, so they must NOT be
+/// acked `Done` — but the TCP connection outlives the simulated power
+/// failure, so silence would wedge the client forever. Downgrades each to
+/// `RETRY` (no durability claim; the client replays), preserving the
+/// invariant that every frame gets exactly one response.
+fn retry_pending_durable_acks(inner: &Inner, pl: &Pipeline) {
+    let dropped: Vec<DurAck> = {
+        let mut q = inner.locked(&pl.dur_queue);
+        q.drain(..).collect()
+    };
+    let n = dropped.len();
+    for ack in dropped {
+        ack.conn.respond(&Response::Retry { id: ack.id });
+    }
+    // ord: AcqRel pairs with the drain barrier's Acquire.
+    pl.dur_len.fetch_sub(n, Ordering::AcqRel);
 }
 
 /// Waits until `shard`'s watermark covers `cover`. Returns false if a
@@ -1039,6 +1039,13 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     // target, every worker has dropped its store handle and no further ack
     // can be written.
     spin_until(|| inner.parked.load(Ordering::Acquire) == target);
+    // An executor that was mid-job when the crash began queues its durable
+    // ack after the shard's drainer has already swept and parked. Left
+    // there, the ack would wait on the *recovered* store's watermark for a
+    // `cover` taken from the old one — possibly forever.
+    for pl in &inner.pipelines {
+        retry_pending_durable_acks(inner, pl);
+    }
 
     let old = inner
         .locked(&inner.store)

@@ -10,8 +10,8 @@
 //! flag and then scans every reader line until all are free.
 //!
 //! Compare [`crate::RwSpinLock`], which funnels every reader through one
-//! shared `fetch_add`/`fetch_sub` cacheline — fine for write-heavy replicas,
-//! a bottleneck at 90%+ reads (the paper's headline workloads).
+//! shared `fetch_add`/`fetch_sub` cacheline — a bottleneck at 90%+ reads
+//! (the paper's headline workloads).
 //!
 //! Reader identity is a [`ReaderId`]:
 //!
@@ -41,8 +41,8 @@ const WAITING_MASK: u64 = WRITER - 1;
 
 /// Identity of a reader for slot-distributed locks ([`DistRwLock`]).
 ///
-/// Locks without per-reader state ([`crate::RwSpinLock`],
-/// [`crate::PhaseFairRwLock`]) accept and ignore it.
+/// Locks without per-reader state ([`crate::PhaseFairRwLock`]) accept and
+/// ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReaderId {
     /// A registered reader with exclusive use of dedicated slot `i`.
@@ -391,8 +391,10 @@ mod tests {
     fn racing_reader_backs_out_and_writer_drains() {
         let lock = Arc::new(DistRwLock::new(0u64, 2));
         let stop = Arc::new(AtomicBool::new(false));
+        let churning = Arc::new(AtomicBool::new(false));
         let l2 = Arc::clone(&lock);
         let s2 = Arc::clone(&stop);
+        let c2 = Arc::clone(&churning);
         // Reader thread hammers acquire/release on its own slot.
         let reader = thread::spawn(move || {
             let mut reads = 0u64;
@@ -400,9 +402,14 @@ mod tests {
                 let g = l2.read(ReaderId::Slot(0));
                 reads += 1;
                 drop(g);
+                c2.store(true, Ordering::Relaxed);
             }
             reads
         });
+        // Handshake: the 200 acquisitions below take well under a thread
+        // start-up, so without this the writer finishes before the reader
+        // has run at all and nothing races.
+        spin_until(|| churning.load(Ordering::Relaxed));
         // Writer thread repeatedly acquires through the churning reader —
         // every acquisition must complete (drain terminates) and be
         // exclusive.

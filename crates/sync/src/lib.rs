@@ -11,21 +11,19 @@
 //!   no store to any line shared with another reader ([`DistRwLock`]; NR §3
 //!   calls for exactly this "writer-preference variant of the distributed
 //!   reader-writer lock");
-//! * the **centralized reader-writer lock** it replaced, kept as the
-//!   ablation baseline ([`RwSpinLock`]);
+//! * a **centralized writer-preference reader-writer lock**, the per-bucket
+//!   lock of the SOFT baseline ([`RwSpinLock`]);
 //! * a **starvation-free reader-writer lock**, the drop-in the paper suggests
 //!   for starvation-free read-only operations (§4.2 "Liveness")
 //!   ([`PhaseFairRwLock`]);
-//! * the [`ReplicaLock`] trait abstracting over the three, so the replica
-//!   holds whichever one the fairness mode selects;
+//! * the [`ReplicaLock`] trait abstracting over the distributed and the
+//!   starvation-free lock, so the replica holds whichever one the fairness
+//!   mode selects;
 //! * a **strong try reader-writer lock**, required by the CX-UC/CX-PUC
 //!   baselines of Correia et al. ([`StrongTryRwLock`]);
 //! * a **seqlock-style version cell** bracketing combiner writes so
 //!   read-only operations can run lock-free and validate afterwards —
-//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]);
-//! * a **contention-adaptive selector** choosing Centralized / Distributed /
-//!   Optimistic read routing from the observed read/write mix and
-//!   validation-failure rate ([`AdaptiveSelector`]).
+//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]).
 //!
 //! All locks here are spin locks in the tradition of the originals, but every
 //! wait loop goes through [`Waiter`], which spins briefly and then yields to
@@ -39,7 +37,6 @@
 
 pub mod cell;
 
-mod adaptive;
 mod dist_rw;
 mod phase_fair;
 mod replica_lock;
@@ -50,7 +47,6 @@ mod ticket;
 mod trylock;
 mod waiter;
 
-pub use adaptive::{AdaptiveSelector, ReadMode, ReadWindow, WINDOW_READS_PER_READER};
 pub use dist_rw::{DistReadGuard, DistRwLock, DistWriteGuard, ReaderId};
 pub use phase_fair::{PhaseFairReadGuard, PhaseFairRwLock, PhaseFairWriteGuard};
 pub use replica_lock::ReplicaLock;

@@ -1,12 +1,10 @@
 //! The lock interface NR replicas are guarded by.
 //!
-//! NR's per-replica reader-writer lock comes in three flavors, selected by
+//! NR's per-replica reader-writer lock comes in two flavors, selected by
 //! the construction's fairness mode:
 //!
 //! * [`DistRwLock`] — distributed per-reader slots, the NR §3 lock; the
-//!   throughput default for read-heavy workloads;
-//! * [`RwSpinLock`] — the centralized writer-preference lock; kept as the
-//!   ablation baseline the distributed lock is measured against;
+//!   throughput default;
 //! * [`PhaseFairRwLock`] — the §4.2 starvation-free variant.
 //!
 //! [`ReplicaLock`] abstracts over them so the replica can hold a trait
@@ -20,7 +18,7 @@
 //! the universal construction plumbs reader identity unconditionally and
 //! the lock decides whether it pays off.
 
-use crate::{DistRwLock, PhaseFairRwLock, ReaderId, RwSpinLock};
+use crate::{DistRwLock, PhaseFairRwLock, ReaderId};
 
 /// A readers-writer lock suitable for guarding an NR replica.
 // lock-level: 2 replica data locks nest inside the gate (0) and the
@@ -93,26 +91,6 @@ impl<T: Send + Sync> ReplicaLock<T> for DistRwLock<T> {
     }
 }
 
-impl<T: Send + Sync> ReplicaLock<T> for RwSpinLock<T> {
-    // SAFETY: forwards the trait method's seqlock contract — the caller
-    // brackets this call with an external write-detection protocol and
-    // discards torn observations.
-    unsafe fn with_peek(&self, f: &mut dyn FnMut(&T)) {
-        // SAFETY: the caller upholds the seqlock contract documented on the
-        // trait method; we only materialize the unsynchronized shared
-        // reference it promises to treat as suspect.
-        f(unsafe { &*self.data_ptr() });
-    }
-
-    fn with_read(&self, _id: ReaderId, f: &mut dyn FnMut(&T)) {
-        f(&self.read());
-    }
-
-    fn with_write(&self, f: &mut dyn FnMut(&mut T)) {
-        f(&mut self.write());
-    }
-}
-
 impl<T: Send + Sync> ReplicaLock<T> for PhaseFairRwLock<T> {
     // SAFETY: forwards the trait method's seqlock contract — the caller
     // brackets this call with an external write-detection protocol and
@@ -154,7 +132,6 @@ mod tests {
     fn all_variants_implement_the_trait() {
         let locks: Vec<Box<dyn ReplicaLock<u64>>> = vec![
             Box::new(DistRwLock::new(0u64, 2)),
-            Box::new(RwSpinLock::new(0u64)),
             Box::new(PhaseFairRwLock::new(0u64)),
         ];
         for lock in &locks {
@@ -162,6 +139,5 @@ mod tests {
         }
         assert_eq!(locks[0].reader_slots(), 2);
         assert_eq!(locks[1].reader_slots(), 0);
-        assert_eq!(locks[2].reader_slots(), 0);
     }
 }

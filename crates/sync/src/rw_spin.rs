@@ -1,10 +1,8 @@
 //! Writer-preference reader-writer spin lock.
 //!
-//! This is the per-replica reader-writer lock of NR-UC (§3): the combiner
-//! claims it in write mode to apply log entries; read-only operations claim
-//! it in read mode. Writer preference matters here — the combiner is applying
-//! updates *on behalf of every thread on the node*, so letting a stream of
-//! readers starve it would stall the whole node.
+//! The centralized counterpart of [`crate::DistRwLock`]: every reader counts
+//! on one shared word. Used as the per-bucket lock of the SOFT baseline
+//! (`prep-soft`), where buckets are many and each is rarely contended.
 //!
 //! Layout of the 64-bit state word:
 //!
@@ -39,7 +37,8 @@ const READER_MASK: u64 = (1 << 32) - 1;
 /// lock.write().push(4);
 /// assert_eq!(lock.read().len(), 4);
 /// ```
-// lock-level: 2 a ReplicaLock implementation — see the trait's level
+// lock-level: 2 a leaf data lock, ranked with the replica locks: nothing
+// ranked is acquired under it
 #[derive(Debug)]
 pub struct RwSpinLock<T> {
     state: CachePadded<AtomicU64>,
@@ -152,13 +151,6 @@ impl<T> RwSpinLock<T> {
         // ord: advisory statistic; callers make no decisions that need to
         // synchronize with guard hand-off.
         self.state.load(Ordering::Relaxed) & READER_MASK
-    }
-
-    /// Raw pointer to the protected data, for the optimistic (seqlock)
-    /// read path. Dereferencing it without holding the lock is only sound
-    /// under the [`crate::ReplicaLock::with_peek`] contract.
-    pub(crate) fn data_ptr(&self) -> *const T {
-        self.data.get()
     }
 
     /// Returns a mutable reference to the protected data without locking.

@@ -42,9 +42,16 @@ struct CrashOutcome {
     beta: u64,
 }
 
-/// Runs a concurrent workload, crashes after `run_ms`, recovers, and
-/// returns everything the properties need.
-fn crash_run(level: DurabilityLevel, eps: u64, log: u64, run_ms: u64) -> CrashOutcome {
+/// Runs a concurrent workload at `level`, crashes after `run_ms`, recovers
+/// into an instance configured with `recover_level`, and returns everything
+/// the properties need.
+fn crash_run(
+    level: DurabilityLevel,
+    recover_level: DurabilityLevel,
+    eps: u64,
+    log: u64,
+    run_ms: u64,
+) -> CrashOutcome {
     let asg = Topology::new(2, 2, 1).assign_workers(WORKERS);
     let prep = Arc::new(PrepUc::new(
         Recorder::new(),
@@ -94,7 +101,7 @@ fn crash_run(level: DurabilityLevel, eps: u64, log: u64, run_ms: u64) -> CrashOu
     let full_history = prep.with_replica(0, |r| r.history().to_vec());
     drop(prep);
 
-    let recovered_uc = PrepUc::recover(token, image, asg, cfg(level, eps, log));
+    let recovered_uc = PrepUc::recover(token, image, asg, cfg(recover_level, eps, log));
     let recovered = recovered_uc.with_replica(0, |r| r.history().to_vec());
 
     CrashOutcome {
@@ -108,7 +115,13 @@ fn crash_run(level: DurabilityLevel, eps: u64, log: u64, run_ms: u64) -> CrashOu
 #[test]
 fn buffered_recovery_is_a_prefix_with_bounded_loss() {
     for (run_ms, eps) in [(20u64, 8u64), (50, 32), (80, 8)] {
-        let out = crash_run(DurabilityLevel::Buffered, eps, 256, run_ms);
+        let out = crash_run(
+            DurabilityLevel::Buffered,
+            DurabilityLevel::Buffered,
+            eps,
+            256,
+            run_ms,
+        );
         let kept = assert_prefix(&out.recovered, &out.full_history);
         let observed: u64 = out.observed_at_cut.iter().sum();
         let bound = eps + out.beta - 1;
@@ -121,8 +134,15 @@ fn buffered_recovery_is_a_prefix_with_bounded_loss() {
 
 #[test]
 fn durable_recovery_keeps_every_completed_operation() {
-    for run_ms in [20u64, 50, 80] {
-        let out = crash_run(DurabilityLevel::Durable, 32, 256, run_ms);
+    // What a durable image guarantees does not depend on the durability
+    // level the recovered instance will run at.
+    for (run_ms, recover_level) in [
+        (20u64, DurabilityLevel::Durable),
+        (50, DurabilityLevel::Durable),
+        (80, DurabilityLevel::Durable),
+        (50, DurabilityLevel::Buffered),
+    ] {
+        let out = crash_run(DurabilityLevel::Durable, recover_level, 32, 256, run_ms);
         let kept = assert_prefix(&out.recovered, &out.full_history);
         // Every op observed complete at the cut must be in the recovered
         // prefix — per worker, the first observed[w] ops of that worker.
@@ -134,8 +154,9 @@ fn durable_recovery_keeps_every_completed_operation() {
                 .count() as u64;
             assert!(
                 in_recovered >= obs,
-                "durable: worker {w} had {obs} completed ops at crash but only \
-                 {in_recovered} recovered (prefix length {kept})"
+                "durable (recovered as {recover_level:?}): worker {w} had {obs} \
+                 completed ops at crash but only {in_recovered} recovered \
+                 (prefix length {kept})"
             );
         }
     }
@@ -143,7 +164,13 @@ fn durable_recovery_keeps_every_completed_operation() {
 
 #[test]
 fn recovered_instance_accepts_new_operations_and_stays_consistent() {
-    let out = crash_run(DurabilityLevel::Durable, 16, 256, 30);
+    let out = crash_run(
+        DurabilityLevel::Durable,
+        DurabilityLevel::Durable,
+        16,
+        256,
+        30,
+    );
     // Start a second life from the recovered history and crash it again:
     // c crashes lose at most c(ε + β − 1), and durable loses none.
     let asg = Topology::new(2, 2, 1).assign_workers(1);

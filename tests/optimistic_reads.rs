@@ -1,9 +1,9 @@
-//! Optimistic lock-free reads, end to end.
+//! Optimistic lock-free reads (`FairnessMode::Throughput`), end to end.
 //!
 //! The optimistic read path returns values observed with **no lock held**:
 //! a seqlock version bracket (`SeqVersion::read_begin` / `validate`)
 //! detects any overlapping combiner and discards the read. These tests
-//! check the three ways that could go wrong:
+//! check the ways that could go wrong:
 //!
 //! * **Linearizability** — optimistic reads racing writers must still
 //!   produce linearizable histories (the validated read reflects a state
@@ -11,8 +11,8 @@
 //! * **Torn reads** — a multi-word invariant (`N` words all equal) must
 //!   never be observed mid-write; validation failure must discard the
 //!   torn snapshot rather than return it.
-//! * **Cross-mode agreement** — Centralized, Distributed, Optimistic and
-//!   Adaptive modes are semantically interchangeable.
+//! * **Cross-mode agreement** — the lock-free mode and the always-locked
+//!   `StarvationFree` mode are semantically interchangeable.
 //! * **Recovery** — after a crash, optimistic reads on the recovered
 //!   instance see exactly the recovered prefix, never post-cut state.
 
@@ -50,40 +50,32 @@ fn read_heavy_ops(seed: u64) -> impl Fn(usize, usize) -> MapOp + Sync {
     }
 }
 
-fn linearizable_under(fairness: FairnessMode, seed: u64) -> bool {
-    let asg = Topology::new(2, 2, 1).assign_workers(THREADS);
-    let nr = NodeReplicated::with_hooks_and_fairness(HashMap::new(), asg, 256, NoopHooks, fairness);
-    let tokens: Vec<_> = (0..THREADS).map(|t| nr.register(t)).collect();
-    let history = record_concurrent::<HashMap, _, _>(
-        THREADS,
-        OPS_PER_THREAD,
-        read_heavy_ops(seed),
-        |t, op| nr.execute(&tokens[t], op),
-    );
-    check_linearizable(&HashMap::new(), &history)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Optimistic-mode NR produces linearizable histories at 90% reads:
+    /// Throughput-mode NR produces linearizable histories at 90% reads:
     /// most reads are served lock-free with seqlock validation, racing
     /// the combiner that bumps the version on every batch.
     #[test]
     fn optimistic_nr_read_heavy_histories_linearize(seed in 0u64..1u64 << 32) {
-        prop_assert!(
-            linearizable_under(FairnessMode::Optimistic, seed),
-            "Optimistic NR produced a non-linearizable history (seed {seed})"
+        let asg = Topology::new(2, 2, 1).assign_workers(THREADS);
+        let nr = NodeReplicated::with_hooks_and_fairness(
+            HashMap::new(),
+            asg,
+            256,
+            NoopHooks,
+            FairnessMode::Throughput,
         );
-    }
-
-    /// Same property under the adaptive selector, which migrates between
-    /// the slot path, the shared line, and the optimistic path mid-run.
-    #[test]
-    fn adaptive_nr_read_heavy_histories_linearize(seed in 0u64..1u64 << 32) {
+        let tokens: Vec<_> = (0..THREADS).map(|t| nr.register(t)).collect();
+        let history = record_concurrent::<HashMap, _, _>(
+            THREADS,
+            OPS_PER_THREAD,
+            read_heavy_ops(seed),
+            |t, op| nr.execute(&tokens[t], op),
+        );
         prop_assert!(
-            linearizable_under(FairnessMode::Adaptive, seed),
-            "Adaptive NR produced a non-linearizable history (seed {seed})"
+            check_linearizable(&HashMap::new(), &history),
+            "Throughput NR produced a non-linearizable history (seed {seed})"
         );
     }
 }
@@ -156,75 +148,72 @@ impl SequentialObject for TornDetector {
 /// the direct test that seqlock validation discards torn reads.
 #[test]
 fn optimistic_reads_are_never_torn() {
-    for fairness in [FairnessMode::Optimistic, FairnessMode::Adaptive] {
-        const READERS: usize = 3;
-        let asg = Topology::new(2, 4, 1).assign_workers(READERS + 1);
-        let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
-            TornDetector::new(),
-            asg,
-            128,
-            NoopHooks,
-            fairness,
-        ));
-        let stop = Arc::new(AtomicBool::new(false));
+    const READERS: usize = 3;
+    let asg = Topology::new(2, 4, 1).assign_workers(READERS + 1);
+    let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
+        TornDetector::new(),
+        asg,
+        128,
+        NoopHooks,
+        FairnessMode::Throughput,
+    ));
+    let stop = Arc::new(AtomicBool::new(false));
 
-        let writer = {
+    let writer = {
+        let nr = Arc::clone(&nr);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let t = nr.register(0);
+            let mut v = 1u64;
+            while !stop.load(Ordering::Relaxed) {
+                nr.execute(&t, TornOp::SetAll(v));
+                v += 1;
+            }
+            v
+        })
+    };
+    let readers: Vec<_> = (0..READERS)
+        .map(|r| {
             let nr = Arc::clone(&nr);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let t = nr.register(0);
-                let mut v = 1u64;
+                let t = nr.register(1 + r);
+                let mut reads = 0u64;
+                let mut last_seen = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    nr.execute(&t, TornOp::SetAll(v));
-                    v += 1;
+                    let (min, max) = nr.execute(&t, TornOp::ReadAll);
+                    assert_eq!(min, max, "torn read escaped validation");
+                    // Values a single reader observes are monotone
+                    // (the writer only counts up).
+                    assert!(min >= last_seen, "read went backwards");
+                    last_seen = min;
+                    reads += 1;
                 }
-                v
+                reads
             })
-        };
-        let readers: Vec<_> = (0..READERS)
-            .map(|r| {
-                let nr = Arc::clone(&nr);
-                let stop = Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let t = nr.register(1 + r);
-                    let mut reads = 0u64;
-                    let mut last_seen = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let (min, max) = nr.execute(&t, TornOp::ReadAll);
-                        assert_eq!(min, max, "torn read escaped validation ({fairness:?})");
-                        // Values a single reader observes are monotone
-                        // (the writer only counts up).
-                        assert!(min >= last_seen, "read went backwards ({fairness:?})");
-                        last_seen = min;
-                        reads += 1;
-                    }
-                    reads
-                })
-            })
-            .collect();
+        })
+        .collect();
 
-        std::thread::sleep(std::time::Duration::from_millis(200));
-        stop.store(true, Ordering::Relaxed);
-        writer.join().unwrap();
-        let total_reads: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total_reads > 0, "readers made no progress ({fairness:?})");
-    }
+    std::thread::sleep(std::time::Duration::from_millis(200));
+    stop.store(true, Ordering::Relaxed);
+    writer.join().unwrap();
+    let total_reads: u64 = readers.into_iter().map(|h| h.join().unwrap()).sum();
+    assert!(total_reads > 0, "readers made no progress");
+    assert!(
+        nr.read_fast_optimistic() > 0,
+        "no read took the lock-free path"
+    );
 }
 
-/// All read-path modes agree on final state under an owned-key update
-/// discipline with interleaved reads (extends `readpath.rs`'s three-mode
-/// agreement test to the optimistic and adaptive modes).
+/// The lock-free mode and the always-locked mode agree on final state under
+/// an owned-key update discipline, and in both a read issued after the
+/// reader's own update completed observes it.
 #[test]
 fn optimistic_modes_agree_with_lock_modes_on_final_state() {
     const WORKERS: usize = 4;
     const PER_WORKER: u64 = 250;
     let mut final_histories = Vec::new();
-    for fairness in [
-        FairnessMode::Throughput,
-        FairnessMode::ThroughputCentralized,
-        FairnessMode::Optimistic,
-        FairnessMode::Adaptive,
-    ] {
+    for fairness in [FairnessMode::Throughput, FairnessMode::StarvationFree] {
         let asg = Topology::new(2, 4, 1).assign_workers(WORKERS);
         let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
             Recorder::new(),
@@ -240,8 +229,12 @@ fn optimistic_modes_agree_with_lock_modes_on_final_state() {
                     let t = nr.register(w);
                     for i in 0..PER_WORKER {
                         nr.execute(&t, RecorderOp::Record((w as u64) << 32 | i));
-                        if i % 8 == 0 {
-                            nr.execute(&t, RecorderOp::Count);
+                        match nr.execute(&t, RecorderOp::Count) {
+                            RecorderResp::Count(c) => assert!(
+                                c > i,
+                                "{fairness:?} read missed the reader's own completed updates"
+                            ),
+                            other => panic!("unexpected response {other:?}"),
                         }
                     }
                 })
@@ -265,9 +258,7 @@ fn optimistic_modes_agree_with_lock_modes_on_final_state() {
         hist.sort_unstable();
         final_histories.push(hist);
     }
-    for other in &final_histories[1..] {
-        assert_eq!(&final_histories[0], other);
-    }
+    assert_eq!(final_histories[0], final_histories[1]);
 }
 
 /// Crash/recovery: optimistic reads on the recovered instance observe
@@ -280,7 +271,7 @@ fn recovered_optimistic_reads_see_exactly_the_recovered_prefix() {
         PrepConfig::new(DurabilityLevel::Buffered)
             .with_log_size(256)
             .with_epsilon(8)
-            .with_fairness(FairnessMode::Optimistic)
+            .with_fairness(FairnessMode::Throughput)
             .with_runtime(PmemRuntime::for_crash_tests())
     };
     let asg = Topology::new(2, 2, 1).assign_workers(WORKERS);

@@ -1,7 +1,7 @@
 //! Wire-level durability tests for `prep-serve`: the paper's buffered /
 //! durable ack contract, observed from the *client* side of a TCP socket.
 //!
-//! Two properties, both stated over acknowledgements a real client saw:
+//! Properties stated over what a real client saw:
 //!
 //! * **Graceful shutdown loses nothing.** Every op buffered-acked before a
 //!   clean `ADMIN SHUTDOWN` survives a post-shutdown crash cut — the drain
@@ -15,6 +15,10 @@
 //!   acked before a survivor was even sent cannot itself be missing),
 //!   checked through `prep-checker`'s sharded history recorder fed from
 //!   the client threads.
+//!
+//! * **The default server reads lock-free.** `ServeConfig::default()` serves
+//!   a GET-only burst entirely on the validated lock-free path, visible in
+//!   `ADMIN STATS`.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -46,7 +50,7 @@ fn server() -> Server {
             latency: LatencyModel::off(),
             crash_sim: true,
             watch_signals: false,
-            fairness: prep_uc::FairnessMode::Adaptive,
+            fairness: prep_uc::FairnessMode::default(),
         },
         "127.0.0.1:0",
     )
@@ -397,5 +401,45 @@ fn recovered_epoch_is_visible_on_the_wire() {
     }
     let store: Arc<Store> = server.store_handle();
     assert_eq!(store.epoch(), 2);
+    server.shutdown();
+}
+
+/// A default-config server serves caught-up GETs on the lock-free path: the
+/// STATS counters show every read of a GET-only burst validated, none slow.
+#[test]
+fn default_config_serves_gets_lock_free() {
+    let server = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
+    let mut c = Client::connect(server.local_addr());
+    const KEYS: u64 = 16;
+    for k in 0..KEYS {
+        c.put_retrying(k, AckLevel::Buffered, k, k + 1);
+    }
+    const GETS: u64 = 400;
+    for i in 0..GETS {
+        let key = i % KEYS;
+        loop {
+            match c.roundtrip(&Request::Get { id: i, key }) {
+                Response::Value { value, .. } => {
+                    assert_eq!(value, Some(key + 1));
+                    break;
+                }
+                Response::Retry { .. } => std::thread::yield_now(),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+    match c.roundtrip(&Request::Admin {
+        id: GETS,
+        cmd: AdminCmd::Stats,
+    }) {
+        Response::Stats { stats, .. } => {
+            let fast: u64 = stats.shards.iter().map(|s| s.read_fast_optimistic).sum();
+            let slow: u64 = stats.shards.iter().map(|s| s.read_slow_paths).sum();
+            // No writer runs during the burst, so nothing can fail validation.
+            assert_eq!(fast, GETS, "a GET left the lock-free path");
+            assert_eq!(slow, 0, "a GET found its replica behind");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
     server.shutdown();
 }
