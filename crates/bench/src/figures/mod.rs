@@ -38,6 +38,24 @@ pub fn topology(opts: &RunOpts) -> Topology {
     }
 }
 
+/// The host a recording was made on, as a JSON object: core count, CPU
+/// model and kernel release (empty strings where `/proc` does not say).
+pub(crate) fn host_fingerprint() -> String {
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu_model = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split(':').nth(1))
+        .unwrap_or_default();
+    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
+    format!(
+        "{{\"nproc\": {nproc}, \"cpu_model\": \"{}\", \"kernel\": \"{}\"}}",
+        cpu_model.trim(),
+        kernel.trim()
+    )
+}
+
 /// Thread counts clamped to the topology's worker capacity.
 pub fn thread_sweep(opts: &RunOpts) -> Vec<usize> {
     let max = topology(opts).max_workers();

@@ -23,7 +23,7 @@
 
 use prep_nr::FairnessMode;
 
-use crate::figures::{map_stream, thread_sweep, topology};
+use crate::figures::{host_fingerprint, map_stream, thread_sweep, topology};
 use crate::report;
 use crate::targets::{run_nr_fair, CellResult};
 use crate::workload::prefilled_hashmap;
@@ -152,24 +152,6 @@ fn print_winner_summary(cells: &[Cell]) {
             second.mode,
         );
     }
-}
-
-/// The host a recording was made on, as a JSON object: core count, CPU
-/// model and kernel release (empty strings where `/proc` does not say).
-fn host_fingerprint() -> String {
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
-    let cpu_model = cpuinfo
-        .lines()
-        .find(|l| l.starts_with("model name"))
-        .and_then(|l| l.split(':').nth(1))
-        .unwrap_or_default();
-    let kernel = std::fs::read_to_string("/proc/sys/kernel/osrelease").unwrap_or_default();
-    format!(
-        "{{\"nproc\": {nproc}, \"cpu_model\": \"{}\", \"kernel\": \"{}\"}}",
-        cpu_model.trim(),
-        kernel.trim()
-    )
 }
 
 /// Hand-rolled JSON dump (no serde in the dependency closure): one object

@@ -14,6 +14,7 @@ use crossbeam_utils::CachePadded;
 use prep_nr::NrHooks;
 use prep_pmem::psan::{PublishTag, Region};
 use prep_pmem::{LogImage, PersistentCell, PmemRuntime};
+use prep_sync::WakeSlot;
 
 use crate::config::{DurabilityLevel, PsanFault};
 
@@ -79,6 +80,14 @@ pub(crate) struct HookState<O: Clone> {
     /// checkpoint on the active replica — this only advances after the
     /// swap, so it is a crash-survivability watermark in both modes.
     pub(crate) durable_tail: CachePadded<AtomicU64>,
+    /// Largest `completedTail` somebody has asked to have checkpointed now
+    /// rather than at the flush boundary (`PrepUc::nudge_checkpoint`). The
+    /// request stands until `durable_tail` reaches it, so a nudge that
+    /// lands while a checkpoint is in flight is served by the next one.
+    pub(crate) sync_request: CachePadded<AtomicU64>,
+    /// Where the one thread waiting for `durable_tail` to advance parks;
+    /// the persistence thread wakes it after every published checkpoint.
+    pub(crate) watermark_waiter: WakeSlot,
     /// Shutdown flag for the persistence thread and the reserve gate.
     pub(crate) stop: AtomicBool,
     /// NVM image of `d_completedTail` (durable mode).
@@ -112,6 +121,8 @@ impl<O: Clone> HookState<O> {
             p_active: CachePadded::new(AtomicU64::new(0)),
             persisted_ct: CachePadded::new(AtomicU64::new(0)),
             durable_tail: CachePadded::new(AtomicU64::new(0)),
+            sync_request: CachePadded::new(AtomicU64::new(0)),
+            watermark_waiter: WakeSlot::new(),
             stop: AtomicBool::new(false),
             ct_cell: PersistentCell::new(0),
             p_active_cell: PersistentCell::new(0),

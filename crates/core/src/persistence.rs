@@ -130,7 +130,19 @@ impl<T: SequentialObject> PersistenceTask<T> {
             // every loop iteration.
             let backstop =
                 gate_closed && rep.local_tail == tail && rep.local_tail + self.epsilon > boundary;
-            if boundary <= rep.local_tail || backstop {
+            // Third trigger (the §2.2 sync point): somebody asked for the
+            // prefix below `want` to be made crash-survivable now
+            // (`nudge_checkpoint`), the published checkpoint does not cover
+            // it yet, and this replica has applied it. A request ahead of
+            // `local_tail` is met by the next cycle (`want` is a past
+            // `completedTail`, so that cycle has entries to apply).
+            // Persisting early only tightens the loss bound, as above.
+            // ord: Acquire pairs with nudge_checkpoint's AcqRel fetch_max.
+            let want = self.state.sync_request.load(Ordering::Acquire);
+            // ord: Relaxed — this thread is the watermark's only writer.
+            let published = self.state.durable_tail.load(Ordering::Relaxed);
+            let requested = published < want && want <= rep.local_tail;
+            if boundary <= rep.local_tail || backstop || requested {
                 // Write the active replica back to NVM, making it durable
                 // and consistent: WBINVD (paper default), a per-line range
                 // flush (the §6 alternative for tiny structures), or — the
@@ -166,8 +178,17 @@ impl<T: SequentialObject> PersistenceTask<T> {
                             match lines {
                                 Some(lines) => {
                                     for off in lines {
-                                        rt.trace_store(region.base + off, 64, SITE);
-                                        rt.clflushopt_at(region.base + off, SITE);
+                                        // The structures' logical layouts are
+                                        // sparse (offsets up to 2^64); folded
+                                        // into this replica's region, a line
+                                        // can alias a line of its own replica
+                                        // but never take an address in the
+                                        // other's — where a cut between this
+                                        // flush and the fence would read as a
+                                        // torn *stable* replica.
+                                        let addr = region.base + off % region.len;
+                                        rt.trace_store(addr, 64, SITE);
+                                        rt.clflushopt_at(addr, SITE);
                                     }
                                 }
                                 None => {
@@ -247,12 +268,15 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 // the watermark durable-ack release points wait on.
                 self.state
                     .durable_tail
-                    // ord: AcqRel — Release publishes the checkpoint behind
-                    // the watermark to durable_watermark()'s Acquire
-                    // readers; Acquire keeps competing maxima ordered (only
-                    // this thread writes it today, but fetch_max is how it
-                    // stays monotone).
-                    .fetch_max(rep.local_tail, Ordering::AcqRel);
+                    // ord: SeqCst — publishes the checkpoint behind the
+                    // watermark to durable_watermark()'s readers, and is the
+                    // store of the wake slot's store→load pair: a waiter
+                    // that announced itself before this lands is seen by the
+                    // wake below, one that announces after sees the new
+                    // watermark in its re-check. (Only this thread writes
+                    // it; fetch_max is how it stays monotone.)
+                    .fetch_max(rep.local_tail, Ordering::SeqCst);
+                self.state.watermark_waiter.wake();
                 // Advance the boundary to exactly ε past what was just
                 // persisted. This is the invariant the ε + β − 1 loss bound
                 // rests on: `flushBoundary ≤ stableTail + ε` at all times,
@@ -280,7 +304,9 @@ impl<T: SequentialObject> PersistenceTask<T> {
             if progressed {
                 w.reset();
             } else {
-                w.wait();
+                // Idle: `Waiter`'s spin → yield → 50 µs cadence, except that
+                // `nudge_checkpoint` can cut the 50 µs short.
+                w.wait_unparkable();
             }
         }
     }

@@ -211,10 +211,11 @@ impl<T: SequentialObject> PrepUc<T> {
     /// covering `completedTail` (§2.2 buffered durable linearizability:
     /// this is the construction's sync point).
     pub fn durable_watermark(&self) -> u64 {
-        // ord: Acquire pairs with the persistence thread's AcqRel fetch_max
-        // after the selector persist — watermark w implies the checkpoint
-        // covering [0, w) is durable.
-        let ckpt = self.state.durable_tail.load(Ordering::Acquire);
+        // ord: SeqCst — pairs with the persistence thread's SeqCst fetch_max
+        // after the selector persist (watermark w implies the checkpoint
+        // covering [0, w) is durable), and is the load a parked watermark
+        // waiter re-checks with (`watermark_slot`).
+        let ckpt = self.state.durable_tail.load(Ordering::SeqCst);
         match self.config.durability {
             crate::config::DurabilityLevel::Durable => {
                 // ord: Acquire pairs with ensure_completed_tail_durable's
@@ -226,50 +227,60 @@ impl<T: SequentialObject> PrepUc<T> {
     }
 
     /// Asks the persistence thread to checkpoint *now* instead of waiting
-    /// for the flush boundary to be reached naturally (up to ε more ops).
+    /// for the flush boundary to be reached naturally (up to ε more ops),
+    /// and wakes it if it is idling.
     ///
-    /// Lowers the flush boundary to the active replica's applied tail — the
-    /// same mechanism `help_persistent_straggler` uses, and safe for the
-    /// same reason: persisting earlier than ε only tightens the loss bound.
+    /// The request names the current `completedTail` and stands until the
+    /// published checkpoint covers it, so one call is enough: a nudge that
+    /// arrives while a checkpoint is being written is served by the next.
+    /// Checkpointing earlier than ε is safe for the reason
+    /// `help_persistent_straggler` is: it only tightens the loss bound.
     /// No-op when the watermark already covers `completedTail`. Durable-ack
-    /// release points call this while waiting so a lightly loaded server
-    /// does not hold durable responses for a full ε window.
+    /// release points call this once per op they hold back, so a lightly
+    /// loaded server does not hold durable responses for a full ε window.
     pub fn nudge_checkpoint(&self) {
-        if self.durable_watermark() >= self.completed_tail() {
+        let ct = self.completed_tail();
+        if self.durable_watermark() >= ct {
             return;
         }
-        // ord: Acquire pairs with the persistence thread's swap Release so
-        // the tail read below belongs to the replica we think is active.
-        let active = self.state.p_active.load(Ordering::Acquire) as usize;
-        // ord: Acquire pairs with the tail's Release store.
-        let target = self.state.p_tails[active].load(Ordering::Acquire).max(1);
         self.state
-            .flush_boundary
-            // ord: AcqRel — Release so the persistence thread's Acquire of
-            // the lowered boundary sees the state that motivated it;
-            // Acquire orders racing lowerings (fetch_min keeps only the
-            // tightest).
-            .fetch_min(target, Ordering::AcqRel);
+            .sync_request
+            // ord: AcqRel — Release so the persistence thread's Acquire load
+            // of the request sees the completions that motivated it; Acquire
+            // orders racing requests (fetch_max keeps only the furthest).
+            .fetch_max(ct, Ordering::AcqRel);
+        // The unpark token outlives a race with the thread's own decision
+        // to park, and the park has a 50 µs timeout besides.
+        if let Some(h) = &self.persistence {
+            h.thread().unpark();
+        }
+    }
+
+    /// The slot a thread parks on to wait for [`PrepUc::durable_watermark`]
+    /// to advance: the persistence thread calls its `wake` after every
+    /// published checkpoint, so
+    /// `watermark_slot().wait_until(|| durable_watermark() >= cover || …)`
+    /// blocks without polling. A caller that adds a condition of its own
+    /// to the closure (a server's crash flag) wakes the slot itself when
+    /// that condition changes. One waiter at a time; contenders take turns
+    /// (see [`prep_sync::WakeSlot`]).
+    pub fn watermark_slot(&self) -> &prep_sync::WakeSlot {
+        &self.state.watermark_waiter
     }
 
     /// Blocks until every operation completed *before this call* is crash
-    /// survivable (`durable_watermark() >= completedTail`), nudging the
-    /// persistence thread along.
+    /// survivable (`durable_watermark() >= completedTail`), asking the
+    /// persistence thread for the checkpoint and parking until it lands.
     ///
     /// Intended for drain/shutdown paths after workers have stopped
     /// submitting; with concurrent writers it chases a moving tail and
     /// returns as soon as it observes a watermark covering some recent
     /// `completedTail` read.
     pub fn quiesce_persistence(&self) {
-        let mut w = prep_sync::Waiter::new();
-        loop {
-            let ct = self.completed_tail();
-            if self.durable_watermark() >= ct {
-                return;
-            }
-            self.nudge_checkpoint();
-            w.wait();
-        }
+        let ct = self.completed_tail();
+        self.nudge_checkpoint();
+        self.watermark_slot()
+            .wait_until(|| self.durable_watermark() >= ct);
     }
 
     /// The persistent replicas' localTails (volatile mirror).

@@ -14,14 +14,21 @@
 //! Under the default fixed lattice, connection `i` of `c` owns arrivals
 //! `i, i+c, i+2c, …` of the global schedule (interval `1/rate`), so the
 //! aggregate offered load is `rate`
-//! regardless of the connection count. Between arrivals the socket blocks
-//! in `read` with a deadline at the next send, so responses are timestamped
-//! promptly rather than at the next polling tick. `RETRY` responses count
-//! as shed load (the backpressure contract), not latency samples.
+//! regardless of the connection count. Each connection is two threads: the
+//! sender walks the schedule, and a receiver blocks in an **untimed**
+//! `read` and timestamps every response as it lands. (Pacing the receive
+//! side with `set_read_timeout` does not work: the kernel rounds
+//! `SO_RCVTIMEO` up to scheduler ticks — asked for 10 µs, it blocks 8 ms at
+//! HZ = 250 — which delays the next send by up to a tick and, latency
+//! being counted from the schedule, adds a uniform 0–8 ms to every
+//! request.) `RETRY` responses count as shed load (the backpressure
+//! contract), not latency samples.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::time::Duration;
 
 use prep_serve::proto::{self, AckLevel, AdminCmd, Request, Response};
@@ -102,8 +109,10 @@ pub struct CrashProbe {
     pub requested_ns: u64,
     /// Server's crash ack (recovery finished), ns on the run clock.
     pub acked_ns: Option<u64>,
-    /// First *data* response completed after the crash request — the
-    /// client-observed time-to-first-response across the outage.
+    /// First completed *data* request that was scheduled after the crash
+    /// request — the client-observed time-to-first-response across the
+    /// outage. (A response to a request already in flight when the crash
+    /// was sent says nothing about the outage.)
     pub first_data_ns: Option<u64>,
 }
 
@@ -153,6 +162,15 @@ struct PendingOp {
     warmup: bool,
 }
 
+/// What a connection's sender tells its receiver — always before the bytes
+/// reach the socket, so a response never arrives ahead of its request.
+enum Sent {
+    Op { id: u64, op: PendingOp },
+    Crash { requested_ns: u64 },
+}
+
+/// One connection's results. The sender counts `sent`; everything else is
+/// the receiver's.
 struct ConnOutcome {
     sent: u64,
     completed: u64,
@@ -308,8 +326,8 @@ fn shutdown_server(cfg: &RunConfig) -> std::io::Result<()> {
     }
 }
 
-/// One connection: send on schedule, receive with a deadline at the next
-/// scheduled send.
+/// One connection: this thread sends on schedule, a scoped receiver thread
+/// reads and accounts the responses.
 fn conn_worker(
     cfg: &RunConfig,
     index: usize,
@@ -318,6 +336,49 @@ fn conn_worker(
 ) -> std::io::Result<ConnOutcome> {
     let mut stream = TcpStream::connect(&cfg.addr)?;
     stream.set_nodelay(true)?;
+    let rx_stream = stream.try_clone()?;
+    let (announce, announced) = mpsc::channel();
+    // Responses accounted so far, against the frames this thread has sent.
+    let answered = AtomicU64::new(0);
+
+    std::thread::scope(|scope| {
+        let receiver = scope.spawn(|| receive(rx_stream, announced, clock, &answered));
+        let sent = send_schedule(cfg, index, clock, start_ns, &mut stream, &announce);
+        // Stragglers get a bounded grace period; then the socket is shut
+        // down, which is also what ends the receiver's untimed read.
+        if let Ok(frames) = &sent {
+            let deadline = clock.now_ns() + DRAIN_GRACE.as_nanos() as u64;
+            // ord: a progress counter; the join below synchronizes.
+            while answered.load(Ordering::Relaxed) < frames.total && clock.now_ns() < deadline {
+                clock.sleep_until(clock.now_ns() + 1_000_000);
+            }
+        }
+        let _ = stream.shutdown(Shutdown::Both);
+        drop(announce);
+        let mut o = receiver.join().expect("receiver panicked");
+        o.sent = sent?.measured;
+        Ok(o)
+    })
+}
+
+/// How many frames one connection's sender wrote.
+struct Frames {
+    /// Every frame, warm-up and crash injection included.
+    total: u64,
+    /// Requests inside the measured window.
+    measured: u64,
+}
+
+/// Walks this connection's share of the arrival schedule, announcing each
+/// frame to the receiver before writing it.
+fn send_schedule(
+    cfg: &RunConfig,
+    index: usize,
+    clock: &Clock,
+    start_ns: u64,
+    stream: &mut TcpStream,
+    announce: &mpsc::Sender<Sent>,
+) -> std::io::Result<Frames> {
     let mut rng = SmallRng::seed_from_u64(cfg.seed.wrapping_add(index as u64 * 0x517c_c1b7));
     let sampler = KeySampler::new(cfg.mix, cfg.keys);
     let mut arrivals = ArrivalGen::new(
@@ -330,64 +391,42 @@ fn conn_worker(
 
     let end_ns = start_ns + cfg.duration_ms * 1_000_000;
     let warmup_end_ns = start_ns + cfg.warmup_ms * 1_000_000;
-    let crash_ns = cfg
+    // Crash injection rides connection 0's schedule.
+    let mut crash_ns = cfg
         .crash_at_ms
+        .filter(|_| index == 0)
         .map(|ms| start_ns + cfg.warmup_ms.saturating_add(ms) * 1_000_000);
 
-    let mut o = ConnOutcome {
-        sent: 0,
-        completed: 0,
-        shed: 0,
-        errors: 0,
-        lost: 0,
-        hist: LatencyHistogram::new(),
-        update_hist: LatencyHistogram::new(),
-        crash: None,
+    let mut frames = Frames {
+        total: 0,
+        measured: 0,
     };
-    let mut pending: HashMap<u64, PendingOp> = HashMap::new();
-    let mut rbuf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 8192];
+    let mut buf = Vec::with_capacity(32);
     let mut k = 0u64; // this connection's arrival counter (also request id)
-    let mut crash_sent = false;
-
     loop {
         // Next arrival of this connection's share of the schedule.
         let sched_ns = start_ns + arrivals.next_offset_ns();
         if sched_ns >= end_ns {
-            break;
+            return Ok(frames);
         }
-        // Crash injection rides connection 0's schedule.
-        if let Some(c_ns) = crash_ns {
-            if index == 0 && !crash_sent && sched_ns >= c_ns {
-                let mut buf = Vec::new();
-                proto::encode_request(
-                    &Request::Admin {
-                        id: CRASH_ID,
-                        cmd: AdminCmd::Crash,
-                    },
-                    &mut buf,
-                );
-                clock.sleep_until(c_ns);
-                stream.write_all(&buf)?;
-                o.crash = Some(CrashProbe {
-                    requested_ns: clock.now_ns(),
-                    acked_ns: None,
-                    first_data_ns: None,
-                });
-                crash_sent = true;
-            }
+        if let Some(c_ns) = crash_ns.filter(|&c_ns| sched_ns >= c_ns) {
+            crash_ns = None;
+            buf.clear();
+            proto::encode_request(
+                &Request::Admin {
+                    id: CRASH_ID,
+                    cmd: AdminCmd::Crash,
+                },
+                &mut buf,
+            );
+            clock.sleep_until(c_ns);
+            let _ = announce.send(Sent::Crash {
+                requested_ns: clock.now_ns(),
+            });
+            stream.write_all(&buf)?;
+            frames.total += 1;
         }
-        // Block in read until the next scheduled send, timestamping
-        // responses as they land.
-        receive_until(
-            &mut stream,
-            &mut rbuf,
-            &mut tmp,
-            clock,
-            sched_ns,
-            &mut pending,
-            &mut o,
-        )?;
+        clock.sleep_until(sched_ns);
 
         let warmup = sched_ns < warmup_end_ns;
         let req = if rng.gen_bool(cfg.get_fraction) {
@@ -403,82 +442,91 @@ fn conn_worker(
                 value: rng.gen(),
             }
         };
-        let update = matches!(req, Request::Put { .. });
-        let mut buf = Vec::with_capacity(32);
+        buf.clear();
         proto::encode_request(&req, &mut buf);
-        stream.write_all(&buf)?;
-        pending.insert(
-            k,
-            PendingOp {
+        let _ = announce.send(Sent::Op {
+            id: k,
+            op: PendingOp {
                 sched_ns,
-                update,
+                update: matches!(req, Request::Put { .. }),
                 warmup,
             },
-        );
+        });
+        stream.write_all(&buf)?;
+        frames.total += 1;
         if !warmup {
-            o.sent += 1;
+            frames.measured += 1;
         }
         k += 1;
     }
-
-    // Drain stragglers for a bounded grace period.
-    let deadline = clock.now_ns() + DRAIN_GRACE.as_nanos() as u64;
-    while !pending.is_empty() && clock.now_ns() < deadline {
-        receive_until(
-            &mut stream,
-            &mut rbuf,
-            &mut tmp,
-            clock,
-            clock.now_ns() + 50_000_000,
-            &mut pending,
-            &mut o,
-        )?;
-    }
-    o.lost = pending.values().filter(|p| !p.warmup).count() as u64;
-    Ok(o)
 }
 
-/// Reads and accounts responses until `deadline_ns` on the run clock.
-#[allow(clippy::too_many_arguments)]
-fn receive_until(
-    stream: &mut TcpStream,
-    rbuf: &mut Vec<u8>,
-    tmp: &mut [u8],
+/// The receiving half of one connection: blocks in `read` (no timeout) and
+/// accounts every response the moment it is decoded, until the sender
+/// shuts the socket down.
+fn receive(
+    mut stream: TcpStream,
+    announced: Receiver<Sent>,
     clock: &Clock,
-    deadline_ns: u64,
+    answered: &AtomicU64,
+) -> ConnOutcome {
+    let mut o = ConnOutcome {
+        sent: 0,
+        completed: 0,
+        shed: 0,
+        errors: 0,
+        lost: 0,
+        hist: LatencyHistogram::new(),
+        update_hist: LatencyHistogram::new(),
+        crash: None,
+    };
+    let mut pending: HashMap<u64, PendingOp> = HashMap::new();
+    let mut rbuf: Vec<u8> = Vec::new();
+    let mut tmp = [0u8; 8192];
+    loop {
+        let mut used = 0;
+        while let Some((resp, n)) = proto::decode_response(&rbuf[used..]).expect("response decode")
+        {
+            used += n;
+            let now_ns = clock.now_ns();
+            // Whatever this answers was announced before it was sent.
+            note_sent(&announced, &mut pending, &mut o);
+            account(resp, now_ns, &mut pending, &mut o);
+            // ord: a progress counter (see `conn_worker`).
+            answered.fetch_add(1, Ordering::Relaxed);
+        }
+        rbuf.drain(..used);
+        match stream.read(&mut tmp) {
+            Ok(0) => break,
+            Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    note_sent(&announced, &mut pending, &mut o);
+    o.lost = pending.values().filter(|p| !p.warmup).count() as u64;
+    o
+}
+
+/// Moves what the sender has announced so far into the receiver's books.
+fn note_sent(
+    announced: &Receiver<Sent>,
     pending: &mut HashMap<u64, PendingOp>,
     o: &mut ConnOutcome,
-) -> std::io::Result<()> {
+) {
     loop {
-        // Account everything already buffered.
-        while let Some((resp, used)) = proto::decode_response(rbuf).expect("response decode") {
-            rbuf.drain(..used);
-            account(resp, clock.now_ns(), pending, o);
-        }
-        let now = clock.now_ns();
-        if now >= deadline_ns {
-            stream.set_read_timeout(None)?;
-            return Ok(());
-        }
-        let wait = Duration::from_nanos((deadline_ns - now).max(1_000));
-        stream.set_read_timeout(Some(wait))?;
-        match stream.read(tmp) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "server closed connection",
-                ))
+        match announced.try_recv() {
+            Ok(Sent::Op { id, op }) => {
+                pending.insert(id, op);
             }
-            Ok(n) => rbuf.extend_from_slice(&tmp[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                stream.set_read_timeout(None)?;
-                return Ok(());
+            Ok(Sent::Crash { requested_ns }) => {
+                o.crash = Some(CrashProbe {
+                    requested_ns,
+                    acked_ns: None,
+                    first_data_ns: None,
+                });
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(TryRecvError::Empty | TryRecvError::Disconnected) => return,
         }
     }
 }
@@ -503,7 +551,7 @@ fn account(
     match resp {
         Response::Value { .. } | Response::Done { .. } | Response::Pairs { .. } => {
             if let Some(probe) = o.crash.as_mut() {
-                if probe.first_data_ns.is_none() {
+                if probe.first_data_ns.is_none() && op.sched_ns >= probe.requested_ns {
                     probe.first_data_ns = Some(now_ns);
                 }
             }

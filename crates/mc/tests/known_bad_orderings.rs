@@ -8,7 +8,7 @@
 //! These drive `prep_mc::cell` directly, so the file runs in both normal
 //! and `--cfg prep_mc` builds.
 
-use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
 use prep_mc::cell::{fence, AtomicU64, PeekCell};
@@ -241,4 +241,98 @@ fn dist_rw_relaxed_writer_publish_is_caught() {
 fn strong_try_missing_recheck_is_caught() {
     let f = expect_caught("strong-try-no-recheck", || dist_rw_scenario(SeqCst, false));
     assert_eq!(f.kind, FailureKind::DataRace, "expected overlap: {f:?}");
+}
+
+// ---------------------------------------------------------------------------
+// Miniature WakeSlot: the owner's announce → re-check → park against the
+// waker's publish → look → claim (crates/sync/src/wake_slot.rs). Parking
+// is a yield loop on the idle flag, as the real slot's is under the
+// checker, so a lost wake-up is an owner that yields forever: a livelock.
+// ---------------------------------------------------------------------------
+
+struct MiniSlot {
+    idle: AtomicU64,
+    work: AtomicU64,
+}
+
+impl MiniSlot {
+    fn new() -> Self {
+        MiniSlot {
+            idle: AtomicU64::new(0),
+            work: AtomicU64::new(0),
+        }
+    }
+
+    /// Owner. The correct protocol stores and loads with SeqCst and
+    /// re-checks the work after announcing; `recheck = false` parks on
+    /// the strength of the look taken *before* the announcement.
+    fn wait(&self, store: Ordering, load: Ordering, recheck: bool) {
+        while self.work.load(load) == 0 {
+            self.idle.store(1, store);
+            if recheck && self.work.load(load) != 0 {
+                self.idle.store(0, Relaxed);
+                return;
+            }
+            while self.idle.load(load) != 0 {
+                thread::yield_now();
+            }
+        }
+    }
+
+    /// Waker: publish, then look for an idle owner and claim it.
+    fn wake(&self, store: Ordering, load: Ordering) {
+        self.work.store(1, store);
+        if self.idle.load(load) != 0 {
+            self.idle.swap(0, store);
+        }
+    }
+}
+
+fn wake_slot_scenario(store: Ordering, load: Ordering, recheck: bool) {
+    let s = Arc::new(MiniSlot::new());
+    let s2 = Arc::clone(&s);
+    let waker = thread::spawn(move || s2.wake(store, load));
+    s.wait(store, load, recheck);
+    waker.join().unwrap();
+}
+
+/// Baseline: SeqCst pairs plus the re-check lose no wake-up.
+#[test]
+fn wake_slot_clean_protocol_passes() {
+    expect_clean("wake-slot-clean", || {
+        wake_slot_scenario(SeqCst, SeqCst, true)
+    });
+}
+
+/// Mutant 5 (WakeSlot::wait): announcing idle without re-checking the
+/// work. The waker publishes and finds nobody idle between the owner's
+/// look and its announcement; the owner then parks on work that is
+/// already there, and nobody is left to wake it.
+#[test]
+fn wake_slot_announce_without_recheck_is_caught() {
+    let f = expect_caught("wake-slot-no-recheck", || {
+        wake_slot_scenario(SeqCst, SeqCst, false)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a parked owner: {f:?}"
+    );
+}
+
+/// Mutant 6 (WakeSlot): Release stores and Acquire loads in place of the
+/// SeqCst store→load pairs. This is the store-buffering shape — each side
+/// stores, then loads what the other stored — and without the total order
+/// both loads may miss: the re-check sees no work, the waker sees no idle
+/// owner, and the owner parks for good.
+#[test]
+fn wake_slot_release_acquire_pair_is_caught() {
+    let f = expect_caught("wake-slot-release-acquire", || {
+        wake_slot_scenario(Release, Acquire, true)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a parked owner: {f:?}"
+    );
 }

@@ -20,6 +20,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
+mod poll;
 pub mod proto;
 pub mod server;
 pub mod signals;

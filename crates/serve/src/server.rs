@@ -25,6 +25,40 @@
 //! overloaded shard sheds load at the wire instead of growing latency
 //! without bound.
 //!
+//! ## Hand-offs: who blocks where, and who wakes whom
+//!
+//! No thread polls. A thread with nothing to do blocks — the ones that own
+//! sockets in one `poll(2)` over them plus a [`Waker`] ([`crate::poll`]),
+//! the others parked on a [`WakeSlot`] of their own — and whoever gives it
+//! work ends the block, so a request crosses the server in wake-ups, not
+//! in sleep quanta, and an idle server uses no CPU.
+//!
+//! | thread | blocks in | woken by |
+//! |---|---|---|
+//! | acceptor | `poll`: listener + waker | a connecting client; every lifecycle transition |
+//! | conn thread | `poll`: its sockets + waker | request bytes; the acceptor (new connection); every transition |
+//! | executor | its slot, while the shard queue is empty | the conn thread's push — it wakes **one** idle executor per job, so a lone request costs one wake-up and a burst spreads over β; every transition |
+//! | drainer | its slot, while no durable ack is queued; the shard's [`prep_uc::PrepUc::watermark_slot`], while the head ack is not covered | the executor that queued the ack; the persistence thread, after each published checkpoint; every transition (both slots) |
+//! | control | its slot, while no admin command is queued | `dispatch` (admin frame), [`Server::request_shutdown`] |
+//! | [`Server::join`] | its slot | the transition to stopped |
+//!
+//! Every slot hand-off is the store→load pair [`WakeSlot`] documents: the
+//! waker publishes the work with a `SeqCst` RMW or store (a queue's length
+//! mirror, the watermark, `state`) and then looks for an idle owner; the
+//! owner announces itself idle and then re-checks the same variables with
+//! `SeqCst` loads. The lifecycle `state` is stored in one place,
+//! `Inner::set_state`, which then wakes every slot and waker there is —
+//! transitions are rare, and a thread woken for nothing re-checks and
+//! blocks again. A control thread that watches the process signal flag
+//! ([`ServeConfig::watch_signals`]) bounds its block by 50 ms instead: a
+//! signal handler may store to an atomic but not `unpark`.
+//!
+//! What is left to [`Waiter`] is what is rare and short: a contended
+//! queue lock, a full socket buffer in `ConnIo::send`, the acceptor's
+//! back-off when `accept` fails for lack of descriptors, and the control
+//! thread's barriers in crash and drain (every worker parked; queues
+//! empty).
+//!
 //! ## Ack release points
 //!
 //! *Buffered* acks are written by the executor as soon as `execute`
@@ -33,10 +67,16 @@
 //! covers the op; the drainer releases the ack only once the shard's
 //! crash-survivability watermark ([`prep_uc::PrepUc::durable_watermark`])
 //! passes that tail — i.e. once the covering checkpoint (or persisted
-//! `completedTail` in durable mode) has actually reached NVM. While
-//! waiting it nudges the persistence thread
-//! ([`prep_uc::PrepUc::nudge_checkpoint`]) so a lightly loaded server does
-//! not hold durable acks for a full ε window.
+//! `completedTail` in durable mode) has actually reached NVM. The natural
+//! checkpoint is up to ε ops away, so the **executor** asks for one
+//! ([`prep_uc::PrepUc::nudge_checkpoint`]) the moment it queues the ack:
+//! it is the first thread to know a client is waiting, and the request
+//! (which also unparks the persistence thread) then overlaps the hand-off
+//! to the drainer instead of following it. The store checkpoints
+//! incrementally ([`prep_uc::FlushStrategy::DirtyLines`]): a checkpoint
+//! taken for one ack flushes the few lines that op dirtied, where the
+//! paper's whole-cache `WBINVD` costs the same half millisecond however
+//! little changed.
 //!
 //! ## Crash and shutdown choreography
 //!
@@ -61,18 +101,24 @@
 //! checkpoint), and only then does the server stop: a clean shutdown
 //! loses **zero** buffered ops, versus up to the bound on a crash.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
 use prep_shard::{shard_index, ShardedStore};
-use prep_sync::{spin_until, TicketLock, TryLock, TryLockGuard, Waiter};
+use prep_sync::{spin_until, TicketLock, TryLock, TryLockGuard, Waiter, WakeSlot};
 use prep_topology::{ThreadAssignment, Topology};
-use prep_uc::{DurabilityLevel, FairnessMode, LatencyModel, PmemRuntime, PrepConfig};
+use prep_uc::{
+    DurabilityLevel, FairnessMode, FlushStrategy, LatencyModel, PmemRuntime, PrepConfig, PrepUc,
+};
 
+use crate::poll::{self, PollFd, Waker};
 use crate::proto::{self, err_code, AckLevel, AdminCmd, Request, Response, WireShard, WireStats};
 use crate::signals;
 
@@ -99,6 +145,9 @@ const RUNNING: u8 = 0;
 const CRASHING: u8 = 1;
 const DRAINING: u8 = 2;
 const STOPPED: u8 = 3;
+
+/// How long a control thread that watches the signal flag blocks at most.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -157,13 +206,96 @@ impl ServeConfig {
     }
 
     /// A fresh [`PrepConfig`] (fresh runtime) for construction or recovery.
+    ///
+    /// The server's checkpoints are on the ack path — a durable ack waits
+    /// for the one its executor asked for — so they are incremental; the
+    /// library default (`WBINVD`, the paper's) stays what it is.
     fn prep_config(&self) -> PrepConfig {
         PrepConfig::new(self.durability)
             .with_log_size(self.log_size)
             .with_epsilon(self.epsilon)
             .with_runtime(PmemRuntime::new(self.latency, self.crash_sim))
             .with_fairness(self.fairness)
+            .with_flush_strategy(FlushStrategy::DirtyLines)
     }
+}
+
+/// Spin-acquires a `TryLock` (none of these sections block or do IO,
+/// except `ConnIo::send` which has its own ticket lock).
+fn locked<T>(l: &TryLock<T>) -> TryLockGuard<'_, T> {
+    let mut w = Waiter::new();
+    loop {
+        if let Some(g) = l.try_lock() {
+            return g;
+        }
+        w.wait();
+    }
+}
+
+/// A spin-locked FIFO with a length mirror. The mirror is what a parked
+/// consumer re-checks and what a producer publishes before it looks for an
+/// idle consumer, so every access to it is `SeqCst` (see [`WakeSlot`]).
+struct Mailbox<T> {
+    queue: TryLock<VecDeque<T>>,
+    len: AtomicUsize,
+}
+
+impl<T> Mailbox<T> {
+    fn new() -> Self {
+        Mailbox {
+            queue: TryLock::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    fn len(&self) -> usize {
+        // ord: SeqCst — the load of a consumer's announce → re-check pair
+        // (elsewhere a stale reading only sheds or skips one early).
+        self.len.load(Ordering::SeqCst)
+    }
+
+    /// Appends `item` unless `bound` items are queued already.
+    fn push(&self, item: T, bound: usize) -> Result<(), T> {
+        // Lock-free full check first; rechecked under the lock.
+        if self.len() >= bound {
+            return Err(item);
+        }
+        let mut q = locked(&self.queue);
+        if q.len() >= bound {
+            return Err(item);
+        }
+        q.push_back(item);
+        // ord: SeqCst — publishes the item before the producer's look at
+        // the consumer's idle flag (the store of its store→load pair), and
+        // keeps the mirror exact under concurrent push/pop.
+        self.len.fetch_add(1, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn pop(&self) -> Option<T> {
+        if self.len() == 0 {
+            return None;
+        }
+        let item = locked(&self.queue).pop_front();
+        if item.is_some() {
+            // ord: SeqCst, symmetric with `push`.
+            self.len.fetch_sub(1, Ordering::SeqCst);
+        }
+        item
+    }
+
+    fn take_all(&self) -> Vec<T> {
+        let items: Vec<T> = locked(&self.queue).drain(..).collect();
+        // ord: SeqCst, symmetric with `push`.
+        self.len.fetch_sub(items.len(), Ordering::SeqCst);
+        items
+    }
+}
+
+thread_local! {
+    /// The calling thread's response-encoding buffer, reused across
+    /// [`ConnIo::respond`] calls so a response allocates nothing.
+    static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One connection's shared write half: executors, drainers, and the
@@ -190,8 +322,8 @@ impl ConnIo {
                     off += n;
                     w.reset();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => w.wait(),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => w.wait(),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return,
             }
         }
@@ -199,9 +331,12 @@ impl ConnIo {
 
     /// Encode-and-send convenience.
     fn respond(&self, resp: &Response) {
-        let mut buf = Vec::with_capacity(32);
-        proto::encode_response(resp, &mut buf);
-        self.send(&buf);
+        FRAME.with(|frame| {
+            let mut frame = frame.borrow_mut();
+            frame.clear();
+            proto::encode_response(resp, &mut frame);
+            self.send(&frame);
+        });
     }
 }
 
@@ -223,38 +358,40 @@ struct Job {
 
 /// A durable ack waiting for its covering persist.
 struct DurAck {
-    /// Request id (for the RETRY downgrade when a crash interrupts).
+    /// Request id: `Done` once covered, `RETRY` if a crash interrupts.
     id: u64,
     /// `completedTail` that covers the op (read after `execute` returned).
     cover: u64,
-    /// The encoded response frame, released once covered.
-    frame: Vec<u8>,
     conn: Arc<ConnIo>,
 }
 
 /// One shard's request pipeline.
 struct Pipeline {
     /// Bounded submission queue (the combiner-batch coalescing point).
-    queue: TryLock<VecDeque<Job>>,
-    /// Mirror of `queue.len()` for lock-free full/empty checks.
-    len: AtomicUsize,
+    queue: Mailbox<Job>,
+    /// Where each of the shard's executors parks while `queue` is empty.
+    exec_wake: Vec<WakeSlot>,
     /// Executors currently inside `execute` (drain barrier).
     busy: AtomicUsize,
     /// Durable acks awaiting their covering persist.
-    dur_queue: TryLock<VecDeque<DurAck>>,
-    /// Durable acks pending release (decremented only after the ack is on
-    /// the wire, so `0` means every accepted durable op has been acked).
-    dur_len: AtomicUsize,
+    dur_queue: Mailbox<DurAck>,
+    /// Where the shard's drainer parks while `dur_queue` is empty.
+    dur_wake: WakeSlot,
+    /// Durable acks pending release: raised before the ack is queued and
+    /// lowered only after it is on the wire, so `0` means every accepted
+    /// durable op has been acked.
+    dur_pending: AtomicUsize,
 }
 
 impl Pipeline {
-    fn new() -> Self {
+    fn new(executors: usize) -> Self {
         Pipeline {
-            queue: TryLock::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
+            queue: Mailbox::new(),
+            exec_wake: (0..executors).map(|_| WakeSlot::new()).collect(),
             busy: AtomicUsize::new(0),
-            dur_queue: TryLock::new(VecDeque::new()),
-            dur_len: AtomicUsize::new(0),
+            dur_queue: Mailbox::new(),
+            dur_wake: WakeSlot::new(),
+            dur_pending: AtomicUsize::new(0),
         }
     }
 }
@@ -269,26 +406,34 @@ struct Counters {
     crashes: AtomicU64,
 }
 
-/// Shared server state.
 /// One queued admin command: the verb, the request id to echo, and the
 /// connection to answer on (`None` for process-internal requests, e.g.
 /// the signal-driven shutdown).
 type ControlMsg = (AdminCmd, u64, Option<Arc<ConnIo>>);
 
+/// Shared server state.
 struct Inner {
     cfg: ServeConfig,
     assignment: ThreadAssignment,
-    /// Lifecycle state (RUNNING/CRASHING/DRAINING/STOPPED).
+    /// Lifecycle state (RUNNING/CRASHING/DRAINING/STOPPED); stored only by
+    /// [`Inner::set_state`].
     state: AtomicU8,
     /// Bumped on every crash-recovery; workers re-register when it moves.
     generation: AtomicU64,
     /// The current store. `None` only transiently inside crash recovery.
     store: TryLock<Option<Arc<Store>>>,
     pipelines: Vec<Pipeline>,
-    /// Admin commands routed to the control thread.
-    control: TryLock<VecDeque<ControlMsg>>,
-    /// Per-connection-thread inbox of freshly accepted sockets.
+    /// Admin commands routed to the control thread, and where it parks.
+    control: Mailbox<ControlMsg>,
+    control_wake: WakeSlot,
+    /// Where [`Server::join`] parks until the server has stopped.
+    join_wake: WakeSlot,
+    /// Ends the acceptor's `poll`.
+    accept_waker: Waker,
+    /// Per-connection-thread inbox of freshly accepted sockets, and what
+    /// ends that thread's `poll`.
     conn_inbox: Vec<TryLock<Vec<TcpStream>>>,
+    conn_wakers: Vec<Waker>,
     /// Workers (executors + drainers) currently parked for a crash.
     parked: AtomicUsize,
     counters: Counters,
@@ -297,20 +442,36 @@ struct Inner {
 impl Inner {
     #[inline]
     fn state(&self) -> u8 {
-        // ord: Acquire pairs with the control thread's Release transitions;
-        // observing DRAINING/STOPPED implies the decision that caused it.
-        self.state.load(Ordering::Acquire)
+        // ord: SeqCst — observing a transition implies the decision that
+        // caused it (as Acquire would), and it is the load every parked
+        // thread re-checks with after announcing itself idle.
+        self.state.load(Ordering::SeqCst)
     }
 
-    /// Spin-acquires a `TryLock` (none of these sections block or do IO,
-    /// except `ConnIo::send` which has its own ticket lock).
-    fn locked<'a, T>(&self, l: &'a TryLock<T>) -> TryLockGuard<'a, T> {
-        let mut w = Waiter::new();
-        loop {
-            if let Some(g) = l.try_lock() {
-                return g;
+    /// Moves the lifecycle on and wakes every thread that may be blocked:
+    /// each of them has `state` in the condition it re-checks.
+    fn set_state(&self, state: u8) {
+        // ord: SeqCst — publishes everything decided before the transition
+        // (as Release would), and is the store of the store→load pair with
+        // every slot's idle flag below.
+        self.state.store(state, Ordering::SeqCst);
+        for pl in &self.pipelines {
+            for slot in &pl.exec_wake {
+                slot.wake();
             }
-            w.wait();
+            pl.dur_wake.wake();
+        }
+        // A drainer holding an ack is parked on its shard's watermark.
+        let store = locked(&self.store).clone();
+        if let Some(store) = store {
+            for shard in 0..self.cfg.shards {
+                store.shard(shard).watermark_slot().wake();
+            }
+        }
+        self.join_wake.wake();
+        self.accept_waker.wake();
+        for waker in &self.conn_wakers {
+            waker.wake();
         }
     }
 
@@ -318,11 +479,18 @@ impl Inner {
     fn store_arc(&self) -> Arc<Store> {
         let mut w = Waiter::new();
         loop {
-            if let Some(s) = self.locked(&self.store).as_ref() {
+            if let Some(s) = locked(&self.store).as_ref() {
                 return Arc::clone(s);
             }
             w.wait();
         }
+    }
+
+    /// Queues an admin command for the control thread.
+    fn submit_control(&self, msg: ControlMsg) {
+        let queued = self.control.push(msg, usize::MAX);
+        debug_assert!(queued.is_ok(), "the control queue is unbounded");
+        self.control_wake.wake();
     }
 }
 
@@ -381,11 +549,19 @@ impl Server {
             state: AtomicU8::new(RUNNING),
             generation: AtomicU64::new(0),
             store: TryLock::new(Some(store)),
-            pipelines: (0..cfg.shards).map(|_| Pipeline::new()).collect(),
-            control: TryLock::new(VecDeque::new()),
+            pipelines: (0..cfg.shards)
+                .map(|_| Pipeline::new(cfg.executors_per_shard))
+                .collect(),
+            control: Mailbox::new(),
+            control_wake: WakeSlot::new(),
+            join_wake: WakeSlot::new(),
+            accept_waker: Waker::new()?,
             conn_inbox: (0..cfg.conn_threads)
                 .map(|_| TryLock::new(Vec::new()))
                 .collect(),
+            conn_wakers: (0..cfg.conn_threads)
+                .map(|_| Waker::new())
+                .collect::<std::io::Result<_>>()?,
             parked: AtomicUsize::new(0),
             counters: Counters::default(),
             cfg,
@@ -413,11 +589,10 @@ impl Server {
         for s in 0..inner.cfg.shards {
             for e in 0..inner.cfg.executors_per_shard {
                 let inner = Arc::clone(&inner);
-                let worker = s * inner.cfg.executors_per_shard + e;
                 threads.push(
                     std::thread::Builder::new()
                         .name(format!("serve-exec-{s}-{e}"))
-                        .spawn(move || executor_loop(inner, s, worker))
+                        .spawn(move || executor_loop(inner, s, e))
                         .expect("spawn executor"),
                 );
             }
@@ -453,9 +628,7 @@ impl Server {
     /// Asks the control thread to drain and stop (same path as
     /// `ADMIN SHUTDOWN` and SIGTERM). Returns immediately.
     pub fn request_shutdown(&self) {
-        self.inner
-            .locked(&self.inner.control)
-            .push_back((AdminCmd::Shutdown, 0, None));
+        self.inner.submit_control((AdminCmd::Shutdown, 0, None));
     }
 
     /// Crash-recovery cycles performed so far.
@@ -476,7 +649,9 @@ impl Server {
     /// `ADMIN SHUTDOWN`, or a watched signal), then joins every thread and
     /// reports.
     pub fn join(self) -> ShutdownReport {
-        spin_until(|| self.inner.state() == STOPPED);
+        self.inner
+            .join_wake
+            .wait_until(|| self.inner.state() == STOPPED);
         for t in self.threads {
             let _ = t.join();
         }
@@ -505,25 +680,41 @@ impl Server {
 /// Accept loop: hands sockets to connection threads round-robin.
 fn acceptor_loop(inner: Arc<Inner>, listener: TcpListener) {
     let mut next = 0usize;
-    let mut w = Waiter::new();
+    let mut backoff = Waiter::new();
+    let mut fds = [
+        PollFd::readable(listener.as_raw_fd()),
+        PollFd::readable(inner.accept_waker.fd()),
+    ];
     loop {
+        poll::wait(&mut fds);
+        if fds[1].is_ready() {
+            inner.accept_waker.drain();
+        }
         if inner.state() == STOPPED {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
-                // ord: monotone counter (Relaxed).
-                inner.counters.connections.fetch_add(1, Ordering::Relaxed);
-                inner
-                    .locked(&inner.conn_inbox[next % inner.cfg.conn_threads])
-                    .push(stream);
-                next = next.wrapping_add(1);
-                w.reset();
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let _ = stream.set_nodelay(true);
+                    let _ = stream.set_nonblocking(true);
+                    // ord: monotone counter (Relaxed).
+                    inner.counters.connections.fetch_add(1, Ordering::Relaxed);
+                    let target = next % inner.cfg.conn_threads;
+                    locked(&inner.conn_inbox[target]).push(stream);
+                    inner.conn_wakers[target].wake();
+                    next = next.wrapping_add(1);
+                    backoff.reset();
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                // Out of descriptors, say: the pending connection keeps the
+                // listener readable, so `poll` would return at once — back
+                // off here instead of spinning through it.
+                Err(_) => {
+                    backoff.wait();
+                    break;
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => w.wait(),
-            Err(_) => w.wait(),
         }
     }
 }
@@ -536,9 +727,21 @@ struct ConnState {
 
 /// Connection thread: owns a set of connections, reads frames, dispatches.
 fn conn_loop(inner: Arc<Inner>, index: usize) {
+    let waker = &inner.conn_wakers[index];
     let mut conns: Vec<ConnState> = Vec::new();
-    let mut w = Waiter::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
+        fds.clear();
+        fds.push(PollFd::readable(waker.fd()));
+        fds.extend(
+            conns
+                .iter()
+                .map(|c| PollFd::readable(c.io.stream.as_raw_fd())),
+        );
+        poll::wait(&mut fds);
+        if fds[0].is_ready() {
+            waker.drain();
+        }
         let st = inner.state();
         if st == STOPPED {
             for c in &conns {
@@ -546,59 +749,51 @@ fn conn_loop(inner: Arc<Inner>, index: usize) {
             }
             return;
         }
-        {
-            let mut inbox = inner.locked(&inner.conn_inbox[index]);
-            for stream in inbox.drain(..) {
-                conns.push(ConnState {
-                    io: Arc::new(ConnIo {
-                        stream,
-                        wlock: TicketLock::new(),
-                    }),
-                    rbuf: Vec::new(),
-                });
-            }
-        }
-        let mut progress = false;
-        conns.retain_mut(|conn| service_conn(&inner, st, conn, &mut progress));
-        if progress {
-            w.reset();
-        } else {
-            w.wait();
+        let mut ready = fds[1..].iter().map(PollFd::is_ready);
+        conns.retain_mut(|conn| {
+            !ready.next().expect("one poll entry per connection") || service_conn(&inner, st, conn)
+        });
+        for stream in locked(&inner.conn_inbox[index]).drain(..) {
+            conns.push(ConnState {
+                io: Arc::new(ConnIo {
+                    stream,
+                    wlock: TicketLock::new(),
+                }),
+                rbuf: Vec::new(),
+            });
         }
     }
 }
 
-/// Reads and dispatches everything currently available on one connection.
-/// Returns false when the connection should be dropped.
-fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState, progress: &mut bool) -> bool {
+/// Reads what a readable connection has and dispatches every complete
+/// frame. One `read` per readiness report: `poll` is level-triggered, so
+/// whatever a full buffer leaves behind is reported again. Returns false
+/// when the connection should be dropped.
+fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState) -> bool {
     let mut tmp = [0u8; 4096];
-    loop {
-        let mut s = &conn.io.stream;
-        match s.read(&mut tmp) {
-            Ok(0) => return false,
-            Ok(n) => {
-                conn.rbuf.extend_from_slice(&tmp[..n]);
-                *progress = true;
-                if n < tmp.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
+    match (&conn.io.stream).read(&mut tmp) {
+        Ok(0) => return false,
+        Ok(n) => conn.rbuf.extend_from_slice(&tmp[..n]),
+        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+            return true
         }
+        Err(_) => return false,
     }
+    // Decode with a cursor and compact once: draining per frame would move
+    // the rest of a pipelined burst once per frame.
+    let mut used = 0;
     loop {
-        match proto::decode_request(&conn.rbuf) {
+        match proto::decode_request(&conn.rbuf[used..]) {
             Ok(None) => break,
-            Ok(Some((req, used))) => {
-                conn.rbuf.drain(..used);
+            Ok(Some((req, n))) => {
+                used += n;
                 dispatch(inner, st, req, &conn.io);
             }
             // Protocol error: this peer is speaking garbage; drop it.
             Err(_) => return false,
         }
     }
+    conn.rbuf.drain(..used);
     true
 }
 
@@ -609,9 +804,7 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
     let id = req.id();
     let (shard, job) = match req {
         Request::Admin { id, cmd } => {
-            inner
-                .locked(&inner.control)
-                .push_back((cmd, id, Some(Arc::clone(io))));
+            inner.submit_control((cmd, id, Some(Arc::clone(io))));
             return;
         }
         Request::Get { id, key } => (
@@ -675,25 +868,15 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
         }
     }
     let pl = &inner.pipelines[shard];
-    // ord: Acquire pairs with push/pop AcqRel updates; a stale full reading
-    // only sheds one request early, never overfills (rechecked under lock).
-    if pl.len.load(Ordering::Acquire) >= inner.cfg.queue_depth {
+    if pl.queue.push(job, inner.cfg.queue_depth).is_err() {
         // ord: monotone counter (Relaxed).
         inner.counters.retries.fetch_add(1, Ordering::Relaxed);
         io.respond(&Response::Retry { id });
         return;
     }
-    let mut q = inner.locked(&pl.queue);
-    if q.len() >= inner.cfg.queue_depth {
-        drop(q);
-        // ord: monotone counter (Relaxed).
-        inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-        io.respond(&Response::Retry { id });
-        return;
-    }
-    q.push_back(job);
-    // ord: AcqRel keeps the mirror exact under concurrent push/pop.
-    pl.len.fetch_add(1, Ordering::AcqRel);
+    // One job, one wake-up: the first idle executor takes it. If none is
+    // idle, each of them looks at the queue again before it parks.
+    let _ = pl.exec_wake.iter().any(WakeSlot::wake);
 }
 
 /// Why an executor/drainer left its per-generation loop.
@@ -702,22 +885,24 @@ enum After {
     Park,
 }
 
-/// Executor thread: one registered NR worker of `shard`, popping the
+/// Executor thread: registered NR worker `executor` of `shard`, popping the
 /// submission queue. β of these per shard is the combiner-batch alignment.
-fn executor_loop(inner: Arc<Inner>, shard: usize, worker: usize) {
+fn executor_loop(inner: Arc<Inner>, shard: usize, executor: usize) {
+    let worker = shard * inner.cfg.executors_per_shard + executor;
+    let slot = &inner.pipelines[shard].exec_wake[executor];
     loop {
         // ord: Acquire pairs with the control thread's generation bump
         // Release after recovery installs the new store.
         let gen = inner.generation.load(Ordering::Acquire);
         let store = inner.store_arc();
         let token = store.register(worker);
-        let after = executor_generation(&inner, &store, &token, shard);
+        let after = executor_generation(&inner, &store, &token, shard, slot);
         drop(token);
         drop(store);
         match after {
             After::Exit => return,
             After::Park => {
-                if !park(&inner, gen) {
+                if !park(&inner, gen, slot) {
                     return;
                 }
             }
@@ -725,21 +910,22 @@ fn executor_loop(inner: Arc<Inner>, shard: usize, worker: usize) {
     }
 }
 
-/// Parks until recovery publishes a new generation. Returns false when the
-/// server stopped instead.
-fn park(inner: &Arc<Inner>, gen: u64) -> bool {
+/// Parks on `slot` until recovery publishes a new generation. Returns
+/// false when the server stopped instead.
+fn park(inner: &Arc<Inner>, gen: u64, slot: &WakeSlot) -> bool {
     // ord: AcqRel — the Release half publishes this worker's dropped store
     // handle to the control thread's parked-count Acquire spin.
     inner.parked.fetch_add(1, Ordering::AcqRel);
-    let mut w = Waiter::new();
-    let resume = loop {
-        match inner.state() {
-            STOPPED => break false,
-            // ord: Acquire pairs with recovery's generation-bump Release.
-            RUNNING if inner.generation.load(Ordering::Acquire) != gen => break true,
-            _ => w.wait(),
+    let mut resume = false;
+    slot.wait_until(|| match inner.state() {
+        STOPPED => true,
+        // ord: Acquire pairs with recovery's generation-bump Release.
+        RUNNING if inner.generation.load(Ordering::Acquire) != gen => {
+            resume = true;
+            true
         }
-    };
+        _ => false,
+    });
     // ord: AcqRel, symmetric with the increment above.
     inner.parked.fetch_sub(1, Ordering::AcqRel);
     resume
@@ -751,9 +937,9 @@ fn executor_generation(
     store: &Arc<Store>,
     token: &prep_shard::ShardToken,
     shard: usize,
+    slot: &WakeSlot,
 ) -> After {
     let pl = &inner.pipelines[shard];
-    let mut w = Waiter::new();
     loop {
         match inner.state() {
             CRASHING => return After::Park,
@@ -768,32 +954,15 @@ fn executor_generation(
         // ord: AcqRel pairs with the control thread's drain-barrier
         // Acquire reads.
         pl.busy.fetch_add(1, Ordering::AcqRel);
-        let job = {
-            // ord: Acquire mirror check avoids taking the lock when empty.
-            if pl.len.load(Ordering::Acquire) == 0 {
-                None
-            } else {
-                let mut q = inner.locked(&pl.queue);
-                let j = q.pop_front();
-                if j.is_some() {
-                    // ord: AcqRel keeps the mirror exact.
-                    pl.len.fetch_sub(1, Ordering::AcqRel);
-                }
-                j
-            }
-        };
-        match job {
-            Some(job) => {
-                execute_job(inner, store, token, shard, job);
-                // ord: AcqRel, symmetric with the raise above.
-                pl.busy.fetch_sub(1, Ordering::AcqRel);
-                w.reset();
-            }
-            None => {
-                // ord: AcqRel, symmetric with the raise above.
-                pl.busy.fetch_sub(1, Ordering::AcqRel);
-                w.wait();
-            }
+        let job = pl.queue.pop();
+        let idle = job.is_none();
+        if let Some(job) = job {
+            execute_job(inner, store, token, shard, job);
+        }
+        // ord: AcqRel, symmetric with the raise above.
+        pl.busy.fetch_sub(1, Ordering::AcqRel);
+        if idle {
+            slot.wait_until(|| pl.queue.len() > 0 || matches!(inner.state(), CRASHING | STOPPED));
         }
     }
 }
@@ -838,43 +1007,49 @@ fn execute_job(
 /// durable-mode stores, where `execute` already waited out the persist),
 /// deferred through the durability drainer otherwise.
 fn finish_update(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize, job: &Job) {
-    let durable_store = store.shard(shard).config().durability == DurabilityLevel::Durable;
-    if job.ack == AckLevel::Buffered || durable_store {
+    let sh = store.shard(shard);
+    if job.ack == AckLevel::Buffered || sh.config().durability == DurabilityLevel::Durable {
         job.conn.respond(&Response::Done { id: job.id });
         return;
     }
     // The op completed on `shard`, so the shard's current completedTail
     // covers its log index; once the watermark passes this value the op is
     // crash-survivable and the ack may be released.
-    let cover = store.shard(shard).completed_tail();
-    let mut frame = Vec::with_capacity(16);
-    proto::encode_response(&Response::Done { id: job.id }, &mut frame);
+    let cover = sh.completed_tail();
     let pl = &inner.pipelines[shard];
     // ord: AcqRel pairs with the drain barrier's Acquire; raised before
-    // the push so dur_len == 0 always means "every durable ack released".
-    pl.dur_len.fetch_add(1, Ordering::AcqRel);
-    inner.locked(&pl.dur_queue).push_back(DurAck {
-        id: job.id,
-        cover,
-        frame,
-        conn: Arc::clone(&job.conn),
-    });
+    // the push so dur_pending == 0 always means "every durable ack released".
+    pl.dur_pending.fetch_add(1, Ordering::AcqRel);
+    let queued = pl.dur_queue.push(
+        DurAck {
+            id: job.id,
+            cover,
+            conn: Arc::clone(&job.conn),
+        },
+        usize::MAX,
+    );
+    debug_assert!(queued.is_ok(), "the durable-ack queue is unbounded");
+    // The covering checkpoint is up to ε ops away; ask for it now, before
+    // the hand-off, so that the persistence thread's wake-up and the
+    // drainer's overlap (module docs, "Ack release points").
+    sh.nudge_checkpoint();
+    pl.dur_wake.wake();
 }
 
-/// Durability drainer: releases durable acks once their covering
-/// `completedTail` persist completes, nudging the persistence thread when
-/// the wait escalates.
+/// Durability drainer: releases durable acks, in queue order, once their
+/// covering `completedTail` persist completes.
 fn drainer_loop(inner: Arc<Inner>, shard: usize) {
+    let slot = &inner.pipelines[shard].dur_wake;
     loop {
         // ord: Acquire pairs with recovery's generation-bump Release.
         let gen = inner.generation.load(Ordering::Acquire);
         let store = inner.store_arc();
-        let after = drainer_generation(&inner, &store, shard);
+        let after = drainer_generation(&inner, store.shard(shard), shard);
         drop(store);
         match after {
             After::Exit => return,
             After::Park => {
-                if !park(&inner, gen) {
+                if !park(&inner, gen, slot) {
                     return;
                 }
             }
@@ -882,39 +1057,35 @@ fn drainer_loop(inner: Arc<Inner>, shard: usize) {
     }
 }
 
-fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> After {
+fn drainer_generation(inner: &Arc<Inner>, sh: &PrepUc<HashMap>, shard: usize) -> After {
     let pl = &inner.pipelines[shard];
-    let mut w = Waiter::new();
     loop {
         match inner.state() {
             CRASHING => {
-                retry_pending_durable_acks(inner, pl);
+                retry_pending_durable_acks(pl);
                 return After::Park;
             }
             STOPPED => return After::Exit,
             _ => {}
         }
-        let ack = inner.locked(&pl.dur_queue).pop_front();
-        match ack {
-            Some(ack) => {
-                if wait_covered(inner, store, shard, ack.cover) {
-                    ack.conn.send(&ack.frame);
-                    // ord: monotone counter (Relaxed).
-                    inner.counters.durable_acks.fetch_add(1, Ordering::Relaxed);
-                    // ord: AcqRel — only after the ack is on the wire does
-                    // the pending count drop (drain barrier exactness).
-                    pl.dur_len.fetch_sub(1, Ordering::AcqRel);
-                    w.reset();
-                } else {
-                    // Crash interrupted the wait: downgrade to RETRY (no
-                    // durability claim), park next iteration.
-                    ack.conn.respond(&Response::Retry { id: ack.id });
-                    // ord: AcqRel, see above.
-                    pl.dur_len.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            None => w.wait(),
+        let Some(ack) = pl.dur_queue.pop() else {
+            pl.dur_wake.wait_until(|| {
+                pl.dur_queue.len() > 0 || matches!(inner.state(), CRASHING | STOPPED)
+            });
+            continue;
+        };
+        if wait_covered(inner, sh, ack.cover) {
+            ack.conn.respond(&Response::Done { id: ack.id });
+            // ord: monotone counter (Relaxed).
+            inner.counters.durable_acks.fetch_add(1, Ordering::Relaxed);
+        } else {
+            // Crash interrupted the wait: downgrade to RETRY (no
+            // durability claim), park next iteration.
+            ack.conn.respond(&Response::Retry { id: ack.id });
         }
+        // ord: AcqRel — only after the ack is on the wire does the
+        // pending count drop (drain barrier exactness).
+        pl.dur_pending.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -924,69 +1095,53 @@ fn drainer_generation(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize) -> A
 /// failure, so silence would wedge the client forever. Downgrades each to
 /// `RETRY` (no durability claim; the client replays), preserving the
 /// invariant that every frame gets exactly one response.
-fn retry_pending_durable_acks(inner: &Inner, pl: &Pipeline) {
-    let dropped: Vec<DurAck> = {
-        let mut q = inner.locked(&pl.dur_queue);
-        q.drain(..).collect()
-    };
-    let n = dropped.len();
-    for ack in dropped {
+fn retry_pending_durable_acks(pl: &Pipeline) {
+    let dropped = pl.dur_queue.take_all();
+    for ack in &dropped {
         ack.conn.respond(&Response::Retry { id: ack.id });
     }
     // ord: AcqRel pairs with the drain barrier's Acquire.
-    pl.dur_len.fetch_sub(n, Ordering::AcqRel);
+    pl.dur_pending.fetch_sub(dropped.len(), Ordering::AcqRel);
 }
 
-/// Waits until `shard`'s watermark covers `cover`. Returns false if a
+/// Parks on the shard's watermark until it covers `cover` (the executor
+/// that queued the ack has asked for the checkpoint). Returns false if a
 /// crash began first.
-fn wait_covered(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize, cover: u64) -> bool {
-    let sh = store.shard(shard);
-    let mut w = Waiter::new();
-    loop {
-        if sh.durable_watermark() >= cover {
-            return true;
-        }
-        if inner.state() == CRASHING {
-            return false;
-        }
-        if w.is_contended() {
-            // The natural checkpoint is up to ε ops away; pull it forward
-            // rather than sitting on the client's ack.
-            sh.nudge_checkpoint();
-        }
-        w.wait();
-    }
+fn wait_covered(inner: &Arc<Inner>, sh: &PrepUc<HashMap>, cover: u64) -> bool {
+    let mut covered = false;
+    sh.watermark_slot().wait_until(|| {
+        covered = sh.durable_watermark() >= cover;
+        covered || inner.state() == CRASHING
+    });
+    covered
 }
 
 /// Control thread: admin commands, crash recovery, drain/shutdown.
 fn control_loop(inner: Arc<Inner>) {
-    let mut w = Waiter::new();
     loop {
         if inner.cfg.watch_signals && signals::shutdown_requested() && inner.state() == RUNNING {
             do_shutdown(&inner, None);
         }
-        let msg = inner.locked(&inner.control).pop_front();
-        match msg {
+        match inner.control.pop() {
             Some((AdminCmd::Stats, id, io)) => {
                 let stats = wire_stats(&inner.store_arc());
                 if let Some(io) = io {
                     io.respond(&Response::Stats { id, stats });
                 }
-                w.reset();
             }
-            Some((AdminCmd::Crash, id, io)) => {
-                do_crash(&inner, id, io);
-                w.reset();
-            }
-            Some((AdminCmd::Shutdown, id, io)) => {
-                do_shutdown(&inner, io.map(|io| (id, io)));
-                w.reset();
-            }
+            Some((AdminCmd::Crash, id, io)) => do_crash(&inner, id, io),
+            Some((AdminCmd::Shutdown, id, io)) => do_shutdown(&inner, io.map(|io| (id, io))),
             None => {
                 if inner.state() == STOPPED {
                     return;
                 }
-                w.wait();
+                let queued = || inner.control.len() > 0;
+                if inner.cfg.watch_signals {
+                    // The signal handler can raise a flag but not wake us.
+                    inner.control_wake.wait_until_or(queued, SIGNAL_POLL);
+                } else {
+                    inner.control_wake.wait_until(queued);
+                }
             }
         }
     }
@@ -1031,9 +1186,7 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
         }
         return;
     }
-    // ord: Release — workers' state Acquire must see everything decided
-    // before the crash began.
-    inner.state.store(CRASHING, Ordering::Release);
+    inner.set_state(CRASHING);
     let target = inner.cfg.shards * (inner.cfg.executors_per_shard + 1);
     // ord: Acquire pairs with park()'s AcqRel — once the count reaches the
     // target, every worker has dropped its store handle and no further ack
@@ -1044,11 +1197,10 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     // there, the ack would wait on the *recovered* store's watermark for a
     // `cover` taken from the old one — possibly forever.
     for pl in &inner.pipelines {
-        retry_pending_durable_acks(inner, pl);
+        retry_pending_durable_acks(pl);
     }
 
-    let old = inner
-        .locked(&inner.store)
+    let old = locked(&inner.store)
         .take()
         .expect("store present outside crash recovery");
     let (token, image) = old.simulate_crash();
@@ -1075,14 +1227,13 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
         inner.cfg.prep_config(),
         route_key,
     );
-    *inner.locked(&inner.store) = Some(Arc::new(recovered));
+    *locked(&inner.store) = Some(Arc::new(recovered));
     // ord: monotone counter (Relaxed).
     inner.counters.crashes.fetch_add(1, Ordering::Relaxed);
     // ord: Release publishes the new store before workers' generation
     // Acquire lets them re-register.
     inner.generation.fetch_add(1, Ordering::AcqRel);
-    // ord: Release, same contract as every state transition.
-    inner.state.store(RUNNING, Ordering::Release);
+    inner.set_state(RUNNING);
     if let Some(io) = io {
         io.respond(&Response::Done { id });
     }
@@ -1097,14 +1248,14 @@ fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
         }
         return;
     }
-    // ord: Release — conn threads' state Acquire starts shedding new work.
-    inner.state.store(DRAINING, Ordering::Release);
+    // Conn threads start shedding new work.
+    inner.set_state(DRAINING);
     for pl in &inner.pipelines {
         // ord: Acquire pairs with the executors' AcqRel updates; both zero
         // with no new pushes possible means the queue is truly drained.
-        spin_until(|| pl.len.load(Ordering::Acquire) == 0 && pl.busy.load(Ordering::Acquire) == 0);
+        spin_until(|| pl.queue.len() == 0 && pl.busy.load(Ordering::Acquire) == 0);
         // ord: Acquire — zero means every accepted durable ack was released.
-        spin_until(|| pl.dur_len.load(Ordering::Acquire) == 0);
+        spin_until(|| pl.dur_pending.load(Ordering::Acquire) == 0);
     }
     // The final forced checkpoint: after this, watermark == completedTail
     // on every shard, so a post-shutdown crash loses nothing.
@@ -1113,8 +1264,8 @@ fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
     if let Some((id, io)) = reply {
         io.respond(&Response::Done { id });
     }
-    // ord: Release — every thread exits on its next state Acquire.
-    inner.state.store(STOPPED, Ordering::Release);
+    // Every thread exits on its next look at the state.
+    inner.set_state(STOPPED);
 }
 
 #[cfg(test)]

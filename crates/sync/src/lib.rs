@@ -23,7 +23,12 @@
 //!   baselines of Correia et al. ([`StrongTryRwLock`]);
 //! * a **seqlock-style version cell** bracketing combiner writes so
 //!   read-only operations can run lock-free and validate afterwards —
-//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]).
+//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]);
+//! * a **single-owner wake slot** for the hand-offs where a thread may
+//!   stay idle for long — a server's executors, the durability drainer,
+//!   whoever waits on the durable watermark: the owner parks, wakers
+//!   unpark, and a store→load pair on each side rules out the lost
+//!   wake-up ([`WakeSlot`]).
 //!
 //! All locks here are spin locks in the tradition of the originals, but every
 //! wait loop goes through [`Waiter`], which spins briefly and then yields to
@@ -46,6 +51,7 @@ mod strong_try;
 mod ticket;
 mod trylock;
 mod waiter;
+mod wake_slot;
 
 pub use dist_rw::{DistReadGuard, DistRwLock, DistWriteGuard, ReaderId};
 pub use phase_fair::{PhaseFairReadGuard, PhaseFairRwLock, PhaseFairWriteGuard};
@@ -56,5 +62,6 @@ pub use strong_try::{StrongTryReadGuard, StrongTryRwLock, StrongTryWriteGuard};
 pub use ticket::{TicketGuard, TicketLock};
 pub use trylock::{TryLock, TryLockGuard};
 pub use waiter::{spin_until, Waiter};
+pub use wake_slot::WakeSlot;
 
 pub use crossbeam_utils::CachePadded;

@@ -45,6 +45,21 @@ impl Waiter {
     /// Waits one round, escalating from spinning to yielding to sleeping.
     #[inline]
     pub fn wait(&mut self) {
+        self.round(thread::sleep);
+    }
+
+    /// [`Waiter::wait`] for a thread that others may need early: the same
+    /// spin → yield → 50 µs cadence, but the last stage is
+    /// `thread::park_timeout`, so a `Thread::unpark` of the waiting thread
+    /// cuts the quantum short (the persistence thread's idle stage: a
+    /// checkpoint request does not wait out the sleep).
+    #[inline]
+    pub fn wait_unparkable(&mut self) {
+        self.round(thread::park_timeout);
+    }
+
+    #[inline]
+    fn round(&mut self, sleep: fn(Duration)) {
         // Under the model checker, spinning must be visible to the
         // scheduler: every round becomes an instrumented yield (the
         // checker deprioritizes us until a write lands, and diagnoses
@@ -64,7 +79,7 @@ impl Waiter {
         } else if self.step < SPIN_LIMIT + YIELD_LIMIT {
             thread::yield_now();
         } else {
-            thread::sleep(SLEEP);
+            sleep(SLEEP);
         }
         self.step = self.step.saturating_add(1);
     }

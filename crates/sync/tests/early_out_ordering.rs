@@ -33,6 +33,7 @@ const WRITES_EACH: u64 = 2_000;
 struct Monitor {
     readers_in: AtomicU64,
     writer_in: AtomicBool,
+    reads: AtomicU64,
 }
 
 impl Monitor {
@@ -45,6 +46,7 @@ impl Monitor {
     }
     fn exit_read(&self) {
         self.readers_in.fetch_sub(1, Ordering::SeqCst);
+        self.reads.fetch_add(1, Ordering::Relaxed);
     }
     fn enter_write(&self) {
         assert!(
@@ -60,6 +62,27 @@ impl Monitor {
     fn exit_write(&self) {
         self.writer_in.store(false, Ordering::SeqCst);
     }
+}
+
+/// Stops the readers once the writers are done and returns how many reads
+/// got through. On two CPUs the writers can finish all their sections
+/// before a reader thread is first scheduled, so the readers get ten
+/// seconds to land one read on the now writer-free lock: what the caller
+/// asserts is that the fast path admits readers at all, not that the
+/// scheduler interleaved them with the writers.
+fn stop_readers(
+    mon: &Monitor,
+    stop: &AtomicBool,
+    readers: Vec<std::thread::JoinHandle<u64>>,
+) -> u64 {
+    for _ in 0..10_000 {
+        if mon.reads.load(Ordering::Relaxed) > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    stop.store(true, Ordering::Relaxed);
+    readers.into_iter().map(|r| r.join().unwrap()).sum()
 }
 
 #[test]
@@ -105,8 +128,7 @@ fn dist_rw_early_out_never_admits_reader_under_writer() {
     for w in writers {
         w.join().unwrap();
     }
-    stop.store(true, Ordering::Relaxed);
-    let total_reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    let total_reads = stop_readers(&mon, &stop, readers);
     // Liveness half of the regression: an early-out that declines too
     // eagerly (e.g. reading a stale always-set writer word) would show up
     // as readers starving outright between write bursts.
@@ -158,8 +180,7 @@ fn strong_try_early_out_never_admits_reader_under_writer() {
     for w in writers {
         w.join().unwrap();
     }
-    stop.store(true, Ordering::Relaxed);
-    let total_reads: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
+    let total_reads = stop_readers(&mon, &stop, readers);
     assert!(
         total_reads > 0,
         "readers never got through the fast path at all"

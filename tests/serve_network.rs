@@ -19,12 +19,25 @@
 //! * **The default server reads lock-free.** `ServeConfig::default()` serves
 //!   a GET-only burst entirely on the validated lock-free path, visible in
 //!   `ADMIN STATS`.
+//!
+//! * **Blocked is not stuck.** The server's threads block in `poll` and on
+//!   wake slots instead of polling, so: an idle server's threads are not
+//!   scheduled at all; a crash, a wire shutdown and an in-process shutdown
+//!   each get through to a server whose every thread is blocked —
+//!   including a crash that finds a durable ack parked on the watermark,
+//!   which is still answered (`RETRY`), once; and a durable PUT sent to an
+//!   idle server is acked with no other traffic to kick the pipeline.
+//!
+//! The liveness tests read this process's thread table, so every test in
+//! this file takes [`serial`]: no other test's server is in the table, and
+//! none competes for the two CPUs while one of them measures.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 use prep_checker::ShardedHistoryRecorder;
 use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
@@ -37,7 +50,18 @@ use prep_uc::{DurabilityLevel, LatencyModel, PmemRuntime, PrepConfig};
 const SHARDS: usize = 2;
 const EXECUTORS: usize = 2;
 
+/// One test at a time (see the module docs). A test that failed while
+/// holding the lock has said what it had to say; the next one proceeds.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 fn server() -> Server {
+    server_with(LatencyModel::off())
+}
+
+fn server_with(latency: LatencyModel) -> Server {
     Server::start(
         ServeConfig {
             shards: SHARDS,
@@ -47,7 +71,7 @@ fn server() -> Server {
             durability: DurabilityLevel::Buffered,
             epsilon: 16,
             log_size: 1024,
-            latency: LatencyModel::off(),
+            latency,
             crash_sim: true,
             watch_signals: false,
             fairness: prep_uc::FairnessMode::default(),
@@ -74,16 +98,32 @@ impl Client {
     }
 
     fn roundtrip(&mut self, req: &Request) -> Response {
+        self.send(req);
+        self.recv()
+    }
+
+    fn send(&mut self, req: &Request) {
         let mut out = Vec::with_capacity(32);
         encode_request(req, &mut out);
         self.stream.write_all(&out).expect("send");
+    }
+
+    /// The next response frame. Fails instead of hanging when the server
+    /// has lost the request: no response is more than seconds away.
+    fn recv(&mut self) -> Response {
+        self.stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
         let mut tmp = [0u8; 4096];
         loop {
             if let Some((resp, used)) = decode_response(&self.buf).expect("decode") {
                 self.buf.drain(..used);
                 return resp;
             }
-            let n = self.stream.read(&mut tmp).expect("recv");
+            let n = self
+                .stream
+                .read(&mut tmp)
+                .expect("no response from the server");
             assert!(n > 0, "server closed connection");
             self.buf.extend_from_slice(&tmp[..n]);
         }
@@ -119,6 +159,7 @@ fn present_keys(store: &ShardedStore<HashMap>, keys: impl Iterator<Item = u64>) 
 
 #[test]
 fn graceful_shutdown_loses_no_buffered_ops() {
+    let _serial = serial();
     let server = server();
     let addr = server.local_addr();
 
@@ -201,6 +242,7 @@ struct AckedOp {
 
 #[test]
 fn crash_under_load_honors_ack_levels() {
+    let _serial = serial();
     let server = server();
     let addr = server.local_addr();
     let loss_bound = server.store_handle().loss_bound();
@@ -379,6 +421,7 @@ fn crash_under_load_honors_ack_levels() {
 /// crashes, and a `Store` type alias round-trips through the public API.
 #[test]
 fn recovered_epoch_is_visible_on_the_wire() {
+    let _serial = serial();
     let server = server();
     let addr = server.local_addr();
     let mut c = Client::connect(addr);
@@ -408,6 +451,7 @@ fn recovered_epoch_is_visible_on_the_wire() {
 /// STATS counters show every read of a GET-only burst validated, none slow.
 #[test]
 fn default_config_serves_gets_lock_free() {
+    let _serial = serial();
     let server = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
     let mut c = Client::connect(server.local_addr());
     const KEYS: u64 = 16;
@@ -442,4 +486,204 @@ fn default_config_serves_gets_lock_free() {
         other => panic!("unexpected {other:?}"),
     }
     server.shutdown();
+}
+
+/// Scheduler timeslices received so far by this process's `serve-*`
+/// threads, summed: a blocked thread receives none.
+fn serve_timeslices() -> u64 {
+    let mut total = 0;
+    for task in std::fs::read_dir("/proc/self/task").expect("thread table") {
+        let dir = task.expect("thread entry").path();
+        // A thread may exit between the listing and the reads.
+        let Ok(name) = std::fs::read_to_string(dir.join("comm")) else {
+            continue;
+        };
+        if !name.starts_with("serve-") {
+            continue;
+        }
+        if let Ok(stat) = std::fs::read_to_string(dir.join("schedstat")) {
+            // run ns, wait ns, timeslices
+            total += stat
+                .split_whitespace()
+                .nth(2)
+                .and_then(|n| n.parse::<u64>().ok())
+                .expect("schedstat has three fields");
+        }
+    }
+    total
+}
+
+/// Returns once none of the server's threads has been scheduled for 20 ms:
+/// each of them is blocked, in `poll` or on a wake slot.
+fn wait_until_blocked() {
+    let mut before = serve_timeslices();
+    for _ in 0..500 {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = serve_timeslices();
+        if now == before {
+            return;
+        }
+        before = now;
+    }
+    panic!("the server's threads never came to rest");
+}
+
+/// `Server::join` with a deadline: a lost wake-up on the way to `Stopped`
+/// fails the test instead of hanging it.
+fn join_in_time(server: Server) -> prep_serve::ShutdownReport {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(server.join());
+    });
+    rx.recv_timeout(Duration::from_secs(20))
+        .expect("the server did not stop: a thread missed the transition")
+}
+
+/// `Server::shutdown`, with the same deadline.
+fn shutdown_in_time(server: Server) -> prep_serve::ShutdownReport {
+    server.request_shutdown();
+    join_in_time(server)
+}
+
+#[test]
+fn idle_server_threads_are_not_scheduled() {
+    let _serial = serial();
+    let server = server();
+    // A connection that has been used: the conn thread owns a socket.
+    let mut c = Client::connect(server.local_addr());
+    assert!(matches!(
+        c.put_retrying(1, AckLevel::Durable, 1, 1),
+        Response::Done { .. }
+    ));
+    wait_until_blocked();
+    let before = serve_timeslices();
+    std::thread::sleep(Duration::from_millis(200));
+    let slices = serve_timeslices() - before;
+    // Sleep-polling every thread at 50 us came to about 20 000 here.
+    assert!(
+        slices < 100,
+        "an idle server's threads were scheduled {slices} times in 200 ms"
+    );
+    shutdown_in_time(server);
+}
+
+#[test]
+fn durable_put_on_an_idle_server_is_acked() {
+    let _serial = serial();
+    let server = server();
+    let mut c = Client::connect(server.local_addr());
+    // Nothing but this one request ever reaches the server: every hand-off
+    // from the socket to the watermark has to be a wake-up of its own.
+    wait_until_blocked();
+    assert_eq!(
+        c.roundtrip(&Request::Put {
+            id: 7,
+            ack: AckLevel::Durable,
+            key: 7,
+            value: 70,
+        }),
+        Response::Done { id: 7 }
+    );
+    // And again from rest, now that every thread has parked once.
+    wait_until_blocked();
+    assert_eq!(
+        c.roundtrip(&Request::Delete {
+            id: 8,
+            ack: AckLevel::Durable,
+            key: 7,
+        }),
+        Response::Done { id: 8 }
+    );
+    shutdown_in_time(server);
+}
+
+#[test]
+fn crash_and_shutdown_reach_a_server_at_rest() {
+    let _serial = serial();
+    // ADMIN CRASH: every worker has to notice, park for the cut, and come
+    // back on the recovered store.
+    let server = server();
+    let mut c = Client::connect(server.local_addr());
+    c.put_retrying(1, AckLevel::Durable, 1, 10);
+    wait_until_blocked();
+    assert_eq!(
+        c.roundtrip(&Request::Admin {
+            id: 2,
+            cmd: AdminCmd::Crash,
+        }),
+        Response::Done { id: 2 }
+    );
+    assert_eq!(
+        c.roundtrip(&Request::Get { id: 3, key: 1 }),
+        Response::Value {
+            id: 3,
+            value: Some(10)
+        },
+        "a durable-acked key must survive, and the recovered store must serve"
+    );
+    // ADMIN SHUTDOWN, again from rest (the workers parked on the new
+    // generation's slots).
+    wait_until_blocked();
+    assert_eq!(
+        c.roundtrip(&Request::Admin {
+            id: 4,
+            cmd: AdminCmd::Shutdown,
+        }),
+        Response::Done { id: 4 }
+    );
+    let report = join_in_time(server);
+    assert_eq!(report.crashes, 1);
+    assert_eq!(report.completed_tails, report.durable_watermarks);
+
+    // `Server::request_shutdown`: no socket involved at all.
+    let server = self::server();
+    wait_until_blocked();
+    shutdown_in_time(server);
+}
+
+#[test]
+fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
+    let _serial = serial();
+    // A checkpoint's fence takes 0.6 s: long enough for the drainer to be
+    // found parked on the watermark, waiting for it, even if the host
+    // stalls for a tenth of a second on the way.
+    let server = server_with(LatencyModel {
+        sfence_ns: 600_000_000,
+        ..LatencyModel::off()
+    });
+    let mut c = Client::connect(server.local_addr());
+    c.send(&Request::Put {
+        id: 1,
+        ack: AckLevel::Durable,
+        key: 1,
+        value: 1,
+    });
+    // The op is applied, its ack is queued, the persistence thread sleeps
+    // in the fence, and the drainer — like every other server thread —
+    // is blocked.
+    wait_until_blocked();
+    let store = server.store_handle();
+    assert_eq!(store.completed_tails().iter().sum::<u64>(), 1);
+    assert_eq!(store.durable_watermarks().iter().sum::<u64>(), 0);
+    drop(store); // recovery needs the old store to itself
+    c.send(&Request::Admin {
+        id: 2,
+        cmd: AdminCmd::Crash,
+    });
+    // The op may or may not survive the cut, so its ack is downgraded —
+    // and it comes first: acks are settled before the cut is taken.
+    assert_eq!(c.recv(), Response::Retry { id: 1 });
+    assert_eq!(c.recv(), Response::Done { id: 2 });
+    // One response per frame: the next frame on the wire answers the next
+    // request.
+    match c.roundtrip(&Request::Get { id: 3, key: 1 }) {
+        Response::Value { id: 3, .. } => {}
+        other => panic!("a stray frame followed the crash: {other:?}"),
+    }
+    let report = shutdown_in_time(server);
+    assert_eq!(report.crashes, 1);
+    assert_eq!(
+        report.durable_acks, 0,
+        "the interrupted ack was never released"
+    );
 }
