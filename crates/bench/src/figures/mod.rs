@@ -13,7 +13,6 @@ pub mod psan;
 pub mod readscale;
 pub mod serve;
 pub mod shard;
-pub mod writescale;
 
 use std::sync::Arc;
 

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p prep-bench --release -- <figure> [options]
 //!
-//! figures:  fig1 fig2 fig3 fig4 fig5 fig6 ablation extension shard checkpoint readscale writescale psan serve all
+//! figures:  fig1 fig2 fig3 fig4 fig5 fig6 ablation extension shard checkpoint readscale psan serve all
 //! options:
 //!   --full            paper-scale parameters (1M keys, 10 s trials, 95 threads)
 //!   --threads a,b,c   worker-thread sweep (default quick: 1,2,4,7)
@@ -21,7 +21,7 @@ static ALLOC: prep_pmem::alloc::SwappableAllocator = prep_pmem::alloc::Swappable
 
 fn usage() -> ! {
     eprintln!(
-        "usage: prep-bench <fig1|fig2|fig3|fig4|fig5|fig6|ablation|extension|shard|checkpoint|readscale|writescale|psan|serve|all> \
+        "usage: prep-bench <fig1|fig2|fig3|fig4|fig5|fig6|ablation|extension|shard|checkpoint|readscale|psan|serve|all> \
          [--full] [--threads a,b,c] [--seconds S] [--ds hashmap|rbtree]"
     );
     std::process::exit(2);
@@ -91,7 +91,6 @@ fn main() {
         "shard" => figures::shard::run(&opts),
         "checkpoint" => figures::checkpoint::run(&opts),
         "readscale" => figures::readscale::run(&opts),
-        "writescale" => figures::writescale::run(&opts),
         "psan" => figures::psan::run(&opts),
         "serve" => figures::serve::run(&opts),
         "all" => {
@@ -106,7 +105,6 @@ fn main() {
             figures::shard::run(&opts);
             figures::checkpoint::run(&opts);
             figures::readscale::run(&opts);
-            figures::writescale::run(&opts);
             figures::psan::run(&opts);
             figures::serve::run(&opts);
         }

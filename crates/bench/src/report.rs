@@ -115,7 +115,7 @@ pub fn shard_banner(fig: &str, description: &str) {
     println!();
     println!("== {fig}: {description}");
     println!(
-        "{:<10} {:<16} {:>7} {:>6} {:>14} {:>12} {:>10} {:>10}",
+        "{:<14} {:<10} {:>7} {:>6} {:>14} {:>12} {:>10} {:>10}",
         "panel", "series", "threads", "shard", "ops/sec", "updates", "flush/op", "fence/op"
     );
 }
@@ -131,7 +131,7 @@ pub fn shard_summary_row(
     fences_per_update: f64,
 ) {
     println!(
-        "{:<10} {:<16} {:>7} {:>6} {:>14.0} {:>12} {:>10.3} {:>10.3}",
+        "{:<14} {:<10} {:>7} {:>6} {:>14.0} {:>12} {:>10.3} {:>10.3}",
         panel,
         series,
         threads,
@@ -153,7 +153,7 @@ pub fn shard_lane_row(
     fences_per_update: f64,
 ) {
     println!(
-        "{:<10} {:<16} {:>7} {:>6} {:>14} {:>12} {:>10.3} {:>10.3}",
+        "{:<14} {:<10} {:>7} {:>6} {:>14} {:>12} {:>10.3} {:>10.3}",
         panel, series, "", shard, "", updates, flushes_per_update, fences_per_update,
     );
 }

@@ -9,7 +9,7 @@ use prep_pmem::{PmemRuntime, PmemStatsSnapshot};
 use prep_seqds::SequentialObject;
 use prep_soft::SoftHashMap;
 use prep_topology::Topology;
-use prep_uc::{LaneRouter, MultiLogUc, PrepConfig, PrepUc};
+use prep_uc::{PrepConfig, PrepUc};
 
 use prep_shard::ShardedStore;
 
@@ -323,84 +323,6 @@ impl ShardCell {
     }
 }
 
-/// A multi-log measurement: whole-construction throughput plus the
-/// per-log interval counters that prove every log's combiner ran.
-#[derive(Debug, Clone)]
-pub struct MultiLogCell {
-    /// Throughput measurement (all logs together).
-    pub m: Measurement,
-    /// Persistence ops performed during the window.
-    pub stats: PmemStatsSnapshot,
-    /// Per-log completed updates during the window.
-    pub lane_completed: Vec<u64>,
-    /// Per-log combine rounds during the window (all non-zero ⇔ every
-    /// log's combiner was active).
-    pub lane_rounds: Vec<u64>,
-}
-
-impl MultiLogCell {
-    /// The conventional [`CellResult`] view, for the shared report rows.
-    pub fn as_cell(&self) -> CellResult {
-        CellResult {
-            m: self.m,
-            stats: self.stats,
-            reads: ReadPathCounters::default(),
-        }
-    }
-}
-
-/// Runs one cell against the multi-log construction
-/// (`prep_uc::MultiLogUc`, persistent CNR) with `logs` logs —
-/// `logs = 1` is the writescale figure's single-log baseline column,
-/// measured through the same engine so the combine-round counters are
-/// comparable across columns.
-#[allow(clippy::too_many_arguments)] // the workload closures are the API
-pub fn run_multilog<T, G>(
-    obj: T,
-    logs: usize,
-    key_of: impl Fn(&T::Op) -> Option<u64> + Send + Sync + 'static,
-    fold: impl Fn(&T::Op, Vec<T::Resp>) -> T::Resp + Send + Sync + 'static,
-    cfg: PrepConfig,
-    threads: usize,
-    secs: f64,
-    gen: G,
-) -> MultiLogCell
-where
-    T: SequentialObject,
-    G: Fn(usize) -> OpStream<T::Op> + Sync,
-{
-    let rt = Arc::clone(&cfg.runtime);
-    let uc = MultiLogUc::new(obj, LaneRouter::by_key(key_of, fold), logs, threads, cfg);
-    let before_ct = uc.completed_vector();
-    let before_rounds: Vec<u64> = (0..logs).map(|l| uc.combine_rounds(l)).collect();
-    let phase = Phase::start(&rt);
-    let uc_ref = &uc;
-    let m = measure(threads, Duration::from_secs_f64(secs), move |w| {
-        let token = uc_ref.register(w);
-        let mut ops = gen(w);
-        Box::new(move || {
-            uc_ref.execute(&token, ops());
-        })
-    });
-    let stats = phase.finish();
-    let lane_completed = uc
-        .completed_vector()
-        .iter()
-        .zip(&before_ct)
-        .map(|(now, then)| now - then)
-        .collect();
-    let lane_rounds = (0..logs)
-        .map(|l| uc.combine_rounds(l) - before_rounds[l])
-        .collect();
-    drop(uc);
-    MultiLogCell {
-        m,
-        stats,
-        lane_completed,
-        lane_rounds,
-    }
-}
-
 /// Runs one cell against a sharded PREP-UC store
 /// (`prep_shard::ShardedStore`) in per-shard-runtime mode, so each shard's
 /// flush/fence traffic is attributed to its own counters (one
@@ -547,36 +469,6 @@ mod tests {
         assert!(
             cell.shards.iter().all(|l| l.stats.total_flushes() > 0),
             "each shard's own runtime must see its flushes"
-        );
-    }
-
-    #[test]
-    fn multilog_cell_drives_every_log() {
-        let cfg = prep_uc::PrepConfig::new(DurabilityLevel::Buffered)
-            .with_log_size(4096)
-            .with_epsilon(256)
-            .with_runtime(PmemRuntime::for_benchmarks(LatencyModel::off()));
-        let cell = run_multilog(
-            prefilled_hashmap(1024),
-            4,
-            |op: &prep_seqds::hashmap::MapOp| op.key(),
-            |_, resps| resps.into_iter().next().expect("nonempty fold"),
-            cfg,
-            2,
-            0.05,
-            map_gen(0, 1024), // 100% writes: the commuting workload
-        );
-        assert!(cell.m.total_ops > 0);
-        assert_eq!(cell.lane_completed.len(), 4);
-        assert_eq!(
-            cell.lane_completed.iter().sum::<u64>(),
-            cell.m.total_ops,
-            "every write lands in exactly one log"
-        );
-        assert!(
-            cell.lane_rounds.iter().all(|&r| r > 0),
-            "all four combiners must run: {:?}",
-            cell.lane_rounds
         );
     }
 

@@ -63,16 +63,14 @@
 
 mod config;
 mod hooks;
-mod multilog;
 mod persistence;
 mod puc;
 mod recovery;
 
 pub use config::{DurabilityLevel, FlushStrategy, PrepConfig, PsanFault};
 pub use hooks::PrepHooks;
-pub use multilog::{mix64, LaneRouter, MlCheckpoint, MlCrashImage, MultiLogUc, MAX_LOGS};
 pub use puc::{PrepUc, PrepVolatile};
 pub use recovery::CrashImage;
 
-pub use prep_nr::{FairnessMode, MlToken, ThreadToken};
+pub use prep_nr::{FairnessMode, ThreadToken};
 pub use prep_pmem::{LatencyModel, PmemRuntime};

@@ -199,10 +199,6 @@ pub struct LockOrderConfig {
     /// receiver (`lock`, `try_lock`, `read`, `write`, …). Recognition is
     /// receiver-type-driven: a bare `stream.write(buf)` never counts.
     pub acquire_methods: Vec<String>,
-    /// Type-level rank fallbacks (`TypeName = level`) mirroring the
-    /// `// lock-level: <n> <why>` declarations in source; a source
-    /// comment on the type, field, or acquire site always wins.
-    pub ranks: Vec<(String, u32)>,
 }
 
 /// Flush-before-publish (persist-path dataflow) configuration. The four
@@ -299,10 +295,10 @@ impl Default for Config {
                 paths: vec!["crates".into()],
                 allow: vec![],
             },
-            // The lock hierarchy mirrors the PR 9 multilog protocol:
-            // cross-log gate (0) → lane combiner locks (1) → replica
-            // locks (2) → combiner batch-slot flags (3). Field and site
-            // `// lock-level:` comments refine these type defaults.
+            // The hierarchy itself is declared where the locks live, in
+            // `// lock-level: <n> <why>` comments: region ticket locks
+            // taken with nothing held (0) → per-replica combiner election
+            // (1) → replica data locks (2) → combiner batch-slot flags (3).
             lock_order: LockOrderConfig {
                 scope: RuleScope {
                     paths: hot(&["nr", "sync", "core", "cx", "shard", "serve"]),
@@ -320,15 +316,6 @@ impl Default for Config {
                 ]
                 .map(String::from)
                 .to_vec(),
-                ranks: vec![
-                    ("TicketLock".into(), 0),
-                    ("TryLock".into(), 1),
-                    ("ReplicaLock".into(), 2),
-                    ("DistRwLock".into(), 2),
-                    ("RwSpinLock".into(), 2),
-                    ("PhaseFairRwLock".into(), 2),
-                    ("StrongTryRwLock".into(), 2),
-                ],
             },
             // psan rule 1 at lint time: on every path from an NVM store
             // to a publish site there is a flush of the span and an
@@ -494,20 +481,6 @@ impl Config {
         }
         if let Some(v) = list(&kv, "lock-order", "acquire-methods") {
             cfg.lock_order.acquire_methods = v;
-        }
-        if let Some(v) = list(&kv, "lock-order", "ranks") {
-            let mut ranks = Vec::new();
-            for item in &v {
-                let (ty, n) = item
-                    .split_once('=')
-                    .ok_or_else(|| format!("[lock-order] rank `{item}`: expected `Type = n`"))?;
-                let n: u32 = n
-                    .trim()
-                    .parse()
-                    .map_err(|_| format!("[lock-order] rank `{item}`: level must be an integer"))?;
-                ranks.push((ty.trim().to_string(), n));
-            }
-            cfg.lock_order.ranks = ranks;
         }
         if let Some(v) = list(&kv, "flush-publish", "paths") {
             cfg.flush_publish.scope.paths = v;

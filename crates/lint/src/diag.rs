@@ -137,10 +137,10 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     (
         rules::LOCK_ORDER,
         "Locks declare a hierarchy level with `// lock-level: <n> <why>` on the lock type, \
-         the field, or the acquire site (gate=0, lane combiner locks=1, replica locks=2, \
-         combiner slot flags=3; mirrored in lint.toml [lock-order] ranks). Acquiring a \
+         the field, or the acquire site (region ticket locks=0, combiner election=1, replica \
+         locks=2, combiner slot flags=3). Acquiring a \
          lower level while holding a higher one — directly or through any chain of calls — \
-         breaks the partial order that makes the multilog protocol deadlock-free: two \
+         breaks the partial order that makes the replication protocol deadlock-free: two \
          threads taking the same pair in opposite rank order can block each other forever. \
          The diagnostic chain shows the inter-procedural path from the holding acquire to \
          the violating one.",

@@ -7,10 +7,10 @@
 //!   acquires, plus every *acquired-while-holding* edge with the call
 //!   chain that produces it. Lock identity and level come from
 //!   `// lock-level: <n> <why>` comments on the lock type, the field, or
-//!   the acquire site (lint.toml `[lock-order] ranks` provides type-level
-//!   fallbacks). Acquire recognition is receiver-type-driven; a receiver
-//!   nobody can type only counts when every workspace candidate for the
-//!   method agrees on a single ranked class.
+//!   the acquire site. Acquire recognition is receiver-type-driven; a receiver
+//!   nobody can type only counts inside the rule's paths, and only when
+//!   every workspace candidate for the method agrees on a single ranked
+//!   class.
 //! * **Effect summaries** — the NVM store/flush/fence/publish state a
 //!   function's body moves through, as a transfer function over the
 //!   three-point lattice `Clean < Flushed < Dirty` (join = dirtier). The
@@ -40,7 +40,7 @@ use crate::model::{CallSite, FileModel};
 // ---------------------------------------------------------------------
 
 /// Declared lock levels: from `// lock-level:` comments on types and
-/// fields, with config `ranks` as type-level fallbacks.
+/// fields.
 #[derive(Debug, Default)]
 pub struct LockRanks {
     /// type name → level.
@@ -62,11 +62,8 @@ fn parse_level(text: &str) -> Option<(u32, bool)> {
 }
 
 impl LockRanks {
-    pub fn build(files: &[(String, FileModel<'_>)], cfg: &Config) -> Self {
+    pub fn build(files: &[(String, FileModel<'_>)]) -> Self {
         let mut r = LockRanks::default();
-        for (ty, n) in &cfg.lock_order.ranks {
-            r.types.insert(ty.clone(), *n);
-        }
         for (fi, (_, m)) in files.iter().enumerate() {
             // Every lock-level comment is checked for a rationale once,
             // wherever it sits (type, field, or acquire site).
@@ -107,7 +104,7 @@ impl LockRanks {
 #[derive(Debug, Clone)]
 pub struct Acquire {
     /// Class identity for the hierarchy graph (`TicketLock`,
-    /// `MultiLaneReplicated.gate`, or a synthesized site id).
+    /// `Replica.combiner`, or a synthesized site id).
     pub class: String,
     pub rank: u32,
     /// Shared (reader-side) acquisition — shared self-edges are not
@@ -199,7 +196,7 @@ fn enclosing_block_end(m: &FileModel<'_>, lo: usize, hi: usize, byte: usize) -> 
 
 impl LockAnalysis {
     pub fn run(graph: &Graph<'_, '_>, cfg: &Config) -> Self {
-        let ranks = LockRanks::build(graph.files, cfg);
+        let ranks = LockRanks::build(graph.files);
         let nfns = graph.fns.len();
         let mut acq_sites: Vec<Vec<Acquire>> = vec![Vec::new(); nfns];
         let mut unranked: Vec<(usize, u32, u32, u32, String)> = Vec::new();
@@ -485,9 +482,17 @@ fn classify(
         return LockSite::Unranked { ty: ty.clone() };
     }
     // Unresolved receiver: only when every workspace candidate for this
-    // method agrees on one ranked owner class. A receiver that *resolved*
-    // to a non-lock type (a `TcpStream` param, say) never reaches here.
-    if call.is_method && !info.resolved && info.tys.is_empty() && info.fields.is_empty() {
+    // method agrees on one ranked owner class, and only inside the rule's
+    // own paths — elsewhere (the model checker, the NVM emulator) an
+    // untyped `.lock()` is as likely a `std::sync::Mutex`, which those
+    // paths may use and these may not. A receiver that *resolved* to a
+    // non-lock type (a `TcpStream` param, say) never reaches here.
+    if call.is_method
+        && !info.resolved
+        && info.tys.is_empty()
+        && info.fields.is_empty()
+        && cfg.lock_order.scope.applies(&graph.files[fi].0)
+    {
         let mut ranked: BTreeSet<&str> = BTreeSet::new();
         for &t in targets {
             if let Some(ty) = graph.fns[t].owner_ty.as_deref() {

@@ -2,8 +2,7 @@
 //! undeclared lock levels, over the workspace call graph.
 //!
 //! Levels come from `// lock-level: <n> <why>` comments (type, field, or
-//! acquire site) with `[lock-order] ranks` in lint.toml as type-level
-//! fallbacks. The discipline: a thread holding a level-n lock may only
+//! acquire site). The discipline: a thread holding a level-n lock may only
 //! acquire locks of level > n. [`crate::flow::LockAnalysis`] supplies the
 //! acquired-while-holding edges with their inter-procedural chains; this
 //! module turns them into findings:

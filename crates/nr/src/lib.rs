@@ -34,16 +34,12 @@
 mod global_lock;
 mod hooks;
 pub mod log;
-pub mod mluc;
-pub mod multilog;
 mod replica;
 mod uc;
 
 pub use global_lock::GlobalLockUc;
 pub use hooks::{NoopHooks, NrHooks};
 pub use log::Log;
-pub use mluc::{MlHooks, MlOp, MlToken, MultiLaneReplicated, NoopMlHooks};
-pub use multilog::{LogSet, Reservation};
 pub use uc::{NodeReplicated, ThreadToken};
 
 /// Default log capacity (entries) used by the paper's evaluation (§6: "we

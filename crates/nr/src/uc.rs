@@ -331,7 +331,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         // lock-level: 2 the reservation gate is only ever taken by a
         // combiner that already holds its replica's combiner lock (level
         // 1), so combiner -> reserve-gate is the one global order; its
-        // TicketLock type otherwise defaults to the level-0 cross-log gate
+        // TicketLock type otherwise defaults to level 0 (nothing held)
         let fair_guard = self.fair_reserve.as_ref().map(|l| l.lock());
         let mut w = Waiter::new();
         let tail = loop {

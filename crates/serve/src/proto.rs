@@ -112,11 +112,6 @@ impl Request {
 }
 
 /// One shard's row in a [`WireStats`] snapshot.
-///
-/// The three `lane_*` vectors carry per-log counters for multi-log
-/// (persistent CNR) shards; they are empty (count 0 on the wire) for
-/// single-log shards, which is how today's server — Single-backed, see
-/// `server.rs` — always encodes them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireShard {
     /// Completed updates on this shard.
@@ -137,12 +132,6 @@ pub struct WireShard {
     pub sfence: u64,
     /// Replica checkpoint flushes.
     pub checkpoints: u64,
-    /// Per-log `completedTail`s (multi-log shards only; else empty).
-    pub lane_completed_tails: Vec<u64>,
-    /// Per-log crash-survivability watermarks (multi-log shards only).
-    pub lane_durable_watermarks: Vec<u64>,
-    /// Per-log combine rounds (multi-log shards only).
-    pub lane_combine_rounds: Vec<u64>,
 }
 
 /// The `ADMIN STATS` payload: the store's `StoreMetrics`, on the wire.
@@ -262,11 +251,6 @@ const VERB_ADMIN: u8 = 5;
 const ADMIN_STATS: u8 = 1;
 const ADMIN_CRASH: u8 = 2;
 const ADMIN_SHUTDOWN: u8 = 3;
-
-/// Upper bound on the per-shard lane count a STATS frame may declare;
-/// generous versus `prep_uc::MAX_LOGS` (8) so the wire format outlives
-/// engine growth without a protocol bump.
-const MAX_WIRE_LANES: usize = 64;
 
 const ST_VALUE: u8 = 1;
 const ST_DONE: u8 = 2;
@@ -433,17 +417,6 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
                 ] {
                     out.extend_from_slice(&field.to_le_bytes());
                 }
-                // Per-log section: lane count, then one (tail, watermark,
-                // rounds) triple per log. Count 0 for single-log shards.
-                let lanes = s.lane_completed_tails.len();
-                debug_assert_eq!(lanes, s.lane_durable_watermarks.len());
-                debug_assert_eq!(lanes, s.lane_combine_rounds.len());
-                out.extend_from_slice(&(lanes as u32).to_le_bytes());
-                for l in 0..lanes {
-                    out.extend_from_slice(&s.lane_completed_tails[l].to_le_bytes());
-                    out.extend_from_slice(&s.lane_durable_watermarks[l].to_le_bytes());
-                    out.extend_from_slice(&s.lane_combine_rounds[l].to_le_bytes());
-                }
             }
         }
         Response::Err { id, code } => {
@@ -573,7 +546,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoErr
             }
             let mut shards = Vec::with_capacity(n);
             for _ in 0..n {
-                let mut shard = WireShard {
+                shards.push(WireShard {
                     completed_tail: r.u64()?,
                     durable_watermark: r.u64()?,
                     read_slow_paths: r.u64()?,
@@ -583,18 +556,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoErr
                     clflushopt: r.u64()?,
                     sfence: r.u64()?,
                     checkpoints: r.u64()?,
-                    ..WireShard::default()
-                };
-                let lanes = r.u32()? as usize;
-                if lanes > MAX_WIRE_LANES {
-                    return Err(ProtoError::BadScan(lanes as u32));
-                }
-                for _ in 0..lanes {
-                    shard.lane_completed_tails.push(r.u64()?);
-                    shard.lane_durable_watermarks.push(r.u64()?);
-                    shard.lane_combine_rounds.push(r.u64()?);
-                }
-                shards.push(shard);
+                });
             }
             Response::Stats {
                 id,
@@ -694,9 +656,6 @@ mod tests {
                         clflushopt: 3,
                         sfence: 4,
                         checkpoints: 5,
-                        lane_completed_tails: vec![6, 4],
-                        lane_durable_watermarks: vec![5, 3],
-                        lane_combine_rounds: vec![9, 7],
                     },
                     WireShard::default(),
                 ],

@@ -123,16 +123,6 @@ use crate::proto::{self, err_code, AckLevel, AdminCmd, Request, Response, WireSh
 use crate::signals;
 
 /// The store type this server fronts.
-///
-/// The server builds **single-log** shards, not
-/// [`prep_shard::ShardedStore::new_multilog`]: the durability drainer
-/// releases a buffered-durable ack when one scalar watermark passes the
-/// op's covering `completedTail`, and on a multi-log shard that scalar
-/// (the per-log sum) could cover an op's index while *its* log is still
-/// short of it — releasing acks for ops a crash can lose. Driving
-/// multi-log shards here needs a per-log (watermark, cover) pairing in the
-/// drainer; until then the STATS wire format already carries the per-log
-/// counters (count 0 for this server's shards).
 pub type Store = ShardedStore<HashMap>;
 
 /// Routing key for the KV map ops (`Len` has no key; serve never emits it).
@@ -1166,9 +1156,6 @@ fn wire_stats(store: &Arc<Store>) -> WireStats {
                 clflushopt: s.stats.clflushopt,
                 sfence: s.stats.sfence,
                 checkpoints: s.stats.checkpoints,
-                lane_completed_tails: s.lane_completed_tails.clone(),
-                lane_durable_watermarks: s.lane_durable_watermarks.clone(),
-                lane_combine_rounds: s.lane_combine_rounds.clone(),
             })
             .collect(),
     }

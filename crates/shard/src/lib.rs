@@ -15,16 +15,9 @@
 //!   with its own operation log, replica set, flush boundary, and
 //!   persistence thread — so update throughput scales with the number of
 //!   logs instead of being capped by one;
-//! * [`ShardedStore::new_multilog`] goes one level further: each shard is
-//!   a [`prep_uc::MultiLogUc`] with **L logs** (persistent CNR), so the
-//!   store runs `N × L` combiners. Commuting (single-key) ops flow through
-//!   their key's log concurrently; multi-key/scan ops take the ordered
-//!   cross-log path inside their shard;
-//! * a **key → (shard, log) router** ([`router`]) dispatches every
-//!   operation by a caller-supplied key function — one hash, two
-//!   mixed-radix digits, so the log partitioning *subsumes* the shard
-//!   routing instead of correlating with it — and [`ShardToken`] carries
-//!   one registered NR thread token *per shard* so any worker can hit any
+//! * a **key → shard router** ([`router`]) dispatches every operation by
+//!   a caller-supplied key function, and [`ShardToken`] carries one
+//!   registered NR thread token *per shard* so any worker can hit any
 //!   shard without re-registration;
 //! * a **cross-shard recovery orchestrator**: all shards (and a
 //!   [`prep_pmem::PersistentDirectory`] of namespaced metadata roots)
@@ -40,17 +33,16 @@
 //! Each shard independently guarantees PREP-UC's durability condition, and
 //! the cut is taken across all shards at one instant, so after a crash:
 //!
-//! * every shard recovers a **prefix of its own linearization order** —
-//!   for a multi-log shard, a prefix of *each log's* order at one cut
-//!   vector, with cross-log ops atomic across the cut;
+//! * every shard recovers a **prefix of its own linearization order**;
 //! * total completed-operation loss is at most **N·(ε + β − 1)** in
-//!   buffered mode — **N·L·(ε + β − 1)** with L logs per shard
-//!   ([`ShardedStore::loss_bound`]) — and **0** in durable mode.
+//!   buffered mode ([`ShardedStore::loss_bound`]) and **0** in durable
+//!   mode.
 //!
 //! There is no cross-shard ordering guarantee beyond the cut itself —
 //! exactly the per-partition contract CNR gives for partitioned structures
 //! (operations spanning two shards would need a cross-log commit protocol,
-//! which partitionable workloads by definition do not).
+//! which partitionable workloads by definition do not). A 1-shard store is
+//! one log, hence one total order: every operation on it is atomic.
 //!
 //! ## Quick start
 //!
@@ -93,5 +85,5 @@ pub mod router;
 mod store;
 
 pub use metrics::{ShardMetrics, StoreMetrics};
-pub use router::{lane_index, mix64, shard_index, Route, ShardRouter};
-pub use store::{ShardImage, ShardToken, ShardedCrashImage, ShardedStore};
+pub use router::{mix64, shard_index, ShardRouter};
+pub use store::{ShardToken, ShardedCrashImage, ShardedStore};

@@ -31,16 +31,6 @@ pub struct ShardMetrics {
     /// Optimistic reads that failed seqlock validation (a combiner
     /// overlapped) and fell back to the locked path.
     pub read_validation_failures: u64,
-    /// Per-log `completedTail`s for a multi-log shard (one entry per log,
-    /// summing to `completed_tail`). Empty for single-log shards.
-    pub lane_completed_tails: Vec<u64>,
-    /// Per-log crash-survivability watermarks for a multi-log shard.
-    /// Empty for single-log shards.
-    pub lane_durable_watermarks: Vec<u64>,
-    /// Per-log combine rounds for a multi-log shard: how many batches each
-    /// log's combiner flushed. All entries non-zero ⇔ every log's combiner
-    /// actually ran. Empty for single-log shards.
-    pub lane_combine_rounds: Vec<u64>,
     /// Persistence-operation counters. Per-shard attribution is only
     /// meaningful in per-shard-runtime mode; with a shared runtime every
     /// shard reads the same global counters (see
@@ -65,30 +55,8 @@ impl ShardMetrics {
             read_validation_failures: self
                 .read_validation_failures
                 .saturating_sub(earlier.read_validation_failures),
-            lane_completed_tails: Self::delta_lanes(
-                &self.lane_completed_tails,
-                &earlier.lane_completed_tails,
-            ),
-            lane_durable_watermarks: Self::delta_lanes(
-                &self.lane_durable_watermarks,
-                &earlier.lane_durable_watermarks,
-            ),
-            lane_combine_rounds: Self::delta_lanes(
-                &self.lane_combine_rounds,
-                &earlier.lane_combine_rounds,
-            ),
             stats: self.stats.delta(&earlier.stats),
         }
-    }
-
-    /// Element-wise monotone difference of per-log counters. An empty
-    /// `earlier` (snapshot predating the lanes, or a zero baseline) is
-    /// treated as all-zero.
-    fn delta_lanes(now: &[u64], earlier: &[u64]) -> Vec<u64> {
-        now.iter()
-            .enumerate()
-            .map(|(l, &v)| v.saturating_sub(earlier.get(l).copied().unwrap_or(0)))
-            .collect()
     }
 }
 
@@ -151,16 +119,6 @@ impl StoreMetrics {
         self.shards.iter().map(|s| s.read_validation_failures).sum()
     }
 
-    /// Total combine rounds across every log of every multi-log shard
-    /// (0 for a single-log store: the per-log counter is the multi-log
-    /// combiner's).
-    pub fn total_combine_rounds(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.lane_combine_rounds.iter().sum::<u64>())
-            .sum()
-    }
-
     /// Store-wide persistence counters: the shared counters read once when
     /// all shards share a runtime, the per-shard sum otherwise.
     pub fn total_stats(&self) -> PmemStatsSnapshot {
@@ -198,9 +156,6 @@ mod tests {
             read_slow_paths: slow,
             read_fast_optimistic: slow * 10,
             read_validation_failures: slow / 2,
-            lane_completed_tails: vec![ct / 2, ct - ct / 2],
-            lane_durable_watermarks: vec![wm / 2, wm - wm / 2],
-            lane_combine_rounds: vec![ct, ct + 1],
             stats: PmemStatsSnapshot {
                 clflush,
                 ..Default::default()
@@ -225,9 +180,6 @@ mod tests {
         let d = t1.delta(&t0);
         assert_eq!(d.shards[0].completed_tail, 15);
         assert_eq!(d.shards[0].durable_watermark, 15);
-        assert_eq!(d.shards[0].lane_completed_tails, vec![7, 8]);
-        assert_eq!(d.shards[0].lane_combine_rounds, vec![15, 15]);
-        assert_eq!(d.total_combine_rounds(), 32);
         assert_eq!(d.shards[0].stats.clflush, 30);
         assert_eq!(d.shards[1].completed_tail, 1);
         assert_eq!(d.total_completed(), 16);

@@ -1,24 +1,21 @@
-//! The key → (shard, log) router.
+//! The key → shard router.
 //!
 //! Routing must be (a) deterministic — the same operation must reach the
-//! same shard *and the same log within it* before and after a crash, or
-//! recovery would splice histories from different logs — and (b)
-//! well-mixed, so adjacent keys (the common pattern in ingest workloads)
-//! spread across shards instead of hammering one log.
-//!
-//! With multi-log shards there are **two** partitioning coordinates, and
-//! they must not correlate: if `shard = h(k) % S` and `lane = h(k) % L`
-//! came from the same residue, every key in shard `s` would pile into a
-//! correlated subset of lanes (catastrophically so when `S = L`). The
-//! router therefore derives both coordinates from **one** hash by
-//! mixed-radix decomposition — `shard = h % S`, `lane = (h / S) % L` — so
-//! the log partitioning *subsumes* the shard routing: one mix, two
-//! independent digit positions. [`ShardRouter::route_of`] is the one place
-//! this decomposition lives.
+//! same shard before and after a crash, or recovery would splice histories
+//! from different logs — and (b) well-mixed, so adjacent keys (the common
+//! pattern in ingest workloads) spread across shards instead of hammering
+//! one log.
 
 use std::sync::Arc;
 
-pub use prep_uc::mix64;
+/// SplitMix64: a full-avalanche mix, so dense keys spread over shards.
+#[inline]
+pub fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
 
 /// The shard a key belongs to, out of `shards`.
 ///
@@ -30,43 +27,16 @@ pub fn shard_index(key: u64, shards: usize) -> usize {
     (mix64(key) % shards as u64) as usize
 }
 
-/// The log (lane) a key belongs to *within its shard*: the next
-/// mixed-radix digit of the same hash (`(h / shards) % lanes`), so it is
-/// independent of — and never computed beside — the shard coordinate.
-///
-/// # Panics
-/// Panics if `shards` or `lanes` is zero.
-#[inline]
-pub fn lane_index(key: u64, shards: usize, lanes: usize) -> usize {
-    assert!(shards > 0, "lane_index with zero shards");
-    assert!(lanes > 0, "lane_index with zero lanes");
-    ((mix64(key) / shards as u64) % lanes as u64) as usize
-}
-
-/// Both routing coordinates of one operation, from one hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Route {
-    /// The shard (outer partition) the key belongs to.
-    pub shard: usize,
-    /// The log within the shard (inner partition). Always 0 for
-    /// single-log shards.
-    pub lane: usize,
-}
-
-/// A reusable router: a key-extraction function plus the partition
-/// geometry (`shards` outer × `lanes` inner).
+/// A reusable router: a key-extraction function plus the shard count.
 ///
 /// The key function is the *only* application-specific part of sharding:
 /// it names the partition an operation touches (a map op's key, a queue
 /// id, a tenant id). Operations that touch no single partition (aggregates
 /// like `Len`, scans) are the caller's to broadcast via
-/// [`crate::ShardedStore::execute_all`] — and, inside a multi-log shard,
-/// the store's cross-log classifier routes them through the ordered
-/// cross-log path.
+/// [`crate::ShardedStore::execute_all`].
 pub struct ShardRouter<O> {
     key_fn: Arc<dyn Fn(&O) -> u64 + Send + Sync>,
     shards: usize,
-    lanes: usize,
 }
 
 impl<O> Clone for ShardRouter<O> {
@@ -74,7 +44,6 @@ impl<O> Clone for ShardRouter<O> {
         ShardRouter {
             key_fn: Arc::clone(&self.key_fn),
             shards: self.shards,
-            lanes: self.lanes,
         }
     }
 }
@@ -83,13 +52,12 @@ impl<O> std::fmt::Debug for ShardRouter<O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRouter")
             .field("shards", &self.shards)
-            .field("lanes", &self.lanes)
             .finish()
     }
 }
 
 impl<O> ShardRouter<O> {
-    /// Builds a router over `shards` single-log partitions.
+    /// Builds a router over `shards` partitions.
     ///
     /// # Panics
     /// Panics if `shards` is zero.
@@ -98,29 +66,12 @@ impl<O> ShardRouter<O> {
         ShardRouter {
             key_fn: Arc::new(key_fn),
             shards,
-            lanes: 1,
         }
-    }
-
-    /// The same router with `lanes` logs per shard (the multi-log
-    /// geometry).
-    ///
-    /// # Panics
-    /// Panics if `lanes` is zero.
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(lanes > 0, "a shard needs at least one log");
-        self.lanes = lanes;
-        self
     }
 
     /// Number of shards routed over.
     pub fn shards(&self) -> usize {
         self.shards
-    }
-
-    /// Number of logs per shard.
-    pub fn lanes(&self) -> usize {
-        self.lanes
     }
 
     /// The routing key of `op`.
@@ -132,22 +83,6 @@ impl<O> ShardRouter<O> {
     pub fn shard_of(&self, op: &O) -> usize {
         shard_index(self.key_of(op), self.shards)
     }
-
-    /// Both coordinates of `op`, decomposed from one hash (module docs).
-    pub fn route_of(&self, op: &O) -> Route {
-        let key = self.key_of(op);
-        Route {
-            shard: shard_index(key, self.shards),
-            lane: lane_index(key, self.shards, self.lanes),
-        }
-    }
-
-    /// The key-extraction function, shareable with per-shard lane routers
-    /// (the multi-log store hands it to each shard's `LaneRouter` so the
-    /// inner routing provably uses the same key and hash).
-    pub(crate) fn key_fn(&self) -> Arc<dyn Fn(&O) -> u64 + Send + Sync> {
-        Arc::clone(&self.key_fn)
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +91,12 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_in_range() {
-        let r: ShardRouter<u64> = ShardRouter::new(4, |&k| k).with_lanes(3);
+        let r: ShardRouter<u64> = ShardRouter::new(4, |&k| k);
         for k in 0..1_000u64 {
-            let route = r.route_of(&k);
-            assert!(route.shard < 4);
-            assert!(route.lane < 3);
-            assert_eq!(route, r.route_of(&k), "same key, same route");
-            assert_eq!(route.shard, shard_index(k, 4));
-            assert_eq!(route.lane, lane_index(k, 4, 3));
+            let shard = r.shard_of(&k);
+            assert!(shard < 4);
+            assert_eq!(shard, r.shard_of(&k), "same key, same shard");
+            assert_eq!(shard, shard_index(k, 4));
         }
     }
 
@@ -186,37 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_coordinate_is_independent_of_shard_coordinate() {
-        // The degenerate case subsumption exists to fix: S = L. With two
-        // independent residues of the same hash, shard s would see only a
-        // correlated lane subset; with mixed-radix decomposition each
-        // shard's keys spread over all lanes within ~25% of fair share.
-        const S: usize = 4;
-        const L: usize = 4;
-        let mut counts = [[0usize; L]; S];
-        for k in 0..16_384u64 {
-            counts[shard_index(k, S)][lane_index(k, S, L)] += 1;
-        }
-        for (s, lanes) in counts.iter().enumerate() {
-            let total: usize = lanes.iter().sum();
-            for (l, &c) in lanes.iter().enumerate() {
-                let fair = total / L;
-                assert!(
-                    c >= fair * 3 / 4 && c <= fair * 5 / 4,
-                    "shard {s} lane {l}: {c} of {total} (want ~{fair}) — \
-                     coordinates correlated"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn single_shard_routes_everything_to_zero() {
         let r: ShardRouter<u64> = ShardRouter::new(1, |&k| k);
         for k in [0u64, 1, u64::MAX] {
             assert_eq!(r.shard_of(&k), 0);
-            // With one shard the lane digit is the whole hash modulo L.
-            assert!(r.route_of(&k).lane == 0);
         }
     }
 
@@ -231,11 +137,5 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         let _ = ShardRouter::<u64>::new(0, |&k| k);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one log")]
-    fn zero_lanes_rejected() {
-        let _ = ShardRouter::<u64>::new(1, |&k| k).with_lanes(0);
     }
 }

@@ -21,8 +21,8 @@
 use crate::{DistRwLock, PhaseFairRwLock, ReaderId};
 
 /// A readers-writer lock suitable for guarding an NR replica.
-// lock-level: 2 replica data locks nest inside the gate (0) and the
-// combiner election (1); nothing ranked is acquired under them
+// lock-level: 2 replica data locks nest inside the combiner election
+// (1); nothing ranked is acquired under them
 pub trait ReplicaLock<T>: Send + Sync {
     /// Runs `f` with shared access, acquiring as reader `id`.
     fn with_read(&self, id: ReaderId, f: &mut dyn FnMut(&T));

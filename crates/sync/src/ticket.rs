@@ -14,8 +14,9 @@ use crossbeam_utils::CachePadded;
 use crate::Waiter;
 
 /// A FIFO ticket lock (no protected data; callers serialize a code region).
-// lock-level: 0 outermost: the cross-log reservation gate is taken
-// before any per-replica or per-lane lock
+// lock-level: 0 outermost: a region lock taken with no ranked lock held
+// (prep-serve's per-connection frame-write lock); a site that nests it
+// under another lock re-ranks it there
 #[derive(Debug, Default)]
 pub struct TicketLock {
     next: CachePadded<AtomicU64>,

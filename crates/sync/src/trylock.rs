@@ -23,8 +23,8 @@ use crossbeam_utils::CachePadded;
 /// }
 /// assert_eq!(*lock.try_lock().unwrap(), 42);
 /// ```
-// lock-level: 1 per-lane / per-replica combiner election, taken after
-// the level-0 gate and before the level-2 replica rwlocks
+// lock-level: 1 per-replica combiner election, taken before the level-2
+// replica rwlocks
 #[derive(Debug)]
 pub struct TryLock<T> {
     locked: CachePadded<AtomicBool>,

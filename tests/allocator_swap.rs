@@ -6,9 +6,15 @@
 //! allocations* (the `SortedList`'s `Box`ed nodes) into the persistent
 //! arena while it replays the log, without the sequential code knowing, and
 //! worker threads' allocations must stay on the system allocator.
+//!
+//! Every test reads the *process-global* arena's counters or free list, and
+//! a `PrepUc`'s persistence thread allocates into that arena for as long as
+//! the `PrepUc` lives, so the tests in this binary run one at a time.
 
 #[global_allocator]
 static ALLOC: prep_pmem::alloc::SwappableAllocator = prep_pmem::alloc::SwappableAllocator::new();
+
+use std::sync::{Mutex, MutexGuard};
 
 use prep_pmem::alloc::{global_arena, persistent_allocation_enabled, with_persistent};
 use prep_seqds::list::{SetOp, SetResp, SortedList};
@@ -22,8 +28,17 @@ fn cfg() -> PrepConfig {
         .with_runtime(PmemRuntime::for_crash_tests())
 }
 
+/// One test at a time (see the module docs). Take it first in a test, so it
+/// is released last: after every `PrepUc` of the test has been dropped and
+/// its persistence thread joined.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn persistence_thread_allocates_sequential_nodes_in_the_arena() {
+    let _serial = serial();
     // Touch the arena once so baseline counters exist.
     let _warm = with_persistent(|| Box::new(0u64));
     let (allocs_before, _) = global_arena().op_counts();
@@ -56,6 +71,7 @@ fn persistence_thread_allocates_sequential_nodes_in_the_arena() {
 
 #[test]
 fn worker_allocations_do_not_touch_the_arena() {
+    let _serial = serial();
     let _warm = with_persistent(|| Box::new(0u64));
     let (before, _) = global_arena().op_counts();
     // A purely volatile allocation storm on this thread.
@@ -73,6 +89,7 @@ fn worker_allocations_do_not_touch_the_arena() {
 
 #[test]
 fn cross_mode_drop_routes_by_pointer_range() {
+    let _serial = serial();
     // Allocate persistently, drop in volatile mode (what happens when a
     // recovered replica is rebuilt): must not crash or double count.
     let b = with_persistent(|| Box::new([0u8; 256]));
