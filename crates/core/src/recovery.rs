@@ -39,9 +39,13 @@ impl<T: SequentialObject> CrashImage<T> {
     pub fn stable_snapshot(&self) -> &ReplicaSnapshot<T> {
         self.replicas[self.stable_index()]
             .as_ref()
-            .expect("stable persistent replica image is torn: two-replica invariant violated")
+            .expect(TORN_STABLE)
     }
 }
+
+/// Panic message for a torn stable replica (see
+/// [`CrashImage::stable_snapshot`]).
+const TORN_STABLE: &str = "stable persistent replica image is torn: two-replica invariant violated";
 
 impl<T: SequentialObject> PrepUc<T> {
     /// Simulates a full-system power failure: captures a consistent cut of
@@ -138,13 +142,22 @@ impl<T: SequentialObject> PrepUc<T> {
         assignment: ThreadAssignment,
         config: PrepConfig,
     ) -> Self {
-        let snap = image.stable_snapshot();
-        let mut obj = snap.state.clone_object();
+        // The image is consumed here, so the stable snapshot is moved out of
+        // it, not deep-copied: recovery starts *from* that object.
+        let stable = image.stable_index();
+        let ReplicaSnapshot {
+            state: mut obj,
+            local_tail: from,
+        } = image
+            .replicas
+            .into_iter()
+            .nth(stable)
+            .expect("stable index is 0 or 1")
+            .expect(TORN_STABLE);
         // What to replay is a property of the image, not of the config the
         // new instance will run under: a buffered instance persists neither
         // `completedTail` nor log entries, so this loop is empty for its
         // images, and a durable image recovers fully under any config.
-        let from = snap.local_tail;
         let to = image.completed_tail;
         for (idx, op) in &image.log_entries {
             if *idx >= from && *idx < to {

@@ -18,8 +18,10 @@
 //!   protocol in the universal construction.
 
 use prep_sync::cell::{AtomicBool, AtomicU64, Ordering};
+use std::alloc::{handle_alloc_error, GlobalAlloc, Layout, System};
 use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
+use std::mem::{align_of, size_of, MaybeUninit};
+use std::ops::Deref;
 
 use crossbeam_utils::CachePadded;
 use prep_sync::Waiter;
@@ -32,9 +34,9 @@ use prep_sync::Waiter;
 /// slots on every other core polling them — false sharing that grows with
 /// thread count).
 struct Entry<O> {
-    // shared-line: the container is padded as a whole (Box<[CachePadded<
-    // Entry<O>>]> above) — the emptyBit intentionally shares its line with
-    // its own payload, and with nothing else.
+    // shared-line: the container is padded as a whole (`Slot<O>` below) —
+    // the emptyBit intentionally shares its line with its own payload, and
+    // with nothing else.
     empty_bit: AtomicBool,
     op: UnsafeCell<MaybeUninit<O>>,
 }
@@ -45,9 +47,110 @@ struct Entry<O> {
 unsafe impl<O: Send> Send for Entry<O> {}
 unsafe impl<O: Send> Sync for Entry<O> {}
 
+/// A log slot as stored: one [`Entry`] padded to its own cachelines.
+type Slot<O> = CachePadded<Entry<O>>;
+
+/// The slot array: `len` [`Slot`]s in memory that starts out all-zero and is
+/// only faulted in by the slots a run actually touches.
+///
+/// An empty log is nothing but zero bytes (emptyBit `false`, payload
+/// uninitialized), so the array comes zeroed straight from the OS instead of
+/// being written slot by slot: building a log — every construction, every
+/// recovery — costs the same for 2²⁰ slots as for 2⁸, and a log's resident
+/// memory is the slots written so far, not its capacity.
+struct Slab<O> {
+    /// The allocation as `System` returned it; only `Drop` uses it.
+    raw: *mut u8,
+    /// The first slot: `raw` rounded up to `Slot<O>`'s alignment.
+    slots: *mut Slot<O>,
+    len: usize,
+}
+
+// SAFETY: `Slab` owns its allocation exclusively (the raw pointers never
+// leave the type) and hands out only `&[Slot<O>]`, so it is `Send`/`Sync`
+// exactly when a `Box<[Slot<O>]>` would be — when `Entry<O>` is, above.
+unsafe impl<O: Send> Send for Slab<O> {}
+unsafe impl<O: Send> Sync for Slab<O> {}
+
+impl<O> Slab<O> {
+    /// The allocation behind `len` slots: the slots plus one alignment of
+    /// slack to round the base up by. It asks for byte alignment on purpose.
+    /// `System.alloc_zeroed` is `calloc` — fresh zero pages from the kernel,
+    /// none touched — only while the requested alignment is one `malloc`
+    /// already guarantees; any larger request becomes an aligned `malloc`
+    /// plus a `memset` that faults in every page, which is the cost this
+    /// type exists to avoid.
+    fn layout(len: usize) -> Layout {
+        len.checked_mul(size_of::<Slot<O>>())
+            .and_then(|bytes| bytes.checked_add(align_of::<Slot<O>>()))
+            .and_then(|bytes| Layout::from_size_align(bytes, 1).ok())
+            .expect("log size overflows the address space")
+    }
+
+    fn new(len: usize) -> Self {
+        let layout = Self::layout(len);
+        // SAFETY: `layout` is never zero-sized (it includes the slack).
+        // `System` is named directly rather than reached through the
+        // registered global allocator: a `GlobalAlloc` wrapper that does not
+        // override `alloc_zeroed` inherits the default `alloc` + `memset`.
+        let raw = unsafe { System.alloc_zeroed(layout) };
+        if raw.is_null() {
+            handle_alloc_error(layout);
+        }
+        let pad = (raw as usize).wrapping_neg() % align_of::<Slot<O>>();
+        // SAFETY: `pad < align_of::<Slot<O>>()`, the slack `layout` added,
+        // so `raw + pad` and the `len` slots after it lie inside the
+        // allocation.
+        let slots = unsafe { raw.add(pad) }.cast::<Slot<O>>();
+        #[cfg(prep_mc)]
+        for i in 0..len {
+            // The model checker's instrumented `AtomicBool` promises no
+            // layout, so zero bytes are not known to be a valid one: build
+            // each slot by value (its logs have a handful of slots).
+            // SAFETY: slot `i` is in bounds and aligned (see above), and
+            // nothing reads it before this write.
+            unsafe {
+                slots.add(i).write(CachePadded::new(Entry {
+                    empty_bit: AtomicBool::new(false),
+                    op: UnsafeCell::new(MaybeUninit::uninit()),
+                }))
+            };
+        }
+        Slab { raw, slots, len }
+    }
+}
+
+impl<O> Deref for Slab<O> {
+    type Target = [Slot<O>];
+
+    fn deref(&self) -> &[Slot<O>] {
+        // SAFETY: `slots` is aligned and points at `len` slots inside the
+        // allocation this `Slab` owns until `Drop`. Every one of them is a
+        // valid `Slot<O>`: all-zero bytes are `empty_bit == false` (std's
+        // `AtomicBool` is a `u8`, 0 = `false`), `MaybeUninit<O>` accepts
+        // any bytes, and `UnsafeCell`/`CachePadded` add only padding — and
+        // the `prep_mc` build wrote each slot by value in `new`. Shared
+        // access is sound because all mutation goes through the atomic or
+        // the `UnsafeCell`.
+        unsafe { std::slice::from_raw_parts(self.slots, self.len) }
+    }
+}
+
+impl<O> Drop for Slab<O> {
+    fn drop(&mut self) {
+        // A `Slot<O>` has no drop glue (the payload is `MaybeUninit`; `Log`'s
+        // own `Drop` releases the initialized ones first), so freeing the
+        // memory is all there is to do.
+        // SAFETY: `raw` came from `System.alloc_zeroed(Self::layout(len))`
+        // in `new`, `layout` is a pure function of `len`, and `&mut self`
+        // in `drop` means no slot reference is left.
+        unsafe { System.dealloc(self.raw, Self::layout(self.len)) };
+    }
+}
+
 /// The shared circular operation log.
 pub struct Log<O> {
-    entries: Box<[CachePadded<Entry<O>>]>,
+    entries: Slab<O>,
     size: u64,
     log_tail: CachePadded<AtomicU64>,
     completed_tail: CachePadded<AtomicU64>,
@@ -55,22 +158,16 @@ pub struct Log<O> {
 }
 
 impl<O: Clone> Log<O> {
-    /// Creates a log with `size` slots.
+    /// Creates a log with `size` slots, in time and resident memory
+    /// independent of `size` (see [`Slab`]).
     ///
     /// # Panics
     /// Panics if `size < 2`.
     pub fn new(size: u64) -> Self {
         assert!(size >= 2, "log must have at least two slots");
-        let entries: Box<[CachePadded<Entry<O>>]> = (0..size)
-            .map(|_| {
-                CachePadded::new(Entry {
-                    empty_bit: AtomicBool::new(false),
-                    op: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-            })
-            .collect();
+        let slots = usize::try_from(size).expect("log size overflows the address space");
         Log {
-            entries,
+            entries: Slab::new(slots),
             size,
             log_tail: CachePadded::new(AtomicU64::new(0)),
             completed_tail: CachePadded::new(AtomicU64::new(0)),
@@ -168,12 +265,13 @@ impl<O: Clone> Log<O> {
     /// must be called exactly once each per owned index.
     pub(crate) unsafe fn write_payload(&self, index: u64, op: O) {
         let e = self.entry(index);
-        // SAFETY: exclusive ownership per caller contract. The previous
-        // lap's value (if any) was a plain-old-data `O: Clone`; we drop it
-        // in place before overwriting iff it was published. To keep this
-        // simple and `O`-agnostic, the log requires... we overwrite without
-        // dropping: see `Drop for Log` — published entries are dropped
-        // there; overwritten ones are dropped here first.
+        // SAFETY: the caller's reservation makes this thread the only one
+        // touching the slot, so the `&mut` is unique. On lap 0 the slot is
+        // uninitialized and is only written. On any later lap it still holds
+        // the previous lap's payload (every index below `size` was written
+        // before the tail could wrap, and nothing else drops payloads while
+        // the log lives), so that value is dropped exactly once here before
+        // the overwrite; `Drop for Log` drops whatever each slot holds last.
         unsafe {
             let slot = &mut *e.op.get();
             if self.lap_written(index) {
@@ -343,11 +441,109 @@ mod tests {
         // Two adjacent slots must never share a cacheline (§5.1 false
         // sharing): the padded slot is at least a line wide and
         // line-aligned.
-        let slot = std::mem::size_of::<CachePadded<Entry<u64>>>();
-        let align = std::mem::align_of::<CachePadded<Entry<u64>>>();
+        let slot = size_of::<Slot<u64>>();
+        let align = align_of::<Slot<u64>>();
         assert!(slot >= 64, "padded slot smaller than a cacheline: {slot}");
         assert!(align >= 64, "padded slot under-aligned: {align}");
         assert!(slot.is_multiple_of(align));
+        // The slab aligns its base by hand; sizes on both sides of malloc's
+        // mmap threshold, where the raw pointer's own alignment differs.
+        for len in [2usize, 3, 1 << 8, 1 << 16] {
+            let slab: Slab<u64> = Slab::new(len);
+            assert_eq!(slab.len(), len);
+            let base = slab.as_ptr() as usize;
+            assert_eq!(base % align, 0, "slab base under-aligned at len {len}");
+            let last = &slab[len - 1] as *const Slot<u64> as usize;
+            assert_eq!(last - base, (len - 1) * slot);
+            assert!(last + slot <= slab.raw as usize + Slab::<u64>::layout(len).size());
+        }
+    }
+
+    /// Resident set size of this process in KiB.
+    #[cfg(all(target_os = "linux", not(prep_mc)))]
+    fn vm_rss_kib() -> u64 {
+        let status = std::fs::read_to_string("/proc/self/status").unwrap();
+        let line = status.lines().find(|l| l.starts_with("VmRSS:")).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", not(prep_mc)))]
+    fn default_sized_log_is_not_resident_until_written() {
+        // 2^20 slots are 128 MiB of address space; building the log must
+        // not touch them. Other tests of this binary allocate concurrently,
+        // so take the best of a few attempts — an eagerly written log fails
+        // every one of them by a factor of 30.
+        let grew = (0..3)
+            .map(|_| {
+                let before = vm_rss_kib();
+                let log: Log<u64> = Log::new(1 << 20);
+                let after = vm_rss_kib();
+                assert_eq!(log.size(), 1 << 20);
+                after.saturating_sub(before)
+            })
+            .min()
+            .unwrap();
+        assert!(
+            grew < 4 * 1024,
+            "Log::new(1 << 20) made {grew} KiB resident"
+        );
+    }
+
+    #[test]
+    fn zeroed_slots_read_empty_on_every_lap_until_published() {
+        let size = 1u64 << 20;
+        let log: Log<u64> = Log::new(size);
+        // Untouched (all-zero) slots: empty on lap 0, first and last alike.
+        for i in [0, 1, size / 2, size - 1] {
+            assert!(!log.is_full(i), "zeroed slot {i} reads full on lap 0");
+        }
+        let s = reserve(&log, 1);
+        assert_eq!(s, 0);
+        unsafe {
+            log.write_payload(0, 7);
+            log.publish(0);
+        }
+        assert!(log.is_full(0));
+        assert_eq!(unsafe { log.wait_and_read(0) }, 7);
+        // The lap-0 publish must not make the slot read full on lap 1.
+        assert!(!log.is_full(size), "lap-1 view of a lap-0 entry reads full");
+        assert!(!log.is_full(1), "neighbour of a published slot reads full");
+    }
+
+    #[test]
+    fn first_and_last_slot_round_trip_and_drop_once() {
+        use std::sync::Arc;
+        // Every payload is a clone of one Arc, so its strong count is the
+        // number of payloads alive: a leak leaves it high, a double free
+        // underflows it.
+        let payload = Arc::new("op".to_string());
+        let size = 1u64 << 10;
+        let log: Log<Arc<String>> = Log::new(size);
+        let s = reserve(&log, size);
+        assert_eq!(s, 0);
+        for i in 0..size {
+            unsafe {
+                log.write_payload(i, Arc::clone(&payload));
+                log.publish(i);
+            }
+        }
+        assert_eq!(Arc::strong_count(&payload), 1 + size as usize);
+        for i in [0, size - 1] {
+            assert!(log.is_full(i));
+            let read = unsafe { log.wait_and_read(i) };
+            assert!(Arc::ptr_eq(&read, &payload));
+        }
+        // Lap 1 over the first slot drops the lap-0 payload it replaces.
+        let s = reserve(&log, 1);
+        assert_eq!(s, size);
+        unsafe {
+            log.write_payload(size, Arc::clone(&payload));
+            log.publish(size);
+        }
+        assert_eq!(Arc::strong_count(&payload), 1 + size as usize);
+        drop(log);
+        assert_eq!(Arc::strong_count(&payload), 1, "log leaked payloads");
     }
 
     #[test]

@@ -124,8 +124,13 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             "log_size {log_size} too small: need at least {min_log} for \
              {nodes} nodes with batch size {beta}"
         );
-        let replicas: Box<[Replica<T>]> = (0..nodes)
-            .map(|_| Replica::new(obj.clone_object(), beta as usize, fairness))
+        // One copy per node: `obj` itself is the last one (an assignment
+        // has at least one worker, so at least one populated node).
+        let mut copies: Vec<T> = (1..nodes).map(|_| obj.clone_object()).collect();
+        copies.push(obj);
+        let replicas: Box<[Replica<T>]> = copies
+            .into_iter()
+            .map(|copy| Replica::new(copy, beta as usize, fairness))
             .collect();
         let registered = (0..assignment.workers())
             .map(|_| CachePadded::new(AtomicBool::new(false)))

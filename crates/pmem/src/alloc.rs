@@ -147,6 +147,26 @@ unsafe impl GlobalAlloc for SwappableAllocator {
         unsafe { System.alloc(layout) }
     }
 
+    // SAFETY: caller upholds GlobalAlloc's alloc contract (nonzero layout).
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if persistent_allocation_enabled() {
+            let p = global_arena().alloc(layout);
+            if !p.is_null() {
+                // Arena blocks are recycled through the free lists (and the
+                // backing region starts uninitialized), so zero explicitly.
+                // SAFETY: the arena returned a block of at least
+                // `layout.size()` bytes that nothing else references yet.
+                unsafe { std::ptr::write_bytes(p, 0, layout.size()) };
+                return p;
+            }
+            // Arena exhausted: degrade to volatile, as `alloc` does.
+        }
+        // The default `alloc_zeroed` is `alloc` + `memset`; System's is
+        // `calloc`, which hands large requests fresh zero pages untouched.
+        // SAFETY: forwarding the caller's contract to System.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
     // SAFETY: caller passes a pointer this allocator returned, with its
     // original layout; the range check below routes it home.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -248,6 +268,42 @@ mod tests {
             a.dealloc(per, layout);
             with_persistent(|| a.dealloc(vol, layout));
         }
+    }
+
+    #[test]
+    fn alloc_zeroed_is_zero_in_both_modes_and_frees_by_range() {
+        let a = SwappableAllocator::new();
+        let layout = Layout::from_size_align(256, 8).unwrap();
+        let all_zero = |p: *mut u8| (0..256).all(|i| unsafe { *p.add(i) } == 0);
+
+        // Persistent: dirty a block, free it, and take it again zeroed (the
+        // arena's LIFO free list hands the same block back, but other tests
+        // of this binary share the arena, so that is not asserted).
+        let dirty = with_persistent(|| unsafe { a.alloc(layout) });
+        assert!(global_arena().contains(dirty));
+        unsafe {
+            std::ptr::write_bytes(dirty, 0xA5, 256);
+            a.dealloc(dirty, layout);
+        }
+        let per = with_persistent(|| unsafe { a.alloc_zeroed(layout) });
+        assert!(!per.is_null());
+        assert!(global_arena().contains(per));
+        assert!(all_zero(per), "recycled arena block not zeroed");
+
+        // Volatile: zeroed, and not from the arena.
+        let vol = unsafe { a.alloc_zeroed(layout) };
+        assert!(!vol.is_null());
+        assert!(!global_arena().contains(vol));
+        assert!(all_zero(vol));
+
+        // Each goes home by pointer range, whatever the freeing thread's mode.
+        let (_, frees_before) = global_arena().op_counts();
+        unsafe {
+            a.dealloc(per, layout);
+            with_persistent(|| a.dealloc(vol, layout));
+        }
+        let (_, frees_after) = global_arena().op_counts();
+        assert!(frees_after > frees_before, "arena block not returned");
     }
 
     #[test]

@@ -353,7 +353,8 @@ impl<T: SequentialObject> ShardedStore<T> {
     ///    means the image is not a cut of one store — refusing is the
     ///    recovery-safety property).
     /// 2. Recover each shard independently via [`PrepUc::recover`] (§5.1 /
-    ///    §5.2 per shard), all sharing `config.runtime` again.
+    ///    §5.2 per shard), all sharing `config.runtime` again — in
+    ///    parallel, one thread per shard.
     /// 3. Re-persist the metadata roots with the recovery epoch advanced.
     ///
     /// The recovered store routes with `key_fn` over the **persisted**
@@ -361,7 +362,9 @@ impl<T: SequentialObject> ShardedStore<T> {
     /// history.
     ///
     /// # Panics
-    /// Panics if the image's persisted layout is missing or inconsistent.
+    /// Panics if the image's persisted layout is missing or inconsistent,
+    /// or — with [`PrepUc::recover`]'s own message — if a shard's image is
+    /// unrecoverable.
     pub fn recover(
         token: CrashToken,
         image: ShardedCrashImage<T>,
@@ -382,11 +385,35 @@ impl<T: SequentialObject> ShardedStore<T> {
         );
         let epoch = image.epoch() + 1;
         let router = ShardRouter::new(persisted as usize, key_fn);
-        let recovered = image
-            .shards
-            .into_iter()
-            .map(|img| PrepUc::recover(token, img, assignment.clone(), config.clone()))
-            .collect();
+        // Shards share nothing but the runtime (own image, log, replicas and
+        // persistence thread), so they are rebuilt side by side: shard 0 on
+        // this thread, the rest on scoped threads. A shard that refuses its
+        // image panics with its own message, re-raised here once every
+        // other shard has finished.
+        let recover_shard =
+            &|img: CrashImage<T>| PrepUc::recover(token, img, assignment.clone(), config.clone());
+        let recovered = std::thread::scope(|scope| {
+            let mut images = image.shards.into_iter();
+            let first = images.next();
+            let rest: Vec<_> = images
+                .enumerate()
+                .map(|(i, img)| {
+                    std::thread::Builder::new()
+                        .name(format!("prep-recover-{}", i + 1))
+                        .spawn_scoped(scope, move || recover_shard(img))
+                        .expect("failed to spawn a shard recovery thread")
+                })
+                .collect();
+            first
+                .map(recover_shard)
+                .into_iter()
+                .chain(rest.into_iter().map(|shard| {
+                    shard
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }))
+                .collect()
+        });
         let runtime = Arc::clone(&config.runtime);
         Self::assemble(recovered, router, assignment, runtime, epoch)
     }
@@ -646,6 +673,77 @@ mod tests {
         let (token, mut image) = store.simulate_crash();
         drop(store);
         image.shards.pop(); // lose a shard's image
+        let _ = ShardedStore::recover(token, image, asg, config, record_key);
+    }
+
+    #[test]
+    fn parallel_recovery_equals_recovering_each_shard_in_order() {
+        for level in [DurabilityLevel::Buffered, DurabilityLevel::Durable] {
+            for n in [1usize, 2, 4, 8] {
+                let asg = Topology::small().assign_workers(1);
+                let config = cfg(level).with_epsilon(8);
+                let store =
+                    ShardedStore::new(HashMap::new(), n, asg.clone(), config.clone(), map_key);
+                let t = store.register(0);
+                for k in 0..400u64 {
+                    store.execute(
+                        &t,
+                        MapOp::Insert {
+                            key: k,
+                            value: k * 7 + n as u64,
+                        },
+                    );
+                    if k % 5 == 4 {
+                        store.execute(&t, MapOp::Remove { key: k - 2 });
+                    }
+                }
+                // Both copies of every shard's image come from one cut, so
+                // the two recoveries start from identical NVM contents.
+                let runtime = store.shared_runtime().expect("shared runtime");
+                let (token, (image, in_order)) = runtime.capture_cut(|| {
+                    let images = || -> Vec<_> {
+                        store
+                            .shards
+                            .iter()
+                            .map(PrepUc::crash_image_in_cut)
+                            .collect()
+                    };
+                    let image = ShardedCrashImage {
+                        directory: store.directory.snapshot_for_recovery(runtime),
+                        shards: images(),
+                    };
+                    (image, images())
+                });
+                drop(store);
+                let rec = ShardedStore::recover(token, image, asg.clone(), config.clone(), map_key);
+                assert_eq!(rec.shards(), n);
+                let contents = |uc: &PrepUc<HashMap>| {
+                    uc.with_replica(0, |m| (0..400u64).map(|k| m.get(k)).collect::<Vec<_>>())
+                };
+                for (s, img) in in_order.into_iter().enumerate() {
+                    let alone = PrepUc::recover(token, img, asg.clone(), config.clone());
+                    assert_eq!(
+                        contents(rec.shard(s)),
+                        contents(&alone),
+                        "{level:?}, {n} shards: shard {s} differs from its serial recovery"
+                    );
+                    assert_eq!(rec.shard(s).completed_tail(), alone.completed_tail());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two-replica invariant violated")]
+    fn a_torn_stable_image_on_a_spawned_shard_panics_with_its_own_message() {
+        let asg = Topology::small().assign_workers(1);
+        let config = cfg(DurabilityLevel::Buffered);
+        let store = ShardedStore::new(Recorder::new(), 4, asg.clone(), config.clone(), record_key);
+        let (token, mut image) = store.simulate_crash();
+        drop(store);
+        // Shard 3 recovers on a scoped thread, not on the caller.
+        let stable = image.shards[3].stable_index();
+        image.shards[3].replicas[stable] = Err(prep_pmem::TornImage);
         let _ = ShardedStore::recover(token, image, asg, config, record_key);
     }
 

@@ -74,6 +74,32 @@ fn crash_recover(
     (rec, lost)
 }
 
+/// Both ends of the proptest's shard range on every run, not only when the
+/// draw lands there: one shard recovers wholly on the calling thread, four
+/// put three on recovery threads. CI runs this file under
+/// `--test-threads 1` and pinned to one core as well.
+#[test]
+fn one_and_four_shards_recover_within_their_bounds() {
+    let eps = 8;
+    for shards in [1usize, 4] {
+        for level in [DurabilityLevel::Buffered, DurabilityLevel::Durable] {
+            let asg = Topology::small().assign_workers(1);
+            let store =
+                ShardedStore::new(Recorder::new(), shards, asg.clone(), cfg(level, eps), route);
+            let bound = store.loss_bound();
+            let token = store.register(0);
+            let mut per_shard = vec![Vec::new(); shards];
+            issue(&store, &token, &mut per_shard, 0, 250);
+            let (rec, lost) = crash_recover(store, &per_shard, level, eps, &asg);
+            assert!(
+                lost <= bound,
+                "{level:?}, {shards} shards: lost {lost} > bound {bound}"
+            );
+            assert_eq!(rec.epoch(), 1);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
