@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use prep_bench::workload::{prefilled_hashmap, MapOpGen};
 use prep_nr::{FairnessMode, NodeReplicated, NoopHooks};
-use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, SeqVersion};
+use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId};
 use prep_topology::Topology;
 
 const KEYS: u64 = 8_192;
@@ -74,23 +74,6 @@ fn bench_raw_locks(c: &mut Criterion) {
             let mut acc = 0u64;
             for _ in 0..BATCH {
                 acc = acc.wrapping_add(*lock.read());
-            }
-            acc
-        });
-    });
-
-    g.bench_function("SeqVersion-validated-read", |b| {
-        let version = SeqVersion::new();
-        let data = 7u64;
-        b.iter(|| {
-            let mut acc = 0u64;
-            for _ in 0..BATCH {
-                if let Some(snap) = version.read_begin() {
-                    let v = data;
-                    if version.validate(snap) {
-                        acc = acc.wrapping_add(v);
-                    }
-                }
             }
             acc
         });

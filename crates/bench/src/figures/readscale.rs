@@ -1,22 +1,19 @@
 //! Read-path scaling figure (repo extension, anchored to the paper's §4.2
-//! liveness pair and this repo's seqlock-validated read path).
+//! liveness pair).
 //!
 //! The paper's headline workloads are 90%-read (Fig. 1a/1b, Fig. 2,
 //! Fig. 6), so the replica read path is the throughput-critical section.
 //! This figure sweeps threads × read ratio {10, 50, 90, 100}% × the two
 //! [`FairnessMode`]s on the prefilled hashmap under volatile NR (no latency
 //! model — the read path is the only variable). A caught-up `Throughput`
-//! reader touches *no* shared line: two loads of the replica seqlock
-//! version bracket the read, and validation failure falls back to the
-//! reader's own `DistRwLock` slot. A `StarvationFree` reader always takes
-//! the phase-fair lock.
+//! reader takes its own `DistRwLock` slot, storing to no line another
+//! reader writes; a `StarvationFree` reader takes the phase-fair lock.
 //!
 //! Every cell is run [`REPEATS`] times (repeats outermost, so slow host
 //! drift spreads over all cells instead of biasing one) and reported as
 //! median, min, max and inter-quartile spread. The counter columns make the
-//! path taken visible: `opt` counts validated lock-free reads, `vfail`
-//! seqlock validation failures, `slow` reads that found their replica
-//! behind `completedTail`.
+//! path taken visible: `fast` counts reads that found their replica
+//! caught up, `slow` reads that found it behind `completedTail`.
 //!
 //! Also records the sweep, with a host fingerprint, as
 //! `BENCH_readscale.json` in the working directory.
@@ -114,12 +111,11 @@ pub fn run(opts: &RunOpts) {
         let med = c.median();
         report::row(&format!("hashmap-{}r", c.read_pct), c.mode, med);
         println!(
-            "      min={:.0} max={:.0} iqr={:.0}  opt={} vfail={} slow={}",
+            "      min={:.0} max={:.0} iqr={:.0}  fast={} slow={}",
             c.ops(0),
             c.ops(REPEATS - 1),
             c.iqr(),
-            med.reads.fast_optimistic,
-            med.reads.validation_failures,
+            med.reads.fast_paths,
             med.reads.slow_paths
         );
     }
@@ -178,8 +174,7 @@ fn write_json(opts: &RunOpts, cells: &[Cell]) {
              \"ops_per_sec_median\": {:.0}, \"ops_per_sec_min\": {:.0}, \
              \"ops_per_sec_max\": {:.0}, \"ops_per_sec_iqr\": {:.0}, \
              \"ops_per_sec_runs\": [{}], \
-             \"read_fast_optimistic\": {}, \"read_validation_failures\": {}, \
-             \"read_slow_paths\": {}}}{}\n",
+             \"read_fast_paths\": {}, \"read_slow_paths\": {}}}{}\n",
             c.read_pct,
             c.mode,
             c.threads,
@@ -188,8 +183,7 @@ fn write_json(opts: &RunOpts, cells: &[Cell]) {
             c.ops(REPEATS - 1),
             c.iqr(),
             runs.join(", "),
-            med.reads.fast_optimistic,
-            med.reads.validation_failures,
+            med.reads.fast_paths,
             med.reads.slow_paths,
             sep
         ));

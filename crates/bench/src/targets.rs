@@ -21,13 +21,9 @@ use crate::workload::MapOpGen;
 /// window (zero for targets that do not expose them).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReadPathCounters {
-    /// Validated optimistic lock-free reads (zero RMWs, zero shared
-    /// stores each).
-    pub fast_optimistic: u64,
-    /// Optimistic reads that failed seqlock validation and fell back to
-    /// the locked path.
-    pub validation_failures: u64,
-    /// Locked reads that missed the zero-contention fast path.
+    /// Reads that found their replica caught up (reader-slot path).
+    pub fast_paths: u64,
+    /// Reads that found their replica behind `completedTail`.
     pub slow_paths: u64,
 }
 
@@ -100,13 +96,12 @@ where
         })
     });
     let stats = phase.finish();
-    let reads = ReadPathCounters {
-        fast_optimistic: prep.read_fast_optimistic(),
-        validation_failures: prep.read_validation_failures(),
-        slow_paths: prep.read_slow_paths(),
-    };
     drop(prep);
-    CellResult { m, stats, reads }
+    CellResult {
+        m,
+        stats,
+        reads: ReadPathCounters::default(),
+    }
 }
 
 /// Runs one cell against volatile NR-UC (the paper's PREP-V).
@@ -161,8 +156,7 @@ where
         })
     });
     let reads = ReadPathCounters {
-        fast_optimistic: nr.read_fast_optimistic(),
-        validation_failures: nr.read_validation_failures(),
+        fast_paths: nr.read_fast_paths(),
         slow_paths: nr.read_slow_paths(),
     };
     let mut cell = CellResult::volatile(m);
@@ -203,12 +197,11 @@ where
         })
     });
     let stats = phase.map(|p| p.finish()).unwrap_or_default();
-    let reads = ReadPathCounters {
-        fast_optimistic: cx.read_fast_optimistic(),
-        validation_failures: cx.read_validation_failures(),
-        slow_paths: 0,
-    };
-    CellResult { m, stats, reads }
+    CellResult {
+        m,
+        stats,
+        reads: ReadPathCounters::default(),
+    }
 }
 
 /// Runs one cell against the SOFT hashtable (Figure 6).

@@ -132,18 +132,10 @@ impl<T: SequentialObject> PrepUc<T> {
         self.nr.read_slow_paths()
     }
 
-    /// Validated optimistic (lock-free) fast-path reads — zero atomic RMWs,
-    /// zero shared-cacheline stores each — summed over replicas. Nonzero
-    /// only under [`prep_nr::FairnessMode::Throughput`].
-    pub fn read_fast_optimistic(&self) -> u64 {
-        self.nr.read_fast_optimistic()
-    }
-
-    /// Optimistic reads that failed seqlock validation (a combiner
-    /// overlapped the lock-free read) and fell back toward the slot path,
-    /// summed over replicas.
-    pub fn read_validation_failures(&self) -> u64 {
-        self.nr.read_validation_failures()
+    /// Read-only operations that found their replica caught up and read it
+    /// under their own reader slot, summed over replicas.
+    pub fn read_fast_paths(&self) -> u64 {
+        self.nr.read_fast_paths()
     }
 
     /// The construction's configuration.

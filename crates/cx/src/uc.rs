@@ -1,13 +1,12 @@
 //! The CX universal construction proper.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use prep_pmem::PmemRuntime;
 use prep_seqds::SequentialObject;
-use prep_sync::{SeqVersion, StrongTryRwLock, Waiter};
+use prep_sync::{StrongTryRwLock, Waiter};
 
 use crate::queue::OpQueue;
 
@@ -67,9 +66,6 @@ struct CxReplica<T: SequentialObject> {
     /// Logical NVM address range this replica occupies (sanitizer identity;
     /// allocated only when persistence is on).
     psan_region: Option<prep_pmem::psan::Region>,
-    /// Seqlock version bracketing every replay session, so optimistic
-    /// readers detect an overlapping writer and discard their reads.
-    version: SeqVersion,
 }
 
 struct ReplicaState<T> {
@@ -85,20 +81,7 @@ pub struct CxUc<T: SequentialObject> {
     persistence: Option<Arc<PmemRuntime>>,
     /// Round-robin hint so threads scatter across replicas.
     next_hint: CachePadded<AtomicU64>,
-    /// Validated optimistic fast-path reads. CX's read interface carries no
-    /// registered identity, so (unlike NR's per-slot counters) this is one
-    /// shared RMW per optimistic read — still strictly cheaper than the two
-    /// stripe RMWs (mark + unmark) the locked path pays.
-    read_fast_optimistic: CachePadded<AtomicU64>,
-    /// Optimistic reads that failed seqlock validation.
-    read_validation_failures: CachePadded<AtomicU64>,
-    _marker: UnsafeCell<()>,
 }
-
-// SAFETY: interior state is behind locks/atomics; the UnsafeCell marker
-// carries no data.
-unsafe impl<T: SequentialObject> Sync for CxUc<T> {}
-unsafe impl<T: SequentialObject> Send for CxUc<T> {}
 
 impl<T: SequentialObject> CxUc<T> {
     /// Builds the construction: `config.replicas` copies of `obj`.
@@ -117,7 +100,6 @@ impl<T: SequentialObject> CxUc<T> {
                     .persistence
                     .as_ref()
                     .map(|rt| rt.psan_region("cxReplica", 1 << 40)),
-                version: SeqVersion::new(),
             })
             .collect();
         CxUc {
@@ -126,9 +108,6 @@ impl<T: SequentialObject> CxUc<T> {
             latest: CachePadded::new(AtomicU64::new(0)),
             persistence: config.persistence,
             next_hint: CachePadded::new(AtomicU64::new(0)),
-            read_fast_optimistic: CachePadded::new(AtomicU64::new(0)),
-            read_validation_failures: CachePadded::new(AtomicU64::new(0)),
-            _marker: UnsafeCell::new(()),
         }
     }
 
@@ -176,11 +155,7 @@ impl<T: SequentialObject> CxUc<T> {
                     drop(guard);
                     break;
                 }
-                // Bracket the replay with the replica's seqlock version so
-                // optimistic readers discard anything they saw mid-replay.
-                self.replicas[i].version.write_begin();
                 self.replay_through(&mut guard, pos);
-                self.replicas[i].version.write_end();
                 // 3. CX-PUC: persist the *entire* replica before the ops it
                 //    just absorbed may complete.
                 if let Some(rt) = &self.persistence {
@@ -245,88 +220,35 @@ impl<T: SequentialObject> CxUc<T> {
     }
 
     fn execute_readonly(&self, op: T::Op) -> T::Resp {
-        let mut w = Waiter::new();
         // The response must reflect every operation completed before this
         // invocation; all of those are covered by `latest` at snapshot time.
         // ord: Acquire pairs with publish_latest's Release — the floor
         // covers every operation completed before this invocation.
         let floor = self.latest.load(Ordering::Acquire) >> 16;
+        self.read_latest(floor, |ds| ds.apply_readonly(&op))
+    }
+
+    /// Runs `f` under the read lock of the most-up-to-date replica, once
+    /// that replica has applied at least `floor` queue positions.
+    fn read_latest<R>(&self, floor: u64, f: impl FnOnce(&T) -> R) -> R {
+        let mut w = Waiter::new();
         loop {
             // ord: Acquire — the routed-to replica's replayed state is
             // visible (with the lock's own ordering as a second fence).
             let packed = self.latest.load(Ordering::Acquire);
             let replica = (packed & 0xffff) as usize;
-            if let Some(resp) = self.read_optimistic(replica, floor, &op) {
-                return resp;
-            }
             if let Some(guard) = self.replicas[replica].state.try_read() {
                 if guard.applied >= floor {
-                    return guard.ds.apply_readonly(&op);
+                    return f(&guard.ds);
                 }
             }
             w.wait();
         }
-    }
-
-    /// Seqlock-validated lock-free read against replica `i`: accepted only
-    /// if the replica covered `floor` and no replay session overlapped.
-    /// `None` falls back to the strong-try read lock (bounded: the caller
-    /// tries the lock in the same loop iteration).
-    fn read_optimistic(&self, i: usize, floor: u64, op: &T::Op) -> Option<T::Resp> {
-        let replica = &self.replicas[i];
-        let snap = replica.version.read_begin()?;
-        let mut out = None;
-        // SAFETY: seqlock bracket — `snap` was even and `validate` below
-        // rejects the result if any replay session overlapped these
-        // unsynchronized reads; a torn `applied`/`ds` is discarded
-        // unobserved (see DESIGN.md "Why optimistic reads are safe").
-        unsafe {
-            replica.state.peek(|state| {
-                if state.applied >= floor {
-                    out = Some(state.ds.apply_readonly(op));
-                }
-            });
-        }
-        if !replica.version.validate(snap) {
-            self.read_validation_failures
-                // ord: failure-path statistic; this path falls back to a
-                // real lock acquisition anyway.
-                .fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        if out.is_some() {
-            // ord: statistics counter (see field docs for why CX pays an
-            // RMW here where NR does not).
-            self.read_fast_optimistic.fetch_add(1, Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Validated optimistic fast-path reads (diagnostic).
-    pub fn read_fast_optimistic(&self) -> u64 {
-        // ord: statistics counter.
-        self.read_fast_optimistic.load(Ordering::Relaxed)
-    }
-
-    /// Optimistic reads that failed seqlock validation (diagnostic).
-    pub fn read_validation_failures(&self) -> u64 {
-        // ord: statistics counter.
-        self.read_validation_failures.load(Ordering::Relaxed)
     }
 
     /// Observes the most-up-to-date replica (test/diagnostic API).
     pub fn with_latest<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        let mut w = Waiter::new();
-        loop {
-            // ord: Acquire pairs with publish_latest's Release (see
-            // execute_readonly).
-            let packed = self.latest.load(Ordering::Acquire);
-            let replica = (packed & 0xffff) as usize;
-            if let Some(guard) = self.replicas[replica].state.try_read() {
-                return f(&guard.ds);
-            }
-            w.wait();
-        }
+        self.read_latest(0, f)
     }
 
     /// Total update operations enqueued (diagnostic).
@@ -420,30 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_reads_served_and_counted() {
-        let cx = CxUc::new(HashMap::new(), CxConfig::volatile(2));
-        for k in 0..20u64 {
-            cx.execute(MapOp::Insert {
-                key: k,
-                value: k * 10,
-            });
-        }
-        for k in 0..20u64 {
-            assert_eq!(
-                cx.execute(MapOp::Get { key: k }),
-                MapResp::Value(Some(k * 10))
-            );
-        }
-        assert_eq!(
-            cx.read_fast_optimistic(),
-            20,
-            "quiescent reads must all take the optimistic path"
-        );
-        assert_eq!(cx.read_validation_failures(), 0);
-    }
-
-    #[test]
-    fn optimistic_reads_race_writers_consistently() {
+    fn reads_race_writers_consistently() {
         const THREADS: usize = 3;
         const PER: u64 = 400;
         let cx = Arc::new(CxUc::new(Recorder::new(), CxConfig::volatile(THREADS + 1)));
@@ -457,8 +356,8 @@ mod tests {
                 })
             })
             .collect();
-        // Reader races the writers: counts must be monotone (a validated
-        // optimistic read observing a torn replay would break this).
+        // Reader races the writers: counts must be monotone (a read that
+        // observed a replica mid-replay would break this).
         let mut last = 0u64;
         for _ in 0..2000 {
             match cx.execute(RecorderOp::Count) {

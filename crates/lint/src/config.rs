@@ -266,8 +266,8 @@ impl Default for Config {
                 allow: vec![],
             },
             // Padding discipline where §5.1-style false sharing bites:
-            // the log, the locks, the runtime counters, and CX's replica
-            // versions plus optimistic-read counters.
+            // the log, the locks, the runtime counters, and CX's shared
+            // most-recent-replica and scan-hint words.
             padding: RuleScope {
                 paths: hot(&["nr", "sync", "pmem", "cx"]),
                 allow: vec![],

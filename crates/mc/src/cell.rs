@@ -415,8 +415,7 @@ impl<T: Copy> PeekCell<T> {
     ///
     /// # Safety
     /// The caller must discard `value` unless its own validation protocol
-    /// (e.g. [`SeqVersion::validate`](../../prep_sync/struct.SeqVersion.html))
-    /// proves no write overlapped. Outside the model this is a plain read
+    /// (e.g. a seqlock's version re-check) proves no write overlapped. Outside the model this is a plain read
     /// of shared data — `T: Copy` keeps that free of drop hazards, and the
     /// surrounding protocol carries the UB obligation.
     #[track_caller]

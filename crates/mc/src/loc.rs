@@ -24,7 +24,7 @@ pub const STALE_BOUND: u32 = 3;
 pub enum LocKind {
     /// An `Atomic*` cell routed through the instrumented seam.
     Atomic,
-    /// A `PeekCell<T>` — plain data read through `with_peek`-style brackets.
+    /// A `PeekCell<T>` — plain data read under a seqlock-style bracket.
     Peek,
 }
 

@@ -126,7 +126,7 @@ fn seqlock_clean_recipe_passes() {
     expect_clean("seqlock-clean", || seqlock_scenario(true, true));
 }
 
-/// Mutant 1 (SeqVersion::validate): dropping the Acquire fence before the
+/// Mutant 1 (the seqlock's `validate`): dropping the Acquire fence before the
 /// version re-load lets the re-load be ordered before the data reads — a
 /// torn or stale pair validates.
 #[test]
@@ -141,7 +141,7 @@ fn seqlock_validate_without_fence_is_caught() {
     );
 }
 
-/// Mutant 2 (SeqVersion::read_begin): a Relaxed snapshot load does not
+/// Mutant 2 (the seqlock's `read_begin`): a Relaxed snapshot load does not
 /// synchronize with the writer's Release publish, so the data reads can
 /// see values older than the snapshot claims.
 #[test]

@@ -10,8 +10,8 @@
 //! its order *is* the linearization order of update operations.
 //!
 //! Read-only operations never touch the log; once the replica has caught up
-//! to `completedTail` they read it — lock-free under a seqlock bracket, or
-//! under the replica's reader-writer lock (see [`FairnessMode`]).
+//! to `completedTail` they read it under the replica's reader-writer lock
+//! (see [`FairnessMode`]).
 //!
 //! Three monotonically increasing indexes (paper Table 1):
 //!
@@ -59,12 +59,9 @@ pub const DEFAULT_LOG_SIZE: u64 = 1 << 20;
 pub enum FairnessMode {
     /// The default: CAS reservations + NR §3's distributed
     /// writer-preference reader-writer lock per replica (one
-    /// cacheline-padded slot per registered reader). A caught-up read runs
-    /// lock-free against the replica and validates with the
-    /// [`prep_sync::SeqVersion`] bracket (zero atomic RMWs, zero stores to
-    /// shared cachelines); when a combiner overlaps, it falls back to the
-    /// reader's own lock slot. Writers never wait on lock-free readers.
-    /// Fastest; starvation possible under adversarial scheduling.
+    /// cacheline-padded slot per registered reader). A caught-up read takes
+    /// the reader's own slot, so it stores to no cacheline another reader
+    /// writes. Fastest; starvation possible under adversarial scheduling.
     #[default]
     Throughput,
     /// Starvation-free updates and reads: FIFO ticket lock around log

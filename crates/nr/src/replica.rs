@@ -4,7 +4,7 @@ use prep_sync::cell::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
-use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, ReplicaLock, SeqVersion, TryLock};
+use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, ReplicaLock, TryLock};
 
 use crate::FairnessMode;
 
@@ -68,19 +68,11 @@ pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// replica was behind `completedTail` at snapshot time). Bumped only on
     /// the slow path, which already writes shared state.
     pub(crate) read_slow: CachePadded<AtomicU64>,
-    /// Seqlock-style version bracketing every replica mutation (bumped odd
-    /// inside `write_with` before the mutation, even after): the optimistic
-    /// read path's validation word.
-    pub(crate) version: SeqVersion,
-    /// Validated lock-free reads per reader slot (indexed like the lock's
-    /// reader slots). Each line is written only by the slot's owning worker
-    /// — see [`Replica::count_fast_optimistic`] — and read by others only
-    /// for advisory aggregation.
-    pub(crate) fast_optimistic: Box<[CachePadded<AtomicU64>]>,
-    /// Optimistic reads that failed validation (a combiner overlapped the
-    /// lock-free read). Bumped only on the failure path, which falls back
-    /// to a real lock acquisition anyway.
-    pub(crate) read_validation_failures: CachePadded<AtomicU64>,
+    /// Caught-up reads per reader slot (indexed like the lock's reader
+    /// slots). Each line is written only by the slot's owning worker — see
+    /// [`Replica::count_read_fast`] — and read by others only for advisory
+    /// aggregation.
+    pub(crate) read_fast: Box<[CachePadded<AtomicU64>]>,
 }
 
 impl<T: prep_seqds::SequentialObject> Replica<T> {
@@ -96,11 +88,9 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
             slots: (0..beta).map(|_| BatchSlot::new()).collect(),
             update_now: CachePadded::new(AtomicBool::new(false)),
             read_slow: CachePadded::new(AtomicU64::new(0)),
-            version: SeqVersion::new(),
-            fast_optimistic: (0..beta)
+            read_fast: (0..beta)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            read_validation_failures: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -124,68 +114,23 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
         out.expect("with_read ran f")
     }
 
-    /// Runs `f` with exclusive access to the sequential object, bracketed
-    /// by the replica's seqlock version (odd while `f` runs, even after) so
-    /// optimistic readers detect the overlap and discard their reads.
+    /// Runs `f` with exclusive access to the sequential object.
     #[inline]
     pub(crate) fn write_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let mut f = Some(f);
         let mut out = None;
         self.rw.with_write(&mut |ds| {
-            // Inside the write lock: we are the only version writer.
-            self.version.write_begin();
             out = Some((f.take().expect("with_write runs f once"))(ds));
-            self.version.write_end();
         });
         out.expect("with_write ran f")
     }
 
-    /// Attempts a seqlock-validated lock-free read: snapshot the version,
-    /// run `f` against the replica without touching the lock, and accept
-    /// the result only if no combiner overlapped. Returns `None` after
-    /// bounded retries (writer mid-apply, or validation kept failing) — the
-    /// caller then falls back to a real lock acquisition. The fast path
-    /// performs zero atomic RMWs and zero stores to any shared cacheline.
-    pub(crate) fn read_optimistic<R>(&self, f: impl Fn(&T) -> R) -> Option<R> {
-        /// Validation failures tolerated before falling back: each retry
-        /// costs a wasted `f`, and under combiner churn the slot path is
-        /// cheaper than a third wasted read.
-        const RETRIES: usize = 2;
-        for _ in 0..RETRIES {
-            let Some(snap) = self.version.read_begin() else {
-                // A combiner is mid-apply; the slot path waits for it
-                // politely instead of spinning here (writers never wait on
-                // optimistic readers, and readers should not busy-spin on
-                // writers).
-                return None;
-            };
-            let mut out = None;
-            // SAFETY: seqlock bracket — `snap` was even (no write in
-            // progress) and `validate` below rejects the result if any
-            // write bracket overlapped `f`'s unsynchronized reads. `f` is a
-            // `SequentialObject::apply_readonly` over plain (non-pointer-
-            // chasing-into-freed-memory) data; discarded torn reads are
-            // never observable (see DESIGN.md "Why optimistic reads are
-            // safe").
-            unsafe { self.rw.with_peek(&mut |ds| out = Some(f(ds))) };
-            if self.version.validate(snap) {
-                return out;
-            }
-            self.read_validation_failures
-                // ord: failure-path statistic (shared line is fine: this
-                // path proceeds to a lock acquisition anyway).
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        None
-    }
-
-    /// Counts one validated lock-free read by the owner of reader slot
-    /// `rslot`: a plain load + store on the owner's private line —
-    /// deliberately **not** `fetch_add`, so the fast path stays free of
-    /// atomic RMW instructions.
+    /// Counts one caught-up read by the owner of reader slot `rslot`: a
+    /// plain load + store on the owner's private line — no `fetch_add`, and
+    /// no store to a line another reader writes.
     #[inline]
-    pub(crate) fn count_fast_optimistic(&self, rslot: usize) {
-        let counter = &self.fast_optimistic[rslot];
+    pub(crate) fn count_read_fast(&self, rslot: usize) {
+        let counter = &self.read_fast[rslot];
         // ord: single-writer statistics on the owner's private line; remote
         // aggregation (metrics) tolerates staleness.
         let v = counter.load(Ordering::Relaxed) + 1;
@@ -193,9 +138,9 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
         counter.store(v, Ordering::Relaxed);
     }
 
-    /// Validated optimistic fast-path reads served by this replica.
-    pub(crate) fn fast_optimistic_total(&self) -> u64 {
-        self.fast_optimistic
+    /// Caught-up reads served by this replica.
+    pub(crate) fn read_fast_total(&self) -> u64 {
+        self.read_fast
             .iter()
             // ord: advisory aggregation of single-writer counters.
             .map(|c| c.load(Ordering::Relaxed))

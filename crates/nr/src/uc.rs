@@ -80,9 +80,6 @@ pub struct NodeReplicated<T: SequentialObject, H: NrHooks<T::Op> = NoopHooks> {
     registered: Box<[CachePadded<AtomicBool>]>,
     /// FIFO reservation lock, present in [`FairnessMode::StarvationFree`].
     fair_reserve: Option<TicketLock>,
-    /// The fairness mode this instance was built with; routes the read path
-    /// (lock-free with a locked fallback, or always locked).
-    fairness: FairnessMode,
 }
 
 impl<T: SequentialObject> NodeReplicated<T, NoopHooks> {
@@ -146,7 +143,6 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
                 FairnessMode::StarvationFree => Some(TicketLock::new()),
                 FairnessMode::Throughput => None,
             },
-            fairness,
         }
     }
 
@@ -375,31 +371,35 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
     /// `logMin` if our reservation crossed the lowMark, or waiting (and
     /// helping our own replica) otherwise.
     fn update_or_wait_on_log_min(&self, tail: u64, new_tail: u64, node: usize) {
-        let beta = self.beta;
-        let low_mark = self.log.log_min().saturating_sub(beta);
-        if new_tail <= low_mark {
-            return;
-        }
-        if tail <= low_mark {
-            // Our reservation contains the lowMark entry: we advance logMin.
-            self.advance_log_min(new_tail, node);
-        } else {
+        let mut w = Waiter::new();
+        loop {
+            let low_mark = self.log.log_min().saturating_sub(self.beta);
+            if new_tail <= low_mark {
+                return;
+            }
+            if tail <= low_mark {
+                // Our reservation contains the lowMark entry: we advance
+                // logMin. Re-checked every round, not only on entry: the
+                // previous owner's advance stops once logMin covers *its*
+                // reservation, which can land the new lowMark inside ours —
+                // we are then its only owner (liveness correction 4,
+                // DESIGN.md).
+                self.advance_log_min(new_tail, node);
+                return;
+            }
             // Someone earlier owns the lowMark; wait for logMin to advance,
             // helping our own replica if asked to (Algorithm 3, else-branch).
-            let mut w = Waiter::new();
-            while self.log.log_min().saturating_sub(beta) < new_tail {
-                // ord: Acquire/Release handshake on updateReplicaNow — see
-                // advance_log_min's straggler help protocol.
-                if self.replicas[node].update_now.load(Ordering::Acquire) {
-                    self.update_replica_to(node, self.log.completed_tail());
-                    self.replicas[node]
-                        .update_now
-                        // ord: Release acknowledges the help request with
-                        // the catch-up visible.
-                        .store(false, Ordering::Release);
-                }
-                w.wait();
+            // ord: Acquire/Release handshake on updateReplicaNow — see
+            // advance_log_min's straggler help protocol.
+            if self.replicas[node].update_now.load(Ordering::Acquire) {
+                self.update_replica_to(node, self.log.completed_tail());
+                self.replicas[node]
+                    .update_now
+                    // ord: Release acknowledges the help request with the
+                    // catch-up visible.
+                    .store(false, Ordering::Release);
             }
+            w.wait();
         }
     }
 
@@ -485,8 +485,8 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
     /// Caller must hold the replica's combiner lock.
     fn update_replica_to(&self, node: usize, to: u64) {
         let replica = &self.replicas[node];
-        // Already there: skip the lock and the version bump a no-op write
-        // bracket would cost optimistic readers.
+        // Already there: skip the write lock, which would stall readers for
+        // a no-op.
         if replica.local_tail() >= to {
             return;
         }
@@ -506,33 +506,46 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
     }
 
     fn execute_readonly(&self, token: &ThreadToken, op: T::Op) -> T::Resp {
-        let replica = &self.replicas[token.node];
+        self.read_caught_up(token.node, Some(token.rslot), |ds| ds.apply_readonly(&op))
+    }
+
+    /// NR's read rule (§3), the one read path: runs `f` on `node`'s replica
+    /// under its read lock once the replica has applied every update
+    /// completed before this call — as reader slot `rslot`, or as
+    /// [`ReaderId::Shared`] for a caller with no registered identity (whose
+    /// reads are not counted).
+    fn read_caught_up<R>(&self, node: usize, rslot: Option<usize>, f: impl FnOnce(&T) -> R) -> R {
+        let replica = &self.replicas[node];
+        let id = rslot.map_or(ReaderId::Shared, ReaderId::Slot);
         // Snapshot completedTail at invocation: the response must reflect at
         // least every operation completed before this read began (§3).
         let ct = self.log.completed_tail();
         // Fast path: the replica has already applied everything this read
-        // must observe. (The `local_tail` Acquire load also guarantees the
-        // version word below is at least the bracket that published that
-        // tail — see DESIGN.md "Why optimistic reads are safe".)
+        // must observe (the `local_tail` Acquire load pairs with the
+        // combiner's Release store). A slot reader stores to no line
+        // another reader writes.
         if replica.local_tail() >= ct {
-            return self.read_caught_up(replica, token.rslot, &op);
+            if let Some(slot) = rslot {
+                replica.count_read_fast(slot);
+            }
+            return replica.read_with(id, f);
         }
         // Slow path: the replica is behind. This path writes shared state
         // anyway (combiner lock, log application), so one more counter bump
         // costs nothing and makes the fast-path hit rate bench-visible.
-        // ord: statistics counter; read only by tests/benches after join.
-        replica.read_slow.fetch_add(1, Ordering::Relaxed);
+        if rslot.is_some() {
+            // ord: statistics counter; read only by tests/benches after join.
+            replica.read_slow.fetch_add(1, Ordering::Relaxed);
+        }
         let mut w = Waiter::new();
         loop {
             if replica.local_tail() >= ct {
-                // The replica just advanced, so a combiner is at work on it:
-                // a lock-free read would likely fail validation. Lock.
-                return replica.read_with(ReaderId::Slot(token.rslot), |ds| ds.apply_readonly(&op));
+                return replica.read_with(id, f);
             }
             // Become the combiner and catch the replica up, or wait for the
             // current combiner.
             if let Some(_guard) = replica.combiner.try_lock() {
-                self.update_replica_to(token.node, self.log.completed_tail());
+                self.update_replica_to(node, self.log.completed_tail());
                 // ord: Release — we just serviced any pending help request
                 // as a side effect of catching up.
                 replica.update_now.store(false, Ordering::Release);
@@ -540,23 +553,6 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             }
             w.wait();
         }
-    }
-
-    /// Serves a read-only op against a caught-up replica.
-    ///
-    /// [`FairnessMode::Throughput`] runs the read lock-free under the seqlock
-    /// bracket — zero RMWs, zero stores to *any* shared cacheline — and on
-    /// validation failure falls back to this token's dedicated reader slot,
-    /// which stores to no cacheline shared with another reader.
-    /// [`FairnessMode::StarvationFree`] always takes the phase-fair lock.
-    fn read_caught_up(&self, replica: &Replica<T>, rslot: usize, op: &T::Op) -> T::Resp {
-        if self.fairness == FairnessMode::Throughput {
-            if let Some(resp) = replica.read_optimistic(|ds| ds.apply_readonly(op)) {
-                replica.count_fast_optimistic(rslot);
-                return resp;
-            }
-        }
-        replica.read_with(ReaderId::Slot(rslot), |ds| ds.apply_readonly(op))
     }
 
     /// Current `completedTail` (used by the persistence thread and tests).
@@ -608,37 +604,10 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             .sum()
     }
 
-    /// Total validated optimistic (lock-free) fast-path reads, summed over
-    /// replicas.
-    pub fn read_fast_optimistic(&self) -> u64 {
-        self.replicas
-            .iter()
-            .map(|r| r.fast_optimistic_total())
-            .sum()
-    }
-
-    /// Total optimistic reads that failed seqlock validation (a combiner
-    /// overlapped the lock-free read), summed over replicas.
-    pub fn read_validation_failures(&self) -> u64 {
-        self.replicas
-            .iter()
-            // ord: statistics counter (see the failure-path bump).
-            .map(|r| r.read_validation_failures.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Snapshot of `node`'s replica-lock state words. Test-only probe for
-    /// asserting the optimistic fast path stores to no lock word.
-    #[doc(hidden)]
-    pub fn replica_lock_state_words(&self, node: usize) -> Vec<u64> {
-        self.replicas[node].rw.state_words()
-    }
-
-    /// Raw seqlock version of `node`'s replica. Test-only probe: reads must
-    /// leave it unchanged.
-    #[doc(hidden)]
-    pub fn replica_version(&self, node: usize) -> u64 {
-        self.replicas[node].version.current()
+    /// Total read-only operations that found their replica caught up and
+    /// read it under their own reader slot, summed over replicas.
+    pub fn read_fast_paths(&self) -> u64 {
+        self.replicas.iter().map(|r| r.read_fast_total()).sum()
     }
 
     /// Runs `f` against `node`'s replica under its read lock, after
@@ -647,20 +616,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
     /// no registered identity, so the lock is taken as [`ReaderId::Shared`]
     /// (the counting overflow line).
     pub fn with_replica<R>(&self, node: usize, f: impl FnOnce(&T) -> R) -> R {
-        let replica = &self.replicas[node];
-        let ct = self.log.completed_tail();
-        let mut f = Some(f);
-        let mut w = Waiter::new();
-        loop {
-            if replica.local_tail() >= ct {
-                return replica.read_with(ReaderId::Shared, f.take().expect("runs f once"));
-            }
-            if let Some(_guard) = replica.combiner.try_lock() {
-                self.update_replica_to(node, self.log.completed_tail());
-                continue;
-            }
-            w.wait();
-        }
+        self.read_caught_up(node, None, f)
     }
 }
 
@@ -702,8 +658,9 @@ mod tests {
     #[test]
     fn caught_up_reads_take_the_fast_path() {
         // Single thread: after each update completes, the local replica is
-        // at completedTail, so every read must hit the zero-contention fast
-        // path and the slow-path counter must stay at zero.
+        // at completedTail, so every read — including the first one after
+        // a write — must hit the caught-up path and the slow-path counter
+        // must stay at zero.
         let (nr, _) = small_nr(1, 64);
         let t = nr.register(0);
         assert_eq!(t.reader_slot(), 0);
@@ -713,69 +670,7 @@ mod tests {
             nr.execute(&t, RecorderOp::Last);
         }
         assert_eq!(nr.read_slow_paths(), 0, "caught-up read took the slow path");
-    }
-
-    /// The tentpole invariant, end to end: a caught-up `Throughput` read
-    /// performs zero atomic RMWs and zero stores to any shared
-    /// cacheline — every lock state word and the version word are
-    /// bit-identical across any number of reads, all of which take the
-    /// optimistic fast path.
-    #[test]
-    fn optimistic_read_makes_no_shared_stores() {
-        let topo = Topology::new(2, 4, 1);
-        let asg = topo.assign_workers(1);
-        let nr = NodeReplicated::with_hooks_and_fairness(
-            Recorder::new(),
-            asg,
-            64,
-            crate::NoopHooks,
-            FairnessMode::Throughput,
-        );
-        let t = nr.register(0);
-        for i in 0..10u64 {
-            nr.execute(&t, RecorderOp::Record(i));
-        }
-
-        let words_before = nr.replica_lock_state_words(0);
-        let version_before = nr.replica_version(0);
-        assert_eq!(version_before % 2, 0, "replica stable between batches");
-        const READS: u64 = 1000;
-        for _ in 0..READS {
-            assert_eq!(nr.execute(&t, RecorderOp::Count), RecorderResp::Count(10));
-        }
-        assert_eq!(
-            nr.replica_lock_state_words(0),
-            words_before,
-            "an optimistic read stored to a lock state word"
-        );
-        assert_eq!(
-            nr.replica_version(0),
-            version_before,
-            "an optimistic read bumped the version"
-        );
-        assert_eq!(nr.read_fast_optimistic(), READS, "reads left the fast path");
-        assert_eq!(nr.read_validation_failures(), 0);
-        assert_eq!(nr.read_slow_paths(), 0);
-    }
-
-    /// Writes between reads do not push later reads onto the lock: once the
-    /// combiner's bracket has closed, the very next read is lock-free again.
-    #[test]
-    fn throughput_mode_skips_slot_rmw_in_write_free_window() {
-        let (nr, _) = small_nr(1, 64);
-        let t = nr.register(0);
-        nr.execute(&t, RecorderOp::Record(1));
-        for _ in 0..100u64 {
-            nr.execute(&t, RecorderOp::Count);
-        }
-        assert_eq!(nr.read_fast_optimistic(), 100);
-        nr.execute(&t, RecorderOp::Record(2));
-        nr.execute(&t, RecorderOp::Count);
-        assert_eq!(
-            nr.read_fast_optimistic(),
-            101,
-            "read after a write left the lock-free path"
-        );
+        assert_eq!(nr.read_fast_paths(), 100, "a read left the caught-up path");
     }
 
     #[test]

@@ -120,10 +120,8 @@ pub struct WireShard {
     pub durable_watermark: u64,
     /// Read-fast-path misses.
     pub read_slow_paths: u64,
-    /// Validated optimistic (lock-free) reads: zero RMWs, zero shared stores.
-    pub read_fast_optimistic: u64,
-    /// Optimistic reads that failed seqlock validation and took the lock.
-    pub read_validation_failures: u64,
+    /// Reads that found their replica caught up (reader-slot path).
+    pub read_fast_paths: u64,
     /// Synchronous CLFLUSH count.
     pub clflush: u64,
     /// Asynchronous CLFLUSHOPT count.
@@ -408,8 +406,7 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
                     s.completed_tail,
                     s.durable_watermark,
                     s.read_slow_paths,
-                    s.read_fast_optimistic,
-                    s.read_validation_failures,
+                    s.read_fast_paths,
                     s.clflush,
                     s.clflushopt,
                     s.sfence,
@@ -550,8 +547,7 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoErr
                     completed_tail: r.u64()?,
                     durable_watermark: r.u64()?,
                     read_slow_paths: r.u64()?,
-                    read_fast_optimistic: r.u64()?,
-                    read_validation_failures: r.u64()?,
+                    read_fast_paths: r.u64()?,
                     clflush: r.u64()?,
                     clflushopt: r.u64()?,
                     sfence: r.u64()?,
@@ -650,8 +646,7 @@ mod tests {
                         completed_tail: 10,
                         durable_watermark: 8,
                         read_slow_paths: 1,
-                        read_fast_optimistic: 11,
-                        read_validation_failures: 6,
+                        read_fast_paths: 11,
                         clflush: 2,
                         clflushopt: 3,
                         sfence: 4,

@@ -161,7 +161,7 @@ pub struct ServeConfig {
     /// Simulated NVM latency model.
     pub latency: LatencyModel,
     /// Liveness mode (§4.2). The default, [`FairnessMode::Throughput`],
-    /// serves caught-up GETs lock-free.
+    /// serves caught-up GETs under the reader's own lock slot.
     pub fairness: FairnessMode,
     /// Enable crash simulation (`ADMIN CRASH`); costs image upkeep.
     pub crash_sim: bool,
@@ -1150,8 +1150,7 @@ fn wire_stats(store: &Arc<Store>) -> WireStats {
                 completed_tail: s.completed_tail,
                 durable_watermark: s.durable_watermark,
                 read_slow_paths: s.read_slow_paths,
-                read_fast_optimistic: s.read_fast_optimistic,
-                read_validation_failures: s.read_validation_failures,
+                read_fast_paths: s.read_fast_paths,
                 clflush: s.stats.clflush,
                 clflushopt: s.stats.clflushopt,
                 sfence: s.stats.sfence,

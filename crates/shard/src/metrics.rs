@@ -25,12 +25,9 @@ pub struct ShardMetrics {
     pub durable_watermark: u64,
     /// Read-only ops that missed the zero-contention read fast path.
     pub read_slow_paths: u64,
-    /// Validated optimistic (lock-free) fast-path reads: zero atomic RMWs,
-    /// zero shared-cacheline stores each.
-    pub read_fast_optimistic: u64,
-    /// Optimistic reads that failed seqlock validation (a combiner
-    /// overlapped) and fell back to the locked path.
-    pub read_validation_failures: u64,
+    /// Read-only ops that found their replica caught up and read it under
+    /// their own reader slot.
+    pub read_fast_paths: u64,
     /// Persistence-operation counters. Per-shard attribution is only
     /// meaningful in per-shard-runtime mode; with a shared runtime every
     /// shard reads the same global counters (see
@@ -49,12 +46,7 @@ impl ShardMetrics {
                 .durable_watermark
                 .saturating_sub(earlier.durable_watermark),
             read_slow_paths: self.read_slow_paths.saturating_sub(earlier.read_slow_paths),
-            read_fast_optimistic: self
-                .read_fast_optimistic
-                .saturating_sub(earlier.read_fast_optimistic),
-            read_validation_failures: self
-                .read_validation_failures
-                .saturating_sub(earlier.read_validation_failures),
+            read_fast_paths: self.read_fast_paths.saturating_sub(earlier.read_fast_paths),
             stats: self.stats.delta(&earlier.stats),
         }
     }
@@ -109,14 +101,17 @@ impl StoreMetrics {
         self.shards.iter().map(|s| s.read_slow_paths).sum()
     }
 
-    /// Total validated optimistic fast-path reads across shards.
+    /// Total caught-up (reader-slot) reads across shards. Named for the
+    /// lock-free read path it used to count; kept under this name because
+    /// `benchmark/src/report.rs` (frozen) calls it.
     pub fn total_read_fast_optimistic(&self) -> u64 {
-        self.shards.iter().map(|s| s.read_fast_optimistic).sum()
+        self.shards.iter().map(|s| s.read_fast_paths).sum()
     }
 
-    /// Total optimistic validation failures across shards.
+    /// Always 0: no read path validates any more. Kept because
+    /// `benchmark/src/report.rs` (frozen) calls it.
     pub fn total_read_validation_failures(&self) -> u64 {
-        self.shards.iter().map(|s| s.read_validation_failures).sum()
+        0
     }
 
     /// Store-wide persistence counters: the shared counters read once when
@@ -154,8 +149,7 @@ mod tests {
             completed_tail: ct,
             durable_watermark: wm,
             read_slow_paths: slow,
-            read_fast_optimistic: slow * 10,
-            read_validation_failures: slow / 2,
+            read_fast_paths: slow * 10,
             stats: PmemStatsSnapshot {
                 clflush,
                 ..Default::default()
@@ -185,7 +179,7 @@ mod tests {
         assert_eq!(d.total_completed(), 16);
         assert_eq!(d.total_read_slow_paths(), 5);
         assert_eq!(d.total_read_fast_optimistic(), 50);
-        assert_eq!(d.total_read_validation_failures(), 3);
+        assert_eq!(d.total_read_validation_failures(), 0);
         assert_eq!(d.total_stats().clflush, 35);
     }
 

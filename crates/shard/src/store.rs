@@ -250,27 +250,6 @@ impl<T: SequentialObject> ShardedStore<T> {
         self.shards.iter().map(PrepUc::completed_tail).collect()
     }
 
-    /// Read-only operations that missed the zero-contention read fast path,
-    /// summed over every shard's replicas (see [`PrepUc::read_slow_paths`]).
-    pub fn read_slow_paths(&self) -> u64 {
-        self.shards.iter().map(PrepUc::read_slow_paths).sum()
-    }
-
-    /// Validated optimistic (lock-free) fast-path reads, summed over every
-    /// shard's replicas (see [`PrepUc::read_fast_optimistic`]).
-    pub fn read_fast_optimistic(&self) -> u64 {
-        self.shards.iter().map(PrepUc::read_fast_optimistic).sum()
-    }
-
-    /// Optimistic reads that failed seqlock validation, summed over every
-    /// shard's replicas (see [`PrepUc::read_validation_failures`]).
-    pub fn read_validation_failures(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(PrepUc::read_validation_failures)
-            .sum()
-    }
-
     /// The shared runtime, when the store was built with one.
     pub fn shared_runtime(&self) -> Option<&Arc<PmemRuntime>> {
         self.shared_runtime.as_ref()
@@ -318,8 +297,7 @@ impl<T: SequentialObject> ShardedStore<T> {
                     completed_tail: uc.completed_tail(),
                     durable_watermark: uc.durable_watermark(),
                     read_slow_paths: uc.read_slow_paths(),
-                    read_fast_optimistic: uc.read_fast_optimistic(),
-                    read_validation_failures: uc.read_validation_failures(),
+                    read_fast_paths: uc.read_fast_paths(),
                     stats: uc.stats(),
                 })
                 .collect(),

@@ -12,9 +12,9 @@
 //!
 //! [`PeekCell`] is the plain-data counterpart: a bare `UnsafeCell` in
 //! normal builds, a happens-before race-detected location under the
-//! checker. Optimistic readers use [`PeekCell::read_racy`] and must
-//! discard the value unless their validation bracket (e.g.
-//! [`crate::SeqVersion::validate`]) proves no write overlapped.
+//! checker. Seqlock-style readers use [`PeekCell::read_racy`] and must
+//! discard the value unless their validation bracket proves no write
+//! overlapped.
 
 #[cfg(prep_mc)]
 pub use prep_mc::cell::{

@@ -21,9 +21,9 @@
 //!   mode selects;
 //! * a **strong try reader-writer lock**, required by the CX-UC/CX-PUC
 //!   baselines of Correia et al. ([`StrongTryRwLock`]);
-//! * a **seqlock-style version cell** bracketing combiner writes so
-//!   read-only operations can run lock-free and validate afterwards —
-//!   zero RMWs, zero shared-line stores per read ([`SeqVersion`]);
+//! * a **seqlock-style version cell** ([`SeqVersion`]) that no engine path
+//!   uses any more — kept only because the repo benchmark's
+//!   `sync.seqversion_read_ns` probe compiles against it;
 //! * a **single-owner wake slot** for the hand-offs where a thread may
 //!   stay idle for long — a server's executors, the durability drainer,
 //!   whoever waits on the durable watermark: the owner parks, wakers

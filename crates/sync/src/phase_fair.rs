@@ -112,13 +112,6 @@ impl<T> PhaseFairRwLock<T> {
         PhaseFairWriteGuard { lock: self }
     }
 
-    /// Raw pointer to the protected data, for the optimistic (seqlock)
-    /// read path. Dereferencing it without holding the lock is only sound
-    /// under the [`crate::ReplicaLock::with_peek`] contract.
-    pub(crate) fn data_ptr(&self) -> *const T {
-        self.data.get()
-    }
-
     /// Returns a mutable reference to the protected data without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()

@@ -35,43 +35,9 @@ pub trait ReplicaLock<T>: Send + Sync {
     fn reader_slots(&self) -> usize {
         0
     }
-
-    /// Snapshot of every lock state word (advisory, for tests asserting
-    /// that a path made no store to lock state). Empty when the lock does
-    /// not expose its words.
-    fn state_words(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    /// Runs `f` against the protected data **without acquiring the lock** —
-    /// the optimistic read path. Performs no atomic RMW and no store to any
-    /// lock state word.
-    ///
-    /// # Safety
-    ///
-    /// The shared reference handed to `f` is unsynchronized: a writer may
-    /// mutate the data concurrently. The caller must bracket the call with
-    /// an external detection protocol (in NR, [`crate::SeqVersion`]
-    /// `read_begin`/`validate` around every `with_peek`) and **discard
-    /// everything `f` observed** when the bracket reports an overlapping
-    /// write. `f` must tolerate reading torn/inconsistent values without
-    /// faulting: it must not follow data-dependent pointers it frees or
-    /// trust invariants for memory safety (plain reads of possibly-stale
-    /// plain data only). This is the standard seqlock contract.
-    unsafe fn with_peek(&self, f: &mut dyn FnMut(&T));
 }
 
 impl<T: Send + Sync> ReplicaLock<T> for DistRwLock<T> {
-    // SAFETY: forwards the trait method's seqlock contract — the caller
-    // brackets this call with an external write-detection protocol and
-    // discards torn observations.
-    unsafe fn with_peek(&self, f: &mut dyn FnMut(&T)) {
-        // SAFETY: the caller upholds the seqlock contract documented on the
-        // trait method; we only materialize the unsynchronized shared
-        // reference it promises to treat as suspect.
-        f(unsafe { &*self.data_ptr() });
-    }
-
     fn with_read(&self, id: ReaderId, f: &mut dyn FnMut(&T)) {
         f(&self.read(id));
     }
@@ -83,25 +49,9 @@ impl<T: Send + Sync> ReplicaLock<T> for DistRwLock<T> {
     fn reader_slots(&self) -> usize {
         DistRwLock::reader_slots(self)
     }
-
-    fn state_words(&self) -> Vec<u64> {
-        let mut words = vec![self.writer_word()];
-        words.extend((0..=DistRwLock::reader_slots(self)).map(|i| self.reader_line(i)));
-        words
-    }
 }
 
 impl<T: Send + Sync> ReplicaLock<T> for PhaseFairRwLock<T> {
-    // SAFETY: forwards the trait method's seqlock contract — the caller
-    // brackets this call with an external write-detection protocol and
-    // discards torn observations.
-    unsafe fn with_peek(&self, f: &mut dyn FnMut(&T)) {
-        // SAFETY: the caller upholds the seqlock contract documented on the
-        // trait method; we only materialize the unsynchronized shared
-        // reference it promises to treat as suspect.
-        f(unsafe { &*self.data_ptr() });
-    }
-
     fn with_read(&self, _id: ReaderId, f: &mut dyn FnMut(&T)) {
         f(&self.read());
     }
@@ -122,10 +72,6 @@ mod tests {
         assert_eq!(seen, 5);
         lock.with_read(ReaderId::Slot(0), &mut |v| seen = *v + 1);
         assert_eq!(seen, 6);
-        // SAFETY: no concurrent writer exists in this single-threaded
-        // exercise, so the peeked value is trivially consistent.
-        unsafe { lock.with_peek(&mut |v| seen = *v + 2) };
-        assert_eq!(seen, 7);
     }
 
     #[test]

@@ -1,29 +1,27 @@
-//! Seqlock-style replica version cell — the optimistic read protocol's
-//! canonical release/acquire publish pair.
+//! Seqlock-style version cell.
 //!
-//! PREP-UC's read-only operations do not need the replica lock for
-//! *correctness of the value they return* — they need to know whether a
-//! combiner mutated the replica while they were reading it. [`SeqVersion`]
-//! encodes that as a single monotonically increasing 64-bit version:
+//! **No engine path uses this type.** NR and CX once ran read-only
+//! operations against a replica with no lock held and used this cell to
+//! detect an overlapping writer afterwards. Validation can discard a torn
+//! *result*, but it cannot stop the read from dereferencing a torn pointer
+//! first, and every `seqds` object chases pointers (`Vec` buckets, `Box`
+//! nodes), so that read path was deleted; a caught-up read now takes its
+//! own slot of the replica's reader-writer lock (DESIGN.md § "The read
+//! path"). The cell survives, with its unit and model-checker tests,
+//! because the repo benchmark's `sync.seqversion_read_ns` probe
+//! (`benchmark/src/layers.rs`) compiles against it.
 //!
-//! * **even** — the replica is stable (no write in progress);
-//! * **odd**  — a writer is mid-apply; any concurrent read is suspect.
+//! A single monotonically increasing 64-bit version:
 //!
-//! The combiner (already exclusive via the replica's write lock) brackets
-//! every mutation with [`write_begin`](SeqVersion::write_begin) /
-//! [`write_end`](SeqVersion::write_end). An optimistic reader snapshots the
-//! version with [`read_begin`](SeqVersion::read_begin), runs its read-only
-//! operation against the replica *without acquiring any lock*, then calls
-//! [`validate`](SeqVersion::validate): if the version is unchanged, no
-//! writer overlapped the read and the result is a consistent snapshot; if
-//! it changed, the result is discarded and the reader retries or falls back
-//! to the slot path.
+//! * **even** — the protected data is stable (no write in progress);
+//! * **odd**  — a writer is mid-write; any concurrent read is suspect.
 //!
-//! The reader side performs **only loads** — zero atomic RMWs and zero
-//! stores to any cacheline, shared or otherwise. That is the whole point:
-//! the read fast path leaves every coherence line in Shared state, so read
-//! throughput scales with cores instead of serializing on a lock word
-//! (`BENCH_readscale.json` measures exactly this).
+//! A writer that is already exclusive brackets every mutation with
+//! [`write_begin`](SeqVersion::write_begin) /
+//! [`write_end`](SeqVersion::write_end). A reader snapshots the version
+//! with [`read_begin`](SeqVersion::read_begin), reads, then calls
+//! [`validate`](SeqVersion::validate): an unchanged version means no writer
+//! overlapped the read. The reader side performs only loads.
 //!
 //! Memory-ordering recipe (Boehm, "Can seqlocks get along with programming
 //! language memory models?", MSPC 2012 — the same shape crossbeam's
@@ -34,16 +32,16 @@
 //! ------                              ------
 //! store v+1 (Relaxed)   [odd]         v1 = load (Acquire)
 //! fence(Release)                      if v1 odd: bail
-//! ... mutate replica ...              ... read replica ...
+//! ... mutate data ...                 ... read data ...
 //! store v+2 (Release)   [even]        fence(Acquire)
 //!                                     v2 = load (Relaxed)
 //!                                     valid ⇔ v1 == v2
 //! ```
 //!
-//! The `Release` fence keeps the odd store visible before any replica
+//! The `Release` fence keeps the odd store visible before any
 //! mutation; the even store's `Release` keeps every mutation visible before
 //! the version returns to even; the reader's `Acquire` fence keeps its
-//! replica reads from sinking below the re-validation load. Either the
+//! data reads from sinking below the re-validation load. Either the
 //! reader's `v2` sees a bump (read discarded) or both loads bracket a
 //! quiescent period (read valid).
 
@@ -51,17 +49,17 @@ use crate::cell::{fence, AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
-/// A seqlock-style version word guarding optimistic reads of a replica.
+/// A seqlock-style version word.
 ///
-/// Writers must already be mutually exclusive (in NR the combiner holds the
-/// replica's write lock); the cell only publishes *whether* a write
-/// overlapped a lock-free read, it does not arbitrate between writers.
+/// Writers must already be mutually exclusive; the cell only publishes
+/// *whether* a write overlapped a read, it does not arbitrate between
+/// writers.
 ///
 /// ```
 /// use prep_sync::SeqVersion;
 /// let v = SeqVersion::new();
 /// let snap = v.read_begin().expect("stable");
-/// // ... lock-free read of the protected data ...
+/// // ... read the protected data ...
 /// assert!(v.validate(snap)); // no writer ran: the read is consistent
 ///
 /// v.write_begin();
@@ -72,8 +70,8 @@ use crossbeam_utils::CachePadded;
 #[derive(Debug)]
 pub struct SeqVersion {
     /// Even = stable, odd = write in progress. Padded: this word is loaded
-    /// by every optimistic reader and must not false-share with anything a
-    /// writer scribbles on.
+    /// by every reader and must not false-share with anything a writer
+    /// scribbles on.
     version: CachePadded<AtomicU64>,
 }
 
@@ -92,7 +90,7 @@ impl SeqVersion {
     pub fn write_begin(&self) {
         // ord: Relaxed store + Release fence, the writer-begin half of the
         // seqlock recipe (module docs): the fence keeps this odd store
-        // visible before any subsequent replica mutation, so a reader that
+        // visible before any subsequent mutation, so a reader that
         // overlaps a mutation cannot still observe the old even version.
         // The store itself is single-writer (callers are exclusive).
         let v = self.version.load(Ordering::Relaxed);
@@ -101,7 +99,7 @@ impl SeqVersion {
         // orders it before every subsequent mutation (single writer).
         self.version.store(v + 1, Ordering::Relaxed);
         // ord: Release fence orders the odd store above before every
-        // replica mutation that follows in the bracket; pairs with the
+        // mutation that follows in the bracket; pairs with the
         // reader-side Acquire (read_begin's load / validate's fence).
         fence(Ordering::Release);
     }
@@ -109,10 +107,10 @@ impl SeqVersion {
     /// Marks the write complete (odd → even), publishing the mutation.
     #[inline]
     pub fn write_end(&self) {
-        // ord: Release store, the canonical publish: every replica mutation
+        // ord: Release store, the canonical publish: every mutation
         // in the bracket happens-before the version's return to even, so a
         // reader whose validate observes this even value also observes the
-        // fully-applied replica.
+        // fully-applied data.
         let v = self.version.load(Ordering::Relaxed);
         debug_assert_eq!(v & 1, 1, "write_end without write_begin");
         // ord: Release publishes every mutation in the bracket before the
@@ -126,7 +124,7 @@ impl SeqVersion {
     pub fn read_begin(&self) -> Option<u64> {
         // ord: Acquire pairs with write_end's Release store: a reader that
         // sees version v even also sees every mutation published by the
-        // write that produced v, and its subsequent replica loads cannot
+        // write that produced v, and its subsequent data loads cannot
         // float above this load.
         let v = self.version.load(Ordering::Acquire);
         if v & 1 == 0 {
@@ -138,13 +136,13 @@ impl SeqVersion {
 
     /// Reader side, step 2: after reading the protected data, returns true
     /// iff no write overlapped since [`read_begin`](Self::read_begin)
-    /// returned `snapshot` — i.e. the lock-free read was a consistent
-    /// snapshot and may be used.
+    /// returned `snapshot` — i.e. the read was a consistent snapshot and
+    /// may be used.
     #[inline]
-    #[must_use = "an invalid optimistic read must be discarded"]
+    #[must_use = "a read that fails validation must be discarded"]
     pub fn validate(&self, snapshot: u64) -> bool {
         // ord: Acquire fence + Relaxed load, the reader-end half of the
-        // seqlock recipe (module docs): the fence keeps the caller's replica
+        // seqlock recipe (module docs): the fence keeps the caller's data
         // loads from sinking below this re-validation load, so version
         // equality really does bracket the data reads.
         fence(Ordering::Acquire);
@@ -195,9 +193,7 @@ mod tests {
     }
 
     /// The reader side is pure loads: the version word is bit-identical
-    /// after any number of read_begin/validate calls. (The zero-RMW /
-    /// zero-store claim for the whole NR fast path is asserted end-to-end
-    /// in prep-nr's `optimistic_read_makes_no_shared_stores`.)
+    /// after any number of read_begin/validate calls.
     #[test]
     fn reads_never_store() {
         let v = SeqVersion::new();

@@ -199,23 +199,6 @@ impl<T> StrongTryRwLock<T> {
         }
     }
 
-    /// Runs `f` against the protected data **without acquiring the lock** —
-    /// the optimistic (seqlock) read path for CX's strong-try replicas.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`crate::ReplicaLock::with_peek`]: a writer may
-    /// mutate concurrently, so the caller must bracket the call with an
-    /// external write-detection protocol (e.g. [`crate::SeqVersion`]) and
-    /// discard everything `f` observed when that bracket reports an
-    /// overlapping write; `f` must tolerate torn values without faulting.
-    pub unsafe fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        // SAFETY: the caller upholds the seqlock contract above; we only
-        // materialize the unsynchronized shared reference it promises to
-        // treat as suspect.
-        f(unsafe { &*self.data.get() })
-    }
-
     /// Returns a mutable reference to the protected data without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.data.get_mut()

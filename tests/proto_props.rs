@@ -15,7 +15,7 @@ use prep_serve::proto::{
 /// Most STATS rows a decoder accepts (`proto.rs`'s bound on the row count).
 const MAX_STATS_SHARDS: u32 = 4096;
 /// `u64` fields in one STATS row.
-const SHARD_WORDS: usize = 9;
+const SHARD_WORDS: usize = 8;
 
 fn request(kind: u8, durable: bool, id: u64, key: u64, value: u64, count: u32) -> Request {
     let ack = if durable {
@@ -57,12 +57,11 @@ fn shard(w: &[u64]) -> WireShard {
         completed_tail: w[0],
         durable_watermark: w[1],
         read_slow_paths: w[2],
-        read_fast_optimistic: w[3],
-        read_validation_failures: w[4],
-        clflush: w[5],
-        clflushopt: w[6],
-        sfence: w[7],
-        checkpoints: w[8],
+        read_fast_paths: w[3],
+        clflush: w[4],
+        clflushopt: w[5],
+        sfence: w[6],
+        checkpoints: w[7],
     }
 }
 

@@ -16,9 +16,9 @@
 //!   checked through `prep-checker`'s sharded history recorder fed from
 //!   the client threads.
 //!
-//! * **The default server reads lock-free.** `ServeConfig::default()` serves
-//!   a GET-only burst entirely on the validated lock-free path, visible in
-//!   `ADMIN STATS`.
+//! * **The default server reads caught-up replicas.** `ServeConfig::default()`
+//!   serves a GET-only burst entirely on the caught-up reader-slot path,
+//!   visible in `ADMIN STATS`.
 //!
 //! * **Blocked is not stuck.** The server's threads block in `poll` and on
 //!   wake slots instead of polling, so: an idle server's threads are not
@@ -447,10 +447,11 @@ fn recovered_epoch_is_visible_on_the_wire() {
     server.shutdown();
 }
 
-/// A default-config server serves caught-up GETs on the lock-free path: the
-/// STATS counters show every read of a GET-only burst validated, none slow.
+/// A default-config server serves GETs on the caught-up path: the STATS
+/// counters show every read of a GET-only burst found its replica caught up
+/// and took its own reader slot, none slow.
 #[test]
-fn default_config_serves_gets_lock_free() {
+fn default_config_serves_gets_on_the_caught_up_path() {
     let _serial = serial();
     let server = Server::start(ServeConfig::default(), "127.0.0.1:0").expect("start server");
     let mut c = Client::connect(server.local_addr());
@@ -477,10 +478,9 @@ fn default_config_serves_gets_lock_free() {
         cmd: AdminCmd::Stats,
     }) {
         Response::Stats { stats, .. } => {
-            let fast: u64 = stats.shards.iter().map(|s| s.read_fast_optimistic).sum();
+            let fast: u64 = stats.shards.iter().map(|s| s.read_fast_paths).sum();
             let slow: u64 = stats.shards.iter().map(|s| s.read_slow_paths).sum();
-            // No writer runs during the burst, so nothing can fail validation.
-            assert_eq!(fast, GETS, "a GET left the lock-free path");
+            assert_eq!(fast, GETS, "a GET left the caught-up path");
             assert_eq!(slow, 0, "a GET found its replica behind");
         }
         other => panic!("unexpected {other:?}"),
