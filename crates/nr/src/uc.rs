@@ -658,9 +658,8 @@ mod tests {
     #[test]
     fn caught_up_reads_take_the_fast_path() {
         // Single thread: after each update completes, the local replica is
-        // at completedTail, so every read — including the first one after
-        // a write — must hit the caught-up path and the slow-path counter
-        // must stay at zero.
+        // at completedTail, so every read must hit the caught-up path and
+        // the slow-path counter must stay at zero.
         let (nr, _) = small_nr(1, 64);
         let t = nr.register(0);
         assert_eq!(t.reader_slot(), 0);
@@ -670,7 +669,29 @@ mod tests {
             nr.execute(&t, RecorderOp::Last);
         }
         assert_eq!(nr.read_slow_paths(), 0, "caught-up read took the slow path");
-        assert_eq!(nr.read_fast_paths(), 100, "a read left the caught-up path");
+    }
+
+    /// Writes between reads do not push later reads off the caught-up
+    /// path: once the write has completed, the very next read finds its
+    /// replica at completedTail and takes only its own reader slot, never
+    /// the combiner lock. (The name predates the slot read: `Throughput`
+    /// reads once skipped even their own slot.)
+    #[test]
+    fn throughput_mode_skips_slot_rmw_in_write_free_window() {
+        let (nr, _) = small_nr(1, 64);
+        let t = nr.register(0);
+        nr.execute(&t, RecorderOp::Record(1));
+        for _ in 0..100u64 {
+            nr.execute(&t, RecorderOp::Count);
+        }
+        assert_eq!(nr.read_fast_paths(), 100);
+        nr.execute(&t, RecorderOp::Record(2));
+        nr.execute(&t, RecorderOp::Count);
+        assert_eq!(
+            nr.read_fast_paths(),
+            101,
+            "read after a write left the caught-up path"
+        );
     }
 
     #[test]
