@@ -247,14 +247,6 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 // *publish*: once durable, recovery trusts the checkpoint
                 // it names, so every byte of the just-checkpointed replica
                 // must already be durable.
-                // lint:allow(flush-before-publish): two statically-joined
-                // paths are infeasible or deliberate — (1) the DirtyLines
-                // arm skips the flush only when dirty_bytes == 0, which
-                // cannot co-occur with ops applied this cycle (every
-                // nvm_write above marks lines dirty); (2) the sfence is
-                // skipped only under PsanFault::SkipCheckpointFence, the
-                // fault-injection arm whose entire point is that the
-                // sanitizer catches the unfenced publish at runtime
                 rt.publish_clflush(
                     self.state.psan.p_active_addr,
                     std::mem::size_of::<u64>() as u64,

@@ -142,7 +142,7 @@ impl<T: SequentialObject> CxUc<T> {
         // ord: round-robin scan-start hint; only RMW atomicity matters.
         let start = self.next_hint.fetch_add(1, Ordering::Relaxed) as usize;
         loop {
-            if self.queue.resp_ready(pos) {
+            if self.completed(pos) {
                 return self.queue.take_resp(pos);
             }
             for k in 0..self.replicas.len() {
@@ -175,11 +175,21 @@ impl<T: SequentialObject> CxUc<T> {
                 self.publish_latest(i as u64, applied);
                 break;
             }
-            if self.queue.resp_ready(pos) {
+            if self.completed(pos) {
                 return self.queue.take_resp(pos);
             }
             w.wait();
         }
+    }
+
+    /// True once `pos`'s response is published *and* the replica reads are
+    /// routed to has applied it (CX's completion rule). The replayer
+    /// publishes responses before it persists the replica and swings
+    /// `latest`; returning on the response alone would let this thread's
+    /// next read miss its own update.
+    fn completed(&self, pos: u64) -> bool {
+        // ord: Acquire pairs with publish_latest's Release.
+        self.queue.resp_ready(pos) && self.latest.load(Ordering::Acquire) >> 16 > pos
     }
 
     /// Replays queue positions `[state.applied, pos]` onto the replica,
@@ -376,6 +386,42 @@ mod tests {
                 assert_eq!(c, THREADS as u64 * PER)
             }
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// An update completes only once the replica reads are routed to has
+    /// applied it. A thread that replays another thread's operation
+    /// publishes that operation's response before it persists the replica
+    /// and swings `latest`; the slow fence widens that gap, so an owner
+    /// that returned on the response alone would read the old `latest`.
+    #[test]
+    fn a_completed_update_is_visible_to_its_owners_next_read() {
+        const THREADS: u64 = 2;
+        let rt = PmemRuntime::for_benchmarks(LatencyModel {
+            sfence_ns: 200_000,
+            ..LatencyModel::off()
+        });
+        let cx = Arc::new(CxUc::new(
+            HashMap::new(),
+            CxConfig::persistent(THREADS as usize, rt),
+        ));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|key| {
+                let cx = Arc::clone(&cx);
+                std::thread::spawn(move || {
+                    for value in 0..200u64 {
+                        cx.execute(MapOp::Insert { key, value });
+                        assert_eq!(
+                            cx.execute(MapOp::Get { key }),
+                            MapResp::Value(Some(value)),
+                            "thread {key}'s read missed its own completed write"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
     }
 

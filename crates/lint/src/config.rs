@@ -201,27 +201,6 @@ pub struct LockOrderConfig {
     pub acquire_methods: Vec<String>,
 }
 
-/// Flush-before-publish (persist-path dataflow) configuration. The four
-/// effect classes mirror `PmemRuntime`'s primitive semantics.
-#[derive(Debug, Clone)]
-pub struct FlushPublishConfig {
-    pub scope: RuleScope,
-    /// Calls that dirty NVM state (plain stores the runtime traces).
-    pub stores: Vec<String>,
-    /// Calls that enqueue a writeback (async: still need a fence).
-    pub flushes: Vec<String>,
-    /// Store-buffer drains: flushed state becomes durable.
-    pub fences: Vec<String>,
-    /// Serializing whole-cache writebacks (`wbinvd`): everything durable.
-    pub full_persists: Vec<String>,
-    /// Fused store+sync-flush primitives: no effect on *surrounding*
-    /// dirty state.
-    pub neutral: Vec<String>,
-    /// Calls that are publish sites by themselves (their dependencies
-    /// must already be durable), in addition to `// publishes:` markers.
-    pub publishes: Vec<String>,
-}
-
 /// Full lint configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -239,7 +218,6 @@ pub struct Config {
     pub unsafety: RuleScope,
     pub forbidden: Vec<ForbiddenEntry>,
     pub lock_order: LockOrderConfig,
-    pub flush_publish: FlushPublishConfig,
 }
 
 impl Default for Config {
@@ -316,25 +294,6 @@ impl Default for Config {
                 ]
                 .map(String::from)
                 .to_vec(),
-            },
-            // psan rule 1 at lint time: on every path from an NVM store
-            // to a publish site there is a flush of the span and an
-            // sfence. Effect classes match PmemRuntime's contracts.
-            flush_publish: FlushPublishConfig {
-                scope: RuleScope {
-                    paths: hot(&["nr", "core", "shard", "cx"]),
-                    allow: vec![],
-                },
-                stores: ["nvm_write", "trace_store"].map(String::from).to_vec(),
-                flushes: ["flush_range", "clflushopt_at", "clflushopt", "clflush"]
-                    .map(String::from)
-                    .to_vec(),
-                fences: ["sfence"].map(String::from).to_vec(),
-                full_persists: ["wbinvd"].map(String::from).to_vec(),
-                neutral: ["persist_clflush_at", "trace_recovery_read"]
-                    .map(String::from)
-                    .to_vec(),
-                publishes: ["publish_clflush"].map(String::from).to_vec(),
             },
             forbidden: vec![
                 ForbiddenEntry {
@@ -481,30 +440,6 @@ impl Config {
         }
         if let Some(v) = list(&kv, "lock-order", "acquire-methods") {
             cfg.lock_order.acquire_methods = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "paths") {
-            cfg.flush_publish.scope.paths = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "allow") {
-            cfg.flush_publish.scope.allow = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "stores") {
-            cfg.flush_publish.stores = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "flushes") {
-            cfg.flush_publish.flushes = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "fences") {
-            cfg.flush_publish.fences = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "full-persists") {
-            cfg.flush_publish.full_persists = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "neutral") {
-            cfg.flush_publish.neutral = v;
-        }
-        if let Some(v) = list(&kv, "flush-publish", "publishes") {
-            cfg.flush_publish.publishes = v;
         }
         // Forbidden entries: any `[forbidden.<name>]` section replaces the
         // default entry of that name (or adds a new one).

@@ -10,8 +10,6 @@ pub mod rules {
     pub const ATOMIC_ORDERING: &str = "atomic-ordering";
     /// `SeqCst` without justification — ordering-by-default smell.
     pub const ATOMIC_SEQCST: &str = "atomic-seqcst";
-    /// `Relaxed` on a pointer-publishing store.
-    pub const ATOMIC_RELAXED_PUBLISH: &str = "atomic-relaxed-publish";
     /// `fence`/`compiler_fence` call without a `// ord:` justification.
     pub const ATOMIC_FENCE_ORDERING: &str = "atomic-fence-ordering";
     /// Unpadded atomic field in a `Sync`-shared struct.
@@ -35,15 +33,11 @@ pub mod rules {
     pub const LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
     /// Lock type acquired in scope without a declared `// lock-level:`.
     pub const LOCK_ORDER_UNRANKED: &str = "lock-order-unranked";
-    /// A path from an NVM store reaches a publish site without an
-    /// intervening flush + fence (psan rule 1, checked on all paths).
-    pub const FLUSH_BEFORE_PUBLISH: &str = "flush-before-publish";
 
     /// Every rule id, for `--list-rules`.
     pub const ALL: &[&str] = &[
         ATOMIC_ORDERING,
         ATOMIC_SEQCST,
-        ATOMIC_RELAXED_PUBLISH,
         ATOMIC_FENCE_ORDERING,
         CACHELINE_PADDING,
         PERSIST_HOOK,
@@ -55,7 +49,6 @@ pub mod rules {
         LOCK_ORDER,
         LOCK_ORDER_CYCLE,
         LOCK_ORDER_UNRANKED,
-        FLUSH_BEFORE_PUBLISH,
     ];
 }
 
@@ -79,12 +72,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "SeqCst used \"to be safe\" hides whether the total order is load-bearing. It usually \
          guards a store->load (store-buffering) pair; name that pair in a `// ord:` comment, \
          or downgrade to Acquire/Release and let the comment say why that suffices.",
-    ),
-    (
-        rules::ATOMIC_RELAXED_PUBLISH,
-        "A Relaxed store that publishes a pointer lets consumers observe the pointee before \
-         its initialization is visible. Publish with Release (and pair the consumer load \
-         with Acquire), or carry an explicit lint:allow with the argument.",
     ),
     (
         rules::ATOMIC_FENCE_ORDERING,
@@ -158,15 +145,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "A lock type acquired inside the scoped paths without any declared `// lock-level:` \
          (and no [lock-order] rank) is invisible to the hierarchy check — every inversion \
          through it goes unreported. Declare its level where the type or field is defined.",
-    ),
-    (
-        rules::FLUSH_BEFORE_PUBLISH,
-        "psan rule 1, checked statically on *all* paths instead of only executed traces: \
-         between an NVM store and any publish site (completedTail/selector/emptyBit \
-         stores marked `// publishes: <what>`, or fused publish primitives) there must be \
-         a flush of the span AND an sfence on every path. A publish that races ahead of \
-         its data's writeback is exactly the recovery bug NVTraverse calls out: after a \
-         crash the published pointer is durable but the journey it promises is not.",
     ),
 ];
 

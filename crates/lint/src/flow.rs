@@ -1,32 +1,19 @@
-//! Per-function dataflow summaries over the workspace call graph.
-//!
-//! Two analyses share the bottom-up SCC propagation from
-//! [`crate::graph`]:
-//!
-//! * **Lock summaries** — which lock classes a function (transitively)
-//!   acquires, plus every *acquired-while-holding* edge with the call
-//!   chain that produces it. Lock identity and level come from
-//!   `// lock-level: <n> <why>` comments on the lock type, the field, or
-//!   the acquire site. Acquire recognition is receiver-type-driven; a receiver
-//!   nobody can type only counts inside the rule's paths, and only when
-//!   every workspace candidate for the method agrees on a single ranked
-//!   class.
-//! * **Effect summaries** — the NVM store/flush/fence/publish state a
-//!   function's body moves through, as a transfer function over the
-//!   three-point lattice `Clean < Flushed < Dirty` (join = dirtier). The
-//!   walker follows `if`/`else`, `match` arms, and loops (two-pass
-//!   fixpoint), so "flush on only one branch" joins to Dirty and is
-//!   caught. Publish sites (a `// publishes: <what>` marker, or a fused
-//!   publish primitive) demand `Clean`: `Dirty` is a missing flush,
-//!   `Flushed` a missing fence.
+//! Per-function lock summaries over the workspace call graph, propagated
+//! bottom-up over the SCCs from [`crate::graph`]: which lock classes a
+//! function (transitively) acquires, plus every *acquired-while-holding*
+//! edge with the call chain that produces it. Lock identity and level come
+//! from `// lock-level: <n> <why>` comments on the lock type, the field, or
+//! the acquire site. Acquire recognition is receiver-type-driven; a
+//! receiver nobody can type only counts inside the rule's paths, and only
+//! when every workspace candidate for the method agrees on a single ranked
+//! class.
 //!
 //! Approximations, on purpose: guards are assumed held to the end of
 //! their innermost enclosing block (closure-based acquires to the end of
 //! the call); a guard returned out of a helper is counted as an acquire
-//! but not as held in the caller; effects in call arguments apply after
-//! the outer call's effect; conservative call-graph fan-out can attribute
-//! a callee's effects to more callers than can reach it at runtime.
-//! `// lint:allow` carries the escape hatch, as everywhere else.
+//! but not as held in the caller; conservative call-graph fan-out can
+//! attribute a callee's acquires to more callers than can reach it at
+//! runtime. `// lint:allow` carries the escape hatch, as everywhere else.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -519,445 +506,4 @@ fn classify(
 fn site_rank_override(m: &FileModel<'_>, call: &CallSite) -> Option<u32> {
     m.anns(call.line, call.end_line)
         .find_map(|c| parse_level(&c.text).map(|(n, _)| n))
-}
-
-// ---------------------------------------------------------------------
-// Flush-before-publish effect analysis
-// ---------------------------------------------------------------------
-
-/// Abstract persist state (join = max).
-pub const CLEAN: u8 = 0;
-pub const FLUSHED: u8 = 1;
-pub const DIRTY: u8 = 2;
-
-/// Violation kinds at a publish site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum ViolKind {
-    MissingFlush,
-    MissingFence,
-}
-
-/// One flush-before-publish violation.
-#[derive(Debug, Clone)]
-pub struct Viol {
-    pub kind: ViolKind,
-    /// Publish site.
-    pub file: usize,
-    pub line: u32,
-    pub col: u32,
-    pub end_line: u32,
-    /// What the site publishes (the `// publishes:` text or the method).
-    pub what: String,
-    /// The store that left the state dirty, when known.
-    pub store: Option<(usize, u32)>,
-    /// Chain from the reporting fn to the publish.
-    pub chain: Vec<ChainStep>,
-}
-
-fn viol_key(v: &Viol) -> (ViolKind, usize, u32) {
-    (v.kind, v.file, v.line)
-}
-
-/// Per-function effect summary: exit state and violations for each of
-/// the three entry states.
-#[derive(Debug, Clone)]
-pub struct EffectSummary {
-    pub exit: [u8; 3],
-    pub viols: [Vec<Viol>; 3],
-}
-
-impl Default for EffectSummary {
-    fn default() -> Self {
-        EffectSummary {
-            exit: [CLEAN, FLUSHED, DIRTY],
-            viols: [Vec::new(), Vec::new(), Vec::new()],
-        }
-    }
-}
-
-/// Effect analysis results.
-#[derive(Debug, Default)]
-pub struct EffectAnalysis {
-    pub summaries: Vec<EffectSummary>,
-}
-
-/// Tracked walker state: abstract level plus the dirtying store site.
-#[derive(Debug, Clone, Copy)]
-struct PState {
-    lvl: u8,
-    store: Option<(usize, u32)>,
-}
-
-fn join(a: PState, b: PState) -> PState {
-    if b.lvl > a.lvl {
-        b
-    } else if a.lvl > b.lvl {
-        a
-    } else {
-        PState {
-            lvl: a.lvl,
-            store: a.store.or(b.store),
-        }
-    }
-}
-
-struct Walker<'g, 'm, 'a> {
-    graph: &'g Graph<'m, 'a>,
-    cfg: &'g Config,
-    summaries: &'g [EffectSummary],
-    /// Current fn context.
-    fnid: usize,
-    fi: usize,
-    m: &'m FileModel<'a>,
-    /// call byte → (call idx, targets).
-    calls: BTreeMap<usize, (usize, Vec<usize>)>,
-    /// Violations found this run.
-    viols: Vec<Viol>,
-    /// States at `return` statements.
-    exits: Vec<PState>,
-}
-
-impl Walker<'_, '_, '_> {
-    fn frame(&self, line: u32) -> ChainStep {
-        ChainStep {
-            func: self.graph.fns[self.fnid].name.clone(),
-            path: self.graph.files[self.fi].0.clone(),
-            line,
-        }
-    }
-
-    /// First `{` at paren/bracket depth 0 in `k..hi`.
-    fn brace_after(&self, mut k: usize, hi: usize) -> Option<usize> {
-        let mut depth = 0i32;
-        while k < hi {
-            match self.m.txt(k) {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth == 0 => return Some(k),
-                _ => {}
-            }
-            k += 1;
-        }
-        None
-    }
-
-    /// Walks sig tokens `lo..hi`, returning the fallthrough state.
-    fn walk(&mut self, mut k: usize, hi: usize, mut st: PState) -> PState {
-        while k < hi {
-            match self.m.txt(k) {
-                "if" => {
-                    let (out, nk) = self.walk_if(k, hi, st);
-                    st = out;
-                    k = nk;
-                }
-                "match" => {
-                    let (out, nk) = self.walk_match(k, hi, st);
-                    st = out;
-                    k = nk;
-                }
-                "loop" | "while" | "for" => {
-                    if let Some(open) = self.brace_after(k + 1, hi) {
-                        let close = self.m.matching(open).min(hi);
-                        let st_h = self.walk(k + 1, open, st);
-                        let once = self.walk(open + 1, close, st_h);
-                        let st_j = join(st_h, once);
-                        let twice = self.walk(open + 1, close, st_j);
-                        st = join(st_j, twice);
-                        k = close + 1;
-                    } else {
-                        k += 1;
-                    }
-                }
-                "return" => {
-                    self.exits.push(st);
-                    k += 1;
-                }
-                _ => {
-                    if let Some((ci, targets)) = self.calls.get(&self.m.byte(k)).cloned() {
-                        st = self.apply_call(ci, &targets, st);
-                    }
-                    k += 1;
-                }
-            }
-        }
-        st
-    }
-
-    /// `if cond { … } [else if … | else { … }]` — returns (join of
-    /// branch exits, resume index).
-    fn walk_if(&mut self, k: usize, hi: usize, st: PState) -> (PState, usize) {
-        let Some(open) = self.brace_after(k + 1, hi) else {
-            return (st, k + 1);
-        };
-        let st_cond = self.walk(k + 1, open, st);
-        let close = self.m.matching(open).min(hi);
-        let then_out = self.walk(open + 1, close, st_cond);
-        if close + 1 < hi && self.m.txt(close + 1) == "else" {
-            if close + 2 < hi && self.m.txt(close + 2) == "if" {
-                let (else_out, nk) = self.walk_if(close + 2, hi, st_cond);
-                (join(then_out, else_out), nk)
-            } else if close + 2 < hi && self.m.txt(close + 2) == "{" {
-                let ec = self.m.matching(close + 2).min(hi);
-                let else_out = self.walk(close + 3, ec, st_cond);
-                (join(then_out, else_out), ec + 1)
-            } else {
-                (join(then_out, st_cond), close + 1)
-            }
-        } else {
-            (join(then_out, st_cond), close + 1)
-        }
-    }
-
-    /// `match scrutinee { pat => arm, … }` — every arm walks from the
-    /// scrutinee state; the result joins all arms.
-    fn walk_match(&mut self, k: usize, hi: usize, st: PState) -> (PState, usize) {
-        let Some(open) = self.brace_after(k + 1, hi) else {
-            return (st, k + 1);
-        };
-        let st_s = self.walk(k + 1, open, st);
-        let close = self.m.matching(open).min(hi);
-        let mut out: Option<PState> = None;
-        let mut j = open + 1;
-        while j < close {
-            // Find the arm's `=>` at depth 0 (relative to the body).
-            let mut depth = 0i32;
-            let mut arrow = None;
-            let mut p = j;
-            while p < close {
-                match self.m.txt(p) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ">" if depth == 0 && p > j && self.m.txt(p - 1) == "=" => {
-                        arrow = Some(p);
-                        break;
-                    }
-                    _ => {}
-                }
-                p += 1;
-            }
-            let Some(arrow) = arrow else { break };
-            let start = arrow + 1;
-            let (arm_out, nj) = if start < close && self.m.txt(start) == "{" {
-                let ac = self.m.matching(start).min(close);
-                (self.walk(start + 1, ac, st_s), ac + 1)
-            } else {
-                // Scan to the arm-separating comma.
-                let mut depth = 0i32;
-                let mut e = start;
-                while e < close {
-                    match self.m.txt(e) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => depth -= 1,
-                        "," if depth == 0 => break,
-                        _ => {}
-                    }
-                    e += 1;
-                }
-                (self.walk(start, e, st_s), e + 1)
-            };
-            out = Some(match out {
-                Some(o) => join(o, arm_out),
-                None => arm_out,
-            });
-            j = nj.max(j + 1);
-        }
-        (out.unwrap_or(st_s), close + 1)
-    }
-
-    /// Applies one call's effect to the state.
-    fn apply_call(&mut self, ci: usize, targets: &[usize], st: PState) -> PState {
-        let call = &self.m.calls[ci];
-        if self.m.in_test(call.byte) {
-            return st;
-        }
-        let fp = &self.cfg.flush_publish;
-        let name = call.method.as_str();
-        // Publish check first: a marker can sit on any effect call.
-        let marker = self.m.anns(call.line, call.end_line).find_map(|c| {
-            c.text
-                .strip_prefix("publishes:")
-                .map(|w| w.trim().to_string())
-        });
-        let is_publish = marker.is_some() || fp.publishes.contains(&call.method);
-        if is_publish {
-            let what = marker.unwrap_or_else(|| call.method.clone());
-            let kind = match st.lvl {
-                DIRTY => Some(ViolKind::MissingFlush),
-                FLUSHED => Some(ViolKind::MissingFence),
-                _ => None,
-            };
-            if let Some(kind) = kind {
-                let v = Viol {
-                    kind,
-                    file: self.fi,
-                    line: call.line,
-                    col: call.col,
-                    end_line: call.end_line,
-                    what,
-                    store: st.store,
-                    chain: vec![self.frame(call.line)],
-                };
-                if !self.viols.iter().any(|w| viol_key(w) == viol_key(&v)) {
-                    self.viols.push(v);
-                }
-            }
-            return st;
-        }
-        if fp.stores.contains(&call.method) {
-            return PState {
-                lvl: DIRTY,
-                store: Some((self.fi, call.line)),
-            };
-        }
-        if fp.flushes.contains(&call.method) {
-            return PState {
-                lvl: if st.lvl == DIRTY { FLUSHED } else { st.lvl },
-                store: st.store,
-            };
-        }
-        if fp.fences.contains(&call.method) {
-            return if st.lvl == FLUSHED {
-                PState {
-                    lvl: CLEAN,
-                    store: None,
-                }
-            } else {
-                st
-            };
-        }
-        if fp.full_persists.contains(&call.method) {
-            return PState {
-                lvl: CLEAN,
-                store: None,
-            };
-        }
-        if fp.neutral.contains(&call.method) || name.is_empty() {
-            return st;
-        }
-        // Plain call: apply callee summaries.
-        let mut out = st;
-        for &t in targets {
-            let s = &self.summaries[t];
-            let callee_exit = PState {
-                lvl: s.exit[st.lvl as usize],
-                store: if s.exit[st.lvl as usize] > CLEAN {
-                    st.store.or(Some((self.fi, call.line)))
-                } else {
-                    None
-                },
-            };
-            out = join(out, callee_exit);
-            // Materialize entry-conditional violations: those the callee
-            // reports at this entry state but not when entered Clean
-            // (those are already reported in the callee itself).
-            let clean_keys: BTreeSet<_> = s.viols[CLEAN as usize].iter().map(viol_key).collect();
-            for v in &s.viols[st.lvl as usize] {
-                if clean_keys.contains(&viol_key(v)) {
-                    continue;
-                }
-                let mut chained = v.clone();
-                let mut chain = vec![self.frame(call.line)];
-                chain.extend(v.chain.iter().cloned());
-                chained.chain = chain;
-                chained.store = chained.store.or(st.store);
-                if !self.viols.iter().any(|w| viol_key(w) == viol_key(&chained)) {
-                    self.viols.push(chained);
-                }
-            }
-        }
-        // The callee may have cleaned everything on every target.
-        if !targets.is_empty() {
-            let all_exit = targets
-                .iter()
-                .map(|&t| self.summaries[t].exit[st.lvl as usize])
-                .max()
-                .unwrap_or(st.lvl);
-            if all_exit < out.lvl {
-                out = PState {
-                    lvl: all_exit,
-                    store: if all_exit > CLEAN { out.store } else { None },
-                };
-            }
-        }
-        out
-    }
-}
-
-impl EffectAnalysis {
-    pub fn run(graph: &Graph<'_, '_>, cfg: &Config) -> Self {
-        let nfns = graph.fns.len();
-        let mut summaries: Vec<EffectSummary> = vec![EffectSummary::default(); nfns];
-        let sccs = graph.sccs();
-        for comp in &sccs {
-            // Fixpoint within the component: exits only move up the
-            // (finite) lattice and violation sets only grow, bounded by
-            // the number of publish sites, so this terminates.
-            let mut rounds = 0usize;
-            loop {
-                let mut changed = false;
-                for &id in comp {
-                    let node = &graph.fns[id];
-                    let (fi, fx) = (node.file, node.fx);
-                    let m = &graph.files[fi].1;
-                    let fnitem = &m.fns[fx];
-                    if fnitem.test_attr || m.in_test(fnitem.byte) {
-                        continue;
-                    }
-                    let calls: BTreeMap<usize, (usize, Vec<usize>)> = graph.calls[id]
-                        .iter()
-                        .map(|e| (m.calls[e.call].byte, (e.call, e.targets.clone())))
-                        .collect();
-                    let lo = m.sig_at_byte(fnitem.body.start).unwrap_or(0);
-                    let hi = (lo..m.sig_len())
-                        .find(|&k| m.byte(k) >= fnitem.body.end)
-                        .unwrap_or(m.sig_len());
-                    let mut new = EffectSummary::default();
-                    for entry in [CLEAN, FLUSHED, DIRTY] {
-                        let mut w = Walker {
-                            graph,
-                            cfg,
-                            summaries: &summaries,
-                            fnid: id,
-                            fi,
-                            m,
-                            calls: calls.clone(),
-                            viols: Vec::new(),
-                            exits: Vec::new(),
-                        };
-                        let fall = w.walk(
-                            lo,
-                            hi,
-                            PState {
-                                lvl: entry,
-                                store: None,
-                            },
-                        );
-                        let exit = w.exits.iter().fold(fall, |acc, &e| join(acc, e));
-                        new.exit[entry as usize] = exit.lvl;
-                        new.viols[entry as usize] = w.viols;
-                    }
-                    // Monotone update: join with the previous summary.
-                    let old = &mut summaries[id];
-                    for e in 0..3 {
-                        if new.exit[e] > old.exit[e] {
-                            old.exit[e] = new.exit[e];
-                            changed = true;
-                        }
-                        let keys: BTreeSet<_> = old.viols[e].iter().map(viol_key).collect();
-                        for v in new.viols[e].drain(..) {
-                            if !keys.contains(&viol_key(&v)) {
-                                old.viols[e].push(v);
-                                changed = true;
-                            }
-                        }
-                    }
-                }
-                rounds += 1;
-                if !changed || rounds > comp.len() * 4 + 4 {
-                    break;
-                }
-            }
-        }
-        EffectAnalysis { summaries }
-    }
 }

@@ -24,9 +24,10 @@
 //! * [`rules::lock_order`] — inter-procedural lock hierarchy over the
 //!   workspace call graph ([`graph`]): `// lock-level:` declarations,
 //!   rank inversions, static deadlock cycles, undeclared lock types.
-//! * [`rules::flush_publish`] — psan rule 1 at lint time: every path
-//!   from an NVM store to a publish site passes a flush and an sfence,
-//!   propagated through calls by [`flow`] summaries.
+//!
+//! Persist *ordering* (flush and fence before a publish) is not checked
+//! here: `prep-psan` checks it on every traced run, and DESIGN.md's
+//! mutation matrix records which checker catches which seeded bug.
 //!
 //! Findings are suppressed only by `// lint:allow(<rule>): <reason>`
 //! with a mandatory reason; the reason-less form is itself a finding.

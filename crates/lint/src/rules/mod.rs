@@ -5,7 +5,6 @@
 //! attributes) lives in [`unsafety`]. The engine applies `lint:allow`
 //! suppression afterwards, so rules themselves stay oblivious to it.
 
-pub mod flush_publish;
 pub mod forbidden;
 pub mod lock_order;
 pub mod ordering;
@@ -15,7 +14,7 @@ pub mod unsafety;
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::flow::{EffectAnalysis, LockAnalysis};
+use crate::flow::LockAnalysis;
 use crate::graph::Graph;
 use crate::model::FileModel;
 
@@ -31,7 +30,7 @@ pub fn run_file_rules(path: &str, model: &FileModel<'_>, cfg: &Config) -> Vec<Di
 }
 
 /// Runs the inter-procedural rules over the whole workspace: builds the
-/// call graph once, then the lock and effect analyses over it.
+/// call graph once, then the lock analysis over it.
 pub fn run_workspace_rules(
     models: &[(String, FileModel<'_>)],
     cfg: &Config,
@@ -40,6 +39,4 @@ pub fn run_workspace_rules(
     let graph = Graph::build(models);
     let locks = LockAnalysis::run(&graph, cfg);
     lock_order::run(&graph, &locks, cfg, out);
-    let effects = EffectAnalysis::run(&graph, cfg);
-    flush_publish::run(&graph, &effects, cfg, out);
 }

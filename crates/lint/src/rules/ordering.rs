@@ -2,18 +2,11 @@
 //!
 //! Every atomic access that names an explicit `Ordering` must carry a
 //! `// ord: <why>` justification (same line, the lines the call spans, or
-//! the comment block directly above). Two sharper sub-diagnostics:
-//!
-//! * [`rules::ATOMIC_SEQCST`] — `SeqCst` without justification. The
-//!   strongest ordering used "to be safe" hides the actual protocol; it
-//!   is either load-bearing (say why: usually a store→load
-//!   store-buffering pair, as in `DistRwLock`) or a free downgrade.
-//! * [`rules::ATOMIC_RELAXED_PUBLISH`] — `Relaxed` on a store/swap that
-//!   publishes a pointer (receiver field typed `AtomicPtr`, or the value
-//!   comes from `into_raw`). A relaxed publish lets consumers observe the
-//!   pointee before its initialization — this one is reported even when
-//!   an `ord:` comment is present, and needs an explicit `lint:allow` to
-//!   stand.
+//! the comment block directly above). `SeqCst` without one gets its own
+//! id, [`rules::ATOMIC_SEQCST`]: the strongest ordering used "to be safe"
+//! hides the actual protocol; it is either load-bearing (say why: usually
+//! a store→load store-buffering pair, as in `DistRwLock`) or a free
+//! downgrade.
 
 use crate::config::Config;
 use crate::diag::{rules, Diagnostic};
@@ -59,23 +52,6 @@ fn orderings_in(model: &FileModel<'_>, call: &CallSite) -> Vec<&'static str> {
     found
 }
 
-/// Whether the call's value argument looks like a raw-pointer publish.
-fn publishes_pointer(model: &FileModel<'_>, call: &CallSite) -> bool {
-    if let Some(recv) = &call.recv {
-        let field_is_ptr = model
-            .structs
-            .iter()
-            .flat_map(|s| s.fields.iter())
-            .any(|f| &f.name == recv && f.ty.contains("AtomicPtr"));
-        if field_is_ptr {
-            return true;
-        }
-    }
-    call.args
-        .clone()
-        .any(|k| model.txt(k).ends_with("into_raw"))
-}
-
 pub fn run(path: &str, model: &FileModel<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
     if !cfg.ordering.applies(path) {
         return;
@@ -118,33 +94,7 @@ pub fn run(path: &str, model: &FileModel<'_>, cfg: &Config, out: &mut Vec<Diagno
         }
         // Justification may sit on any line the call spans or directly
         // above its first line (comment blocks cascade down).
-        let justified = model.has_marker(call.line, call.end_line, "ord:");
-
-        if ords.contains(&"Relaxed")
-            && matches!(call.method.as_str(), "store" | "swap")
-            && publishes_pointer(model, call)
-        {
-            out.push(
-                Diagnostic::new(
-                    path,
-                    call.line,
-                    call.col,
-                    rules::ATOMIC_RELAXED_PUBLISH,
-                    format!(
-                        "`{}` publishes a pointer with Ordering::Relaxed: consumers may read \
-                         the pointee before its initialization is visible",
-                        call.method
-                    ),
-                )
-                .suggest(
-                    "publish with Ordering::Release (pair the consumer load with Acquire), or \
-                     justify with // lint:allow(atomic-relaxed-publish): <reason>",
-                )
-                .span_to(call.end_line),
-            );
-        }
-
-        if justified {
+        if model.has_marker(call.line, call.end_line, "ord:") {
             continue;
         }
         if ords.contains(&"SeqCst") {

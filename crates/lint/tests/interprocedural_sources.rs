@@ -2,8 +2,7 @@
 //!
 //! Companion to `known_bad_sources.rs`, exercising the workspace rules
 //! that need the call graph: `lock-order` / `lock-order-cycle` /
-//! `lock-order-unranked` over declared lock levels, and
-//! `flush-before-publish` over the NVM effect lattice. Every fixture
+//! `lock-order-unranked` over declared lock levels. Every fixture
 //! finding pins the exact rule id, 1-based line:col, message and
 //! suggestion fragments, and — new here — the inter-procedural chain as
 //! a sequence of function names, plus the total count so extra or
@@ -141,54 +140,6 @@ impl MysteryLock {
 }
 "#;
 
-/// Flush-before-publish fixtures. `trace_store` doubles as the psan
-/// hook (so `persist-hook` stays quiet) and as a store in the effect
-/// lattice.
-const BAD_PUBLISH: &str = r#"//! Known-bad: publishes reachable with unpersisted stores.
-use prep_pmem::PmemRuntime;
-
-pub fn store_publish_no_flush(rt: &PmemRuntime) {
-    rt.trace_store(0, 8);
-    rt.nvm_write(0, 1);
-    rt.publish_clflush(64, "no_flush_root");
-}
-
-pub fn store_flush_no_fence(rt: &PmemRuntime) {
-    rt.trace_store(0, 8);
-    rt.nvm_write(0, 1);
-    rt.flush_range(0, 8, "fixture");
-    rt.publish_clflush(64, "no_fence_root");
-}
-
-pub fn flush_one_branch(rt: &PmemRuntime, fast: bool) {
-    rt.trace_store(0, 8);
-    rt.nvm_write(0, 1);
-    if fast {
-        rt.flush_range(0, 8, "fixture");
-        rt.sfence();
-    }
-    rt.publish_clflush(64, "branch_root");
-}
-
-pub fn hop_store_then_publish(rt: &PmemRuntime) {
-    write_root(rt);
-    rt.publish_clflush(64, "hop_root");
-}
-
-fn write_root(rt: &PmemRuntime) {
-    rt.trace_store(0, 8);
-    rt.nvm_write(0, 1);
-}
-
-pub fn clean_publish(rt: &PmemRuntime) {
-    rt.trace_store(0, 8);
-    rt.nvm_write(0, 1);
-    rt.flush_range(0, 8, "fixture");
-    rt.sfence();
-    rt.publish_clflush(64, "clean_root");
-}
-"#;
-
 struct Expected {
     path: &'static str,
     line: u32,
@@ -258,50 +209,12 @@ const EXPECTED: &[Expected] = &[
         sugg: "write // lock-level: <n> <why this level fits the hierarchy>",
         chain: &[],
     },
-    // -- flush-before-publish family --
-    Expected {
-        path: "crates/core/src/bad_publish.rs",
-        line: 7,
-        col: 8,
-        rule: "flush-before-publish",
-        msg: "unflushed NVM store (store at crates/core/src/bad_publish.rs:6)",
-        sugg: "flush the stored span (flush_range/clflushopt_at) and sfence",
-        chain: &["store_publish_no_flush"],
-    },
-    Expected {
-        path: "crates/core/src/bad_publish.rs",
-        line: 14,
-        col: 8,
-        rule: "flush-before-publish",
-        msg: "flushed but unfenced store (store at crates/core/src/bad_publish.rs:12)",
-        sugg: "issue rt.sfence() after the flush",
-        chain: &["store_flush_no_fence"],
-    },
-    Expected {
-        path: "crates/core/src/bad_publish.rs",
-        line: 24,
-        col: 8,
-        rule: "flush-before-publish",
-        msg: "unflushed NVM store (store at crates/core/src/bad_publish.rs:19)",
-        sugg: "flush the stored span",
-        chain: &["flush_one_branch"],
-    },
-    Expected {
-        path: "crates/core/src/bad_publish.rs",
-        line: 29,
-        col: 8,
-        rule: "flush-before-publish",
-        msg: "unflushed NVM store (store at crates/core/src/bad_publish.rs:28)",
-        sugg: "flush the stored span",
-        chain: &["hop_store_then_publish"],
-    },
 ];
 
 fn corpus() -> Vec<(String, String)> {
     [
         ("crates/cx/src/bad_locks.rs", BAD_LOCKS),
         ("crates/sync/src/bad_level_why.rs", BAD_LEVEL_WHY),
-        ("crates/core/src/bad_publish.rs", BAD_PUBLISH),
     ]
     .into_iter()
     .map(|(p, s)| (p.to_string(), s.to_string()))

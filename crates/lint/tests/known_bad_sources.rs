@@ -129,7 +129,7 @@ struct Expected {
 }
 
 const EXPECTED: &[Expected] = &[
-    // -- rule family 1: atomic-ordering / atomic-seqcst / atomic-relaxed-publish --
+    // -- rule family 1: atomic-ordering / atomic-seqcst --
     Expected {
         path: "crates/sync/src/bad_atomics.rs",
         line: 13,
@@ -145,14 +145,6 @@ const EXPECTED: &[Expected] = &[
         rule: "atomic-seqcst",
         msg: "`load` uses Ordering::SeqCst without a // ord: justification",
         sugg: "naming the store\u{2192}load pair",
-    },
-    Expected {
-        path: "crates/sync/src/bad_atomics.rs",
-        line: 21,
-        col: 19,
-        rule: "atomic-relaxed-publish",
-        msg: "`store` publishes a pointer with Ordering::Relaxed",
-        sugg: "publish with Ordering::Release",
     },
     Expected {
         path: "crates/sync/src/bad_atomics.rs",

@@ -284,7 +284,15 @@ thread_local! {
 
 /// The current model-thread id, if this OS thread is participating in an
 /// execution. Drives the instrumented-vs-passthrough routing in the cells.
+/// A thread unwinding out of an execution (a failed assertion, or the
+/// engine tearing the execution down) is no longer participating: the
+/// guards it drops on the way out touch the backing cells directly, where
+/// re-entering the engine would panic again inside the unwind and abort
+/// the process before the counterexample is printed.
 pub fn current_tid() -> Option<usize> {
+    if std::thread::panicking() {
+        return None;
+    }
     CUR_TID.with(|c| c.get())
 }
 

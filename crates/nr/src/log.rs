@@ -372,41 +372,6 @@ impl<O: Clone> Log<O> {
     }
 }
 
-/// Model-checking seam: re-exposes the crate-private reservation protocol
-/// so the `prep-mc` property tests (crates/mc/tests) can drive the log
-/// op-by-op under the exhaustive scheduler. Compiled only under
-/// `RUSTFLAGS="--cfg prep_mc"`; normal builds carry no extra surface.
-#[cfg(prep_mc)]
-impl<O: Clone> Log<O> {
-    /// Seam for [`Log::try_reserve`].
-    pub fn mc_try_reserve(&self, expected_tail: u64, n: u64) -> bool {
-        self.try_reserve(expected_tail, n)
-    }
-
-    /// Seam for [`Log::write_payload`].
-    ///
-    /// # Safety
-    /// Same contract as [`Log::write_payload`].
-    pub unsafe fn mc_write_payload(&self, index: u64, op: O) {
-        // SAFETY: forwarded contract.
-        unsafe { self.write_payload(index, op) }
-    }
-
-    /// Seam for [`Log::publish`].
-    ///
-    /// # Safety
-    /// Same contract as [`Log::publish`].
-    pub unsafe fn mc_publish(&self, index: u64) {
-        // SAFETY: forwarded contract.
-        unsafe { self.publish(index) }
-    }
-
-    /// Seam for [`Log::advance_completed_tail`].
-    pub fn mc_advance_completed_tail(&self, to: u64) -> bool {
-        self.advance_completed_tail(to)
-    }
-}
-
 impl<O> Drop for Log<O> {
     fn drop(&mut self) {
         // Drop every slot that holds an initialized value. Slot s has been

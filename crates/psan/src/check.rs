@@ -75,7 +75,7 @@ pub struct Violation {
     /// The proving event chain, in trace order: the last store to the
     /// offending range, its flush (if one was issued), and the trigger.
     pub chain: Vec<Event>,
-    /// For publish-ordering violations: the crash-point bisection result —
+    /// For publish-ordering violations: the crash-window search result —
     /// the half-open window of event indices `[a, b)` such that a crash
     /// cut taken there observes the publish durable but its dependency
     /// not, i.e. recovery diverges. `None` when no such instant exists in
@@ -87,15 +87,17 @@ pub struct Violation {
     pub message: String,
 }
 
-/// Durability of one byte interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Why a byte interval is not durable yet.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum SegState {
     /// Stored, not yet flushed.
     Dirty,
-    /// Flushed with `CLFLUSHOPT`; durable after `thread`'s next fence.
-    Pending { thread: u64, flush_seq: u64 },
-    /// Flushed and fenced (or stored with a synchronous `CLFLUSH`).
-    Durable,
+    /// Flushed with `CLFLUSHOPT` (first at `flush_seq`) by every thread in
+    /// `flushers` since the last store. Each of those flushes covers the
+    /// stored bytes, so the first fence by *any* of them makes the
+    /// interval durable — two combiners whose batches share a cacheline
+    /// both flush it, and whichever fences first persists both stores.
+    Pending { flush_seq: u64, flushers: Vec<u64> },
 }
 
 impl SegState {
@@ -103,22 +105,24 @@ impl SegState {
         match self {
             SegState::Dirty => "dirty (never flushed)",
             SegState::Pending { .. } => "flushed but not fenced",
-            SegState::Durable => "durable",
         }
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Seg {
     end: u64,
     store_seq: u64,
     state: SegState,
 }
 
-/// Byte-granular interval map from address to durability state. Bytes
-/// never stored are implicitly durable (NVM holds whatever it holds; only
-/// *written* bytes can be lost in a cache).
-#[derive(Default)]
+/// Byte-granular interval map of the bytes that are **not** durable. A
+/// durable byte carries no information — bytes never stored are durable
+/// too (NVM holds whatever it holds; only *written* bytes can be lost in a
+/// cache) — so a byte leaves the map the moment it becomes durable. The
+/// map is therefore as small as the in-flight persist state, and a fence
+/// or a publish check costs that, not the length of the trace so far.
+#[derive(Clone, Default)]
 struct SegMap {
     segs: BTreeMap<u64, Seg>,
 }
@@ -127,11 +131,22 @@ impl SegMap {
     /// Splits the segment containing `pos` (if any) so `pos` becomes a
     /// segment boundary.
     fn split_at(&mut self, pos: u64) {
-        if let Some((&start, &seg)) = self.segs.range(..pos).next_back() {
+        if let Some((_, seg)) = self.segs.range_mut(..pos).next_back() {
             if seg.end > pos {
-                self.segs.insert(start, Seg { end: pos, ..seg });
-                self.segs.insert(pos, seg);
+                let tail = seg.clone();
+                seg.end = pos;
+                self.segs.insert(pos, tail);
             }
+        }
+    }
+
+    /// Marks every byte of `[start, end)` durable.
+    fn make_durable(&mut self, start: u64, end: u64) {
+        self.split_at(start);
+        self.split_at(end);
+        let covered: Vec<u64> = self.segs.range(start..end).map(|(&k, _)| k).collect();
+        for k in covered {
+            self.segs.remove(&k);
         }
     }
 
@@ -140,63 +155,56 @@ impl SegMap {
             return;
         }
         let end = addr + len;
-        self.split_at(addr);
-        self.split_at(end);
-        let covered: Vec<u64> = self.segs.range(addr..end).map(|(&k, _)| k).collect();
-        for k in covered {
-            self.segs.remove(&k);
+        self.make_durable(addr, end);
+        if !durable {
+            self.segs.insert(
+                addr,
+                Seg {
+                    end,
+                    store_seq: seq,
+                    state: SegState::Dirty,
+                },
+            );
         }
-        let state = if durable {
-            SegState::Durable
-        } else {
-            SegState::Dirty
-        };
-        self.segs.insert(
-            addr,
-            Seg {
-                end,
-                store_seq: seq,
-                state,
-            },
-        );
     }
 
     /// Applies a flush covering every line overlapping `[addr, addr+len)`.
     fn flush(&mut self, addr: u64, len: u64, sync: bool, thread: u64, seq: u64) {
         let start = addr / CACHE_LINE * CACHE_LINE;
         let end = (addr + len.max(1)).div_ceil(CACHE_LINE) * CACHE_LINE;
+        if sync {
+            self.make_durable(start, end);
+            return;
+        }
         self.split_at(start);
         self.split_at(end);
         for seg in self.segs.range_mut(start..end).map(|(_, s)| s) {
-            seg.state = match seg.state {
-                SegState::Dirty if sync => SegState::Durable,
-                SegState::Dirty => SegState::Pending {
-                    thread,
-                    flush_seq: seq,
-                },
-                SegState::Pending { .. } if sync => SegState::Durable,
-                // A re-flush of an already-pending interval keeps the
-                // original flush identity; it still needs a fence.
-                pending @ SegState::Pending { .. } => pending,
-                SegState::Durable => SegState::Durable,
-            };
+            match &mut seg.state {
+                SegState::Dirty => {
+                    seg.state = SegState::Pending {
+                        flush_seq: seq,
+                        flushers: vec![thread],
+                    }
+                }
+                SegState::Pending { flushers, .. } => {
+                    if !flushers.contains(&thread) {
+                        flushers.push(thread);
+                    }
+                }
+            }
         }
     }
 
     /// `SFENCE` by `thread`: that thread's pending flushes complete.
     fn fence(&mut self, thread: u64) {
-        for seg in self.segs.values_mut() {
-            if matches!(seg.state, SegState::Pending { thread: t, .. } if t == thread) {
-                seg.state = SegState::Durable;
-            }
-        }
+        self.segs.retain(
+            |_, s| !matches!(&s.state, SegState::Pending { flushers, .. } if flushers.contains(&thread)),
+        );
     }
 
     /// `WBINVD`: every line in the system is written back.
     fn wbinvd(&mut self) {
-        for seg in self.segs.values_mut() {
-            seg.state = SegState::Durable;
-        }
+        self.segs.clear();
     }
 
     /// First non-durable sub-interval overlapping `[addr, addr+len)`, as
@@ -209,15 +217,13 @@ impl SegMap {
             .next_back()
             .map(|(&k, _)| k)
             .unwrap_or(addr);
-        for (&start, seg) in self.segs.range(scan_from..end) {
-            if seg.end <= addr {
-                continue;
-            }
-            if seg.state != SegState::Durable {
-                return Some((start.max(addr), seg.end.min(end), seg.store_seq, seg.state));
-            }
-        }
-        None
+        self.segs
+            .range(scan_from..end)
+            .find(|(_, seg)| seg.end > addr)
+            .map(|(&start, seg)| {
+                let state = seg.state.clone();
+                (start.max(addr), seg.end.min(end), seg.store_seq, state)
+            })
     }
 
     fn all_durable(&self, ranges: &[(u64, u64)]) -> bool {
@@ -230,8 +236,7 @@ impl SegMap {
     fn not_durable(&self) -> Vec<(u64, u64, u64, SegState)> {
         self.segs
             .iter()
-            .filter(|(_, s)| s.state != SegState::Durable)
-            .map(|(&k, s)| (k, s.end, s.store_seq, s.state))
+            .map(|(&k, s)| (k, s.end, s.store_seq, s.state.clone()))
             .collect()
     }
 }
@@ -307,6 +312,7 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
     };
 
     for ev in events {
+        let reported = out.len();
         match &ev.kind {
             EventKind::Store { addr, len, durable } => {
                 lint_store(&mut flushed_lines, *addr, *len);
@@ -314,7 +320,6 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                     // The paired CLFLUSH counts as the line's flush.
                     lint_flush(&mut flushed_lines, &mut out, ev, *addr, *len, false);
                 }
-                map.store(*addr, *len, ev.seq, *durable);
             }
             EventKind::Publish {
                 addr,
@@ -330,7 +335,7 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                     let Some((s, e, store_seq, state)) = map.first_not_durable(daddr, dlen) else {
                         continue;
                     };
-                    let kind = match (tag, state) {
+                    let kind = match (tag, &state) {
                         (PublishTag::CompletedTail, _) => ViolationKind::TailBeforeEntry,
                         (_, SegState::Pending { .. }) => ViolationKind::MissingFence,
                         (_, SegState::Dirty) => {
@@ -339,9 +344,6 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                             } else {
                                 ViolationKind::MissingFlush
                             }
-                        }
-                        (_, SegState::Durable) => {
-                            unreachable!("first_not_durable returned durable")
                         }
                     };
                     let mut chain = Vec::new();
@@ -360,7 +362,7 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                         site: ev.site,
                         range: (s, e),
                         chain,
-                        crash_window: crash_window(events, ev.seq),
+                        crash_window: None, // set once the publish is applied
                         message: format!(
                             "{tag} published at {} (seq {}) while dependency bytes [{}, {}) \
                              were {} — last store at seq {}",
@@ -378,23 +380,17 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                 if *durable {
                     lint_flush(&mut flushed_lines, &mut out, ev, *addr, *len, false);
                 }
-                map.store(*addr, *len, ev.seq, *durable);
             }
-            EventKind::FlushLine { addr, sync } => {
+            EventKind::FlushLine { addr, .. } => {
                 lint_flush(&mut flushed_lines, &mut out, ev, *addr, 1, true);
-                map.flush(*addr, 1, *sync, ev.thread, ev.seq);
             }
             EventKind::FlushRange { addr, len } => {
                 lint_flush(&mut flushed_lines, &mut out, ev, *addr, *len, true);
-                map.flush(*addr, *len, false, ev.thread, ev.seq);
             }
-            EventKind::Fence => map.fence(ev.thread),
-            EventKind::Wbinvd => {
-                map.wbinvd();
-                // An epoch-scale writeback; restart the lint window.
-                flushed_lines.clear();
-            }
-            EventKind::Epoch => flushed_lines.clear(),
+            EventKind::Fence => {}
+            // A checkpoint epoch or a whole-cache writeback restarts the
+            // lint window.
+            EventKind::Wbinvd | EventKind::Epoch => flushed_lines.clear(),
             EventKind::CrashCut { id } => {
                 cuts.insert(*id, (ev.seq, map.not_durable()));
             }
@@ -403,9 +399,9 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                 // cut. A cut id we never saw means tracing started after
                 // the crash — nothing to check against.
                 let Some((cut_seq, snapshot)) = cuts.get(cut) else {
-                    continue;
+                    continue; // nothing to replay either
                 };
-                for &(s, e, store_seq, state) in snapshot {
+                for &(s, e, store_seq, ref state) in snapshot {
                     let os = s.max(*addr);
                     let oe = e.min(addr.saturating_add(*len));
                     if os >= oe {
@@ -441,6 +437,10 @@ pub(crate) fn check_trace_with_regions(events: &[Event], regions: &[Region]) -> 
                 }
             }
         }
+        replay(&mut map, ev);
+        if let (EventKind::Publish { .. }, Some(v)) = (&ev.kind, out.get_mut(reported)) {
+            v.crash_window = window_after(map.clone(), events, ev);
+        }
     }
     out
 }
@@ -463,91 +463,92 @@ fn flush_after(events: &[Event], seq: u64, start: u64, end: u64) -> bool {
         })
 }
 
-/// Seq of the first store/publish at or after `from` overlapping any of
-/// `ranges` (an overwrite ends a crash-window search domain: beyond it the
-/// range's durability describes a *different* value).
-fn next_store_overlap(events: &[Event], from: u64, ranges: &[(u64, u64)]) -> Option<u64> {
-    let overlaps = |addr: u64, len: u64| {
-        ranges
-            .iter()
-            .any(|&(a, l)| addr < a.saturating_add(l) && addr.saturating_add(len) > a)
+/// Applies one event to the durability map — what survives a power
+/// failure right after it.
+fn replay(map: &mut SegMap, ev: &Event) {
+    match &ev.kind {
+        EventKind::Store { addr, len, durable }
+        | EventKind::Publish {
+            addr, len, durable, ..
+        } => map.store(*addr, *len, ev.seq, *durable),
+        EventKind::FlushLine { addr, sync } => map.flush(*addr, 1, *sync, ev.thread, ev.seq),
+        EventKind::FlushRange { addr, len } => map.flush(*addr, *len, false, ev.thread, ev.seq),
+        EventKind::Fence => map.fence(ev.thread),
+        EventKind::Wbinvd => map.wbinvd(),
+        _ => {}
+    }
+}
+
+/// Whether `ev` stores to any byte of `ranges` (an overwrite ends a
+/// range's search domain: beyond it, its durability describes a
+/// *different* value).
+fn overwrites(ev: &Event, ranges: &[(u64, u64)]) -> bool {
+    let (EventKind::Store { addr, len, .. } | EventKind::Publish { addr, len, .. }) = ev.kind
+    else {
+        return false;
     };
-    events[from as usize..].iter().find_map(|ev| match ev.kind {
-        EventKind::Store { addr, len, .. } => overlaps(addr, len).then_some(ev.seq),
-        EventKind::Publish { addr, len, .. } => overlaps(addr, len).then_some(ev.seq),
-        _ => None,
-    })
+    ranges
+        .iter()
+        .any(|&(a, l)| addr < a.saturating_add(l) && addr.saturating_add(len) > a)
 }
 
-/// Replays `events[..k]` and reports whether every range is durable — the
-/// bisection oracle: "if the machine lost power after event `k-1`, would
-/// these bytes have survived?"
-fn ranges_durable_at(events: &[Event], k: u64, ranges: &[(u64, u64)]) -> bool {
-    let mut map = SegMap::default();
-    for ev in &events[..k as usize] {
-        match &ev.kind {
-            EventKind::Store { addr, len, durable } => map.store(*addr, *len, ev.seq, *durable),
-            EventKind::Publish {
-                addr, len, durable, ..
-            } => map.store(*addr, *len, ev.seq, *durable),
-            EventKind::FlushLine { addr, sync } => map.flush(*addr, 1, *sync, ev.thread, ev.seq),
-            EventKind::FlushRange { addr, len } => map.flush(*addr, *len, false, ev.thread, ev.seq),
-            EventKind::Fence => map.fence(ev.thread),
-            EventKind::Wbinvd => map.wbinvd(),
-            _ => {}
+/// The first crash instant `k` (a cut after `events[..k]`) at which every
+/// byte of `ranges` is durable, walking forward from `map` = the state at
+/// `from`. Within a range's domain — up to its next overwrite —
+/// durability only grows, so the first hit is exact. `Err(end)` if the
+/// domain ends (at an overwrite or the trace's end) first.
+fn first_durable(
+    mut map: SegMap,
+    events: &[Event],
+    from: u64,
+    ranges: &[(u64, u64)],
+) -> Result<u64, u64> {
+    let mut k = from;
+    loop {
+        if map.all_durable(ranges) {
+            return Ok(k);
         }
-    }
-    map.all_durable(ranges)
-}
-
-/// Binary search for the smallest `k` in `[lo, hi]` with all ranges
-/// durable at `k`. Within a domain free of overwrites to `ranges`,
-/// durability is monotone in `k` (only flushes and fences touch it), so
-/// bisection is exact.
-fn first_all_durable(events: &[Event], ranges: &[(u64, u64)], lo: u64, hi: u64) -> Option<u64> {
-    if !ranges_durable_at(events, hi, ranges) {
-        return None;
-    }
-    let (mut lo, mut hi) = (lo, hi);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if ranges_durable_at(events, mid, ranges) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
+        match events.get(k as usize) {
+            Some(ev) if !overwrites(ev, ranges) => replay(&mut map, ev),
+            _ => return Err(k),
         }
+        k += 1;
     }
-    Some(lo)
 }
 
-/// Deterministic crash-point bisection for the publish event at index
-/// `publish_seq`: binary-searches crash instants (event indices) for the
-/// half-open window `[a, b)` in which a crash makes the publish durable
-/// but its dependency not — i.e. recovery would observe the published
-/// value and diverge. Returns `None` if the event is not a publish, if the
-/// publish never becomes durable before being overwritten, or if the
-/// dependency became durable no later than the publish did (the race
-/// window was empty on this schedule).
-pub fn crash_window(events: &[Event], publish_seq: u64) -> Option<(u64, u64)> {
-    let ev = events.get(publish_seq as usize)?;
+/// Crash window of a publish, given `map` = the durability state right
+/// after it (see [`crash_window`]).
+fn window_after(map: SegMap, events: &[Event], ev: &Event) -> Option<(u64, u64)> {
     let EventKind::Publish {
         addr, len, deps, ..
     } = &ev.kind
     else {
         return None;
     };
-    let pub_range = [(*addr, *len)];
-    let n = events.len() as u64;
-    let lo = publish_seq + 1;
-    // Clamp each search to before the next overwrite of its range, where
-    // the durability predicate is monotone and bisection is valid.
-    let hi_pub = next_store_overlap(events, lo, &pub_range).unwrap_or(n);
-    let hi_dep = next_store_overlap(events, lo, deps).unwrap_or(n);
-    let first_pub = first_all_durable(events, &pub_range, lo, hi_pub)?;
-    // If the dependency never becomes durable in its domain, the window
-    // runs to the domain's end.
-    let dep_done = first_all_durable(events, deps, lo, hi_dep).unwrap_or(hi_dep);
+    let from = ev.seq + 1;
+    let first_pub = first_durable(map.clone(), events, from, &[(*addr, *len)]).ok()?;
+    // A dependency that never becomes durable in its domain leaves the
+    // window open to the domain's end.
+    let dep_done = first_durable(map, events, from, deps).unwrap_or_else(|end| end);
     (dep_done > first_pub).then_some((first_pub, dep_done))
+}
+
+/// Deterministic crash-window search for the publish event at index
+/// `publish_seq`: the half-open window `[a, b)` of crash instants (event
+/// indices) in which a crash makes the publish durable but its dependency
+/// not — i.e. recovery would observe the published value and diverge.
+/// Returns `None` if the event is not a publish, if the publish never
+/// becomes durable before being overwritten, or if the dependency became
+/// durable no later than the publish did (the race window was empty on
+/// this schedule). The checker computes the same window from its running
+/// state; this entry point replays the prefix first.
+pub fn crash_window(events: &[Event], publish_seq: u64) -> Option<(u64, u64)> {
+    let ev = events.get(publish_seq as usize)?;
+    let mut map = SegMap::default();
+    for e in &events[..=publish_seq as usize] {
+        replay(&mut map, e);
+    }
+    window_after(map, events, ev)
 }
 
 /// Renders violations as a multi-line report (chains indented under each
@@ -565,7 +566,7 @@ pub fn format_violations(violations: &[Violation]) -> String {
         if let Some((a, b)) = v.crash_window {
             let _ = writeln!(
                 s,
-                "    crash bisection: a cut at any event index in [{a}, {b}) loses the \
+                "    crash window: a cut at any event index in [{a}, {b}) loses the \
                  dependency while keeping the publish"
             );
         }
@@ -597,7 +598,7 @@ mod tests {
         m.flush(0, 8, false, 1, 1);
         assert!(matches!(
             m.first_not_durable(0, 8),
-            Some((_, _, _, SegState::Pending { thread: 1, .. }))
+            Some((_, _, _, SegState::Pending { flushers, .. })) if flushers == [1]
         ));
         m.fence(2); // wrong thread: still pending
         assert!(m.first_not_durable(0, 8).is_some());

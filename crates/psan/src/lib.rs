@@ -20,8 +20,8 @@
 //! * [`check_trace`] replays the stream against declarative ordering rules
 //!   and reports each failure as a [`Violation`] carrying the full
 //!   store→flush→fence event chain and the responsible call sites;
-//! * when a rule fires, the checker runs deterministic **crash-point
-//!   bisection** ([`crash_window`]): a binary search over crash instants
+//! * when a rule fires, the checker runs a deterministic **crash-window
+//!   search** ([`crash_window`]): a forward walk over crash instants
 //!   (event indices) for the window in which a power failure converts the
 //!   ordering violation into an observable recovery divergence — the
 //!   publish is durable but its dependency is not.

@@ -158,16 +158,16 @@ fn cases() -> Vec<Case> {
             expect: &[ViolationKind::StaleRecoveryRead],
         },
         Case {
-            name: "multilog missing_fence: cut-vector checkpoint covers log A's \
-                   drained bytes but log B's flush has no draining sfence",
+            name: "two-region missing_fence: a checkpoint marker covers region A's \
+                   drained bytes but region B's flush has no draining sfence",
             trace: vec![
-                // Log A's entry bytes are fully drained before the cut.
+                // Region A's bytes are fully drained before the marker.
                 store(0, 1, 0, 32),
                 flush(1, 1, 0),
                 fence(2, 1),
-                // Log B's entry bytes are flushed but the combiner skips
-                // the sfence before selecting the cut vector, so the
-                // selector can go durable while B's bytes are in flight.
+                // Region B's bytes are flushed but the writer skips the
+                // sfence before the marker, so the marker can go durable
+                // while B's bytes are in flight.
                 store(3, 1, 1024, 32),
                 flush(4, 1, 1024),
                 publish(
@@ -183,18 +183,18 @@ fn cases() -> Vec<Case> {
             expect: &[ViolationKind::MissingFence],
         },
         Case {
-            name: "multilog stale_recovery_read: recovery reads log B past its cut tail",
+            name: "two-region stale_recovery_read: recovery reads a log past its cut tail",
             trace: vec![
-                // Log B entry 0 durable, its completedTail covers it: clean.
+                // Entry 0 durable, its completedTail covers it: clean.
                 store(0, 1, 1024, 16),
                 flush(1, 1, 1024),
                 fence(2, 1),
                 publish(3, 1, 2048, vec![(1024, 16)], PublishTag::CompletedTail),
                 flush(4, 1, 2048),
                 fence(5, 1),
-                // Entry 1 lands past B's completedTail and is still dirty
-                // at the crash; recovery must replay only up to the cut
-                // tail, but reads the over-tail entry anyway.
+                // Entry 1 lands past completedTail and is still dirty at
+                // the crash; recovery must replay only up to the cut tail,
+                // but reads the over-tail entry anyway.
                 store(6, 1, 1040, 16),
                 ev(7, 1, EventKind::CrashCut { id: 1 }),
                 ev(
@@ -233,6 +233,22 @@ fn cases() -> Vec<Case> {
                 fence(3, 2),
                 flush(4, 1, 0), // line already clean, but cleaned by t2
                 fence(5, 1),
+            ],
+            expect: &[],
+        },
+        Case {
+            // Another combiner flushes a shared line between my store and
+            // my own flush of it; my fence still persists my store. (The
+            // two-node durable runs produce this interleaving constantly.)
+            name: "clean: my flush + fence persist a line another thread flushed first",
+            trace: vec![
+                store(0, 1, 0, 8), // t1's bytes on a shared line
+                flush(1, 2, 32),   // t2 flushes the line for its own bytes
+                flush(2, 1, 0),    // t1's own flush of the same line
+                fence(3, 1),
+                publish(4, 1, 64, vec![(0, 8)], PublishTag::LogEntry),
+                flush(5, 1, 64),
+                fence(6, 1),
             ],
             expect: &[],
         },
@@ -394,19 +410,22 @@ fn violation_chains_name_the_store_and_the_trigger() {
     assert!(report.contains("known_bad_traces"), "{report}");
 }
 
+/// The only case whose publish has two dependency ranges with different
+/// fates: the report must name the undrained one, not the first one (a
+/// checker that blames `deps[0]` fails here and nowhere else).
 #[test]
-fn multilog_cut_vector_bisection_pinpoints_the_undrained_log() {
-    // Two-log cut-vector checkpoint: log A's bytes are drained, log B's
-    // are flushed but unfenced when the selector goes durable. The report
-    // must blame log B's range, and the bisected window must be exactly
-    // the instants between the durable selector and the fence that
-    // finally drains B.
+fn two_region_bisection_pinpoints_the_undrained_region() {
+    // A checkpoint marker over two regions: region A's bytes are drained,
+    // region B's are flushed but unfenced when the marker goes durable.
+    // The report must blame region B's range, and the crash window must
+    // be exactly the instants between the durable marker and the fence
+    // that finally drains B.
     let trace = vec![
-        store(0, 1, 0, 8), // log A entry
+        store(0, 1, 0, 8), // region A
         flush(1, 1, 0),
         fence(2, 1),          // A drained
-        store(3, 1, 1024, 8), // log B entry
-        flush(4, 1, 1024),    // never fenced before the selector
+        store(3, 1, 1024, 8), // region B
+        flush(4, 1, 1024),    // never fenced before the marker
         ev(
             5,
             1,
@@ -424,17 +443,19 @@ fn multilog_cut_vector_bisection_pinpoints_the_undrained_log() {
     assert_eq!(violations.len(), 1, "{violations:#?}");
     let v = &violations[0];
     assert_eq!(v.kind, ViolationKind::MissingFence);
-    // Log B's bytes, not log A's.
+    // Region B's bytes, not region A's.
     assert_eq!(v.range, (1024, 1032));
-    // Crash instants 6..7: after the durable selector, before B's fence.
+    // Crash instants 6..7: after the durable marker, before B's fence.
     assert_eq!(v.crash_window, Some((6, 7)));
     assert_eq!(prep_psan::crash_window(&trace, 5), Some((6, 7)));
 }
 
+/// The only case that pins a stale-recovery-read's chain: a checker that
+/// drops the crash cut from it fails here and nowhere else.
 #[test]
-fn multilog_over_tail_recovery_read_names_the_store_cut_and_read() {
-    // Same shape as the table's multilog stale_recovery_read case, with
-    // the chain and the clean per-log completedTail pinned down.
+fn two_region_over_tail_recovery_read_names_the_store_cut_and_read() {
+    // Same shape as the table's two-region stale_recovery_read case, with
+    // the chain and the clean completedTail publish pinned down.
     let trace = vec![
         store(0, 1, 1024, 16),
         flush(1, 1, 1024),

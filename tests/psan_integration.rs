@@ -3,11 +3,12 @@
 //! Two directions:
 //!
 //! * **Clean paths stay clean** — every durability level × flush strategy,
-//!   plus the sharded store's cross-shard crash, runs a full
-//!   workload + crash + recovery under the tracer and must produce *zero*
-//!   violations. This is the sanitizer's false-positive budget: the
-//!   instrumented persist paths implement exactly the ordering the paper's
-//!   durability argument needs, and the rule engine must agree.
+//!   a durable two-node run crashed under load, and the sharded store's
+//!   cross-shard crash run a full workload + crash + recovery under the
+//!   tracer and must produce *zero* violations. This is the sanitizer's
+//!   false-positive budget: the instrumented persist paths implement
+//!   exactly the ordering the paper's durability argument needs, and the
+//!   rule engine must agree.
 //!
 //! * **Seeded bugs are caught** — [`PsanFault`] drops a single `SFENCE`
 //!   from a real persist path (log payload batch / checkpoint), and the
@@ -77,6 +78,42 @@ fn clean_paths_produce_zero_violations_across_the_strategy_matrix() {
                 panic!("{level:?}/{strategy:?} flagged a clean path:\n{report}");
             }
         }
+    }
+}
+
+/// Durable, two nodes, three workers, crash under load: combiners on both
+/// nodes cover each other's log entries with `completedTail`, the
+/// interleaving a single worker never produces. An entry that becomes
+/// visible before its emptyBit is fenced (the volatile publish running
+/// ahead of `persist_batch_published`) is reported here as
+/// `tail-before-entry`.
+#[test]
+fn two_node_durable_crash_under_load_stays_clean() {
+    const WORKERS: usize = 3;
+    let rt = traced_runtime();
+    let asg = Topology::new(2, 2, 1).assign_workers(WORKERS);
+    let config = || cfg(&rt, DurabilityLevel::Durable, FlushStrategy::DirtyLines);
+    let prep = Arc::new(PrepUc::new(Recorder::new(), asg.clone(), config()));
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|w| {
+            let prep = Arc::clone(&prep);
+            std::thread::spawn(move || {
+                let t = prep.register(w);
+                for i in 0..3_000u64 {
+                    prep.execute(&t, RecorderOp::Record((w as u64) << 32 | i));
+                }
+            })
+        })
+        .collect();
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let (token, image) = prep.simulate_crash();
+    for h in workers {
+        h.join().unwrap();
+    }
+    drop(prep);
+    drop(PrepUc::recover(token, image, asg, config()));
+    if let Err(report) = check_persistence_ordering(&rt) {
+        panic!("two-node durable run flagged:\n{report}");
     }
 }
 
