@@ -16,7 +16,10 @@
 //! Every cell is run [`REPEATS`] times against a fresh server (repeats
 //! outermost, so slow host drift spreads over all cells instead of biasing
 //! one) and reported as the median run by p50, with the p50's min, max and
-//! inter-quartile spread over the runs.
+//! inter-quartile spread over the runs. Each run is also listed on its
+//! own: achieved rate, shed count, p50/p99 of all requests, and p50/p99 of
+//! GETs and of PUTs apart, since a durable PUT waits for its checkpoint
+//! and a GET does not.
 //!
 //! Caveat: server, load generator, and persistence threads all share this
 //! machine — the tails include scheduler noise, and loopback TCP is the
@@ -27,6 +30,7 @@
 
 use prep_loadgen::keys::KeyMix;
 use prep_loadgen::run::{run as loadgen_run, RunConfig, RunReport};
+use prep_loadgen::LatencyHistogram;
 use prep_serve::proto::AckLevel;
 use prep_serve::server::{ServeConfig, Server};
 
@@ -93,6 +97,23 @@ fn load_config(addr: String, rate: f64, ack: AckLevel, duration_ms: u64) -> RunC
 }
 
 const US: f64 = 1_000.0;
+
+/// One run's line under its cell: achieved/s, shed, all/GET/PUT p50 and p99.
+fn run_row(r: &RunReport) {
+    let us = |h: &LatencyHistogram, q: f64| h.percentile(q) as f64 / US;
+    println!(
+        "      run: achieved={:.0} shed={} p50={:.1} p99={:.1} get p50={:.1} p99={:.1} \
+         put p50={:.1} p99={:.1} us",
+        r.achieved_rate(),
+        r.shed,
+        us(&r.hist, 0.50),
+        us(&r.hist, 0.99),
+        us(&r.get_hist, 0.50),
+        us(&r.get_hist, 0.99),
+        us(&r.update_hist, 0.50),
+        us(&r.update_hist, 0.99),
+    );
+}
 
 fn row(rate: f64, ack: &str, r: &RunReport) {
     println!(
@@ -164,6 +185,7 @@ pub fn run(opts: &RunOpts) {
             r.p50_us(REPEATS - 1),
             r.p50_iqr_us()
         );
+        r.runs.iter().for_each(run_row);
     }
 
     // Crash-under-load: durable acks against a crash-sim store, with the
@@ -230,11 +252,19 @@ fn write_json(opts: &RunOpts, records: &[Record], crash: &RunReport, ttfr_us: &[
         let p50s: Vec<String> = (0..r.runs.len())
             .map(|i| format!("{:.1}", r.p50_us(i)))
             .collect();
+        // Per run, in the same order as `p50_us_runs`.
+        let per_run = |f: &dyn Fn(&RunReport) -> String| -> String {
+            let v: Vec<String> = r.runs.iter().map(f).collect();
+            v.join(", ")
+        };
+        let p99 = |h: &LatencyHistogram| format!("{:.1}", h.percentile(0.99) as f64 / US);
         out.push_str(&format!(
             "    {{\"offered_rate\": {:.0}, \"ack\": \"{}\", \"achieved_rate\": {:.0}, \
              \"completed\": {}, \"shed\": {}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
              \"p999_us\": {:.1}, \"p50_us_min\": {:.1}, \"p50_us_max\": {:.1}, \
-             \"p50_us_iqr\": {:.1}, \"p50_us_runs\": [{}]}}{}\n",
+             \"p50_us_iqr\": {:.1}, \"p50_us_runs\": [{}], \"p99_us_runs\": [{}], \
+             \"get_p99_us_runs\": [{}], \"put_p99_us_runs\": [{}], \
+             \"achieved_rate_runs\": [{}], \"shed_runs\": [{}]}}{}\n",
             r.rate,
             r.ack,
             med.achieved_rate(),
@@ -247,6 +277,11 @@ fn write_json(opts: &RunOpts, records: &[Record], crash: &RunReport, ttfr_us: &[
             r.p50_us(r.runs.len() - 1),
             r.p50_iqr_us(),
             p50s.join(", "),
+            per_run(&|run| p99(&run.hist)),
+            per_run(&|run| p99(&run.get_hist)),
+            per_run(&|run| p99(&run.update_hist)),
+            per_run(&|run| format!("{:.0}", run.achieved_rate())),
+            per_run(&|run| run.shed.to_string()),
             sep
         ));
     }

@@ -85,9 +85,10 @@ pub(crate) struct HookState<O: Clone> {
     /// request stands until `durable_tail` reaches it, so a nudge that
     /// lands while a checkpoint is in flight is served by the next one.
     pub(crate) sync_request: CachePadded<AtomicU64>,
-    /// Where the one thread waiting for `durable_tail` to advance parks;
-    /// the persistence thread wakes it after every published checkpoint.
-    pub(crate) watermark_waiter: WakeSlot,
+    /// Where threads waiting for `durable_tail` to advance park: one slot
+    /// per registered worker, then one for `quiesce_persistence`. The
+    /// persistence thread wakes them all after every published checkpoint.
+    pub(crate) watermark_waiters: Box<[WakeSlot]>,
     /// Shutdown flag for the persistence thread and the reserve gate.
     pub(crate) stop: AtomicBool,
     /// NVM image of `d_completedTail` (durable mode).
@@ -105,6 +106,7 @@ impl<O: Clone> HookState<O> {
         epsilon: u64,
         fence_per_entry: bool,
         psan_fault: Option<PsanFault>,
+        workers: usize,
     ) -> Arc<Self> {
         let psan = PsanLayout::new(&rt);
         Arc::new(HookState {
@@ -122,12 +124,19 @@ impl<O: Clone> HookState<O> {
             persisted_ct: CachePadded::new(AtomicU64::new(0)),
             durable_tail: CachePadded::new(AtomicU64::new(0)),
             sync_request: CachePadded::new(AtomicU64::new(0)),
-            watermark_waiter: WakeSlot::new(),
+            watermark_waiters: (0..=workers).map(|_| WakeSlot::new()).collect(),
             stop: AtomicBool::new(false),
             ct_cell: PersistentCell::new(0),
             p_active_cell: PersistentCell::new(0),
             log_image: LogImage::new(),
         })
+    }
+
+    /// Wakes every thread parked on a watermark slot to re-check.
+    pub(crate) fn wake_watermark_waiters(&self) {
+        for slot in self.watermark_waiters.iter() {
+            slot.wake();
+        }
     }
 
     /// Bytes one log entry occupies in the packed NVM log layout (payload +
@@ -361,7 +370,14 @@ mod tests {
 
     fn mk(durability: DurabilityLevel) -> PrepHooks<u64> {
         PrepHooks {
-            state: HookState::new(PmemRuntime::for_crash_tests(), durability, 16, false, None),
+            state: HookState::new(
+                PmemRuntime::for_crash_tests(),
+                durability,
+                16,
+                false,
+                None,
+                1,
+            ),
         }
     }
 
@@ -374,6 +390,7 @@ mod tests {
                 16,
                 true,
                 None,
+                1,
             ),
         };
         h.persist_batch_payload(0..4);

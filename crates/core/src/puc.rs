@@ -57,6 +57,7 @@ impl<T: SequentialObject> PrepUc<T> {
             config.epsilon,
             config.fence_per_entry,
             config.psan_fault,
+            assignment.workers(),
         );
         let hooks = PrepHooks {
             state: Arc::clone(&state),
@@ -206,7 +207,7 @@ impl<T: SequentialObject> PrepUc<T> {
         // ord: SeqCst — pairs with the persistence thread's SeqCst fetch_max
         // after the selector persist (watermark w implies the checkpoint
         // covering [0, w) is durable), and is the load a parked watermark
-        // waiter re-checks with (`watermark_slot`).
+        // waiter re-checks with (`wait_watermark`).
         let ckpt = self.state.durable_tail.load(Ordering::SeqCst);
         match self.config.durability {
             crate::config::DurabilityLevel::Durable => {
@@ -248,16 +249,24 @@ impl<T: SequentialObject> PrepUc<T> {
         }
     }
 
-    /// The slot a thread parks on to wait for [`PrepUc::durable_watermark`]
-    /// to advance: the persistence thread calls its `wake` after every
-    /// published checkpoint, so
-    /// `watermark_slot().wait_until(|| durable_watermark() >= cover || …)`
-    /// blocks without polling. A caller that adds a condition of its own
-    /// to the closure (a server's crash flag) wakes the slot itself when
-    /// that condition changes. One waiter at a time; contenders take turns
-    /// (see [`prep_sync::WakeSlot`]).
-    pub fn watermark_slot(&self) -> &prep_sync::WakeSlot {
-        &self.state.watermark_waiter
+    /// Parks the worker holding `token` until `ready()` holds, re-checking
+    /// after every published checkpoint, so
+    /// `wait_watermark(t, || durable_watermark() >= cover || …)` waits for
+    /// an op's covering checkpoint without polling. Every registered
+    /// worker has a slot of its own, so any
+    /// number of them wait at once, each parked (see
+    /// [`prep_sync::WakeSlot`]). `ready` must read what it tests with
+    /// `SeqCst` loads; a caller that adds a condition of its own (a
+    /// server's crash flag) calls [`PrepUc::wake_watermark_waiters`] after
+    /// changing it.
+    pub fn wait_watermark(&self, token: &ThreadToken, ready: impl FnMut() -> bool) {
+        self.state.watermark_waiters[token.worker()].wait_until(ready);
+    }
+
+    /// Wakes every thread parked in [`PrepUc::wait_watermark`] or
+    /// [`PrepUc::quiesce_persistence`] to re-check its condition.
+    pub fn wake_watermark_waiters(&self) {
+        self.state.wake_watermark_waiters();
     }
 
     /// Blocks until every operation completed *before this call* is crash
@@ -267,12 +276,12 @@ impl<T: SequentialObject> PrepUc<T> {
     /// Intended for drain/shutdown paths after workers have stopped
     /// submitting; with concurrent writers it chases a moving tail and
     /// returns as soon as it observes a watermark covering some recent
-    /// `completedTail` read.
+    /// `completedTail` read. Concurrent callers take turns on one slot.
     pub fn quiesce_persistence(&self) {
         let ct = self.completed_tail();
         self.nudge_checkpoint();
-        self.watermark_slot()
-            .wait_until(|| self.durable_watermark() >= ct);
+        let slots = &self.state.watermark_waiters;
+        slots[slots.len() - 1].wait_until(|| self.durable_watermark() >= ct);
     }
 
     /// The persistent replicas' localTails (volatile mirror).

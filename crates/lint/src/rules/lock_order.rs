@@ -189,7 +189,7 @@ pub fn run(
             .span_to(*end_line)
             .suggest(format!(
                 "add `// lock-level: <n> <why>` where `{ty}` (or the field holding it) \
-                 is declared, or a rank in lint.toml [lock-order]"
+                 is declared"
             )),
         );
     }

@@ -117,6 +117,32 @@ impl Gauge {
 }
 "#;
 
+const BAD_UNRANKED: &str = r#"//! Known-bad: a lock taken with no declared level.
+pub struct Guard;
+
+pub struct StrayLock;
+impl StrayLock {
+    pub fn lock(&self) -> Guard {
+        Guard
+    }
+}
+
+pub struct App {
+    stray: StrayLock,
+}
+
+impl App {
+    pub fn take(&self) {
+        let _s = self.stray.lock();
+    }
+}
+"#;
+
+/// The whole `lock-order-unranked` suggestion: a level comment is the
+/// only way to declare a level (lint.toml has no per-lock ranks).
+const UNRANKED_SUGGESTION: &str =
+    "add `// lock-level: <n> <why>` where `StrayLock` (or the field holding it) is declared";
+
 struct Expected {
     path: &'static str,
     line: u32,
@@ -246,6 +272,15 @@ const EXPECTED: &[Expected] = &[
         msg: "[thread-sleep] thread::sleep: thread::sleep in a hot-path crate",
         sugg: "use prep_sync::Waiter",
     },
+    // -- rule family 6: lock-order --
+    Expected {
+        path: "crates/cx/src/bad_unranked.rs",
+        line: 17,
+        col: 29,
+        rule: "lock-order-unranked",
+        msg: "`StrayLock` acquired without a declared lock level",
+        sugg: UNRANKED_SUGGESTION,
+    },
     // -- suppression semantics --
     Expected {
         path: "crates/sync/src/allows.rs",
@@ -273,6 +308,7 @@ fn corpus() -> Vec<(String, String)> {
         ("crates/fixture/src/lib.rs", BAD_UNSAFE_LIB),
         ("crates/clean/src/lib.rs", CLEAN_LIB),
         ("crates/cx/src/bad_apis.rs", BAD_APIS),
+        ("crates/cx/src/bad_unranked.rs", BAD_UNRANKED),
         ("crates/sync/src/allows.rs", BAD_ALLOWS),
     ]
     .into_iter()
@@ -337,6 +373,17 @@ fn every_expected_finding_is_reported_exactly() {
         "unexpected extra findings:\n{}",
         pretty()
     );
+}
+
+/// The unranked-lock suggestion names the level comment and nothing else.
+#[test]
+fn unranked_lock_suggests_only_a_level_comment() {
+    let diags = lint_files(&corpus(), &Config::default());
+    let d = diags
+        .iter()
+        .find(|d| d.rule == "lock-order-unranked")
+        .expect("unranked finding present");
+    assert_eq!(d.suggestion.as_deref(), Some(UNRANKED_SUGGESTION));
 }
 
 /// The reasoned allow in `allows.rs` must actually suppress: no finding of

@@ -107,6 +107,15 @@ fn main() {
             cfg.ack
         );
     }
+    if report.get_hist.count() > 0 {
+        println!(
+            "gets us: p50 {:.1} p99 {:.1} p999 {:.1} (n={})",
+            us(report.get_hist.percentile(0.50)),
+            us(report.get_hist.percentile(0.99)),
+            us(report.get_hist.percentile(0.999)),
+            report.get_hist.count()
+        );
+    }
     if let Some(probe) = report.crash {
         match probe.ttfr_ns() {
             Some(ttfr) => println!("crash: time-to-first-response {:.1} us", us(ttfr)),

@@ -140,6 +140,8 @@ pub struct RunReport {
     pub hist: LatencyHistogram,
     /// Latency of completed updates only (the ack-level contrast).
     pub update_hist: LatencyHistogram,
+    /// Latency of completed GETs only.
+    pub get_hist: LatencyHistogram,
     /// Wall-clock length of the measured window actually achieved.
     pub elapsed_ns: u64,
     /// Crash-injection observations, when requested.
@@ -179,6 +181,7 @@ struct ConnOutcome {
     lost: u64,
     hist: LatencyHistogram,
     update_hist: LatencyHistogram,
+    get_hist: LatencyHistogram,
     crash: Option<CrashProbe>,
 }
 
@@ -215,6 +218,7 @@ pub fn run(cfg: &RunConfig) -> std::io::Result<RunReport> {
         lost: 0,
         hist: LatencyHistogram::new(),
         update_hist: LatencyHistogram::new(),
+        get_hist: LatencyHistogram::new(),
         elapsed_ns: cfg.duration_ms.saturating_sub(cfg.warmup_ms) * 1_000_000,
         crash: None,
     };
@@ -227,6 +231,7 @@ pub fn run(cfg: &RunConfig) -> std::io::Result<RunReport> {
         report.lost += o.lost;
         report.hist.merge(&o.hist);
         report.update_hist.merge(&o.update_hist);
+        report.get_hist.merge(&o.get_hist);
         if o.crash.is_some() {
             report.crash = o.crash;
         }
@@ -478,6 +483,7 @@ fn receive(
         lost: 0,
         hist: LatencyHistogram::new(),
         update_hist: LatencyHistogram::new(),
+        get_hist: LatencyHistogram::new(),
         crash: None,
     };
     let mut pending: HashMap<u64, PendingOp> = HashMap::new();
@@ -563,6 +569,8 @@ fn account(
             o.hist.record(latency);
             if op.update {
                 o.update_hist.record(latency);
+            } else {
+                o.get_hist.record(latency);
             }
         }
         Response::Retry { .. } => {
@@ -621,8 +629,11 @@ mod tests {
         assert!(report.hist.count() == report.completed);
         assert!(report.hist.percentile(0.5) > 0);
         assert!(report.achieved_rate() > 0.0);
-        // Updates are a subset of all completions.
-        assert!(report.update_hist.count() <= report.hist.count());
+        // Every completion is a GET or an update.
+        assert_eq!(
+            report.get_hist.count() + report.update_hist.count(),
+            report.hist.count()
+        );
         server.shutdown();
     }
 

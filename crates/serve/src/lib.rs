@@ -12,10 +12,10 @@
 //! The interesting part is the [`server`] request pipeline: per-shard
 //! bounded submission queues align open-loop network arrivals with the
 //! flat combiner's batch boundaries — up to β queued ops enter one combine
-//! round together — and a per-shard durability drainer releases durable
-//! acks only when the shard's crash-survivability watermark passes the
-//! op's covering `completedTail`. See the [`server`] module docs for the
-//! full choreography (including crash-under-load and graceful shutdown).
+//! round together — and the executor that ran a durable op releases its
+//! ack only when the shard's crash-survivability watermark passes the op's
+//! covering `completedTail`. See the [`server`] module docs for the full
+//! choreography (including crash-under-load and graceful shutdown).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

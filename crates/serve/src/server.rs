@@ -4,9 +4,10 @@
 //!
 //! ```text
 //! acceptor ─▶ conn threads ─▶ per-shard submission queue ─▶ β executors ─▶ NR combiner
-//!                 │                (bounded, RETRY)             │
-//!                 └◀─────────── responses ◀── buffered ack ────┘
-//!                 └◀─────────── responses ◀── durability drainer (durable ack)
+//!                 │                (bounded, RETRY)             │  (a durable ack is held
+//!                 │                                             │   until the watermark
+//!                 │                                             │   covers its op)
+//!                 └◀──────────────── responses ◀────────────────┘
 //! ```
 //!
 //! Connection threads never touch the store: they parse frames and push
@@ -37,8 +38,7 @@
 //! |---|---|---|
 //! | acceptor | `poll`: listener + waker | a connecting client; every lifecycle transition |
 //! | conn thread | `poll`: its sockets + waker | request bytes; the acceptor (new connection); every transition |
-//! | executor | its slot, while the shard queue is empty | the conn thread's push — it wakes **one** idle executor per job, so a lone request costs one wake-up and a burst spreads over β; every transition |
-//! | drainer | its slot, while no durable ack is queued; the shard's [`prep_uc::PrepUc::watermark_slot`], while the head ack is not covered | the executor that queued the ack; the persistence thread, after each published checkpoint; every transition (both slots) |
+//! | executor | its slot, while the shard queue is empty and it holds no durable ack; its own watermark slot on the shard ([`prep_uc::PrepUc::wait_watermark`]), while the queue is empty and the oldest ack it holds is not covered | the conn thread's push — it wakes **one** idle executor per job, so a lone request costs one wake-up and a burst spreads over β, and only if none is idle the shard's watermark waiters; the persistence thread, after each published checkpoint; every transition (both slots) |
 //! | control | its slot, while no admin command is queued | `dispatch` (admin frame), [`Server::request_shutdown`] |
 //! | [`Server::join`] | its slot | the transition to stopped |
 //!
@@ -56,38 +56,44 @@
 //! What is left to [`Waiter`] is what is rare and short: a contended
 //! queue lock, a full socket buffer in `ConnIo::send`, the acceptor's
 //! back-off when `accept` fails for lack of descriptors, and the control
-//! thread's barriers in crash and drain (every worker parked; queues
+//! thread's barriers in crash and drain (every executor parked; queues
 //! empty).
 //!
 //! ## Ack release points
 //!
-//! *Buffered* acks are written by the executor as soon as `execute`
-//! returns (the op is applied, volatile). *Durable* acks are handed to the
-//! shard's **durability drainer** together with the `completedTail` that
-//! covers the op; the drainer releases the ack only once the shard's
-//! crash-survivability watermark ([`prep_uc::PrepUc::durable_watermark`])
-//! passes that tail — i.e. once the covering checkpoint (or persisted
-//! `completedTail` in durable mode) has actually reached NVM. The natural
-//! checkpoint is up to ε ops away, so the **executor** asks for one
-//! ([`prep_uc::PrepUc::nudge_checkpoint`]) the moment it queues the ack:
-//! it is the first thread to know a client is waiting, and the request
-//! (which also unparks the persistence thread) then overlaps the hand-off
-//! to the drainer instead of following it. The store checkpoints
-//! incrementally ([`prep_uc::FlushStrategy::DirtyLines`]): a checkpoint
-//! taken for one ack flushes the few lines that op dirtied, where the
-//! paper's whole-cache `WBINVD` costs the same half millisecond however
-//! little changed.
+//! Every ack is written by the executor that ran the op. A *buffered* ack
+//! goes out as soon as `execute` returns (the op is applied, volatile). For
+//! a *durable* ack the executor reads the `completedTail` that covers the
+//! op, asks for the covering checkpoint now
+//! ([`prep_uc::PrepUc::nudge_checkpoint`]: the natural one is up to ε ops
+//! away), and holds the ack until the shard's crash-survivability
+//! watermark ([`prep_uc::PrepUc::durable_watermark`]) passes that tail —
+//! i.e. until the checkpoint has actually reached NVM. The persist wait
+//! belongs to the op: no other thread takes the ack over, so a durable ack
+//! costs the wake-ups conn → executor → persistence → executor. Holding
+//! acks does not stop an executor: it keeps taking queued jobs, releases
+//! the held acks each checkpoint covers as it goes, and parks on its own
+//! watermark slot only once the queue is empty. A job that arrives while
+//! every executor of the shard is so parked wakes them (no idle executor
+//! took it), so GETs do not queue behind checkpoints, and one checkpoint
+//! releases every ack it covers, however many that is — β bounds combine
+//! rounds, not acks in flight. (On a durable-mode store `execute` has
+//! already waited out the persist, and the ack goes out at once.) The
+//! store checkpoints incrementally
+//! ([`prep_uc::FlushStrategy::DirtyLines`]): a checkpoint taken for one
+//! ack flushes the few lines that op dirtied, where the paper's whole-cache
+//! `WBINVD` costs the same half millisecond however little changed.
 //!
 //! ## Crash and shutdown choreography
 //!
 //! `ADMIN CRASH` (crash-sim servers): the control thread moves the server
-//! to `Crashing`; connection threads answer `RETRY`, executors and
-//! drainers park — **pending durable acks are downgraded to `RETRY`**
-//! (those ops may or may not survive the cut, so they must not be acked
-//! `Done`; but unlike a real power failure the TCP connection survives the
-//! simulated one, so silence would wedge clients — `RETRY` claims nothing
-//! and keeps the one-response-per-frame invariant).
-//! Only after every worker has parked is the cut captured, so every ack
+//! to `Crashing`; connection threads answer `RETRY`, and executors park —
+//! an executor holding durable acks first **downgrades each to `RETRY`**
+//! (the op may or may not survive the cut, so it must not be
+//! acked `Done`; but unlike a real power failure the TCP connection
+//! survives the simulated one, so silence would wedge clients — `RETRY`
+//! claims nothing and keeps the one-response-per-frame invariant).
+//! Only after every executor has parked is the cut captured, so every ack
 //! that reached a client precedes the cut: durable-acked ops are always in
 //! the recovered image, and buffered-acked loss stays within the store's
 //! `N·(ε + β − 1)` bound. The store is rebuilt via
@@ -95,8 +101,8 @@
 //! generation counter bumps, and workers re-register on the new store.
 //!
 //! `ADMIN SHUTDOWN` / SIGTERM: `Draining` — connection threads reject new
-//! work, executors empty the queues, drainers release every pending
-//! durable ack, the store is quiesced
+//! work, executors empty the queues and release every durable ack they
+//! hold, the store is quiesced
 //! ([`prep_shard::ShardedStore::quiesce_persistence`], the final forced
 //! checkpoint), and only then does the server stop: a clean shutdown
 //! loses **zero** buffered ops, versus up to the bound on a crash.
@@ -111,11 +117,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
-use prep_shard::{shard_index, ShardedStore};
+use prep_shard::{shard_index, ShardToken, ShardedStore};
 use prep_sync::{spin_until, TicketLock, TryLock, TryLockGuard, Waiter, WakeSlot};
 use prep_topology::{ThreadAssignment, Topology};
 use prep_uc::{
-    DurabilityLevel, FairnessMode, FlushStrategy, LatencyModel, PmemRuntime, PrepConfig, PrepUc,
+    DurabilityLevel, FairnessMode, FlushStrategy, LatencyModel, PmemRuntime, PrepConfig,
 };
 
 use crate::poll::{self, PollFd, Waker};
@@ -273,13 +279,6 @@ impl<T> Mailbox<T> {
         }
         item
     }
-
-    fn take_all(&self) -> Vec<T> {
-        let items: Vec<T> = locked(&self.queue).drain(..).collect();
-        // ord: SeqCst, symmetric with `push`.
-        self.len.fetch_sub(items.len(), Ordering::SeqCst);
-        items
-    }
 }
 
 thread_local! {
@@ -288,8 +287,8 @@ thread_local! {
     static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One connection's shared write half: executors, drainers, and the
-/// control thread all write complete frames under the per-connection
+/// One connection's shared write half: its conn thread, executors, and
+/// the control thread all write complete frames under the per-connection
 /// ticket lock, so frames never interleave on the wire.
 struct ConnIo {
     stream: TcpStream,
@@ -346,31 +345,15 @@ struct Job {
     conn: Arc<ConnIo>,
 }
 
-/// A durable ack waiting for its covering persist.
-struct DurAck {
-    /// Request id: `Done` once covered, `RETRY` if a crash interrupts.
-    id: u64,
-    /// `completedTail` that covers the op (read after `execute` returned).
-    cover: u64,
-    conn: Arc<ConnIo>,
-}
-
 /// One shard's request pipeline.
 struct Pipeline {
     /// Bounded submission queue (the combiner-batch coalescing point).
     queue: Mailbox<Job>,
     /// Where each of the shard's executors parks while `queue` is empty.
     exec_wake: Vec<WakeSlot>,
-    /// Executors currently inside `execute` (drain barrier).
+    /// Executors currently at work, from before the pop until every ack
+    /// they hold is on the wire (drain barrier).
     busy: AtomicUsize,
-    /// Durable acks awaiting their covering persist.
-    dur_queue: Mailbox<DurAck>,
-    /// Where the shard's drainer parks while `dur_queue` is empty.
-    dur_wake: WakeSlot,
-    /// Durable acks pending release: raised before the ack is queued and
-    /// lowered only after it is on the wire, so `0` means every accepted
-    /// durable op has been acked.
-    dur_pending: AtomicUsize,
 }
 
 impl Pipeline {
@@ -379,9 +362,6 @@ impl Pipeline {
             queue: Mailbox::new(),
             exec_wake: (0..executors).map(|_| WakeSlot::new()).collect(),
             busy: AtomicUsize::new(0),
-            dur_queue: Mailbox::new(),
-            dur_wake: WakeSlot::new(),
-            dur_pending: AtomicUsize::new(0),
         }
     }
 }
@@ -424,7 +404,7 @@ struct Inner {
     /// ends that thread's `poll`.
     conn_inbox: Vec<TryLock<Vec<TcpStream>>>,
     conn_wakers: Vec<Waker>,
-    /// Workers (executors + drainers) currently parked for a crash.
+    /// Executors currently parked for a crash.
     parked: AtomicUsize,
     counters: Counters,
 }
@@ -449,13 +429,13 @@ impl Inner {
             for slot in &pl.exec_wake {
                 slot.wake();
             }
-            pl.dur_wake.wake();
         }
-        // A drainer holding an ack is parked on its shard's watermark.
+        // An executor holding durable acks may be parked on its shard's
+        // watermark.
         let store = locked(&self.store).clone();
         if let Some(store) = store {
             for shard in 0..self.cfg.shards {
-                store.shard(shard).watermark_slot().wake();
+                store.shard(shard).wake_watermark_waiters();
             }
         }
         self.join_wake.wake();
@@ -482,6 +462,13 @@ impl Inner {
         debug_assert!(queued.is_ok(), "the control queue is unbounded");
         self.control_wake.wake();
     }
+
+    /// Answers request `id` with `RETRY`; every one is counted here.
+    fn retry(&self, io: &ConnIo, id: u64) {
+        // ord: monotone counter (Relaxed).
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        io.respond(&Response::Retry { id });
+    }
 }
 
 /// Everything [`Server::join`] reports after the server stopped.
@@ -490,9 +477,10 @@ pub struct ShutdownReport {
     pub connections: u64,
     /// Requests parsed (including admin and shed requests).
     pub requests: u64,
-    /// Requests shed with `RETRY` (backpressure + crash window).
+    /// `RETRY` frames sent: requests shed by backpressure or the crash
+    /// window, and durable acks a crash interrupted.
     pub retries: u64,
-    /// Durable acks released.
+    /// `Done` frames sent to requests that asked for a durable ack.
     pub durable_acks: u64,
     /// Crash-recovery cycles survived.
     pub crashes: u64,
@@ -586,13 +574,6 @@ impl Server {
                         .expect("spawn executor"),
                 );
             }
-            let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-dur-{s}"))
-                    .spawn(move || drainer_loop(inner, s))
-                    .expect("spawn drainer"),
-            );
         }
         {
             let inner = Arc::clone(&inner);
@@ -844,9 +825,7 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
         // The crash window looks like transient overload from outside:
         // clients retry and succeed after recovery.
         CRASHING => {
-            // ord: monotone counter (Relaxed).
-            inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-            io.respond(&Response::Retry { id });
+            inner.retry(io, id);
             return;
         }
         _ => {
@@ -859,17 +838,21 @@ fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
     }
     let pl = &inner.pipelines[shard];
     if pl.queue.push(job, inner.cfg.queue_depth).is_err() {
-        // ord: monotone counter (Relaxed).
-        inner.counters.retries.fetch_add(1, Ordering::Relaxed);
-        io.respond(&Response::Retry { id });
+        inner.retry(io, id);
         return;
     }
     // One job, one wake-up: the first idle executor takes it. If none is
-    // idle, each of them looks at the queue again before it parks.
-    let _ = pl.exec_wake.iter().any(WakeSlot::wake);
+    // idle, each of them looks at the queue again before it parks, and one
+    // that waits on a checkpoint with acks held is woken to take the job
+    // meanwhile.
+    if !pl.exec_wake.iter().any(WakeSlot::wake) {
+        if let Some(store) = locked(&inner.store).as_ref() {
+            store.shard(shard).wake_watermark_waiters();
+        }
+    }
 }
 
-/// Why an executor/drainer left its per-generation loop.
+/// Why an executor left its per-generation loop.
 enum After {
     Exit,
     Park,
@@ -903,8 +886,8 @@ fn executor_loop(inner: Arc<Inner>, shard: usize, executor: usize) {
 /// Parks on `slot` until recovery publishes a new generation. Returns
 /// false when the server stopped instead.
 fn park(inner: &Arc<Inner>, gen: u64, slot: &WakeSlot) -> bool {
-    // ord: AcqRel — the Release half publishes this worker's dropped store
-    // handle to the control thread's parked-count Acquire spin.
+    // ord: AcqRel — the Release half publishes this executor's dropped
+    // store handle to the control thread's parked-count Acquire spin.
     inner.parked.fetch_add(1, Ordering::AcqRel);
     let mut resume = false;
     slot.wait_until(|| match inner.state() {
@@ -921,15 +904,22 @@ fn park(inner: &Arc<Inner>, gen: u64, slot: &WakeSlot) -> bool {
     resume
 }
 
+/// Durable acks one executor owes, oldest first, each with the
+/// `completedTail` that covers its op. Covers only grow, so the acks a
+/// checkpoint covers are a prefix.
+type Held = VecDeque<(u64, Job)>;
+
 /// Executes jobs for one store generation.
 fn executor_generation(
     inner: &Arc<Inner>,
     store: &Arc<Store>,
-    token: &prep_shard::ShardToken,
+    token: &ShardToken,
     shard: usize,
     slot: &WakeSlot,
 ) -> After {
     let pl = &inner.pipelines[shard];
+    let sh = store.shard(shard);
+    let mut held = Held::new();
     loop {
         match inner.state() {
             CRASHING => return After::Park,
@@ -939,39 +929,68 @@ fn executor_generation(
             // quiescing), then idles until STOPPED.
             _ => {}
         }
-        // busy is raised *before* the pop so `len == 0 && busy == 0` is a
-        // true drain barrier (no job can be in flight unobserved).
+        // busy is raised *before* the pop and lowered once every ack this
+        // executor owes is on the wire, so `len == 0 && busy == 0` is a
+        // true drain barrier (no job or ack can be in flight unobserved).
         // ord: AcqRel pairs with the control thread's drain-barrier
         // Acquire reads.
         pl.busy.fetch_add(1, Ordering::AcqRel);
-        let job = pl.queue.pop();
-        let idle = job.is_none();
-        if let Some(job) = job {
-            execute_job(inner, store, token, shard, job);
+        loop {
+            if let Some(job) = pl.queue.pop() {
+                if let Some(job) = execute_job(inner, store, token, job) {
+                    // The op completed on this shard, so the shard's current
+                    // completedTail covers its log index. The natural
+                    // checkpoint is up to ε ops away: ask for one now.
+                    held.push_back((sh.completed_tail(), job));
+                    sh.nudge_checkpoint();
+                }
+            } else if let Some(&(cover, _)) = held.front() {
+                // Nothing queued: wait for the checkpoint, or for a job to
+                // take meanwhile.
+                sh.wait_watermark(token.on(shard), || {
+                    sh.durable_watermark() >= cover
+                        || pl.queue.len() > 0
+                        || inner.state() == CRASHING
+                });
+            } else {
+                break;
+            }
+            if inner.state() == CRASHING {
+                // These ops may or may not survive the cut, so they must
+                // not be acked `Done`; silence would wedge the clients,
+                // whose connections outlive the simulated power failure.
+                for (_, job) in held.drain(..) {
+                    inner.retry(&job.conn, job.id);
+                }
+                break;
+            }
+            if !held.is_empty() {
+                let watermark = sh.durable_watermark();
+                let covered = held.iter().take_while(|(c, _)| *c <= watermark).count();
+                for (_, job) in held.drain(..covered) {
+                    ack_done(inner, &job);
+                }
+            }
         }
         // ord: AcqRel, symmetric with the raise above.
         pl.busy.fetch_sub(1, Ordering::AcqRel);
-        if idle {
-            slot.wait_until(|| pl.queue.len() > 0 || matches!(inner.state(), CRASHING | STOPPED));
-        }
+        slot.wait_until(|| pl.queue.len() > 0 || matches!(inner.state(), CRASHING | STOPPED));
     }
 }
 
-/// Runs one job on the store and releases (or defers) its ack.
-fn execute_job(
-    inner: &Arc<Inner>,
-    store: &Arc<Store>,
-    token: &prep_shard::ShardToken,
-    shard: usize,
-    job: Job,
-) {
-    match job.kind {
+/// Runs one job on the store and answers it, except a durable update on a
+/// buffered store: that one is handed back, for the executor to hold until
+/// the checkpoint that covers it lands. (On a durable-mode store `execute`
+/// has already waited out the persist.)
+fn execute_job(inner: &Inner, store: &Store, token: &ShardToken, job: Job) -> Option<Job> {
+    let op = match job.kind {
         JobKind::Get { key } => {
             let value = match store.execute(token, MapOp::Get { key }) {
                 MapResp::Value(v) => v,
                 _ => None,
             };
             job.conn.respond(&Response::Value { id: job.id, value });
+            return None;
         }
         JobKind::Scan { start, count } => {
             let mut pairs = Vec::new();
@@ -981,129 +1000,26 @@ fn execute_job(
                 }
             }
             job.conn.respond(&Response::Pairs { id: job.id, pairs });
+            return None;
         }
-        JobKind::Put { key, value } => {
-            store.execute(token, MapOp::Insert { key, value });
-            finish_update(inner, store, shard, &job);
-        }
-        JobKind::Delete { key } => {
-            store.execute(token, MapOp::Remove { key });
-            finish_update(inner, store, shard, &job);
-        }
+        JobKind::Put { key, value } => MapOp::Insert { key, value },
+        JobKind::Delete { key } => MapOp::Remove { key },
+    };
+    store.execute(token, op);
+    if job.ack == AckLevel::Durable && inner.cfg.durability == DurabilityLevel::Buffered {
+        return Some(job);
     }
+    ack_done(inner, &job);
+    None
 }
 
-/// Releases an update's ack: immediately for buffered acks (and for
-/// durable-mode stores, where `execute` already waited out the persist),
-/// deferred through the durability drainer otherwise.
-fn finish_update(inner: &Arc<Inner>, store: &Arc<Store>, shard: usize, job: &Job) {
-    let sh = store.shard(shard);
-    if job.ack == AckLevel::Buffered || sh.config().durability == DurabilityLevel::Durable {
-        job.conn.respond(&Response::Done { id: job.id });
-        return;
+/// Answers an update `Done`; every durable ack is counted here.
+fn ack_done(inner: &Inner, job: &Job) {
+    job.conn.respond(&Response::Done { id: job.id });
+    if job.ack == AckLevel::Durable {
+        // ord: monotone counter (Relaxed).
+        inner.counters.durable_acks.fetch_add(1, Ordering::Relaxed);
     }
-    // The op completed on `shard`, so the shard's current completedTail
-    // covers its log index; once the watermark passes this value the op is
-    // crash-survivable and the ack may be released.
-    let cover = sh.completed_tail();
-    let pl = &inner.pipelines[shard];
-    // ord: AcqRel pairs with the drain barrier's Acquire; raised before
-    // the push so dur_pending == 0 always means "every durable ack released".
-    pl.dur_pending.fetch_add(1, Ordering::AcqRel);
-    let queued = pl.dur_queue.push(
-        DurAck {
-            id: job.id,
-            cover,
-            conn: Arc::clone(&job.conn),
-        },
-        usize::MAX,
-    );
-    debug_assert!(queued.is_ok(), "the durable-ack queue is unbounded");
-    // The covering checkpoint is up to ε ops away; ask for it now, before
-    // the hand-off, so that the persistence thread's wake-up and the
-    // drainer's overlap (module docs, "Ack release points").
-    sh.nudge_checkpoint();
-    pl.dur_wake.wake();
-}
-
-/// Durability drainer: releases durable acks, in queue order, once their
-/// covering `completedTail` persist completes.
-fn drainer_loop(inner: Arc<Inner>, shard: usize) {
-    let slot = &inner.pipelines[shard].dur_wake;
-    loop {
-        // ord: Acquire pairs with recovery's generation-bump Release.
-        let gen = inner.generation.load(Ordering::Acquire);
-        let store = inner.store_arc();
-        let after = drainer_generation(&inner, store.shard(shard), shard);
-        drop(store);
-        match after {
-            After::Exit => return,
-            After::Park => {
-                if !park(&inner, gen, slot) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-fn drainer_generation(inner: &Arc<Inner>, sh: &PrepUc<HashMap>, shard: usize) -> After {
-    let pl = &inner.pipelines[shard];
-    loop {
-        match inner.state() {
-            CRASHING => {
-                retry_pending_durable_acks(pl);
-                return After::Park;
-            }
-            STOPPED => return After::Exit,
-            _ => {}
-        }
-        let Some(ack) = pl.dur_queue.pop() else {
-            pl.dur_wake.wait_until(|| {
-                pl.dur_queue.len() > 0 || matches!(inner.state(), CRASHING | STOPPED)
-            });
-            continue;
-        };
-        if wait_covered(inner, sh, ack.cover) {
-            ack.conn.respond(&Response::Done { id: ack.id });
-            // ord: monotone counter (Relaxed).
-            inner.counters.durable_acks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            // Crash interrupted the wait: downgrade to RETRY (no
-            // durability claim), park next iteration.
-            ack.conn.respond(&Response::Retry { id: ack.id });
-        }
-        // ord: AcqRel — only after the ack is on the wire does the
-        // pending count drop (drain barrier exactness).
-        pl.dur_pending.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// The crash interrupts every pending durable ack before its covering
-/// persist: those ops may or may not survive the cut, so they must NOT be
-/// acked `Done` — but the TCP connection outlives the simulated power
-/// failure, so silence would wedge the client forever. Downgrades each to
-/// `RETRY` (no durability claim; the client replays), preserving the
-/// invariant that every frame gets exactly one response.
-fn retry_pending_durable_acks(pl: &Pipeline) {
-    let dropped = pl.dur_queue.take_all();
-    for ack in &dropped {
-        ack.conn.respond(&Response::Retry { id: ack.id });
-    }
-    // ord: AcqRel pairs with the drain barrier's Acquire.
-    pl.dur_pending.fetch_sub(dropped.len(), Ordering::AcqRel);
-}
-
-/// Parks on the shard's watermark until it covers `cover` (the executor
-/// that queued the ack has asked for the checkpoint). Returns false if a
-/// crash began first.
-fn wait_covered(inner: &Arc<Inner>, sh: &PrepUc<HashMap>, cover: u64) -> bool {
-    let mut covered = false;
-    sh.watermark_slot().wait_until(|| {
-        covered = sh.durable_watermark() >= cover;
-        covered || inner.state() == CRASHING
-    });
-    covered
 }
 
 /// Control thread: admin commands, crash recovery, drain/shutdown.
@@ -1173,18 +1089,11 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
         return;
     }
     inner.set_state(CRASHING);
-    let target = inner.cfg.shards * (inner.cfg.executors_per_shard + 1);
+    let target = inner.cfg.workers();
     // ord: Acquire pairs with park()'s AcqRel — once the count reaches the
-    // target, every worker has dropped its store handle and no further ack
-    // can be written.
+    // target, every executor has answered the job it held, dropped its
+    // store handle, and can write no further ack.
     spin_until(|| inner.parked.load(Ordering::Acquire) == target);
-    // An executor that was mid-job when the crash began queues its durable
-    // ack after the shard's drainer has already swept and parked. Left
-    // there, the ack would wait on the *recovered* store's watermark for a
-    // `cover` taken from the old one — possibly forever.
-    for pl in &inner.pipelines {
-        retry_pending_durable_acks(pl);
-    }
 
     let old = locked(&inner.store)
         .take()
@@ -1192,7 +1101,7 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     let (token, image) = old.simulate_crash();
     // Recovery needs exclusive ownership: PrepUc::drop joins the old
     // persistence threads so nothing writes to the old runtime after the
-    // cut. Workers have parked (handles dropped); transient holders
+    // cut. Executors have parked (handles dropped); transient holders
     // (stats) are bounded.
     let mut old = old;
     let mut w = Waiter::new();
@@ -1225,8 +1134,8 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     }
 }
 
-/// Drain-and-stop: empty every queue, release every pending durable ack,
-/// force the final checkpoints, then stop. Zero buffered-op loss.
+/// Drain-and-stop: empty every queue and answer every job, durable acks
+/// included, force the final checkpoints, then stop. Zero buffered-op loss.
 fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
     if inner.state() != RUNNING {
         if let Some((id, io)) = reply {
@@ -1238,10 +1147,9 @@ fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
     inner.set_state(DRAINING);
     for pl in &inner.pipelines {
         // ord: Acquire pairs with the executors' AcqRel updates; both zero
-        // with no new pushes possible means the queue is truly drained.
+        // with no new pushes possible means the queue is truly drained and
+        // every accepted job answered.
         spin_until(|| pl.queue.len() == 0 && pl.busy.load(Ordering::Acquire) == 0);
-        // ord: Acquire — zero means every accepted durable ack was released.
-        spin_until(|| pl.dur_pending.load(Ordering::Acquire) == 0);
     }
     // The final forced checkpoint: after this, watermark == completedTail
     // on every shard, so a post-shutdown crash loses nothing.
@@ -1464,6 +1372,31 @@ mod tests {
             Response::Done { id: 300 }
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn durable_store_counts_its_durable_acks() {
+        // A durable-mode store acks straight after `execute`, without the
+        // watermark wait: those acks count as durable all the same.
+        let cfg = ServeConfig {
+            durability: DurabilityLevel::Durable,
+            ..quick_cfg()
+        };
+        let server = Server::start(cfg, "127.0.0.1:0").unwrap();
+        let mut c = TestClient::connect(server.local_addr());
+        for k in 0..10u64 {
+            assert_eq!(
+                c.roundtrip(&Request::Put {
+                    id: k,
+                    ack: AckLevel::Durable,
+                    key: k,
+                    value: k,
+                }),
+                Response::Done { id: k }
+            );
+        }
+        let report = server.shutdown();
+        assert_eq!(report.durable_acks, 10);
     }
 
     #[test]

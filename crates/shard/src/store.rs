@@ -31,6 +31,12 @@ impl ShardToken {
     pub fn worker(&self) -> usize {
         self.worker
     }
+
+    /// This worker's token on shard `shard` (e.g. for
+    /// [`PrepUc::wait_watermark`]).
+    pub fn on(&self, shard: usize) -> &ThreadToken {
+        &self.tokens[shard]
+    }
 }
 
 /// Everything durable at the instant of a sharded power failure: one
@@ -192,7 +198,7 @@ impl<T: SequentialObject> ShardedStore<T> {
     /// Executes `op` on a specific shard, bypassing the shard router
     /// (diagnostics, tests, and the broadcast path).
     pub fn execute_on(&self, shard: usize, token: &ShardToken, op: T::Op) -> T::Resp {
-        self.shards[shard].execute(&token.tokens[shard], op)
+        self.shards[shard].execute(token.on(shard), op)
     }
 
     /// The shard `op` routes to.

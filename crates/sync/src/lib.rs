@@ -25,8 +25,8 @@
 //!   uses any more — kept only because the repo benchmark's
 //!   `sync.seqversion_read_ns` probe compiles against it;
 //! * a **single-owner wake slot** for the hand-offs where a thread may
-//!   stay idle for long — a server's executors, the durability drainer,
-//!   whoever waits on the durable watermark: the owner parks, wakers
+//!   stay idle for long — a server's executors, whoever waits on the
+//!   durable watermark (one slot per waiting worker): the owner parks, wakers
 //!   unpark, and a store→load pair on each side rules out the lost
 //!   wake-up ([`WakeSlot`]).
 //!

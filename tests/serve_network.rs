@@ -25,8 +25,11 @@
 //!   scheduled at all; a crash, a wire shutdown and an in-process shutdown
 //!   each get through to a server whose every thread is blocked —
 //!   including a crash that finds a durable ack parked on the watermark,
-//!   which is still answered (`RETRY`), once; and a durable PUT sent to an
-//!   idle server is acked with no other traffic to kick the pipeline.
+//!   which is still answered (`RETRY`), once; two durable acks on one
+//!   shard wait on its watermark both parked, neither polling, while a GET
+//!   to that shard is still answered; and a
+//!   durable PUT sent to an idle server is acked with no other traffic to
+//!   kick the pipeline.
 //!
 //! The liveness tests read this process's thread table, so every test in
 //! this file takes [`serial`]: no other test's server is in the table, and
@@ -644,9 +647,9 @@ fn crash_and_shutdown_reach_a_server_at_rest() {
 #[test]
 fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
     let _serial = serial();
-    // A checkpoint's fence takes 0.6 s: long enough for the drainer to be
-    // found parked on the watermark, waiting for it, even if the host
-    // stalls for a tenth of a second on the way.
+    // A checkpoint's fence takes 0.6 s: long enough for the executor that
+    // holds the ack to be found parked on the watermark, waiting for it,
+    // even if the host stalls for a tenth of a second on the way.
     let server = server_with(LatencyModel {
         sfence_ns: 600_000_000,
         ..LatencyModel::off()
@@ -658,9 +661,9 @@ fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
         key: 1,
         value: 1,
     });
-    // The op is applied, its ack is queued, the persistence thread sleeps
-    // in the fence, and the drainer — like every other server thread —
-    // is blocked.
+    // The op is applied, the persistence thread sleeps in the fence, and
+    // the executor holding the ack — like every other server thread — is
+    // blocked.
     wait_until_blocked();
     let store = server.store_handle();
     assert_eq!(store.completed_tails().iter().sum::<u64>(), 1);
@@ -686,4 +689,68 @@ fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
         report.durable_acks, 0,
         "the interrupted ack was never released"
     );
+    assert_eq!(report.retries, 1, "the downgraded ack is a RETRY frame");
+}
+
+#[test]
+fn concurrent_durable_acks_on_one_shard_park() {
+    let _serial = serial();
+    // A checkpoint's fence takes 2 s, so both acks below wait that long.
+    let server = server_with(LatencyModel {
+        sfence_ns: 2_000_000_000,
+        ..LatencyModel::off()
+    });
+    let shard = shard_index(1, SHARDS);
+    let other = (2..)
+        .find(|&k| shard_index(k, SHARDS) == shard)
+        .expect("a second key on the shard");
+    let mut c = Client::connect(server.local_addr());
+    // One at a time: the first executor holds its ack parked on the
+    // watermark, so the idle second one takes the next PUT.
+    for (id, key) in [(1, 1), (2, other)] {
+        c.send(&Request::Put {
+            id,
+            ack: AckLevel::Durable,
+            key,
+            value: id,
+        });
+        wait_until_blocked();
+    }
+    // Both executors wait on the same watermark, and both are parked: one
+    // that polled for its turn would keep being scheduled until the fence
+    // ended and the acks went out.
+    let store = server.store_handle();
+    assert_eq!(store.shard(shard).completed_tail(), 2);
+    assert_eq!(store.shard(shard).durable_watermark(), 0);
+    // Holding acks does not close the shard: a GET is answered before the
+    // checkpoint they wait for has landed.
+    assert_eq!(
+        c.roundtrip(&Request::Get { id: 3, key: 1 }),
+        Response::Value {
+            id: 3,
+            value: Some(1)
+        }
+    );
+    assert_eq!(store.shard(shard).durable_watermark(), 0);
+    drop(store); // recovery needs the old store to itself
+    c.send(&Request::Admin {
+        id: 4,
+        cmd: AdminCmd::Crash,
+    });
+    let mut retried: Vec<u64> = (0..2)
+        .map(|_| match c.recv() {
+            Response::Retry { id } => id,
+            other => panic!("an interrupted durable ack was answered {other:?}"),
+        })
+        .collect();
+    retried.sort_unstable();
+    assert_eq!(retried, [1, 2]);
+    assert_eq!(c.recv(), Response::Done { id: 4 });
+    match c.roundtrip(&Request::Get { id: 5, key: 1 }) {
+        Response::Value { id: 5, .. } => {}
+        other => panic!("a stray frame followed the crash: {other:?}"),
+    }
+    let report = shutdown_in_time(server);
+    assert_eq!(report.durable_acks, 0);
+    assert_eq!(report.retries, 2);
 }
