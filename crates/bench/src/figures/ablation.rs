@@ -1,7 +1,8 @@
 //! Ablations for the design choices DESIGN.md calls out.
 //!
-//! 1. **WBINVD vs address-range flush** (§6 "Stack"): range-flushing the
-//!    replica should win for a tiny stack and lose for a large hashmap.
+//! 1. **WBINVD vs per-line flush** (§6 "Stack"): flushing the replica
+//!    line by line (`DirtyLines`, a subset of its lines) should win for a
+//!    tiny stack; WBINVD's cost does not depend on the structure.
 //! 2. **Per-batch vs per-entry fencing** in the durable log (§4.1): the
 //!    single-fence-per-batch scheme should beat fence-per-entry on
 //!    update-heavy workloads.
@@ -28,13 +29,10 @@ pub fn run(opts: &RunOpts) {
     let (_, eps_large) = opts.epsilons();
     let keys = opts.key_range();
 
-    report::banner(
-        "Ablation A",
-        "replica write-back: WBINVD vs address-range flush",
-    );
+    report::banner("Ablation A", "replica write-back: WBINVD vs per-line flush");
     for (strategy, name) in [
         (FlushStrategy::Wbinvd, "WBINVD"),
-        (FlushStrategy::RangeFlush, "RangeFlush"),
+        (FlushStrategy::DirtyLines, "DirtyLines"),
     ] {
         // Tiny structure: a 500-item stack.
         let cfg = PrepConfig::new(DurabilityLevel::Buffered)

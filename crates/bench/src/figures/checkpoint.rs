@@ -7,8 +7,8 @@
 //! checkpoint cost scales with the *write set* accrued between flush
 //! boundaries, not with the structure — so a 100k-key map whose updates
 //! touch 1% of the keyspace should checkpoint ≥ 10× fewer bytes per op
-//! than `Wbinvd`/`RangeFlush`, and a Zipfian workload (hot lines dedup
-//! within an interval) should beat uniform at equal update rates.
+//! than `Wbinvd`, and a Zipfian workload (hot lines dedup within an
+//! interval) should beat uniform at equal update rates.
 //!
 //! Also records the sweep as `BENCH_checkpoint.json` in the working
 //! directory — the perf-trajectory baseline future sessions diff against.
@@ -16,7 +16,7 @@
 use prep_seqds::hashmap::MapOp;
 use prep_uc::{DurabilityLevel, FlushStrategy, PrepConfig};
 
-use crate::figures::{bench_runtime, map_stream, thread_sweep, topology};
+use crate::figures::{bench_runtime, host_fingerprint, map_stream, thread_sweep, topology};
 use crate::report;
 use crate::targets::{run_prep, CellResult, OpStream};
 use crate::workload::{prefilled_hashmap, ZipfianGen};
@@ -128,9 +128,8 @@ pub fn run(opts: &RunOpts) {
     write_json(opts, &records);
 }
 
-const STRATEGIES: [(FlushStrategy, &str); 3] = [
+const STRATEGIES: [(FlushStrategy, &str); 2] = [
     (FlushStrategy::Wbinvd, "WBINVD"),
-    (FlushStrategy::RangeFlush, "RangeFlush"),
     (FlushStrategy::DirtyLines, "DirtyLines"),
 ];
 
@@ -184,9 +183,10 @@ fn print_reduction_summary(records: &[Record]) {
 fn write_json(opts: &RunOpts, records: &[Record]) {
     let mut out = String::from("{\n  \"bench\": \"checkpoint\",\n");
     out.push_str(&format!(
-        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"cells\": [\n",
+        "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"host\": {},\n  \"cells\": [\n",
         if opts.full { "full" } else { "quick" },
-        opts.seconds
+        opts.seconds,
+        host_fingerprint(),
     ));
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };

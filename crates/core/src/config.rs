@@ -26,18 +26,13 @@ pub enum FlushStrategy {
     /// `WBINVD` + `SFENCE`: cost independent of the structure (paper
     /// default) — wins for large structures.
     Wbinvd,
-    /// Flush the replica's address range line by line + `SFENCE`: cost
-    /// proportional to the structure — wins for tiny structures. The
-    /// ablation benches measure the crossover.
-    RangeFlush,
     /// Incremental checkpointing: one `CLFLUSHOPT` per **distinct dirty
     /// line** accrued since the last checkpoint
     /// ([`prep_seqds::SequentialObject::dirty_bytes_since_checkpoint`]) +
     /// one `SFENCE` — cost proportional to the checkpoint interval's write
-    /// set, not the structure. Falls back to `RangeFlush` behavior for
-    /// objects without precise dirty tracking. The crash-sim image is
-    /// updated by replaying the interval's ops onto the stored snapshot
-    /// (`ReplicaImage::apply_delta`) instead of deep-cloning the replica.
+    /// set, not the structure. An object without precise dirty tracking
+    /// (or whose tracker saturated, e.g. on a resize) gets §6's flush of
+    /// its whole address range instead.
     DirtyLines,
 }
 
@@ -69,11 +64,6 @@ pub struct PrepConfig {
     /// cost-only Optane-calibrated runtime; tests inject
     /// `PmemRuntime::for_crash_tests()`.
     pub runtime: Arc<PmemRuntime>,
-    /// Route the persistence thread's sequential-object calls through the
-    /// thread-local allocator swap (`prep_pmem::alloc::with_persistent`),
-    /// §5.1. On by default; a no-op unless the binary registers
-    /// `SwappableAllocator` as its global allocator.
-    pub allocator_swap: bool,
     /// How replica write-backs are performed (ablation; paper default
     /// WBINVD).
     pub flush_strategy: FlushStrategy,
@@ -81,9 +71,9 @@ pub struct PrepConfig {
     /// once per batch. The paper's single-fence-per-batch scheme (§4.1) is
     /// the default; per-entry fencing quantifies what batching saves.
     pub fence_per_entry: bool,
-    /// Liveness mode (§4.2): throughput-first (the default; lock-free
-    /// validated reads) or starvation-free (fair reservation lock +
-    /// phase-fair replica locks, every read locked).
+    /// Liveness mode (§4.2): throughput-first (the default; a caught-up
+    /// read takes its own `DistRwLock` reader slot) or starvation-free
+    /// (fair reservation lock + phase-fair replica locks).
     pub fairness: prep_nr::FairnessMode,
     /// Deliberately seeded ordering bug for sanitizer-validation tests
     /// (`None` in every real configuration).
@@ -99,7 +89,6 @@ impl PrepConfig {
             epsilon: 10_000,
             log_size: prep_nr::DEFAULT_LOG_SIZE,
             runtime: PmemRuntime::for_benchmarks(LatencyModel::optane()),
-            allocator_swap: true,
             flush_strategy: FlushStrategy::Wbinvd,
             fence_per_entry: false,
             fairness: prep_nr::FairnessMode::default(),
@@ -150,12 +139,6 @@ impl PrepConfig {
         self
     }
 
-    /// Disables the allocator swap (builder style).
-    pub fn without_allocator_swap(mut self) -> Self {
-        self.allocator_swap = false;
-        self
-    }
-
     /// Validates the configuration against `beta` (threads per node).
     ///
     /// # Panics
@@ -195,7 +178,7 @@ mod tests {
         let c = PrepConfig::new(DurabilityLevel::Buffered);
         assert_eq!(c.log_size, 1 << 20);
         assert_eq!(c.epsilon, 10_000);
-        assert!(c.allocator_swap);
+        assert_eq!(c.flush_strategy, FlushStrategy::Wbinvd);
     }
 
     #[test]
@@ -203,10 +186,10 @@ mod tests {
         let c = PrepConfig::new(DurabilityLevel::Durable)
             .with_epsilon(5)
             .with_log_size(64)
-            .without_allocator_swap();
+            .with_flush_strategy(FlushStrategy::DirtyLines);
         assert_eq!(c.epsilon, 5);
         assert_eq!(c.log_size, 64);
-        assert!(!c.allocator_swap);
+        assert_eq!(c.flush_strategy, FlushStrategy::DirtyLines);
         assert_eq!(c.durability, DurabilityLevel::Durable);
     }
 

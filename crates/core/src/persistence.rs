@@ -4,9 +4,15 @@
 //! cycle it replays newly completed log entries onto the **active** replica
 //! (through the thread-local allocator swap, so the sequential object's
 //! allocations land in the persistent arena, §5.1). When the flush boundary
-//! is reached it writes the active replica back with WBINVD + SFENCE,
-//! advances the boundary by ε, and swaps the active/stable roles by
-//! persisting `p_activePReplica`.
+//! is reached it writes the active replica back (WBINVD, or one CLFLUSHOPT
+//! per dirty line) + SFENCE, advances the boundary by ε, and swaps the
+//! active/stable roles by persisting `p_activePReplica`.
+//!
+//! With crash simulation on, the checkpoint's NVM image is updated one way
+//! whatever the write-back: the ops applied since the replica's last
+//! checkpoint are replayed onto its stored image
+//! (`ReplicaImage::apply_delta`). By the `SequentialObject` determinism
+//! contract that is the state the write-back made durable.
 
 use std::sync::Arc;
 
@@ -27,10 +33,10 @@ pub(crate) struct PReplica<T: SequentialObject> {
     pub(crate) ds: T,
     pub(crate) local_tail: u64,
     /// Ops applied since this replica's last checkpoint, buffered for the
-    /// incremental crash-sim image update (`DirtyLines` only, and only when
-    /// crash simulation is on). Buffered at apply time because log slots
-    /// below the persistent tails may be recycled (logMin, §5.1) before the
-    /// checkpoint runs — the log cannot be re-read for the delta.
+    /// crash-sim image update (only when crash simulation is on). Buffered
+    /// at apply time because log slots below the persistent tails may be
+    /// recycled (logMin, §5.1) before the checkpoint runs — the log cannot
+    /// be re-read for the delta.
     pub(crate) pending: Vec<T::Op>,
 }
 
@@ -41,7 +47,6 @@ pub(crate) struct PersistenceTask<T: SequentialObject> {
     pub(crate) images: Arc<[ReplicaImage<T>; 2]>,
     pub(crate) replicas: [PReplica<T>; 2],
     pub(crate) epsilon: u64,
-    pub(crate) allocator_swap: bool,
     pub(crate) flush_strategy: FlushStrategy,
 }
 
@@ -62,7 +67,7 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 rep.ds.clear_dirty();
             }
         }
-        let buffer_delta = dirty_lines && rt.crash_sim_enabled();
+        let buffer_delta = rt.crash_sim_enabled();
 
         loop {
             // ord: Acquire pairs with shutdown's stop Release so the final
@@ -84,7 +89,6 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 self.images[active].mark_torn(&rt);
                 let ds = &mut rep.ds;
                 let pending = &mut rep.pending;
-                let swap = self.allocator_swap;
                 let region_base = self.state.psan.replicas[active].base;
                 self.nr.log().for_each_op(rep.local_tail, tail, |_, op| {
                     // Stores to the NVM-resident replica are slower than
@@ -93,13 +97,9 @@ impl<T: SequentialObject> PersistenceTask<T> {
                     if buffer_delta {
                         pending.push(op.clone());
                     }
-                    if swap {
-                        prep_pmem::alloc::with_persistent(|| {
-                            ds.apply(op);
-                        });
-                    } else {
+                    prep_pmem::alloc::with_persistent(|| {
                         ds.apply(op);
-                    }
+                    });
                 });
                 rep.local_tail = tail;
                 // ord: Release publishes the replica state just applied to
@@ -144,22 +144,17 @@ impl<T: SequentialObject> PersistenceTask<T> {
             let requested = published < want && want <= rep.local_tail;
             if boundary <= rep.local_tail || backstop || requested {
                 // Write the active replica back to NVM, making it durable
-                // and consistent: WBINVD (paper default), a per-line range
-                // flush (the §6 alternative for tiny structures), or — the
+                // and consistent: WBINVD (paper default), or — the
                 // incremental path — one CLFLUSHOPT per distinct line
-                // dirtied since this replica's last checkpoint.
+                // dirtied since this replica's last checkpoint (the whole
+                // range, §6's alternative, for an untracked object).
                 const SITE: &str = "PersistenceTask::checkpoint";
                 let region = self.state.psan.replicas[active];
-                let full_bytes = rep.ds.approx_bytes();
                 let flushed_bytes = match self.flush_strategy {
                     FlushStrategy::Wbinvd => {
+                        let full_bytes = rep.ds.approx_bytes();
                         rt.trace_store(region.base, full_bytes, SITE);
                         rt.wbinvd(full_bytes);
-                        full_bytes
-                    }
-                    FlushStrategy::RangeFlush => {
-                        rt.trace_store(region.base, full_bytes, SITE);
-                        rt.flush_range(region.base, full_bytes, SITE);
                         full_bytes
                     }
                     FlushStrategy::DirtyLines => {
@@ -204,31 +199,17 @@ impl<T: SequentialObject> PersistenceTask<T> {
                     rt.sfence();
                 }
                 rt.count_checkpoint(flushed_bytes);
-                if rt.crash_sim_enabled() {
-                    if dirty_lines {
-                        // Incremental image update: replay exactly the ops
-                        // this replica applied since its last checkpoint
-                        // onto the stored snapshot. No deep clone — an
-                        // unchanged replica checkpoints for free.
-                        let ops = std::mem::take(&mut rep.pending);
-                        self.images[active].apply_delta(
-                            &rt,
-                            rep.local_tail,
-                            flushed_bytes,
-                            |img| {
-                                for op in &ops {
-                                    img.apply(op);
-                                }
-                            },
-                        );
-                    } else {
-                        self.images[active].install_snapshot(
-                            &rt,
-                            rep.ds.clone_object(),
-                            rep.local_tail,
-                            full_bytes,
-                        );
-                    }
+                if buffer_delta {
+                    // Replay exactly the ops this replica applied since its
+                    // last checkpoint onto the stored image: no deep clone,
+                    // and an unchanged replica checkpoints for free.
+                    let pending = &rep.pending;
+                    self.images[active].apply_delta(&rt, rep.local_tail, flushed_bytes, |img| {
+                        for op in pending {
+                            img.apply(op);
+                        }
+                    });
+                    rep.pending.clear();
                 }
                 if dirty_lines {
                     rep.ds.clear_dirty();
@@ -317,11 +298,12 @@ pub(crate) fn spawn_persistence_thread<T: SequentialObject>(
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{DurabilityLevel, PrepConfig};
+    use crate::config::{DurabilityLevel, FlushStrategy, PrepConfig};
     use crate::puc::PrepUc;
     use prep_seqds::recorder::{Recorder, RecorderOp};
+    use prep_seqds::SequentialObject;
     use prep_topology::Topology;
-    use std::sync::atomic::Ordering;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn crash_cfg(level: DurabilityLevel, eps: u64) -> PrepConfig {
         PrepConfig::new(level)
@@ -378,5 +360,68 @@ mod tests {
             .read_image()
             .expect("stable image torn");
         assert!(snap.local_tail >= 4);
+    }
+
+    /// Deep copies of [`Counted`] made so far.
+    static CLONES: AtomicUsize = AtomicUsize::new(0);
+
+    /// An append-only log whose every deep copy is counted.
+    #[derive(Debug)]
+    struct Counted(Vec<u64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, Ordering::Relaxed);
+            Counted(self.0.clone())
+        }
+    }
+
+    impl SequentialObject for Counted {
+        type Op = u64;
+        type Resp = ();
+
+        fn apply(&mut self, op: &u64) {
+            self.0.push(*op);
+        }
+
+        fn apply_readonly(&self, op: &u64) {
+            panic!("Counted has no read-only ops ({op})");
+        }
+
+        fn is_read_only(_: &u64) -> bool {
+            false
+        }
+
+        fn approx_bytes(&self) -> u64 {
+            8 * self.0.len() as u64
+        }
+    }
+
+    #[test]
+    fn checkpoints_never_clone_the_replica() {
+        const CHECKPOINTS: u64 = 8;
+        let asg = Topology::small().assign_workers(1);
+        let prep = PrepUc::new(
+            Counted(Vec::new()),
+            asg,
+            crash_cfg(DurabilityLevel::Buffered, 4).with_flush_strategy(FlushStrategy::Wbinvd),
+        );
+        let built = CLONES.load(Ordering::Relaxed);
+        let t = prep.register(0);
+        for i in 0..4 * CHECKPOINTS {
+            prep.execute(&t, i);
+        }
+        let rt = prep.runtime();
+        prep_sync::spin_until(|| rt.stats().snapshot_count() >= CHECKPOINTS);
+        assert_eq!(
+            CLONES.load(Ordering::Relaxed),
+            built,
+            "a checkpoint deep-cloned the replica"
+        );
+        // The image the checkpoints built by replay is the ops' prefix.
+        let stable = (1 - prep.hook_state().p_active.load(Ordering::Acquire)) as usize;
+        let snap = prep.replica_image(stable).read_image().expect("torn");
+        let want: Vec<u64> = (0..snap.local_tail).collect();
+        assert_eq!(snap.state.0, want);
     }
 }

@@ -91,7 +91,6 @@ impl<T: SequentialObject> PrepUc<T> {
             images: Arc::clone(&images),
             replicas: p_replicas,
             epsilon: config.epsilon,
-            allocator_swap: config.allocator_swap,
             flush_strategy: config.flush_strategy,
         });
         PrepUc {

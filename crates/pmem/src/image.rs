@@ -9,7 +9,7 @@
 //!   (durable mode only);
 //! * [`ReplicaImage`] — a persistent replica's NVM image, including the
 //!   paper's background-flush hazard: from the first mutation after a
-//!   snapshot until the next WBINVD the image is **torn**, and recovery code
+//!   snapshot until the next checkpoint the image is **torn**, and recovery code
 //!   that reads a torn image gets an error. This is what makes the paper's
 //!   two-replica design testable: the *stable* replica is never mutated, so
 //!   its image is never torn.
@@ -219,31 +219,17 @@ impl<T: Clone> ReplicaImage<T> {
         self.state.lock().expect("replica image poisoned").torn = true;
     }
 
-    /// Installs a consistent snapshot (the effect of WBINVD + SFENCE over
-    /// this replica): the image becomes `state`@`local_tail` and is no
-    /// longer torn. The caller charges the WBINVD cost.
-    pub fn install_snapshot(&self, rt: &PmemRuntime, state: T, local_tail: u64, approx_bytes: u64) {
-        let Some(_guard) = rt.persist_effect() else {
-            return;
-        };
-        rt.stats().count_bytes(approx_bytes);
-        rt.stats().count_snapshot();
-        let mut s = self.state.lock().expect("replica image poisoned");
-        s.snapshot = ReplicaSnapshot { state, local_tail };
-        s.torn = false;
-    }
-
-    /// Installs a consistent snapshot **incrementally**: instead of
-    /// replacing the image with a fresh deep clone, `mutate` replays the
-    /// delta (the log range `[image's local_tail, local_tail)`) directly
-    /// onto the stored state. With dirty-line flushing this is the NVM
-    /// effect of `CLFLUSHOPT`ing exactly the dirty lines + `SFENCE`: the
-    /// image ends identical to what a full clone would install, but an
-    /// unchanged object costs nothing to checkpoint (an empty delta is a
-    /// pure metadata update — no clone, no state write).
+    /// Installs a consistent snapshot (the effect of a checkpoint's
+    /// write-back + SFENCE over this replica): `mutate` replays the delta
+    /// (the log range `[image's local_tail, local_tail)`) directly onto the
+    /// stored state, and the image becomes consistent at `local_tail`. The
+    /// replica is deterministic, so the image ends equal to the replica the
+    /// write-back made durable, without copying it; an empty delta is a
+    /// pure metadata update.
     ///
-    /// `flushed_bytes` is the modelled write-back volume (the dirty-set
-    /// size); the caller charges the corresponding flush cost.
+    /// `flushed_bytes` is the modelled write-back volume (the whole
+    /// structure under WBINVD, the dirty set under dirty-line flushing);
+    /// the caller charges the corresponding flush cost.
     pub fn apply_delta(
         &self,
         rt: &PmemRuntime,
@@ -345,8 +331,8 @@ mod tests {
         img.mark_torn(&rt);
         assert!(img.is_torn());
         assert!(img.read_image().is_err());
-        // WBINVD installs a consistent snapshot.
-        img.install_snapshot(&rt, vec![1, 2], 5, 8);
+        // The checkpoint's delta makes it consistent again.
+        img.apply_delta(&rt, 5, 8, |v| *v = vec![1, 2]);
         let snap = img.read_image().unwrap();
         assert_eq!(snap.state, vec![1, 2]);
         assert_eq!(snap.local_tail, 5);
@@ -357,23 +343,23 @@ mod tests {
     #[test]
     fn apply_delta_matches_full_clone_install() {
         let rt = PmemRuntime::for_crash_tests();
-        let full = ReplicaImage::new(vec![0u32; 3]);
-        let incr = ReplicaImage::new(vec![0u32; 3]);
-        // Same logical update, two install paths.
-        full.mark_torn(&rt);
-        incr.mark_torn(&rt);
-        full.install_snapshot(&rt, vec![0, 7, 0], 4, 12);
-        incr.apply_delta(&rt, 4, 4, |v| v[1] = 7);
-        assert_eq!(
-            full.read_image().unwrap().state,
-            incr.read_image().unwrap().state
-        );
-        assert_eq!(incr.read_image().unwrap().local_tail, 4);
-        assert!(!incr.is_torn());
-        assert_eq!(rt.stats().snapshot_count(), 2);
+        let img = ReplicaImage::new(vec![0u32; 3]);
+        // Three ops since the last checkpoint, one overwriting another: the
+        // image must end at the state the replica reached.
+        img.mark_torn(&rt);
+        img.apply_delta(&rt, 3, 8, |v| {
+            v[1] = 7;
+            v[2] = 9;
+            v[1] = 8;
+        });
+        let snap = img.read_image().unwrap();
+        assert_eq!(snap.state, vec![0, 8, 9]);
+        assert_eq!(snap.local_tail, 3);
+        assert!(!img.is_torn());
+        assert_eq!(rt.stats().snapshot_count(), 1);
         // Empty delta: pure metadata update, image stays readable.
-        incr.apply_delta(&rt, 4, 0, |_| {});
-        assert_eq!(incr.read_image().unwrap().state, vec![0, 7, 0]);
+        img.apply_delta(&rt, 3, 0, |_| {});
+        assert_eq!(img.read_image().unwrap().state, vec![0, 8, 9]);
     }
 
     #[test]

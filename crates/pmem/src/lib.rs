@@ -8,12 +8,12 @@
 //!
 //! 1. **What survives a crash.** A [`PmemRuntime`] owns a *crash store*: the
 //!    set of values that have genuinely reached "NVM". Persist operations
-//!    ([`PersistentCell::persist`], [`ReplicaImage::install_snapshot`],
+//!    ([`PersistentCell::record`], [`ReplicaImage::apply_delta`],
 //!    [`LogImage::persist_entry`]) update it; a simulated power failure is a
 //!    *consistent cut* of the store captured via
 //!    [`PmemRuntime::capture_cut`], from which recovery code rebuilds the
 //!    object. The active persistent replica's image is marked **torn**
-//!    between its first post-snapshot mutation and the next WBINVD —
+//!    between its first post-snapshot mutation and the next checkpoint —
 //!    modelling the paper's background-flush hazard (§4.1): recovering a torn
 //!    image is a detectable bug.
 //!

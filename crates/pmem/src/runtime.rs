@@ -158,8 +158,8 @@ impl PmemRuntime {
     }
 
     /// Records checkpoint accounting: one replica checkpoint that wrote
-    /// back `bytes` of replica state (whole replica under WBINVD/range
-    /// flush, only the dirty set under dirty-line flushing). Pure
+    /// back `bytes` of replica state (whole replica under WBINVD, only the
+    /// dirty set under dirty-line flushing). Pure
     /// bookkeeping — the flush cost itself is charged by the caller through
     /// [`PmemRuntime::wbinvd`] / [`PmemRuntime::flush_range`].
     #[inline]

@@ -88,7 +88,7 @@ pub struct PmemStatsSnapshot {
     /// Replica checkpoint flushes (one per persist cycle, any strategy).
     pub checkpoints: u64,
     /// Bytes written back by replica checkpoints: the whole replica under
-    /// `Wbinvd`/`RangeFlush`, only the dirty set under `DirtyLines`.
+    /// `Wbinvd`, only the dirty set under `DirtyLines`.
     pub checkpoint_bytes: u64,
     /// Cachelines written back by replica checkpoints (`⌈bytes / 64⌉` per
     /// checkpoint).

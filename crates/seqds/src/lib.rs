@@ -88,8 +88,8 @@ pub trait SequentialObject: Clone + Send + Sync + 'static {
     ///
     /// The default is the conservative fallback: the entire structure
     /// ([`SequentialObject::approx_bytes`]), which makes
-    /// `FlushStrategy::DirtyLines` behave exactly like `RangeFlush` for
-    /// objects without precise tracking. Implementations with precise
+    /// `FlushStrategy::DirtyLines` flush the object's whole address range
+    /// when it has no precise tracking. Implementations with precise
     /// tracking (all of `prep-seqds`, via [`DirtyTracker`]) return
     /// `64 × |distinct dirty lines|`.
     fn dirty_bytes_since_checkpoint(&self) -> u64 {

@@ -1,16 +1,12 @@
-//! Crash-equivalence properties for the incremental (`DirtyLines`)
-//! checkpoint path.
+//! Crash-equivalence properties for the checkpoint's crash-sim image.
 //!
-//! Under `Wbinvd`/`RangeFlush` the crash-sim image of a checkpoint is a
-//! **deep clone** of the persistence replica at its localTail — by
-//! construction it equals a sequential replay of the completed-op prefix
-//! `[0, localTail)`. Under `DirtyLines` the image is instead **delta
-//! applied**: the interval's ops are replayed onto the previous stored
-//! snapshot with no clone. These properties pin the two paths to the same
-//! observable: every crash, at any point, under every strategy and both
-//! durability levels, must expose a stable snapshot equal to the
-//! prefix-replay model — so delta-applied and full-clone images are
-//! interchangeable.
+//! Every checkpoint, whatever its write-back strategy, updates the image by
+//! replaying the ops the replica applied since its last checkpoint onto the
+//! stored snapshot (`ReplicaImage::apply_delta`), never by copying the
+//! replica. These properties hold that one path to the observable a copy
+//! would give: every crash, at any point, under both strategies and both
+//! durability levels, must expose a stable snapshot equal to the sequential
+//! replay of the completed-op prefix `[0, localTail)`.
 
 use proptest::prelude::*;
 
@@ -20,11 +16,7 @@ use prep_seqds::SequentialObject;
 use prep_topology::Topology;
 use prep_uc::{DurabilityLevel, FlushStrategy, PmemRuntime, PrepConfig, PrepUc};
 
-const STRATEGIES: [FlushStrategy; 3] = [
-    FlushStrategy::Wbinvd,
-    FlushStrategy::RangeFlush,
-    FlushStrategy::DirtyLines,
-];
+const STRATEGIES: [FlushStrategy; 2] = [FlushStrategy::Wbinvd, FlushStrategy::DirtyLines];
 
 fn cfg(level: DurabilityLevel, strategy: FlushStrategy, eps: u64, log: u64) -> PrepConfig {
     PrepConfig::new(level)
@@ -45,9 +37,9 @@ fn map_eq(a: &HashMap, b: &HashMap) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Recorder, both levels, all three strategies: the stable snapshot
-    /// taken at an arbitrary crash point must equal the sequential replay
-    /// of ops `[0, snapshot.local_tail)` — the full-clone observable.
+    /// Recorder, both levels, both strategies: the stable snapshot taken
+    /// at an arbitrary crash point must equal the sequential replay of ops
+    /// `[0, snapshot.local_tail)`.
     #[test]
     fn stable_snapshot_equals_prefix_replay(
         eps in 1u64..48,
@@ -129,9 +121,8 @@ proptest! {
 
     /// Full recovery equivalence across strategies, including multi-epoch
     /// crash → recover → continue cycles: durable recovers everything under
-    /// every strategy; buffered recovers a prefix within the loss bound,
-    /// and `DirtyLines` recoveries obey the same invariants as full-clone
-    /// ones.
+    /// every strategy; buffered recovers a prefix within the loss bound
+    /// under every strategy.
     #[test]
     fn recovery_equivalent_across_strategies(
         eps in 1u64..24,
@@ -188,10 +179,8 @@ proptest! {
     }
 }
 
-/// Deterministic end-to-end smoke: under `DirtyLines` with crash sim on,
-/// image maintenance replays deltas instead of cloning, yet a recovery
-/// after heavy churn on a resizing hashmap is byte-for-byte the model
-/// state.
+/// Deterministic end-to-end smoke: a durable `DirtyLines` recovery after
+/// heavy churn on a resizing hashmap is byte-for-byte the model state.
 #[test]
 fn dirty_lines_recovery_after_churn_matches_model() {
     let asg = Topology::small().assign_workers(1);

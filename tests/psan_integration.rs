@@ -19,8 +19,9 @@
 use std::sync::Arc;
 
 use prep_checker::check_persistence_ordering;
-use prep_pmem::psan::ViolationKind;
+use prep_pmem::psan::{EventKind, ViolationKind};
 use prep_pmem::PmemRuntime;
+use prep_seqds::hashmap::{HashMap, MapOp};
 use prep_seqds::recorder::{Recorder, RecorderOp};
 use prep_shard::ShardedStore;
 use prep_topology::Topology;
@@ -64,11 +65,7 @@ fn run_crash_recover(level: DurabilityLevel, strategy: FlushStrategy) -> Arc<Pme
 #[test]
 fn clean_paths_produce_zero_violations_across_the_strategy_matrix() {
     for level in [DurabilityLevel::Buffered, DurabilityLevel::Durable] {
-        for strategy in [
-            FlushStrategy::Wbinvd,
-            FlushStrategy::RangeFlush,
-            FlushStrategy::DirtyLines,
-        ] {
+        for strategy in [FlushStrategy::Wbinvd, FlushStrategy::DirtyLines] {
             let rt = run_crash_recover(level, strategy);
             assert!(
                 rt.psan_event_count() > 0,
@@ -78,6 +75,38 @@ fn clean_paths_produce_zero_violations_across_the_strategy_matrix() {
                 panic!("{level:?}/{strategy:?} flagged a clean path:\n{report}");
             }
         }
+    }
+}
+
+/// `DirtyLines` over a hashmap that resizes between checkpoints: a resize
+/// saturates the dirty tracker, so that checkpoint has no precise line set
+/// and flushes the replica's whole range. That path must be traced and
+/// clean too, through a crash and a recovery.
+#[test]
+fn saturated_dirty_tracker_flushes_the_whole_range_cleanly() {
+    let rt = traced_runtime();
+    let asg = Topology::small().assign_workers(1);
+    let config = || cfg(&rt, DurabilityLevel::Buffered, FlushStrategy::DirtyLines);
+    let prep = PrepUc::new(HashMap::with_buckets(2), asg.clone(), config());
+    let t = prep.register(0);
+    // 2 → 256 buckets: seven resizes, ε = 16 apart at most.
+    for key in 0..200u64 {
+        prep.execute(&t, MapOp::Insert { key, value: key });
+    }
+    let (token, image) = prep.simulate_crash();
+    drop(prep);
+    let recovered = PrepUc::recover(token, image, asg, config());
+    let t = recovered.register(0);
+    for key in 0..50u64 {
+        recovered.execute(&t, MapOp::Remove { key });
+    }
+    drop(recovered);
+    let whole_range = rt.psan_events().iter().any(|e| {
+        e.site == "PersistenceTask::checkpoint" && matches!(e.kind, EventKind::FlushRange { .. })
+    });
+    assert!(whole_range, "no checkpoint flushed a whole range");
+    if let Err(report) = check_persistence_ordering(&rt) {
+        panic!("saturated DirtyLines run flagged:\n{report}");
     }
 }
 
@@ -203,7 +232,7 @@ fn dropping_the_checkpoint_fence_is_detected() {
     let config = PrepConfig::new(DurabilityLevel::Buffered)
         .with_log_size(64)
         .with_epsilon(8)
-        .with_flush_strategy(FlushStrategy::RangeFlush)
+        .with_flush_strategy(FlushStrategy::DirtyLines)
         .with_runtime(Arc::clone(&rt))
         .with_psan_fault(PsanFault::SkipCheckpointFence);
     let prep = PrepUc::new(Recorder::new(), asg, config);
