@@ -13,34 +13,26 @@
 //! Also records the sweep as `BENCH_checkpoint.json` in the working
 //! directory — the perf-trajectory baseline future sessions diff against.
 
+use std::sync::Arc;
+
+use prep_loadgen::{KeyMix, KeySampler};
 use prep_seqds::hashmap::MapOp;
 use prep_uc::{DurabilityLevel, FlushStrategy, PrepConfig};
 
 use crate::figures::{bench_runtime, host_fingerprint, map_stream, thread_sweep, topology};
 use crate::report;
 use crate::targets::{run_prep, CellResult, OpStream};
-use crate::workload::{prefilled_hashmap, ZipfianGen};
+use crate::workload::{prefilled_hashmap, ZipfUpdateGen};
 use crate::RunOpts;
 
 /// Zipfian (θ = 0.99) update-only stream: alternating insert/remove on
-/// skew-sampled keys, so a few hot cachelines absorb most writes.
+/// skew-sampled keys, so a few hot cachelines absorb most writes. One
+/// sampler (its CDF is O(keys)) serves every worker.
 fn zipf_updates(keys: u64) -> impl Fn(usize) -> OpStream<MapOp> + Sync {
+    let sampler = Arc::new(KeySampler::new(KeyMix::Zipfian { theta: 0.99 }, keys));
     move |w| {
-        let mut g = ZipfianGen::new(keys, 0.99, w);
-        let mut insert_next = true;
-        Box::new(move || {
-            let key = g.next_key();
-            let op = if insert_next {
-                MapOp::Insert {
-                    key,
-                    value: key ^ 0xABCD,
-                }
-            } else {
-                MapOp::Remove { key }
-            };
-            insert_next = !insert_next;
-            op
-        })
+        let mut g = ZipfUpdateGen::new(Arc::clone(&sampler), w);
+        Box::new(move || g.next_op())
     }
 }
 

@@ -5,6 +5,8 @@
 //! (b) red-black tree, 90% read-only, 1M keys;
 //! (c) FIFO queue, 100% updates, enqueue/dequeue pairs.
 
+use prep_nr::FairnessMode;
+
 use crate::figures::{map_stream, queue_pairs, thread_sweep, topology};
 use crate::report;
 use crate::targets::{run_gl, run_nr};
@@ -27,6 +29,7 @@ pub fn run(opts: &RunOpts) {
             prefilled_hashmap(keys),
             topo,
             log,
+            FairnessMode::Throughput,
             threads,
             opts.seconds,
             map_stream(90, keys),
@@ -45,6 +48,7 @@ pub fn run(opts: &RunOpts) {
             prefilled_rbtree(keys),
             topo,
             log,
+            FairnessMode::Throughput,
             threads,
             opts.seconds,
             map_stream(90, keys),
@@ -64,6 +68,7 @@ pub fn run(opts: &RunOpts) {
             prefilled_queue(items),
             topo,
             log,
+            FairnessMode::Throughput,
             threads,
             opts.seconds,
             queue_pairs(),

@@ -9,20 +9,30 @@
 //! reader takes its own `DistRwLock` slot, storing to no line another
 //! reader writes; a `StarvationFree` reader takes the phase-fair lock.
 //!
+//! Beside the sweep, three raw cells time one uncontended read
+//! acquire + release with no NR around it: a `DistRwLock` reader through
+//! its own slot and through the shared overflow slot, and a
+//! `PhaseFairRwLock` reader — the per-read lock cost the two modes pay.
+//!
 //! Every cell is run [`REPEATS`] times (repeats outermost, so slow host
 //! drift spreads over all cells instead of biasing one) and reported as
 //! median, min, max and inter-quartile spread. The counter columns make the
 //! path taken visible: `fast` counts reads that found their replica
 //! caught up, `slow` reads that found it behind `completedTail`.
 //!
-//! Also records the sweep, with a host fingerprint, as
+//! Also records the sweep and the raw cells, with a host fingerprint, as
 //! `BENCH_readscale.json` in the working directory.
 
+use std::hint::black_box;
+use std::time::Duration;
+
 use prep_nr::FairnessMode;
+use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId};
 
 use crate::figures::{host_fingerprint, map_stream, thread_sweep, topology};
 use crate::report;
-use crate::targets::{run_nr_fair, CellResult};
+use crate::runner::measure;
+use crate::targets::{run_nr, CellResult};
 use crate::workload::prefilled_hashmap;
 use crate::RunOpts;
 
@@ -35,6 +45,69 @@ const READ_PCTS: [u32; 4] = [10, 50, 90, 100];
 
 /// Runs per cell; odd, so the median is a run that happened.
 const REPEATS: usize = 5;
+
+/// Read acquires per timed op of a raw cell, so the runner's per-op closure
+/// call and stop-flag load are spread over many acquires.
+const ACQUIRES_PER_OP: u64 = 100;
+
+/// Mean cost of one read acquire + release by `read`, on one thread for
+/// `secs` seconds.
+fn ns_per_acquire(secs: f64, read: impl Fn() -> u64 + Sync) -> f64 {
+    let m = measure(1, Duration::from_secs_f64(secs), |_| {
+        let read = &read;
+        Box::new(move || {
+            let mut acc = 0u64;
+            for _ in 0..ACQUIRES_PER_OP {
+                acc = acc.wrapping_add(read());
+            }
+            black_box(acc);
+        })
+    });
+    m.elapsed.as_nanos() as f64 / (m.total_ops * ACQUIRES_PER_OP).max(1) as f64
+}
+
+fn dist_slot_ns(secs: f64) -> f64 {
+    let lock = DistRwLock::new(0u64, 4);
+    ns_per_acquire(secs, || *lock.read(ReaderId::Slot(0)))
+}
+
+fn dist_shared_ns(secs: f64) -> f64 {
+    let lock = DistRwLock::new(0u64, 4);
+    ns_per_acquire(secs, || *lock.read(ReaderId::Shared))
+}
+
+fn phase_fair_ns(secs: f64) -> f64 {
+    let lock = PhaseFairRwLock::new(0u64);
+    ns_per_acquire(secs, || *lock.read())
+}
+
+/// One raw read-acquire cell: its timed loop (seconds to run → ns per
+/// acquire) and its runs' ns per acquire, sorted.
+struct RawCell {
+    lock: &'static str,
+    time: fn(f64) -> f64,
+    ns: Vec<f64>,
+}
+
+impl RawCell {
+    fn new(lock: &'static str, time: fn(f64) -> f64) -> Self {
+        RawCell {
+            lock,
+            time,
+            ns: Vec::with_capacity(REPEATS),
+        }
+    }
+
+    fn median(&self) -> f64 {
+        self.ns[self.ns.len() / 2]
+    }
+
+    /// Distance between the quartiles of the runs.
+    fn iqr(&self) -> f64 {
+        let n = self.ns.len();
+        self.ns[n - 1 - n / 4] - self.ns[n / 4]
+    }
+}
 
 /// One (read ratio, threads, mode) cell: its runs sorted by throughput.
 struct Cell {
@@ -89,9 +162,14 @@ pub fn run(opts: &RunOpts) {
             }
         }
     }
+    let mut raw = [
+        RawCell::new("DistRwLock-slot", dist_slot_ns),
+        RawCell::new("DistRwLock-shared", dist_shared_ns),
+        RawCell::new("PhaseFairRwLock", phase_fair_ns),
+    ];
     for _ in 0..REPEATS {
         for cell in &mut cells {
-            cell.runs.push(run_nr_fair(
+            cell.runs.push(run_nr(
                 prefilled_hashmap(keys),
                 topo,
                 opts.log_size(),
@@ -101,10 +179,16 @@ pub fn run(opts: &RunOpts) {
                 &map_stream(cell.read_pct, keys),
             ));
         }
+        for cell in &mut raw {
+            cell.ns.push((cell.time)(opts.seconds));
+        }
     }
     for cell in &mut cells {
         cell.runs
             .sort_by(|a, b| a.m.ops_per_sec().total_cmp(&b.m.ops_per_sec()));
+    }
+    for cell in &mut raw {
+        cell.ns.sort_by(f64::total_cmp);
     }
 
     for c in &cells {
@@ -120,8 +204,21 @@ pub fn run(opts: &RunOpts) {
         );
     }
 
+    println!();
+    println!("-- raw read acquire + release, one thread (ns per acquire over {REPEATS} runs)");
+    for c in &raw {
+        println!(
+            "{:<18} median={:.2} min={:.2} max={:.2} iqr={:.2}",
+            c.lock,
+            c.median(),
+            c.ns[0],
+            c.ns[REPEATS - 1],
+            c.iqr()
+        );
+    }
+
     print_winner_summary(&cells);
-    write_json(opts, &cells);
+    write_json(opts, &cells, &raw);
 }
 
 /// Prints, per (read ratio, threads) panel, the mode with the highest
@@ -151,8 +248,9 @@ fn print_winner_summary(cells: &[Cell]) {
 }
 
 /// Hand-rolled JSON dump (no serde in the dependency closure): one object
-/// per cell, flat fields plus the sorted per-run throughputs.
-fn write_json(opts: &RunOpts, cells: &[Cell]) {
+/// per cell, flat fields plus the sorted per-run throughputs, then one per
+/// raw read-acquire cell with its sorted per-run costs.
+fn write_json(opts: &RunOpts, cells: &[Cell], raw: &[RawCell]) {
     let mut out = String::from("{\n  \"bench\": \"readscale\",\n");
     out.push_str(&format!(
         "  \"scale\": \"{}\",\n  \"seconds_per_cell\": {},\n  \"repeats\": {REPEATS},\n  \
@@ -185,6 +283,23 @@ fn write_json(opts: &RunOpts, cells: &[Cell]) {
             runs.join(", "),
             med.reads.fast_paths,
             med.reads.slow_paths,
+            sep
+        ));
+    }
+    out.push_str("  ],\n  \"raw_read_acquire\": [\n");
+    for (i, c) in raw.iter().enumerate() {
+        let sep = if i + 1 == raw.len() { "" } else { "," };
+        let runs: Vec<String> = c.ns.iter().map(|ns| format!("{ns:.2}")).collect();
+        out.push_str(&format!(
+            "    {{\"lock\": \"{}\", \"ns_per_acquire_median\": {:.2}, \
+             \"ns_per_acquire_min\": {:.2}, \"ns_per_acquire_max\": {:.2}, \
+             \"ns_per_acquire_iqr\": {:.2}, \"ns_per_acquire_runs\": [{}]}}{}\n",
+            c.lock,
+            c.median(),
+            c.ns[0],
+            c.ns[REPEATS - 1],
+            c.iqr(),
+            runs.join(", "),
             sep
         ));
     }

@@ -6,9 +6,11 @@
 //! combiner and a persistence thread. The sweep is shards {1, 2, 4} ×
 //! threads × write ratio {50, 100} % × {buffered, durable}; `shards=1` is
 //! plain PREP-UC behind the router, the baseline every other column is read
-//! against. Each shard runs its own cost-only runtime, so the per-shard rows
-//! (taken from the cell's median run) show how evenly the router spreads
-//! update and flush/fence work.
+//! against. The store is built as the server builds one
+//! ([`prep_shard::ShardedStore::new`]): every shard persists through one
+//! cost-only runtime, so flush/op and fence/op are store-wide, and the
+//! per-shard rows (taken from the cell's median run) show how evenly the
+//! router splits the updates.
 //!
 //! Every cell is run [`REPEATS`] times (repeats outermost, so slow host
 //! drift spreads over all cells instead of biasing one) and reported as
@@ -119,15 +121,8 @@ pub fn run(opts: &RunOpts) {
             med.fences_per_update(),
         );
         println!("      min={:.0} max={:.0}", c.ops(0), c.ops(REPEATS - 1));
-        for (s, lane) in med.shards.iter().enumerate() {
-            report::shard_lane_row(
-                &panel,
-                &series,
-                s,
-                lane.updates,
-                lane.flushes_per_update(),
-                lane.fences_per_update(),
-            );
+        for (s, &updates) in med.updates.iter().enumerate() {
+            report::shard_lane_row(&panel, &series, s, updates);
         }
     }
 

@@ -16,8 +16,7 @@ pub use prep_loadgen::LatencyHistogram;
 /// Persistence accounting for one measurement phase: snapshots a runtime's
 /// counters at construction and yields the per-field delta on demand via
 /// [`PmemStatsSnapshot::delta`]. Replaces the hand-rolled
-/// `before`/`delta_since` pairs at every adapter call site — and per-shard
-/// accounting is just one `Phase` per shard runtime.
+/// `before`/`delta_since` pairs at every adapter call site.
 #[derive(Debug)]
 pub struct Phase {
     runtime: Arc<PmemRuntime>,
@@ -143,18 +142,12 @@ pub fn shard_summary_row(
     );
 }
 
-/// Prints one shard's accounting row within a sweep cell.
-pub fn shard_lane_row(
-    panel: &str,
-    series: &str,
-    shard: usize,
-    updates: u64,
-    flushes_per_update: f64,
-    fences_per_update: f64,
-) {
+/// Prints one shard's update count within a sweep cell (persistence
+/// counters are store-wide, so they appear on the summary row only).
+pub fn shard_lane_row(panel: &str, series: &str, shard: usize, updates: u64) {
     println!(
-        "{:<14} {:<10} {:>7} {:>6} {:>14} {:>12} {:>10.3} {:>10.3}",
-        panel, series, "", shard, "", updates, flushes_per_update, fences_per_update,
+        "{:<14} {:<10} {:>7} {:>6} {:>14} {:>12}",
+        panel, series, "", shard, "", updates,
     );
 }
 

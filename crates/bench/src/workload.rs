@@ -9,6 +9,9 @@
 //!   alternating an add (enqueue/push) with a remove (dequeue/pop), which
 //!   keeps the structure size roughly stationary.
 
+use std::sync::Arc;
+
+use prep_loadgen::KeySampler;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,61 +57,42 @@ impl MapOpGen {
     }
 }
 
-/// A YCSB-style Zipfian key sampler (Gray et al.'s method).
+/// Per-worker update-only stream over skewed keys: alternating insert and
+/// remove on keys drawn from a shared [`KeySampler`] — `prep-loadgen`'s
+/// sampler, the one the serve figure and the repo benchmark draw from.
 ///
 /// The paper's own workloads are uniform (§6: "keys were accessed according
-/// to a uniform distribution"); this generator is an *extension* used by
-/// the skew benches, motivated by the paper's discussion of NAP (§2.3),
-/// which targets Zipfian access patterns on NUMA machines.
-pub struct ZipfianGen {
+/// to a uniform distribution"); this stream is an *extension* used by the
+/// checkpoint figure's Zipfian cell, motivated by the paper's discussion of
+/// NAP (§2.3), which targets Zipfian access patterns on NUMA machines.
+pub struct ZipfUpdateGen {
+    keys: Arc<KeySampler>,
     rng: SmallRng,
-    n: u64,
-    theta: f64,
-    alpha: f64,
-    zetan: f64,
-    eta: f64,
+    insert_next: bool,
 }
 
-impl ZipfianGen {
-    /// Creates a sampler over `[0, n)` with skew `theta` (YCSB default
-    /// 0.99; 0 would be uniform) for worker `worker`.
-    ///
-    /// # Panics
-    /// Panics if `n == 0` or `theta` is not in `(0, 1)`.
-    pub fn new(n: u64, theta: f64, worker: usize) -> Self {
-        assert!(n > 0, "need a nonempty key range");
-        assert!(
-            (0.0..1.0).contains(&theta) && theta > 0.0,
-            "theta must be in (0,1)"
-        );
-        let zetan = Self::zeta(n, theta);
-        let zeta2 = Self::zeta(2, theta);
-        ZipfianGen {
+impl ZipfUpdateGen {
+    /// Creates the stream for worker `worker` over the shared `keys`.
+    pub fn new(keys: Arc<KeySampler>, worker: usize) -> Self {
+        ZipfUpdateGen {
+            keys,
             rng: SmallRng::seed_from_u64(0x21F0_5EED ^ worker as u64),
-            n,
-            theta,
-            alpha: 1.0 / (1.0 - theta),
-            zetan,
-            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
+            insert_next: true,
         }
     }
 
-    fn zeta(n: u64, theta: f64) -> f64 {
-        (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
-    }
-
-    /// Samples the next key; key 0 is the hottest.
-    pub fn next_key(&mut self) -> u64 {
-        let u: f64 = self.rng.gen();
-        let uz = u * self.zetan;
-        if uz < 1.0 {
-            return 0;
+    /// Next operation (alternates insert/remove).
+    pub fn next_op(&mut self) -> MapOp {
+        let key = self.keys.sample(&mut self.rng);
+        self.insert_next = !self.insert_next;
+        if !self.insert_next {
+            MapOp::Insert {
+                key,
+                value: key ^ 0xABCD,
+            }
+        } else {
+            MapOp::Remove { key }
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
-            return 1;
-        }
-        let k = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
-        k.min(self.n - 1)
     }
 }
 
@@ -239,6 +223,7 @@ pub fn prefilled_stack(items: u64) -> Stack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prep_loadgen::KeyMix;
 
     #[test]
     fn map_gen_respects_read_percentage_roughly() {
@@ -287,13 +272,18 @@ mod tests {
 
     #[test]
     fn zipfian_is_skewed_and_in_range() {
-        let mut g = ZipfianGen::new(1_000, 0.99, 0);
+        let keys = Arc::new(KeySampler::new(KeyMix::Zipfian { theta: 0.99 }, 1_000));
+        let mut g = ZipfUpdateGen::new(keys, 0);
         let mut counts = vec![0u64; 1_000];
         const N: u64 = 50_000;
-        for _ in 0..N {
-            let k = g.next_key();
-            assert!(k < 1_000);
-            counts[k as usize] += 1;
+        for i in 0..N {
+            let key = match g.next_op() {
+                MapOp::Insert { key, .. } if i % 2 == 0 => key,
+                MapOp::Remove { key } if i % 2 == 1 => key,
+                other => panic!("op {i} breaks the insert/remove alternation: {other:?}"),
+            };
+            assert!(key < 1_000);
+            counts[key as usize] += 1;
         }
         // With theta = 0.99, the hottest key draws a large share (~1/zetan
         // ≈ 13% for n=1000) and vastly more than a middling key.
@@ -303,12 +293,6 @@ mod tests {
             counts[0]
         );
         assert!(counts[0] > 50 * counts[500].max(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "theta")]
-    fn zipfian_rejects_bad_theta() {
-        ZipfianGen::new(10, 1.5, 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 
+use prep_mc::cell::PeekCell;
 use prep_mc::{thread, Builder};
-use prep_sync::cell::PeekCell;
 use prep_sync::{DistRwLock, ReaderId, RwSpinLock, StrongTryRwLock, TryLock};
 
 /// `TryLock`: two successful `try_lock`s can never overlap. Each holder

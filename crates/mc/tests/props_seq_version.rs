@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
+use prep_mc::cell::PeekCell;
 use prep_mc::{thread, Builder};
-use prep_sync::cell::PeekCell;
 use prep_sync::SeqVersion;
 
 /// The seqlock recipe end to end against the real `SeqVersion`, with a

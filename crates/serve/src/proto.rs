@@ -111,7 +111,7 @@ impl Request {
     }
 }
 
-/// One shard's row in a [`WireStats`] snapshot.
+/// One shard's row in a [`WireStats`] snapshot: its progress.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireShard {
     /// Completed updates on this shard.
@@ -122,24 +122,30 @@ pub struct WireShard {
     pub read_slow_paths: u64,
     /// Reads that found their replica caught up (reader-slot path).
     pub read_fast_paths: u64,
-    /// Synchronous CLFLUSH count.
-    pub clflush: u64,
-    /// Asynchronous CLFLUSHOPT count.
-    pub clflushopt: u64,
-    /// SFENCE count.
-    pub sfence: u64,
-    /// Replica checkpoint flushes.
-    pub checkpoints: u64,
 }
 
 /// The `ADMIN STATS` payload: the store's `StoreMetrics`, on the wire.
+///
+/// Layout after the status byte and id: `epoch`, `loss_bound` (u64 each),
+/// the row count (u32), the store-wide persistence counters `clflush`,
+/// `clflushopt`, `sfence`, `checkpoints` (u64 each), then one row of four
+/// u64s per shard in [`WireShard`] field order. All shards persist through
+/// one runtime, so the persistence counters appear once per store.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireStats {
     /// Recovery epoch (crashes survived).
     pub epoch: u64,
     /// Store-wide worst-case loss per crash.
     pub loss_bound: u64,
-    /// Per-shard rows.
+    /// Synchronous CLFLUSH count, store-wide.
+    pub clflush: u64,
+    /// Asynchronous CLFLUSHOPT count, store-wide.
+    pub clflushopt: u64,
+    /// SFENCE count, store-wide.
+    pub sfence: u64,
+    /// Replica checkpoint flushes, store-wide.
+    pub checkpoints: u64,
+    /// Per-shard progress rows.
     pub shards: Vec<WireShard>,
 }
 
@@ -401,19 +407,24 @@ pub fn encode_response(resp: &Response, out: &mut Vec<u8>) {
             out.extend_from_slice(&stats.epoch.to_le_bytes());
             out.extend_from_slice(&stats.loss_bound.to_le_bytes());
             out.extend_from_slice(&(stats.shards.len() as u32).to_le_bytes());
-            for s in &stats.shards {
-                for field in [
+            let rows = stats.shards.iter().flat_map(|s| {
+                [
                     s.completed_tail,
                     s.durable_watermark,
                     s.read_slow_paths,
                     s.read_fast_paths,
-                    s.clflush,
-                    s.clflushopt,
-                    s.sfence,
-                    s.checkpoints,
-                ] {
-                    out.extend_from_slice(&field.to_le_bytes());
-                }
+                ]
+            });
+            for field in [
+                stats.clflush,
+                stats.clflushopt,
+                stats.sfence,
+                stats.checkpoints,
+            ]
+            .into_iter()
+            .chain(rows)
+            {
+                out.extend_from_slice(&field.to_le_bytes());
             }
         }
         Response::Err { id, code } => {
@@ -541,6 +552,8 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoErr
             if n > 4096 {
                 return Err(ProtoError::BadScan(n as u32));
             }
+            let (clflush, clflushopt, sfence, checkpoints) =
+                (r.u64()?, r.u64()?, r.u64()?, r.u64()?);
             let mut shards = Vec::with_capacity(n);
             for _ in 0..n {
                 shards.push(WireShard {
@@ -548,10 +561,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoErr
                     durable_watermark: r.u64()?,
                     read_slow_paths: r.u64()?,
                     read_fast_paths: r.u64()?,
-                    clflush: r.u64()?,
-                    clflushopt: r.u64()?,
-                    sfence: r.u64()?,
-                    checkpoints: r.u64()?,
                 });
             }
             Response::Stats {
@@ -559,6 +568,10 @@ pub fn decode_response(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoErr
                 stats: WireStats {
                     epoch,
                     loss_bound,
+                    clflush,
+                    clflushopt,
+                    sfence,
+                    checkpoints,
                     shards,
                 },
             }
@@ -641,16 +654,16 @@ mod tests {
             stats: WireStats {
                 epoch: 2,
                 loss_bound: 64,
+                clflush: 2,
+                clflushopt: 3,
+                sfence: 4,
+                checkpoints: 5,
                 shards: vec![
                     WireShard {
                         completed_tail: 10,
                         durable_watermark: 8,
                         read_slow_paths: 1,
                         read_fast_paths: 11,
-                        clflush: 2,
-                        clflushopt: 3,
-                        sfence: 4,
-                        checkpoints: 5,
                     },
                     WireShard::default(),
                 ],

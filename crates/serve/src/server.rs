@@ -1059,6 +1059,10 @@ fn wire_stats(store: &Arc<Store>) -> WireStats {
     WireStats {
         epoch: m.epoch,
         loss_bound: m.loss_bound,
+        clflush: m.stats.clflush,
+        clflushopt: m.stats.clflushopt,
+        sfence: m.stats.sfence,
+        checkpoints: m.stats.checkpoints,
         shards: m
             .shards
             .iter()
@@ -1067,10 +1071,6 @@ fn wire_stats(store: &Arc<Store>) -> WireStats {
                 durable_watermark: s.durable_watermark,
                 read_slow_paths: s.read_slow_paths,
                 read_fast_paths: s.read_fast_paths,
-                clflush: s.stats.clflush,
-                clflushopt: s.stats.clflushopt,
-                sfence: s.stats.sfence,
-                checkpoints: s.stats.checkpoints,
             })
             .collect(),
     }
@@ -1316,6 +1316,48 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn admin_stats_reports_store_wide_counters_once() {
+        let server = Server::start(quick_cfg(), "127.0.0.1:0").unwrap();
+        let store = server.store_handle();
+        assert_eq!(store.shards(), 2);
+        let mut c = TestClient::connect(server.local_addr());
+        for k in 0..20u64 {
+            assert_eq!(
+                c.roundtrip(&Request::Put {
+                    id: k,
+                    ack: AckLevel::Durable,
+                    key: k,
+                    value: k,
+                }),
+                Response::Done { id: k }
+            );
+        }
+        // With every op checkpointed, the persistence threads go quiet and
+        // the counters hold still between the STATS frame and the snapshot.
+        store.quiesce_persistence();
+        let Response::Stats { stats, .. } = c.roundtrip(&Request::Admin {
+            id: 999,
+            cmd: AdminCmd::Stats,
+        }) else {
+            panic!("STATS expected");
+        };
+        let want = store.metrics().total_stats();
+        assert!(want.checkpoints > 0, "durable acks need checkpoints");
+        assert_eq!(
+            (
+                stats.checkpoints,
+                stats.clflush,
+                stats.clflushopt,
+                stats.sfence
+            ),
+            (want.checkpoints, want.clflush, want.clflushopt, want.sfence),
+            "STATS must carry the store-wide counters once"
+        );
+        drop(store);
         server.shutdown();
     }
 

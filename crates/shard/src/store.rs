@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use prep_pmem::{CrashToken, PersistentDirectory, PmemRuntime, PmemStatsSnapshot};
+use prep_pmem::{CrashToken, PersistentDirectory, PmemRuntime};
 use prep_seqds::SequentialObject;
 use prep_topology::ThreadAssignment;
 use prep_uc::{CrashImage, PrepConfig, PrepUc, ThreadToken};
@@ -76,9 +76,8 @@ pub struct ShardedStore<T: SequentialObject> {
     router: ShardRouter<T::Op>,
     assignment: ThreadAssignment,
     directory: Arc<PersistentDirectory>,
-    /// `Some` when all shards share one runtime (required for crash
-    /// capture); `None` in per-shard-runtime mode (benchmarking).
-    shared_runtime: Option<Arc<PmemRuntime>>,
+    /// The one runtime every shard persists through.
+    runtime: Arc<PmemRuntime>,
     epoch: u64,
 }
 
@@ -103,40 +102,6 @@ impl<T: SequentialObject> ShardedStore<T> {
             .map(|_| PrepUc::new(obj.clone_object(), assignment.clone(), config.clone()))
             .collect();
         Self::assemble(shard_instances, router, assignment, runtime, 0)
-    }
-
-    /// Like [`ShardedStore::new`], but gives every shard its **own**
-    /// cost-only [`PmemRuntime`] (cloned from `config.runtime`'s latency
-    /// model) so persistence counters can be attributed per shard.
-    ///
-    /// This mode cannot capture crashes — there is no single runtime to
-    /// cut — so [`ShardedStore::simulate_crash`] panics; it exists for
-    /// benchmarking ([`ShardedStore::stats_per_shard`]).
-    pub fn with_per_shard_runtimes(
-        obj: T,
-        shards: usize,
-        assignment: ThreadAssignment,
-        config: PrepConfig,
-        key_fn: impl Fn(&T::Op) -> u64 + Send + Sync + 'static,
-    ) -> Self {
-        let router = ShardRouter::new(shards, key_fn);
-        let latency = *config.runtime.latency();
-        let shard_instances = (0..shards)
-            .map(|_| {
-                let cfg = config
-                    .clone()
-                    .with_runtime(PmemRuntime::for_benchmarks(latency));
-                PrepUc::new(obj.clone_object(), assignment.clone(), cfg)
-            })
-            .collect();
-        ShardedStore {
-            shards: shard_instances,
-            router,
-            assignment,
-            directory: Arc::new(PersistentDirectory::new()),
-            shared_runtime: None,
-            epoch: 0,
-        }
     }
 
     /// Persists the layout roots and assembles the store.
@@ -164,7 +129,7 @@ impl<T: SequentialObject> ShardedStore<T> {
             router,
             assignment,
             directory,
-            shared_runtime: Some(runtime),
+            runtime,
             epoch,
         }
     }
@@ -244,21 +209,14 @@ impl<T: SequentialObject> ShardedStore<T> {
         self.shards.iter().map(PrepUc::loss_bound).sum()
     }
 
-    /// Per-shard persistence-counter snapshots. Meaningful attribution
-    /// requires [`ShardedStore::with_per_shard_runtimes`]; in shared-
-    /// runtime mode every entry reads the same global counters.
-    pub fn stats_per_shard(&self) -> Vec<PmemStatsSnapshot> {
-        self.shards.iter().map(PrepUc::stats).collect()
-    }
-
     /// Every shard's `completedTail`: its total completed updates.
     pub fn completed_tails(&self) -> Vec<u64> {
         self.shards.iter().map(PrepUc::completed_tail).collect()
     }
 
-    /// The shared runtime, when the store was built with one.
-    pub fn shared_runtime(&self) -> Option<&Arc<PmemRuntime>> {
-        self.shared_runtime.as_ref()
+    /// The runtime all shards share.
+    pub fn runtime(&self) -> &Arc<PmemRuntime> {
+        &self.runtime
     }
 
     /// Every shard's crash-survivability watermark (see
@@ -286,14 +244,14 @@ impl<T: SequentialObject> ShardedStore<T> {
         }
     }
 
-    /// One consolidated snapshot of every shard's observable state — the
+    /// One consolidated snapshot of the store's observable state — the
     /// single source for serve's ADMIN verb and `prep-bench`'s per-shard
-    /// lanes.
+    /// update counts.
     pub fn metrics(&self) -> StoreMetrics {
         StoreMetrics {
             epoch: self.epoch,
             loss_bound: self.loss_bound(),
-            shared_counters: self.shared_runtime.is_some(),
+            stats: self.runtime.stats().snapshot(),
             shards: self
                 .shards
                 .iter()
@@ -304,7 +262,6 @@ impl<T: SequentialObject> ShardedStore<T> {
                     durable_watermark: uc.durable_watermark(),
                     read_slow_paths: uc.read_slow_paths(),
                     read_fast_paths: uc.read_fast_paths(),
-                    stats: uc.stats(),
                 })
                 .collect(),
         }
@@ -316,15 +273,10 @@ impl<T: SequentialObject> ShardedStore<T> {
     /// orchestrator's reason to exist.
     ///
     /// # Panics
-    /// Panics in per-shard-runtime mode, or if the shared runtime was not
-    /// created with crash simulation enabled.
+    /// Panics if the runtime was not created with crash simulation enabled.
     pub fn simulate_crash(&self) -> (CrashToken, ShardedCrashImage<T>) {
-        let runtime = self
-            .shared_runtime
-            .as_ref()
-            .expect("simulate_crash requires a shared runtime (ShardedStore::new)");
-        runtime.capture_cut(|| ShardedCrashImage {
-            directory: self.directory.snapshot_for_recovery(runtime),
+        self.runtime.capture_cut(|| ShardedCrashImage {
+            directory: self.directory.snapshot_for_recovery(&self.runtime),
             shards: self.shards.iter().map(PrepUc::crash_image_in_cut).collect(),
         })
     }
@@ -683,7 +635,7 @@ mod tests {
                 }
                 // Both copies of every shard's image come from one cut, so
                 // the two recoveries start from identical NVM contents.
-                let runtime = store.shared_runtime().expect("shared runtime");
+                let runtime = store.runtime();
                 let (token, (image, in_order)) = runtime.capture_cut(|| {
                     let images = || -> Vec<_> {
                         store
@@ -732,20 +684,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires a shared runtime")]
-    fn per_shard_runtime_mode_cannot_capture_crashes() {
-        let asg = Topology::small().assign_workers(1);
-        let store = ShardedStore::with_per_shard_runtimes(
-            Recorder::new(),
-            2,
-            asg,
-            cfg(DurabilityLevel::Buffered),
-            record_key,
-        );
-        let _ = store.simulate_crash();
-    }
-
-    #[test]
     fn metrics_snapshot_and_quiesce_cover_all_shards() {
         let asg = Topology::small().assign_workers(1);
         let store = ShardedStore::new(
@@ -757,7 +695,6 @@ mod tests {
         );
         let before = store.metrics();
         assert_eq!(before.shards.len(), 3);
-        assert!(before.shared_counters);
         assert_eq!(before.total_completed(), 0);
         let t = store.register(0);
         for k in 0..60u64 {
@@ -801,29 +738,32 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_runtimes_attribute_stats_to_the_loaded_shard() {
+    fn execute_on_moves_only_that_shards_progress() {
         let asg = Topology::small().assign_workers(1);
-        let store = ShardedStore::with_per_shard_runtimes(
+        let store = ShardedStore::new(
             Recorder::new(),
             2,
             asg,
             cfg(DurabilityLevel::Durable),
             record_key,
         );
+        let before = store.metrics();
         let t = store.register(0);
         // Drive updates onto exactly one shard via execute_on.
         for i in 0..100u64 {
             store.execute_on(1, &t, RecorderOp::Record(i));
         }
-        prep_sync::spin_until(|| store.shard(1).completed_tail() >= 100);
-        let stats = store.stats_per_shard();
-        assert!(
-            stats[1].total_flushes() > 0,
-            "loaded shard must show flush traffic: {stats:?}"
+        let d = store.metrics().delta(&before);
+        assert_eq!(d.shards[1].completed_tail, 100);
+        assert_eq!(
+            d.shards[1].durable_watermark, 100,
+            "durable: the watermark covers every completed op"
         );
-        assert!(
-            stats[1].total_flushes() > stats[0].total_flushes(),
-            "idle shard 0 must not absorb shard 1's counters: {stats:?}"
+        assert_eq!(d.shards[0].completed_tail, 0, "idle shard 0 moved: {d:?}");
+        assert_eq!(
+            d.shards[0].durable_watermark, 0,
+            "idle shard 0 moved: {d:?}"
         );
+        assert!(d.stats.total_flushes() > 0, "durable updates must flush");
     }
 }

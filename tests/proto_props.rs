@@ -15,7 +15,7 @@ use prep_serve::proto::{
 /// Most STATS rows a decoder accepts (`proto.rs`'s bound on the row count).
 const MAX_STATS_SHARDS: u32 = 4096;
 /// `u64` fields in one STATS row.
-const SHARD_WORDS: usize = 8;
+const SHARD_WORDS: usize = 4;
 
 fn request(kind: u8, durable: bool, id: u64, key: u64, value: u64, count: u32) -> Request {
     let ack = if durable {
@@ -58,10 +58,6 @@ fn shard(w: &[u64]) -> WireShard {
         durable_watermark: w[1],
         read_slow_paths: w[2],
         read_fast_paths: w[3],
-        clflush: w[4],
-        clflushopt: w[5],
-        sfence: w[6],
-        checkpoints: w[7],
     }
 }
 
@@ -84,6 +80,10 @@ fn response(kind: u8, id: u64, words: &[u64]) -> Response {
             stats: WireStats {
                 epoch: id.rotate_left(7),
                 loss_bound: !id,
+                clflush: id.wrapping_mul(3),
+                clflushopt: id >> 1,
+                sfence: id.swap_bytes(),
+                checkpoints: id.rotate_right(11),
                 shards: words.chunks_exact(SHARD_WORDS).map(shard).collect(),
             },
         },
