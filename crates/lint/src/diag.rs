@@ -111,9 +111,10 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         rules::FORBIDDEN_API,
-        "Some std APIs are banned per-path by lint.toml: wall-clock reads outside the \
-         latency model skew the emulated NVM timings, blocking std locks belong to the \
-         Mutex-UC baseline only, and bare thread::sleep bypasses the Waiter's spin budget.",
+        "Some std APIs are banned per-path (Config::default in crates/lint/src/config.rs): \
+         wall-clock reads outside the latency model skew the emulated NVM timings, \
+         blocking std locks belong to the Mutex-UC baseline only, and bare thread::sleep \
+         bypasses the Waiter's spin budget.",
     ),
     (
         rules::LINT_ALLOW_REASON,

@@ -34,10 +34,12 @@ struct Allow {
     reason: String,
 }
 
-/// Extracts every `lint:allow(...)` from a file's comments.
+/// Extracts every `lint:allow(...)` from a file's comments. A reason may
+/// run on over the comment lines that follow the directive and annotate
+/// the same code line, up to the next `lint:allow(`.
 fn collect_allows(model: &FileModel<'_>) -> Vec<Allow> {
     let mut out = Vec::new();
-    for c in &model.comments {
+    for (i, c) in model.comments.iter().enumerate() {
         // A directive must *start* the comment — prose that merely
         // mentions the syntax (like this crate's docs) is not a
         // directive.
@@ -63,10 +65,22 @@ fn collect_allows(model: &FileModel<'_>) -> Vec<Allow> {
             .filter(|s| !s.is_empty())
             .collect();
         let rest = after[close + 1..].trim_start();
-        let reason = rest
-            .strip_prefix(':')
-            .map(|r| r.trim().to_string())
-            .unwrap_or_default();
+        let reason = match rest.strip_prefix(':') {
+            Some(first) => {
+                let more = model.comments[i + 1..]
+                    .iter()
+                    .take_while(|n| {
+                        n.anchor_line == c.anchor_line && !n.text.starts_with("lint:allow(")
+                    })
+                    .map(|n| n.text.as_str());
+                std::iter::once(first.trim())
+                    .chain(more)
+                    .filter(|s| !s.is_empty())
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            }
+            None => String::new(),
+        };
         let has_reason = !reason.is_empty();
         out.push(Allow {
             anchor_line: c.anchor_line,
@@ -87,7 +101,7 @@ fn collect_allows(model: &FileModel<'_>) -> Vec<Allow> {
 pub fn lint_files_all(files: &[(String, String)], cfg: &Config) -> Vec<Diagnostic> {
     let models: Vec<(String, FileModel<'_>)> = files
         .iter()
-        .filter(|(p, _)| !cfg.exclude.iter().any(|e| p.contains(e.as_str())))
+        .filter(|(p, _)| !cfg.exclude.iter().any(|e| p.contains(e)))
         .map(|(p, src)| (p.clone(), FileModel::build(src)))
         .collect();
 
@@ -174,7 +188,7 @@ fn rel(root: &Path, path: &Path) -> String {
 
 fn load_workspace(root: &Path, cfg: &Config) -> Result<Vec<(String, String)>, String> {
     let mut paths = Vec::new();
-    for inc in &cfg.include {
+    for inc in cfg.include {
         let dir = root.join(inc);
         if dir.is_dir() {
             collect_rs(&dir, &mut paths)?;
@@ -226,6 +240,25 @@ mod tests {
         let d = one("crates/sync/src/x.rs", src);
         assert!(d.iter().any(|d| d.rule == rules::ATOMIC_SEQCST), "{d:?}");
         assert!(d.iter().any(|d| d.rule == rules::LINT_ALLOW_REASON));
+    }
+
+    #[test]
+    fn allow_reason_runs_on_over_following_comment_lines() {
+        let src = "fn f(x: &AtomicUsize, y: &AtomicUsize) {\n    // lint:allow(atomic-seqcst): SB pair with the\n    // writer's scan.\n    x.load(Ordering::SeqCst);\n    // lint:allow(atomic-seqcst): second site\n    // lint:allow(atomic-ordering): not part of the reason above\n    y.load(Ordering::SeqCst);\n}\n";
+        let d = lint_files_all(
+            &[("crates/sync/src/x.rs".to_string(), src.to_string())],
+            &Config::default(),
+        );
+        let reasons: Vec<_> = d
+            .iter()
+            .filter(|d| d.rule == rules::ATOMIC_SEQCST)
+            .map(|d| d.suppressed_by.as_deref())
+            .collect();
+        assert_eq!(
+            reasons,
+            [Some("SB pair with the writer's scan."), Some("second site")],
+            "{d:?}"
+        );
     }
 
     #[test]

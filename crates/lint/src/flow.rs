@@ -413,7 +413,10 @@ fn classify(
     targets: &[usize],
 ) -> LockSite {
     let m = &graph.files[fi].1;
-    let is_acquire_name = cfg.lock_order.acquire_methods.contains(&call.method);
+    let is_acquire_name = cfg
+        .lock_order
+        .acquire_methods
+        .contains(&call.method.as_str());
     let is_cas = call.method.starts_with("compare_exchange");
     if !is_acquire_name && !is_cas {
         return LockSite::None;

@@ -10,15 +10,15 @@
 //! crate machine-checks them:
 //!
 //! * [`rules::ordering`] — every explicit `Ordering` carries a
-//!   `// ord: <why>`; `SeqCst` and relaxed pointer-publishes get
-//!   dedicated diagnostics.
+//!   `// ord: <why>`; `SeqCst` and standalone fences get dedicated
+//!   diagnostics.
 //! * [`rules::padding`] — atomic fields in shared structs are
 //!   `CachePadded` or justified with `// shared-line: <why>` (§5.1).
 //! * [`rules::persist`] — functions driving persist primitives also
 //!   trace through the psan hooks (§5 durability, machine-checked).
 //! * [`rules::unsafety`] — the lexer-accurate successor to
 //!   `ci/check_unsafe.sh`.
-//! * [`rules::forbidden`] — configurable API bans (`Instant::now`
+//! * [`rules::forbidden`] — per-path API bans (`Instant::now`
 //!   outside the latency model, blocking std locks in hot paths,
 //!   `thread::sleep` outside `Waiter`).
 //! * [`rules::lock_order`] — inter-procedural lock hierarchy over the
@@ -32,8 +32,9 @@
 //! Findings are suppressed only by `// lint:allow(<rule>): <reason>`
 //! with a mandatory reason; the reason-less form is itself a finding.
 //! Everything here is dependency-free: a hand-rolled lexer
-//! ([`lexer`]), a lightweight item model ([`model`]), and a TOML-subset
-//! config parser ([`config`]).
+//! ([`lexer`]) and a lightweight item model ([`model`]). The policy —
+//! which rule runs on which paths — is one typed value,
+//! [`Config::default`] ([`config`]).
 
 #![forbid(unsafe_code)]
 

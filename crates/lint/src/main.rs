@@ -9,9 +9,9 @@
 //! ```
 //!
 //! The workspace root is `--root <dir>` if given, else the nearest
-//! ancestor of the current directory containing `lint.toml` (falling
-//! back to `Cargo.toml` with a `[workspace]` table), so the binary works
-//! from any subdirectory. `--config <file>` overrides the config path.
+//! ancestor of the current directory whose `Cargo.toml` has a
+//! `[workspace]` table, so the binary works from any subdirectory. The
+//! policy is [`Config::default`]; there is no config file.
 
 #![forbid(unsafe_code)]
 
@@ -29,7 +29,6 @@ struct Args {
     json: bool,
     explain: Option<String>,
     root: Option<PathBuf>,
-    config: Option<PathBuf>,
     files: Vec<PathBuf>,
 }
 
@@ -40,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         json: false,
         explain: None,
         root: None,
-        config: None,
         files: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -55,23 +53,20 @@ fn parse_args() -> Result<Args, String> {
             "--root" => {
                 args.root = Some(PathBuf::from(it.next().ok_or("--root needs a directory")?))
             }
-            "--config" => {
-                args.config = Some(PathBuf::from(it.next().ok_or("--config needs a file")?))
-            }
             "--help" | "-h" => {
                 println!(
                     "prep-lint: static analysis for PREP-UC concurrency & persistence invariants\n\
                      \n\
-                     usage: prep-lint [--deny] [--json] [--root DIR] [--config FILE]\n\
-                     \x20                [--list-rules] [--explain RULE] [FILES…]\n\
+                     usage: prep-lint [--deny] [--json] [--root DIR] [--list-rules]\n\
+                     \x20                [--explain RULE] [FILES…]\n\
                      \n\
                      --deny         exit 1 if any finding is reported\n\
                      --json         one JSON object per finding (suppressed ones included,\n\
                      \x20               marked with their allow reason); --deny still counts\n\
                      \x20               only unsuppressed findings\n\
                      --explain RULE print the rationale behind a rule id and exit\n\
-                     --root DIR     workspace root (default: nearest ancestor with lint.toml)\n\
-                     --config FILE  lint.toml to load (default: <root>/lint.toml)\n\
+                     --root DIR     workspace root (default: nearest ancestor whose\n\
+                     \x20               Cargo.toml has a [workspace] table)\n\
                      --list-rules   print every rule id and exit\n\
                      FILES          lint only these files (workspace-relative or absolute)"
                 );
@@ -84,13 +79,11 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Nearest ancestor of `start` that looks like the workspace root.
+/// Nearest ancestor of `start` whose `Cargo.toml` has a `[workspace]`
+/// table.
 fn find_root(start: &Path) -> Option<PathBuf> {
     let mut dir = Some(start.to_path_buf());
     while let Some(d) = dir {
-        if d.join("lint.toml").is_file() {
-            return Some(d);
-        }
         if let Ok(manifest) = std::fs::read_to_string(d.join("Cargo.toml")) {
             if manifest.contains("[workspace]") {
                 return Some(d);
@@ -178,19 +171,9 @@ fn run() -> Result<ExitCode, String> {
     let cwd = std::env::current_dir().map_err(|e| format!("current_dir: {e}"))?;
     let root = match &args.root {
         Some(r) => r.clone(),
-        None => find_root(&cwd).ok_or("no lint.toml or [workspace] Cargo.toml found above cwd")?,
+        None => find_root(&cwd).ok_or("no [workspace] Cargo.toml found above cwd")?,
     };
-    let config_path = args
-        .config
-        .clone()
-        .unwrap_or_else(|| root.join("lint.toml"));
-    let cfg = if config_path.is_file() {
-        let text = std::fs::read_to_string(&config_path)
-            .map_err(|e| format!("reading {}: {e}", config_path.display()))?;
-        Config::from_toml(&text).map_err(|e| format!("{}: {e}", config_path.display()))?
-    } else {
-        Config::default()
-    };
+    let cfg = Config::default();
 
     let diags = if args.files.is_empty() {
         if args.json {

@@ -58,9 +58,6 @@ fn run_entry(path: &str, model: &FileModel<'_>, e: &ForbiddenEntry, out: &mut Ve
         return;
     }
     let segs: Vec<&str> = e.pattern.split("::").collect();
-    if segs.is_empty() {
-        return;
-    }
     let n = model.sig_len();
     for k in 0..n {
         if model.tok_kind(k) != TokKind::Ident || model.txt(k) != segs[0] {
@@ -70,7 +67,7 @@ fn run_entry(path: &str, model: &FileModel<'_>, e: &ForbiddenEntry, out: &mut Ve
             continue;
         };
         let byte = model.byte(k);
-        if !e.include_tests && model.in_test(byte) {
+        if model.in_test(byte) {
             continue;
         }
         let (line, col) = model.line_col(byte);
@@ -83,14 +80,14 @@ fn run_entry(path: &str, model: &FileModel<'_>, e: &ForbiddenEntry, out: &mut Ve
                 rules::FORBIDDEN_API,
                 format!("[{}] {}: {}", e.name, e.pattern, e.message),
             )
-            .suggest(e.suggestion.clone())
+            .suggest(e.suggestion)
             .span_to(end_line),
         );
     }
 }
 
 pub fn run(path: &str, model: &FileModel<'_>, cfg: &Config, out: &mut Vec<Diagnostic>) {
-    for e in &cfg.forbidden {
+    for e in cfg.forbidden {
         run_entry(path, model, e, out);
     }
 }

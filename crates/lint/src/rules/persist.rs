@@ -44,10 +44,10 @@ pub fn run(path: &str, model: &FileModel<'_>, cfg: &Config, out: &mut Vec<Diagno
             if innermost != Some(i) {
                 continue;
             }
-            if cfg.persist_primitives.contains(&call.method) {
+            if cfg.persist_primitives.contains(&call.method.as_str()) {
                 first_prim.get_or_insert((call.line, call.col, call.method.clone()));
             }
-            if cfg.persist_hooks.contains(&call.method) {
+            if cfg.persist_hooks.contains(&call.method.as_str()) {
                 has_hook = true;
             }
         }

@@ -1,5 +1,6 @@
 //! End-to-end tests of the prep-lint binary: `--json` output shape,
-//! suppression marking, `--deny` exit codes, and `--explain`.
+//! suppression marking, `--deny` exit codes, `--explain`, and finding
+//! the workspace root without `--root`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -53,7 +54,7 @@ fn fixture_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("prep-lint-cli-{tag}-{}", std::process::id()));
     let src = dir.join("crates/cx/src");
     std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(dir.join("lint.toml"), "").unwrap();
+    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").unwrap();
     std::fs::write(src.join("bad.rs"), FIXTURE).unwrap();
     dir
 }
@@ -112,5 +113,29 @@ fn deny_passes_once_every_finding_is_suppressed_or_fixed() {
         "stdout: {}",
         String::from_utf8_lossy(&deny.stdout)
     );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn root_is_found_from_a_subdirectory_by_its_workspace_manifest() {
+    let root = fixture_root("discover");
+    let with_root = bin()
+        .args(["--json", "--root", root.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let discovered = bin()
+        .arg("--json")
+        .current_dir(root.join("crates/cx"))
+        .output()
+        .unwrap();
+    let text = String::from_utf8(discovered.stdout).unwrap();
+    assert_eq!(
+        text.lines().filter(|l| !l.is_empty()).count(),
+        2,
+        "expected both findings: {text}{}",
+        String::from_utf8_lossy(&discovered.stderr)
+    );
+    assert!(text.contains("\"file\":\"crates/cx/src/bad.rs\""), "{text}");
+    assert_eq!(text, String::from_utf8(with_root.stdout).unwrap());
     std::fs::remove_dir_all(&root).ok();
 }

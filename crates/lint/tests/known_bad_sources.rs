@@ -139,7 +139,7 @@ impl App {
 "#;
 
 /// The whole `lock-order-unranked` suggestion: a level comment is the
-/// only way to declare a level (lint.toml has no per-lock ranks).
+/// only way to declare a level (the lint config has no per-lock ranks).
 const UNRANKED_SUGGESTION: &str =
     "add `// lock-level: <n> <why>` where `StrayLock` (or the field holding it) is declared";
 
