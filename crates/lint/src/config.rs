@@ -12,10 +12,6 @@
 //!   container is already padded, the field is cold, or the line has a
 //!   single writer).
 //! * `// SAFETY: <argument>` is required at every unsafe site.
-//! * `// lock-level: <n> <why>` declares a lock's place in the
-//!   acquisition hierarchy; on a type or field it ranks every acquire of
-//!   it, on an acquire site it ranks that one instance. The rationale is
-//!   mandatory.
 //! * `// lint:allow(<rule>): <reason>` suppresses one finding at its
 //!   site; the reason is mandatory, and a reason-less allow is itself a
 //!   finding.
@@ -51,16 +47,6 @@ pub struct ForbiddenEntry {
     pub suggestion: &'static str,
 }
 
-/// Lock-order (static hierarchy / deadlock) configuration.
-#[derive(Debug, Clone)]
-pub struct LockOrderConfig {
-    pub scope: RuleScope,
-    /// Methods that acquire a lock when called on a lock-classed
-    /// receiver (`lock`, `try_lock`, `read`, `write`, …). Recognition is
-    /// receiver-type-driven: a bare `stream.write(buf)` never counts.
-    pub acquire_methods: &'static [&'static str],
-}
-
 /// Full lint configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
@@ -77,7 +63,6 @@ pub struct Config {
     pub persist_hooks: &'static [&'static str],
     pub unsafety: RuleScope,
     pub forbidden: &'static [ForbiddenEntry],
-    pub lock_order: LockOrderConfig,
 }
 
 /// The crates whose blocking-lock discipline is under study: everything
@@ -159,38 +144,6 @@ impl Default for Config {
             unsafety: RuleScope {
                 paths: &["crates"],
                 allow: &[],
-            },
-            // The hierarchy itself is declared where the locks live, in
-            // `// lock-level: <n> <why>` comments:
-            //   0 — TicketLock: a region lock taken with no ranked lock
-            //       held (prep-serve's per-connection frame-write lock);
-            //       the one site that nests, StarvationFree's reservation
-            //       ticket, re-ranks itself to 2
-            //   1 — TryLock: per-replica combiner election
-            //   2 — the ReplicaLock family: per-replica data rwlocks
-            //   3 — combiner slot-state flags, innermost
-            lock_order: LockOrderConfig {
-                scope: RuleScope {
-                    paths: &[
-                        "crates/nr/src",
-                        "crates/sync/src",
-                        "crates/core/src",
-                        "crates/cx/src",
-                        "crates/shard/src",
-                        "crates/serve/src",
-                    ],
-                    allow: &[],
-                },
-                acquire_methods: &[
-                    "lock",
-                    "try_lock",
-                    "read",
-                    "write",
-                    "try_read",
-                    "try_write",
-                    "with_read",
-                    "with_write",
-                ],
             },
             forbidden: &[
                 ForbiddenEntry {

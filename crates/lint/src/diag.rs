@@ -26,13 +26,6 @@ pub mod rules {
     pub const FORBIDDEN_API: &str = "forbidden-api";
     /// `lint:allow` without a mandatory reason.
     pub const LINT_ALLOW_REASON: &str = "lint-allow-reason";
-    /// Lower-level lock acquired while a higher-level lock is held
-    /// (inter-procedural; levels come from `// lock-level:` comments).
-    pub const LOCK_ORDER: &str = "lock-order";
-    /// Cycle in the acquired-while-holding graph — static deadlock.
-    pub const LOCK_ORDER_CYCLE: &str = "lock-order-cycle";
-    /// Lock type acquired in scope without a declared `// lock-level:`.
-    pub const LOCK_ORDER_UNRANKED: &str = "lock-order-unranked";
 
     /// Every rule id, for `--list-rules`.
     pub const ALL: &[&str] = &[
@@ -46,9 +39,6 @@ pub mod rules {
         UNSAFE_MISSING_DENY,
         FORBIDDEN_API,
         LINT_ALLOW_REASON,
-        LOCK_ORDER,
-        LOCK_ORDER_CYCLE,
-        LOCK_ORDER_UNRANKED,
     ];
 }
 
@@ -122,40 +112,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          The mandatory `: <reason>` keeps the escape hatch from rotting into an \
          unexplained mute button.",
     ),
-    (
-        rules::LOCK_ORDER,
-        "Locks declare a hierarchy level with `// lock-level: <n> <why>` on the lock type, \
-         the field, or the acquire site (region ticket locks=0, combiner election=1, replica \
-         locks=2, combiner slot flags=3). Acquiring a \
-         lower level while holding a higher one — directly or through any chain of calls — \
-         breaks the partial order that makes the replication protocol deadlock-free: two \
-         threads taking the same pair in opposite rank order can block each other forever. \
-         The diagnostic chain shows the inter-procedural path from the holding acquire to \
-         the violating one.",
-    ),
-    (
-        rules::LOCK_ORDER_CYCLE,
-        "A cycle among same-level locks in the acquired-while-holding graph is a static \
-         deadlock: thread 1 holds A wanting B while thread 2 holds B wanting A, and rank \
-         monotonicity cannot rule it out because the ranks are equal. Break the cycle by \
-         ordering the acquisitions consistently, or split the level with finer \
-         `// lock-level:` declarations on the fields involved.",
-    ),
-    (
-        rules::LOCK_ORDER_UNRANKED,
-        "A lock type acquired inside the scoped paths without any declared `// lock-level:` \
-         (and no [lock-order] rank) is invisible to the hierarchy check — every inversion \
-         through it goes unreported. Declare its level where the type or field is defined.",
-    ),
 ];
-
-/// One step of an inter-procedural chain: `fn-name (path:line)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainStep {
-    pub func: String,
-    pub path: String,
-    pub line: u32,
-}
 
 /// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -174,9 +131,6 @@ pub struct Diagnostic {
     /// Last line of the flagged construct — `lint:allow` comments attached
     /// anywhere in `line..=end_line` suppress the finding.
     pub end_line: u32,
-    /// Inter-procedural call chain from the reporting function to the
-    /// site (empty for intra-procedural findings).
-    pub chain: Vec<ChainStep>,
     /// Reason text of the `lint:allow` that suppressed this finding, if
     /// any — populated only by the `*_all` engine entry points.
     pub suppressed_by: Option<String>,
@@ -198,7 +152,6 @@ impl Diagnostic {
             message: message.into(),
             suggestion: None,
             end_line: line,
-            chain: Vec::new(),
             suppressed_by: None,
         }
     }
@@ -212,11 +165,6 @@ impl Diagnostic {
         self.end_line = end_line.max(self.line);
         self
     }
-
-    pub fn with_chain(mut self, chain: Vec<ChainStep>) -> Self {
-        self.chain = chain;
-        self
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -228,14 +176,6 @@ impl fmt::Display for Diagnostic {
             "{}:{}:{}: [{}] {}",
             self.path, self.line, self.col, self.rule, self.message
         )?;
-        if !self.chain.is_empty() {
-            let steps: Vec<String> = self
-                .chain
-                .iter()
-                .map(|s| format!("{} ({}:{})", s.func, s.path, s.line))
-                .collect();
-            write!(f, "\n    chain: {}", steps.join(" -> "))?;
-        }
         if let Some(s) = &self.suggestion {
             write!(f, "\n    suggestion: {s}")?;
         }

@@ -21,13 +21,13 @@
 //! * [`rules::forbidden`] — per-path API bans (`Instant::now`
 //!   outside the latency model, blocking std locks in hot paths,
 //!   `thread::sleep` outside `Waiter`).
-//! * [`rules::lock_order`] — inter-procedural lock hierarchy over the
-//!   workspace call graph ([`graph`]): `// lock-level:` declarations,
-//!   rank inversions, static deadlock cycles, undeclared lock types.
 //!
-//! Persist *ordering* (flush and fence before a publish) is not checked
-//! here: `prep-psan` checks it on every traced run, and DESIGN.md's
-//! mutation matrix records which checker catches which seeded bug.
+//! Every rule reads one file at a time. Two properties that need more
+//! than one file are checked elsewhere: persist *ordering* (flush and
+//! fence before a publish) by `prep-psan` on every traced run, and lock
+//! order by `prep-sync`'s held-level check at every blocking acquire of
+//! a debug build. DESIGN.md's mutation matrix records which checker
+//! catches which seeded bug.
 //!
 //! Findings are suppressed only by `// lint:allow(<rule>): <reason>`
 //! with a mandatory reason; the reason-less form is itself a finding.
@@ -41,8 +41,6 @@
 pub mod config;
 pub mod diag;
 pub mod engine;
-pub mod flow;
-pub mod graph;
 pub mod lexer;
 pub mod model;
 pub mod rules;

@@ -126,21 +126,6 @@ fn json_line(d: &Diagnostic) -> String {
     if let Some(s) = &d.suggestion {
         out.push_str(&format!(",\"suggestion\":{}", json_str(s)));
     }
-    if !d.chain.is_empty() {
-        out.push_str(",\"chain\":[");
-        for (i, step) in d.chain.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"fn\":{},\"file\":{},\"line\":{}}}",
-                json_str(&step.func),
-                json_str(&step.path),
-                step.line
-            ));
-        }
-        out.push(']');
-    }
     if let Some(r) = &d.suppressed_by {
         out.push_str(&format!(",\"suppressed_by\":{}", json_str(r)));
     }

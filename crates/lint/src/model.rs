@@ -53,15 +53,6 @@ pub struct UnsafeSite {
     pub col: u32,
 }
 
-/// One declared parameter of a `fn` item.
-#[derive(Debug)]
-pub struct ParamItem {
-    pub name: String,
-    /// Source text of the declared type, whitespace-normalized (same
-    /// convention as [`FieldItem::ty`]).
-    pub ty: String,
-}
-
 /// One `fn` item (free, inherent, trait method — anything with a body).
 #[derive(Debug)]
 pub struct FnItem {
@@ -73,35 +64,6 @@ pub struct FnItem {
     pub body: Range<usize>,
     /// Carried a `#[test]`-style attribute directly.
     pub test_attr: bool,
-    /// Takes `self` in any form (`self`, `&self`, `&mut self`, `self: …`).
-    pub has_self: bool,
-    /// Named parameters with their type text (`self` and destructuring
-    /// patterns excluded).
-    pub params: Vec<ParamItem>,
-}
-
-/// One `impl` block: `impl Type { … }` or `impl Trait for Type { … }`.
-#[derive(Debug)]
-pub struct ImplItem {
-    /// The implementing type's head identifier (`DistRwLock` for
-    /// `impl<T> ReplicaLock<T> for DistRwLock<T>`).
-    pub ty: String,
-    /// The implemented trait's head identifier, if any.
-    pub trait_name: Option<String>,
-    pub byte: usize,
-    pub line: u32,
-    /// Byte span of the block body, braces included.
-    pub body: Range<usize>,
-}
-
-/// One `trait` definition with a body.
-#[derive(Debug)]
-pub struct TraitItem {
-    pub name: String,
-    pub byte: usize,
-    pub line: u32,
-    /// Byte span of the body, braces included.
-    pub body: Range<usize>,
 }
 
 /// One field of a braced struct.
@@ -131,11 +93,6 @@ pub struct CallSite {
     pub method: String,
     /// Preceded by `.` — a method call.
     pub is_method: bool,
-    /// For method calls, the nearest plain identifier the receiver chain
-    /// ends in (`self.readers[i].load(..)` → `readers`), used to look a
-    /// field's declared type up; `None` when the receiver is an
-    /// expression.
-    pub recv: Option<String>,
     /// Byte offset of the called identifier.
     pub byte: usize,
     pub line: u32,
@@ -159,8 +116,6 @@ pub struct FileModel<'a> {
     pub inner_attrs: Vec<String>,
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
-    pub impls: Vec<ImplItem>,
-    pub traits: Vec<TraitItem>,
     pub unsafe_sites: Vec<UnsafeSite>,
     pub calls: Vec<CallSite>,
     /// Byte ranges of `#[cfg(test)] mod … { … }` bodies.
@@ -220,39 +175,6 @@ impl<'a> FileModel<'a> {
         self.anns(lo, hi).any(|c| c.text.starts_with(marker))
     }
 
-    /// The innermost impl block whose body contains byte `off`.
-    pub fn impl_at(&self, off: usize) -> Option<&ImplItem> {
-        self.impls
-            .iter()
-            .filter(|i| i.body.contains(&off))
-            .min_by_key(|i| i.body.len())
-    }
-
-    /// The innermost trait body containing byte `off` (for default
-    /// methods).
-    pub fn trait_at(&self, off: usize) -> Option<&TraitItem> {
-        self.traits
-            .iter()
-            .filter(|t| t.body.contains(&off))
-            .min_by_key(|t| t.body.len())
-    }
-
-    /// Index into `sig` of the significant token starting at byte `off`,
-    /// if any.
-    pub fn sig_at_byte(&self, off: usize) -> Option<usize> {
-        self.sig
-            .binary_search_by_key(&off, |&i| self.tokens[i].start)
-            .ok()
-    }
-
-    /// The innermost fn whose body contains byte `off`.
-    pub fn fn_at(&self, off: usize) -> Option<&FnItem> {
-        self.fns
-            .iter()
-            .filter(|f| f.body.contains(&off))
-            .min_by_key(|f| f.body.len())
-    }
-
     /// Index (into `sig`) of the token matching the opener at `open`
     /// (`{`/`}`, `(`/`)`, `[`/`]`). Returns `sig.len()` if unbalanced.
     pub fn matching(&self, open: usize) -> usize {
@@ -299,8 +221,6 @@ impl<'a> FileModel<'a> {
             inner_attrs: Vec::new(),
             fns: Vec::new(),
             structs: Vec::new(),
-            impls: Vec::new(),
-            traits: Vec::new(),
             unsafe_sites: Vec::new(),
             calls: Vec::new(),
             test_spans: Vec::new(),
@@ -375,26 +295,11 @@ impl<'a> FileModel<'a> {
                         // tracking () and [] so `[u8; 4]` params don't end
                         // the search early.
                         let mut depth = 0i32;
-                        // Angle depth, so a `Fn(…)` bound inside the
-                        // generics list is not mistaken for the params.
-                        let mut ang = 0i32;
                         let mut j = k + 2;
                         let mut body = None;
-                        let mut params_open = None;
                         while j < n {
                             match self.txt(j) {
-                                "<" => ang += 1,
-                                ">" if ang > 0 && self.txt(j - 1) != "-" => ang -= 1,
-                                "(" | "[" => {
-                                    if depth == 0
-                                        && ang == 0
-                                        && params_open.is_none()
-                                        && self.txt(j) == "("
-                                    {
-                                        params_open = Some(j);
-                                    }
-                                    depth += 1;
-                                }
+                                "(" | "[" => depth += 1,
                                 ")" | "]" => depth -= 1,
                                 "{" if depth == 0 => {
                                     body = Some(j);
@@ -412,18 +317,12 @@ impl<'a> FileModel<'a> {
                             } else {
                                 self.src.len()
                             };
-                            let (has_self, params) = match params_open {
-                                Some(p) => self.parse_params(p + 1, self.matching(p).min(n)),
-                                None => (false, Vec::new()),
-                            };
                             self.fns.push(FnItem {
                                 name,
                                 byte,
                                 line: self.lines.line_of(byte),
                                 body: self.byte(open)..end,
                                 test_attr: pending_test_attr,
-                                has_self,
-                                params,
                             });
                         }
                     }
@@ -440,21 +339,17 @@ impl<'a> FileModel<'a> {
                         while j < n && !matches!(self.txt(j), "{" | "(" | ";") {
                             j += 1;
                         }
-                        // Unit and tuple structs are still recorded (with
-                        // no named fields) so type-level annotations like
-                        // `// lock-level:` attach to them.
-                        let fields = if j < n && self.txt(j) == "{" {
+                        // Unit and tuple structs have no named fields.
+                        if j < n && self.txt(j) == "{" {
                             let close = self.matching(j);
-                            self.parse_fields(j + 1, close.min(n))
-                        } else {
-                            Vec::new()
-                        };
-                        self.structs.push(StructItem {
-                            name: sname,
-                            byte: sbyte,
-                            line: self.lines.line_of(sbyte),
-                            fields,
-                        });
+                            let fields = self.parse_fields(j + 1, close.min(n));
+                            self.structs.push(StructItem {
+                                name: sname,
+                                byte: sbyte,
+                                line: self.lines.line_of(sbyte),
+                                fields,
+                            });
+                        }
                     }
                     pending_cfg_test = false;
                     pending_test_attr = false;
@@ -476,61 +371,6 @@ impl<'a> FileModel<'a> {
                         line,
                         col,
                     });
-                    k += 1;
-                }
-                "impl" => {
-                    // Only item-position `impl`: `impl Trait` in argument
-                    // or return-type position (preceded by `(`, `,`, `:`,
-                    // `>`, `&`, …) is a type, not an item.
-                    let item_pos =
-                        k == 0 || matches!(self.txt(k - 1), ";" | "}" | "{" | "unsafe" | "]");
-                    if !item_pos {
-                        k += 1;
-                        continue;
-                    }
-                    if let Some((item, resume)) = self.parse_impl_header(k) {
-                        self.impls.push(item);
-                        k = resume;
-                    } else {
-                        k += 1;
-                    }
-                    pending_cfg_test = false;
-                    pending_test_attr = false;
-                }
-                "trait" => {
-                    if k + 1 < n && self.tok(k + 1).kind == TokKind::Ident {
-                        let name = self.txt(k + 1).to_string();
-                        let byte = self.byte(k + 1);
-                        // Skip generics / supertrait bounds to the body.
-                        let mut j = k + 2;
-                        let mut depth = 0i32;
-                        while j < n {
-                            match self.txt(j) {
-                                "(" | "[" => depth += 1,
-                                ")" | "]" => depth -= 1,
-                                "{" if depth == 0 => break,
-                                ";" if depth == 0 => break,
-                                _ => {}
-                            }
-                            j += 1;
-                        }
-                        if j < n && self.txt(j) == "{" {
-                            let close = self.matching(j);
-                            let end = if close < n {
-                                self.tok(close).end
-                            } else {
-                                self.src.len()
-                            };
-                            self.traits.push(TraitItem {
-                                name,
-                                byte,
-                                line: self.lines.line_of(byte),
-                                body: self.byte(j)..end,
-                            });
-                        }
-                    }
-                    pending_cfg_test = false;
-                    pending_test_attr = false;
                     k += 1;
                 }
                 // Item keywords that consume pending attributes.
@@ -609,134 +449,6 @@ impl<'a> FileModel<'a> {
         fields
     }
 
-    /// Parses one `impl` header starting at significant token `k` (the
-    /// `impl` keyword). Returns the item and the token index to resume
-    /// scanning at (just past the opening brace, so nested items are
-    /// still discovered), or `None` for headers without a brace body.
-    fn parse_impl_header(&self, k: usize) -> Option<(ImplItem, usize)> {
-        let n = self.sig.len();
-        let byte = self.byte(k);
-        let mut j = k + 1;
-        // Skip the generics list.
-        if j < n && self.txt(j) == "<" {
-            let mut ang = 1i32;
-            j += 1;
-            while j < n && ang > 0 {
-                match self.txt(j) {
-                    "<" => ang += 1,
-                    ">" if self.txt(j - 1) != "-" => ang -= 1,
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        // Collect the head identifier of a type path: the last depth-0
-        // ident before `for` / `where` / `{` (generic arguments and
-        // `(`-groups are skipped, so `Box<Slot<T>>` heads at `Box`).
-        let head = |j: &mut usize| -> Option<String> {
-            let mut last = None;
-            let mut ang = 0i32;
-            let mut depth = 0i32;
-            while *j < n {
-                let t = self.txt(*j);
-                match t {
-                    "<" => ang += 1,
-                    ">" if ang > 0 && self.txt(*j - 1) != "-" => ang -= 1,
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "for" | "where" | "{" | ";" if ang == 0 && depth == 0 => break,
-                    "dyn" | "mut" | "const" => {}
-                    _ if ang == 0 && depth == 0 && self.tok(*j).kind == TokKind::Ident => {
-                        last = Some(t.to_string());
-                    }
-                    _ => {}
-                }
-                *j += 1;
-            }
-            last
-        };
-        let first = head(&mut j)?;
-        let (trait_name, ty) = if j < n && self.txt(j) == "for" {
-            j += 1;
-            (Some(first), head(&mut j)?)
-        } else {
-            (None, first)
-        };
-        // Skip a `where` clause to the body brace.
-        while j < n && self.txt(j) != "{" {
-            if self.txt(j) == ";" {
-                return None;
-            }
-            j += 1;
-        }
-        if j >= n {
-            return None;
-        }
-        let close = self.matching(j);
-        let end = if close < n {
-            self.tok(close).end
-        } else {
-            self.src.len()
-        };
-        Some((
-            ImplItem {
-                ty,
-                trait_name,
-                byte,
-                line: self.lines.line_of(byte),
-                body: self.byte(j)..end,
-            },
-            j + 1,
-        ))
-    }
-
-    /// Parses a fn parameter list spanning significant tokens
-    /// `(start..close)` (parens excluded): whether a `self` receiver is
-    /// present, plus each `name: Type` pair (patterns are skipped).
-    fn parse_params(&self, start: usize, close: usize) -> (bool, Vec<ParamItem>) {
-        let mut has_self = false;
-        let mut params = Vec::new();
-        let mut k = start;
-        while k < close {
-            // One parameter: tokens to the next depth-0 comma.
-            let pstart = k;
-            let mut depth = 0i32;
-            let mut ang = 0i32;
-            while k < close {
-                match self.txt(k) {
-                    "<" => ang += 1,
-                    ">" if ang > 0 && self.txt(k - 1) != "-" => ang -= 1,
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "," if depth == 0 && ang == 0 => break,
-                    _ => {}
-                }
-                k += 1;
-            }
-            let pend = k;
-            k += 1; // past the comma
-            if (pstart..pend).any(|p| self.txt(p) == "self") {
-                has_self = true;
-                continue;
-            }
-            // `mut name: Type` / `name: Type`; anything fancier (tuple or
-            // struct patterns) is skipped.
-            let mut p = pstart;
-            if p < pend && self.txt(p) == "mut" {
-                p += 1;
-            }
-            if p + 1 < pend && self.tok(p).kind == TokKind::Ident && self.txt(p + 1) == ":" {
-                let name = self.txt(p).to_string();
-                let ty: String = (p + 2..pend)
-                    .map(|q| self.txt(q))
-                    .collect::<Vec<_>>()
-                    .join(" ");
-                params.push(ParamItem { name, ty });
-            }
-        }
-        (has_self, params)
-    }
-
     /// Collects every `name(…)` / `.name(…)` call site.
     fn scan_calls(&mut self) {
         const NOT_CALLS: &[&str] = &[
@@ -759,49 +471,6 @@ impl<'a> FileModel<'a> {
                 continue;
             }
             let is_method = k > 0 && self.txt(k - 1) == ".";
-            let recv = if is_method && k >= 2 {
-                let mut j = k - 2;
-                // Step back over one `[…]` / `(…)` group.
-                loop {
-                    let t = self.txt(j);
-                    if t == "]" || t == ")" {
-                        let (open, close) = if t == "]" { ("[", "]") } else { ("(", ")") };
-                        let mut depth = 0i32;
-                        let mut found = None;
-                        let mut p = j;
-                        loop {
-                            let u = self.txt(p);
-                            if u == close {
-                                depth += 1;
-                            } else if u == open {
-                                depth -= 1;
-                                if depth == 0 {
-                                    found = Some(p);
-                                    break;
-                                }
-                            }
-                            if p == 0 {
-                                break;
-                            }
-                            p -= 1;
-                        }
-                        match found {
-                            Some(p) if p > 0 => {
-                                j = p - 1;
-                                continue;
-                            }
-                            _ => break None,
-                        }
-                    }
-                    break if self.tok(j).kind == TokKind::Ident {
-                        Some(self.txt(j).to_string())
-                    } else {
-                        None
-                    };
-                }
-            } else {
-                None
-            };
             let close = self.matching(k + 1);
             let byte = self.byte(k);
             let (line, col) = self.lines.line_col(byte);
@@ -813,7 +482,6 @@ impl<'a> FileModel<'a> {
             calls.push(CallSite {
                 method: name.to_string(),
                 is_method,
-                recv,
                 byte,
                 line,
                 col,
@@ -949,7 +617,6 @@ mod tests {
         assert!(probe.test_attr);
         assert!(m.in_test(probe.byte));
         let store = m.calls.iter().find(|c| c.method == "store").unwrap();
-        assert_eq!(store.recv.as_deref(), Some("flag"));
         assert!(!m.in_test(store.byte));
         let load = m.calls.iter().find(|c| c.method == "load").unwrap();
         assert!(m.in_test(load.byte));
@@ -971,14 +638,6 @@ mod tests {
         let at3: Vec<_> = m.anns(3, 3).map(|c| c.text.clone()).collect();
         assert_eq!(at3, vec!["above", "also above", "trailing"]);
         assert_eq!(m.anns(5, 5).count(), 0);
-    }
-
-    #[test]
-    fn receiver_through_index_chain() {
-        let src = "fn f(&self) { self.readers[i].load(Ordering::SeqCst); }";
-        let m = FileModel::build(src);
-        let c = m.calls.iter().find(|c| c.method == "load").unwrap();
-        assert_eq!(c.recv.as_deref(), Some("readers"));
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! suppression afterwards, so rules themselves stay oblivious to it.
 
 pub mod forbidden;
-pub mod lock_order;
 pub mod ordering;
 pub mod padding;
 pub mod persist;
@@ -14,8 +13,6 @@ pub mod unsafety;
 
 use crate::config::Config;
 use crate::diag::Diagnostic;
-use crate::flow::LockAnalysis;
-use crate::graph::Graph;
 use crate::model::FileModel;
 
 /// Runs every per-file rule over one file.
@@ -27,16 +24,4 @@ pub fn run_file_rules(path: &str, model: &FileModel<'_>, cfg: &Config) -> Vec<Di
     unsafety::run_file(path, model, cfg, &mut out);
     forbidden::run(path, model, cfg, &mut out);
     out
-}
-
-/// Runs the inter-procedural rules over the whole workspace: builds the
-/// call graph once, then the lock analysis over it.
-pub fn run_workspace_rules(
-    models: &[(String, FileModel<'_>)],
-    cfg: &Config,
-    out: &mut Vec<Diagnostic>,
-) {
-    let graph = Graph::build(models);
-    let locks = LockAnalysis::run(&graph, cfg);
-    lock_order::run(&graph, &locks, cfg, out);
 }

@@ -11,42 +11,28 @@ fn bin() -> Command {
 
 #[test]
 fn explain_prints_rationale_and_rejects_unknown_ids() {
-    let out = bin().args(["--explain", "lock-order"]).output().unwrap();
+    let out = bin().args(["--explain", "atomic-seqcst"]).output().unwrap();
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("lock-order"), "got: {text}");
+    assert!(text.starts_with("atomic-seqcst\n"), "got: {text}");
     assert!(text.len() > 80, "rationale suspiciously short: {text}");
 
     let bad = bin().args(["--explain", "no-such-rule"]).output().unwrap();
     assert!(!bad.status.success());
 }
 
-/// A throwaway workspace: one unranked lock acquired twice, the second
-/// site suppressed with a reasoned allow.
+/// A throwaway workspace: one unjustified `SeqCst` load written twice,
+/// the second site suppressed with a reasoned allow.
 const FIXTURE: &str = r#"//! CLI fixture.
+use std::sync::atomic::{AtomicU64, Ordering};
 
-pub struct Guard;
-
-pub struct StrayLock;
-impl StrayLock {
-    pub fn lock(&self) -> Guard {
-        Guard
-    }
+pub fn one(x: &AtomicU64) -> u64 {
+    x.load(Ordering::SeqCst)
 }
 
-pub struct App {
-    s: StrayLock,
-}
-
-impl App {
-    pub fn one(&self) -> Guard {
-        self.s.lock()
-    }
-
-    pub fn two(&self) -> Guard {
-        // lint:allow(lock-order-unranked): fixture — suppressed on purpose
-        self.s.lock()
-    }
+pub fn two(x: &AtomicU64) -> u64 {
+    // lint:allow(atomic-seqcst): fixture — suppressed on purpose
+    x.load(Ordering::SeqCst)
 }
 "#;
 
@@ -72,7 +58,7 @@ fn json_lines_include_suppressed_findings_and_deny_ignores_them() {
     for l in &lines {
         assert!(l.starts_with("{\"file\":"), "not a JSON object: {l}");
         assert!(l.ends_with('}'), "not a JSON object: {l}");
-        assert!(l.contains("\"rule\":\"lock-order-unranked\""), "{l}");
+        assert!(l.contains("\"rule\":\"atomic-seqcst\""), "{l}");
         assert!(l.contains("\"line\":"), "{l}");
         assert!(l.contains("\"col\":"), "{l}");
     }
@@ -100,8 +86,8 @@ fn json_lines_include_suppressed_findings_and_deny_ignores_them() {
 fn deny_passes_once_every_finding_is_suppressed_or_fixed() {
     let root = fixture_root("deny");
     let fixed = FIXTURE.replace(
-        "    pub fn one(&self) -> Guard {\n        self.s.lock()",
-        "    pub fn one(&self) -> Guard {\n        // lint:allow(lock-order-unranked): fixture — now also justified\n        self.s.lock()",
+        "pub fn one(x: &AtomicU64) -> u64 {\n    x.load",
+        "pub fn one(x: &AtomicU64) -> u64 {\n    // lint:allow(atomic-seqcst): fixture — now also justified\n    x.load",
     );
     std::fs::write(root.join("crates/cx/src/bad.rs"), fixed).unwrap();
     let deny = bin()

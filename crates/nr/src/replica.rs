@@ -23,8 +23,9 @@ pub(crate) const SLOT_DONE: u8 = 2;
 /// * the owner takes `resp` after loading `DONE` (acquire) and stores
 ///   `EMPTY` (release), completing the cycle.
 pub(crate) struct BatchSlot<O, R> {
-    // lock-level: 3 innermost: the combiner claims slots while holding
-    // the level-1 combiner lock and never waits on a ranked lock after
+    /// A hand-off flag, not a guard: it has no level and the held-level
+    /// check does not see it. An owner waiting for `DONE` holds no lock,
+    /// so that wait cannot close a cycle.
     pub(crate) state: CachePadded<AtomicU8>,
     pub(crate) op: UnsafeCell<Option<O>>,
     pub(crate) resp: UnsafeCell<Option<R>>,
@@ -49,8 +50,6 @@ impl<O, R> BatchSlot<O, R> {
 pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// The combiner lock (paper: a trylock; winning it makes a thread the
     /// combiner for this node).
-    // lock-level: 1 combiner election, nested inside nothing and outside
-    // the level-2 replica rwlock and level-3 slot claims
     pub(crate) combiner: TryLock<()>,
     /// Reader-writer lock protecting the sequential object. Which lock is
     /// behind the trait object is [`FairnessMode`]'s choice: the NR §3
@@ -105,6 +104,7 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
     /// replica lock as reader `id`. (`FnOnce`-over-`FnMut` adapter for the
     /// dyn-compatible [`ReplicaLock`] interface.)
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub(crate) fn read_with<R>(&self, id: ReaderId, f: impl FnOnce(&T) -> R) -> R {
         let mut f = Some(f);
         let mut out = None;
@@ -116,6 +116,7 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
 
     /// Runs `f` with exclusive access to the sequential object.
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub(crate) fn write_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let mut f = Some(f);
         let mut out = None;

@@ -82,6 +82,13 @@ pub struct NodeReplicated<T: SequentialObject, H: NrHooks<T::Op> = NoopHooks> {
     fair_reserve: Option<TicketLock>,
 }
 
+/// The reservation gate's level. Only a combiner takes the gate, already
+/// holding its replica's combiner lock (level 1), and while it holds the
+/// gate it may catch its own replica up under the replica write lock
+/// (level 3) — so the gate sits strictly between the two. A plain
+/// `TicketLock` is level 0, taken with nothing held.
+const RESERVE_GATE_LEVEL: u8 = 2;
+
 impl<T: SequentialObject> NodeReplicated<T, NoopHooks> {
     /// Builds the volatile construction (PREP-V): `obj` is replicated once
     /// per populated NUMA node of `assignment`, coordinated through a log of
@@ -140,7 +147,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             hooks,
             registered,
             fair_reserve: match fairness {
-                FairnessMode::StarvationFree => Some(TicketLock::new()),
+                FairnessMode::StarvationFree => Some(TicketLock::with_level(RESERVE_GATE_LEVEL)),
                 FairnessMode::Throughput => None,
             },
         }
@@ -329,10 +336,6 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         // allow for starvation-free update operations"). The ticket only
         // covers the gate + CAS; logMin maintenance happens after release
         // so waiting on a straggler replica cannot block other reservers.
-        // lock-level: 2 the reservation gate is only ever taken by a
-        // combiner that already holds its replica's combiner lock (level
-        // 1), so combiner -> reserve-gate is the one global order; its
-        // TicketLock type otherwise defaults to level 0 (nothing held)
         let fair_guard = self.fair_reserve.as_ref().map(|l| l.lock());
         let mut w = Waiter::new();
         let tail = loop {

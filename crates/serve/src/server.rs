@@ -216,8 +216,41 @@ impl ServeConfig {
     }
 }
 
+/// Spawns one of the server's threads, fail-stop: if it panics, the
+/// process prints the panic and aborts. The server cannot run without any
+/// of its threads — a lost executor leaves its queue unserved and a lost
+/// conn thread its clients unanswered — so a client waiting on such a
+/// server would hang instead of seeing the failure.
+fn spawn_fail_stop(
+    name: String,
+    body: impl FnOnce() + Send + 'static,
+) -> std::thread::JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name.clone())
+        .spawn(move || {
+            let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) else {
+                return;
+            };
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("(no message)");
+            // To the stderr handle, not through `eprintln!`: a test
+            // harness captures the macro's output, and the abort drops it.
+            let _ = writeln!(
+                std::io::stderr(),
+                "server thread '{name}' panicked: {msg}; aborting"
+            );
+            std::process::abort();
+        })
+        .expect("spawn server thread")
+}
+
 /// Spin-acquires a `TryLock` (none of these sections block or do IO,
-/// except `ConnIo::send` which has its own ticket lock).
+/// except `ConnIo::send` which has its own ticket lock). The held-level
+/// check sees this as the `try_lock` it spins on: recorded, never checked.
+#[cfg_attr(debug_assertions, track_caller)]
 fn locked<T>(l: &TryLock<T>) -> TryLockGuard<'_, T> {
     let mut w = Waiter::new();
     loop {
@@ -548,41 +581,29 @@ impl Server {
         let mut threads = Vec::new();
         {
             let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-accept".into())
-                    .spawn(move || acceptor_loop(inner, listener))
-                    .expect("spawn acceptor"),
-            );
+            threads.push(spawn_fail_stop("serve-accept".into(), move || {
+                acceptor_loop(inner, listener)
+            }));
         }
         for c in 0..inner.cfg.conn_threads {
             let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-conn-{c}"))
-                    .spawn(move || conn_loop(inner, c))
-                    .expect("spawn conn thread"),
-            );
+            threads.push(spawn_fail_stop(format!("serve-conn-{c}"), move || {
+                conn_loop(inner, c)
+            }));
         }
         for s in 0..inner.cfg.shards {
             for e in 0..inner.cfg.executors_per_shard {
                 let inner = Arc::clone(&inner);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("serve-exec-{s}-{e}"))
-                        .spawn(move || executor_loop(inner, s, e))
-                        .expect("spawn executor"),
-                );
+                threads.push(spawn_fail_stop(format!("serve-exec-{s}-{e}"), move || {
+                    executor_loop(inner, s, e)
+                }));
             }
         }
         {
             let inner = Arc::clone(&inner);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-control".into())
-                    .spawn(move || control_loop(inner))
-                    .expect("spawn control"),
-            );
+            threads.push(spawn_fail_stop("serve-control".into(), move || {
+                control_loop(inner)
+            }));
         }
         Ok(Server {
             inner,

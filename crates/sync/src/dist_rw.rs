@@ -34,7 +34,7 @@ use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
 
-use crate::Waiter;
+use crate::{held, Waiter};
 
 const WRITER: u64 = 1 << 63;
 const WAITING_MASK: u64 = WRITER - 1;
@@ -61,13 +61,12 @@ pub enum ReaderId {
 /// let lock = DistRwLock::new(vec![1, 2, 3], 4);
 /// {
 ///     let r0 = lock.read(ReaderId::Slot(0));
-///     let r1 = lock.read(ReaderId::Slot(1)); // readers share
+///     let r1 = lock.try_read(ReaderId::Slot(1)).expect("readers share");
 ///     assert_eq!(r0.len() + r1.len(), 6);
 /// }
 /// lock.write().push(4);
 /// assert_eq!(lock.read(ReaderId::Shared).len(), 4);
 /// ```
-// lock-level: 2 a ReplicaLock implementation — see the trait's level
 pub struct DistRwLock<T> {
     /// Bit 63: a writer holds the lock. Low bits: writers waiting to
     /// acquire (readers defer to both — writer preference, as in
@@ -88,6 +87,13 @@ unsafe impl<T: Send> Send for DistRwLock<T> {}
 unsafe impl<T: Send + Sync> Sync for DistRwLock<T> {}
 
 impl<T> DistRwLock<T> {
+    /// Level 3, the innermost: NR's replica data lock, taken under the
+    /// combiner election (level 1) and the reservation gate (level 2);
+    /// nothing is acquired under it. Every NR read takes it in read mode
+    /// with nothing held: a read that must catch its replica up first
+    /// releases the election before it reads.
+    pub const LEVEL: u8 = 3;
+
     /// Creates an unlocked lock around `value` with `slots` dedicated
     /// reader slots (plus the shared overflow line).
     pub fn new(value: T, slots: usize) -> Self {
@@ -121,7 +127,9 @@ impl<T> DistRwLock<T> {
     /// For a dedicated slot this is the zero-contention path: one
     /// store + load on the reader's own line, one *load* of the writer
     /// word — no store to any cacheline shared with another reader.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self, id: ReaderId) -> DistReadGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         let mut w = Waiter::new();
         loop {
             if let Some(g) = self.try_read(id) {
@@ -137,6 +145,7 @@ impl<T> DistRwLock<T> {
     /// preference: the NR combiner works on behalf of every thread on its
     /// node, so readers must not starve it).
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_read(&self, id: ReaderId) -> Option<DistReadGuard<'_, T>> {
         // ord: early-out only -- this load is NOT part of the SB protocol
         // (the mark + SeqCst recheck below is); Acquire is enough to see a
@@ -163,13 +172,16 @@ impl<T> DistRwLock<T> {
             slot.fetch_sub(1, Ordering::Release);
             return None;
         }
+        held::acquired(self, Self::LEVEL);
         Some(DistReadGuard { lock: self, id })
     }
 
     /// Acquires the lock in write (exclusive) mode, blocking politely:
     /// announce intent (so new readers hold off), win the writer flag, then
     /// scan every reader line until all are free.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> DistWriteGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         // ord: advisory waiting mark; the flag CAS below is the
         // synchronizing edge.
         self.writer.fetch_add(1, Ordering::Relaxed);
@@ -207,6 +219,7 @@ impl<T> DistRwLock<T> {
                 w.wait();
             }
         }
+        held::acquired(self, Self::LEVEL);
         DistWriteGuard { lock: self }
     }
 
@@ -254,6 +267,7 @@ impl<T> std::ops::Deref for DistReadGuard<'_, T> {
 impl<T> Drop for DistReadGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release publishes the read section to the writer's drain
         // scan.
         self.lock.slot(self.id).fetch_sub(1, Ordering::Release);
@@ -285,6 +299,7 @@ impl<T> std::ops::DerefMut for DistWriteGuard<'_, T> {
 impl<T> Drop for DistWriteGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release publishes the write section to the next acquirer's
         // Acquire/SeqCst load of the writer word.
         self.lock.writer.fetch_and(!WRITER, Ordering::Release);
@@ -335,18 +350,25 @@ mod tests {
         let lock = DistRwLock::new(0u64, 4);
         // Another reader holds slot 1 and the shared line — their words
         // must not change while slot 2 acquires and releases.
-        let _other = lock.read(ReaderId::Slot(1));
-        let _shared = lock.read(ReaderId::Shared);
+        let _other = lock.try_read(ReaderId::Slot(1)).unwrap();
+        let _shared = lock.try_read(ReaderId::Shared).unwrap();
         let before: Vec<u64> = (0..5).map(|i| lock.reader_line(i)).collect();
         let writer_before = lock.writer_word();
 
-        let g = lock.read(ReaderId::Slot(2));
-        assert_eq!(lock.reader_line(2), before[2] + 1, "own line marked");
-        for i in [0usize, 1, 3, 4] {
-            assert_eq!(lock.reader_line(i), before[i], "foreign line {i} written");
-        }
-        assert_eq!(lock.writer_word(), writer_before, "writer word written");
-        drop(g);
+        // On its own thread: this one already holds two reads, and a
+        // blocking read under them is the self-deadlock the held-level
+        // check rejects.
+        thread::scope(|s| {
+            s.spawn(|| {
+                let g = lock.read(ReaderId::Slot(2));
+                assert_eq!(lock.reader_line(2), before[2] + 1, "own line marked");
+                for i in [0usize, 1, 3, 4] {
+                    assert_eq!(lock.reader_line(i), before[i], "foreign line {i} written");
+                }
+                assert_eq!(lock.writer_word(), writer_before, "writer word written");
+                drop(g);
+            });
+        });
         for (i, &b) in before.iter().enumerate() {
             assert_eq!(lock.reader_line(i), b, "line {i} not restored");
         }

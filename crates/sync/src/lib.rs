@@ -36,6 +36,18 @@
 //! threads than cores): a pure spin loop would live-lock the benchmark
 //! harness, while `Waiter` keeps the fast path identical to a spin lock when
 //! a core is available.
+//!
+//! **Lock levels.** Every lock here carries a level, a `LEVEL` constant
+//! on its type, and a thread may only *wait* for a lock above every level
+//! it holds: 0 for a region [`TicketLock`], 1 for the combiner
+//! [`TryLock`], 2 for §4.2's reservation gate (a `TicketLock` built with
+//! [`TicketLock::with_level`]), 3 for the replica and data locks
+//! ([`DistRwLock`], [`PhaseFairRwLock`], [`StrongTryRwLock`],
+//! [`RwSpinLock`]). Debug builds check the rule at every blocking acquire
+//! and panic before the thread waits, naming both acquire sites; `try_*`
+//! acquires are recorded but never checked. Release builds carry no
+//! check. The flat-combining slot states in `prep-nr` are not guards and
+//! have no level.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -43,6 +55,7 @@
 pub mod cell;
 
 mod dist_rw;
+mod held;
 mod phase_fair;
 mod replica_lock;
 mod rw_spin;

@@ -19,7 +19,7 @@ use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
 
-use crate::Waiter;
+use crate::{held, Waiter};
 
 /// Reader tick increment (low byte reserved for writer flags).
 const RINC: usize = 0x100;
@@ -38,7 +38,6 @@ const PHID: usize = 0x1;
 /// lock.write().push('b');
 /// assert_eq!(&*lock.read(), "ab");
 /// ```
-// lock-level: 2 a ReplicaLock implementation — see the trait's level
 #[derive(Debug)]
 pub struct PhaseFairRwLock<T> {
     rin: CachePadded<AtomicUsize>,
@@ -53,6 +52,10 @@ unsafe impl<T: Send> Send for PhaseFairRwLock<T> {}
 unsafe impl<T: Send + Sync> Sync for PhaseFairRwLock<T> {}
 
 impl<T> PhaseFairRwLock<T> {
+    /// Level 3: the starvation-free replica data lock, ranked like
+    /// [`crate::DistRwLock::LEVEL`], which it replaces in that mode.
+    pub const LEVEL: u8 = 3;
+
     /// Creates an unlocked lock around `value`.
     pub fn new(value: T) -> Self {
         PhaseFairRwLock {
@@ -65,7 +68,9 @@ impl<T> PhaseFairRwLock<T> {
     }
 
     /// Acquires the lock in read mode; waits for at most one writer phase.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> PhaseFairReadGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         // ord: AcqRel — Release makes our entry visible to the writer's
         // reader snapshot; Acquire orders our reads after the writer whose
         // cleared flag byte we may observe here.
@@ -82,11 +87,14 @@ impl<T> PhaseFairRwLock<T> {
                 waiter.wait();
             }
         }
+        held::acquired(self, Self::LEVEL);
         PhaseFairReadGuard { lock: self }
     }
 
     /// Acquires the lock in write mode; writers are FIFO by ticket.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> PhaseFairWriteGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         // ord: AcqRel totally orders ticket draws (writer FIFO).
         let ticket = self.win.fetch_add(1, Ordering::AcqRel);
         let mut waiter = Waiter::new();
@@ -109,6 +117,7 @@ impl<T> PhaseFairRwLock<T> {
         while self.rout.load(Ordering::Acquire) != arrived {
             waiter.wait();
         }
+        held::acquired(self, Self::LEVEL);
         PhaseFairWriteGuard { lock: self }
     }
 
@@ -141,6 +150,7 @@ impl<T> std::ops::Deref for PhaseFairReadGuard<'_, T> {
 impl<T> Drop for PhaseFairReadGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release ends the read section for the writer's rout spin;
         // AcqRel (not plain Release) keeps exits totally ordered so the
         // drain count can never be observed out of step.
@@ -174,6 +184,7 @@ impl<T> std::ops::DerefMut for PhaseFairWriteGuard<'_, T> {
 impl<T> Drop for PhaseFairWriteGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // Clear presence/phase flags so waiting readers proceed, then pass
         // the ticket baton to the next writer.
         // ord: Release publishes the write section to readers spinning on

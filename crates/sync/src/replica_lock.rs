@@ -20,14 +20,15 @@
 
 use crate::{DistRwLock, PhaseFairRwLock, ReaderId};
 
-/// A readers-writer lock suitable for guarding an NR replica.
-// lock-level: 2 replica data locks nest inside the combiner election
-// (1); nothing ranked is acquired under them
+/// A readers-writer lock suitable for guarding an NR replica. Every
+/// implementation sits at level 3 (see [`DistRwLock::LEVEL`]).
 pub trait ReplicaLock<T>: Send + Sync {
     /// Runs `f` with shared access, acquiring as reader `id`.
+    #[cfg_attr(debug_assertions, track_caller)]
     fn with_read(&self, id: ReaderId, f: &mut dyn FnMut(&T));
 
     /// Runs `f` with exclusive access.
+    #[cfg_attr(debug_assertions, track_caller)]
     fn with_write(&self, f: &mut dyn FnMut(&mut T));
 
     /// Number of dedicated reader slots, `0` for centralized locks (every

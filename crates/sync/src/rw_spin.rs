@@ -17,7 +17,7 @@ use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
 
-use crate::Waiter;
+use crate::{held, Waiter};
 
 const WRITER: u64 = 1 << 63;
 const WAITING_UNIT: u64 = 1 << 32;
@@ -31,14 +31,16 @@ const READER_MASK: u64 = (1 << 32) - 1;
 /// let lock = RwSpinLock::new(vec![1, 2, 3]);
 /// {
 ///     let r1 = lock.read();
-///     let r2 = lock.read(); // readers share
+///     let r2 = lock.try_read().expect("readers share");
 ///     assert_eq!(r1.len() + r2.len(), 6);
 /// }
 /// lock.write().push(4);
 /// assert_eq!(lock.read().len(), 4);
 /// ```
-// lock-level: 2 a leaf data lock, ranked with the replica locks: nothing
-// ranked is acquired under it
+///
+/// A thread must not block on a read while it already holds one: a
+/// writer waiting in between admits neither (the held-level check panics
+/// on it in debug builds).
 #[derive(Debug)]
 pub struct RwSpinLock<T> {
     state: CachePadded<AtomicU64>,
@@ -52,6 +54,10 @@ unsafe impl<T: Send> Send for RwSpinLock<T> {}
 unsafe impl<T: Send + Sync> Sync for RwSpinLock<T> {}
 
 impl<T> RwSpinLock<T> {
+    /// Level 3: a leaf data lock (SOFT's bucket lock), ranked with the
+    /// replica locks; nothing is acquired under it.
+    pub const LEVEL: u8 = 3;
+
     /// Creates an unlocked lock around `value`.
     pub fn new(value: T) -> Self {
         RwSpinLock {
@@ -64,7 +70,9 @@ impl<T> RwSpinLock<T> {
     ///
     /// Readers defer to both an active writer and any *waiting* writers
     /// (writer preference).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> RwSpinReadGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         let mut w = Waiter::new();
         loop {
             if let Some(g) = self.try_read() {
@@ -76,6 +84,7 @@ impl<T> RwSpinLock<T> {
 
     /// Attempts to acquire the lock in read mode without blocking.
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_read(&self) -> Option<RwSpinReadGuard<'_, T>> {
         // ord: optimistic snapshot only; the CAS below re-validates it.
         let s = self.state.load(Ordering::Relaxed);
@@ -91,6 +100,7 @@ impl<T> RwSpinLock<T> {
             .compare_exchange_weak(s, s + 1, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
+            held::acquired(self, Self::LEVEL);
             Some(RwSpinReadGuard { lock: self })
         } else {
             None
@@ -98,7 +108,9 @@ impl<T> RwSpinLock<T> {
     }
 
     /// Acquires the lock in write (exclusive) mode, blocking politely.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> RwSpinWriteGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         // Announce intent so new readers hold off.
         // ord: the waiting count only gates reader admission (an advisory
         // counter); the data-protecting edge is the CAS below.
@@ -118,6 +130,7 @@ impl<T> RwSpinLock<T> {
                     .compare_exchange_weak(s, target, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
                 {
+                    held::acquired(self, Self::LEVEL);
                     return RwSpinWriteGuard { lock: self };
                 }
             }
@@ -127,6 +140,7 @@ impl<T> RwSpinLock<T> {
 
     /// Attempts to acquire the lock in write mode without blocking.
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_write(&self) -> Option<RwSpinWriteGuard<'_, T>> {
         // ord: optimistic snapshot only; the CAS below re-validates it.
         let s = self.state.load(Ordering::Relaxed);
@@ -140,6 +154,7 @@ impl<T> RwSpinLock<T> {
             .compare_exchange(s, s | WRITER, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
+            held::acquired(self, Self::LEVEL);
             Some(RwSpinWriteGuard { lock: self })
         } else {
             None
@@ -182,6 +197,7 @@ impl<T> std::ops::Deref for RwSpinReadGuard<'_, T> {
 impl<T> Drop for RwSpinReadGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release ends the read-side critical section; the next
         // writer's Acquire CAS orders its writes after our reads.
         self.lock.state.fetch_sub(1, Ordering::Release);
@@ -214,6 +230,7 @@ impl<T> std::ops::DerefMut for RwSpinWriteGuard<'_, T> {
 impl<T> Drop for RwSpinWriteGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release publishes the critical section's writes to the next
         // Acquire CAS (reader or writer admission).
         self.lock.state.fetch_and(!WRITER, Ordering::Release);

@@ -29,7 +29,7 @@ use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
 
-use crate::Waiter;
+use crate::{held, Waiter};
 
 const WRITER: u64 = 1 << 63;
 
@@ -72,7 +72,6 @@ fn thread_ordinal() -> usize {
 /// drop(w);
 /// assert!(lock.try_read().is_some());
 /// ```
-// lock-level: 2 a ReplicaLock implementation — see the trait's level
 #[derive(Debug)]
 pub struct StrongTryRwLock<T> {
     /// Bit 63: writer holds. Readers only load this word.
@@ -87,6 +86,10 @@ unsafe impl<T: Send> Send for StrongTryRwLock<T> {}
 unsafe impl<T: Send + Sync> Sync for StrongTryRwLock<T> {}
 
 impl<T> StrongTryRwLock<T> {
+    /// Level 3: a CX replica's data lock, ranked with NR's replica locks;
+    /// nothing is acquired under it.
+    pub const LEVEL: u8 = 3;
+
     /// Creates an unlocked lock around `value` with a single reader stripe
     /// (the centralized baseline).
     pub fn new(value: T) -> Self {
@@ -122,6 +125,7 @@ impl<T> StrongTryRwLock<T> {
     /// Strong semantics: returns `None` only if, at some instant during the
     /// call, a writer held the lock or a reader indicator was raised.
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_write(&self) -> Option<StrongTryWriteGuard<'_, T>> {
         if self
             .writer
@@ -146,6 +150,7 @@ impl<T> StrongTryRwLock<T> {
                 return None;
             }
         }
+        held::acquired(self, Self::LEVEL);
         Some(StrongTryWriteGuard { lock: self })
     }
 
@@ -155,6 +160,7 @@ impl<T> StrongTryRwLock<T> {
     /// arriving is not a conflicting mode); only a writer flag — held, or
     /// raised by an in-flight `try_write` probe — causes failure.
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_read(&self) -> Option<StrongTryReadGuard<'_, T>> {
         // ord: early-out only -- NOT part of the SB protocol (the
         // indicate + SeqCst recheck below is); Acquire suffices to order
@@ -174,11 +180,14 @@ impl<T> StrongTryRwLock<T> {
             self.stripes[stripe].fetch_sub(1, Ordering::Release);
             return None;
         }
+        held::acquired(self, Self::LEVEL);
         Some(StrongTryReadGuard { lock: self, stripe })
     }
 
     /// Acquires in read mode, blocking politely until no writer holds.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn read(&self) -> StrongTryReadGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         let mut w = Waiter::new();
         loop {
             if let Some(g) = self.try_read() {
@@ -189,7 +198,9 @@ impl<T> StrongTryRwLock<T> {
     }
 
     /// Acquires in write mode, blocking politely until fully free.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn write(&self) -> StrongTryWriteGuard<'_, T> {
+        held::check_blocking(Self::LEVEL);
         let mut w = Waiter::new();
         loop {
             if let Some(g) = self.try_write() {
@@ -224,6 +235,7 @@ impl<T> std::ops::Deref for StrongTryReadGuard<'_, T> {
 impl<T> Drop for StrongTryReadGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release publishes the read section to the writer's
         // indicator scan.
         self.lock.stripes[self.stripe].fetch_sub(1, Ordering::Release);
@@ -256,6 +268,7 @@ impl<T> std::ops::DerefMut for StrongTryWriteGuard<'_, T> {
 impl<T> Drop for StrongTryWriteGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release publishes the write section to the next acquirer's
         // Acquire/SeqCst load of the writer word.
         self.lock.writer.fetch_and(!WRITER, Ordering::Release);

@@ -11,26 +11,64 @@ use crate::cell::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
-use crate::Waiter;
+use crate::{held, Waiter};
 
 /// A FIFO ticket lock (no protected data; callers serialize a code region).
-// lock-level: 0 outermost: a region lock taken with no ranked lock held
-// (prep-serve's per-connection frame-write lock); a site that nests it
-// under another lock re-ranks it there
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TicketLock {
     next: CachePadded<AtomicU64>,
     serving: CachePadded<AtomicU64>,
+    /// This instance's level, read only by the held-level check.
+    #[cfg(debug_assertions)]
+    level: u8,
+}
+
+impl Default for TicketLock {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TicketLock {
-    /// Creates an unlocked ticket lock.
+    /// Level 0, the outermost: a region lock is taken with no other lock
+    /// held (prep-serve's per-connection frame-write lock). The one
+    /// instance that nests under another lock gets its own level from
+    /// [`TicketLock::with_level`].
+    pub const LEVEL: u8 = 0;
+
+    /// Creates an unlocked ticket lock at [`TicketLock::LEVEL`].
     pub fn new() -> Self {
-        Self::default()
+        Self::with_level(Self::LEVEL)
+    }
+
+    /// Creates an unlocked ticket lock at `level`, for an instance that
+    /// is only ever taken under other locks (see the crate docs on
+    /// levels). Release builds ignore `level`.
+    pub fn with_level(level: u8) -> Self {
+        #[cfg(not(debug_assertions))]
+        let _ = level;
+        TicketLock {
+            next: CachePadded::new(AtomicU64::new(0)),
+            serving: CachePadded::new(AtomicU64::new(0)),
+            #[cfg(debug_assertions)]
+            level,
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    fn level(&self) -> u8 {
+        self.level
+    }
+
+    #[cfg(not(debug_assertions))]
+    fn level(&self) -> u8 {
+        Self::LEVEL
     }
 
     /// Acquires the lock; strictly FIFO among contenders.
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn lock(&self) -> TicketGuard<'_> {
+        held::check_blocking(self.level());
         // ord: AcqRel makes ticket draws totally ordered among contenders
         // (each RMW sees the previous one), which is the FIFO guarantee.
         let ticket = self.next.fetch_add(1, Ordering::AcqRel);
@@ -40,11 +78,13 @@ impl TicketLock {
         while self.serving.load(Ordering::Acquire) != ticket {
             w.wait();
         }
+        held::acquired(self, self.level());
         TicketGuard { lock: self }
     }
 
     /// Attempts to acquire without waiting (succeeds only when nobody holds
     /// or waits).
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<TicketGuard<'_>> {
         // ord: Acquire pairs with the baton-pass in Drop; seeing serving == s
         // means the previous section's writes are visible before ours.
@@ -57,6 +97,7 @@ impl TicketLock {
             .compare_exchange(serving, serving + 1, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
+            held::acquired(self, self.level());
             Some(TicketGuard { lock: self })
         } else {
             None
@@ -72,6 +113,7 @@ pub struct TicketGuard<'a> {
 
 impl Drop for TicketGuard<'_> {
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: the baton pass — Release publishes our critical section to
         // the next ticket holder's Acquire spin; Acquire keeps the pass
         // itself ordered after our reads.

@@ -12,6 +12,8 @@ use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
 
+use crate::held;
+
 /// A cache-padded test-and-test-and-set trylock guarding a `T`.
 ///
 /// ```
@@ -23,8 +25,6 @@ use crossbeam_utils::CachePadded;
 /// }
 /// assert_eq!(*lock.try_lock().unwrap(), 42);
 /// ```
-// lock-level: 1 per-replica combiner election, taken before the level-2
-// replica rwlocks
 #[derive(Debug)]
 pub struct TryLock<T> {
     locked: CachePadded<AtomicBool>,
@@ -37,6 +37,12 @@ unsafe impl<T: Send> Sync for TryLock<T> {}
 unsafe impl<T: Send> Send for TryLock<T> {}
 
 impl<T> TryLock<T> {
+    /// Level 1: per-replica combiner election, which NR takes before the
+    /// reservation gate (level 2) and the replica's reader-writer lock
+    /// (level 3). A `TryLock` is never waited for, so the level only
+    /// matters for what is taken while it is held.
+    pub const LEVEL: u8 = 1;
+
     /// Creates an unlocked trylock around `value`.
     pub fn new(value: T) -> Self {
         TryLock {
@@ -51,6 +57,7 @@ impl<T> TryLock<T> {
     /// case before attempting the atomic swap, avoiding cache-line
     /// ping-ponging between would-be combiners.
     #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
     pub fn try_lock(&self) -> Option<TryLockGuard<'_, T>> {
         // ord: test-and-test-and-set pre-filter; losing combiners bail, and
         // winners are validated by the CAS below.
@@ -65,6 +72,7 @@ impl<T> TryLock<T> {
             .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
         {
+            held::acquired(self, Self::LEVEL);
             Some(TryLockGuard { lock: self })
         } else {
             None
@@ -119,6 +127,7 @@ impl<T> std::ops::DerefMut for TryLockGuard<'_, T> {
 impl<T> Drop for TryLockGuard<'_, T> {
     #[inline]
     fn drop(&mut self) {
+        held::released(self.lock);
         // ord: Release publishes the combiner's writes to the next winner's
         // Acquire CAS.
         self.lock.locked.store(false, Ordering::Release);

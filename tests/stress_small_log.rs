@@ -1,13 +1,17 @@
 //! Small-log stress: drive every construction through thousands of log
 //! wrap-arounds with maximum reclamation pressure (tiny log, tiny ε), the
 //! regime where the emptyBit parity, logMin helping, and flush-boundary
-//! backpressure interact hardest.
+//! backpressure interact hardest. `stress_prep` runs each PREP cell in
+//! both fairness modes: in `StarvationFree` the reservation gate (a
+//! `TicketLock` at level 2) is held while the gate refuses admission and
+//! its combiner catches its own replica up under the replica write lock
+//! (level 3), so debug builds check that nesting on every wrap.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use prep_nr::NodeReplicated;
+use prep_nr::{FairnessMode, NodeReplicated};
 use prep_seqds::hashmap::MapOp;
 use prep_seqds::queue::{Queue, QueueOp, QueueResp};
 use prep_seqds::rbtree::RbTree;
@@ -16,11 +20,24 @@ use prep_topology::Topology;
 use prep_uc::{DurabilityLevel, PmemRuntime, PrepConfig, PrepUc};
 
 fn stress_prep(level: DurabilityLevel, log: u64, eps: u64, per_thread: u64) {
+    for fairness in [FairnessMode::Throughput, FairnessMode::StarvationFree] {
+        stress_prep_in(level, fairness, log, eps, per_thread);
+    }
+}
+
+fn stress_prep_in(
+    level: DurabilityLevel,
+    fairness: FairnessMode,
+    log: u64,
+    eps: u64,
+    per_thread: u64,
+) {
     const WORKERS: usize = 3;
     let asg = Topology::new(2, 2, 1).assign_workers(WORKERS);
     let cfg = PrepConfig::new(level)
         .with_log_size(log)
         .with_epsilon(eps)
+        .with_fairness(fairness)
         .with_runtime(PmemRuntime::for_crash_tests());
     let prep = Arc::new(PrepUc::new(Recorder::new(), asg, cfg));
     let handles: Vec<_> = (0..WORKERS)
@@ -38,11 +55,11 @@ fn stress_prep(level: DurabilityLevel, log: u64, eps: u64, per_thread: u64) {
         h.join().unwrap();
     }
     let total = WORKERS as u64 * per_thread;
-    assert_eq!(prep.completed_tail(), total);
-    prep.with_replica(0, |r| assert_eq!(r.count(), total));
+    assert_eq!(prep.completed_tail(), total, "{fairness:?}");
+    prep.with_replica(0, |r| assert_eq!(r.count(), total, "{fairness:?}"));
     assert!(
         prep.inner().log().log_tail() / log >= 2,
-        "test must actually wrap the log multiple times"
+        "test must actually wrap the log multiple times ({fairness:?})"
     );
 }
 
