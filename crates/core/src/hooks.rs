@@ -85,6 +85,12 @@ pub(crate) struct HookState<O: Clone> {
     /// request stands until `durable_tail` reaches it, so a nudge that
     /// lands while a checkpoint is in flight is served by the next one.
     pub(crate) sync_request: CachePadded<AtomicU64>,
+    /// Where the idle persistence thread parks. Five events wake it, each
+    /// after a `SeqCst` publish of the word its ready check reads: a
+    /// combiner's `completedTail` advance, `nudge_checkpoint`'s request, a
+    /// reservation refused at the gate, a straggler helper lowering the
+    /// boundary, and `Drop`'s stop.
+    pub(crate) persist_wake: WakeSlot,
     /// Where threads waiting for `durable_tail` to advance park: one slot
     /// per registered worker, then one for `quiesce_persistence`. The
     /// persistence thread wakes them all after every published checkpoint.
@@ -124,6 +130,7 @@ impl<O: Clone> HookState<O> {
             persisted_ct: CachePadded::new(AtomicU64::new(0)),
             durable_tail: CachePadded::new(AtomicU64::new(0)),
             sync_request: CachePadded::new(AtomicU64::new(0)),
+            persist_wake: WakeSlot::new(),
             watermark_waiters: (0..=workers).map(|_| WakeSlot::new()).collect(),
             stop: AtomicBool::new(false),
             ct_cell: PersistentCell::new(0),
@@ -137,6 +144,35 @@ impl<O: Clone> HookState<O> {
         for slot in self.watermark_waiters.iter() {
             slot.wake();
         }
+    }
+
+    /// PREP-Durable's half of `ensure_completed_tail_durable`: make a
+    /// `completedTail ≥ ct` durable before the response is released.
+    fn persist_completed_tail(&self, ct: u64) {
+        // §5.2 flush-reduction protocol: skip the flush if some thread
+        // already persisted a covering value; otherwise flush and publish
+        // the new durable watermark. `record_max` keeps the NVM image
+        // monotone under races between flushers of different values.
+        // ord: Acquire pairs with the AcqRel fetch_max below — a covering
+        // value implies the covering publish_clflush happened-before us.
+        if self.persisted_ct.load(Ordering::Acquire) >= ct {
+            return;
+        }
+        // Store + CLFLUSH as one atomic persist: `completedTail` publishes
+        // every log byte below it, and a separate store/flush pair would
+        // make a crash cut falling between the two look like a stale value
+        // the sanitizer cannot tell from a real race.
+        self.rt.publish_clflush(
+            self.psan.ct_addr,
+            std::mem::size_of::<u64>() as u64,
+            &[(self.psan.log_base, ct * Self::entry_bytes())],
+            PublishTag::CompletedTail,
+            "PrepHooks::ensure_completed_tail_durable",
+        );
+        self.ct_cell.record_max(&self.rt, ct);
+        // ord: AcqRel — the release side publishes our flush to the skip
+        // check above; acquire keeps competing maxima ordered.
+        self.persisted_ct.fetch_max(ct, Ordering::AcqRel);
     }
 
     /// Bytes one log entry occupies in the packed NVM log layout (payload +
@@ -206,10 +242,18 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // ord: Acquire pairs with the persistence thread's boundary
         // Release — admitting tail t implies we saw the replica/image state
         // that justified boundary > t.
-        tail < self.state.flush_boundary.load(Ordering::Acquire)
+        let admitted = tail < self.state.flush_boundary.load(Ordering::Acquire)
             // ord: Acquire pairs with shutdown's stop Release: once seen,
             // the final persist pass has already been ordered before it.
-            || self.state.stop.load(Ordering::Acquire)
+            || self.state.stop.load(Ordering::Acquire);
+        if !admitted {
+            // The gate is closed, and the persistence thread may be what
+            // reopens it (its backstop trigger). The tail we were refused
+            // at was published by a SeqCst reservation CAS, so this wake
+            // keeps the WakeSlot contract.
+            self.state.persist_wake.wake();
+        }
+        admitted
     }
 
     fn persist_batch_payload(&self, range: Range<u64>) {
@@ -294,34 +338,12 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
     }
 
     fn ensure_completed_tail_durable(&self, ct: u64) {
-        if self.state.durability != DurabilityLevel::Durable {
-            return;
+        if self.state.durability == DurabilityLevel::Durable {
+            self.state.persist_completed_tail(ct);
         }
-        // §5.2 flush-reduction protocol: skip the flush if some thread
-        // already persisted a covering value; otherwise flush and publish
-        // the new durable watermark. `record_max` keeps the NVM image
-        // monotone under races between flushers of different values.
-        // ord: Acquire pairs with the AcqRel fetch_max below — a covering
-        // value implies the covering publish_clflush happened-before us.
-        if self.state.persisted_ct.load(Ordering::Acquire) >= ct {
-            return;
-        }
-        // Store + CLFLUSH as one atomic persist: `completedTail` publishes
-        // every log byte below it, and a separate store/flush pair would
-        // make a crash cut falling between the two look like a stale value
-        // the sanitizer cannot tell from a real race.
-        let st = &self.state;
-        st.rt.publish_clflush(
-            st.psan.ct_addr,
-            std::mem::size_of::<u64>() as u64,
-            &[(st.psan.log_base, ct * HookState::<O>::entry_bytes())],
-            PublishTag::CompletedTail,
-            "PrepHooks::ensure_completed_tail_durable",
-        );
-        st.ct_cell.record_max(&st.rt, ct);
-        // ord: AcqRel — the release side publishes our flush to the skip
-        // check above; acquire keeps competing maxima ordered.
-        st.persisted_ct.fetch_max(ct, Ordering::AcqRel);
+        // The combiner's completedTail CAS (SeqCst) came first: wake the
+        // persistence thread if it parked, so it applies the new entries.
+        self.state.persist_wake.wake();
     }
 
     fn persistent_tails(&self) -> Vec<u64> {
@@ -357,9 +379,12 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
             // ord: Acquire pairs with the tail's Release store.
             let active_tail = self.state.p_tails[active].load(Ordering::Acquire);
             let target = low_mark.saturating_sub(1).min(active_tail).max(1);
-            // ord: Release so the persistence thread's Acquire of the new
-            // boundary also sees why it was lowered.
-            self.state.flush_boundary.store(target, Ordering::Release);
+            // ord: SeqCst — Release so the persistence thread's Acquire of
+            // the new boundary also sees why it was lowered, SeqCst because
+            // it is the publish half of the WakeSlot pair: the parked
+            // thread's re-check loads the boundary after announcing itself.
+            self.state.flush_boundary.store(target, Ordering::SeqCst);
+            self.state.persist_wake.wake();
         }
     }
 }

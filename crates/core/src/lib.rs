@@ -69,6 +69,7 @@ mod recovery;
 
 pub use config::{DurabilityLevel, FlushStrategy, PrepConfig, PsanFault};
 pub use hooks::PrepHooks;
+pub use persistence::IDLE_PARK;
 pub use puc::{PrepUc, PrepVolatile};
 pub use recovery::CrashImage;
 

@@ -13,8 +13,17 @@
 //! checkpoint are replayed onto its stored image
 //! (`ReplicaImage::apply_delta`). By the `SequentialObject` determinism
 //! contract that is the state the write-back made durable.
+//!
+//! When a cycle finds nothing to do the thread spins, then yields, through
+//! a [`Waiter`]; once that ladder is spent it parks on
+//! `HookState::persist_wake` for at most [`IDLE_PARK`]. Every event that
+//! gives it work wakes it early — a combiner's `completedTail` advance, a
+//! `nudge_checkpoint` request, a reservation refused at the gate, a
+//! straggler helper lowering the boundary, `Drop`'s stop — and a park that
+//! times out with nothing to do parks again, without re-running the ladder.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use prep_pmem::ReplicaImage;
 use prep_seqds::SequentialObject;
@@ -25,6 +34,17 @@ use prep_pmem::psan::PublishTag;
 use crate::config::{DurabilityLevel, FlushStrategy, PsanFault};
 use crate::hooks::HookState;
 use crate::puc::NrInner;
+
+/// Longest one idle park of the persistence thread lasts, so an idle store
+/// wakes it at most once per `IDLE_PARK`. The wake-ups listed in the
+/// module docs end a park early, so the bound is not what brings work to
+/// the thread; it is how often an idle thread looks on its own.
+/// EXPERIMENTS.md § "The persistence thread's idle park" has the sweep it
+/// was picked from: a longer bound saves more idle CPU on the wire
+/// workloads, but on the 2-vCPU guest it was measured on, parks longer
+/// than ≈ 200 µs made the persistence CPU of `crash_recover`'s short
+/// update bursts 20–30 % dearer (the vCPU had gone idle meanwhile).
+pub const IDLE_PARK: Duration = Duration::from_micros(125);
 
 /// A persistence-only replica (the paper's `PReplica`): just the object and
 /// its localTail — no locks, no batch, no response array (§5.1: "the
@@ -137,7 +157,7 @@ impl<T: SequentialObject> PersistenceTask<T> {
             // `local_tail` is met by the next cycle (`want` is a past
             // `completedTail`, so that cycle has entries to apply).
             // Persisting early only tightens the loss bound, as above.
-            // ord: Acquire pairs with nudge_checkpoint's AcqRel fetch_max.
+            // ord: Acquire pairs with nudge_checkpoint's SeqCst fetch_max.
             let want = self.state.sync_request.load(Ordering::Acquire);
             // ord: Relaxed — this thread is the watermark's only writer.
             let published = self.state.durable_tail.load(Ordering::Relaxed);
@@ -276,12 +296,40 @@ impl<T: SequentialObject> PersistenceTask<T> {
 
             if progressed {
                 w.reset();
+            } else if !w.is_sleeping() {
+                w.wait();
             } else {
-                // Idle: `Waiter`'s spin → yield → 50 µs cadence, except that
-                // `nudge_checkpoint` can cut the 50 µs short.
-                w.wait_unparkable();
+                let local_tail = self.replicas[active].local_tail;
+                self.state
+                    .persist_wake
+                    .wait_until_or(|| self.has_work(local_tail), IDLE_PARK);
             }
         }
+    }
+
+    /// The park's ready check: would a cycle do anything, given that the
+    /// active replica has applied up to `local_tail`? It tests the loop's
+    /// three triggers (with the backstop's `local_tail == completedTail`
+    /// folded into the first) and the stop flag. Every word it reads is
+    /// published with a `SeqCst` store or RMW before its writer calls
+    /// `persist_wake.wake()`, and is read here with a `SeqCst` load, as
+    /// [`prep_sync::WakeSlot`] requires.
+    fn has_work(&self, local_tail: u64) -> bool {
+        use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+
+        let st = &self.state;
+        let log = self.nr.log();
+        // ord: SeqCst — the re-check's load against a straggler helper's
+        // lowering store (WakeSlot's store→load pair).
+        let boundary = st.flush_boundary.load(SeqCst);
+        // ord: SeqCst — against Drop's stop store.
+        st.stop.load(SeqCst)
+            || log.completed_tail_seqcst() > local_tail
+            || boundary <= local_tail
+            || (boundary <= log.log_tail_seqcst() && local_tail + self.epsilon > boundary)
+            // ord: SeqCst — against nudge_checkpoint's fetch_max; Relaxed
+            // for the watermark, which only this thread writes.
+            || st.sync_request.load(SeqCst) > st.durable_tail.load(Relaxed)
     }
 }
 

@@ -237,15 +237,13 @@ impl<T: SequentialObject> PrepUc<T> {
         }
         self.state
             .sync_request
-            // ord: AcqRel — Release so the persistence thread's Acquire load
+            // ord: SeqCst — Release so the persistence thread's Acquire load
             // of the request sees the completions that motivated it; Acquire
-            // orders racing requests (fetch_max keeps only the furthest).
-            .fetch_max(ct, Ordering::AcqRel);
-        // The unpark token outlives a race with the thread's own decision
-        // to park, and the park has a 50 µs timeout besides.
-        if let Some(h) = &self.persistence {
-            h.thread().unpark();
-        }
+            // orders racing requests (fetch_max keeps only the furthest);
+            // SeqCst because it is the publish half of the WakeSlot pair the
+            // wake below completes.
+            .fetch_max(ct, Ordering::SeqCst);
+        self.state.persist_wake.wake();
     }
 
     /// Parks the worker holding `token` until `ready()` holds, re-checking
@@ -297,9 +295,12 @@ impl<T: SequentialObject> PrepUc<T> {
 
 impl<T: SequentialObject> Drop for PrepUc<T> {
     fn drop(&mut self) {
-        // ord: Release pairs with the persistence thread's stop Acquire —
-        // everything this instance wrote is visible to its final pass.
-        self.state.stop.store(true, Ordering::Release);
+        // ord: SeqCst — Release pairs with the persistence thread's stop
+        // Acquire (everything this instance wrote is visible to its final
+        // pass); SeqCst because a parked thread re-checks it after the
+        // wake below (the WakeSlot pair).
+        self.state.stop.store(true, Ordering::SeqCst);
+        self.state.persist_wake.wake();
         if let Some(h) = self.persistence.take() {
             let _ = h.join();
         }

@@ -8,7 +8,7 @@
 //! These drive `prep_mc::cell` directly, so the file runs in both normal
 //! and `--cfg prep_mc` builds.
 
-use std::sync::atomic::Ordering::{self, Acquire, Relaxed, Release, SeqCst};
+use std::sync::atomic::Ordering::{self, AcqRel, Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
 use prep_mc::cell::{fence, AtomicU64, PeekCell};
@@ -334,5 +334,66 @@ fn wake_slot_release_acquire_pair_is_caught() {
         f.kind,
         FailureKind::Livelock,
         "expected a parked owner: {f:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Miniature persistence park: the persistence thread parks on its wake
+// slot until `completedTail` passes what it applied; a combiner advances
+// `completedTail` by CAS and then wakes it (crates/nr/src/log.rs's
+// `advance_completed_tail`, crates/core/src/hooks.rs's
+// `ensure_completed_tail_durable`). The owner side is `MiniSlot::wait`
+// with `work` standing for `completedTail`.
+// ---------------------------------------------------------------------------
+
+fn persist_park_scenario(advance: Ordering, wake: bool) {
+    let s = Arc::new(MiniSlot::new());
+    let s2 = Arc::clone(&s);
+    let combiner = thread::spawn(move || {
+        let _ = s2.work.compare_exchange(0, 1, advance, Relaxed);
+        if wake && s2.idle.load(SeqCst) != 0 {
+            s2.idle.swap(0, SeqCst);
+        }
+    });
+    s.wait(SeqCst, SeqCst, true);
+    combiner.join().unwrap();
+}
+
+/// Baseline: a SeqCst `completedTail` CAS followed by the wake loses no
+/// wake-up.
+#[test]
+fn persist_park_clean_protocol_passes() {
+    expect_clean("persist-park-clean", || persist_park_scenario(SeqCst, true));
+}
+
+/// Mutant 7 (`advance_completed_tail`): the CAS back to `AcqRel`. The
+/// combiner's CAS and the thread's announcement are the two stores of a
+/// store-buffering pair, and only `SeqCst` on both puts them in one total
+/// order: with `AcqRel` the thread's `SeqCst` re-check may still read the
+/// old `completedTail` while the combiner's look finds nobody idle.
+#[test]
+fn persist_park_acqrel_completed_tail_is_caught() {
+    let f = expect_caught("persist-park-acqrel-ct", || {
+        persist_park_scenario(AcqRel, true)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a parked persistence thread: {f:?}"
+    );
+}
+
+/// Mutant 8 (`ensure_completed_tail_durable`): the wake dropped. Nothing
+/// else ends the park (the model has no timeout), so the thread sleeps
+/// through the entries it should apply.
+#[test]
+fn persist_park_without_the_wake_is_caught() {
+    let f = expect_caught("persist-park-no-wake", || {
+        persist_park_scenario(SeqCst, false)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a parked persistence thread: {f:?}"
     );
 }

@@ -8,8 +8,9 @@
 //! come back clean *and* exhaustive.
 #![cfg(prep_mc)]
 
-use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
+use std::time::Duration;
 
 use prep_mc::cell::AtomicU64;
 use prep_mc::{thread, Builder};
@@ -106,5 +107,136 @@ fn the_slot_is_reusable_across_waits() {
         slot.wait_until(|| work.load(SeqCst) >= 1);
         slot.wait_until(|| work.load(SeqCst) == 2);
         waker.join().unwrap();
+    });
+}
+
+/// The persistence thread's words, as `crates/core` keeps them: the log's
+/// `completedTail`, `nudge_checkpoint`'s standing request, the published
+/// checkpoint's tail (the durable watermark), the active replica's applied
+/// tail and the stop flag, plus its park slot and the watermark waiter's.
+struct Persist {
+    park: WakeSlot,
+    watermark: WakeSlot,
+    completed_tail: AtomicU64,
+    sync_request: AtomicU64,
+    durable: AtomicU64,
+    applied: AtomicU64,
+    stop: AtomicU64,
+}
+
+/// `fetch_max` by CAS (the checker's cells have no `fetch_max`).
+fn fetch_max(cell: &AtomicU64, v: u64) {
+    // ord: SeqCst — the publish half of the park's store→load pair.
+    let mut cur = cell.load(SeqCst);
+    while cur < v {
+        // ord: SeqCst — as above; failure just re-reads.
+        match cell.compare_exchange(cur, v, SeqCst, SeqCst) {
+            Ok(_) => return,
+            Err(now) => cur = now,
+        }
+    }
+}
+
+impl Persist {
+    /// `PersistenceTask::run`, cut down to what the park protocol reads:
+    /// apply up to `completedTail`, checkpoint when a request is covered,
+    /// and otherwise park with the `has_work` re-check. The spin/yield
+    /// ladder in front of the park is left out: it only delays the park.
+    fn run(&self) {
+        let mut local = 0;
+        loop {
+            // ord: Acquire pairs with Drop's stop store.
+            if self.stop.load(Acquire) != 0 {
+                return;
+            }
+            let mut progressed = false;
+            // ord: Acquire pairs with the combiner's advance.
+            let tail = self.completed_tail.load(Acquire);
+            if tail > local {
+                local = tail;
+                // ord: Release publishes the applied replica state.
+                self.applied.store(local, Release);
+                progressed = true;
+            }
+            // ord: Acquire pairs with the nudger's request.
+            let want = self.sync_request.load(Acquire);
+            // ord: Relaxed — this thread is the watermark's only writer.
+            if self.durable.load(Relaxed) < want && want <= local {
+                fetch_max(&self.durable, local);
+                self.watermark.wake();
+                progressed = true;
+            }
+            if !progressed {
+                // The bound is ignored under the checker: a lost wake-up is
+                // a park that never ends, which the livelock detector sees.
+                self.park.wait_until_or(
+                    || {
+                        // ord: SeqCst loads — the ready check's half of the
+                        // WakeSlot pair; the watermark is this thread's own.
+                        self.stop.load(SeqCst) != 0
+                            || self.completed_tail.load(SeqCst) > local
+                            || self.sync_request.load(SeqCst) > self.durable.load(Relaxed)
+                    },
+                    Duration::from_micros(300),
+                );
+            }
+        }
+    }
+}
+
+/// The persistence thread's idle park (`crates/core/src/persistence.rs`):
+/// announce → `SeqCst` re-check of `completedTail`, `sync_request` and
+/// `stop`, raced against a combiner's `completedTail` advance → wake and a
+/// nudger's request → wake (which then waits for the checkpoint, as
+/// `quiesce_persistence` does). Each wake source must end the park: the
+/// nudger must get its checkpoint, the thread must apply the combiner's
+/// entry, and `stop` must end the thread.
+#[test]
+fn the_persistence_park_loses_no_wakeup() {
+    check_exhaustively("persistence-park", || {
+        let p = Arc::new(Persist {
+            park: WakeSlot::new(),
+            watermark: WakeSlot::new(),
+            completed_tail: AtomicU64::new(0),
+            sync_request: AtomicU64::new(0),
+            durable: AtomicU64::new(0),
+            applied: AtomicU64::new(0),
+            stop: AtomicU64::new(0),
+        });
+        let persistence = {
+            let p = Arc::clone(&p);
+            thread::spawn(move || p.run())
+        };
+        let combiner = {
+            let p = Arc::clone(&p);
+            thread::spawn(move || {
+                // ord: SeqCst — `advance_completed_tail`'s CAS, then the
+                // wake from `ensure_completed_tail_durable`.
+                let _ = p.completed_tail.compare_exchange(0, 1, SeqCst, Relaxed);
+                p.park.wake();
+            })
+        };
+        // This thread nudges (`nudge_checkpoint`) and waits for the
+        // covering checkpoint (`quiesce_persistence`).
+        // ord: SeqCst — the nudge names the current completedTail.
+        let want = p.completed_tail.load(SeqCst);
+        // ord: SeqCst — the watermark check of the nudge's early return.
+        if p.durable.load(SeqCst) < want {
+            fetch_max(&p.sync_request, want);
+            p.park.wake();
+            // ord: SeqCst — the watermark slot's ready check.
+            p.watermark.wait_until(|| p.durable.load(SeqCst) >= want);
+        }
+        combiner.join().unwrap();
+        // ord: Acquire pairs with the thread's applied-tail Release; a
+        // yield loop, so a parked thread that missed the combiner's wake
+        // is a livelock.
+        while p.applied.load(Acquire) < 1 {
+            thread::yield_now();
+        }
+        // ord: SeqCst — Drop's stop, then its wake.
+        p.stop.store(1, SeqCst);
+        p.park.wake();
+        persistence.join().unwrap();
     });
 }

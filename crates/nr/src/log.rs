@@ -203,9 +203,30 @@ impl<O: Clone> Log<O> {
     /// Current `completedTail`.
     #[inline]
     pub fn completed_tail(&self) -> u64 {
-        // ord: Acquire pairs with advance_completed_tail's AcqRel CAS:
+        // ord: Acquire pairs with advance_completed_tail's SeqCst CAS:
         // seeing `t` means entries below `t` were published first.
         self.completed_tail.load(Ordering::Acquire)
+    }
+
+    /// Current `logTail`, read with the `SeqCst` load a
+    /// [`prep_sync::WakeSlot`] ready check needs: the reservation CAS is
+    /// the `SeqCst` publish of that protocol, so a thread that announced
+    /// itself idle before this load cannot miss a reservation whose
+    /// reserver then found nobody idle.
+    #[inline]
+    pub fn log_tail_seqcst(&self) -> u64 {
+        // ord: SeqCst — the ready check's load against try_reserve's
+        // SeqCst CAS (WakeSlot's store→load pair).
+        self.log_tail.load(Ordering::SeqCst)
+    }
+
+    /// Current `completedTail`, read with `SeqCst` for a
+    /// [`prep_sync::WakeSlot`] ready check (see [`Log::log_tail_seqcst`]).
+    #[inline]
+    pub fn completed_tail_seqcst(&self) -> u64 {
+        // ord: SeqCst — the ready check's load against
+        // advance_completed_tail's SeqCst CAS (WakeSlot's store→load pair).
+        self.completed_tail.load(Ordering::SeqCst)
     }
 
     /// Current `logMin`.
@@ -232,14 +253,17 @@ impl<O: Clone> Log<O> {
     #[inline]
     pub(crate) fn try_reserve(&self, expected_tail: u64, n: u64) -> bool {
         self.log_tail
-            // ord: AcqRel — Release publishes our view of logMin checks to
+            // ord: SeqCst — Release publishes our view of logMin checks to
             // later reservers; Acquire orders our writes into the reserved
-            // slots after earlier reservations. Failure re-reads the tail
-            // (Acquire) for the caller's retry.
+            // slots after earlier reservations; SeqCst because a gate
+            // refusal wakes the persistence thread on the strength of this
+            // tail (the publish half of its WakeSlot's store→load pair; on
+            // x86 the same `lock cmpxchg` as AcqRel). Failure re-reads the
+            // tail (Acquire) for the caller's retry.
             .compare_exchange(
                 expected_tail,
                 expected_tail + n,
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Acquire,
             )
             .is_ok()
@@ -337,13 +361,17 @@ impl<O: Clone> Log<O> {
         // ord: optimistic snapshot; the CAS below re-validates.
         let mut cur = self.completed_tail.load(Ordering::Relaxed);
         while cur < to {
-            // ord: AcqRel — Release so a reader that observes the new
+            // ord: SeqCst — Release so a reader that observes the new
             // completedTail (Acquire in completed_tail) sees the published
-            // entries below it; failure just reloads the counter.
+            // entries below it; SeqCst because the combiner then wakes the
+            // persistence thread, whose parked re-check loads this counter
+            // (`completed_tail_seqcst`): the publish half of the WakeSlot
+            // store→load pair. On x86 the same `lock cmpxchg` as AcqRel.
+            // Failure just reloads the counter.
             match self.completed_tail.compare_exchange_weak(
                 cur,
                 to,
-                Ordering::AcqRel,
+                Ordering::SeqCst,
                 Ordering::Relaxed,
             ) {
                 Ok(_) => return true,

@@ -46,11 +46,21 @@ impl<O, R> BatchSlot<O, R> {
     }
 }
 
+/// The combiner's batch buffers, owned under the combiner lock and reused
+/// round after round: once they have grown to β entries, a combine round
+/// allocates nothing.
+pub(crate) struct CombineBuf<O> {
+    /// The batch slot each collected op came from, in batch order.
+    pub(crate) slot_ids: Vec<usize>,
+    /// The collected ops; `combine` moves them into the log with `drain`.
+    pub(crate) ops: Vec<O>,
+}
+
 /// A volatile replica: the sequential object plus its coordination state.
 pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// The combiner lock (paper: a trylock; winning it makes a thread the
-    /// combiner for this node).
-    pub(crate) combiner: TryLock<()>,
+    /// combiner for this node), guarding the combiner's batch buffers.
+    pub(crate) combiner: TryLock<CombineBuf<T::Op>>,
     /// Reader-writer lock protecting the sequential object. Which lock is
     /// behind the trait object is [`FairnessMode`]'s choice: the NR §3
     /// distributed lock (one padded reader slot per worker on this node) by
@@ -81,7 +91,10 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
             FairnessMode::StarvationFree => Box::new(PhaseFairRwLock::new(ds)),
         };
         Replica {
-            combiner: TryLock::new(()),
+            combiner: TryLock::new(CombineBuf {
+                slot_ids: Vec::with_capacity(beta),
+                ops: Vec::with_capacity(beta),
+            }),
             rw,
             local_tail: CachePadded::new(AtomicU64::new(0)),
             slots: (0..beta).map(|_| BatchSlot::new()).collect(),

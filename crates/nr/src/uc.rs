@@ -10,7 +10,7 @@ use prep_topology::ThreadAssignment;
 
 use crate::hooks::{NoopHooks, NrHooks};
 use crate::log::Log;
-use crate::replica::{Replica, SLOT_DONE, SLOT_EMPTY, SLOT_PENDING};
+use crate::replica::{CombineBuf, Replica, SLOT_DONE, SLOT_EMPTY, SLOT_PENDING};
 use crate::FairnessMode;
 
 /// A registered worker's identity: its NUMA node (→ replica) and its slot in
@@ -216,9 +216,9 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
                 slot.state.store(SLOT_EMPTY, Ordering::Release);
                 return resp;
             }
-            if let Some(_guard) = replica.combiner.try_lock() {
+            if let Some(mut buf) = replica.combiner.try_lock() {
                 // We are the combiner for this node.
-                self.combine(token.node);
+                self.combine(token.node, &mut buf);
                 // Our own PENDING slot was part of the batch (or a previous
                 // combiner already completed it); re-check DONE.
                 continue;
@@ -230,13 +230,15 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
     /// The combiner: collects this node's pending batch, appends it to the
     /// log, brings the local replica up to date, and delivers responses.
     ///
-    /// Caller must hold `replicas[node]`'s combiner lock.
-    fn combine(&self, node: usize) {
+    /// Caller must hold `replicas[node]`'s combiner lock; `buf` is the
+    /// batch buffer it guards.
+    fn combine(&self, node: usize, buf: &mut CombineBuf<T::Op>) {
         let replica = &self.replicas[node];
 
-        // 1. Collect the batch.
-        let mut slot_ids: Vec<usize> = Vec::with_capacity(replica.slots.len());
-        let mut ops: Vec<T::Op> = Vec::with_capacity(replica.slots.len());
+        // 1. Collect the batch into the combiner's reused buffers.
+        let CombineBuf { slot_ids, ops } = buf;
+        slot_ids.clear();
+        ops.clear();
         for (i, s) in replica.slots.iter().enumerate() {
             // ord: Acquire pairs with the owner's PENDING Release; the op
             // write is visible before the combiner takes it.
@@ -272,7 +274,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         //    fenced (a crash there loses a covered entry). Publishing last
         //    closes the window; the ordering sanitizer caught the original
         //    race live (rule 2, tail-before-entry).
-        for (k, op) in ops.into_iter().enumerate() {
+        for (k, op) in ops.drain(..).enumerate() {
             // SAFETY: we reserved [start, end); the logMin protocol ran in
             // `reserve`, so these slots are reusable.
             unsafe { self.log.write_payload(start + k as u64, op) };
@@ -320,7 +322,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         self.hooks.ensure_completed_tail_durable(end);
 
         // 6. Release responses.
-        for &slot_i in &slot_ids {
+        for &slot_i in slot_ids.iter() {
             replica.slots[slot_i]
                 .state
                 // ord: Release publishes the resp write to the owner's

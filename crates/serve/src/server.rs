@@ -32,7 +32,8 @@
 //! sockets in one `poll(2)` over them plus a [`Waker`] ([`crate::poll`]),
 //! the others parked on a [`WakeSlot`] of their own — and whoever gives it
 //! work ends the block, so a request crosses the server in wake-ups, not
-//! in sleep quanta, and an idle server uses no CPU.
+//! in sleep quanta. An idle server's only wake-ups are its stores'
+//! persistence threads looking for work once per [`prep_uc::IDLE_PARK`].
 //!
 //! | thread | blocks in | woken by |
 //! |---|---|---|

@@ -1,11 +1,15 @@
 //! Polite spin-waiting.
 //!
-//! Every blocking loop in this workspace waits through [`Waiter`]: a short
-//! burst of `spin_loop` hints, then `thread::yield_now`, then short sleeps.
-//! On a machine with spare cores the fast path is indistinguishable from a
-//! raw spin loop; on an oversubscribed machine (the common case for the
+//! The short waits of this workspace — lock acquires, the combiner's
+//! hand-offs, the log's gates — go through [`Waiter`]: a short burst of
+//! `spin_loop` hints, then `thread::yield_now`, then short sleeps. On a
+//! machine with spare cores the fast path is indistinguishable from a raw
+//! spin loop; on an oversubscribed machine (the common case for the
 //! benchmark harness, which runs up to 96 logical workers) it lets the thread
-//! holding the resource actually run.
+//! holding the resource actually run. A thread that may stay idle for long
+//! parks on a [`crate::WakeSlot`] instead: a server's executors and
+//! durable-ack holders, and the persistence thread once its `Waiter` has
+//! reached the sleep stage ([`Waiter::is_sleeping`]).
 
 use std::hint;
 use std::thread;
@@ -45,21 +49,6 @@ impl Waiter {
     /// Waits one round, escalating from spinning to yielding to sleeping.
     #[inline]
     pub fn wait(&mut self) {
-        self.round(thread::sleep);
-    }
-
-    /// [`Waiter::wait`] for a thread that others may need early: the same
-    /// spin → yield → 50 µs cadence, but the last stage is
-    /// `thread::park_timeout`, so a `Thread::unpark` of the waiting thread
-    /// cuts the quantum short (the persistence thread's idle stage: a
-    /// checkpoint request does not wait out the sleep).
-    #[inline]
-    pub fn wait_unparkable(&mut self) {
-        self.round(thread::park_timeout);
-    }
-
-    #[inline]
-    fn round(&mut self, sleep: fn(Duration)) {
         // Under the model checker, spinning must be visible to the
         // scheduler: every round becomes an instrumented yield (the
         // checker deprioritizes us until a write lands, and diagnoses
@@ -79,7 +68,7 @@ impl Waiter {
         } else if self.step < SPIN_LIMIT + YIELD_LIMIT {
             thread::yield_now();
         } else {
-            sleep(SLEEP);
+            thread::sleep(SLEEP);
         }
         self.step = self.step.saturating_add(1);
     }
@@ -100,6 +89,16 @@ impl Waiter {
     #[inline]
     pub fn is_contended(&self) -> bool {
         self.step >= SPIN_LIMIT
+    }
+
+    /// Returns true once the waiter has spun and yielded its whole ladder:
+    /// its next [`Waiter::wait`] would sleep.
+    ///
+    /// For callers with a better last stage than a fixed sleep — the
+    /// persistence thread parks on a [`crate::WakeSlot`] from here on.
+    #[inline]
+    pub fn is_sleeping(&self) -> bool {
+        self.step >= SPIN_LIMIT + YIELD_LIMIT
     }
 }
 
@@ -126,8 +125,14 @@ mod tests {
             w.wait();
         }
         assert!(w.is_contended());
+        for _ in 0..YIELD_LIMIT {
+            assert!(!w.is_sleeping());
+            w.wait();
+        }
+        assert!(w.is_sleeping());
         w.reset();
         assert!(!w.is_contended());
+        assert!(!w.is_sleeping());
     }
 
     #[test]

@@ -93,8 +93,11 @@ impl WakeSlot {
     }
 
     /// Like [`WakeSlot::wait_until`], but also returns once `timeout` has
-    /// passed in one block — for owners with a wake source that cannot
-    /// call [`WakeSlot::wake`] (a signal handler's flag).
+    /// passed in one block, whether or not `ready()` holds — for owners
+    /// with a wake source that cannot call [`WakeSlot::wake`] (a signal
+    /// handler's flag), and for owners that bound their park on purpose
+    /// (the persistence thread's idle park). Under the model checker the
+    /// timeout is ignored, so a lost wake-up still shows as a livelock.
     pub fn wait_until_or(&self, ready: impl FnMut() -> bool, timeout: Duration) {
         self.wait(ready, Some(timeout));
     }
