@@ -68,7 +68,6 @@ fn server_config() -> ServeConfig {
     ServeConfig {
         shards: 2,
         executors_per_shard: 2,
-        conn_threads: 2,
         queue_depth: 256,
         epsilon: 64,
         log_size: 4096,

@@ -8,7 +8,7 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam_utils::CachePadded;
 use prep_nr::NrHooks;
@@ -91,10 +91,12 @@ pub(crate) struct HookState<O: Clone> {
     /// reservation refused at the gate, a straggler helper lowering the
     /// boundary, and `Drop`'s stop.
     pub(crate) persist_wake: WakeSlot,
-    /// Where threads waiting for `durable_tail` to advance park: one slot
-    /// per registered worker, then one for `quiesce_persistence`. The
-    /// persistence thread wakes them all after every published checkpoint.
-    pub(crate) watermark_waiters: Box<[WakeSlot]>,
+    /// Where `quiesce_persistence` parks until `durable_tail` covers it.
+    /// The persistence thread wakes it after every published checkpoint.
+    pub(crate) quiesce_wake: WakeSlot,
+    /// Called by the persistence thread after every published checkpoint
+    /// (`PrepUc::set_checkpoint_listener`).
+    pub(crate) checkpoint_listener: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Shutdown flag for the persistence thread and the reserve gate.
     pub(crate) stop: AtomicBool,
     /// NVM image of `d_completedTail` (durable mode).
@@ -112,7 +114,6 @@ impl<O: Clone> HookState<O> {
         epsilon: u64,
         fence_per_entry: bool,
         psan_fault: Option<PsanFault>,
-        workers: usize,
     ) -> Arc<Self> {
         let psan = PsanLayout::new(&rt);
         Arc::new(HookState {
@@ -131,19 +132,13 @@ impl<O: Clone> HookState<O> {
             durable_tail: CachePadded::new(AtomicU64::new(0)),
             sync_request: CachePadded::new(AtomicU64::new(0)),
             persist_wake: WakeSlot::new(),
-            watermark_waiters: (0..=workers).map(|_| WakeSlot::new()).collect(),
+            quiesce_wake: WakeSlot::new(),
+            checkpoint_listener: OnceLock::new(),
             stop: AtomicBool::new(false),
             ct_cell: PersistentCell::new(0),
             p_active_cell: PersistentCell::new(0),
             log_image: LogImage::new(),
         })
-    }
-
-    /// Wakes every thread parked on a watermark slot to re-check.
-    pub(crate) fn wake_watermark_waiters(&self) {
-        for slot in self.watermark_waiters.iter() {
-            slot.wake();
-        }
     }
 
     /// PREP-Durable's half of `ensure_completed_tail_durable`: make a
@@ -395,14 +390,7 @@ mod tests {
 
     fn mk(durability: DurabilityLevel) -> PrepHooks<u64> {
         PrepHooks {
-            state: HookState::new(
-                PmemRuntime::for_crash_tests(),
-                durability,
-                16,
-                false,
-                None,
-                1,
-            ),
+            state: HookState::new(PmemRuntime::for_crash_tests(), durability, 16, false, None),
         }
     }
 
@@ -415,7 +403,6 @@ mod tests {
                 16,
                 true,
                 None,
-                1,
             ),
         };
         h.persist_batch_payload(0..4);

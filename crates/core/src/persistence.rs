@@ -263,13 +263,17 @@ impl<T: SequentialObject> PersistenceTask<T> {
                     .durable_tail
                     // ord: SeqCst — publishes the checkpoint behind the
                     // watermark to durable_watermark()'s readers, and is the
-                    // store of the wake slots' store→load pair: a waiter
-                    // that announced itself before this lands is seen by the
-                    // wakes below, one that announces after sees the new
-                    // watermark in its re-check. (Only this thread writes
-                    // it; fetch_max is how it stays monotone.)
+                    // store of the waiters' store→load pair: a waiter that
+                    // announced itself before this lands is seen by the
+                    // quiescer's slot or the listener below, one that
+                    // announces after sees the new watermark in its
+                    // re-check. (Only this thread writes it; fetch_max is
+                    // how it stays monotone.)
                     .fetch_max(rep.local_tail, Ordering::SeqCst);
-                self.state.wake_watermark_waiters();
+                self.state.quiesce_wake.wake();
+                if let Some(listener) = self.state.checkpoint_listener.get() {
+                    listener();
+                }
                 // Advance the boundary to exactly ε past what was just
                 // persisted. This is the invariant the ε + β − 1 loss bound
                 // rests on: `flushBoundary ≤ stableTail + ε` at all times,

@@ -57,7 +57,6 @@ impl<T: SequentialObject> PrepUc<T> {
             config.epsilon,
             config.fence_per_entry,
             config.psan_fault,
-            assignment.workers(),
         );
         let hooks = PrepHooks {
             state: Arc::clone(&state),
@@ -205,8 +204,9 @@ impl<T: SequentialObject> PrepUc<T> {
     pub fn durable_watermark(&self) -> u64 {
         // ord: SeqCst — pairs with the persistence thread's SeqCst fetch_max
         // after the selector persist (watermark w implies the checkpoint
-        // covering [0, w) is durable), and is the load a parked watermark
-        // waiter re-checks with (`wait_watermark`).
+        // covering [0, w) is durable), and is the load a waiter re-checks
+        // with after announcing itself (`quiesce_persistence`, a checkpoint
+        // listener's owner).
         let ckpt = self.state.durable_tail.load(Ordering::SeqCst);
         match self.config.durability {
             crate::config::DurabilityLevel::Durable => {
@@ -246,24 +246,19 @@ impl<T: SequentialObject> PrepUc<T> {
         self.state.persist_wake.wake();
     }
 
-    /// Parks the worker holding `token` until `ready()` holds, re-checking
-    /// after every published checkpoint, so
-    /// `wait_watermark(t, || durable_watermark() >= cover || …)` waits for
-    /// an op's covering checkpoint without polling. Every registered
-    /// worker has a slot of its own, so any
-    /// number of them wait at once, each parked (see
-    /// [`prep_sync::WakeSlot`]). `ready` must read what it tests with
-    /// `SeqCst` loads; a caller that adds a condition of its own (a
-    /// server's crash flag) calls [`PrepUc::wake_watermark_waiters`] after
-    /// changing it.
-    pub fn wait_watermark(&self, token: &ThreadToken, ready: impl FnMut() -> bool) {
-        self.state.watermark_waiters[token.worker()].wait_until(ready);
-    }
-
-    /// Wakes every thread parked in [`PrepUc::wait_watermark`] or
-    /// [`PrepUc::quiesce_persistence`] to re-check its condition.
-    pub fn wake_watermark_waiters(&self) {
-        self.state.wake_watermark_waiters();
+    /// Installs `listener`, which the persistence thread calls right after
+    /// the `SeqCst` publish that moves [`PrepUc::durable_watermark`], so a
+    /// service layer holding durable acks can wake the thread that holds
+    /// them. That thread announces itself with a `SeqCst` store and then
+    /// re-reads the watermark; the listener loads the announcement (the
+    /// store→load pair of [`prep_sync::WakeSlot`]). The listener runs on
+    /// the persistence thread mid-checkpoint, so it must not block.
+    ///
+    /// # Panics
+    /// Panics if a listener is already installed.
+    pub fn set_checkpoint_listener(&self, listener: impl Fn() + Send + Sync + 'static) {
+        let fresh = self.state.checkpoint_listener.set(Box::new(listener));
+        assert!(fresh.is_ok(), "a checkpoint listener is installed once");
     }
 
     /// Blocks until every operation completed *before this call* is crash
@@ -277,8 +272,9 @@ impl<T: SequentialObject> PrepUc<T> {
     pub fn quiesce_persistence(&self) {
         let ct = self.completed_tail();
         self.nudge_checkpoint();
-        let slots = &self.state.watermark_waiters;
-        slots[slots.len() - 1].wait_until(|| self.durable_watermark() >= ct);
+        self.state
+            .quiesce_wake
+            .wait_until(|| self.durable_watermark() >= ct);
     }
 
     /// The persistent replicas' localTails (volatile mirror).
@@ -421,6 +417,10 @@ mod tests {
             asg,
             cfg(DurabilityLevel::Buffered).with_epsilon(64),
         );
+        let (tx, rx) = std::sync::mpsc::channel();
+        prep.set_checkpoint_listener(move || {
+            let _ = tx.send(());
+        });
         let t = prep.register(0);
         // Fewer ops than ε: without a nudge the persistence thread would
         // never checkpoint (boundary = 64 is unreachable at tail 10).
@@ -434,6 +434,8 @@ mod tests {
             "watermark {} must cover completedTail 10",
             prep.durable_watermark()
         );
+        rx.recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the checkpoint also called the listener");
     }
 
     #[test]

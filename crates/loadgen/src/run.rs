@@ -597,7 +597,6 @@ mod tests {
             ServeConfig {
                 shards: 2,
                 executors_per_shard: 2,
-                conn_threads: 1,
                 epsilon: 16,
                 log_size: 1024,
                 crash_sim: true,

@@ -397,3 +397,62 @@ fn persist_park_without_the_wake_is_caught() {
         "expected a parked persistence thread: {f:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Miniature checkpoint listener: a `prep-serve` conn thread holding a
+// durable ack announces itself and re-checks the watermark before it blocks
+// in `poll`; the persistence thread publishes the checkpoint, then its
+// listener claims the announcement and wakes the thread
+// (`Worker::settle`, `listen_for_checkpoints`). The owner side is
+// `MiniSlot::wait` with `work` standing for the watermark.
+// ---------------------------------------------------------------------------
+
+fn checkpoint_listener_scenario(announce: Ordering, listen: bool) {
+    let s = Arc::new(MiniSlot::new());
+    let s2 = Arc::clone(&s);
+    let persistence = thread::spawn(move || {
+        s2.work.fetch_add(1, SeqCst);
+        if listen && s2.idle.load(SeqCst) != 0 {
+            s2.idle.swap(0, SeqCst);
+        }
+    });
+    s.wait(announce, SeqCst, true);
+    persistence.join().unwrap();
+}
+
+/// Baseline: a `SeqCst` announce and the listener call lose no wake-up.
+#[test]
+fn checkpoint_listener_clean_protocol_passes() {
+    expect_clean("checkpoint-listener-clean", || {
+        checkpoint_listener_scenario(SeqCst, true)
+    });
+}
+
+/// Mutant 9 (`Worker::settle`): a `Relaxed` announce leaves the total
+/// order the publish and both loads are in, so the re-check may miss the
+/// checkpoint while the listener misses the announcement.
+#[test]
+fn checkpoint_listener_relaxed_announce_is_caught() {
+    let f = expect_caught("checkpoint-listener-relaxed-announce", || {
+        checkpoint_listener_scenario(Relaxed, true)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a blocked conn thread: {f:?}"
+    );
+}
+
+/// Mutant 10 (`PersistenceTask::run`): the listener call after the
+/// `durable_tail` publish dropped; nothing else wakes the conn thread.
+#[test]
+fn checkpoint_listener_without_the_call_is_caught() {
+    let f = expect_caught("checkpoint-listener-no-call", || {
+        checkpoint_listener_scenario(SeqCst, false)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a blocked conn thread: {f:?}"
+    );
+}

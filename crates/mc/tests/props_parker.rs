@@ -1,4 +1,6 @@
-//! Model-checked properties of the real [`prep_sync::WakeSlot`].
+//! Model-checked properties of the real [`prep_sync::WakeSlot`], and of
+//! the park protocols built beside it: the persistence thread's idle park
+//! and the checkpoint listener that wakes a `prep-serve` conn thread.
 //!
 //! Runs only under `RUSTFLAGS="--cfg prep_mc"` (see `props_seq_version.rs`).
 //! Under the checker the slot's park is an instrumented yield loop on its
@@ -89,9 +91,9 @@ fn an_announcement_is_claimed_at_most_once() {
     });
 }
 
-/// The owner waits twice on the same slot (an executor between two jobs):
-/// a claim or a stray token from the first round must not satisfy, or
-/// wedge, the second.
+/// The owner waits twice on the same slot (a control thread between two
+/// commands): a claim or a stray token from the first round must not
+/// satisfy, or wedge, the second.
 #[test]
 fn the_slot_is_reusable_across_waits() {
     check_exhaustively("wake-slot-reuse", || {
@@ -237,6 +239,50 @@ fn the_persistence_park_loses_no_wakeup() {
         // ord: SeqCst — Drop's stop, then its wake.
         p.stop.store(1, SeqCst);
         p.park.wake();
+        persistence.join().unwrap();
+    });
+}
+
+/// The checkpoint listener (`prep-serve`'s `Worker::settle` and
+/// `listen_for_checkpoints`): a conn thread holding acks covered by 1 and 2
+/// announces itself, re-checks the watermark and blocks in `poll` on its
+/// eventfd (a counter it yields on); the persistence thread publishes each
+/// checkpoint, then claims the announcement and writes the eventfd. The
+/// thread must see both checkpoints, the second after the first claim.
+#[test]
+fn the_checkpoint_listener_loses_no_wakeup() {
+    check_exhaustively("checkpoint-listener", || {
+        // The watermark, the announcement and the eventfd's counter.
+        let cells = Arc::new([0, 0, 0].map(AtomicU64::new));
+        let persistence = {
+            let cells = Arc::clone(&cells);
+            thread::spawn(move || {
+                let [durable, waiting, efd] = &*cells;
+                for tail in 1..=2 {
+                    fetch_max(durable, tail);
+                    // ord: SeqCst — the listener's load of the pair, its
+                    // claim, and the kernel's counter update.
+                    if waiting.load(SeqCst) != 0 && waiting.swap(0, SeqCst) != 0 {
+                        efd.fetch_add(1, SeqCst);
+                    }
+                }
+            })
+        };
+        let [durable, waiting, efd] = &*cells;
+        for cover in 1..=2 {
+            loop {
+                // ord: SeqCst — the announce, then the watermark re-check.
+                waiting.store(1, SeqCst);
+                if durable.load(SeqCst) >= cover {
+                    break;
+                }
+                // ord: SeqCst — `poll`'s readiness check, then the drain.
+                while efd.load(SeqCst) == 0 {
+                    thread::yield_now();
+                }
+                efd.swap(0, SeqCst);
+            }
+        }
         persistence.join().unwrap();
     });
 }

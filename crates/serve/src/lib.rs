@@ -9,13 +9,16 @@
 //! shutdown, and a drain path shared between `ADMIN SHUTDOWN` and
 //! SIGTERM/SIGINT ([`signals`]).
 //!
-//! The interesting part is the [`server`] request pipeline: per-shard
-//! bounded submission queues align open-loop network arrivals with the
-//! flat combiner's batch boundaries — up to β queued ops enter one combine
-//! round together — and the executor that ran a durable op releases its
-//! ack only when the shard's crash-survivability watermark passes the op's
-//! covering `completedTail`. See the [`server`] module docs for the full
-//! choreography (including crash-under-load and graceful shutdown).
+//! The interesting part is the [`server`]'s run-to-completion design:
+//! every connection thread is an NR worker on every shard and executes
+//! each request on the thread that read it — concurrent requests to one
+//! shard meet in the flat combiner's round, with no queue or executor tier
+//! in between — and the conn thread that ran a durable op holds its ack,
+//! serving its other sockets meanwhile, until the shard's
+//! crash-survivability watermark passes the op's covering `completedTail`
+//! and the persistence thread's checkpoint listener wakes it. See the
+//! [`server`] module docs for the full choreography (including
+//! crash-under-load and graceful shutdown).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]

@@ -2,16 +2,21 @@
 //!
 //! ```text
 //! prep-serve [--addr 127.0.0.1:7070] [--shards 2] [--executors 2]
-//!            [--conn-threads 2] [--queue-depth 128]
-//!            [--durability buffered|durable] [--epsilon 64]
+//!            [--queue-depth 128] [--durability buffered|durable] [--epsilon 64]
 //!            [--log-size 4096] [--latency off|optane|optane/N]
 //!            [--fairness throughput|fair]
 //!            [--crash-sim]
 //! ```
 //!
+//! `--executors N` is the number of connection threads, each of which runs
+//! the requests it reads on every shard (NR's β); `--queue-depth N` is how
+//! many durable acks one of them may hold while their checkpoints are
+//! written before it answers the next durable request `RETRY`.
+//!
 //! The server runs until `ADMIN SHUTDOWN` arrives on the wire or the
-//! process receives SIGTERM/SIGINT; either way it drains queues, releases
-//! every pending durable ack, forces a final checkpoint, and exits 0.
+//! process receives SIGTERM/SIGINT; either way it answers every request in
+//! flight, releases every pending durable ack, forces a final checkpoint,
+//! and exits 0.
 
 use prep_serve::server::{ServeConfig, Server};
 use prep_serve::signals;
@@ -19,8 +24,8 @@ use prep_uc::{DurabilityLevel, FairnessMode, LatencyModel};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: prep-serve [--addr A] [--shards N] [--executors N] [--conn-threads N]\n\
-         \x20                 [--queue-depth N] [--durability buffered|durable]\n\
+        "usage: prep-serve [--addr A] [--shards N] [--executors N] [--queue-depth N]\n\
+         \x20                 [--durability buffered|durable]\n\
          \x20                 [--epsilon N] [--log-size N] [--latency off|optane|optane/N]\n\
          \x20                 [--fairness throughput|fair]\n\
          \x20                 [--crash-sim]"
@@ -56,9 +61,6 @@ fn main() {
             "--executors" => {
                 cfg.executors_per_shard = val(&mut args).parse().unwrap_or_else(|_| usage())
             }
-            "--conn-threads" => {
-                cfg.conn_threads = val(&mut args).parse().unwrap_or_else(|_| usage())
-            }
             "--queue-depth" => cfg.queue_depth = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--durability" => {
                 cfg.durability = match val(&mut args).as_str() {
@@ -92,7 +94,7 @@ fn main() {
         }
     };
     println!(
-        "prep-serve listening on {} ({} shards x {} executors, {:?}, eps={}, crash_sim={})",
+        "prep-serve listening on {} ({} shards, {} conn threads, {:?}, eps={}, crash_sim={})",
         server.local_addr(),
         cfg.shards,
         cfg.executors_per_shard,

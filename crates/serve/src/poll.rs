@@ -1,16 +1,17 @@
-//! Blocking on sockets: `poll(2)` and a socket-pair waker.
+//! Blocking on sockets: `poll(2)` and an `eventfd(2)` waker.
 //!
 //! The acceptor and the connection threads own file descriptors, so the
 //! thing they block in has to be the kernel's: one level-triggered `poll`
-//! over their sockets plus the read end of a [`Waker`], whose write end is
-//! how every other thread (a lifecycle transition, the acceptor handing
-//! over a new connection) ends the block. The workspace vendors no `libc`,
-//! so — exactly as [`crate::signals`] binds `signal` — this module binds
-//! the one C symbol it needs; it is already linked through std.
+//! over their sockets plus a [`Waker`], which is how every other thread (a
+//! lifecycle transition, the acceptor handing over a new connection, a
+//! store's persistence thread publishing the checkpoint a held durable ack
+//! waits for) ends the block. The workspace vendors no `libc`, so —
+//! exactly as [`crate::signals`] binds `signal` — this module binds the two
+//! C symbols it needs; they are already linked through std.
 
+use std::fs::File;
 use std::io::{ErrorKind, Read, Write};
-use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 
 /// There is data to read (or a pending connection, or EOF).
 const POLLIN: i16 = 0x001;
@@ -45,6 +46,8 @@ impl PollFd {
 extern "C" {
     /// `poll(2)`. `nfds_t` is `unsigned long` on Linux.
     fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: i32) -> i32;
+    /// `eventfd(2)`.
+    fn eventfd(initval: u32, flags: i32) -> i32;
 }
 
 /// Blocks until at least one entry of `fds` is ready. Returns early (with
@@ -69,38 +72,49 @@ pub(crate) fn wait(fds: &mut [PollFd]) {
     }
 }
 
-/// Ends another thread's [`wait`]: a non-blocking socket pair whose read
-/// end sits in that thread's poll set.
+/// `EFD_NONBLOCK | EFD_CLOEXEC` (x86-64 and AArch64 Linux values).
+const EFD_FLAGS: i32 = 0o4000 | 0o2000000;
+
+/// Ends another thread's [`wait`]: an `eventfd`, one descriptor whose
+/// 8-byte counter every wake adds to and a drain resets, in that thread's
+/// poll set. It is level-triggered like the sockets beside it: readable
+/// while the counter is not zero.
 #[derive(Debug)]
 pub(crate) struct Waker {
-    tx: UnixStream,
-    rx: UnixStream,
+    fd: File,
 }
 
 impl Waker {
     pub(crate) fn new() -> std::io::Result<Waker> {
-        let (tx, rx) = UnixStream::pair()?;
-        tx.set_nonblocking(true)?;
-        rx.set_nonblocking(true)?;
-        Ok(Waker { tx, rx })
+        // SAFETY: `eventfd` takes no pointers; it returns a new descriptor
+        // or -1.
+        let fd = unsafe { eventfd(0, EFD_FLAGS) };
+        if fd < 0 {
+            return Err(std::io::Error::last_os_error());
+        }
+        // SAFETY: `fd` was just returned by `eventfd`, so it is open and
+        // nothing else owns it.
+        let fd = unsafe { File::from_raw_fd(fd) };
+        Ok(Waker { fd })
     }
 
-    /// Makes the read end readable. A full socket buffer means thousands
-    /// of wake-ups are already pending, which is as good as one more.
+    /// Makes the descriptor readable. The write fails only with 2⁶⁴ − 2
+    /// wake-ups pending, which is as good as one more.
     pub(crate) fn wake(&self) {
-        let _ = (&self.tx).write(&[1]);
+        let _ = (&self.fd).write(&1u64.to_ne_bytes());
     }
 
     /// The descriptor the woken thread polls.
     pub(crate) fn fd(&self) -> RawFd {
-        self.rx.as_raw_fd()
+        self.fd.as_raw_fd()
     }
 
-    /// Consumes pending wake-ups. Call *before* looking at the state the
-    /// wakers changed, so a wake-up sent after the look is not lost.
+    /// Consumes pending wake-ups (one read resets the counter). Call
+    /// *before* looking at the state the wakers changed, so a wake-up sent
+    /// after the look is not lost.
     pub(crate) fn drain(&self) {
-        let mut sink = [0u8; 64];
-        while matches!((&self.rx).read(&mut sink), Ok(n) if n == sink.len()) {}
+        let mut count = [0u8; 8];
+        let _ = (&self.fd).read(&mut count);
     }
 }
 

@@ -1,125 +1,127 @@
 //! The thread-per-core TCP server over [`prep_shard::ShardedStore`].
 //!
-//! ## Request pipeline: aligning arrivals with combiner batches
+//! ## Run to completion
 //!
 //! ```text
-//! acceptor ─▶ conn threads ─▶ per-shard submission queue ─▶ β executors ─▶ NR combiner
-//!                 │                (bounded, RETRY)             │  (a durable ack is held
-//!                 │                                             │   until the watermark
-//!                 │                                             │   covers its op)
-//!                 └◀──────────────── responses ◀────────────────┘
+//! acceptor ─▶ conn thread c ─ decode ─▶ store.execute ─▶ response
+//!                 ▲        (NR worker c on every shard)
+//!                 │                  │ durable ack on a buffered store: held
+//!                 │                  ▼ by conn thread c, checkpoint nudged
+//!                 └─ eventfd ◀─ checkpoint listener ◀─ persistence thread
 //! ```
 //!
-//! Connection threads never touch the store: they parse frames and push
-//! jobs into the target shard's **bounded submission queue**. Each shard
-//! owns β executor threads (β = [`ServeConfig::executors_per_shard`]), all
-//! registered NR workers of that shard; when a burst of requests lands on
-//! one shard, up to β of them are in `execute` simultaneously, and NR's
-//! flat combiner folds those β concurrent ops into **one combine round**
-//! (one log reservation, one batch persist in durable mode). The queue is
-//! what aligns open-loop arrivals — which know nothing of batches — with
-//! combiner batch boundaries: arrivals coalesce in the queue while the
-//! previous round runs, instead of each arrival paying a full round alone.
+//! Every connection thread is a registered NR worker on every shard — `c`
+//! on each, for β = [`ServeConfig::executors_per_shard`] threads — and
+//! runs each frame to completion as soon as it has decoded it: `execute`,
+//! then the response, on the thread that read the request, with no queue
+//! and no hand-off in between. That is the paper's shape: the thread that
+//! owns an operation calls `ExecuteConcurrent` on it itself. When the
+//! requests of several conn threads land on one shard at once, NR's flat
+//! combiner folds them into **one combine round** (one log reservation,
+//! one batch persist in durable mode), so up to β requests share a round.
 //!
-//! When a queue is full the connection thread answers with a `RETRY` frame
-//! immediately — explicit backpressure, never unbounded buffering, so an
-//! overloaded shard sheds load at the wire instead of growing latency
-//! without bound.
+//! Backpressure is explicit and bounded: a conn thread holds at most
+//! [`ServeConfig::queue_depth`] durable acks, and one more durable request
+//! is answered `RETRY` without being applied. Nothing else queues: a
+//! request runs when it is read, so a client that sends faster than the
+//! server executes fills its own socket buffer, not the server's memory.
 //!
 //! ## Hand-offs: who blocks where, and who wakes whom
 //!
 //! No thread polls. A thread with nothing to do blocks — the ones that own
-//! sockets in one `poll(2)` over them plus a [`Waker`] ([`crate::poll`]),
-//! the others parked on a [`WakeSlot`] of their own — and whoever gives it
-//! work ends the block, so a request crosses the server in wake-ups, not
-//! in sleep quanta. An idle server's only wake-ups are its stores'
-//! persistence threads looking for work once per [`prep_uc::IDLE_PARK`].
+//! sockets in one `poll(2)` over them plus a [`Waker`] ([`crate::poll`], an
+//! `eventfd`), the control thread on its command channel — and whoever
+//! gives it work ends the block, so a request crosses the server in
+//! wake-ups, not in sleep quanta. An idle server's only wake-ups are its
+//! stores' persistence threads looking for work once per
+//! [`prep_uc::IDLE_PARK`].
 //!
 //! | thread | blocks in | woken by |
 //! |---|---|---|
 //! | acceptor | `poll`: listener + waker | a connecting client; every lifecycle transition |
-//! | conn thread | `poll`: its sockets + waker | request bytes; the acceptor (new connection); every transition |
-//! | executor | its slot, while the shard queue is empty and it holds no durable ack; its own watermark slot on the shard ([`prep_uc::PrepUc::wait_watermark`]), while the queue is empty and the oldest ack it holds is not covered | the conn thread's push — it wakes **one** idle executor per job, so a lone request costs one wake-up and a burst spreads over β, and only if none is idle the shard's watermark waiters; the persistence thread, after each published checkpoint; every transition (both slots) |
-//! | control | its slot, while no admin command is queued | `dispatch` (admin frame), [`Server::request_shutdown`] |
-//! | [`Server::join`] | its slot | the transition to stopped |
+//! | conn thread | `poll`: its sockets + waker | request bytes; the acceptor (new connection); a shard's checkpoint listener, when it publishes a checkpoint on a shard where this thread announced a held ack; every transition |
+//! | control | its command channel | an admin frame, [`Server::request_shutdown`] |
 //!
-//! Every slot hand-off is the store→load pair [`WakeSlot`] documents: the
-//! waker publishes the work with a `SeqCst` RMW or store (a queue's length
-//! mirror, the watermark, `state`) and then looks for an idle owner; the
-//! owner announces itself idle and then re-checks the same variables with
-//! `SeqCst` loads. The lifecycle `state` is stored in one place,
-//! `Inner::set_state`, which then wakes every slot and waker there is —
-//! transitions are rare, and a thread woken for nothing re-checks and
-//! blocks again. A control thread that watches the process signal flag
-//! ([`ServeConfig::watch_signals`]) bounds its block by 50 ms instead: a
-//! signal handler may store to an atomic but not `unpark`.
+//! A held ack's hand-off is a store→load pair, as [`prep_sync::WakeSlot`]
+//! documents: the conn thread stores its announcement (`ConnWake::waiting`)
+//! and then re-reads [`prep_uc::PrepUc::durable_watermark`]; the
+//! persistence thread publishes the checkpoint (its `SeqCst` `fetch_max`)
+//! and then its checkpoint listener
+//! ([`prep_uc::PrepUc::set_checkpoint_listener`]) loads the announcement,
+//! claims it and writes the eventfd — all four `SeqCst`, so one of the two
+//! loads sees the other side. The lifecycle `state` is stored in one place,
+//! `Inner::set_state`, which then wakes every waker; a thread woken for
+//! nothing re-checks and blocks again. [`Server::join`] joins the threads,
+//! which exit on the transition to stopped. A control thread that watches
+//! the process signal flag ([`ServeConfig::watch_signals`]) bounds its
+//! block by 50 ms: a signal handler may store to an atomic but not wake.
 //!
 //! What is left to [`Waiter`] is what is rare and short: a contended
-//! queue lock, a full socket buffer in `ConnIo::send`, the acceptor's
-//! back-off when `accept` fails for lack of descriptors, and the control
-//! thread's barriers in crash and drain (every executor parked; queues
-//! empty).
+//! lock, a full socket buffer in `ConnIo::send`, the acceptor's back-off
+//! when `accept` fails for lack of descriptors, and the control thread's
+//! barriers in crash and drain (every conn thread off its store lease).
 //!
 //! ## Ack release points
 //!
-//! Every ack is written by the executor that ran the op. A *buffered* ack
-//! goes out as soon as `execute` returns (the op is applied, volatile). For
-//! a *durable* ack the executor reads the `completedTail` that covers the
-//! op, asks for the covering checkpoint now
+//! Every ack is written by the conn thread that ran the op. A *buffered*
+//! ack goes out as soon as `execute` returns (the op is applied,
+//! volatile). For a *durable* ack the conn thread reads the
+//! `completedTail` that covers the op, asks for the covering checkpoint now
 //! ([`prep_uc::PrepUc::nudge_checkpoint`]: the natural one is up to ε ops
 //! away), and holds the ack until the shard's crash-survivability
-//! watermark ([`prep_uc::PrepUc::durable_watermark`]) passes that tail —
-//! i.e. until the checkpoint has actually reached NVM. The persist wait
-//! belongs to the op: no other thread takes the ack over, so a durable ack
-//! costs the wake-ups conn → executor → persistence → executor. Holding
-//! acks does not stop an executor: it keeps taking queued jobs, releases
-//! the held acks each checkpoint covers as it goes, and parks on its own
-//! watermark slot only once the queue is empty. A job that arrives while
-//! every executor of the shard is so parked wakes them (no idle executor
-//! took it), so GETs do not queue behind checkpoints, and one checkpoint
-//! releases every ack it covers, however many that is — β bounds combine
-//! rounds, not acks in flight. (On a durable-mode store `execute` has
-//! already waited out the persist, and the ack goes out at once.) The
-//! store checkpoints incrementally
-//! ([`prep_uc::FlushStrategy::DirtyLines`]): a checkpoint taken for one
-//! ack flushes the few lines that op dirtied, where the paper's whole-cache
-//! `WBINVD` costs the same half millisecond however little changed.
+//! watermark ([`prep_uc::PrepUc::durable_watermark`]) passes that tail,
+//! i.e. until the checkpoint has reached NVM. Meanwhile it goes back to
+//! `poll` and serves its other sockets, so GETs do not queue behind
+//! checkpoints; one checkpoint releases every held ack it covers. A durable
+//! ack costs two wake-ups, conn → persistence → conn. (On a durable-mode
+//! store `execute` has already waited out the persist, and the ack goes out
+//! at once.)
 //!
 //! ## Crash and shutdown choreography
 //!
-//! `ADMIN CRASH` (crash-sim servers): the control thread moves the server
-//! to `Crashing`; connection threads answer `RETRY`, and executors park —
-//! an executor holding durable acks first **downgrades each to `RETRY`**
-//! (the op may or may not survive the cut, so it must not be
-//! acked `Done`; but unlike a real power failure the TCP connection
-//! survives the simulated one, so silence would wedge clients — `RETRY`
-//! claims nothing and keeps the one-response-per-frame invariant).
-//! Only after every executor has parked is the cut captured, so every ack
-//! that reached a client precedes the cut: durable-acked ops are always in
-//! the recovered image, and buffered-acked loss stays within the store's
-//! `N·(ε + β − 1)` bound. The store is rebuilt via
-//! [`prep_shard::ShardedStore::recover`] on a fresh runtime, the
-//! generation counter bumps, and workers re-register on the new store.
+//! A conn thread executes only under a *lease* — the current store handle
+//! and its registration on it — taken in `Running`; the control thread's
+//! barriers wait until every conn thread has given its lease up
+//! (`Inner::parked`).
 //!
-//! `ADMIN SHUTDOWN` / SIGTERM: `Draining` — connection threads reject new
-//! work, executors empty the queues and release every durable ack they
-//! hold, the store is quiesced
+//! `ADMIN CRASH` (crash-sim servers): the control thread moves the server
+//! to `Crashing`. A conn thread that sees it answers new requests `RETRY`,
+//! **downgrades every ack it holds to `RETRY`** (the op may or may not
+//! survive the cut, so it must not be acked `Done`; but unlike a real
+//! power failure the TCP connection survives the simulated one, so silence
+//! would wedge clients — `RETRY` claims nothing and keeps the
+//! one-response-per-frame invariant), and drops its lease. Only then is
+//! the cut captured, so every ack that reached a client precedes the cut:
+//! durable-acked ops are always in the recovered image, and buffered-acked
+//! loss stays within the store's `N·(ε + β − 1)` bound. The store is
+//! rebuilt via [`prep_shard::ShardedStore::recover`] on a fresh runtime and
+//! the server returns to `Running`, which is the only way a conn thread
+//! leases again — so always the new store. Taking a lease leaves the
+//! parked count and then re-reads the state, both `SeqCst`, against the
+//! control thread's `Crashing` store and parked-count load: either the
+//! barrier sees the thread and waits for it, or the thread sees `Crashing`
+//! and parks again, so no thread leases the old store past the barrier.
+//!
+//! `ADMIN SHUTDOWN` / SIGTERM: `Draining` — conn threads answer new work
+//! with an error, release every held ack as its checkpoint lands, and then
+//! drop their leases. Once no conn thread is inside a service round and no
+//! ack is held, the store is quiesced
 //! ([`prep_shard::ShardedStore::quiesce_persistence`], the final forced
-//! checkpoint), and only then does the server stop: a clean shutdown
-//! loses **zero** buffered ops, versus up to the bound on a crash.
+//! checkpoint), and only then does the server stop: a clean shutdown loses
+//! **zero** buffered ops, versus up to the bound on a crash.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown as NetShutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
-use prep_shard::{shard_index, ShardToken, ShardedStore};
-use prep_sync::{spin_until, TicketLock, TryLock, TryLockGuard, Waiter, WakeSlot};
+use prep_shard::{ShardToken, ShardedStore};
+use prep_sync::{spin_until, TicketLock, TryLock, TryLockGuard, Waiter};
 use prep_topology::{ThreadAssignment, Topology};
 use prep_uc::{
     DurabilityLevel, FairnessMode, FlushStrategy, LatencyModel, PmemRuntime, PrepConfig,
@@ -151,12 +153,13 @@ const SIGNAL_POLL: Duration = Duration::from_millis(50);
 pub struct ServeConfig {
     /// Number of store shards (independent PREP-UC logs).
     pub shards: usize,
-    /// Executor threads per shard — the β of the combiner-batch alignment:
-    /// up to this many queued ops enter one combine round together.
+    /// Connection threads, each a registered NR worker on *every* shard —
+    /// the β of flat combining: up to this many requests to one shard enter
+    /// its combine round together. (Each conn thread executes what it reads;
+    /// there are no per-shard executor threads.)
     pub executors_per_shard: usize,
-    /// Connection-handling threads (the "cores" of thread-per-core).
-    pub conn_threads: usize,
-    /// Per-shard submission-queue bound; a full queue answers `RETRY`.
+    /// Durable acks one conn thread may hold while their checkpoints are
+    /// written; one more durable request is answered `RETRY` unapplied.
     pub queue_depth: usize,
     /// Store durability mode. In `Durable` mode every ack is implicitly
     /// durable (execute returns only after the covering persist).
@@ -183,7 +186,6 @@ impl Default for ServeConfig {
         ServeConfig {
             shards: 2,
             executors_per_shard: 2,
-            conn_threads: 2,
             queue_depth: 128,
             durability: DurabilityLevel::Buffered,
             epsilon: 64,
@@ -197,16 +199,19 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Total executor workers (the store's registered worker count).
+    /// Conn threads, which are the store's registered workers.
     fn workers(&self) -> usize {
-        self.shards * self.executors_per_shard
+        self.executors_per_shard
     }
 
     /// A fresh [`PrepConfig`] (fresh runtime) for construction or recovery.
     ///
     /// The server's checkpoints are on the ack path — a durable ack waits
-    /// for the one its executor asked for — so they are incremental; the
-    /// library default (`WBINVD`, the paper's) stays what it is.
+    /// for the one its conn thread asked for — so they are incremental
+    /// ([`FlushStrategy::DirtyLines`]: a checkpoint for one ack flushes the
+    /// lines that op dirtied, where the paper's whole-cache `WBINVD` costs
+    /// half a millisecond however little changed); the library default
+    /// stays what it is.
     fn prep_config(&self) -> PrepConfig {
         PrepConfig::new(self.durability)
             .with_log_size(self.log_size)
@@ -219,9 +224,9 @@ impl ServeConfig {
 
 /// Spawns one of the server's threads, fail-stop: if it panics, the
 /// process prints the panic and aborts. The server cannot run without any
-/// of its threads — a lost executor leaves its queue unserved and a lost
-/// conn thread its clients unanswered — so a client waiting on such a
-/// server would hang instead of seeing the failure.
+/// of its threads — a lost conn thread leaves its clients unanswered and
+/// the crash and drain barriers waiting for it — so a client waiting on
+/// such a server would hang instead of seeing the failure.
 fn spawn_fail_stop(
     name: String,
     body: impl FnOnce() + Send + 'static,
@@ -262,67 +267,14 @@ fn locked<T>(l: &TryLock<T>) -> TryLockGuard<'_, T> {
     }
 }
 
-/// A spin-locked FIFO with a length mirror. The mirror is what a parked
-/// consumer re-checks and what a producer publishes before it looks for an
-/// idle consumer, so every access to it is `SeqCst` (see [`WakeSlot`]).
-struct Mailbox<T> {
-    queue: TryLock<VecDeque<T>>,
-    len: AtomicUsize,
-}
-
-impl<T> Mailbox<T> {
-    fn new() -> Self {
-        Mailbox {
-            queue: TryLock::new(VecDeque::new()),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    fn len(&self) -> usize {
-        // ord: SeqCst — the load of a consumer's announce → re-check pair
-        // (elsewhere a stale reading only sheds or skips one early).
-        self.len.load(Ordering::SeqCst)
-    }
-
-    /// Appends `item` unless `bound` items are queued already.
-    fn push(&self, item: T, bound: usize) -> Result<(), T> {
-        // Lock-free full check first; rechecked under the lock.
-        if self.len() >= bound {
-            return Err(item);
-        }
-        let mut q = locked(&self.queue);
-        if q.len() >= bound {
-            return Err(item);
-        }
-        q.push_back(item);
-        // ord: SeqCst — publishes the item before the producer's look at
-        // the consumer's idle flag (the store of its store→load pair), and
-        // keeps the mirror exact under concurrent push/pop.
-        self.len.fetch_add(1, Ordering::SeqCst);
-        Ok(())
-    }
-
-    fn pop(&self) -> Option<T> {
-        if self.len() == 0 {
-            return None;
-        }
-        let item = locked(&self.queue).pop_front();
-        if item.is_some() {
-            // ord: SeqCst, symmetric with `push`.
-            self.len.fetch_sub(1, Ordering::SeqCst);
-        }
-        item
-    }
-}
-
 thread_local! {
     /// The calling thread's response-encoding buffer, reused across
     /// [`ConnIo::respond`] calls so a response allocates nothing.
     static FRAME: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// One connection's shared write half: its conn thread, executors, and
-/// the control thread all write complete frames under the per-connection
+/// One connection's shared write half: its conn thread and the control
+/// thread (admin answers) write complete frames under the per-connection
 /// ticket lock, so frames never interleave on the wire.
 struct ConnIo {
     stream: TcpStream,
@@ -363,40 +315,35 @@ impl ConnIo {
     }
 }
 
-/// What an executor does with a parsed data request.
-enum JobKind {
-    Get { key: u64 },
-    Put { key: u64, value: u64 },
-    Delete { key: u64 },
-    Scan { start: u64, count: u32 },
+/// What other threads share with one conn thread: the sockets the
+/// acceptor hands it, what ends its `poll`, and on which shards it waits
+/// for a checkpoint (read by every shard's checkpoint listener).
+struct ConnWake {
+    inbox: TryLock<Vec<TcpStream>>,
+    waker: Waker,
+    /// `waiting[s]`: the thread may hold an ack on shard `s` that the
+    /// watermark did not cover at its last look. Stored by the thread
+    /// before it looks; claimed (swapped back) by the listener that wakes
+    /// it.
+    waiting: Box<[AtomicBool]>,
 }
 
-/// A queued unit of work for one shard's executors.
-struct Job {
-    id: u64,
-    ack: AckLevel,
-    kind: JobKind,
-    conn: Arc<ConnIo>,
-}
-
-/// One shard's request pipeline.
-struct Pipeline {
-    /// Bounded submission queue (the combiner-batch coalescing point).
-    queue: Mailbox<Job>,
-    /// Where each of the shard's executors parks while `queue` is empty.
-    exec_wake: Vec<WakeSlot>,
-    /// Executors currently at work, from before the pop until every ack
-    /// they hold is on the wire (drain barrier).
-    busy: AtomicUsize,
-}
-
-impl Pipeline {
-    fn new(executors: usize) -> Self {
-        Pipeline {
-            queue: Mailbox::new(),
-            exec_wake: (0..executors).map(|_| WakeSlot::new()).collect(),
-            busy: AtomicUsize::new(0),
-        }
+/// Has each shard's persistence thread wake the conn threads that
+/// announced a held ack on that shard, after every checkpoint it publishes.
+fn listen_for_checkpoints(store: &Store, conns: &Arc<[ConnWake]>) {
+    for s in 0..store.shards() {
+        let conns = Arc::clone(conns);
+        store.shard(s).set_checkpoint_listener(move || {
+            for c in conns.iter() {
+                // ord: SeqCst — the load of the store→load pair whose store
+                // is the checkpoint's watermark publish; the swap claims
+                // the announcement, so one announcement costs one wake.
+                if c.waiting[s].load(Ordering::SeqCst) && c.waiting[s].swap(false, Ordering::SeqCst)
+                {
+                    c.waker.wake();
+                }
+            }
+        });
     }
 }
 
@@ -422,23 +369,17 @@ struct Inner {
     /// Lifecycle state (RUNNING/CRASHING/DRAINING/STOPPED); stored only by
     /// [`Inner::set_state`].
     state: AtomicU8,
-    /// Bumped on every crash-recovery; workers re-register when it moves.
-    generation: AtomicU64,
     /// The current store. `None` only transiently inside crash recovery.
     store: TryLock<Option<Arc<Store>>>,
-    pipelines: Vec<Pipeline>,
-    /// Admin commands routed to the control thread, and where it parks.
-    control: Mailbox<ControlMsg>,
-    control_wake: WakeSlot,
-    /// Where [`Server::join`] parks until the server has stopped.
-    join_wake: WakeSlot,
+    /// Admin commands routed to the control thread. One sent after the
+    /// server stopped has nobody to answer it, and is dropped.
+    control: Sender<ControlMsg>,
     /// Ends the acceptor's `poll`.
     accept_waker: Waker,
-    /// Per-connection-thread inbox of freshly accepted sockets, and what
-    /// ends that thread's `poll`.
-    conn_inbox: Vec<TryLock<Vec<TcpStream>>>,
-    conn_wakers: Vec<Waker>,
-    /// Executors currently parked for a crash.
+    /// One entry per conn thread, shared with every checkpoint listener.
+    conn_wake: Arc<[ConnWake]>,
+    /// Conn threads holding no store lease (the crash and drain barrier).
+    /// Every access is `SeqCst`: see the module docs' crash choreography.
     parked: AtomicUsize,
     counters: Counters,
 }
@@ -448,7 +389,7 @@ impl Inner {
     fn state(&self) -> u8 {
         // ord: SeqCst — observing a transition implies the decision that
         // caused it (as Acquire would), and it is the load every parked
-        // thread re-checks with after announcing itself idle.
+        // thread, and a conn thread taking a lease, re-checks with.
         self.state.load(Ordering::SeqCst)
     }
 
@@ -457,25 +398,11 @@ impl Inner {
     fn set_state(&self, state: u8) {
         // ord: SeqCst — publishes everything decided before the transition
         // (as Release would), and is the store of the store→load pair with
-        // every slot's idle flag below.
+        // `Worker::lease`'s parked count.
         self.state.store(state, Ordering::SeqCst);
-        for pl in &self.pipelines {
-            for slot in &pl.exec_wake {
-                slot.wake();
-            }
-        }
-        // An executor holding durable acks may be parked on its shard's
-        // watermark.
-        let store = locked(&self.store).clone();
-        if let Some(store) = store {
-            for shard in 0..self.cfg.shards {
-                store.shard(shard).wake_watermark_waiters();
-            }
-        }
-        self.join_wake.wake();
         self.accept_waker.wake();
-        for waker in &self.conn_wakers {
-            waker.wake();
+        for c in self.conn_wake.iter() {
+            c.waker.wake();
         }
     }
 
@@ -490,18 +417,20 @@ impl Inner {
         }
     }
 
-    /// Queues an admin command for the control thread.
-    fn submit_control(&self, msg: ControlMsg) {
-        let queued = self.control.push(msg, usize::MAX);
-        debug_assert!(queued.is_ok(), "the control queue is unbounded");
-        self.control_wake.wake();
-    }
-
     /// Answers request `id` with `RETRY`; every one is counted here.
     fn retry(&self, io: &ConnIo, id: u64) {
         // ord: monotone counter (Relaxed).
         self.counters.retries.fetch_add(1, Ordering::Relaxed);
         io.respond(&Response::Retry { id });
+    }
+
+    /// Answers update `id` `Done`; every durable ack is counted here.
+    fn done(&self, io: &ConnIo, id: u64, ack: AckLevel) {
+        io.respond(&Response::Done { id });
+        if ack == AckLevel::Durable {
+            // ord: monotone counter (Relaxed).
+            self.counters.durable_acks.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 
@@ -539,8 +468,7 @@ impl Server {
     /// Binds `bind` (e.g. `"127.0.0.1:0"`) and starts every thread.
     pub fn start(cfg: ServeConfig, bind: &str) -> std::io::Result<Server> {
         assert!(cfg.shards > 0, "need at least one shard");
-        assert!(cfg.executors_per_shard > 0, "need at least one executor");
-        assert!(cfg.conn_threads > 0, "need at least one conn thread");
+        assert!(cfg.workers() > 0, "need at least one conn thread");
         let listener = TcpListener::bind(bind)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -549,32 +477,33 @@ impl Server {
         // One extra core: the topology reserves a CPU for the persistence
         // thread, so `workers` registered workers need `workers + 1` cores.
         let assignment = Topology::new(1, workers + 1, 1).assign_workers(workers);
-        let store = Arc::new(Store::new(
+        let store = Store::new(
             HashMap::new(),
             cfg.shards,
             assignment.clone(),
             cfg.prep_config(),
             route_key,
-        ));
+        );
+        let conn_wake = (0..workers)
+            .map(|_| {
+                Ok(ConnWake {
+                    inbox: TryLock::new(Vec::new()),
+                    waker: Waker::new()?,
+                    waiting: (0..cfg.shards).map(|_| AtomicBool::new(false)).collect(),
+                })
+            })
+            .collect::<std::io::Result<Arc<[ConnWake]>>>()?;
+        listen_for_checkpoints(&store, &conn_wake);
+        let (control, inbox) = mpsc::channel();
         let inner = Arc::new(Inner {
             assignment,
             state: AtomicU8::new(RUNNING),
-            generation: AtomicU64::new(0),
-            store: TryLock::new(Some(store)),
-            pipelines: (0..cfg.shards)
-                .map(|_| Pipeline::new(cfg.executors_per_shard))
-                .collect(),
-            control: Mailbox::new(),
-            control_wake: WakeSlot::new(),
-            join_wake: WakeSlot::new(),
+            store: TryLock::new(Some(Arc::new(store))),
+            control,
             accept_waker: Waker::new()?,
-            conn_inbox: (0..cfg.conn_threads)
-                .map(|_| TryLock::new(Vec::new()))
-                .collect(),
-            conn_wakers: (0..cfg.conn_threads)
-                .map(|_| Waker::new())
-                .collect::<std::io::Result<_>>()?,
-            parked: AtomicUsize::new(0),
+            conn_wake,
+            // Leases are taken on a conn thread's first round.
+            parked: AtomicUsize::new(workers),
             counters: Counters::default(),
             cfg,
         });
@@ -586,24 +515,16 @@ impl Server {
                 acceptor_loop(inner, listener)
             }));
         }
-        for c in 0..inner.cfg.conn_threads {
+        for c in 0..workers {
             let inner = Arc::clone(&inner);
             threads.push(spawn_fail_stop(format!("serve-conn-{c}"), move || {
                 conn_loop(inner, c)
             }));
         }
-        for s in 0..inner.cfg.shards {
-            for e in 0..inner.cfg.executors_per_shard {
-                let inner = Arc::clone(&inner);
-                threads.push(spawn_fail_stop(format!("serve-exec-{s}-{e}"), move || {
-                    executor_loop(inner, s, e)
-                }));
-            }
-        }
         {
             let inner = Arc::clone(&inner);
             threads.push(spawn_fail_stop("serve-control".into(), move || {
-                control_loop(inner)
+                control_loop(inner, inbox)
             }));
         }
         Ok(Server {
@@ -621,7 +542,7 @@ impl Server {
     /// Asks the control thread to drain and stop (same path as
     /// `ADMIN SHUTDOWN` and SIGTERM). Returns immediately.
     pub fn request_shutdown(&self) {
-        self.inner.submit_control((AdminCmd::Shutdown, 0, None));
+        let _ = self.inner.control.send((AdminCmd::Shutdown, 0, None));
     }
 
     /// Crash-recovery cycles performed so far.
@@ -639,12 +560,9 @@ impl Server {
     }
 
     /// Blocks until the server has stopped (via [`Server::request_shutdown`],
-    /// `ADMIN SHUTDOWN`, or a watched signal), then joins every thread and
-    /// reports.
+    /// `ADMIN SHUTDOWN`, or a watched signal) — every thread exits on the
+    /// transition to stopped, so this joins them — and reports.
     pub fn join(self) -> ShutdownReport {
-        self.inner
-            .join_wake
-            .wait_until(|| self.inner.state() == STOPPED);
         for t in self.threads {
             let _ = t.join();
         }
@@ -693,9 +611,9 @@ fn acceptor_loop(inner: Arc<Inner>, listener: TcpListener) {
                     let _ = stream.set_nonblocking(true);
                     // ord: monotone counter (Relaxed).
                     inner.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    let target = next % inner.cfg.conn_threads;
-                    locked(&inner.conn_inbox[target]).push(stream);
-                    inner.conn_wakers[target].wake();
+                    let target = next % inner.cfg.workers();
+                    locked(&inner.conn_wake[target].inbox).push(stream);
+                    inner.conn_wake[target].waker.wake();
                     next = next.wrapping_add(1);
                     backoff.reset();
                 }
@@ -718,9 +636,167 @@ struct ConnState {
     rbuf: Vec<u8>,
 }
 
-/// Connection thread: owns a set of connections, reads frames, dispatches.
+/// A conn thread's registration on one store generation.
+struct Lease {
+    store: Arc<Store>,
+    token: ShardToken,
+}
+
+/// A durable ack a conn thread owes: the shard its op ran on, the
+/// `completedTail` that covers the op, and the request to answer.
+struct HeldAck {
+    shard: usize,
+    cover: u64,
+    id: u64,
+    io: Arc<ConnIo>,
+}
+
+/// A conn thread in its role as NR worker `index` on every shard.
+struct Worker {
+    index: usize,
+    lease: Option<Lease>,
+    /// At most `queue_depth` acks.
+    held: Vec<HeldAck>,
+}
+
+impl Worker {
+    /// Takes a lease on the current store; returns the state to serve this
+    /// round with, which is `RUNNING` exactly when the lease was taken.
+    fn lease(&mut self, inner: &Inner) -> u8 {
+        // ord: SeqCst — the store of this thread's store→load pair with
+        // do_crash's `Crashing` store → parked load: either the barrier
+        // sees this thread unparked and waits for it, or the re-read below
+        // sees `Crashing` and the thread parks again untouched.
+        inner.parked.fetch_sub(1, Ordering::SeqCst);
+        let st = inner.state();
+        if st != RUNNING {
+            // ord: SeqCst, as above.
+            inner.parked.fetch_add(1, Ordering::SeqCst);
+            return st;
+        }
+        let store = inner.store_arc();
+        let token = store.register(self.index);
+        self.lease = Some(Lease { store, token });
+        st
+    }
+
+    /// Gives the lease up for a crash or the drain: every held ack is
+    /// answered `RETRY` first (the drain gets here with none held).
+    fn park(&mut self, inner: &Inner) {
+        // These ops may or may not survive the cut, so they must not be
+        // acked `Done`; silence would wedge the clients, whose connections
+        // outlive the simulated power failure.
+        for ack in self.held.drain(..) {
+            inner.retry(&ack.io, ack.id);
+        }
+        self.lease = None;
+        // ord: SeqCst — publishes the responses written and the dropped
+        // store handle to the barrier's load, and pairs with `lease`.
+        inner.parked.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Runs one decoded request to completion and answers it — except a
+    /// durable update on a buffered store, whose ack is held until the
+    /// checkpoint that covers it lands.
+    fn serve(&mut self, inner: &Inner, st: u8, req: Request, io: &Arc<ConnIo>) {
+        // ord: monotone counter (Relaxed).
+        inner.counters.requests.fetch_add(1, Ordering::Relaxed);
+        let id = req.id();
+        let (op, ack) = match req {
+            Request::Admin { cmd, .. } => {
+                let _ = inner.control.send((cmd, id, Some(Arc::clone(io))));
+                return;
+            }
+            // The crash window looks like transient overload from outside:
+            // clients retry and succeed after recovery.
+            _ if st == CRASHING => return inner.retry(io, id),
+            _ if st != RUNNING => {
+                return io.respond(&Response::Err {
+                    id,
+                    code: err_code::SHUTTING_DOWN,
+                });
+            }
+            Request::Get { key, .. } => {
+                let value = self.get(key);
+                return io.respond(&Response::Value { id, value });
+            }
+            Request::Scan { start, count, .. } => {
+                let pairs = (start..start.saturating_add(count as u64))
+                    .filter_map(|key| Some((key, self.get(key)?)))
+                    .collect();
+                return io.respond(&Response::Pairs { id, pairs });
+            }
+            Request::Put {
+                ack, key, value, ..
+            } => (MapOp::Insert { key, value }, ack),
+            Request::Delete { ack, key, .. } => (MapOp::Remove { key }, ack),
+        };
+        let hold = ack == AckLevel::Durable && inner.cfg.durability == DurabilityLevel::Buffered;
+        if hold && self.held.len() >= inner.cfg.queue_depth {
+            return inner.retry(io, id);
+        }
+        let Lease { store, token } = self.lease.as_ref().expect("a running round holds a lease");
+        let shard = store.shard_of(&op);
+        store.execute_on(shard, token, op);
+        if !hold {
+            return inner.done(io, id, ack);
+        }
+        // The op completed on this shard, so the shard's current
+        // completedTail covers its log index. The natural checkpoint is up
+        // to ε ops away: ask for one now.
+        let sh = store.shard(shard);
+        self.held.push(HeldAck {
+            shard,
+            cover: sh.completed_tail(),
+            id,
+            io: Arc::clone(io),
+        });
+        sh.nudge_checkpoint();
+    }
+
+    fn get(&self, key: u64) -> Option<u64> {
+        let Lease { store, token } = self.lease.as_ref().expect("a running round holds a lease");
+        match store.execute(token, MapOp::Get { key }) {
+            MapResp::Value(v) => v,
+            _ => None,
+        }
+    }
+
+    /// After a service round, before `poll`: announces each held ack on its
+    /// shard and then releases it if the watermark covers it; draining, the
+    /// thread gives its lease up once it holds none.
+    fn settle(&mut self, inner: &Inner, st: u8) {
+        let Some(Lease { store, .. }) = &self.lease else {
+            return;
+        };
+        let waiting = &inner.conn_wake[self.index].waiting;
+        self.held.retain(|a| {
+            // ord: SeqCst — the announce, the store of the pair with the
+            // listener's load; the watermark re-read is the load, after
+            // which `poll` may block. A flag left set because the re-read
+            // found the ack covered costs one spurious wake-up at most.
+            waiting[a.shard].store(true, Ordering::SeqCst);
+            let covered = store.shard(a.shard).durable_watermark() >= a.cover;
+            if covered {
+                inner.done(&a.io, a.id, AckLevel::Durable);
+            }
+            !covered
+        });
+        if st == DRAINING && self.held.is_empty() {
+            self.park(inner);
+        }
+    }
+}
+
+/// Connection thread: owns a set of connections, reads frames and runs
+/// each to completion as NR worker `index`.
 fn conn_loop(inner: Arc<Inner>, index: usize) {
-    let waker = &inner.conn_wakers[index];
+    let waker = &inner.conn_wake[index].waker;
+    let mut me = Worker {
+        index,
+        lease: None,
+        held: Vec::new(),
+    };
     let mut conns: Vec<ConnState> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     loop {
@@ -735,18 +811,25 @@ fn conn_loop(inner: Arc<Inner>, index: usize) {
         if fds[0].is_ready() {
             waker.drain();
         }
-        let st = inner.state();
-        if st == STOPPED {
-            for c in &conns {
-                let _ = c.io.stream.shutdown(NetShutdown::Both);
+        let mut st = inner.state();
+        match st {
+            STOPPED => {
+                for c in &conns {
+                    let _ = c.io.stream.shutdown(NetShutdown::Both);
+                }
+                return;
             }
-            return;
+            RUNNING if me.lease.is_none() => st = me.lease(&inner),
+            CRASHING if me.lease.is_some() => me.park(&inner),
+            _ => {}
         }
         let mut ready = fds[1..].iter().map(PollFd::is_ready);
         conns.retain_mut(|conn| {
-            !ready.next().expect("one poll entry per connection") || service_conn(&inner, st, conn)
+            !ready.next().expect("one poll entry per connection")
+                || service_conn(&inner, &mut me, st, conn)
         });
-        for stream in locked(&inner.conn_inbox[index]).drain(..) {
+        me.settle(&inner, st);
+        for stream in locked(&inner.conn_wake[index].inbox).drain(..) {
             conns.push(ConnState {
                 io: Arc::new(ConnIo {
                     stream,
@@ -758,11 +841,11 @@ fn conn_loop(inner: Arc<Inner>, index: usize) {
     }
 }
 
-/// Reads what a readable connection has and dispatches every complete
-/// frame. One `read` per readiness report: `poll` is level-triggered, so
-/// whatever a full buffer leaves behind is reported again. Returns false
-/// when the connection should be dropped.
-fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState) -> bool {
+/// Reads what a readable connection has and serves every complete frame.
+/// One `read` per readiness report: `poll` is level-triggered, so whatever
+/// a full buffer leaves behind is reported again. Returns false when the
+/// connection should be dropped.
+fn service_conn(inner: &Inner, me: &mut Worker, st: u8, conn: &mut ConnState) -> bool {
     let mut tmp = [0u8; 4096];
     match (&conn.io.stream).read(&mut tmp) {
         Ok(0) => return false,
@@ -780,7 +863,7 @@ fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState) -> bool {
             Ok(None) => break,
             Ok(Some((req, n))) => {
                 used += n;
-                dispatch(inner, st, req, &conn.io);
+                me.serve(inner, st, req, &conn.io);
             }
             // Protocol error: this peer is speaking garbage; drop it.
             Err(_) => return false,
@@ -790,287 +873,31 @@ fn service_conn(inner: &Arc<Inner>, st: u8, conn: &mut ConnState) -> bool {
     true
 }
 
-/// Routes one parsed request: admin → control queue, data → shard queue.
-fn dispatch(inner: &Arc<Inner>, st: u8, req: Request, io: &Arc<ConnIo>) {
-    // ord: monotone counter (Relaxed).
-    inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-    let id = req.id();
-    let (shard, job) = match req {
-        Request::Admin { id, cmd } => {
-            inner.submit_control((cmd, id, Some(Arc::clone(io))));
-            return;
-        }
-        Request::Get { id, key } => (
-            shard_index(key, inner.cfg.shards),
-            Job {
-                id,
-                ack: AckLevel::Buffered,
-                kind: JobKind::Get { key },
-                conn: Arc::clone(io),
-            },
-        ),
-        Request::Put {
-            id,
-            ack,
-            key,
-            value,
-        } => (
-            shard_index(key, inner.cfg.shards),
-            Job {
-                id,
-                ack,
-                kind: JobKind::Put { key, value },
-                conn: Arc::clone(io),
-            },
-        ),
-        Request::Delete { id, ack, key } => (
-            shard_index(key, inner.cfg.shards),
-            Job {
-                id,
-                ack,
-                kind: JobKind::Delete { key },
-                conn: Arc::clone(io),
-            },
-        ),
-        Request::Scan { id, start, count } => (
-            shard_index(start, inner.cfg.shards),
-            Job {
-                id,
-                ack: AckLevel::Buffered,
-                kind: JobKind::Scan { start, count },
-                conn: Arc::clone(io),
-            },
-        ),
-    };
-    match st {
-        RUNNING => {}
-        // The crash window looks like transient overload from outside:
-        // clients retry and succeed after recovery.
-        CRASHING => {
-            inner.retry(io, id);
-            return;
-        }
-        _ => {
-            io.respond(&Response::Err {
-                id,
-                code: err_code::SHUTTING_DOWN,
-            });
-            return;
-        }
-    }
-    let pl = &inner.pipelines[shard];
-    if pl.queue.push(job, inner.cfg.queue_depth).is_err() {
-        inner.retry(io, id);
-        return;
-    }
-    // One job, one wake-up: the first idle executor takes it. If none is
-    // idle, each of them looks at the queue again before it parks, and one
-    // that waits on a checkpoint with acks held is woken to take the job
-    // meanwhile.
-    if !pl.exec_wake.iter().any(WakeSlot::wake) {
-        if let Some(store) = locked(&inner.store).as_ref() {
-            store.shard(shard).wake_watermark_waiters();
-        }
-    }
-}
-
-/// Why an executor left its per-generation loop.
-enum After {
-    Exit,
-    Park,
-}
-
-/// Executor thread: registered NR worker `executor` of `shard`, popping the
-/// submission queue. β of these per shard is the combiner-batch alignment.
-fn executor_loop(inner: Arc<Inner>, shard: usize, executor: usize) {
-    let worker = shard * inner.cfg.executors_per_shard + executor;
-    let slot = &inner.pipelines[shard].exec_wake[executor];
-    loop {
-        // ord: Acquire pairs with the control thread's generation bump
-        // Release after recovery installs the new store.
-        let gen = inner.generation.load(Ordering::Acquire);
-        let store = inner.store_arc();
-        let token = store.register(worker);
-        let after = executor_generation(&inner, &store, &token, shard, slot);
-        drop(token);
-        drop(store);
-        match after {
-            After::Exit => return,
-            After::Park => {
-                if !park(&inner, gen, slot) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// Parks on `slot` until recovery publishes a new generation. Returns
-/// false when the server stopped instead.
-fn park(inner: &Arc<Inner>, gen: u64, slot: &WakeSlot) -> bool {
-    // ord: AcqRel — the Release half publishes this executor's dropped
-    // store handle to the control thread's parked-count Acquire spin.
-    inner.parked.fetch_add(1, Ordering::AcqRel);
-    let mut resume = false;
-    slot.wait_until(|| match inner.state() {
-        STOPPED => true,
-        // ord: Acquire pairs with recovery's generation-bump Release.
-        RUNNING if inner.generation.load(Ordering::Acquire) != gen => {
-            resume = true;
-            true
-        }
-        _ => false,
-    });
-    // ord: AcqRel, symmetric with the increment above.
-    inner.parked.fetch_sub(1, Ordering::AcqRel);
-    resume
-}
-
-/// Durable acks one executor owes, oldest first, each with the
-/// `completedTail` that covers its op. Covers only grow, so the acks a
-/// checkpoint covers are a prefix.
-type Held = VecDeque<(u64, Job)>;
-
-/// Executes jobs for one store generation.
-fn executor_generation(
-    inner: &Arc<Inner>,
-    store: &Arc<Store>,
-    token: &ShardToken,
-    shard: usize,
-    slot: &WakeSlot,
-) -> After {
-    let pl = &inner.pipelines[shard];
-    let sh = store.shard(shard);
-    let mut held = Held::new();
-    loop {
-        match inner.state() {
-            CRASHING => return After::Park,
-            STOPPED => return After::Exit,
-            // RUNNING pops and executes; DRAINING keeps popping until the
-            // queue is empty (the control thread waits on len+busy before
-            // quiescing), then idles until STOPPED.
-            _ => {}
-        }
-        // busy is raised *before* the pop and lowered once every ack this
-        // executor owes is on the wire, so `len == 0 && busy == 0` is a
-        // true drain barrier (no job or ack can be in flight unobserved).
-        // ord: AcqRel pairs with the control thread's drain-barrier
-        // Acquire reads.
-        pl.busy.fetch_add(1, Ordering::AcqRel);
-        loop {
-            if let Some(job) = pl.queue.pop() {
-                if let Some(job) = execute_job(inner, store, token, job) {
-                    // The op completed on this shard, so the shard's current
-                    // completedTail covers its log index. The natural
-                    // checkpoint is up to ε ops away: ask for one now.
-                    held.push_back((sh.completed_tail(), job));
-                    sh.nudge_checkpoint();
-                }
-            } else if let Some(&(cover, _)) = held.front() {
-                // Nothing queued: wait for the checkpoint, or for a job to
-                // take meanwhile.
-                sh.wait_watermark(token.on(shard), || {
-                    sh.durable_watermark() >= cover
-                        || pl.queue.len() > 0
-                        || inner.state() == CRASHING
-                });
-            } else {
-                break;
-            }
-            if inner.state() == CRASHING {
-                // These ops may or may not survive the cut, so they must
-                // not be acked `Done`; silence would wedge the clients,
-                // whose connections outlive the simulated power failure.
-                for (_, job) in held.drain(..) {
-                    inner.retry(&job.conn, job.id);
-                }
-                break;
-            }
-            if !held.is_empty() {
-                let watermark = sh.durable_watermark();
-                let covered = held.iter().take_while(|(c, _)| *c <= watermark).count();
-                for (_, job) in held.drain(..covered) {
-                    ack_done(inner, &job);
-                }
-            }
-        }
-        // ord: AcqRel, symmetric with the raise above.
-        pl.busy.fetch_sub(1, Ordering::AcqRel);
-        slot.wait_until(|| pl.queue.len() > 0 || matches!(inner.state(), CRASHING | STOPPED));
-    }
-}
-
-/// Runs one job on the store and answers it, except a durable update on a
-/// buffered store: that one is handed back, for the executor to hold until
-/// the checkpoint that covers it lands. (On a durable-mode store `execute`
-/// has already waited out the persist.)
-fn execute_job(inner: &Inner, store: &Store, token: &ShardToken, job: Job) -> Option<Job> {
-    let op = match job.kind {
-        JobKind::Get { key } => {
-            let value = match store.execute(token, MapOp::Get { key }) {
-                MapResp::Value(v) => v,
-                _ => None,
-            };
-            job.conn.respond(&Response::Value { id: job.id, value });
-            return None;
-        }
-        JobKind::Scan { start, count } => {
-            let mut pairs = Vec::new();
-            for key in start..start.saturating_add(count as u64) {
-                if let MapResp::Value(Some(v)) = store.execute(token, MapOp::Get { key }) {
-                    pairs.push((key, v));
-                }
-            }
-            job.conn.respond(&Response::Pairs { id: job.id, pairs });
-            return None;
-        }
-        JobKind::Put { key, value } => MapOp::Insert { key, value },
-        JobKind::Delete { key } => MapOp::Remove { key },
-    };
-    store.execute(token, op);
-    if job.ack == AckLevel::Durable && inner.cfg.durability == DurabilityLevel::Buffered {
-        return Some(job);
-    }
-    ack_done(inner, &job);
-    None
-}
-
-/// Answers an update `Done`; every durable ack is counted here.
-fn ack_done(inner: &Inner, job: &Job) {
-    job.conn.respond(&Response::Done { id: job.id });
-    if job.ack == AckLevel::Durable {
-        // ord: monotone counter (Relaxed).
-        inner.counters.durable_acks.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 /// Control thread: admin commands, crash recovery, drain/shutdown.
-fn control_loop(inner: Arc<Inner>) {
+fn control_loop(inner: Arc<Inner>, inbox: Receiver<ControlMsg>) {
     loop {
         if inner.cfg.watch_signals && signals::shutdown_requested() && inner.state() == RUNNING {
             do_shutdown(&inner, None);
         }
-        match inner.control.pop() {
-            Some((AdminCmd::Stats, id, io)) => {
+        let msg = match inbox.try_recv() {
+            Ok(msg) => msg,
+            Err(_) if inner.state() == STOPPED => return,
+            // The signal handler can raise a flag but not wake us.
+            Err(_) if inner.cfg.watch_signals => match inbox.recv_timeout(SIGNAL_POLL) {
+                Ok(msg) => msg,
+                Err(_) => continue,
+            },
+            Err(_) => inbox.recv().expect("the server holds a sender"),
+        };
+        match msg {
+            (AdminCmd::Stats, id, io) => {
                 let stats = wire_stats(&inner.store_arc());
                 if let Some(io) = io {
                     io.respond(&Response::Stats { id, stats });
                 }
             }
-            Some((AdminCmd::Crash, id, io)) => do_crash(&inner, id, io),
-            Some((AdminCmd::Shutdown, id, io)) => do_shutdown(&inner, io.map(|io| (id, io))),
-            None => {
-                if inner.state() == STOPPED {
-                    return;
-                }
-                let queued = || inner.control.len() > 0;
-                if inner.cfg.watch_signals {
-                    // The signal handler can raise a flag but not wake us.
-                    inner.control_wake.wait_until_or(queued, SIGNAL_POLL);
-                } else {
-                    inner.control_wake.wait_until(queued);
-                }
-            }
+            (AdminCmd::Crash, id, io) => do_crash(&inner, id, io),
+            (AdminCmd::Shutdown, id, io) => do_shutdown(&inner, io.map(|io| (id, io))),
         }
     }
 }
@@ -1098,8 +925,18 @@ fn wire_stats(store: &Arc<Store>) -> WireStats {
     }
 }
 
+/// Waits until every conn thread has given its lease up (`Worker::park`).
+fn wait_all_parked(inner: &Inner) {
+    let target = inner.cfg.workers();
+    // ord: SeqCst — the load of the pair with `Worker::lease`'s decrement
+    // (the transition's `SeqCst` store precedes it); once the count is
+    // full, every conn thread has answered or downgraded what it held,
+    // dropped its store handle, and can write no further ack.
+    spin_until(|| inner.parked.load(Ordering::SeqCst) == target);
+}
+
 /// Simulated power failure + recovery (see module docs for the ordering
-/// argument: all acks precede the cut because all workers park first).
+/// argument: all acks precede the cut because all conn threads park first).
 fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     if !inner.cfg.crash_sim {
         if let Some(io) = io {
@@ -1111,11 +948,7 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
         return;
     }
     inner.set_state(CRASHING);
-    let target = inner.cfg.workers();
-    // ord: Acquire pairs with park()'s AcqRel — once the count reaches the
-    // target, every executor has answered the job it held, dropped its
-    // store handle, and can write no further ack.
-    spin_until(|| inner.parked.load(Ordering::Acquire) == target);
+    wait_all_parked(inner);
 
     let old = locked(&inner.store)
         .take()
@@ -1123,7 +956,7 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
     let (token, image) = old.simulate_crash();
     // Recovery needs exclusive ownership: PrepUc::drop joins the old
     // persistence threads so nothing writes to the old runtime after the
-    // cut. Executors have parked (handles dropped); transient holders
+    // cut. Conn threads have parked (handles dropped); transient holders
     // (stats) are bounded.
     let mut old = old;
     let mut w = Waiter::new();
@@ -1144,20 +977,20 @@ fn do_crash(inner: &Arc<Inner>, id: u64, io: Option<Arc<ConnIo>>) {
         inner.cfg.prep_config(),
         route_key,
     );
+    listen_for_checkpoints(&recovered, &inner.conn_wake);
     *locked(&inner.store) = Some(Arc::new(recovered));
     // ord: monotone counter (Relaxed).
     inner.counters.crashes.fetch_add(1, Ordering::Relaxed);
-    // ord: Release publishes the new store before workers' generation
-    // Acquire lets them re-register.
-    inner.generation.fetch_add(1, Ordering::AcqRel);
+    // The new store is in place before any conn thread can see `Running`
+    // again and lease it.
     inner.set_state(RUNNING);
     if let Some(io) = io {
         io.respond(&Response::Done { id });
     }
 }
 
-/// Drain-and-stop: empty every queue and answer every job, durable acks
-/// included, force the final checkpoints, then stop. Zero buffered-op loss.
+/// Drain-and-stop: answer every request and durable ack in flight, force
+/// the final checkpoints, then stop. Zero buffered-op loss.
 fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
     if inner.state() != RUNNING {
         if let Some((id, io)) = reply {
@@ -1165,14 +998,10 @@ fn do_shutdown(inner: &Arc<Inner>, reply: Option<(u64, Arc<ConnIo>)>) {
         }
         return;
     }
-    // Conn threads start shedding new work.
+    // Conn threads start refusing new work, and give their leases up once
+    // every ack they hold is released.
     inner.set_state(DRAINING);
-    for pl in &inner.pipelines {
-        // ord: Acquire pairs with the executors' AcqRel updates; both zero
-        // with no new pushes possible means the queue is truly drained and
-        // every accepted job answered.
-        spin_until(|| pl.queue.len() == 0 && pl.busy.load(Ordering::Acquire) == 0);
-    }
+    wait_all_parked(inner);
     // The final forced checkpoint: after this, watermark == completedTail
     // on every shard, so a post-shutdown crash loses nothing.
     let store = inner.store_arc();
@@ -1233,8 +1062,6 @@ mod tests {
     fn quick_cfg() -> ServeConfig {
         ServeConfig {
             shards: 2,
-            executors_per_shard: 2,
-            conn_threads: 1,
             queue_depth: 32,
             epsilon: 16,
             log_size: 512,
@@ -1507,45 +1334,53 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_retry() {
-        // One executor, depth-1 queues: park the executors with a slow
-        // first op? Ops are fast, so instead flood a pipeline faster than
-        // one waiter check by writing many frames in one syscall.
+        // The queue is a conn thread's held durable acks. A checkpoint's
+        // fence takes 2 s, so the first durable PUT is still held when the
+        // second arrives, and a cap of one sheds the second unapplied.
         let cfg = ServeConfig {
             shards: 1,
             executors_per_shard: 1,
             queue_depth: 1,
-            crash_sim: false,
+            latency: LatencyModel {
+                sfence_ns: 2_000_000_000,
+                ..LatencyModel::off()
+            },
+            crash_sim: true,
             ..quick_cfg()
         };
-        let server = Server::start(cfg, "127.0.0.1:0").unwrap();
+        let server = Server::start(cfg.clone(), "127.0.0.1:0").unwrap();
         let mut c = TestClient::connect(server.local_addr());
-        let mut out = Vec::new();
-        const N: u64 = 400;
-        for i in 0..N {
-            encode_request(
-                &Request::Put {
-                    id: i,
-                    ack: AckLevel::Buffered,
-                    key: i,
-                    value: i,
-                },
-                &mut out,
-            );
+        for id in [1, 2] {
+            let ack = AckLevel::Durable;
+            c.send(&Request::Put {
+                id,
+                ack,
+                key: id,
+                value: id,
+            });
         }
-        c.stream.write_all(&out).unwrap();
-        let mut done = 0u64;
-        let mut retries = 0u64;
-        for _ in 0..N {
-            match c.recv() {
-                Response::Done { .. } => done += 1,
-                Response::Retry { .. } => retries += 1,
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert_eq!(done + retries, N);
-        assert!(done > 0, "some requests must get through");
+        assert_eq!(c.recv(), Response::Retry { id: 2 });
+        assert_eq!(c.recv(), Response::Done { id: 1 });
         let report = server.shutdown();
-        // The server-side retry counter matches what the wire saw.
-        assert_eq!(report.retries, retries);
+        assert_eq!((report.retries, report.durable_acks), (1, 1));
+        // The shed PUT was never applied: it is not in the quiesced store.
+        let store = Arc::try_unwrap(report.store)
+            .unwrap_or_else(|_| panic!("post-join store handle must be unique"));
+        let (token, image) = store.simulate_crash();
+        drop(store);
+        let recovered = Store::recover(
+            token,
+            image,
+            Topology::new(1, 2, 1).assign_workers(1),
+            PrepConfig::new(DurabilityLevel::Buffered)
+                .with_log_size(cfg.log_size)
+                .with_epsilon(cfg.epsilon)
+                .with_runtime(PmemRuntime::new(LatencyModel::off(), true)),
+            route_key,
+        );
+        let t = recovered.register(0);
+        let get = |key| recovered.execute(&t, MapOp::Get { key });
+        assert_eq!(get(1), MapResp::Value(Some(1)));
+        assert_eq!(get(2), MapResp::Value(None));
     }
 }

@@ -32,8 +32,8 @@ impl ShardToken {
         self.worker
     }
 
-    /// This worker's token on shard `shard` (e.g. for
-    /// [`PrepUc::wait_watermark`]).
+    /// This worker's token on shard `shard` (for a call that names one
+    /// shard's [`PrepUc`] directly).
     pub fn on(&self, shard: usize) -> &ThreadToken {
         &self.tokens[shard]
     }

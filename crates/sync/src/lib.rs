@@ -25,10 +25,10 @@
 //!   uses any more — kept only because the repo benchmark's
 //!   `sync.seqversion_read_ns` probe compiles against it;
 //! * a **single-owner wake slot** for the hand-offs where a thread may
-//!   stay idle for long — a server's executors, whoever waits on the
-//!   durable watermark (one slot per waiting worker), the idle persistence
-//!   thread: the owner parks, wakers unpark, and a store→load pair on each
-//!   side rules out the lost wake-up ([`WakeSlot`]).
+//!   stay idle for long — a server's control thread, a quiescer waiting on
+//!   the durable watermark, the idle persistence thread: the owner parks,
+//!   wakers unpark, and a store→load pair on each side rules out the lost
+//!   wake-up ([`WakeSlot`]).
 //!
 //! All locks here are spin locks in the tradition of the originals, but every
 //! wait loop goes through [`Waiter`], which spins briefly and then yields to

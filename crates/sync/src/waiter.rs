@@ -7,9 +7,9 @@
 //! spin loop; on an oversubscribed machine (the common case for the
 //! benchmark harness, which runs up to 96 logical workers) it lets the thread
 //! holding the resource actually run. A thread that may stay idle for long
-//! parks on a [`crate::WakeSlot`] instead: a server's executors and
-//! durable-ack holders, and the persistence thread once its `Waiter` has
-//! reached the sleep stage ([`Waiter::is_sleeping`]).
+//! parks on a [`crate::WakeSlot`] instead: a server's control thread, a
+//! quiescer waiting for the durable watermark, and the persistence thread
+//! once its `Waiter` has reached the sleep stage ([`Waiter::is_sleeping`]).
 
 use std::hint;
 use std::thread;

@@ -1,8 +1,8 @@
 //! A single-owner wake slot: block without polling, wake without losing it.
 //!
 //! [`Waiter`] is the right tool when the wait is short or the waker is
-//! unknown; a thread that may stay idle for seconds (a server's executor
-//! with an empty queue) pays for it with a timer wake-up every 50 µs and a
+//! unknown; a thread that may stay idle for seconds (a server's control
+//! thread with no admin command queued) pays for it with a timer wake-up every 50 µs and a
 //! hand-off latency of whatever remains of the current sleep. A
 //! [`WakeSlot`] blocks its owner in [`std::thread::park`] instead, and
 //! lets any number of wakers end the block with one `unpark`.

@@ -20,16 +20,16 @@
 //!   serves a GET-only burst entirely on the caught-up reader-slot path,
 //!   visible in `ADMIN STATS`.
 //!
-//! * **Blocked is not stuck.** The server's threads block in `poll` and on
-//!   wake slots instead of polling, so: an idle server's threads are not
-//!   scheduled at all; a crash, a wire shutdown and an in-process shutdown
-//!   each get through to a server whose every thread is blocked —
-//!   including a crash that finds a durable ack parked on the watermark,
-//!   which is still answered (`RETRY`), once; two durable acks on one
-//!   shard wait on its watermark both parked, neither polling, while a GET
-//!   to that shard is still answered; and a
-//!   durable PUT sent to an idle server is acked with no other traffic to
-//!   kick the pipeline.
+//! * **Blocked is not stuck.** The server's threads block in `poll` and in
+//!   a channel receive instead of polling, so: an idle server's threads are
+//!   not scheduled at all; a crash, a wire shutdown and an in-process
+//!   shutdown each get through to a server whose every thread is blocked —
+//!   including a crash that finds a conn thread holding a durable ack for
+//!   the watermark, which is still answered (`RETRY`), once; a conn thread
+//!   holds two durable acks on one shard in `poll`, not polling, while a
+//!   GET to that shard is still answered; a held ack does not delay the
+//!   other sockets of its conn thread; and a durable PUT sent to an idle
+//!   server is acked with no other traffic to kick it along.
 //!
 //! The liveness tests read this process's thread table, so every test in
 //! this file takes [`serial`]: no other test's server is in the table, and
@@ -51,7 +51,7 @@ use prep_topology::Topology;
 use prep_uc::{DurabilityLevel, LatencyModel, PmemRuntime, PrepConfig};
 
 const SHARDS: usize = 2;
-const EXECUTORS: usize = 2;
+const CONN_THREADS: usize = 2;
 
 /// One test at a time (see the module docs). A test that failed while
 /// holding the lock has said what it had to say; the next one proceeds.
@@ -65,23 +65,28 @@ fn server() -> Server {
 }
 
 fn server_with(latency: LatencyModel) -> Server {
-    Server::start(
-        ServeConfig {
-            shards: SHARDS,
-            executors_per_shard: EXECUTORS,
-            conn_threads: 2,
-            queue_depth: 64,
-            durability: DurabilityLevel::Buffered,
-            epsilon: 16,
-            log_size: 1024,
-            latency,
-            crash_sim: true,
-            watch_signals: false,
-            fairness: prep_uc::FairnessMode::default(),
-        },
-        "127.0.0.1:0",
-    )
-    .expect("start server")
+    Server::start(config(latency), "127.0.0.1:0").expect("start server")
+}
+
+fn config(latency: LatencyModel) -> ServeConfig {
+    ServeConfig {
+        shards: SHARDS,
+        executors_per_shard: CONN_THREADS,
+        queue_depth: 64,
+        epsilon: 16,
+        log_size: 1024,
+        latency,
+        crash_sim: true,
+        ..ServeConfig::default()
+    }
+}
+
+/// A checkpoint whose fence takes 2 s: a durable ack waits that long.
+fn slow_fence() -> LatencyModel {
+    LatencyModel {
+        sfence_ns: 2_000_000_000,
+        ..LatencyModel::off()
+    }
 }
 
 /// Blocking one-request-at-a-time client.
@@ -214,7 +219,7 @@ fn graceful_shutdown_loses_no_buffered_ops() {
         .unwrap_or_else(|_| panic!("post-join store handle must be unique"));
     let (token, image) = store.simulate_crash();
     drop(store);
-    let workers = SHARDS * EXECUTORS;
+    let workers = CONN_THREADS;
     let recovered: ShardedStore<HashMap> = ShardedStore::recover(
         token,
         image,
@@ -517,7 +522,7 @@ fn serve_timeslices() -> u64 {
 }
 
 /// Returns once none of the server's threads has been scheduled for 20 ms:
-/// each of them is blocked, in `poll` or on a wake slot.
+/// each of them is blocked, in `poll` or in a channel receive.
 fn wait_until_blocked() {
     let mut before = serve_timeslices();
     for _ in 0..500 {
@@ -576,7 +581,8 @@ fn durable_put_on_an_idle_server_is_acked() {
     let server = server();
     let mut c = Client::connect(server.local_addr());
     // Nothing but this one request ever reaches the server: every hand-off
-    // from the socket to the watermark has to be a wake-up of its own.
+    // from the socket to the watermark and back has to be a wake-up of its
+    // own.
     wait_until_blocked();
     assert_eq!(
         c.roundtrip(&Request::Put {
@@ -603,8 +609,8 @@ fn durable_put_on_an_idle_server_is_acked() {
 #[test]
 fn crash_and_shutdown_reach_a_server_at_rest() {
     let _serial = serial();
-    // ADMIN CRASH: every worker has to notice, park for the cut, and come
-    // back on the recovered store.
+    // ADMIN CRASH: every conn thread has to notice, give its lease up for
+    // the cut, and come back on the recovered store.
     let server = server();
     let mut c = Client::connect(server.local_addr());
     c.put_retrying(1, AckLevel::Durable, 1, 10);
@@ -624,8 +630,8 @@ fn crash_and_shutdown_reach_a_server_at_rest() {
         },
         "a durable-acked key must survive, and the recovered store must serve"
     );
-    // ADMIN SHUTDOWN, again from rest (the workers parked on the new
-    // generation's slots).
+    // ADMIN SHUTDOWN, again from rest (the conn threads blocked in `poll`
+    // with leases on the recovered store).
     wait_until_blocked();
     assert_eq!(
         c.roundtrip(&Request::Admin {
@@ -647,8 +653,8 @@ fn crash_and_shutdown_reach_a_server_at_rest() {
 #[test]
 fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
     let _serial = serial();
-    // A checkpoint's fence takes 0.6 s: long enough for the executor that
-    // holds the ack to be found parked on the watermark, waiting for it,
+    // A checkpoint's fence takes 0.6 s: long enough for the conn thread
+    // that holds the ack to be found blocked in `poll`, waiting for it,
     // even if the host stalls for a tenth of a second on the way.
     let server = server_with(LatencyModel {
         sfence_ns: 600_000_000,
@@ -662,8 +668,8 @@ fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
         value: 1,
     });
     // The op is applied, the persistence thread sleeps in the fence, and
-    // the executor holding the ack — like every other server thread — is
-    // blocked.
+    // the conn thread holding the ack — like every other server thread —
+    // is blocked.
     wait_until_blocked();
     let store = server.store_handle();
     assert_eq!(store.completed_tails().iter().sum::<u64>(), 1);
@@ -695,18 +701,15 @@ fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
 #[test]
 fn concurrent_durable_acks_on_one_shard_park() {
     let _serial = serial();
-    // A checkpoint's fence takes 2 s, so both acks below wait that long.
-    let server = server_with(LatencyModel {
-        sfence_ns: 2_000_000_000,
-        ..LatencyModel::off()
-    });
+    let server = server_with(slow_fence());
     let shard = shard_index(1, SHARDS);
     let other = (2..)
         .find(|&k| shard_index(k, SHARDS) == shard)
         .expect("a second key on the shard");
+    // One connection, so one conn thread runs both PUTs and holds both acks.
     let mut c = Client::connect(server.local_addr());
-    // One at a time: the first executor holds its ack parked on the
-    // watermark, so the idle second one takes the next PUT.
+    // One at a time: the conn thread holds the first ack and goes back to
+    // `poll`, where the second PUT finds it.
     for (id, key) in [(1, 1), (2, other)] {
         c.send(&Request::Put {
             id,
@@ -716,9 +719,9 @@ fn concurrent_durable_acks_on_one_shard_park() {
         });
         wait_until_blocked();
     }
-    // Both executors wait on the same watermark, and both are parked: one
-    // that polled for its turn would keep being scheduled until the fence
-    // ended and the acks went out.
+    // Both acks wait on the same watermark, and their thread is blocked: one
+    // that polled for the checkpoint would keep being scheduled until the
+    // fence ended and the acks went out.
     let store = server.store_handle();
     assert_eq!(store.shard(shard).completed_tail(), 2);
     assert_eq!(store.shard(shard).durable_watermark(), 0);
@@ -753,4 +756,48 @@ fn concurrent_durable_acks_on_one_shard_park() {
     let report = shutdown_in_time(server);
     assert_eq!(report.durable_acks, 0);
     assert_eq!(report.retries, 2);
+}
+
+#[test]
+fn a_held_ack_does_not_delay_its_conn_threads_other_sockets() {
+    let _serial = serial();
+    // One conn thread: both connections below are served by it.
+    let server = Server::start(
+        ServeConfig {
+            executors_per_shard: 1,
+            ..config(slow_fence())
+        },
+        "127.0.0.1:0",
+    )
+    .expect("start server");
+    let mut a = Client::connect(server.local_addr());
+    let mut b = Client::connect(server.local_addr());
+    a.send(&Request::Put {
+        id: 1,
+        ack: AckLevel::Durable,
+        key: 1,
+        value: 10,
+    });
+    // The conn thread holds A's ack and is back in `poll`, not polling the
+    // watermark.
+    wait_until_blocked();
+    let store = server.store_handle();
+    let shard = shard_index(1, SHARDS);
+    assert_eq!(store.shard(shard).completed_tail(), 1);
+    assert_eq!(store.shard(shard).durable_watermark(), 0);
+    // B is answered while A's checkpoint is still being written.
+    assert_eq!(
+        b.roundtrip(&Request::Get { id: 2, key: 1 }),
+        Response::Value {
+            id: 2,
+            value: Some(10)
+        }
+    );
+    assert_eq!(store.shard(shard).durable_watermark(), 0);
+    wait_until_blocked();
+    drop(store);
+    // And A's ack goes out once the checkpoint lands.
+    assert_eq!(a.recv(), Response::Done { id: 1 });
+    let report = shutdown_in_time(server);
+    assert_eq!((report.durable_acks, report.retries), (1, 0));
 }
