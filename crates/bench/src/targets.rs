@@ -262,7 +262,10 @@ fn per_update(count: u64, updates: u64) -> f64 {
 /// Runs one cell against a sharded PREP-UC store built the way the server
 /// builds one ([`ShardedStore::new`]: every shard on `cfg`'s one runtime),
 /// with one [`Phase`] over that runtime.
-#[allow(clippy::too_many_arguments)] // one knob per sweep dimension, like the other adapters
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one knob per sweep dimension, like the other adapters"
+)]
 pub fn run_sharded<T, G>(
     obj: T,
     shards: usize,

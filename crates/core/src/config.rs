@@ -144,7 +144,10 @@ impl PrepConfig {
     /// # Panics
     /// Panics if ε violates the paper's constraint
     /// `ε ≤ LOG_SIZE − β − 1` (§5.1) or is zero.
-    #[allow(clippy::int_plus_one)] // keep the paper's ε ≤ LOG_SIZE − β − 1 verbatim
+    #[allow(
+        clippy::int_plus_one,
+        reason = "keep the paper's ε ≤ LOG_SIZE − β − 1 verbatim"
+    )]
     pub fn validate(&self, beta: u64) {
         assert!(self.epsilon > 0, "epsilon must be positive");
         assert!(

@@ -182,7 +182,13 @@ impl<O: Clone> HookState<O> {
     /// costs one `CLFLUSHOPT` per *spanned* line — not one per entry.
     /// ([`HookState::flush_entry_span`] issues exactly this many flushes;
     /// tests assert the arithmetic directly.)
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        allow(
+            dead_code,
+            reason = "the unit tests assert the flush arithmetic through it"
+        )
+    )]
     #[inline]
     fn span_lines(from: u64, to: u64) -> u64 {
         let eb = Self::entry_bytes();

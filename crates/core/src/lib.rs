@@ -59,7 +59,6 @@
 //! prescribe.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod config;
 mod hooks;

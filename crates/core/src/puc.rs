@@ -304,6 +304,10 @@ impl<T: SequentialObject> Drop for PrepUc<T> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
 mod tests {
     use super::*;
     use crate::config::DurabilityLevel;

@@ -213,7 +213,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::int_plus_one)] // paper formula ε + β − 1
+    #[allow(clippy::int_plus_one, reason = "paper formula ε + β − 1")]
     fn buffered_recovers_a_prefix_within_the_loss_bound() {
         let eps = 16;
         let (completed, recovered) = run_crash_recover(DurabilityLevel::Buffered, eps, 100);

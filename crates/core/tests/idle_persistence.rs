@@ -5,6 +5,10 @@
 //! A file of its own, so this test binary runs one store and the only
 //! `prep-persistence` thread in `/proc/self/task` is this store's.
 #![cfg(target_os = "linux")]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
 
 use std::time::Duration;
 

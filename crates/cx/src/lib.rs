@@ -25,7 +25,10 @@
 //! under adversarial schedules that the benchmarks do not produce.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![allow(
+    unsafe_code,
+    reason = "the wait-free queue links heap-allocated slots through raw pointers and fills them through `UnsafeCell`s"
+)]
 
 mod queue;
 mod uc;

@@ -48,6 +48,8 @@ struct Slot<O, R> {
 // `resp` is written once by the claim-CAS winner before `resp_state` is
 // released to READY.
 unsafe impl<O: Send, R: Send> Send for Slot<O, R> {}
+// SAFETY: as for `Send`; concurrent claimers may clone `op` through `&Slot`,
+// hence `O: Sync`.
 unsafe impl<O: Send + Sync, R: Send> Sync for Slot<O, R> {}
 
 struct Segment<O, R> {

@@ -4,5 +4,3 @@
 //! directory (wired in through `[[test]]` path entries in this package's
 //! manifest) so they sit beside the crates they span rather than inside any
 //! one of them. This library is intentionally empty.
-
-#![forbid(unsafe_code)]

@@ -2,8 +2,10 @@
 //!
 //! [`Config::default`] is the one statement of what prep-lint checks
 //! where: there is no policy file and no override layer, so changing a
-//! scope, a primitive list or a ban is one reviewed Rust diff, and the
-//! tests and the CI binary run exactly the same policy.
+//! scope or a primitive list is one reviewed Rust diff, and the tests and
+//! the CI binary run exactly the same policy. The generic policy (the
+//! unsafe audit, the API bans, reasons on `#[allow]`) is the compiler's:
+//! `[workspace.lints]` in the root `Cargo.toml` and the root `clippy.toml`.
 //!
 //! The comment conventions the rules enforce across the workspace:
 //!
@@ -11,40 +13,21 @@
 //! * `// shared-line: <why>` justifies an unpadded atomic field (the
 //!   container is already padded, the field is cold, or the line has a
 //!   single writer).
-//! * `// SAFETY: <argument>` is required at every unsafe site.
 //! * `// lint:allow(<rule>): <reason>` suppresses one finding at its
 //!   site; the reason is mandatory, and a reason-less allow is itself a
 //!   finding.
 
-/// Scope of a path-restricted rule.
+/// Scope of a path-restricted rule: the path prefixes (workspace-relative)
+/// it applies to.
 #[derive(Debug, Clone)]
 pub struct RuleScope {
-    /// Path prefixes the rule applies to (workspace-relative).
     pub paths: &'static [&'static str],
-    /// Path substrings exempt from the rule (coarse allowlist; prefer
-    /// `// lint:allow(rule): reason` for site-level exemptions).
-    pub allow: &'static [&'static str],
 }
 
 impl RuleScope {
     pub fn applies(&self, path: &str) -> bool {
         self.paths.iter().any(|p| path.starts_with(p))
-            && !self.allow.iter().any(|a| path.contains(a))
     }
-}
-
-/// One forbidden-API entry. Matches inside test code never count.
-#[derive(Debug, Clone)]
-pub struct ForbiddenEntry {
-    /// Entry name (for messages), e.g. `instant-now`.
-    pub name: &'static str,
-    /// `::`-separated identifier chain to match, e.g. `Instant::now`.
-    /// Matches both direct paths and `use` trees (`std::sync::{…, Mutex}`).
-    pub pattern: &'static str,
-    pub scope: RuleScope,
-    /// Human reason the API is banned here.
-    pub message: &'static str,
-    pub suggestion: &'static str,
 }
 
 /// Full lint configuration.
@@ -61,22 +44,7 @@ pub struct Config {
     pub persist_primitives: &'static [&'static str],
     /// Trace hooks that satisfy coverage.
     pub persist_hooks: &'static [&'static str],
-    pub unsafety: RuleScope,
-    pub forbidden: &'static [ForbiddenEntry],
 }
-
-/// The crates whose blocking-lock discipline is under study: everything
-/// the replicated-persistence protocol runs through, plus the network
-/// service and the load generator.
-const LOCK_DISCIPLINE: &[&str] = &[
-    "crates/nr/src",
-    "crates/sync/src",
-    "crates/core/src",
-    "crates/cx/src",
-    "crates/shard/src",
-    "crates/serve/src",
-    "crates/loadgen/src",
-];
 
 impl Default for Config {
     /// The workspace policy.
@@ -102,7 +70,6 @@ impl Default for Config {
                     "crates/shard/src",
                     "crates/serve/src",
                 ],
-                allow: &[],
             },
             // Padding discipline where §5.1-style false sharing bites:
             // the log, the locks, the runtime counters, and CX's shared
@@ -114,7 +81,6 @@ impl Default for Config {
                     "crates/pmem/src",
                     "crates/cx/src",
                 ],
-                allow: &[],
             },
             // Every function driving an addressed persist primitive must
             // also trace through a psan hook, or the stores it persists
@@ -130,7 +96,6 @@ impl Default for Config {
                     "crates/shard/src",
                     "crates/cx/src",
                 ],
-                allow: &[],
             },
             persist_primitives: &["flush_range", "clflushopt_at", "wbinvd", "nvm_write"],
             persist_hooks: &[
@@ -139,78 +104,6 @@ impl Default for Config {
                 "trace_recovery_read",
                 "persist_clflush_at",
                 "publish_clflush",
-            ],
-            // Successor to the retired ci/check_unsafe.sh.
-            unsafety: RuleScope {
-                paths: &["crates"],
-                allow: &[],
-            },
-            forbidden: &[
-                ForbiddenEntry {
-                    name: "instant-now",
-                    pattern: "Instant::now",
-                    scope: RuleScope {
-                        // prep-serve deliberately gets no allowance: the
-                        // server stays Instant-free (its latency story is
-                        // the simulated-NVM cost model). The load
-                        // generator's timer (crates/loadgen/src/clock.rs)
-                        // is the one component whose job *is* wall-clock
-                        // time; it carries site-level reasoned allows
-                        // rather than a path exemption, so each call site
-                        // states its reason.
-                        paths: &["crates"],
-                        allow: &["crates/pmem/src/latency.rs", "crates/bench"],
-                    },
-                    message: "Instant::now outside the latency model: wall-clock reads in \
-                              instrumented paths skew the emulated NVM timings",
-                    suggestion: "route timing through prep_pmem::latency (see charge_ns), or \
-                                 justify with // lint:allow(forbidden-api): <reason>",
-                },
-                ForbiddenEntry {
-                    name: "std-mutex",
-                    pattern: "std::sync::Mutex",
-                    scope: RuleScope {
-                        paths: LOCK_DISCIPLINE,
-                        allow: &["crates/nr/src/global_lock.rs"],
-                    },
-                    message: "std::sync::Mutex in a hot-path crate: blocking locks belong to \
-                              the Mutex-UC baseline (global_lock.rs), not the replicated path",
-                    suggestion: "use a prep-sync lock, or justify with \
-                                 // lint:allow(forbidden-api): <reason>",
-                },
-                ForbiddenEntry {
-                    name: "std-rwlock",
-                    pattern: "std::sync::RwLock",
-                    scope: RuleScope {
-                        paths: LOCK_DISCIPLINE,
-                        allow: &[],
-                    },
-                    message: "std::sync::RwLock in a hot-path crate: replica locks go through \
-                              the ReplicaLock trait (DistRwLock/PhaseFairRwLock)",
-                    suggestion: "use a prep-sync lock, or justify with \
-                                 // lint:allow(forbidden-api): <reason>",
-                },
-                ForbiddenEntry {
-                    name: "thread-sleep",
-                    pattern: "thread::sleep",
-                    scope: RuleScope {
-                        paths: &[
-                            "crates/nr/src",
-                            "crates/sync/src",
-                            "crates/core/src",
-                            "crates/cx/src",
-                            "crates/shard/src",
-                            "crates/pmem/src",
-                            "crates/serve/src",
-                            "crates/loadgen/src",
-                        ],
-                        allow: &["crates/sync/src/waiter.rs", "crates/pmem/src/latency.rs"],
-                    },
-                    message: "thread::sleep in a hot-path crate: polite waiting goes through \
-                              prep_sync::Waiter (spin budget, then sleep)",
-                    suggestion: "use prep_sync::Waiter, or justify with \
-                                 // lint:allow(forbidden-api): <reason>",
-                },
             ],
         }
     }
@@ -224,10 +117,9 @@ mod tests {
     fn scope_matching() {
         let s = RuleScope {
             paths: &["crates/nr/src"],
-            allow: &["global_lock"],
         };
         assert!(s.applies("crates/nr/src/log.rs"));
         assert!(!s.applies("crates/nr/tests/x.rs"));
-        assert!(!s.applies("crates/nr/src/global_lock.rs"));
+        assert!(!s.applies("crates/nrx/src/log.rs"));
     }
 }

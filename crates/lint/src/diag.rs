@@ -16,14 +16,6 @@ pub mod rules {
     pub const CACHELINE_PADDING: &str = "cacheline-padding";
     /// Persist primitive called without a psan trace hook in scope.
     pub const PERSIST_HOOK: &str = "persist-hook";
-    /// `unsafe` site without an attached `// SAFETY:` comment.
-    pub const UNSAFE_MISSING_SAFETY: &str = "unsafe-missing-safety";
-    /// Unsafe-free crate without `#![forbid(unsafe_code)]`.
-    pub const UNSAFE_MISSING_FORBID: &str = "unsafe-missing-forbid";
-    /// Unsafe-using crate without `#![deny(unsafe_op_in_unsafe_fn)]`.
-    pub const UNSAFE_MISSING_DENY: &str = "unsafe-missing-deny";
-    /// Configured forbidden API used outside its allowed paths.
-    pub const FORBIDDEN_API: &str = "forbidden-api";
     /// `lint:allow` without a mandatory reason.
     pub const LINT_ALLOW_REASON: &str = "lint-allow-reason";
 
@@ -34,10 +26,6 @@ pub mod rules {
         ATOMIC_FENCE_ORDERING,
         CACHELINE_PADDING,
         PERSIST_HOOK,
-        UNSAFE_MISSING_SAFETY,
-        UNSAFE_MISSING_FORBID,
-        UNSAFE_MISSING_DENY,
-        FORBIDDEN_API,
         LINT_ALLOW_REASON,
     ];
 }
@@ -81,30 +69,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
          record their own flush events, but the *stores they persist* are plain writes the \
          sanitizer only sees through trace hooks. A persist path without a hook silently \
          escapes every psan ordering rule.",
-    ),
-    (
-        rules::UNSAFE_MISSING_SAFETY,
-        "Every unsafe site must state the invariant that makes it sound in an attached \
-         `// SAFETY:` comment. The comment is the audit trail; unsafe without it is \
-         unreviewable.",
-    ),
-    (
-        rules::UNSAFE_MISSING_FORBID,
-        "A crate with no unsafe code should say so enforceably: `#![forbid(unsafe_code)]` \
-         at the crate root turns the property into a compile error instead of a habit.",
-    ),
-    (
-        rules::UNSAFE_MISSING_DENY,
-        "A crate that uses unsafe should carry `#![deny(unsafe_op_in_unsafe_fn)]` so every \
-         unsafe operation sits in an explicit unsafe block with its own SAFETY comment, \
-         even inside unsafe fns.",
-    ),
-    (
-        rules::FORBIDDEN_API,
-        "Some std APIs are banned per-path (Config::default in crates/lint/src/config.rs): \
-         wall-clock reads outside the latency model skew the emulated NVM timings, \
-         blocking std locks belong to the Mutex-UC baseline only, and bare thread::sleep \
-         bypasses the Waiter's spin budget.",
     ),
     (
         rules::LINT_ALLOW_REASON,

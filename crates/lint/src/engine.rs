@@ -109,7 +109,6 @@ pub fn lint_files_all(files: &[(String, String)], cfg: &Config) -> Vec<Diagnosti
     for (path, model) in &models {
         diags.extend(rule_mods::run_file_rules(path, model, cfg));
     }
-    rule_mods::unsafety::run_crates(&models, cfg, &mut diags);
 
     // Suppression pass: mark, never drop.
     for (path, model) in &models {

@@ -3,11 +3,11 @@
 //! cannot see.
 //!
 //! The compiler checks types; it does not check that a `SeqCst` is
-//! load-bearing, that an atomic field shares a cacheline on purpose,
-//! that every persisted store is visible to the persistence sanitizer,
-//! or that an `unsafe` block states its invariant. Those are exactly
-//! the properties the paper's correctness argument leans on, so this
-//! crate machine-checks them:
+//! load-bearing, that an atomic field shares a cacheline on purpose, or
+//! that every persisted store is visible to the persistence sanitizer.
+//! Those are exactly the properties the paper's correctness argument
+//! leans on (§5's ordering and persistence discipline), so this crate
+//! machine-checks them:
 //!
 //! * [`rules::ordering`] — every explicit `Ordering` carries a
 //!   `// ord: <why>`; `SeqCst` and standalone fences get dedicated
@@ -16,11 +16,14 @@
 //!   `CachePadded` or justified with `// shared-line: <why>` (§5.1).
 //! * [`rules::persist`] — functions driving persist primitives also
 //!   trace through the psan hooks (§5 durability, machine-checked).
-//! * [`rules::unsafety`] — the lexer-accurate successor to
-//!   `ci/check_unsafe.sh`.
-//! * [`rules::forbidden`] — per-path API bans (`Instant::now`
-//!   outside the latency model, blocking std locks in hot paths,
-//!   `thread::sleep` outside `Waiter`).
+//!
+//! What a compiler lint can check is not here: the unsafe audit
+//! (`unsafe_code`, `unsafe_op_in_unsafe_fn`,
+//! `clippy::undocumented_unsafe_blocks`), the API bans
+//! (`clippy::disallowed_methods`/`disallowed_types`) and reasons on
+//! `#[allow]` (`clippy::allow_attributes_without_reason`) are set once
+//! in the root `Cargo.toml`'s `[workspace.lints]` and `clippy.toml`.
+//! They resolve names, so an aliased import cannot slip past them.
 //!
 //! Every rule reads one file at a time. Two properties that need more
 //! than one file are checked elsewhere: persist *ordering* (flush and
@@ -35,8 +38,6 @@
 //! ([`lexer`]) and a lightweight item model ([`model`]). The policy —
 //! which rule runs on which paths — is one typed value,
 //! [`Config::default`] ([`config`]).
-
-#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod diag;

@@ -13,8 +13,6 @@
 //! `[workspace]` table, so the binary works from any subdirectory. The
 //! policy is [`Config::default`]; there is no config file.
 
-#![forbid(unsafe_code)]
-
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 

@@ -2,11 +2,11 @@
 //!
 //! Built from the token stream of [`crate::lexer`], this recovers just
 //! enough structure for the rules: function spans, struct fields with
-//! their type text, `#[cfg(test)]` / `#[test]` spans, unsafe sites, call
-//! sites with argument spans, and comment *attachment* — which code line
-//! each comment annotates, so `// ord:` / `// shared-line:` /
-//! `// SAFETY:` / `// lint:allow(...)` justifications can be matched to
-//! the constructs they cover.
+//! their type text, `#[cfg(test)]` / `#[test]` spans, call sites with
+//! argument spans, and comment *attachment* — which code line each
+//! comment annotates, so `// ord:` / `// shared-line:` /
+//! `// lint:allow(...)` justifications can be matched to the constructs
+//! they cover.
 //!
 //! It is deliberately not a parser: brace/paren matching over significant
 //! tokens plus a handful of keyword-triggered recognizers. That is enough
@@ -32,25 +32,6 @@ pub struct CommentAnn {
     pub col: u32,
     /// Comment content, delimiters stripped, trimmed.
     pub text: String,
-}
-
-/// What kind of construct an `unsafe` keyword introduces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnsafeKind {
-    Block,
-    Fn,
-    Impl,
-    Trait,
-    Other,
-}
-
-/// One `unsafe` site.
-#[derive(Debug)]
-pub struct UnsafeSite {
-    pub kind: UnsafeKind,
-    pub byte: usize,
-    pub line: u32,
-    pub col: u32,
 }
 
 /// One `fn` item (free, inherent, trait method — anything with a body).
@@ -112,11 +93,8 @@ pub struct FileModel<'a> {
     pub sig: Vec<usize>,
     pub lines: LineMap,
     pub comments: Vec<CommentAnn>,
-    /// Inner attributes (`#![…]`), whitespace-stripped content.
-    pub inner_attrs: Vec<String>,
     pub fns: Vec<FnItem>,
     pub structs: Vec<StructItem>,
-    pub unsafe_sites: Vec<UnsafeSite>,
     pub calls: Vec<CallSite>,
     /// Byte ranges of `#[cfg(test)] mod … { … }` bodies.
     pub test_spans: Vec<Range<usize>>,
@@ -133,18 +111,8 @@ impl<'a> FileModel<'a> {
     }
 
     /// Byte offset of significant token `k`.
-    pub fn byte(&self, k: usize) -> usize {
+    fn byte(&self, k: usize) -> usize {
         self.tok(k).start
-    }
-
-    /// Number of significant tokens.
-    pub fn sig_len(&self) -> usize {
-        self.sig.len()
-    }
-
-    /// Kind of significant token `k`.
-    pub fn tok_kind(&self, k: usize) -> TokKind {
-        self.tok(k).kind
     }
 
     /// 1-based `(line, col)` of byte offset `off`.
@@ -177,7 +145,7 @@ impl<'a> FileModel<'a> {
 
     /// Index (into `sig`) of the token matching the opener at `open`
     /// (`{`/`}`, `(`/`)`, `[`/`]`). Returns `sig.len()` if unbalanced.
-    pub fn matching(&self, open: usize) -> usize {
+    fn matching(&self, open: usize) -> usize {
         let (o, c) = match self.txt(open) {
             "{" => ("{", "}"),
             "(" => ("(", ")"),
@@ -218,10 +186,8 @@ impl<'a> FileModel<'a> {
             sig,
             lines,
             comments,
-            inner_attrs: Vec::new(),
             fns: Vec::new(),
             structs: Vec::new(),
-            unsafe_sites: Vec::new(),
             calls: Vec::new(),
             test_spans: Vec::new(),
         };
@@ -255,9 +221,7 @@ impl<'a> FileModel<'a> {
                         let text: String = self.src[self.tok(open).end..end]
                             .split_whitespace()
                             .collect();
-                        if inner {
-                            self.inner_attrs.push(text);
-                        } else {
+                        if !inner {
                             if text.starts_with("cfg(")
                                 && text.contains("test")
                                 && !text.contains("not(test")
@@ -353,24 +317,6 @@ impl<'a> FileModel<'a> {
                     }
                     pending_cfg_test = false;
                     pending_test_attr = false;
-                    k += 1;
-                }
-                "unsafe" => {
-                    let kind = match self.txt((k + 1).min(n - 1)) {
-                        "{" => UnsafeKind::Block,
-                        "fn" => UnsafeKind::Fn,
-                        "impl" => UnsafeKind::Impl,
-                        "trait" => UnsafeKind::Trait,
-                        _ => UnsafeKind::Other,
-                    };
-                    let byte = self.byte(k);
-                    let (line, col) = self.lines.line_col(byte);
-                    self.unsafe_sites.push(UnsafeSite {
-                        kind,
-                        byte,
-                        line,
-                        col,
-                    });
                     k += 1;
                 }
                 // Item keywords that consume pending attributes.
@@ -651,24 +597,5 @@ mod tests {
             .unwrap();
         assert_eq!(c.line, 3);
         assert_eq!(c.end_line, 4);
-    }
-
-    #[test]
-    fn unsafe_sites_ignore_strings_and_comments() {
-        let src = "// unsafe fn in comment\nlet s = \"unsafe { }\";\nunsafe impl Send for X {}\nfn g() { unsafe { core::hint::unreachable_unchecked() } }";
-        let m = FileModel::build(src);
-        assert_eq!(m.unsafe_sites.len(), 2);
-        assert_eq!(m.unsafe_sites[0].kind, UnsafeKind::Impl);
-        assert_eq!(m.unsafe_sites[1].kind, UnsafeKind::Block);
-    }
-
-    #[test]
-    fn inner_attrs_collected() {
-        let src = "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\nfn main() {}\n";
-        let m = FileModel::build(src);
-        assert_eq!(
-            m.inner_attrs,
-            vec!["forbid(unsafe_code)", "deny(missing_docs)"]
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the prep-lint binary: `--json` output shape,
-//! suppression marking, `--deny` exit codes, `--explain`, and finding
-//! the workspace root without `--root`.
+//! suppression marking, `--deny` exit codes, `--explain`, `--list-rules`,
+//! and finding the workspace root without `--root`.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -17,8 +17,32 @@ fn explain_prints_rationale_and_rejects_unknown_ids() {
     assert!(text.starts_with("atomic-seqcst\n"), "got: {text}");
     assert!(text.len() > 80, "rationale suspiciously short: {text}");
 
-    let bad = bin().args(["--explain", "no-such-rule"]).output().unwrap();
-    assert!(!bad.status.success());
+    // The unsafe audit and the API bans are compiler lints now
+    // (`[workspace.lints]`, `clippy.toml`): their old ids are unknown.
+    for gone in ["no-such-rule", "forbidden-api", "unsafe-missing-safety"] {
+        let bad = bin().args(["--explain", gone]).output().unwrap();
+        assert!(!bad.status.success(), "--explain {gone} was accepted");
+        let err = String::from_utf8(bad.stderr).unwrap();
+        assert!(err.contains("unknown rule id"), "{gone}: {err}");
+    }
+}
+
+#[test]
+fn list_rules_prints_exactly_the_paper_specific_rules() {
+    let out = bin().arg("--list-rules").output().unwrap();
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(
+        text.lines().collect::<Vec<_>>(),
+        [
+            "atomic-ordering",
+            "atomic-seqcst",
+            "atomic-fence-ordering",
+            "cacheline-padding",
+            "persist-hook",
+            "lint-allow-reason",
+        ]
+    );
 }
 
 /// A throwaway workspace: one unjustified `SeqCst` load written twice,

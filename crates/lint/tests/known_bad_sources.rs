@@ -65,37 +65,6 @@ pub fn untraced_line(rt: &PmemRuntime, line: u64) {
 }
 "#;
 
-const BAD_UNSAFE_LIB: &str = r#"//! Known-bad: unsafe without an audit trail.
-
-pub fn peek(p: *const u64) -> u64 {
-    unsafe { *p }
-}
-"#;
-
-const CLEAN_LIB: &str = r#"//! Known-bad: no unsafe, but nothing keeps it that way.
-
-pub fn id(x: u64) -> u64 {
-    x
-}
-"#;
-
-const BAD_APIS: &str = r#"//! Known-bad: APIs banned on the hot path.
-use std::sync::Mutex;
-use std::time::Instant;
-
-pub fn stamp() -> Instant {
-    Instant::now()
-}
-
-pub fn nap() {
-    std::thread::sleep(std::time::Duration::from_millis(1));
-}
-
-pub fn guard(m: &Mutex<u64>) -> u64 {
-    *m.lock().unwrap()
-}
-"#;
-
 const BAD_ALLOWS: &str = r#"//! Suppression semantics: reasons are mandatory.
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -196,56 +165,6 @@ const EXPECTED: &[Expected] = &[
         msg: "`untraced_line` calls persist primitive `clflushopt_at` but no psan trace hook",
         sugg: "lint:allow(persist-hook): <reason> if the caller traces",
     },
-    // -- rule family 4: unsafe audit --
-    Expected {
-        path: "crates/fixture/src/lib.rs",
-        line: 4,
-        col: 5,
-        rule: "unsafe-missing-safety",
-        msg: "unsafe block without an attached // SAFETY: comment",
-        sugg: "state the invariant that makes this sound",
-    },
-    Expected {
-        path: "crates/fixture/src/lib.rs",
-        line: 1,
-        col: 1,
-        rule: "unsafe-missing-deny",
-        msg: "crate `fixture` uses unsafe but lib.rs lacks",
-        sugg: "add `#![deny(unsafe_op_in_unsafe_fn)]` to the crate root",
-    },
-    Expected {
-        path: "crates/clean/src/lib.rs",
-        line: 1,
-        col: 1,
-        rule: "unsafe-missing-forbid",
-        msg: "crate `clean` has no unsafe code but lib.rs lacks",
-        sugg: "add `#![forbid(unsafe_code)]` to the crate root",
-    },
-    // -- rule family 5: forbidden-api --
-    Expected {
-        path: "crates/cx/src/bad_apis.rs",
-        line: 2,
-        col: 5,
-        rule: "forbidden-api",
-        msg: "[std-mutex] std::sync::Mutex: std::sync::Mutex in a hot-path crate",
-        sugg: "use a prep-sync lock",
-    },
-    Expected {
-        path: "crates/cx/src/bad_apis.rs",
-        line: 6,
-        col: 5,
-        rule: "forbidden-api",
-        msg: "[instant-now] Instant::now: Instant::now outside the latency model",
-        sugg: "route timing through prep_pmem::latency",
-    },
-    Expected {
-        path: "crates/cx/src/bad_apis.rs",
-        line: 10,
-        col: 10,
-        rule: "forbidden-api",
-        msg: "[thread-sleep] thread::sleep: thread::sleep in a hot-path crate",
-        sugg: "use prep_sync::Waiter",
-    },
     // -- suppression semantics --
     Expected {
         path: "crates/sync/src/allows.rs",
@@ -270,9 +189,6 @@ fn corpus() -> Vec<(String, String)> {
         ("crates/sync/src/bad_atomics.rs", BAD_ATOMICS),
         ("crates/nr/src/bad_padding.rs", BAD_PADDING),
         ("crates/core/src/bad_persist.rs", BAD_PERSIST),
-        ("crates/fixture/src/lib.rs", BAD_UNSAFE_LIB),
-        ("crates/clean/src/lib.rs", CLEAN_LIB),
-        ("crates/cx/src/bad_apis.rs", BAD_APIS),
         ("crates/sync/src/allows.rs", BAD_ALLOWS),
     ]
     .into_iter()

@@ -28,18 +28,19 @@ impl Default for Clock {
 
 impl Clock {
     /// Starts the clock; `now_ns` measures from this call.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the load generator is the component that measures real wall-clock latency; this module is the crate's single timer authority"
+    )]
     pub fn new() -> Self {
         Clock {
-            // lint:allow(forbidden-api): the load generator is the component
-            // that measures real wall-clock latency; this module is the
-            // crate's single timer authority.
             origin: Instant::now(),
         }
     }
 
     /// Nanoseconds since the clock started.
+    #[expect(clippy::disallowed_methods, reason = "see `Clock::new`")]
     pub fn now_ns(&self) -> u64 {
-        // lint:allow(forbidden-api): see `Clock::new`.
         Instant::now().duration_since(self.origin).as_nanos() as u64
     }
 
@@ -55,8 +56,10 @@ impl Clock {
             }
             let ahead = target_ns - now;
             if ahead > SPIN_SLACK_NS {
-                // lint:allow(forbidden-api): pacing the offered load is this
-                // crate's purpose; only the bulk wait uses the OS timer.
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "pacing the offered load is this crate's purpose; only the bulk wait uses the OS timer"
+                )]
                 std::thread::sleep(Duration::from_nanos(ahead - SPIN_SLACK_NS));
             } else {
                 std::hint::spin_loop();

@@ -30,7 +30,10 @@ impl VClock {
 
     /// Sets component `i` to `v`.
     #[inline]
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        allow(dead_code, reason = "only the unit tests set a component directly")
+    )]
     pub fn set(&mut self, i: usize, v: u64) {
         self.t[i] = v;
     }

@@ -727,7 +727,10 @@ impl Engine {
         idx
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per field of the recorded event"
+    )]
     fn push_ev(
         &self,
         g: &mut Exec,
@@ -812,7 +815,10 @@ impl Engine {
     /// `expected` is `Some(x)` this is a compare-exchange that only writes
     /// if the current value equals `x` (failure loads with `fail_ord`).
     /// Returns `(old, success)`.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one entry point for every read-modify-write and compare-exchange shape"
+    )]
     pub(crate) fn atomic_rmw(
         &self,
         tid: usize,

@@ -8,6 +8,11 @@
 //! These drive `prep_mc::cell` directly, so the file runs in both normal
 //! and `--cfg prep_mc` builds.
 
+#![allow(
+    unsafe_code,
+    reason = "the tests drive `PeekCell`'s unsafe accessors, racing ones included"
+)]
+
 use std::sync::atomic::Ordering::{self, AcqRel, Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
@@ -97,6 +102,7 @@ impl MiniSeq {
         }
         // SAFETY: consenting peeks; validation rejects racy snapshots.
         let x = unsafe { self.a.read_racy() }.value;
+        // SAFETY: as above.
         let y = unsafe { self.b.read_racy() }.value;
         if validate_fence {
             fence(Acquire);
@@ -181,6 +187,7 @@ impl MiniDistRw {
         self.writer.store(1, publish);
         if self.reader.load(SeqCst) == 0 {
             // No reader marked: the critical section is ours.
+            // SAFETY: the reader mark was re-checked; a racing access is reported by the model.
             unsafe { self.data.write(1) };
             self.writer.store(0, Release);
             true
@@ -200,6 +207,7 @@ impl MiniDistRw {
             return false;
         }
         // Non-consenting peek: overlapping the writer is a data race.
+        // SAFETY: inside the model a racing access is reported, not undefined.
         let _ = unsafe { self.data.read() };
         self.reader.fetch_sub(1, Release);
         true

@@ -6,6 +6,11 @@
 //! message passing, coherence, release sequences, fences, race detection,
 //! livelock detection, and deterministic replay.
 
+#![allow(
+    unsafe_code,
+    reason = "the tests drive `PeekCell`'s unsafe accessors, racing ones included"
+)]
+
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 use std::sync::Arc;
 
@@ -183,9 +188,11 @@ fn peek_race_is_detected() {
     let r = Builder::new("peek-race").run(|| {
         let d = Arc::new(PeekCell::new(0u64));
         let d2 = Arc::clone(&d);
+        // SAFETY: inside the model a racing access is reported, not undefined.
         let t = thread::spawn(move || unsafe {
             d2.write(1);
         });
+        // SAFETY: inside the model a racing access is reported, not undefined.
         let _ = unsafe { d.read() };
         t.join().unwrap();
     });
@@ -204,9 +211,11 @@ fn peek_read_racy_consents() {
     let r = Builder::new("peek-read-racy").run(move || {
         let d = Arc::new(PeekCell::new(0u64));
         let d2 = Arc::clone(&d);
+        // SAFETY: inside the model a racing access is reported, not undefined.
         let t = thread::spawn(move || unsafe {
             d2.write(1);
         });
+        // SAFETY: inside the model a racing access is reported, not undefined.
         let p = unsafe { d.read_racy() };
         if p.racy {
             saw.store(true, Relaxed);
@@ -275,6 +284,7 @@ fn swap_and_cas_model_a_lock() {
             while l2.compare_exchange(false, true, Acquire, Relaxed).is_err() {
                 thread::yield_now();
             }
+            // SAFETY: the CAS lock is held.
             unsafe { d2.write(d2.read() + 1) };
             l2.store(false, Release);
         });
@@ -284,10 +294,12 @@ fn swap_and_cas_model_a_lock() {
         {
             thread::yield_now();
         }
+        // SAFETY: the CAS lock is held.
         unsafe { data.write(data.read() + 1) };
         locked.store(false, Release);
         t.join().unwrap();
         // Joined both critical sections: no race, both increments visible.
+        // SAFETY: both threads are joined.
         assert_eq!(unsafe { data.read() }, 2);
     });
 }

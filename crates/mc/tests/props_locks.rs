@@ -6,6 +6,12 @@
 //! the oracle (non-consenting peek vs. concurrent store) or as a lost
 //! update in the final counter value.
 #![cfg(prep_mc)]
+#![allow(
+    unsafe_code,
+    clippy::undocumented_unsafe_blocks,
+    reason = "every unsafe block is an oracle access inside the model, which reports a race \
+              instead of letting it be undefined: the module docs are the one SAFETY argument"
+)]
 
 use std::sync::Arc;
 

@@ -4,6 +4,7 @@
 //! with its `cell` seam routed through the instrumented runtime, or the
 //! primitives' atomics would be invisible to the scheduler.
 #![cfg(prep_mc)]
+#![allow(unsafe_code, reason = "the tests drive `PeekCell`'s unsafe accessors")]
 
 use std::sync::Arc;
 
@@ -25,6 +26,7 @@ fn validated_reads_are_neither_torn_nor_stale() {
         let (sv2, a2, b2) = (Arc::clone(&sv), Arc::clone(&a), Arc::clone(&b));
         let writer = thread::spawn(move || {
             sv2.write_begin();
+            // SAFETY: the only writer; readers peek with `read_racy` and validate.
             unsafe {
                 a2.write(1);
                 b2.write(1);
@@ -32,7 +34,9 @@ fn validated_reads_are_neither_torn_nor_stale() {
             sv2.write_end();
         });
         if let Some(snap) = sv.read_begin() {
+            // SAFETY: a racy peek, kept only if `validate` passes.
             let x = unsafe { a.read_racy() }.value;
+            // SAFETY: as above.
             let y = unsafe { b.read_racy() }.value;
             if sv.validate(snap) {
                 assert_eq!(x, y, "torn read admitted by SeqVersion");

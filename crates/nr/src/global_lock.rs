@@ -1,6 +1,11 @@
 //! The simplest universal construction: one copy of the sequential object
 //! behind a global lock (the paper's "GL" baseline in Figure 1).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the Mutex-UC baseline is the one place a blocking std lock belongs"
+)]
+
 use std::sync::Mutex;
 
 use prep_seqds::SequentialObject;

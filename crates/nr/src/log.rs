@@ -45,6 +45,7 @@ struct Entry<O> {
 // (release-store on write, acquire-load before read) under the protocol in
 // the module docs.
 unsafe impl<O: Send> Send for Entry<O> {}
+// SAFETY: see `Send` above.
 unsafe impl<O: Send> Sync for Entry<O> {}
 
 /// A log slot as stored: one [`Entry`] padded to its own cachelines.
@@ -70,6 +71,7 @@ struct Slab<O> {
 // leave the type) and hands out only `&[Slot<O>]`, so it is `Send`/`Sync`
 // exactly when a `Box<[Slot<O>]>` would be — when `Entry<O>` is, above.
 unsafe impl<O: Send> Send for Slab<O> {}
+// SAFETY: see `Send` above.
 unsafe impl<O: Send> Sync for Slab<O> {}
 
 impl<O> Slab<O> {
@@ -331,7 +333,10 @@ impl<O: Clone> Log<O> {
     /// # Safety
     /// `index` must be protected from reuse (the caller's replica localTail
     /// has not passed it, so the logMin protocol pins it).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg_attr(
+        not(test),
+        allow(dead_code, reason = "only the unit tests read a single entry")
+    )]
     pub(crate) unsafe fn wait_and_read(&self, index: u64) -> O {
         let mut w = Waiter::new();
         while !self.is_full(index) {
@@ -416,6 +421,10 @@ impl<O> Drop for Log<O> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
 mod tests {
     use super::*;
 
@@ -493,11 +502,13 @@ mod tests {
         }
         let s = reserve(&log, 1);
         assert_eq!(s, 0);
+        // SAFETY: the test reserved these indices and writes, then publishes, each once.
         unsafe {
             log.write_payload(0, 7);
             log.publish(0);
         }
         assert!(log.is_full(0));
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         assert_eq!(unsafe { log.wait_and_read(0) }, 7);
         // The lap-0 publish must not make the slot read full on lap 1.
         assert!(!log.is_full(size), "lap-1 view of a lap-0 entry reads full");
@@ -516,6 +527,7 @@ mod tests {
         let s = reserve(&log, size);
         assert_eq!(s, 0);
         for i in 0..size {
+            // SAFETY: the test reserved these indices and writes, then publishes, each once.
             unsafe {
                 log.write_payload(i, Arc::clone(&payload));
                 log.publish(i);
@@ -524,12 +536,14 @@ mod tests {
         assert_eq!(Arc::strong_count(&payload), 1 + size as usize);
         for i in [0, size - 1] {
             assert!(log.is_full(i));
+            // SAFETY: the slot is published and nothing reserves past it while the test reads.
             let read = unsafe { log.wait_and_read(i) };
             assert!(Arc::ptr_eq(&read, &payload));
         }
         // Lap 1 over the first slot drops the lap-0 payload it replaces.
         let s = reserve(&log, 1);
         assert_eq!(s, size);
+        // SAFETY: the test reserved these indices and writes, then publishes, each once.
         unsafe {
             log.write_payload(size, Arc::clone(&payload));
             log.publish(size);
@@ -569,18 +583,22 @@ mod tests {
         let log: Log<String> = Log::new(4);
         let i = reserve(&log, 2);
         assert!(!log.is_full(i));
+        // SAFETY: the test reserved these indices and writes, then publishes, each once.
         unsafe {
             log.write_payload(i, "a".to_string());
             log.write_payload(i + 1, "b".to_string());
         }
         // Payload written but not published: still empty.
         assert!(!log.is_full(i));
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         unsafe {
             log.publish(i);
             log.publish(i + 1);
         }
         assert!(log.is_full(i));
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         assert_eq!(unsafe { log.wait_and_read(i) }, "a");
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         assert_eq!(unsafe { log.wait_and_read(i + 1) }, "b");
     }
 
@@ -590,6 +608,7 @@ mod tests {
         // Lap 0: write all four entries.
         let s = reserve(&log, 4);
         for i in s..s + 4 {
+            // SAFETY: the test reserved these indices and writes, then publishes, each once.
             unsafe {
                 log.write_payload(i, i);
                 log.publish(i);
@@ -606,11 +625,13 @@ mod tests {
         // Rewrite slot 0 on lap 1.
         let s = reserve(&log, 1);
         assert_eq!(s, 4);
+        // SAFETY: the test reserved these indices and writes, then publishes, each once.
         unsafe {
             log.write_payload(4, 44);
             log.publish(4);
         }
         assert!(log.is_full(4));
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         assert_eq!(unsafe { log.wait_and_read(4) }, 44);
         // Lap-2 view of the same slot is empty again.
         assert!(!log.is_full(8));
@@ -621,6 +642,7 @@ mod tests {
         let log: Log<u64> = Log::new(16);
         let s = reserve(&log, 5);
         for i in s..s + 5 {
+            // SAFETY: the test reserved these indices and writes, then publishes, each once.
             unsafe {
                 log.write_payload(i, i * 10);
                 log.publish(i);
@@ -637,8 +659,10 @@ mod tests {
         let log: Arc<Log<u64>> = Arc::new(Log::new(4));
         let s = reserve(&*log, 1);
         let l2 = Arc::clone(&log);
+        // SAFETY: the main thread publishes `s` below, and nothing reserves past it.
         let reader = std::thread::spawn(move || unsafe { l2.wait_and_read(s) });
         std::thread::sleep(std::time::Duration::from_millis(10));
+        // SAFETY: the test reserved these indices and writes, then publishes, each once.
         unsafe {
             log.write_payload(s, 99);
             log.publish(s);
@@ -682,6 +706,7 @@ mod tests {
         let log: Log<String> = Log::new(4);
         let s = reserve(&log, 3);
         for i in s..s + 3 {
+            // SAFETY: the test reserved these indices and writes, then publishes, each once.
             unsafe {
                 log.write_payload(i, format!("x{i}"));
                 log.publish(i);
@@ -709,6 +734,7 @@ mod tests {
                     // (single-replica logMin analogue: tail - applied < size).
                     let tail = log.log_tail();
                     if tail - applied < log.size() - 1 && log.try_reserve(tail, 1) {
+                        // SAFETY: `tail` was just reserved, and is written once.
                         unsafe { log.write_payload(tail, tail * 3) };
                         assert!(!log.is_full(tail), "unpublished entry reads full");
                         reserved.push(tail);
@@ -716,6 +742,7 @@ mod tests {
                 }
                 1 => {
                     if let Some(idx) = reserved.pop() {
+                        // SAFETY: `idx` was reserved and written, and is published once.
                         unsafe { log.publish(idx) };
                         published.insert(idx);
                     }
@@ -724,6 +751,7 @@ mod tests {
                     // Apply the contiguous published prefix, in order.
                     while published.remove(&applied) {
                         assert!(log.is_full(applied));
+                        // SAFETY: the slot is published and nothing reserves past it while the test reads.
                         assert_eq!(unsafe { log.wait_and_read(applied) }, applied * 3);
                         applied += 1;
                     }
@@ -740,13 +768,16 @@ mod tests {
                 let i = lap * 2 + slot;
                 let s = reserve(&log, 1);
                 assert_eq!(s, i);
+                // SAFETY: the test reserved these indices and writes, then publishes, each once.
                 unsafe {
                     log.write_payload(i, format!("v{i}"));
                     log.publish(i);
                 }
             }
         }
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         assert_eq!(unsafe { log.wait_and_read(4) }, "v4");
+        // SAFETY: the slot is published and nothing reserves past it while the test reads.
         assert_eq!(unsafe { log.wait_and_read(5) }, "v5");
     }
 }

@@ -34,6 +34,7 @@ pub(crate) struct BatchSlot<O, R> {
 // SAFETY: `op`/`resp` are handed off between exactly two parties with
 // release/acquire ordering on `state` per the protocol above.
 unsafe impl<O: Send, R: Send> Send for BatchSlot<O, R> {}
+// SAFETY: see `Send` above.
 unsafe impl<O: Send, R: Send> Sync for BatchSlot<O, R> {}
 
 impl<O, R> BatchSlot<O, R> {

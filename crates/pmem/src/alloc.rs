@@ -72,7 +72,10 @@ pub struct PersistGuard {
 
 impl PersistGuard {
     /// Enables persistent allocation for the current thread.
-    #[allow(clippy::new_without_default)]
+    #[allow(
+        clippy::new_without_default,
+        reason = "a guard switches the thread's allocator: `Default` would hide that side effect"
+    )]
     pub fn new() -> Self {
         let prev = USE_PMEM.with(|c| c.replace(true));
         PersistGuard { prev }
@@ -94,7 +97,7 @@ pub struct VolatileGuard {
 
 impl VolatileGuard {
     /// Disables persistent allocation for the current thread.
-    #[allow(clippy::new_without_default)]
+    #[allow(clippy::new_without_default, reason = "see `PersistGuard::new`")]
     pub fn new() -> Self {
         let prev = USE_PMEM.with(|c| c.replace(false));
         VolatileGuard { prev }
@@ -251,6 +254,7 @@ mod tests {
         let a = SwappableAllocator::new();
         let layout = Layout::from_size_align(64, 8).unwrap();
 
+        // SAFETY: `layout` has a non-zero size.
         let vol = unsafe { a.alloc(layout) };
         assert!(!vol.is_null());
         assert!(
@@ -258,12 +262,14 @@ mod tests {
             "volatile alloc must not land in the arena"
         );
 
+        // SAFETY: `layout` has a non-zero size.
         let per = with_persistent(|| unsafe { a.alloc(layout) });
         assert!(!per.is_null());
         assert!(global_arena().contains(per));
 
         // Cross-mode deallocation: free the persistent pointer while in
         // volatile mode and vice versa.
+        // SAFETY: each pointer came from `a` with `layout` and is freed once.
         unsafe {
             a.dealloc(per, layout);
             with_persistent(|| a.dealloc(vol, layout));
@@ -274,23 +280,28 @@ mod tests {
     fn alloc_zeroed_is_zero_in_both_modes_and_frees_by_range() {
         let a = SwappableAllocator::new();
         let layout = Layout::from_size_align(256, 8).unwrap();
+        // SAFETY: `p` points to 256 bytes allocated below.
         let all_zero = |p: *mut u8| (0..256).all(|i| unsafe { *p.add(i) } == 0);
 
         // Persistent: dirty a block, free it, and take it again zeroed (the
         // arena's LIFO free list hands the same block back, but other tests
         // of this binary share the arena, so that is not asserted).
+        // SAFETY: `layout` has a non-zero size.
         let dirty = with_persistent(|| unsafe { a.alloc(layout) });
         assert!(global_arena().contains(dirty));
+        // SAFETY: `dirty` came from `a` with `layout`; it is written in bounds, then freed once.
         unsafe {
             std::ptr::write_bytes(dirty, 0xA5, 256);
             a.dealloc(dirty, layout);
         }
+        // SAFETY: `layout` has a non-zero size.
         let per = with_persistent(|| unsafe { a.alloc_zeroed(layout) });
         assert!(!per.is_null());
         assert!(global_arena().contains(per));
         assert!(all_zero(per), "recycled arena block not zeroed");
 
         // Volatile: zeroed, and not from the arena.
+        // SAFETY: `layout` has a non-zero size.
         let vol = unsafe { a.alloc_zeroed(layout) };
         assert!(!vol.is_null());
         assert!(!global_arena().contains(vol));
@@ -298,6 +309,7 @@ mod tests {
 
         // Each goes home by pointer range, whatever the freeing thread's mode.
         let (_, frees_before) = global_arena().op_counts();
+        // SAFETY: each pointer came from `a` with `layout` and is freed once.
         unsafe {
             a.dealloc(per, layout);
             with_persistent(|| a.dealloc(vol, layout));
@@ -310,7 +322,10 @@ mod tests {
     fn realloc_preserves_contents_across_modes() {
         let a = SwappableAllocator::new();
         let layout = Layout::from_size_align(32, 8).unwrap();
+        // SAFETY: `layout` has a non-zero size.
         let p = with_persistent(|| unsafe { a.alloc(layout) });
+        // SAFETY: `p` came from `a` with `layout`: it is written in bounds, grown once,
+        // and the grown block is read in bounds and freed with its new layout.
         unsafe {
             std::ptr::write_bytes(p, 0x5A, 32);
             // Grow while volatile: new block comes from System, contents move.

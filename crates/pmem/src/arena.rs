@@ -73,6 +73,7 @@ pub struct PArena {
 // SAFETY: all access to the raw region is mediated by the inner mutex (for
 // metadata) and by ownership of returned blocks (for payloads).
 unsafe impl Send for PArena {}
+// SAFETY: see `Send` above.
 unsafe impl Sync for PArena {}
 
 impl PArena {
@@ -273,6 +274,7 @@ mod tests {
         let arena = PArena::new(1 << 20);
         let p1 = arena.alloc(layout(100, 8));
         let hw1 = arena.high_water();
+        // SAFETY: `p1` came from this arena and is freed once.
         unsafe { arena.dealloc(p1) };
         let p2 = arena.alloc(layout(100, 8));
         assert_eq!(p1, p2, "LIFO free list must hand back the same block");
@@ -299,6 +301,7 @@ mod tests {
     fn writes_survive_and_pointers_are_stable() {
         let arena = PArena::new(1 << 20);
         let p = arena.alloc(layout(64, 8));
+        // SAFETY: `p` is a live 64-byte block of this arena.
         unsafe {
             std::ptr::write_bytes(p, 0xAB, 64);
         }
@@ -309,6 +312,7 @@ mod tests {
         }
         assert_eq!(arena.base(), base_before);
         for i in 0..64 {
+            // SAFETY: `p` is a live 64-byte block of this arena.
             assert_eq!(unsafe { *p.add(i) }, 0xAB);
         }
     }
@@ -346,16 +350,21 @@ mod tests {
                         assert!(!p.is_null());
                         // Tag the block with our thread id and check it later:
                         // catches blocks handed to two threads at once.
+                        // SAFETY: `p` is a live block of at least 16 bytes, owned by this thread.
                         unsafe { (p as *mut usize).write(t * 1_000_000 + i) };
                         mine.push((p, t * 1_000_000 + i));
                         if i % 3 == 0 {
                             let (q, tag) = mine.swap_remove(i % mine.len());
+                            // SAFETY: `q` is a live block this thread wrote above.
                             assert_eq!(unsafe { (q as *const usize).read() }, tag);
+                            // SAFETY: `q` came from this arena and is freed once.
                             unsafe { arena.dealloc(q) };
                         }
                     }
                     for (q, tag) in mine {
+                        // SAFETY: `q` is a live block this thread wrote above.
                         assert_eq!(unsafe { (q as *const usize).read() }, tag);
+                        // SAFETY: `q` came from this arena and is freed once.
                         unsafe { arena.dealloc(q) };
                     }
                 })
@@ -394,6 +403,7 @@ mod proptests {
                 live.push((p, size));
                 if free_one && live.len() > 1 {
                     let (q, _) = live.swap_remove(0);
+                    // SAFETY: `q` came from this arena and is freed once.
                     unsafe { arena.dealloc(q as *mut u8) };
                 }
             }

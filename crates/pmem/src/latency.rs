@@ -102,8 +102,16 @@ pub(crate) fn timer_overhead_ns() -> u64 {
         const BATCH: u32 = 256;
         let mut best = u64::MAX;
         for _ in 0..8 {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the latency model is the one place that reads the wall clock"
+            )]
             let start = Instant::now();
             for _ in 0..BATCH {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the latency model is the one place that reads the wall clock"
+                )]
                 let t = Instant::now();
                 std::hint::black_box(t.elapsed());
             }
@@ -133,6 +141,10 @@ pub(crate) fn charge_ns(ns: u64) {
         return;
     }
     if ns > 100_000 {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a charge this long models a stall, not a spin: yield the core"
+        )]
         std::thread::sleep(Duration::from_nanos(ns));
         return;
     }
@@ -140,6 +152,10 @@ pub(crate) fn charge_ns(ns: u64) {
     if spin == 0 {
         return;
     }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the latency model is the one place that reads the wall clock"
+    )]
     let start = Instant::now();
     let target = Duration::from_nanos(spin);
     while start.elapsed() < target {
@@ -148,6 +164,10 @@ pub(crate) fn charge_ns(ns: u64) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
 mod tests {
     use super::*;
 

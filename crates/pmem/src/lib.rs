@@ -29,7 +29,14 @@
 //! persistent arena without modifying sequential data-structure code.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![allow(
+    unsafe_code,
+    reason = "the persistent arena and its allocator hand out raw memory from the emulated NVM region"
+)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the NVM emulation (crash image, arena, cut lock) is off the replicated path the std lock ban covers"
+)]
 
 pub mod alloc;
 pub mod arena;

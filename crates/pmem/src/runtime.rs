@@ -415,6 +415,10 @@ impl PmemRuntime {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;

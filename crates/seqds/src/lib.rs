@@ -23,7 +23,6 @@
 //! properties directly checkable after a simulated crash.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod hashmap;
 pub mod list;

@@ -20,7 +20,10 @@
 //! [`server`] module docs for the full choreography (including
 //! crash-under-load and graceful shutdown).
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![allow(
+    unsafe_code,
+    reason = "`poll(2)`, `eventfd(2)` and the signal handler are FFI calls into libc"
+)]
 #![warn(missing_docs)]
 
 mod poll;

@@ -78,7 +78,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod metrics;
 pub mod router;

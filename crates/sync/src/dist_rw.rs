@@ -84,6 +84,7 @@ pub struct DistRwLock<T> {
 // writer gets exclusive &mut T, handoff ordered by the SeqCst protocol
 // described in the module docs.
 unsafe impl<T: Send> Send for DistRwLock<T> {}
+// SAFETY: see `Send` above.
 unsafe impl<T: Send + Sync> Sync for DistRwLock<T> {}
 
 impl<T> DistRwLock<T> {

@@ -50,7 +50,10 @@
 //! have no level.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![allow(
+    unsafe_code,
+    reason = "the locks keep their protected value in an `UnsafeCell` and hand out guards to it"
+)]
 
 pub mod cell;
 

@@ -49,6 +49,7 @@ pub struct PhaseFairRwLock<T> {
 
 // SAFETY: standard RwLock bounds; the protocol below provides exclusion.
 unsafe impl<T: Send> Send for PhaseFairRwLock<T> {}
+// SAFETY: see `Send` above.
 unsafe impl<T: Send + Sync> Sync for PhaseFairRwLock<T> {}
 
 impl<T> PhaseFairRwLock<T> {

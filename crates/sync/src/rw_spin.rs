@@ -51,6 +51,7 @@ pub struct RwSpinLock<T> {
 // RwLock bounds (T: Send + Sync for Sync because readers on multiple threads
 // may alias &T).
 unsafe impl<T: Send> Send for RwSpinLock<T> {}
+// SAFETY: see `Send` above.
 unsafe impl<T: Send + Sync> Sync for RwSpinLock<T> {}
 
 impl<T> RwSpinLock<T> {

@@ -81,8 +81,11 @@ pub struct StrongTryRwLock<T> {
     data: UnsafeCell<T>,
 }
 
-// SAFETY: standard RwLock bounds.
+// SAFETY: standard RwLock bounds: the lock owns its `T`, so sending it sends
+// the `T`.
 unsafe impl<T: Send> Send for StrongTryRwLock<T> {}
+// SAFETY: readers on several threads alias `&T` (hence `T: Sync`); a writer
+// gets exclusive `&mut T` (hence `T: Send`).
 unsafe impl<T: Send + Sync> Sync for StrongTryRwLock<T> {}
 
 impl<T> StrongTryRwLock<T> {

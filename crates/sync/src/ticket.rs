@@ -122,6 +122,7 @@ impl Drop for TicketGuard<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "test code is outside the API bans")]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;

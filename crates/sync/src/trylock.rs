@@ -34,6 +34,7 @@ pub struct TryLock<T> {
 // SAFETY: the lock guarantees exclusive access to `data` while held, so the
 // container is Sync whenever T may be sent between threads.
 unsafe impl<T: Send> Sync for TryLock<T> {}
+// SAFETY: the lock owns its `T`; sending it sends the `T`.
 unsafe impl<T: Send> Send for TryLock<T> {}
 
 impl<T> TryLock<T> {

@@ -68,6 +68,10 @@ impl Waiter {
         } else if self.step < SPIN_LIMIT + YIELD_LIMIT {
             thread::yield_now();
         } else {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the Waiter is the one sanctioned sleep: its last rung, after the spin and yield budget"
+            )]
             thread::sleep(SLEEP);
         }
         self.step = self.step.saturating_add(1);
@@ -112,6 +116,10 @@ pub fn spin_until(mut cond: impl FnMut() -> bool) {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,6 +18,11 @@
 //! any future weakening beyond Acquire, or a botched recheck, would break
 //! even on TSO hardware.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

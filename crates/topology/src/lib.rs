@@ -27,7 +27,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod assignment;
 mod model;

@@ -11,6 +11,8 @@
 //! a `PrepUc`'s persistence thread allocates into that arena for as long as
 //! the `PrepUc` lives, so the tests in this binary run one at a time.
 
+#![allow(clippy::disallowed_types, reason = "test code is outside the API bans")]
+
 #[global_allocator]
 static ALLOC: prep_pmem::alloc::SwappableAllocator = prep_pmem::alloc::SwappableAllocator::new();
 

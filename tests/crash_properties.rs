@@ -3,7 +3,10 @@
 //! the exact durability conditions can be asserted with equality, not just
 //! bounds.
 
-#![allow(clippy::int_plus_one)] // keep the paper's ε + β − 1 formulas verbatim
+#![allow(
+    clippy::int_plus_one,
+    reason = "keep the paper's ε + β − 1 formulas verbatim"
+)]
 
 use proptest::prelude::*;
 

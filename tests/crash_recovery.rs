@@ -16,6 +16,11 @@
 //! replica after the workers stop — the log order is fixed once written, so
 //! the pre-crash instance's final history extends the crash-time history.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 

@@ -16,6 +16,11 @@
 //!   `missing-fence`. These are the regression tests for the ordering the
 //!   clean runs silently rely on.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::Arc;
 
 use prep_checker::check_persistence_ordering;

@@ -14,6 +14,11 @@
 //! carries the writer's tag on a step already started, a FIFO front never
 //! moves back, and a length never exceeds the steps started.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 

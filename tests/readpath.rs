@@ -4,6 +4,11 @@
 //! recovered reads that see exactly the recovered prefix, plus cross-mode
 //! agreement (the two modes must be semantically interchangeable).
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -68,7 +73,8 @@ proptest! {
 }
 
 /// Both fairness modes agree on final state under an owned-key update
-/// discipline with interleaved reads.
+/// discipline with interleaved reads, and in both a read issued after the
+/// reader's own update completed observes it.
 #[test]
 fn fairness_modes_agree_on_final_state() {
     const WORKERS: usize = 4;
@@ -90,8 +96,12 @@ fn fairness_modes_agree_on_final_state() {
                     let t = nr.register(w);
                     for i in 0..PER_WORKER {
                         nr.execute(&t, RecorderOp::Record((w as u64) << 32 | i));
-                        if i % 8 == 0 {
-                            nr.execute(&t, RecorderOp::Count);
+                        match nr.execute(&t, RecorderOp::Count) {
+                            RecorderResp::Count(c) => assert!(
+                                c > i,
+                                "{fairness:?} read missed the reader's own completed updates"
+                            ),
+                            other => panic!("unexpected response {other:?}"),
                         }
                     }
                 })

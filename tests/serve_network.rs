@@ -35,6 +35,12 @@
 //! this file takes [`serial`]: no other test's server is in the table, and
 //! none competes for the two CPUs while one of them measures.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "test code is outside the API bans"
+)]
+
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -7,7 +7,10 @@
 //! * total completed-operation loss across shards is at most
 //!   **N·(ε + β − 1)** in buffered mode and exactly **0** in durable mode.
 
-#![allow(clippy::int_plus_one)] // keep the paper's ε + β − 1 formulas verbatim
+#![allow(
+    clippy::int_plus_one,
+    reason = "keep the paper's ε + β − 1 formulas verbatim"
+)]
 
 use proptest::prelude::*;
 

@@ -7,6 +7,11 @@
 //! its combiner catches its own replica up under the replica write lock
 //! (level 3), so debug builds check that nesting on every wrap.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
