@@ -87,15 +87,22 @@ pub(crate) struct HookState<O: Clone> {
     pub(crate) sync_request: CachePadded<AtomicU64>,
     /// Where the idle persistence thread parks. Five events wake it, each
     /// after a `SeqCst` publish of the word its ready check reads: a
-    /// combiner's `completedTail` advance, `nudge_checkpoint`'s request, a
-    /// reservation refused at the gate, a straggler helper lowering the
-    /// boundary, and `Drop`'s stop.
+    /// combiner's `completedTail` advance that reaches `wake_at`, a
+    /// `nudge_checkpoint` request that found the task busy, a reservation
+    /// refused at the gate, a straggler helper lowering the boundary, and
+    /// `Drop`'s stop.
     pub(crate) persist_wake: WakeSlot,
+    /// The `completedTail` at which a combiner wakes the parked
+    /// persistence thread for background apply: halfway from the active
+    /// replica's applied tail to the flush boundary, at most a small batch
+    /// on, stored (`SeqCst`) before each park. `u64::MAX` until the first
+    /// park.
+    pub(crate) wake_at: CachePadded<AtomicU64>,
     /// Where `quiesce_persistence` parks until `durable_tail` covers it.
     /// The persistence thread wakes it after every published checkpoint.
     pub(crate) quiesce_wake: WakeSlot,
-    /// Called by the persistence thread after every published checkpoint
-    /// (`PrepUc::set_checkpoint_listener`).
+    /// Called after every published checkpoint, by the thread that wrote
+    /// it (`PrepUc::set_checkpoint_listener`).
     pub(crate) checkpoint_listener: OnceLock<Box<dyn Fn() + Send + Sync>>,
     /// Shutdown flag for the persistence thread and the reserve gate.
     pub(crate) stop: AtomicBool,
@@ -132,6 +139,7 @@ impl<O: Clone> HookState<O> {
             durable_tail: CachePadded::new(AtomicU64::new(0)),
             sync_request: CachePadded::new(AtomicU64::new(0)),
             persist_wake: WakeSlot::new(),
+            wake_at: CachePadded::new(AtomicU64::new(u64::MAX)),
             quiesce_wake: WakeSlot::new(),
             checkpoint_listener: OnceLock::new(),
             stop: AtomicBool::new(false),
@@ -342,9 +350,16 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         if self.state.durability == DurabilityLevel::Durable {
             self.state.persist_completed_tail(ct);
         }
-        // The combiner's completedTail CAS (SeqCst) came first: wake the
-        // persistence thread if it parked, so it applies the new entries.
-        self.state.persist_wake.wake();
+        // The combiner's completedTail CAS (SeqCst) came first. Wake a
+        // parked persistence thread only once a batch of entries has
+        // gathered for it to apply: a checkpoint that is due wakes it
+        // through its own source (the gate, a nudge, a helper), so this
+        // wake is never what the loss bound or an ack waits for.
+        // ord: SeqCst — the load of the store→load pair with the parking
+        // thread's `wake_at` store and its re-read of completedTail.
+        if ct >= self.state.wake_at.load(Ordering::SeqCst) {
+            self.state.persist_wake.wake();
+        }
     }
 
     fn persistent_tails(&self) -> Vec<u64> {

@@ -1,12 +1,22 @@
-//! The persistence thread (Algorithm 2: `UpdatePersistentReplicas`).
+//! The persistence cycle (Algorithm 2: `UpdatePersistentReplicas`) and
+//! the thread that runs it in the background.
 //!
-//! A single dedicated thread owns both persistence-only replicas. In each
-//! cycle it replays newly completed log entries onto the **active** replica
+//! One [`PersistenceTask`] owns both persistence-only replicas. Each
+//! cycle replays newly completed log entries onto the **active** replica
 //! (through the thread-local allocator swap, so the sequential object's
 //! allocations land in the persistent arena, §5.1). When the flush boundary
 //! is reached it writes the active replica back (WBINVD, or one CLFLUSHOPT
 //! per dirty line) + SFENCE, advances the boundary by ε, and swaps the
 //! active/stable roles by persisting `p_activePReplica`.
+//!
+//! The task sits behind one [`TryLock`], and there is one cycle function,
+//! [`PersistenceTask::cycle`], run by whichever thread holds it: the
+//! dedicated persistence thread, or a thread in
+//! [`crate::PrepUc::nudge_checkpoint`] that wants a checkpoint *now* (a
+//! `prep-serve` conn thread holding a durable ack) and finds the task free.
+//! That thread writes the checkpoint itself and returns with the watermark
+//! covering its op, so the ack costs no hand-off; if the task is busy it
+//! leaves a standing request and wakes the persistence thread instead.
 //!
 //! With crash simulation on, the checkpoint's NVM image is updated one way
 //! whatever the write-back: the ops applied since the replica's last
@@ -14,20 +24,29 @@
 //! (`ReplicaImage::apply_delta`). By the `SequentialObject` determinism
 //! contract that is the state the write-back made durable.
 //!
-//! When a cycle finds nothing to do the thread spins, then yields, through
-//! a [`Waiter`]; once that ladder is spent it parks on
-//! `HookState::persist_wake` for at most [`IDLE_PARK`]. Every event that
-//! gives it work wakes it early — a combiner's `completedTail` advance, a
-//! `nudge_checkpoint` request, a reservation refused at the gate, a
-//! straggler helper lowering the boundary, `Drop`'s stop — and a park that
-//! times out with nothing to do parks again, without re-running the ladder.
+//! When a cycle finds nothing to do the persistence thread spins, then
+//! yields, through a [`Waiter`], looking for work without holding the
+//! task (so a nudge finds it free). Once that ladder is spent it stores
+//! its wake threshold `HookState::wake_at` — halfway from the active
+//! replica's applied tail to the flush boundary (ε/2 right after a
+//! checkpoint), at most `MAX_WAKE_BATCH` entries on — and parks on
+//! `HookState::persist_wake` for at most [`IDLE_PARK`] at a time. A
+//! combiner wakes it only once `completedTail` reaches the threshold, so
+//! background apply runs in batches; every event that makes a checkpoint
+//! due wakes it at once — a `nudge_checkpoint` request that found the task
+//! busy, a reservation refused at the gate, a straggler helper lowering
+//! the boundary, `Drop`'s stop. A park that times out with no cycle due
+//! parks again, without taking the task or re-running the ladder. The
+//! loss bound does not rest on any of these wake-ups: the gate enforces
+//! it.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
 use prep_pmem::ReplicaImage;
 use prep_seqds::SequentialObject;
-use prep_sync::Waiter;
+use prep_sync::{TryLock, Waiter};
 
 use prep_pmem::psan::PublishTag;
 
@@ -38,7 +57,8 @@ use crate::puc::NrInner;
 /// Longest one idle park of the persistence thread lasts, so an idle store
 /// wakes it at most once per `IDLE_PARK`. The wake-ups listed in the
 /// module docs end a park early, so the bound is not what brings work to
-/// the thread; it is how often an idle thread looks on its own.
+/// the thread; it is how often an idle thread re-checks on its own whether
+/// a cycle is due.
 /// EXPERIMENTS.md § "The persistence thread's idle park" has the sweep it
 /// was picked from: a longer bound saves more idle CPU on the wire
 /// workloads, but on the 2-vCPU guest it was measured on, parks longer
@@ -46,9 +66,17 @@ use crate::puc::NrInner;
 /// update bursts 20–30 % dearer (the vCPU had gone idle meanwhile).
 pub const IDLE_PARK: Duration = Duration::from_micros(125);
 
+/// Most entries a combiner lets gather before it wakes the parked
+/// persistence thread to apply them. It bounds what a nudge has to apply
+/// on the nudging thread, and keeps a store whose ε is large (the library
+/// default is 10 000) applying a short burst of updates to its active
+/// replica, as a store with a small ε does.
+const MAX_WAKE_BATCH: u64 = 64;
+
 /// A persistence-only replica (the paper's `PReplica`): just the object and
 /// its localTail — no locks, no batch, no response array (§5.1: "the
-/// persistent replicas are only accessed by the persistence thread").
+/// persistent replicas are only accessed by the persistence thread"; here,
+/// by whichever thread holds the [`PersistenceTask`]).
 pub(crate) struct PReplica<T: SequentialObject> {
     pub(crate) ds: T,
     pub(crate) local_tail: u64,
@@ -60,291 +88,376 @@ pub(crate) struct PReplica<T: SequentialObject> {
     pub(crate) pending: Vec<T::Op>,
 }
 
-/// Everything the persistence thread needs, moved into it at spawn.
+/// Everything a persistence cycle needs. It lives behind a [`TryLock`]
+/// shared by the persistence thread and `PrepUc::nudge_checkpoint`.
 pub(crate) struct PersistenceTask<T: SequentialObject> {
-    pub(crate) nr: Arc<NrInner<T>>,
-    pub(crate) state: Arc<HookState<T::Op>>,
-    pub(crate) images: Arc<[ReplicaImage<T>; 2]>,
-    pub(crate) replicas: [PReplica<T>; 2],
-    pub(crate) epsilon: u64,
-    pub(crate) flush_strategy: FlushStrategy,
+    nr: Arc<NrInner<T>>,
+    state: Arc<HookState<T::Op>>,
+    images: Arc<[ReplicaImage<T>; 2]>,
+    replicas: [PReplica<T>; 2],
+    epsilon: u64,
+    flush_strategy: FlushStrategy,
 }
 
 impl<T: SequentialObject> PersistenceTask<T> {
-    /// The thread body: loop until `state.stop`.
-    pub(crate) fn run(mut self) {
-        use std::sync::atomic::Ordering;
-
-        let rt = Arc::clone(&self.state.rt);
-        let op_bytes = std::mem::size_of::<T::Op>() as u64;
-        let mut w = Waiter::new();
-        let dirty_lines = self.flush_strategy == FlushStrategy::DirtyLines;
+    pub(crate) fn new(
+        nr: Arc<NrInner<T>>,
+        state: Arc<HookState<T::Op>>,
+        images: Arc<[ReplicaImage<T>; 2]>,
+        replicas: [PReplica<T>; 2],
+        epsilon: u64,
+        flush_strategy: FlushStrategy,
+    ) -> Self {
+        let mut task = PersistenceTask {
+            nr,
+            state,
+            images,
+            replicas,
+            epsilon,
+            flush_strategy,
+        };
         // Precise dirty tracking is enabled only on the persistence
         // replicas (the volatile NR replicas keep the zero-cost fallback),
         // and only when the flush strategy will consume it.
-        if dirty_lines {
-            for rep in &mut self.replicas {
+        if flush_strategy == FlushStrategy::DirtyLines {
+            for rep in &mut task.replicas {
                 rep.ds.clear_dirty();
             }
         }
-        let buffer_delta = rt.crash_sim_enabled();
-
-        loop {
-            // ord: Acquire pairs with shutdown's stop Release so the final
-            // state we leave behind covers everything shut-down code wrote.
-            if self.state.stop.load(Ordering::Acquire) {
-                return;
-            }
-            // ord: Acquire pairs with our own swap Release (and recovery's
-            // initial store) — mostly self-reads, but helpers read it too.
-            let active = self.state.p_active.load(Ordering::Acquire) as usize;
-            let tail = self.nr.completed_tail();
-            let rep = &mut self.replicas[active];
-
-            let mut progressed = false;
-            if tail > rep.local_tail {
-                // First mutation after a snapshot leaves the active
-                // replica's NVM image torn until the next WBINVD (§4.1's
-                // background-flush hazard).
-                self.images[active].mark_torn(&rt);
-                let ds = &mut rep.ds;
-                let pending = &mut rep.pending;
-                let region_base = self.state.psan.replicas[active].base;
-                self.nr.log().for_each_op(rep.local_tail, tail, |_, op| {
-                    // Stores to the NVM-resident replica are slower than
-                    // DRAM stores; charge them.
-                    rt.nvm_write(region_base, op_bytes);
-                    if buffer_delta {
-                        pending.push(op.clone());
-                    }
-                    prep_pmem::alloc::with_persistent(|| {
-                        ds.apply(op);
-                    });
-                });
-                rep.local_tail = tail;
-                // ord: Release publishes the replica state just applied to
-                // persistent_tails()'s Acquire readers.
-                self.state.p_tails[active].store(tail, Ordering::Release);
-                progressed = true;
-            }
-
-            // Flush trigger (Algorithm 2): checked even when no new entries
-            // arrived this cycle — a helping combiner may have *lowered* the
-            // boundary below our already-applied tail, and the gate then
-            // depends on us persisting and swapping.
-            //
-            // Second trigger (deadlock backstop): if the reservation gate is
-            // closed (boundary ≤ logTail) and we have applied everything
-            // completed so far, completedTail may be unable to reach the
-            // boundary at all (blocked combiners hold unfinished entries).
-            // Persist-and-swap now: each swap raises the boundary by ≥ ε,
-            // so the gate provably reopens, and persisting early only
-            // tightens the ε + β − 1 loss bound.
-            // ord: Acquire pairs with help_persistent_straggler's Release —
-            // a lowered boundary arrives with the state that motivated it.
-            let boundary = self.state.flush_boundary.load(Ordering::Acquire);
-            let gate_closed = boundary <= self.nr.log().log_tail();
-            // The backstop only fires when the resulting boundary
-            // (persistedTail + ε) would actually rise — otherwise a cycle
-            // with an in-flight operation would re-persist the same state
-            // every loop iteration.
-            let backstop =
-                gate_closed && rep.local_tail == tail && rep.local_tail + self.epsilon > boundary;
-            // Third trigger (the §2.2 sync point): somebody asked for the
-            // prefix below `want` to be made crash-survivable now
-            // (`nudge_checkpoint`), the published checkpoint does not cover
-            // it yet, and this replica has applied it. A request ahead of
-            // `local_tail` is met by the next cycle (`want` is a past
-            // `completedTail`, so that cycle has entries to apply).
-            // Persisting early only tightens the loss bound, as above.
-            // ord: Acquire pairs with nudge_checkpoint's SeqCst fetch_max.
-            let want = self.state.sync_request.load(Ordering::Acquire);
-            // ord: Relaxed — this thread is the watermark's only writer.
-            let published = self.state.durable_tail.load(Ordering::Relaxed);
-            let requested = published < want && want <= rep.local_tail;
-            if boundary <= rep.local_tail || backstop || requested {
-                // Write the active replica back to NVM, making it durable
-                // and consistent: WBINVD (paper default), or — the
-                // incremental path — one CLFLUSHOPT per distinct line
-                // dirtied since this replica's last checkpoint (the whole
-                // range, §6's alternative, for an untracked object).
-                const SITE: &str = "PersistenceTask::checkpoint";
-                let region = self.state.psan.replicas[active];
-                let flushed_bytes = match self.flush_strategy {
-                    FlushStrategy::Wbinvd => {
-                        let full_bytes = rep.ds.approx_bytes();
-                        rt.trace_store(region.base, full_bytes, SITE);
-                        rt.wbinvd(full_bytes);
-                        full_bytes
-                    }
-                    FlushStrategy::DirtyLines => {
-                        let dirty = rep.ds.dirty_bytes_since_checkpoint();
-                        if dirty > 0 {
-                            // With the sanitizer on and precise lines
-                            // available, give each flushed line its exact
-                            // address in the replica's logical space; the
-                            // cost and stats are identical to the batched
-                            // range flush (one CLFLUSHOPT per line).
-                            let lines = if rt.psan_enabled() {
-                                rep.ds.dirty_lines_since_checkpoint()
-                            } else {
-                                None
-                            };
-                            match lines {
-                                Some(lines) => {
-                                    for off in lines {
-                                        // The structures' logical layouts are
-                                        // sparse (offsets up to 2^64); folded
-                                        // into this replica's region, a line
-                                        // can alias a line of its own replica
-                                        // but never take an address in the
-                                        // other's — where a cut between this
-                                        // flush and the fence would read as a
-                                        // torn *stable* replica.
-                                        let addr = region.base + off % region.len;
-                                        rt.trace_store(addr, 64, SITE);
-                                        rt.clflushopt_at(addr, SITE);
-                                    }
-                                }
-                                None => {
-                                    rt.trace_store(region.base, dirty, SITE);
-                                    rt.flush_range(region.base, dirty, SITE);
-                                }
-                            }
-                        }
-                        dirty
-                    }
-                };
-                if self.state.psan_fault != Some(PsanFault::SkipCheckpointFence) {
-                    rt.sfence();
-                }
-                rt.count_checkpoint(flushed_bytes);
-                if buffer_delta {
-                    // Replay exactly the ops this replica applied since its
-                    // last checkpoint onto the stored image: no deep clone,
-                    // and an unchanged replica checkpoints for free.
-                    let pending = &rep.pending;
-                    self.images[active].apply_delta(&rt, rep.local_tail, flushed_bytes, |img| {
-                        for op in pending {
-                            img.apply(op);
-                        }
-                    });
-                    rep.pending.clear();
-                }
-                if dirty_lines {
-                    rep.ds.clear_dirty();
-                }
-                // Swap active/stable; persist the selector (CLFLUSH, §5.1)
-                // BEFORE raising the boundary: the boundary admits new
-                // completions against the *new* stable checkpoint, so the
-                // selector naming that checkpoint must be durable first (a
-                // crash in between would otherwise recover the old stable
-                // replica against a window sized for the new one).
-                let new_active = 1 - active as u64;
-                // ord: Release publishes the checkpoint written above before
-                // the selector that names it becomes visible.
-                self.state.p_active.store(new_active, Ordering::Release);
-                // Store + CLFLUSH as one atomic persist. The selector is a
-                // *publish*: once durable, recovery trusts the checkpoint
-                // it names, so every byte of the just-checkpointed replica
-                // must already be durable.
-                rt.publish_clflush(
-                    self.state.psan.p_active_addr,
-                    std::mem::size_of::<u64>() as u64,
-                    &[(region.base, region.len)],
-                    PublishTag::CheckpointMarker,
-                    "PersistenceTask::swap",
-                );
-                self.state.p_active_cell.record(&rt, new_active);
-                // The checkpoint just published covers [0, local_tail): any
-                // crash from here on recovers at least this prefix. This is
-                // the watermark durable-ack release points wait on.
-                self.state
-                    .durable_tail
-                    // ord: SeqCst — publishes the checkpoint behind the
-                    // watermark to durable_watermark()'s readers, and is the
-                    // store of the waiters' store→load pair: a waiter that
-                    // announced itself before this lands is seen by the
-                    // quiescer's slot or the listener below, one that
-                    // announces after sees the new watermark in its
-                    // re-check. (Only this thread writes it; fetch_max is
-                    // how it stays monotone.)
-                    .fetch_max(rep.local_tail, Ordering::SeqCst);
-                self.state.quiesce_wake.wake();
-                if let Some(listener) = self.state.checkpoint_listener.get() {
-                    listener();
-                }
-                // Advance the boundary to exactly ε past what was just
-                // persisted. This is the invariant the ε + β − 1 loss bound
-                // rests on: `flushBoundary ≤ stableTail + ε` at all times,
-                // so completed entries (≤ boundary − 1 + β) never outrun the
-                // stable checkpoint by more than ε + β − 1. (The paper's
-                // `flushBoundary += ε` is equivalent on its trigger, where
-                // localTail ≥ boundary always; our early-persist backstop
-                // can fire below the boundary, where `+= ε` would widen the
-                // window beyond ε.)
-                let new_boundary = rep.local_tail + self.epsilon;
-                self.state
-                    .flush_boundary
-                    // ord: Release — reserve_admitted's Acquire must see the
-                    // durable checkpoint this boundary is sized against.
-                    .store(new_boundary, Ordering::Release);
-                // Entries below both persistent tails can never be needed by
-                // recovery again; let the durable log image reclaim them.
-                if self.state.durability == DurabilityLevel::Durable {
-                    let min_tail = self.replicas[0].local_tail.min(self.replicas[1].local_tail);
-                    self.state.log_image.retain_from(&rt, min_tail);
-                }
-                progressed = true;
-            }
-
-            if progressed {
-                w.reset();
-            } else if !w.is_sleeping() {
-                w.wait();
-            } else {
-                let local_tail = self.replicas[active].local_tail;
-                self.state
-                    .persist_wake
-                    .wait_until_or(|| self.has_work(local_tail), IDLE_PARK);
-            }
-        }
+        task
     }
 
-    /// The park's ready check: would a cycle do anything, given that the
-    /// active replica has applied up to `local_tail`? It tests the loop's
-    /// three triggers (with the backstop's `local_tail == completedTail`
-    /// folded into the first) and the stop flag. Every word it reads is
-    /// published with a `SeqCst` store or RMW before its writer calls
-    /// `persist_wake.wake()`, and is read here with a `SeqCst` load, as
-    /// [`prep_sync::WakeSlot`] requires.
-    fn has_work(&self, local_tail: u64) -> bool {
-        use std::sync::atomic::Ordering::{Relaxed, SeqCst};
+    /// The applied tail of the active replica, and the `completedTail` at
+    /// which a combiner should wake the parked persistence thread to apply
+    /// more: halfway from that tail to the flush boundary (ε/2 right after
+    /// a checkpoint), at most [`MAX_WAKE_BATCH`] entries on, at least one.
+    /// Halving the distance leaves a closed gate, or a nudge, next to
+    /// nothing to apply before its checkpoint.
+    fn wake_threshold(&self) -> (u64, u64) {
+        // ord: Relaxed — only the task's holder stores the selector, and
+        // the task lock orders the holders.
+        let active = self.state.p_active.load(Ordering::Relaxed) as usize;
+        let local_tail = self.replicas[active].local_tail;
+        // ord: Acquire, as the cycle's boundary load.
+        let boundary = self.state.flush_boundary.load(Ordering::Acquire);
+        let step = (boundary.saturating_sub(local_tail) / 2).clamp(1, MAX_WAKE_BATCH);
+        (local_tail, local_tail + step)
+    }
 
-        let st = &self.state;
-        let log = self.nr.log();
-        // ord: SeqCst — the re-check's load against a straggler helper's
-        // lowering store (WakeSlot's store→load pair).
-        let boundary = st.flush_boundary.load(SeqCst);
-        // ord: SeqCst — against Drop's stop store.
-        st.stop.load(SeqCst)
-            || log.completed_tail_seqcst() > local_tail
-            || boundary <= local_tail
-            || (boundary <= log.log_tail_seqcst() && local_tail + self.epsilon > boundary)
-            // ord: SeqCst — against nudge_checkpoint's fetch_max; Relaxed
-            // for the watermark, which only this thread writes.
-            || st.sync_request.load(SeqCst) > st.durable_tail.load(Relaxed)
+    /// One cycle of Algorithm 2: apply the active replica up to
+    /// `completedTail`, and checkpoint it if the boundary, the closed gate
+    /// or a standing `sync_request` asks for it. Returns whether the cycle
+    /// did anything. A request at or below the `completedTail` read here
+    /// is covered by the time the cycle returns.
+    pub(crate) fn cycle(&mut self) -> bool {
+        let rt = Arc::clone(&self.state.rt);
+        let op_bytes = std::mem::size_of::<T::Op>() as u64;
+        let buffer_delta = rt.crash_sim_enabled();
+        let dirty_lines = self.flush_strategy == FlushStrategy::DirtyLines;
+        // ord: Relaxed — see `active_tail`.
+        let active = self.state.p_active.load(Ordering::Relaxed) as usize;
+        // The standing request is read before `completedTail`: `want` is a
+        // `completedTail` its nudger read before the `fetch_max` this load
+        // synchronizes with, so the tail read next is at least `want`, and
+        // this cycle meets the request whoever runs it.
+        // ord: Acquire pairs with nudge_checkpoint's SeqCst fetch_max.
+        let want = self.state.sync_request.load(Ordering::Acquire);
+        let tail = self.nr.completed_tail();
+        let rep = &mut self.replicas[active];
+
+        let mut progressed = false;
+        if tail > rep.local_tail {
+            // First mutation after a snapshot leaves the active
+            // replica's NVM image torn until the next WBINVD (§4.1's
+            // background-flush hazard).
+            self.images[active].mark_torn(&rt);
+            let ds = &mut rep.ds;
+            let pending = &mut rep.pending;
+            let region_base = self.state.psan.replicas[active].base;
+            self.nr.log().for_each_op(rep.local_tail, tail, |_, op| {
+                // Stores to the NVM-resident replica are slower than
+                // DRAM stores; charge them.
+                rt.nvm_write(region_base, op_bytes);
+                if buffer_delta {
+                    pending.push(op.clone());
+                }
+                prep_pmem::alloc::with_persistent(|| {
+                    ds.apply(op);
+                });
+            });
+            rep.local_tail = tail;
+            // ord: Release publishes the replica state just applied to
+            // persistent_tails()'s Acquire readers.
+            self.state.p_tails[active].store(tail, Ordering::Release);
+            progressed = true;
+        }
+
+        // Flush trigger (Algorithm 2): checked even when no new entries
+        // arrived this cycle — a helping combiner may have *lowered* the
+        // boundary below our already-applied tail, and the gate then
+        // depends on us persisting and swapping.
+        //
+        // Second trigger (deadlock backstop): if the reservation gate is
+        // closed (boundary ≤ logTail) and we have applied everything
+        // completed so far, completedTail may be unable to reach the
+        // boundary at all (blocked combiners hold unfinished entries).
+        // Persist-and-swap now: each swap raises the boundary by ≥ ε,
+        // so the gate provably reopens, and persisting early only
+        // tightens the ε + β − 1 loss bound.
+        // ord: Acquire pairs with help_persistent_straggler's Release —
+        // a lowered boundary arrives with the state that motivated it.
+        let boundary = self.state.flush_boundary.load(Ordering::Acquire);
+        let gate_closed = boundary <= self.nr.log().log_tail();
+        // The backstop only fires when the resulting boundary
+        // (persistedTail + ε) would actually rise — otherwise a cycle
+        // with an in-flight operation would re-persist the same state
+        // every loop iteration.
+        let backstop =
+            gate_closed && rep.local_tail == tail && rep.local_tail + self.epsilon > boundary;
+        // Third trigger (the §2.2 sync point): somebody asked for the
+        // prefix below `want` to be made crash-survivable now
+        // (`nudge_checkpoint`), and the published checkpoint does not
+        // cover it yet. This replica has applied it (see `want` above).
+        // Persisting early only tightens the loss bound, as above.
+        debug_assert!(want <= rep.local_tail, "the request was read first");
+        // ord: Relaxed — only the task's holder writes the watermark, and
+        // the task lock orders the holders.
+        let published = self.state.durable_tail.load(Ordering::Relaxed);
+        let requested = published < want;
+        if boundary <= rep.local_tail || backstop || requested {
+            // Write the active replica back to NVM, making it durable
+            // and consistent: WBINVD (paper default), or — the
+            // incremental path — one CLFLUSHOPT per distinct line
+            // dirtied since this replica's last checkpoint (the whole
+            // range, §6's alternative, for an untracked object).
+            const SITE: &str = "PersistenceTask::checkpoint";
+            let region = self.state.psan.replicas[active];
+            let flushed_bytes = match self.flush_strategy {
+                FlushStrategy::Wbinvd => {
+                    let full_bytes = rep.ds.approx_bytes();
+                    rt.trace_store(region.base, full_bytes, SITE);
+                    rt.wbinvd(full_bytes);
+                    full_bytes
+                }
+                FlushStrategy::DirtyLines => {
+                    let dirty = rep.ds.dirty_bytes_since_checkpoint();
+                    if dirty > 0 {
+                        // With the sanitizer on and precise lines
+                        // available, give each flushed line its exact
+                        // address in the replica's logical space; the
+                        // cost and stats are identical to the batched
+                        // range flush (one CLFLUSHOPT per line).
+                        let lines = if rt.psan_enabled() {
+                            rep.ds.dirty_lines_since_checkpoint()
+                        } else {
+                            None
+                        };
+                        match lines {
+                            Some(lines) => {
+                                for off in lines {
+                                    // The structures' logical layouts are
+                                    // sparse (offsets up to 2^64); folded
+                                    // into this replica's region, a line
+                                    // can alias a line of its own replica
+                                    // but never take an address in the
+                                    // other's — where a cut between this
+                                    // flush and the fence would read as a
+                                    // torn *stable* replica.
+                                    let addr = region.base + off % region.len;
+                                    rt.trace_store(addr, 64, SITE);
+                                    rt.clflushopt_at(addr, SITE);
+                                }
+                            }
+                            None => {
+                                rt.trace_store(region.base, dirty, SITE);
+                                rt.flush_range(region.base, dirty, SITE);
+                            }
+                        }
+                    }
+                    dirty
+                }
+            };
+            if self.state.psan_fault != Some(PsanFault::SkipCheckpointFence) {
+                rt.sfence();
+            }
+            rt.count_checkpoint(flushed_bytes);
+            if buffer_delta {
+                // Replay exactly the ops this replica applied since its
+                // last checkpoint onto the stored image: no deep clone,
+                // and an unchanged replica checkpoints for free.
+                let pending = &rep.pending;
+                self.images[active].apply_delta(&rt, rep.local_tail, flushed_bytes, |img| {
+                    for op in pending {
+                        img.apply(op);
+                    }
+                });
+                rep.pending.clear();
+            }
+            if dirty_lines {
+                rep.ds.clear_dirty();
+            }
+            // Swap active/stable; persist the selector (CLFLUSH, §5.1)
+            // BEFORE raising the boundary: the boundary admits new
+            // completions against the *new* stable checkpoint, so the
+            // selector naming that checkpoint must be durable first (a
+            // crash in between would otherwise recover the old stable
+            // replica against a window sized for the new one).
+            let new_active = 1 - active as u64;
+            // ord: Release publishes the checkpoint written above before
+            // the selector that names it becomes visible.
+            self.state.p_active.store(new_active, Ordering::Release);
+            // Store + CLFLUSH as one atomic persist. The selector is a
+            // *publish*: once durable, recovery trusts the checkpoint
+            // it names, so every byte of the just-checkpointed replica
+            // must already be durable.
+            rt.publish_clflush(
+                self.state.psan.p_active_addr,
+                std::mem::size_of::<u64>() as u64,
+                &[(region.base, region.len)],
+                PublishTag::CheckpointMarker,
+                "PersistenceTask::swap",
+            );
+            self.state.p_active_cell.record(&rt, new_active);
+            // The checkpoint just published covers [0, local_tail): any
+            // crash from here on recovers at least this prefix. This is
+            // the watermark durable-ack release points wait on.
+            self.state
+                .durable_tail
+                // ord: SeqCst — publishes the checkpoint behind the
+                // watermark to durable_watermark()'s readers, and is the
+                // store of the waiters' store→load pair: a waiter that
+                // announced itself before this lands is seen by the
+                // quiescer's slot or the listener below, one that
+                // announces after sees the new watermark in its
+                // re-check. (Only the task's holder writes it; fetch_max
+                // is how it stays monotone.)
+                .fetch_max(rep.local_tail, Ordering::SeqCst);
+            self.state.quiesce_wake.wake();
+            if let Some(listener) = self.state.checkpoint_listener.get() {
+                listener();
+            }
+            // Advance the boundary to exactly ε past what was just
+            // persisted. This is the invariant the ε + β − 1 loss bound
+            // rests on: `flushBoundary ≤ stableTail + ε` at all times,
+            // so completed entries (≤ boundary − 1 + β) never outrun the
+            // stable checkpoint by more than ε + β − 1. (The paper's
+            // `flushBoundary += ε` is equivalent on its trigger, where
+            // localTail ≥ boundary always; our early-persist backstop
+            // can fire below the boundary, where `+= ε` would widen the
+            // window beyond ε.)
+            let new_boundary = rep.local_tail + self.epsilon;
+            self.state
+                .flush_boundary
+                // ord: Release — reserve_admitted's Acquire must see the
+                // durable checkpoint this boundary is sized against.
+                .store(new_boundary, Ordering::Release);
+            // Entries below both persistent tails can never be needed by
+            // recovery again; let the durable log image reclaim them.
+            if self.state.durability == DurabilityLevel::Durable {
+                let min_tail = self.replicas[0].local_tail.min(self.replicas[1].local_tail);
+                self.state.log_image.retain_from(&rt, min_tail);
+            }
+            progressed = true;
+        }
+
+        progressed
     }
 }
 
-/// Spawns the persistence thread. Returns its join handle; it exits when
-/// `state.stop` is raised.
+/// The persistence thread's body: run cycles until `state.stop`, parking
+/// when there is nothing to do. `epsilon` is the task's ε.
+fn run<T: SequentialObject>(
+    task: &TryLock<PersistenceTask<T>>,
+    state: &HookState<T::Op>,
+    nr: &NrInner<T>,
+    epsilon: u64,
+) {
+    let mut w = Waiter::new();
+    loop {
+        // ord: Acquire pairs with shutdown's stop Release so the final
+        // state we leave behind covers everything shut-down code wrote.
+        if state.stop.load(Ordering::Acquire) {
+            return;
+        }
+        // A nudging thread holds the task for one cycle: wait it out.
+        let Some(mut t) = task.try_lock() else {
+            w.wait();
+            continue;
+        };
+        if t.cycle() {
+            w.reset();
+            continue;
+        }
+        let (local_tail, wake_at) = t.wake_threshold();
+        drop(t);
+        if !w.is_sleeping() {
+            // The ladder: look for any entry to apply, or a checkpoint
+            // due, without holding the task, so that a nudge meanwhile
+            // finds it free and runs its own cycle.
+            while !w.is_sleeping() && !has_work(state, nr, epsilon, local_tail, local_tail + 1) {
+                w.wait();
+            }
+        } else {
+            // ord: SeqCst — the first store of the park's store→load pair
+            // with `ensure_completed_tail_durable`: a combiner whose
+            // completedTail CAS the re-check below misses reads this
+            // threshold (or a later one), and wakes us if it is reached.
+            state.wake_at.store(wake_at, Ordering::SeqCst);
+            // A park that times out with no cycle due parks again: below
+            // `wake_at` the active replica is left behind on purpose.
+            let due = || has_work(state, nr, epsilon, local_tail, wake_at);
+            while !due() {
+                state.persist_wake.wait_until_or(due, IDLE_PARK);
+            }
+        }
+    }
+}
+
+/// The park's ready check: would a cycle be due, given that the active
+/// replica has applied up to `local_tail`? Background apply is due once
+/// `completedTail` reaches `wake_at`; a checkpoint is due at once when
+/// the boundary is reached, when the gate is closed and a cycle would
+/// apply or persist-and-swap (the backstop), or when a `sync_request`
+/// stands; and `stop` ends the thread. Every word it reads is published
+/// with a `SeqCst` store or RMW before its writer calls
+/// `persist_wake.wake()`, and is read here with a `SeqCst` load, as
+/// [`prep_sync::WakeSlot`] requires.
+fn has_work<T: SequentialObject>(
+    st: &HookState<T::Op>,
+    nr: &NrInner<T>,
+    epsilon: u64,
+    local_tail: u64,
+    wake_at: u64,
+) -> bool {
+    use std::sync::atomic::Ordering::SeqCst;
+
+    let log = nr.log();
+    // ord: SeqCst — the re-check's load against a straggler helper's
+    // lowering store (WakeSlot's store→load pair).
+    let boundary = st.flush_boundary.load(SeqCst);
+    let completed = log.completed_tail_seqcst();
+    // ord: SeqCst — against Drop's stop store.
+    st.stop.load(SeqCst)
+        || completed >= wake_at
+        || boundary <= local_tail
+        || (boundary <= log.log_tail_seqcst()
+            && (completed > local_tail || local_tail + epsilon > boundary))
+        // ord: SeqCst — against nudge_checkpoint's fetch_max, and against
+        // the watermark publish of a nudger's cycle.
+        || st.sync_request.load(SeqCst) > st.durable_tail.load(SeqCst)
+}
+
+/// Spawns the persistence thread over the shared `task`. Returns its join
+/// handle; it exits when the hook state's `stop` is raised.
 pub(crate) fn spawn_persistence_thread<T: SequentialObject>(
-    task: PersistenceTask<T>,
+    task: Arc<TryLock<PersistenceTask<T>>>,
+    state: Arc<HookState<T::Op>>,
+    nr: Arc<NrInner<T>>,
+    epsilon: u64,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("prep-persistence".into())
-        .spawn(move || task.run())
+        .spawn(move || run(&task, &state, &nr, epsilon))
         .expect("failed to spawn persistence thread")
 }
 

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use prep_nr::{NodeReplicated, ThreadToken};
 use prep_pmem::{PmemRuntime, PmemStatsSnapshot, ReplicaImage};
 use prep_seqds::SequentialObject;
+use prep_sync::TryLock;
 use prep_topology::ThreadAssignment;
 
 use crate::config::PrepConfig;
@@ -31,6 +32,9 @@ pub struct PrepUc<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,
     images: Arc<[ReplicaImage<T>; 2]>,
+    /// The persistence cycle's state, shared by the persistence thread and
+    /// [`PrepUc::nudge_checkpoint`]: whoever holds it runs the cycle.
+    task: Arc<TryLock<PersistenceTask<T>>>,
     config: PrepConfig,
     beta: u64,
     persistence: Option<std::thread::JoinHandle<()>>,
@@ -84,18 +88,25 @@ impl<T: SequentialObject> PrepUc<T> {
                 pending: Vec::new(),
             },
         ];
-        let persistence = spawn_persistence_thread(PersistenceTask {
-            nr: Arc::clone(&nr),
-            state: Arc::clone(&state),
-            images: Arc::clone(&images),
-            replicas: p_replicas,
-            epsilon: config.epsilon,
-            flush_strategy: config.flush_strategy,
-        });
+        let task = Arc::new(TryLock::new(PersistenceTask::new(
+            Arc::clone(&nr),
+            Arc::clone(&state),
+            Arc::clone(&images),
+            p_replicas,
+            config.epsilon,
+            config.flush_strategy,
+        )));
+        let persistence = spawn_persistence_thread(
+            Arc::clone(&task),
+            Arc::clone(&state),
+            Arc::clone(&nr),
+            config.epsilon,
+        );
         PrepUc {
             nr,
             state,
             images,
+            task,
             config,
             beta,
             persistence: Some(persistence),
@@ -218,18 +229,25 @@ impl<T: SequentialObject> PrepUc<T> {
         }
     }
 
-    /// Asks the persistence thread to checkpoint *now* instead of waiting
-    /// for the flush boundary to be reached naturally (up to ε more ops),
-    /// and wakes it if it is idling.
+    /// Checkpoints *now* every operation completed before this call,
+    /// instead of waiting for the flush boundary to be reached naturally
+    /// (up to ε more ops).
     ///
     /// The request names the current `completedTail` and stands until the
-    /// published checkpoint covers it, so one call is enough: a nudge that
-    /// arrives while a checkpoint is being written is served by the next.
+    /// published checkpoint covers it. If the persistence cycle is free,
+    /// the calling thread runs it itself — apply up to `completedTail`,
+    /// write and fence the checkpoint, swap `p_activePReplica`, publish
+    /// the watermark, call the checkpoint listener — and returns with
+    /// [`PrepUc::durable_watermark`] covering that tail, with no thread
+    /// woken. If the cycle is busy (the persistence thread, or another
+    /// caller, is running it), it wakes the persistence thread and returns
+    /// at once: the request is met by the running cycle or the next.
     /// Checkpointing earlier than ε is safe for the reason
     /// `help_persistent_straggler` is: it only tightens the loss bound.
     /// No-op when the watermark already covers `completedTail`. Durable-ack
-    /// release points call this once per op they hold back, so a lightly
-    /// loaded server does not hold durable responses for a full ε window.
+    /// release points call this once per service round on each shard they
+    /// hold acks for, so a lightly loaded server does not hold durable
+    /// responses for a full ε window.
     pub fn nudge_checkpoint(&self) {
         let ct = self.completed_tail();
         if self.durable_watermark() >= ct {
@@ -237,22 +255,28 @@ impl<T: SequentialObject> PrepUc<T> {
         }
         self.state
             .sync_request
-            // ord: SeqCst — Release so the persistence thread's Acquire load
-            // of the request sees the completions that motivated it; Acquire
+            // ord: SeqCst — Release so the cycle's Acquire load of the
+            // request sees the completions that motivated it; Acquire
             // orders racing requests (fetch_max keeps only the furthest);
             // SeqCst because it is the publish half of the WakeSlot pair the
             // wake below completes.
             .fetch_max(ct, Ordering::SeqCst);
-        self.state.persist_wake.wake();
+        if let Some(mut task) = self.task.try_lock() {
+            task.cycle();
+        } else {
+            self.state.persist_wake.wake();
+        }
     }
 
-    /// Installs `listener`, which the persistence thread calls right after
-    /// the `SeqCst` publish that moves [`PrepUc::durable_watermark`], so a
-    /// service layer holding durable acks can wake the thread that holds
-    /// them. That thread announces itself with a `SeqCst` store and then
+    /// Installs `listener`, which is called right after the `SeqCst`
+    /// publish that moves [`PrepUc::durable_watermark`], so a service
+    /// layer holding durable acks can wake the thread that holds them.
+    /// That thread announces itself with a `SeqCst` store and then
     /// re-reads the watermark; the listener loads the announcement (the
-    /// store→load pair of [`prep_sync::WakeSlot`]). The listener runs on
-    /// the persistence thread mid-checkpoint, so it must not block.
+    /// store→load pair of [`prep_sync::WakeSlot`]). The listener runs
+    /// mid-checkpoint on the thread that wrote the checkpoint — the
+    /// persistence thread, or a caller of [`PrepUc::nudge_checkpoint`] —
+    /// so it must not block.
     ///
     /// # Panics
     /// Panics if a listener is already installed.
@@ -262,8 +286,9 @@ impl<T: SequentialObject> PrepUc<T> {
     }
 
     /// Blocks until every operation completed *before this call* is crash
-    /// survivable (`durable_watermark() >= completedTail`), asking the
-    /// persistence thread for the checkpoint and parking until it lands.
+    /// survivable (`durable_watermark() >= completedTail`): nudges the
+    /// checkpoint ([`PrepUc::nudge_checkpoint`]) and, if the cycle was
+    /// busy, parks until the checkpoint lands.
     ///
     /// Intended for drain/shutdown paths after workers have stopped
     /// submitting; with concurrent writers it chases a moving tail and
@@ -440,6 +465,53 @@ mod tests {
         );
         rx.recv_timeout(std::time::Duration::from_secs(5))
             .expect("the checkpoint also called the listener");
+    }
+
+    /// With nobody else running the persistence cycle, `nudge_checkpoint`
+    /// writes the checkpoint on the calling thread: it returns with the
+    /// watermark covering every completed op, and the listener has run on
+    /// that thread. The persistence thread is stopped first, so nothing
+    /// but the nudge can checkpoint (ε = 64 is not reached by 10 ops).
+    #[test]
+    fn nudge_checkpoint_covers_completed_ops_before_it_returns() {
+        let asg = Topology::small().assign_workers(1);
+        let mut prep = PrepUc::new(
+            HashMap::new(),
+            asg,
+            cfg(DurabilityLevel::Buffered).with_epsilon(64),
+        );
+        // ord: SeqCst, as `Drop`'s stop.
+        prep.state.stop.store(true, Ordering::SeqCst);
+        prep.state.persist_wake.wake();
+        let persistence = prep.persistence.take().expect("spawned");
+        persistence.join().expect("the persistence thread stops");
+        let (tx, rx) = std::sync::mpsc::channel();
+        prep.set_checkpoint_listener(move || {
+            let _ = tx.send(std::thread::current().id());
+        });
+        let t = prep.register(0);
+        for k in 0..10u64 {
+            prep.execute(&t, MapOp::Insert { key: k, value: k });
+        }
+        assert_eq!(prep.durable_watermark(), 0);
+        prep.nudge_checkpoint();
+        assert!(
+            prep.durable_watermark() >= prep.completed_tail(),
+            "watermark {} must cover completedTail {} when the nudge returns",
+            prep.durable_watermark(),
+            prep.completed_tail()
+        );
+        assert_eq!(rx.try_recv(), Ok(std::thread::current().id()));
+        // The checkpoint is a real one: a crash now loses nothing.
+        let (token, image) = prep.simulate_crash();
+        let recovered = PrepUc::recover(
+            token,
+            image,
+            Topology::small().assign_workers(1),
+            cfg(DurabilityLevel::Buffered),
+        );
+        let t = recovered.register(0);
+        assert_eq!(recovered.execute(&t, MapOp::Len), MapResp::Len(10));
     }
 
     #[test]

@@ -464,3 +464,182 @@ fn checkpoint_listener_without_the_call_is_caught() {
         "expected a blocked conn thread: {f:?}"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Miniature batched wake: before it parks, the persistence thread stores
+// its wake threshold `wake_at` (the applied tail plus max(1, ε/2)); a
+// combiner advances `completedTail` by CAS and wakes it only once the
+// threshold is reached (crates/core/src/persistence.rs's `run`,
+// crates/core/src/hooks.rs's `ensure_completed_tail_durable`). The owner
+// side is `MiniSlot::wait` with `work` standing for `completedTail`, and
+// `wake_at` starts at `u64::MAX` ("never parked"), as `HookState` keeps it.
+// ---------------------------------------------------------------------------
+
+fn batched_wake_scenario(threshold: Ordering) {
+    let s = Arc::new(MiniSlot::new());
+    let wake_at = Arc::new(AtomicU64::new(u64::MAX));
+    let (s2, w2) = (Arc::clone(&s), Arc::clone(&wake_at));
+    let combiner = thread::spawn(move || {
+        let _ = s2.work.compare_exchange(0, 1, SeqCst, Relaxed);
+        if 1 >= w2.load(SeqCst) && s2.idle.load(SeqCst) != 0 {
+            s2.idle.swap(0, SeqCst);
+        }
+    });
+    // Applied tail 0, threshold 0 + 1.
+    wake_at.store(1, threshold);
+    s.wait(SeqCst, SeqCst, true);
+    combiner.join().unwrap();
+}
+
+/// Baseline: a `SeqCst` threshold store before the announcement loses no
+/// wake-up.
+#[test]
+fn batched_wake_clean_protocol_passes() {
+    expect_clean("batched-wake-clean", || batched_wake_scenario(SeqCst));
+}
+
+/// Mutant 11 (`persistence::run`): the `wake_at` store `Relaxed`. It is
+/// the first store of the park's store→load pair with the combiner's
+/// threshold load; out of the `SeqCst` total order, the combiner may read
+/// the old threshold (`u64::MAX`) after its CAS while the thread's re-check
+/// reads the old `completedTail`, and nobody wakes the parked thread.
+#[test]
+fn batched_wake_relaxed_threshold_is_caught() {
+    let f = expect_caught("batched-wake-relaxed-threshold", || {
+        batched_wake_scenario(Relaxed)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a parked persistence thread: {f:?}"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Miniature gate backstop: the persistence thread has applied everything
+// completed (tail 1) and parks with threshold 1 + 2; a reserver takes the
+// entries up to the flush boundary (4, = ε) and is then refused at the
+// gate, wakes the thread once and waits for the boundary to rise. The
+// entries it took never complete (a combiner blocked with them), so only
+// `has_work`'s closed-gate clause — the gate is closed and a cycle would
+// persist-and-swap — makes the backstop checkpoint due
+// (crates/core/src/persistence.rs's `has_work`, `reserve_admitted`'s wake).
+// ---------------------------------------------------------------------------
+
+const GATE_EPSILON: u64 = 4;
+
+struct MiniGate {
+    idle: AtomicU64,
+    completed: AtomicU64,
+    log_tail: AtomicU64,
+    boundary: AtomicU64,
+    stop: AtomicU64,
+}
+
+impl MiniGate {
+    /// Reserves one entry at the current tail, waiting at the gate.
+    fn reserve(&self) {
+        let mut woke = false;
+        loop {
+            let tail = self.log_tail.load(SeqCst);
+            if tail < self.boundary.load(Acquire) {
+                if self
+                    .log_tail
+                    .compare_exchange(tail, tail + 1, SeqCst, Relaxed)
+                    .is_ok()
+                {
+                    return;
+                }
+            } else if !woke && self.idle.load(SeqCst) != 0 {
+                woke = self.idle.swap(0, SeqCst) != 0;
+            }
+            thread::yield_now();
+        }
+    }
+
+    /// The persistence thread, applied up to `completedTail` = 1.
+    fn run(&self, gate_clause: bool) {
+        let local = 1;
+        loop {
+            if self.stop.load(Acquire) != 0 {
+                return;
+            }
+            // The cycle's backstop: everything completed is applied, the
+            // gate is closed, and a checkpoint would raise the boundary.
+            let boundary = self.boundary.load(Acquire);
+            if boundary <= self.log_tail.load(Acquire)
+                && local == self.completed.load(Acquire)
+                && local + GATE_EPSILON > boundary
+            {
+                self.boundary.store(local + GATE_EPSILON, SeqCst);
+                continue;
+            }
+            let wake_at = local + GATE_EPSILON / 2;
+            let due = || {
+                let boundary = self.boundary.load(SeqCst);
+                let completed = self.completed.load(SeqCst);
+                self.stop.load(SeqCst) != 0
+                    || completed >= wake_at
+                    || boundary <= local
+                    || (gate_clause
+                        && boundary <= self.log_tail.load(SeqCst)
+                        && (completed > local || local + GATE_EPSILON > boundary))
+            };
+            while !due() {
+                self.idle.store(1, SeqCst);
+                if due() {
+                    self.idle.store(0, Relaxed);
+                    break;
+                }
+                while self.idle.load(SeqCst) != 0 {
+                    thread::yield_now();
+                }
+            }
+        }
+    }
+}
+
+fn gate_backstop_scenario(gate_clause: bool) {
+    let g = Arc::new(MiniGate {
+        idle: AtomicU64::new(0),
+        completed: AtomicU64::new(1),
+        log_tail: AtomicU64::new(1),
+        boundary: AtomicU64::new(GATE_EPSILON),
+        stop: AtomicU64::new(0),
+    });
+    let g2 = Arc::clone(&g);
+    let persistence = thread::spawn(move || g2.run(gate_clause));
+    // Entries 1..4 up to the boundary, then one the gate refuses until the
+    // backstop checkpoint raises it.
+    for _ in 1..=GATE_EPSILON {
+        g.reserve();
+    }
+    g.stop.store(1, SeqCst);
+    if g.idle.load(SeqCst) != 0 {
+        g.idle.swap(0, SeqCst);
+    }
+    persistence.join().unwrap();
+}
+
+/// Baseline: the closed-gate clause makes the refused reserver's wake end
+/// the park, and the backstop reopens the gate.
+#[test]
+fn gate_backstop_clean_protocol_passes() {
+    expect_clean("gate-backstop-clean", || gate_backstop_scenario(true));
+}
+
+/// Mutant 12 (`persistence::has_work`): the closed-gate clause deleted.
+/// `completedTail` stays below the threshold and the boundary above the
+/// applied tail, so the woken thread finds no cycle due and parks again;
+/// the refused reserver waits on a boundary nobody raises.
+#[test]
+fn gate_backstop_without_the_gate_clause_is_caught() {
+    let f = expect_caught("gate-backstop-no-gate-clause", || {
+        gate_backstop_scenario(false)
+    });
+    assert_eq!(
+        f.kind,
+        FailureKind::Livelock,
+        "expected a reserver stuck at the gate: {f:?}"
+    );
+}

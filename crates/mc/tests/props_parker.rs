@@ -1,6 +1,7 @@
 //! Model-checked properties of the real [`prep_sync::WakeSlot`], and of
 //! the park protocols built beside it: the persistence thread's idle park
-//! and the checkpoint listener that wakes a `prep-serve` conn thread.
+//! (with its batch threshold and a nudger that runs the cycle itself) and
+//! the checkpoint listener that wakes a `prep-serve` conn thread.
 //!
 //! Runs only under `RUSTFLAGS="--cfg prep_mc"` (see `props_seq_version.rs`).
 //! Under the checker the slot's park is an instrumented yield loop on its
@@ -16,7 +17,7 @@ use std::time::Duration;
 
 use prep_mc::cell::AtomicU64;
 use prep_mc::{thread, Builder};
-use prep_sync::WakeSlot;
+use prep_sync::{TryLock, WakeSlot};
 
 /// Exhaustive, not budget-capped: a clean report that ran out of
 /// schedules would prove nothing about the interleaving it never reached.
@@ -114,17 +115,26 @@ fn the_slot_is_reusable_across_waits() {
 
 /// The persistence thread's words, as `crates/core` keeps them: the log's
 /// `completedTail`, `nudge_checkpoint`'s standing request, the published
-/// checkpoint's tail (the durable watermark), the active replica's applied
-/// tail and the stop flag, plus its park slot and the watermark waiter's.
+/// checkpoint's tail (the durable watermark), the applied tail the park
+/// last saw and its wake threshold, and the stop flag, plus its park slot
+/// and the watermark waiter's. The persistence task — the active
+/// replica's applied tail — sits behind a [`TryLock`] shared by the
+/// persistence thread and a nudger, as `PrepUc` keeps it.
 struct Persist {
     park: WakeSlot,
     watermark: WakeSlot,
+    task: TryLock<u64>,
     completed_tail: AtomicU64,
     sync_request: AtomicU64,
     durable: AtomicU64,
     applied: AtomicU64,
+    wake_at: AtomicU64,
     stop: AtomicU64,
 }
+
+/// max(1, ε/2) for ε = 4: the batch a combiner lets gather before it
+/// wakes the parked thread.
+const HALF: u64 = 2;
 
 /// `fetch_max` by CAS (the checker's cells have no `fetch_max`).
 fn fetch_max(cell: &AtomicU64, v: u64) {
@@ -140,69 +150,95 @@ fn fetch_max(cell: &AtomicU64, v: u64) {
 }
 
 impl Persist {
-    /// `PersistenceTask::run`, cut down to what the park protocol reads:
-    /// apply up to `completedTail`, checkpoint when a request is covered,
-    /// and otherwise park with the `has_work` re-check. The spin/yield
-    /// ladder in front of the park is left out: it only delays the park.
+    /// `PersistenceTask::cycle`, cut down to what the park protocol reads:
+    /// read the standing request, then apply up to `completedTail`, and
+    /// checkpoint when a request is not yet covered. Runs under the task
+    /// lock, whoever holds it.
+    fn cycle(&self, local: &mut u64) -> bool {
+        // ord: Acquire pairs with the nudger's request; read first, so the
+        // tail read next covers it.
+        let want = self.sync_request.load(Acquire);
+        // ord: Acquire pairs with the combiner's advance.
+        let tail = self.completed_tail.load(Acquire);
+        let mut progressed = false;
+        if tail > *local {
+            *local = tail;
+            // ord: Release publishes the applied replica state.
+            self.applied.store(tail, Release);
+            progressed = true;
+        }
+        // ord: Relaxed — the task lock orders the watermark's writers.
+        if self.durable.load(Relaxed) < want {
+            fetch_max(&self.durable, *local);
+            self.watermark.wake();
+            progressed = true;
+        }
+        progressed
+    }
+
+    /// `persistence::run`: cycles under the task lock, and once one finds
+    /// nothing to do, the threshold store and the park with the `has_work`
+    /// re-check, re-parked until a cycle is due. A task held by a nudger
+    /// is waited out. The spin/yield ladder in front of the park is left
+    /// out: it only delays the park.
     fn run(&self) {
-        let mut local = 0;
         loop {
             // ord: Acquire pairs with Drop's stop store.
             if self.stop.load(Acquire) != 0 {
                 return;
             }
-            let mut progressed = false;
-            // ord: Acquire pairs with the combiner's advance.
-            let tail = self.completed_tail.load(Acquire);
-            if tail > local {
-                local = tail;
-                // ord: Release publishes the applied replica state.
-                self.applied.store(local, Release);
-                progressed = true;
+            let Some(mut local) = self.task.try_lock() else {
+                thread::yield_now();
+                continue;
+            };
+            if self.cycle(&mut local) {
+                continue;
             }
-            // ord: Acquire pairs with the nudger's request.
-            let want = self.sync_request.load(Acquire);
-            // ord: Relaxed — this thread is the watermark's only writer.
-            if self.durable.load(Relaxed) < want && want <= local {
-                fetch_max(&self.durable, local);
-                self.watermark.wake();
-                progressed = true;
-            }
-            if !progressed {
+            let seen = *local;
+            drop(local);
+            let wake_at = seen + HALF;
+            // ord: SeqCst — the threshold, before the announcement.
+            self.wake_at.store(wake_at, SeqCst);
+            // ord: SeqCst loads — the ready check's half of the WakeSlot
+            // pair.
+            let due = || {
+                self.stop.load(SeqCst) != 0
+                    || self.completed_tail.load(SeqCst) >= wake_at
+                    || self.sync_request.load(SeqCst) > self.durable.load(SeqCst)
+            };
+            while !due() {
                 // The bound is ignored under the checker: a lost wake-up is
                 // a park that never ends, which the livelock detector sees.
-                self.park.wait_until_or(
-                    || {
-                        // ord: SeqCst loads — the ready check's half of the
-                        // WakeSlot pair; the watermark is this thread's own.
-                        self.stop.load(SeqCst) != 0
-                            || self.completed_tail.load(SeqCst) > local
-                            || self.sync_request.load(SeqCst) > self.durable.load(Relaxed)
-                    },
-                    Duration::from_micros(300),
-                );
+                self.park.wait_until_or(due, Duration::from_micros(300));
             }
         }
     }
 }
 
 /// The persistence thread's idle park (`crates/core/src/persistence.rs`):
-/// announce → `SeqCst` re-check of `completedTail`, `sync_request` and
-/// `stop`, raced against a combiner's `completedTail` advance → wake and a
-/// nudger's request → wake (which then waits for the checkpoint, as
-/// `quiesce_persistence` does). Each wake source must end the park: the
-/// nudger must get its checkpoint, the thread must apply the combiner's
-/// entry, and `stop` must end the thread.
+/// threshold store → announce → `SeqCst` re-check of `completedTail`
+/// against the threshold, `sync_request` and `stop`, raced against a
+/// combiner's two `completedTail` advances, each followed by the wake
+/// that `ensure_completed_tail_durable` sends once the threshold is
+/// reached, and against a nudger (`nudge_checkpoint`): it publishes its
+/// request, then either takes the task by `try_lock` and checkpoints
+/// itself, returning with the watermark covering its tail, or wakes the
+/// thread and waits for the checkpoint, as `quiesce_persistence` does.
+/// The nudger must get its checkpoint, the active replica must end within
+/// `HALF` of `completedTail` (a thread parked past its threshold would
+/// leave it further behind), and `stop` must end the thread.
 #[test]
 fn the_persistence_park_loses_no_wakeup() {
     check_exhaustively("persistence-park", || {
         let p = Arc::new(Persist {
             park: WakeSlot::new(),
             watermark: WakeSlot::new(),
+            task: TryLock::new(0),
             completed_tail: AtomicU64::new(0),
             sync_request: AtomicU64::new(0),
             durable: AtomicU64::new(0),
             applied: AtomicU64::new(0),
+            wake_at: AtomicU64::new(u64::MAX),
             stop: AtomicU64::new(0),
         });
         let persistence = {
@@ -212,28 +248,39 @@ fn the_persistence_park_loses_no_wakeup() {
         let combiner = {
             let p = Arc::clone(&p);
             thread::spawn(move || {
-                // ord: SeqCst — `advance_completed_tail`'s CAS, then the
-                // wake from `ensure_completed_tail_durable`.
-                let _ = p.completed_tail.compare_exchange(0, 1, SeqCst, Relaxed);
-                p.park.wake();
+                // One combine round of `HALF` entries. ord: SeqCst —
+                // `advance_completed_tail`'s CAS, then
+                // `ensure_completed_tail_durable`'s threshold load and wake.
+                let _ = p.completed_tail.compare_exchange(0, HALF, SeqCst, Relaxed);
+                if HALF >= p.wake_at.load(SeqCst) {
+                    p.park.wake();
+                }
             })
         };
-        // This thread nudges (`nudge_checkpoint`) and waits for the
-        // covering checkpoint (`quiesce_persistence`).
+        // This thread nudges (`nudge_checkpoint`).
         // ord: SeqCst — the nudge names the current completedTail.
         let want = p.completed_tail.load(SeqCst);
         // ord: SeqCst — the watermark check of the nudge's early return.
         if p.durable.load(SeqCst) < want {
             fetch_max(&p.sync_request, want);
-            p.park.wake();
-            // ord: SeqCst — the watermark slot's ready check.
-            p.watermark.wait_until(|| p.durable.load(SeqCst) >= want);
+            if let Some(mut local) = p.task.try_lock() {
+                p.cycle(&mut local);
+                drop(local);
+                // ord: SeqCst — the watermark a durable ack reads.
+                assert!(
+                    p.durable.load(SeqCst) >= want,
+                    "the nudger's own checkpoint must cover its tail"
+                );
+            } else {
+                p.park.wake();
+                // ord: SeqCst — the watermark slot's ready check.
+                p.watermark.wait_until(|| p.durable.load(SeqCst) >= want);
+            }
         }
         combiner.join().unwrap();
-        // ord: Acquire pairs with the thread's applied-tail Release; a
-        // yield loop, so a parked thread that missed the combiner's wake
-        // is a livelock.
-        while p.applied.load(Acquire) < 1 {
+        // ord: SeqCst/Acquire — a yield loop, so a parked thread that
+        // missed the combiner's wake is a livelock.
+        while p.completed_tail.load(SeqCst) >= p.applied.load(Acquire) + HALF {
             thread::yield_now();
         }
         // ord: SeqCst — Drop's stop, then its wake.

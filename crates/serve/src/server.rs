@@ -5,9 +5,12 @@
 //! ```text
 //! acceptor ─▶ conn thread c ─ decode ─▶ store.execute ─▶ response
 //!                 ▲        (NR worker c on every shard)
-//!                 │                  │ durable ack on a buffered store: held
-//!                 │                  ▼ by conn thread c, checkpoint nudged
-//!                 └─ eventfd ◀─ checkpoint listener ◀─ persistence thread
+//!                 │                  │ durable ack on a buffered store: the
+//!                 │                  ▼ round's checkpoint nudged, by c itself
+//!                 │                    if the shard's cycle is free (ack out)
+//!                 │                  │ cycle busy: ack held by c
+//!                 │                  ▼
+//!                 └─ eventfd ◀─ checkpoint listener ◀─ the cycle's holder
 //! ```
 //!
 //! Every connection thread is a registered NR worker on every shard — `c`
@@ -39,14 +42,14 @@
 //! | thread | blocks in | woken by |
 //! |---|---|---|
 //! | acceptor | `poll`: listener + waker | a connecting client; every lifecycle transition |
-//! | conn thread | `poll`: its sockets + waker | request bytes; the acceptor (new connection); a shard's checkpoint listener, when it publishes a checkpoint on a shard where this thread announced a held ack; every transition |
+//! | conn thread | `poll`: its sockets + waker | request bytes; the acceptor (new connection); a shard's checkpoint listener, when whoever holds the shard's persistence cycle (its persistence thread, or a conn thread's nudge) publishes a checkpoint on a shard where this thread announced a held ack; every transition |
 //! | control | its command channel | an admin frame, [`Server::request_shutdown`] |
 //!
 //! A held ack's hand-off is a store→load pair, as [`prep_sync::WakeSlot`]
 //! documents: the conn thread stores its announcement (`ConnWake::waiting`)
-//! and then re-reads [`prep_uc::PrepUc::durable_watermark`]; the
-//! persistence thread publishes the checkpoint (its `SeqCst` `fetch_max`)
-//! and then its checkpoint listener
+//! and then re-reads [`prep_uc::PrepUc::durable_watermark`]; the thread
+//! that writes the checkpoint publishes it (its `SeqCst` `fetch_max`) and
+//! then the shard's checkpoint listener
 //! ([`prep_uc::PrepUc::set_checkpoint_listener`]) loads the announcement,
 //! claims it and writes the eventfd — all four `SeqCst`, so one of the two
 //! loads sees the other side. The lifecycle `state` is stored in one place,
@@ -66,16 +69,21 @@
 //! Every ack is written by the conn thread that ran the op. A *buffered*
 //! ack goes out as soon as `execute` returns (the op is applied,
 //! volatile). For a *durable* ack the conn thread reads the
-//! `completedTail` that covers the op, asks for the covering checkpoint now
-//! ([`prep_uc::PrepUc::nudge_checkpoint`]: the natural one is up to ε ops
-//! away), and holds the ack until the shard's crash-survivability
-//! watermark ([`prep_uc::PrepUc::durable_watermark`]) passes that tail,
-//! i.e. until the checkpoint has reached NVM. Meanwhile it goes back to
-//! `poll` and serves its other sockets, so GETs do not queue behind
-//! checkpoints; one checkpoint releases every held ack it covers. A durable
-//! ack costs two wake-ups, conn → persistence → conn. (On a durable-mode
-//! store `execute` has already waited out the persist, and the ack goes out
-//! at once.)
+//! `completedTail` that covers the op and keeps the ack until the shard's
+//! crash-survivability watermark ([`prep_uc::PrepUc::durable_watermark`])
+//! passes that tail, i.e. until a checkpoint covering it has reached NVM.
+//! The natural checkpoint is up to ε ops away, so once the service round's
+//! requests have all run, the thread asks each shard it holds acks on for
+//! one now ([`prep_uc::PrepUc::nudge_checkpoint`]), once, so a round's
+//! pipelined durable updates share it. If the shard's persistence cycle is
+//! free the nudge runs it on the conn thread, and the acks go out before
+//! the thread returns to `poll`: on an idle shard a durable ack costs no
+//! wake-up at all. If the cycle is busy, the thread holds the acks, goes
+//! back to `poll` and serves its other sockets, so GETs do not queue
+//! behind checkpoints; the checkpoint listener wakes it when one lands, and
+//! one checkpoint releases every held ack it covers. That path costs two
+//! wake-ups, conn → persistence → conn. (On a durable-mode store `execute`
+//! has already waited out the persist, and the ack goes out at once.)
 //!
 //! ## Crash and shutdown choreography
 //!
@@ -328,8 +336,9 @@ struct ConnWake {
     waiting: Box<[AtomicBool]>,
 }
 
-/// Has each shard's persistence thread wake the conn threads that
-/// announced a held ack on that shard, after every checkpoint it publishes.
+/// Has each checkpoint published on a shard — by its persistence thread,
+/// or by a conn thread whose nudge ran the cycle — wake the conn threads
+/// that announced a held ack on that shard.
 fn listen_for_checkpoints(store: &Store, conns: &Arc<[ConnWake]>) {
     for s in 0..store.shards() {
         let conns = Arc::clone(conns);
@@ -742,16 +751,14 @@ impl Worker {
             return inner.done(io, id, ack);
         }
         // The op completed on this shard, so the shard's current
-        // completedTail covers its log index. The natural checkpoint is up
-        // to ε ops away: ask for one now.
-        let sh = store.shard(shard);
+        // completedTail covers its log index. `settle` asks for the
+        // checkpoint once the round's requests have all run.
         self.held.push(HeldAck {
             shard,
-            cover: sh.completed_tail(),
+            cover: store.shard(shard).completed_tail(),
             id,
             io: Arc::clone(io),
         });
-        sh.nudge_checkpoint();
     }
 
     fn get(&self, key: u64) -> Option<u64> {
@@ -762,21 +769,38 @@ impl Worker {
         }
     }
 
-    /// After a service round, before `poll`: announces each held ack on its
-    /// shard and then releases it if the watermark covers it; draining, the
-    /// thread gives its lease up once it holds none.
+    /// After a service round, before `poll`: asks each shard it holds acks
+    /// on for the checkpoint that covers them, once, so the round's
+    /// pipelined durable updates share it; then announces each ack still
+    /// held on its shard and releases it if the watermark covers it.
+    /// Draining, the thread gives its lease up once it holds none.
     fn settle(&mut self, inner: &Inner, st: u8) {
         let Some(Lease { store, .. }) = &self.lease else {
             return;
         };
+        // The natural checkpoint is up to ε ops away. If the shard's
+        // persistence cycle is free, the nudge writes the checkpoint on
+        // this thread and the acks go out below with no wake-up at all.
+        for s in 0..store.shards() {
+            if self.held.iter().any(|a| a.shard == s) {
+                store.shard(s).nudge_checkpoint();
+            }
+        }
         let waiting = &inner.conn_wake[self.index].waiting;
         self.held.retain(|a| {
-            // ord: SeqCst — the announce, the store of the pair with the
-            // listener's load; the watermark re-read is the load, after
-            // which `poll` may block. A flag left set because the re-read
-            // found the ack covered costs one spurious wake-up at most.
-            waiting[a.shard].store(true, Ordering::SeqCst);
-            let covered = store.shard(a.shard).durable_watermark() >= a.cover;
+            let shard = store.shard(a.shard);
+            // Covered already (often by this thread's own checkpoint
+            // above): release without announcing.
+            let mut covered = shard.durable_watermark() >= a.cover;
+            if !covered {
+                // ord: SeqCst — the announce, the store of the pair with
+                // the listener's load; the watermark re-read is the load,
+                // after which `poll` may block. A flag left set because
+                // the re-read found the ack covered costs one spurious
+                // wake-up at most.
+                waiting[a.shard].store(true, Ordering::SeqCst);
+                covered = shard.durable_watermark() >= a.cover;
+            }
             if covered {
                 inner.done(&a.io, a.id, AckLevel::Durable);
             }

@@ -31,6 +31,13 @@
 //!   other sockets of its conn thread; and a durable PUT sent to an idle
 //!   server is acked with no other traffic to kick it along.
 //!
+//! * **An idle shard's durable ack costs no hand-off.** The conn thread
+//!   that ran the PUT finds the shard's persistence cycle free and writes
+//!   the checkpoint itself. A conn thread holds an ack only while the
+//!   cycle is busy with another checkpoint, so the held-ack tests above
+//!   first occupy it with one that sits in a slow fence
+//!   ([`busy_checkpoint`]).
+//!
 //! The liveness tests read this process's thread table, so every test in
 //! this file takes [`serial`]: no other test's server is in the table, and
 //! none competes for the two CPUs while one of them measures.
@@ -93,6 +100,38 @@ fn slow_fence() -> LatencyModel {
         sfence_ns: 2_000_000_000,
         ..LatencyModel::off()
     }
+}
+
+/// Puts the persistence cycle of `key`'s shard to work on a checkpoint
+/// that sits in the server's slow fence, so that a durable PUT sent next
+/// finds the cycle busy and its conn thread holds the ack in `poll`. A
+/// buffered PUT of `key` gives the checkpoint something to write, and a
+/// test thread's `nudge_checkpoint` writes it — or wakes the persistence
+/// thread to, if that held the cycle at that instant. Returns once the
+/// checkpoint's line flushes are done and its fence has begun, with the
+/// nudging thread, which holds a store handle until it returns.
+fn busy_checkpoint(server: &Server, c: &mut Client, key: u64) -> std::thread::JoinHandle<()> {
+    let id = 100 + key;
+    assert_eq!(
+        c.roundtrip(&Request::Put {
+            id,
+            ack: AckLevel::Buffered,
+            key,
+            value: 0,
+        }),
+        Response::Done { id }
+    );
+    let store = server.store_handle();
+    let flushed = || store.runtime().stats().snapshot().clflushopt;
+    let before = flushed();
+    let nudger = {
+        let store = Arc::clone(&store);
+        std::thread::spawn(move || store.shard(shard_index(key, SHARDS)).nudge_checkpoint())
+    };
+    while flushed() == before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    nudger
 }
 
 /// Blocking one-request-at-a-time client.
@@ -667,19 +706,27 @@ fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
         ..LatencyModel::off()
     });
     let mut c = Client::connect(server.local_addr());
+    let shard = shard_index(1, SHARDS);
+    let earlier = (2..)
+        .find(|&k| shard_index(k, SHARDS) == shard)
+        .expect("a second key on the shard");
+    let nudger = busy_checkpoint(&server, &mut c, earlier);
     c.send(&Request::Put {
         id: 1,
         ack: AckLevel::Durable,
         key: 1,
         value: 1,
     });
-    // The op is applied, the persistence thread sleeps in the fence, and
+    // The op is applied, the earlier checkpoint sleeps in the fence, and
     // the conn thread holding the ack — like every other server thread —
     // is blocked.
     wait_until_blocked();
     let store = server.store_handle();
-    assert_eq!(store.completed_tails().iter().sum::<u64>(), 1);
+    // The buffered PUT and the durable one.
+    assert_eq!(store.completed_tails().iter().sum::<u64>(), 2);
     assert_eq!(store.durable_watermarks().iter().sum::<u64>(), 0);
+    // The crash lands while the earlier checkpoint is still in its fence;
+    // recovery waits for the nudging thread's store handle.
     drop(store); // recovery needs the old store to itself
     c.send(&Request::Admin {
         id: 2,
@@ -689,6 +736,7 @@ fn crash_interrupts_a_durable_ack_parked_on_the_watermark() {
     // and it comes first: acks are settled before the cut is taken.
     assert_eq!(c.recv(), Response::Retry { id: 1 });
     assert_eq!(c.recv(), Response::Done { id: 2 });
+    nudger.join().expect("the nudging thread");
     // One response per frame: the next frame on the wire answers the next
     // request.
     match c.roundtrip(&Request::Get { id: 3, key: 1 }) {
@@ -709,11 +757,12 @@ fn concurrent_durable_acks_on_one_shard_park() {
     let _serial = serial();
     let server = server_with(slow_fence());
     let shard = shard_index(1, SHARDS);
-    let other = (2..)
-        .find(|&k| shard_index(k, SHARDS) == shard)
-        .expect("a second key on the shard");
+    let mut on_shard = (2..).filter(|&k| shard_index(k, SHARDS) == shard);
+    let other = on_shard.next().expect("a second key on the shard");
+    let earlier = on_shard.next().expect("a third key on the shard");
     // One connection, so one conn thread runs both PUTs and holds both acks.
     let mut c = Client::connect(server.local_addr());
+    let nudger = busy_checkpoint(&server, &mut c, earlier);
     // One at a time: the conn thread holds the first ack and goes back to
     // `poll`, where the second PUT finds it.
     for (id, key) in [(1, 1), (2, other)] {
@@ -729,7 +778,8 @@ fn concurrent_durable_acks_on_one_shard_park() {
     // that polled for the checkpoint would keep being scheduled until the
     // fence ended and the acks went out.
     let store = server.store_handle();
-    assert_eq!(store.shard(shard).completed_tail(), 2);
+    // The buffered PUT and the two durable ones.
+    assert_eq!(store.shard(shard).completed_tail(), 3);
     assert_eq!(store.shard(shard).durable_watermark(), 0);
     // Holding acks does not close the shard: a GET is answered before the
     // checkpoint they wait for has landed.
@@ -755,6 +805,7 @@ fn concurrent_durable_acks_on_one_shard_park() {
     retried.sort_unstable();
     assert_eq!(retried, [1, 2]);
     assert_eq!(c.recv(), Response::Done { id: 4 });
+    nudger.join().expect("the nudging thread");
     match c.roundtrip(&Request::Get { id: 5, key: 1 }) {
         Response::Value { id: 5, .. } => {}
         other => panic!("a stray frame followed the crash: {other:?}"),
@@ -778,6 +829,11 @@ fn a_held_ack_does_not_delay_its_conn_threads_other_sockets() {
     .expect("start server");
     let mut a = Client::connect(server.local_addr());
     let mut b = Client::connect(server.local_addr());
+    let shard = shard_index(1, SHARDS);
+    let earlier = (2..)
+        .find(|&k| shard_index(k, SHARDS) == shard)
+        .expect("a second key on the shard");
+    let nudger = busy_checkpoint(&server, &mut a, earlier);
     a.send(&Request::Put {
         id: 1,
         ack: AckLevel::Durable,
@@ -788,8 +844,8 @@ fn a_held_ack_does_not_delay_its_conn_threads_other_sockets() {
     // watermark.
     wait_until_blocked();
     let store = server.store_handle();
-    let shard = shard_index(1, SHARDS);
-    assert_eq!(store.shard(shard).completed_tail(), 1);
+    // The buffered PUT and the durable one.
+    assert_eq!(store.shard(shard).completed_tail(), 2);
     assert_eq!(store.shard(shard).durable_watermark(), 0);
     // B is answered while A's checkpoint is still being written.
     assert_eq!(
@@ -802,8 +858,64 @@ fn a_held_ack_does_not_delay_its_conn_threads_other_sockets() {
     assert_eq!(store.shard(shard).durable_watermark(), 0);
     wait_until_blocked();
     drop(store);
+    nudger.join().expect("the nudging thread");
     // And A's ack goes out once the checkpoint lands.
     assert_eq!(a.recv(), Response::Done { id: 1 });
     let report = shutdown_in_time(server);
     assert_eq!((report.durable_acks, report.retries), (1, 0));
+}
+
+/// Whether a `serve-conn-*` thread is asleep in a modelled fence (a
+/// `thread::sleep`, which the kernel reports as `hrtimer_nanosleep`):
+/// otherwise conn threads block in `poll`.
+fn a_conn_thread_is_in_a_fence() -> bool {
+    std::fs::read_dir("/proc/self/task")
+        .expect("thread table")
+        .any(|task| {
+            let dir = task.expect("thread entry").path();
+            let name = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+            let wchan = std::fs::read_to_string(dir.join("wchan")).unwrap_or_default();
+            name.starts_with("serve-conn") && wchan.trim() == "hrtimer_nanosleep"
+        })
+}
+
+#[test]
+fn an_idle_shards_durable_ack_comes_from_its_conn_threads_own_checkpoint() {
+    let _serial = serial();
+    // A fence of 300 ms: long enough to see who sleeps in it.
+    let server = server_with(LatencyModel {
+        sfence_ns: 300_000_000,
+        ..LatencyModel::off()
+    });
+    let mut c = Client::connect(server.local_addr());
+    // An idle persistence thread still takes a look of its own once per
+    // `IDLE_PARK`; a nudge landing on that instant finds the cycle busy
+    // and is served by the persistence thread instead. Three tries.
+    let mut own = false;
+    for id in 1..=3 {
+        wait_until_blocked();
+        c.send(&Request::Put {
+            id,
+            ack: AckLevel::Durable,
+            key: id,
+            value: id,
+        });
+        for _ in 0..250 {
+            if a_conn_thread_is_in_a_fence() {
+                own = true;
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(c.recv(), Response::Done { id });
+        if own {
+            break;
+        }
+    }
+    assert!(
+        own,
+        "no conn thread wrote the checkpoint for its own durable ack on an idle shard"
+    );
+    let report = shutdown_in_time(server);
+    assert_eq!(report.retries, 0);
 }
