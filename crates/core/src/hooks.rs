@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 use crossbeam_utils::CachePadded;
 use prep_nr::NrHooks;
 use prep_pmem::psan::{PublishTag, Region};
-use prep_pmem::{LogImage, PersistentCell, PmemRuntime};
+use prep_pmem::{LogImage, PersistentCell, PmemRuntime, Traced};
 use prep_sync::WakeSlot;
 
 use crate::config::{DurabilityLevel, PsanFault};
@@ -218,16 +218,14 @@ impl<O: Clone> HookState<O> {
     /// Asynchronously flushes each distinct cacheline spanned by entries
     /// `[from, to)` — exactly [`HookState::span_lines`] many `CLFLUSHOPT`s
     /// (the log region base is line-aligned), each carrying its line
-    /// address for the sanitizer.
-    fn flush_entry_span(&self, from: u64, to: u64, site: &'static str) {
+    /// address for the sanitizer. `traced` is the caller's trace of the
+    /// stores the span holds.
+    fn flush_entry_span(&self, from: u64, to: u64, site: &'static str, traced: &Traced) {
         let eb = Self::entry_bytes();
         let first = (self.psan.log_base + from * eb) / 64;
         let last = (self.psan.log_base + to * eb).div_ceil(64).max(first + 1);
         for line in first..last {
-            // lint:allow(persist-hook): span-flush helper — every caller
-            // traces the stores it persists (trace_store / trace_publish)
-            // before invoking this; tracing again here would double-count.
-            self.rt.clflushopt_at(line * 64, site);
+            self.rt.clflushopt_at(line * 64, site, traced);
         }
     }
 }
@@ -284,19 +282,19 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         let skip_fence = st.psan_fault == Some(PsanFault::SkipLogPayloadFence);
         if st.fence_per_entry {
             for idx in range {
-                st.rt.trace_store(st.payload_addr(idx), eb - 1, SITE);
-                st.flush_entry_span(idx, idx + 1, SITE);
+                let traced = st.rt.trace_store(st.payload_addr(idx), eb - 1, SITE);
+                st.flush_entry_span(idx, idx + 1, SITE, &traced);
                 if !skip_fence {
                     st.rt.sfence();
                 }
             }
         } else {
-            st.rt.trace_store(
+            let traced = st.rt.trace_store(
                 st.payload_addr(range.start),
                 (range.end - range.start) * eb,
                 SITE,
             );
-            st.flush_entry_span(range.start, range.end, SITE);
+            st.flush_entry_span(range.start, range.end, SITE, &traced);
             if !skip_fence {
                 st.rt.sfence();
             }
@@ -316,25 +314,23 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         const SITE: &str = "PrepHooks::persist_batch_published";
         let st = &self.state;
         let eb = HookState::<O>::entry_bytes();
+        // Publish each emptyBit, and flush each *distinct* emptyBit line
+        // once, after the last emptyBit on it. Flushing per entry (as this
+        // used to) re-flushes a line for every further emptyBit on it with
+        // no intervening store — the sanitizer's redundant-flush lint
+        // flagged exactly that, and for small ops it is ~7× the flushes.
         for idx in range.clone() {
-            st.rt.trace_publish(
-                st.empty_bit_addr(idx),
+            let addr = st.empty_bit_addr(idx);
+            let traced = st.rt.trace_publish(
+                addr,
                 1,
                 &[(st.payload_addr(idx), eb - 1)],
                 PublishTag::LogEntry,
                 SITE,
             );
-        }
-        // Flush each *distinct* emptyBit line once. Flushing per entry (as
-        // this used to) re-flushes a line for every further emptyBit on it
-        // with no intervening store — the sanitizer's redundant-flush lint
-        // flagged exactly that, and for small ops it is ~7× the flushes.
-        let mut last_line = u64::MAX;
-        for idx in range.clone() {
-            let line = st.empty_bit_addr(idx) / 64;
-            if line != last_line {
-                st.rt.clflushopt_at(line * 64, SITE);
-                last_line = line;
+            let line = addr / 64;
+            if idx + 1 == range.end || st.empty_bit_addr(idx + 1) / 64 != line {
+                st.rt.clflushopt_at(line * 64, SITE, &traced);
             }
         }
         st.rt.sfence();

@@ -173,11 +173,10 @@ impl<T: SequentialObject> PersistenceTask<T> {
             self.images[active].mark_torn(&rt);
             let ds = &mut rep.ds;
             let pending = &mut rep.pending;
-            let region_base = self.state.psan.replicas[active].base;
             self.nr.log().for_each_op(rep.local_tail, tail, |_, op| {
                 // Stores to the NVM-resident replica are slower than
                 // DRAM stores; charge them.
-                rt.nvm_write(region_base, op_bytes);
+                rt.nvm_write(op_bytes);
                 if buffer_delta {
                     pending.push(op.clone());
                 }
@@ -264,13 +263,13 @@ impl<T: SequentialObject> PersistenceTask<T> {
                                     // flush and the fence would read as a
                                     // torn *stable* replica.
                                     let addr = region.base + off % region.len;
-                                    rt.trace_store(addr, 64, SITE);
-                                    rt.clflushopt_at(addr, SITE);
+                                    let traced = rt.trace_store(addr, 64, SITE);
+                                    rt.clflushopt_at(addr, SITE, &traced);
                                 }
                             }
                             None => {
-                                rt.trace_store(region.base, dirty, SITE);
-                                rt.flush_range(region.base, dirty, SITE);
+                                let traced = rt.trace_store(region.base, dirty, SITE);
+                                rt.flush_range(region.base, dirty, SITE, &traced);
                             }
                         }
                     }
@@ -527,6 +526,41 @@ mod tests {
         assert!(snap.local_tail >= 4);
     }
 
+    /// `wbinvd` takes no `Traced` (its signature is the frozen benchmark's),
+    /// so the compiler does not check that a WBINVD checkpoint traces the
+    /// replica it writes back; this does. Without that store psan sees no
+    /// dirty replica bytes, and a dropped write-back would pass it.
+    #[test]
+    fn a_wbinvd_checkpoint_traces_the_replica_it_writes_back() {
+        use prep_pmem::psan::EventKind;
+        let asg = Topology::small().assign_workers(1);
+        let prep = PrepUc::new(
+            Recorder::new(),
+            asg,
+            crash_cfg(DurabilityLevel::Buffered, 4).with_flush_strategy(FlushStrategy::Wbinvd),
+        );
+        let rt = prep.runtime();
+        rt.psan_enable();
+        let t = prep.register(0);
+        for i in 0..8u64 {
+            prep.execute(&t, RecorderOp::Record(i));
+        }
+        prep.quiesce_persistence();
+        let replicas = prep.hook_state().psan.replicas;
+        let events = rt.psan_events();
+        let wbinvd = events
+            .iter()
+            .position(|e| matches!(e.kind, EventKind::Wbinvd))
+            .expect("a checkpoint ran");
+        assert!(
+            events[..wbinvd].iter().any(|e| matches!(
+                e.kind,
+                EventKind::Store { addr, .. } if replicas.iter().any(|r| r.base == addr)
+            )),
+            "the WBINVD checkpoint wrote back a replica psan never saw a store to"
+        );
+    }
+
     /// Deep copies of [`Counted`] made so far.
     static CLONES: AtomicUsize = AtomicUsize::new(0);
 
@@ -588,5 +622,14 @@ mod tests {
         let snap = prep.replica_image(stable).read_image().expect("torn");
         let want: Vec<u64> = (0..snap.local_tail).collect();
         assert_eq!(snap.state.0, want);
+        // A crash cut copies the stable image, the one recovery reads, and
+        // only records whether the active one is torn.
+        let before = CLONES.load(Ordering::Relaxed);
+        let _ = prep.simulate_crash();
+        assert_eq!(
+            CLONES.load(Ordering::Relaxed) - before,
+            1,
+            "a crash cut copied more than the stable image"
+        );
     }
 }

@@ -14,9 +14,14 @@ pub struct CrashImage<T: SequentialObject> {
     /// updated when the crash hit. The *other* one is the stable replica
     /// recovery starts from.
     pub active: u64,
-    /// The two persistent replicas' NVM images. The stable one is always
-    /// consistent ([`Ok`]); the active one may be [`TornImage`].
-    pub replicas: [Result<ReplicaSnapshot<T>, TornImage>; 2],
+    /// The stable persistent replica's NVM image, always consistent
+    /// ([`Ok`]) under PREP-UC's protocol. It is the only replica image
+    /// recovery reads, so it is the only one the cut copies.
+    pub stable: Result<ReplicaSnapshot<T>, TornImage>,
+    /// Whether the active replica's NVM image was torn at the cut (mutated
+    /// since its last checkpoint): what a one-replica design would have had
+    /// to recover from.
+    pub active_torn: bool,
     /// Persisted `completedTail` (meaningful in durable mode; 0 otherwise).
     pub completed_tail: u64,
     /// Persisted log entries, `(monotonic index, operation)`, ascending
@@ -37,9 +42,7 @@ impl<T: SequentialObject> CrashImage<T> {
     /// impossible (only the active replica is ever mutated); a panic here
     /// means the two-replica invariant was violated.
     pub fn stable_snapshot(&self) -> &ReplicaSnapshot<T> {
-        self.replicas[self.stable_index()]
-            .as_ref()
-            .expect(TORN_STABLE)
+        self.stable.as_ref().expect(TORN_STABLE)
     }
 }
 
@@ -88,12 +91,11 @@ impl<T: SequentialObject> PrepUc<T> {
     /// consistent cut of the persist order.
     pub fn crash_image_in_cut(&self) -> CrashImage<T> {
         let state = self.hook_state();
+        let active = state.p_active_cell.read_image();
         let image = CrashImage {
-            active: state.p_active_cell.read_image(),
-            replicas: [
-                self.replica_image(0).read_image(),
-                self.replica_image(1).read_image(),
-            ],
+            active,
+            stable: self.replica_image(1 - active as usize).read_image(),
+            active_torn: self.replica_image(active as usize).is_torn(),
             completed_tail: state.ct_cell.read_image(),
             log_entries: state.log_image.persisted_range(0, u64::MAX),
         };
@@ -107,9 +109,8 @@ impl<T: SequentialObject> PrepUc<T> {
             const SITE: &str = "PrepUc::crash_image_in_cut";
             let cell = std::mem::size_of::<u64>() as u64;
             rt.trace_recovery_read(state.psan.p_active_addr, cell, SITE);
-            let stable = image.stable_index();
-            if let Ok(snap) = &image.replicas[stable] {
-                let region = state.psan.replicas[stable];
+            if let Ok(snap) = &image.stable {
+                let region = state.psan.replicas[image.stable_index()];
                 rt.trace_recovery_read(region.base, region.len, SITE);
                 if self.config().durability == DurabilityLevel::Durable {
                     rt.trace_recovery_read(state.psan.ct_addr, cell, SITE);
@@ -144,16 +145,10 @@ impl<T: SequentialObject> PrepUc<T> {
     ) -> Self {
         // The image is consumed here, so the stable snapshot is moved out of
         // it, not deep-copied: recovery starts *from* that object.
-        let stable = image.stable_index();
         let ReplicaSnapshot {
             state: mut obj,
             local_tail: from,
-        } = image
-            .replicas
-            .into_iter()
-            .nth(stable)
-            .expect("stable index is 0 or 1")
-            .expect(TORN_STABLE);
+        } = image.stable.expect(TORN_STABLE);
         // What to replay is a property of the image, not of the config the
         // new instance will run under: a buffered instance persists neither
         // `completedTail` nor log entries, so this loop is empty for its

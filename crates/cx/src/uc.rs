@@ -165,8 +165,8 @@ impl<T: SequentialObject> CxUc<T> {
                     // Replay mutated the replica (a zero-op replay still
                     // rewrites `applied`), so record the store before the
                     // whole-replica flush.
-                    rt.trace_store(region.base, bytes.max(1), SITE);
-                    rt.flush_range(region.base, bytes, SITE);
+                    let traced = rt.trace_store(region.base, bytes.max(1), SITE);
+                    rt.flush_range(region.base, bytes, SITE, &traced);
                     rt.sfence();
                 }
                 let applied = guard.applied;

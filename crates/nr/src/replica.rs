@@ -168,6 +168,15 @@ mod tests {
     use super::*;
     use prep_seqds::recorder::Recorder;
 
+    /// Layout pin: adjacent caught-up-read counters are at least a cache
+    /// line apart, so each worker's count stays on its own line.
+    #[test]
+    fn read_fast_counters_never_share_a_cache_line() {
+        let r: Replica<Recorder> = Replica::new(Recorder::new(), 2, FairnessMode::Throughput);
+        let gap = r.read_fast[1..].as_ptr() as usize - r.read_fast.as_ptr() as usize;
+        assert!(gap >= 64, "adjacent counters are {gap} bytes apart");
+    }
+
     #[test]
     fn replica_initial_state() {
         let r: Replica<Recorder> = Replica::new(Recorder::new(), 4, FairnessMode::Throughput);

@@ -256,9 +256,8 @@ impl<T: Clone> ReplicaImage<T> {
 
     /// Reads the image as recovery would. [`TornImage`] means recovering it
     /// would hand back possibly-inconsistent state. PREP-UC never does this
-    /// (it recovers the *stable* replica); the one-persistent-replica
-    /// ablation test shows a design without the stable replica hits this
-    /// error.
+    /// (it recovers the *stable* replica, and a crash cut reads only that
+    /// one).
     pub fn read_image(&self) -> Result<ReplicaSnapshot<T>, TornImage> {
         let s = self.state.lock().expect("replica image poisoned");
         if s.torn {
@@ -268,7 +267,10 @@ impl<T: Clone> ReplicaImage<T> {
         }
     }
 
-    /// True if the image is currently torn (diagnostic).
+    /// True if the image is currently torn. A crash cut records this, not
+    /// the contents, for the active replica: the one-persistent-replica
+    /// ablation test shows that a design without the stable replica would
+    /// have recovered a torn image.
     pub fn is_torn(&self) -> bool {
         self.state.lock().expect("replica image poisoned").torn
     }

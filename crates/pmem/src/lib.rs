@@ -49,7 +49,7 @@ mod stats;
 pub use image::{LogImage, PersistentCell, ReplicaImage, ReplicaSnapshot, TornImage};
 pub use latency::LatencyModel;
 pub use namespace::PersistentDirectory;
-pub use runtime::{CrashToken, PmemRuntime};
+pub use runtime::{CrashToken, PmemRuntime, Traced};
 pub use stats::{PmemStats, PmemStatsSnapshot};
 
 /// The persistence-ordering sanitizer layered under this runtime (event

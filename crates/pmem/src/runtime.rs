@@ -24,6 +24,15 @@ pub struct CrashToken {
     pub crash_id: u64,
 }
 
+/// Proof that the stores an addressed flush persists were traced for the
+/// persistence-ordering sanitizer. Only [`PmemRuntime::trace_store`] and
+/// [`PmemRuntime::trace_publish`] make one, and
+/// [`PmemRuntime::flush_range`] and [`PmemRuntime::clflushopt_at`] take
+/// one, so a flush whose stores psan cannot see does not compile. It is
+/// zero-sized: threading it through costs nothing at run time.
+#[derive(Debug)]
+pub struct Traced(());
+
 /// The persistence-semantics emulator shared by one universal construction
 /// instance (and everything it persists).
 ///
@@ -146,9 +155,10 @@ impl PmemRuntime {
     /// charged in one batch. Durability still requires a following
     /// [`PmemRuntime::sfence`]. `addr` comes from a
     /// [`PmemRuntime::psan_region`] allocation and gives the flush real
-    /// identity for the ordering sanitizer.
+    /// identity for the ordering sanitizer; `_traced` is the proof that
+    /// the stores it persists were traced.
     #[inline]
-    pub fn flush_range(&self, addr: u64, bytes: u64, site: &'static str) {
+    pub fn flush_range(&self, addr: u64, bytes: u64, site: &'static str, _traced: &Traced) {
         let lines = bytes.div_ceil(64).max(1);
         charge_ns(lines * self.latency.clflushopt_ns);
         self.stats.count_clflushopt_n(lines);
@@ -169,16 +179,15 @@ impl PmemRuntime {
             .record(EventKind::Epoch, "PmemRuntime::count_checkpoint");
     }
 
-    /// Charges the extra write latency for `bytes` of stores at logical
-    /// NVM address `addr` (used when the persistence thread replays
-    /// operations onto a persistent replica). Cost-only: replica stores
-    /// are traced for the sanitizer at checkpoint granularity (the dirty
-    /// set the checkpoint flushes), not per replayed operation — per-op
-    /// store events would claim lines dirty that the checkpoint's precise
-    /// dirty-line trace re-states anyway.
+    /// Charges the extra write latency for `bytes` of stores to NVM (used
+    /// when the persistence thread replays operations onto a persistent
+    /// replica). Cost-only: replica stores are traced for the sanitizer at
+    /// checkpoint granularity (the dirty set the checkpoint flushes), not
+    /// per replayed operation — per-op store events would claim lines
+    /// dirty that the checkpoint's precise dirty-line trace re-states
+    /// anyway.
     #[inline]
-    pub fn nvm_write(&self, addr: u64, bytes: u64) {
-        let _ = addr;
+    pub fn nvm_write(&self, bytes: u64) {
         if self.latency.nvm_write_ns == 0 {
             return;
         }
@@ -197,9 +206,10 @@ impl PmemRuntime {
     /// Emulates an asynchronous `CLFLUSHOPT` of the line containing the
     /// logical NVM address `addr`. Identical cost and stats to
     /// [`PmemRuntime::clflushopt`]; additionally gives the flush address
-    /// identity for the sanitizer.
+    /// identity for the sanitizer. `_traced` is the proof that the stores
+    /// it persists were traced.
     #[inline]
-    pub fn clflushopt_at(&self, addr: u64, site: &'static str) {
+    pub fn clflushopt_at(&self, addr: u64, site: &'static str, _traced: &Traced) {
         charge_ns(self.latency.clflushopt_ns);
         self.stats.count_clflushopt();
         PENDING_FLUSHES.with(|p| p.set(p.get() + 1));
@@ -258,9 +268,10 @@ impl PmemRuntime {
 
     /// Records a plain store to `[addr, addr+len)` (no cost — volatile
     /// store timing is not modelled; this only informs the sanitizer that
-    /// the bytes are dirty until flushed and fenced).
+    /// the bytes are dirty until flushed and fenced). The returned
+    /// [`Traced`] is what the flush that persists the store takes.
     #[inline]
-    pub fn trace_store(&self, addr: u64, len: u64, site: &'static str) {
+    pub fn trace_store(&self, addr: u64, len: u64, site: &'static str) -> Traced {
         self.tracer.record(
             EventKind::Store {
                 addr,
@@ -269,11 +280,13 @@ impl PmemRuntime {
             },
             site,
         );
+        Traced(())
     }
 
     /// Records a publish store (e.g. a log entry's emptyBit) whose
     /// durability is still governed by a later flush + fence. The `deps`
-    /// byte ranges must already be durable when the store is issued.
+    /// byte ranges must already be durable when the store is issued. The
+    /// returned [`Traced`] is what the flush that persists it takes.
     #[inline]
     pub fn trace_publish(
         &self,
@@ -282,7 +295,7 @@ impl PmemRuntime {
         deps: &[(u64, u64)],
         tag: PublishTag,
         site: &'static str,
-    ) {
+    ) -> Traced {
         if self.tracer.enabled() {
             self.tracer.record(
                 EventKind::Publish {
@@ -295,6 +308,7 @@ impl PmemRuntime {
                 site,
             );
         }
+        Traced(())
     }
 
     /// Records that recovery (for the most recent captured cut) reads

@@ -228,6 +228,15 @@ impl PmemStatsSnapshot {
 mod tests {
     use super::*;
 
+    /// Layout pin: adjacent counter stripes are at least a cache line
+    /// apart, so threads counting on different stripes do not false-share.
+    #[test]
+    fn stripes_never_share_a_cache_line() {
+        let s = PmemStats::new();
+        let gap = s.stripes[1..].as_ptr() as usize - s.stripes.as_ptr() as usize;
+        assert!(gap >= 64, "adjacent stripes are {gap} bytes apart");
+    }
+
     #[test]
     fn counters_accumulate_and_snapshot() {
         let s = PmemStats::new();

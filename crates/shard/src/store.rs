@@ -678,8 +678,7 @@ mod tests {
         let (token, mut image) = store.simulate_crash();
         drop(store);
         // Shard 3 recovers on a scoped thread, not on the caller.
-        let stable = image.shards[3].stable_index();
-        image.shards[3].replicas[stable] = Err(prep_pmem::TornImage);
+        image.shards[3].stable = Err(prep_pmem::TornImage);
         let _ = ShardedStore::recover(token, image, asg, config, record_key);
     }
 

@@ -315,6 +315,16 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Layout pin: adjacent reader slots (the shared overflow slot too)
+    /// are at least a cache line apart, so a reader's store to its own
+    /// slot never invalidates another reader's line.
+    #[test]
+    fn reader_slots_never_share_a_cache_line() {
+        let lock = DistRwLock::new(0u64, 2);
+        let gap = lock.readers[1..].as_ptr() as usize - lock.readers.as_ptr() as usize;
+        assert!(gap >= 64, "adjacent reader slots are {gap} bytes apart");
+    }
+
     #[test]
     fn readers_share_writer_excludes() {
         let lock = DistRwLock::new(7u64, 2);

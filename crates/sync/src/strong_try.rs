@@ -284,6 +284,15 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// Layout pin: adjacent read-indicator stripes are at least a cache
+    /// line apart, so readers on different stripes do not false-share.
+    #[test]
+    fn stripes_never_share_a_cache_line() {
+        let lock = StrongTryRwLock::with_reader_slots((), 2);
+        let gap = lock.stripes[1..].as_ptr() as usize - lock.stripes.as_ptr() as usize;
+        assert!(gap >= 64, "adjacent stripes are {gap} bytes apart");
+    }
+
     #[test]
     fn try_write_fails_against_reader_and_writer() {
         let lock = StrongTryRwLock::new(());

@@ -12,8 +12,14 @@
 //! the ACTIVE image) hits torn state under crash injection, while (b) the
 //! stable image is never torn — the invariant PREP-UC's recovery relies on.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "test code is outside the API bans"
+)]
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use prep_seqds::recorder::{Recorder, RecorderOp};
 use prep_topology::Topology;
@@ -31,8 +37,9 @@ fn one_persistent_replica_design_would_recover_torn_state() {
     // Hammer updates with a small ε so persist cycles are frequent, and
     // crash repeatedly. The ACTIVE image — the only image a one-replica
     // design would have — must be caught torn at least once.
+    const EPS: u64 = 8;
     let asg = Topology::new(2, 2, 1).assign_workers(2);
-    let prep = Arc::new(PrepUc::new(Recorder::new(), asg, cfg(8)));
+    let prep = Arc::new(PrepUc::new(Recorder::new(), asg, cfg(EPS)));
     let stop = Arc::new(AtomicBool::new(false));
     let handles: Vec<_> = (0..2)
         .map(|w| {
@@ -49,16 +56,26 @@ fn one_persistent_replica_design_would_recover_torn_state() {
         })
         .collect();
 
+    // Crash until the loop has both made 300 crashes and spanned ten flush
+    // boundaries of progress. A count alone can finish before the workers
+    // start or before the first checkpoint lands (a crash cut is cheap),
+    // and then no crash can have caught the active image mid-update.
     let mut saw_torn_active = false;
     let mut stable_always_ok = true;
-    for _ in 0..300 {
+    let mut crashes = 0u64;
+    let started = Instant::now();
+    while crashes < 300 || prep.completed_tail() < 10 * EPS {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "no progress: completedTail {} after {crashes} crashes in 60 s",
+            prep.completed_tail()
+        );
+        crashes += 1;
         let (_tok, image) = prep.simulate_crash();
-        let active = image.active as usize;
-        let stable = image.stable_index();
-        if image.replicas[active].is_err() {
+        if image.active_torn {
             saw_torn_active = true;
         }
-        if image.replicas[stable].is_err() {
+        if image.stable.is_err() {
             stable_always_ok = false;
         }
         if saw_torn_active && !stable_always_ok {
