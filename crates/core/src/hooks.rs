@@ -88,9 +88,10 @@ pub(crate) struct HookState<O: Clone> {
     /// Where the idle persistence thread parks. Five events wake it, each
     /// after a `SeqCst` publish of the word its ready check reads: a
     /// combiner's `completedTail` advance that reaches `wake_at`, a
-    /// `nudge_checkpoint` request that found the task busy, a reservation
-    /// refused at the gate, a straggler helper lowering the boundary, and
-    /// `Drop`'s stop.
+    /// `nudge_checkpoint` request or a reservation refused at the gate that
+    /// found the task busy (when it is free, that thread runs the cycle
+    /// itself, see [`HookState::cycle_or_wake`]), a straggler helper
+    /// lowering the boundary, and `Drop`'s stop.
     pub(crate) persist_wake: WakeSlot,
     /// The `completedTail` at which a combiner wakes the parked
     /// persistence thread for background apply: halfway from the active
@@ -104,6 +105,11 @@ pub(crate) struct HookState<O: Clone> {
     /// Called after every published checkpoint, by the thread that wrote
     /// it (`PrepUc::set_checkpoint_listener`).
     pub(crate) checkpoint_listener: OnceLock<Box<dyn Fn() + Send + Sync>>,
+    /// Runs one persistence cycle on the calling thread if the task is
+    /// free, and says whether it did. `PrepUc` installs it at construction,
+    /// over a `Weak` of its `PersistenceTask` (which holds this state, so a
+    /// strong reference would be a cycle).
+    pub(crate) try_cycle: OnceLock<Box<dyn Fn() -> bool + Send + Sync>>,
     /// Shutdown flag for the persistence thread and the reserve gate.
     pub(crate) stop: AtomicBool,
     /// NVM image of `d_completedTail` (durable mode).
@@ -142,11 +148,27 @@ impl<O: Clone> HookState<O> {
             wake_at: CachePadded::new(AtomicU64::new(u64::MAX)),
             quiesce_wake: WakeSlot::new(),
             checkpoint_listener: OnceLock::new(),
+            try_cycle: OnceLock::new(),
             stop: AtomicBool::new(false),
             ct_cell: PersistentCell::new(0),
             p_active_cell: PersistentCell::new(0),
             log_image: LogImage::new(),
         })
+    }
+
+    /// Runs the persistence cycle on the calling thread if nobody else is
+    /// running it; otherwise wakes the persistence thread, which then finds
+    /// the cycle due (the caller has published why with a `SeqCst` store
+    /// or RMW, as [`WakeSlot`] requires). Returns whether the cycle ran
+    /// here. The thread that wants a checkpoint (a nudger, or a combiner
+    /// refused at the gate) does it itself rather than wait to be
+    /// scheduled after the persistence thread.
+    pub(crate) fn cycle_or_wake(&self) -> bool {
+        let ran = self.try_cycle.get().is_some_and(|cycle| cycle());
+        if !ran {
+            self.persist_wake.wake();
+        }
+        ran
     }
 
     /// PREP-Durable's half of `ensure_completed_tail_durable`: make a
@@ -246,21 +268,27 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // On shutdown the persistence thread no longer advances the
         // boundary; admit rather than hang (loss bounds are only claimed
         // for non-shut-down instances).
-        // ord: Acquire pairs with the persistence thread's boundary
+        let st = &self.state;
+        // ord: Acquire pairs with the checkpointing thread's boundary
         // Release — admitting tail t implies we saw the replica/image state
         // that justified boundary > t.
-        let admitted = tail < self.state.flush_boundary.load(Ordering::Acquire)
+        if tail < st.flush_boundary.load(Ordering::Acquire)
             // ord: Acquire pairs with shutdown's stop Release: once seen,
             // the final persist pass has already been ordered before it.
-            || self.state.stop.load(Ordering::Acquire);
-        if !admitted {
-            // The gate is closed, and the persistence thread may be what
-            // reopens it (its backstop trigger). The tail we were refused
-            // at was published by a SeqCst reservation CAS, so this wake
-            // keeps the WakeSlot contract.
-            self.state.persist_wake.wake();
+            || st.stop.load(Ordering::Acquire)
+        {
+            return true;
         }
-        admitted
+        // The gate is closed, and a persistence cycle is what reopens it
+        // (its backstop trigger checkpoints while the gate is closed). Run
+        // it here if the task is free, the way a combiner helps a
+        // straggling replica (Algorithm 3), and answer from the boundary
+        // it left; if the task is busy, wake the persistence thread. The
+        // tail we were refused at was published by a SeqCst reservation
+        // CAS, so that wake keeps the WakeSlot contract.
+        // ord: Acquire, as above; the cycle's boundary store, on this
+        // thread or another holder's, is a Release.
+        st.cycle_or_wake() && tail < st.flush_boundary.load(Ordering::Acquire)
     }
 
     fn persist_batch_payload(&self, range: Range<u64>) {

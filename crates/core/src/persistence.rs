@@ -11,12 +11,17 @@
 //!
 //! The task sits behind one [`TryLock`], and there is one cycle function,
 //! [`PersistenceTask::cycle`], run by whichever thread holds it: the
-//! dedicated persistence thread, or a thread in
+//! dedicated persistence thread, a thread in
 //! [`crate::PrepUc::nudge_checkpoint`] that wants a checkpoint *now* (a
-//! `prep-serve` conn thread holding a durable ack) and finds the task free.
-//! That thread writes the checkpoint itself and returns with the watermark
-//! covering its op, so the ack costs no hand-off; if the task is busy it
-//! leaves a standing request and wakes the persistence thread instead.
+//! `prep-serve` conn thread holding a durable ack), or a combiner whose
+//! reservation the gate refused at the flush boundary (Algorithm 4) — each
+//! of the last two only if it finds the task free. A nudger writes the
+//! checkpoint itself and returns with the watermark covering its op, so
+//! the ack costs no hand-off; a refused combiner's cycle checkpoints
+//! through the closed-gate backstop below and raises the boundary, so the
+//! combiner reserves at once instead of waiting for the persistence thread
+//! to be scheduled. Either one, finding the task busy, wakes the
+//! persistence thread instead (a nudger leaves a standing request first).
 //!
 //! With crash simulation on, the checkpoint's NVM image is updated one way
 //! whatever the write-back: the ops applied since the replica's last
@@ -33,12 +38,12 @@
 //! `HookState::persist_wake` for at most [`IDLE_PARK`] at a time. A
 //! combiner wakes it only once `completedTail` reaches the threshold, so
 //! background apply runs in batches; every event that makes a checkpoint
-//! due wakes it at once — a `nudge_checkpoint` request that found the task
-//! busy, a reservation refused at the gate, a straggler helper lowering
-//! the boundary, `Drop`'s stop. A park that times out with no cycle due
-//! parks again, without taking the task or re-running the ladder. The
-//! loss bound does not rest on any of these wake-ups: the gate enforces
-//! it.
+//! due wakes it at once — a `nudge_checkpoint` request or a reservation
+//! refused at the gate that found the task busy, a straggler helper
+//! lowering the boundary, `Drop`'s stop. A park that times out with no
+//! cycle due parks again, without taking the task or re-running the
+//! ladder. The loss bound does not rest on any of these wake-ups: the gate
+//! enforces it.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -89,7 +94,8 @@ pub(crate) struct PReplica<T: SequentialObject> {
 }
 
 /// Everything a persistence cycle needs. It lives behind a [`TryLock`]
-/// shared by the persistence thread and `PrepUc::nudge_checkpoint`.
+/// shared by the persistence thread, `PrepUc::nudge_checkpoint` and the
+/// reservation gate (`HookState::cycle_or_wake`).
 pub(crate) struct PersistenceTask<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,

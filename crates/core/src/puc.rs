@@ -32,8 +32,10 @@ pub struct PrepUc<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,
     images: Arc<[ReplicaImage<T>; 2]>,
-    /// The persistence cycle's state, shared by the persistence thread and
-    /// [`PrepUc::nudge_checkpoint`]: whoever holds it runs the cycle.
+    /// The persistence cycle's state, shared by the persistence thread,
+    /// [`PrepUc::nudge_checkpoint`] and the reservation gate (through
+    /// `HookState::try_cycle`, which holds it weakly): whoever holds it runs
+    /// the cycle.
     task: Arc<TryLock<PersistenceTask<T>>>,
     config: PrepConfig,
     beta: u64,
@@ -52,6 +54,23 @@ impl<T: SequentialObject> PrepUc<T> {
     /// Panics if the configuration violates `ε ≤ LOG_SIZE − β − 1` (§5.1)
     /// or the log is too small for the assignment.
     pub fn new(obj: T, assignment: ThreadAssignment, config: PrepConfig) -> Self {
+        let mut prep = Self::without_persistence_thread(obj, assignment, config);
+        prep.persistence = Some(spawn_persistence_thread(
+            Arc::clone(&prep.task),
+            Arc::clone(&prep.state),
+            Arc::clone(&prep.nr),
+            prep.config.epsilon,
+        ));
+        prep
+    }
+
+    /// [`PrepUc::new`] without the persistence thread: only a nudger or a
+    /// combiner refused at the gate runs the persistence cycle.
+    fn without_persistence_thread(
+        obj: T,
+        assignment: ThreadAssignment,
+        config: PrepConfig,
+    ) -> Self {
         let beta = assignment.beta() as u64;
         config.validate(beta);
 
@@ -96,12 +115,18 @@ impl<T: SequentialObject> PrepUc<T> {
             config.epsilon,
             config.flush_strategy,
         )));
-        let persistence = spawn_persistence_thread(
-            Arc::clone(&task),
-            Arc::clone(&state),
-            Arc::clone(&nr),
-            config.epsilon,
-        );
+        let weak = Arc::downgrade(&task);
+        let fresh = state.try_cycle.set(Box::new(move || {
+            let Some(task) = weak.upgrade() else {
+                return false;
+            };
+            let Some(mut held) = task.try_lock() else {
+                return false;
+            };
+            held.cycle();
+            true
+        }));
+        assert!(fresh.is_ok(), "a fresh hook state has no cycle yet");
         PrepUc {
             nr,
             state,
@@ -109,7 +134,7 @@ impl<T: SequentialObject> PrepUc<T> {
             task,
             config,
             beta,
-            persistence: Some(persistence),
+            persistence: None,
         }
     }
 
@@ -261,11 +286,7 @@ impl<T: SequentialObject> PrepUc<T> {
             // SeqCst because it is the publish half of the WakeSlot pair the
             // wake below completes.
             .fetch_max(ct, Ordering::SeqCst);
-        if let Some(mut task) = self.task.try_lock() {
-            task.cycle();
-        } else {
-            self.state.persist_wake.wake();
-        }
+        self.state.cycle_or_wake();
     }
 
     /// Installs `listener`, which is called right after the `SeqCst`
@@ -275,8 +296,9 @@ impl<T: SequentialObject> PrepUc<T> {
     /// re-reads the watermark; the listener loads the announcement (the
     /// store→load pair of [`prep_sync::WakeSlot`]). The listener runs
     /// mid-checkpoint on the thread that wrote the checkpoint — the
-    /// persistence thread, or a caller of [`PrepUc::nudge_checkpoint`] —
-    /// so it must not block.
+    /// persistence thread, a caller of [`PrepUc::nudge_checkpoint`], or a
+    /// worker whose update the gate refused at the flush boundary — so it
+    /// must not block.
     ///
     /// # Panics
     /// Panics if a listener is already installed.
@@ -470,21 +492,16 @@ mod tests {
     /// With nobody else running the persistence cycle, `nudge_checkpoint`
     /// writes the checkpoint on the calling thread: it returns with the
     /// watermark covering every completed op, and the listener has run on
-    /// that thread. The persistence thread is stopped first, so nothing
-    /// but the nudge can checkpoint (ε = 64 is not reached by 10 ops).
+    /// that thread. There is no persistence thread, so nothing but the
+    /// nudge can checkpoint (ε = 64 is not reached by 10 ops).
     #[test]
     fn nudge_checkpoint_covers_completed_ops_before_it_returns() {
         let asg = Topology::small().assign_workers(1);
-        let mut prep = PrepUc::new(
+        let prep = PrepUc::without_persistence_thread(
             HashMap::new(),
             asg,
             cfg(DurabilityLevel::Buffered).with_epsilon(64),
         );
-        // ord: SeqCst, as `Drop`'s stop.
-        prep.state.stop.store(true, Ordering::SeqCst);
-        prep.state.persist_wake.wake();
-        let persistence = prep.persistence.take().expect("spawned");
-        persistence.join().expect("the persistence thread stops");
         let (tx, rx) = std::sync::mpsc::channel();
         prep.set_checkpoint_listener(move || {
             let _ = tx.send(std::thread::current().id());
@@ -512,6 +529,64 @@ mod tests {
         );
         let t = recovered.register(0);
         assert_eq!(recovered.execute(&t, MapOp::Len), MapResp::Len(10));
+    }
+
+    /// A combiner refused at the flush boundary runs the persistence cycle
+    /// itself. With no persistence thread, that is the only way the gate
+    /// reopens: a single worker's 10·ε updates complete only if each
+    /// refusal checkpoints on the worker. A watchdog fails the test rather
+    /// than letting a closed gate hang it.
+    #[test]
+    fn a_refused_reservation_checkpoints_on_the_combiner() {
+        const EPS: u64 = 4;
+        const UPDATES: u64 = 10 * EPS;
+        let asg = Topology::small().assign_workers(1);
+        let config = || {
+            PrepConfig::new(DurabilityLevel::Buffered)
+                .with_log_size(16)
+                .with_epsilon(EPS)
+                .with_runtime(PmemRuntime::for_crash_tests())
+        };
+        let prep = Arc::new(PrepUc::without_persistence_thread(
+            Recorder::new(),
+            asg.clone(),
+            config(),
+        ));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = {
+            let prep = Arc::clone(&prep);
+            std::thread::spawn(move || {
+                let t = prep.register(0);
+                for i in 0..UPDATES {
+                    prep.execute(&t, RecorderOp::Record(i));
+                }
+                let _ = tx.send(());
+            })
+        };
+        if rx.recv_timeout(std::time::Duration::from_secs(10)).is_err() {
+            panic!(
+                "the worker is stuck at the closed gate after {} of {UPDATES} updates \
+                 (flush boundary {}, watermark {})",
+                prep.completed_tail(),
+                prep.flush_boundary(),
+                prep.durable_watermark()
+            );
+        }
+        worker.join().expect("the worker finishes");
+        assert!(
+            prep.durable_watermark() >= 9 * EPS,
+            "watermark {} passed fewer than 9 boundaries of ε = {EPS}",
+            prep.durable_watermark()
+        );
+        assert!(prep.runtime().stats().snapshot_count() >= 9);
+        let (token, image) = prep.simulate_crash();
+        let recovered = PrepUc::recover(token, image, asg, config());
+        let hist = recovered.with_replica(0, |r| r.history().to_vec());
+        let completed: Vec<u64> = (0..UPDATES).collect();
+        let kept = prep_seqds::recorder::assert_prefix(&hist, &completed);
+        let lost = UPDATES - kept as u64;
+        let bound = EPS + prep.beta() - 1;
+        assert!(lost <= bound, "lost {lost} > bound {bound}");
     }
 
     #[test]

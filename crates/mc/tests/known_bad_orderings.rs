@@ -524,6 +524,9 @@ fn batched_wake_relaxed_threshold_is_caught() {
 // `has_work`'s closed-gate clause — the gate is closed and a cycle would
 // persist-and-swap — makes the backstop checkpoint due
 // (crates/core/src/persistence.rs's `has_work`, `reserve_admitted`'s wake).
+// A refused reserver that finds the persistence task free runs the cycle
+// itself (`HookState::cycle_or_wake`); this models the other branch, the
+// task busy when it was refused, where the wake is all it does.
 // ---------------------------------------------------------------------------
 
 const GATE_EPSILON: u64 = 4;

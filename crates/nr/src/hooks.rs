@@ -24,7 +24,11 @@ pub trait NrHooks<O>: Send + Sync + 'static {
     /// Deliberately **non-blocking**: the caller is a combiner holding its
     /// replica's combiner lock, and while it waits it must stay responsive
     /// to `updateReplicaNow` helping requests (a blocked-combiner gate was
-    /// observed to deadlock log-space reclamation — see DESIGN.md).
+    /// observed to deadlock log-space reclamation — see DESIGN.md). A
+    /// refusing implementation may do bounded work that reopens the gate
+    /// (PREP runs its persistence cycle here if nobody else is), but it
+    /// must not wait, and must take no blocking lock: the caller holds its
+    /// combiner lock, and in `StarvationFree` mode the reservation gate.
     fn reserve_admitted(&self, _tail: u64) -> bool {
         true
     }

@@ -342,9 +342,12 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         let mut w = Waiter::new();
         let tail = loop {
             let tail = self.log.log_tail();
-            // Gate: PREP refuses admission while the persistence thread has
-            // not yet persisted up to the flush boundary. While waiting we
-            // hold our replica's combiner lock, so we must keep servicing
+            // Gate: PREP refuses admission while no checkpoint has yet
+            // raised the flush boundary past `tail`; a refusal has already
+            // run the persistence cycle on this thread if it was free, so
+            // it stands only while the checkpoint cannot yet be written or
+            // another thread is writing it. While waiting we hold our
+            // replica's combiner lock, so we must keep servicing
             // updateReplicaNow requests — a logMin updater may need *our*
             // replica to advance before the boundary can move.
             if !self.hooks.reserve_admitted(tail) {

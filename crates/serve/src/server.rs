@@ -1059,8 +1059,15 @@ mod tests {
         }
 
         fn send(&mut self, req: &Request) {
+            self.send_all(std::slice::from_ref(req));
+        }
+
+        /// Sends `reqs` in one write, so the server reads them together.
+        fn send_all(&mut self, reqs: &[Request]) {
             let mut out = Vec::new();
-            encode_request(req, &mut out);
+            for req in reqs {
+                encode_request(req, &mut out);
+            }
             self.stream.write_all(&out).expect("send");
         }
 
@@ -1360,7 +1367,10 @@ mod tests {
     fn full_queue_sheds_with_retry() {
         // The queue is a conn thread's held durable acks. A checkpoint's
         // fence takes 2 s, so the first durable PUT is still held when the
-        // second arrives, and a cap of one sheds the second unapplied.
+        // second arrives, and a cap of one sheds the second unapplied. Both
+        // frames go out in one write: were PUT 2 read after PUT 1's service
+        // round, the conn thread would have checkpointed PUT 1 itself
+        // first, and nothing would be held when PUT 2 came.
         let cfg = ServeConfig {
             shards: 1,
             executors_per_shard: 1,
@@ -1374,15 +1384,13 @@ mod tests {
         };
         let server = Server::start(cfg.clone(), "127.0.0.1:0").unwrap();
         let mut c = TestClient::connect(server.local_addr());
-        for id in [1, 2] {
-            let ack = AckLevel::Durable;
-            c.send(&Request::Put {
-                id,
-                ack,
-                key: id,
-                value: id,
-            });
-        }
+        let put = |id| Request::Put {
+            id,
+            ack: AckLevel::Durable,
+            key: id,
+            value: id,
+        };
+        c.send_all(&[put(1), put(2)]);
         assert_eq!(c.recv(), Response::Retry { id: 2 });
         assert_eq!(c.recv(), Response::Done { id: 1 });
         let report = server.shutdown();

@@ -63,18 +63,27 @@ fn one_persistent_replica_design_would_recover_torn_state() {
     let mut saw_torn_active = false;
     let mut stable_always_ok = true;
     let mut crashes = 0u64;
+    // The stable tail the latest crash would have recovered (None: torn).
+    let mut recovered_tail = None;
     let started = Instant::now();
+    let state = |crashes: u64, recovered_tail: Option<u64>| {
+        format!(
+            "{crashes} crashes, completedTail {}, ε {EPS}, last recovered tail {recovered_tail:?}",
+            prep.completed_tail()
+        )
+    };
     while crashes < 300 || prep.completed_tail() < 10 * EPS {
         assert!(
             started.elapsed() < Duration::from_secs(60),
-            "no progress: completedTail {} after {crashes} crashes in 60 s",
-            prep.completed_tail()
+            "no progress in 60 s: {}",
+            state(crashes, recovered_tail)
         );
         crashes += 1;
         let (_tok, image) = prep.simulate_crash();
         if image.active_torn {
             saw_torn_active = true;
         }
+        recovered_tail = image.stable.as_ref().ok().map(|s| s.local_tail);
         if image.stable.is_err() {
             stable_always_ok = false;
         }
@@ -91,12 +100,14 @@ fn one_persistent_replica_design_would_recover_torn_state() {
     assert!(
         saw_torn_active,
         "expected at least one crash to catch the active replica mid-update \
-         (the hazard motivating the two-replica design)"
+         (the hazard motivating the two-replica design); {}",
+        state(crashes, recovered_tail)
     );
     assert!(
         stable_always_ok,
         "the STABLE replica image must never be torn — PREP-UC's recovery \
-         invariant"
+         invariant; {}",
+        state(crashes, recovered_tail)
     );
 }
 
