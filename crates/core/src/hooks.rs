@@ -1,10 +1,18 @@
 //! PREP's implementation of the NR persistence hook points.
 //!
-//! [`HookState`] is the shared persistence state: the flush boundary, the
-//! persistent replicas' localTails (mirrored as atomics for the logMin
-//! scan), the active-replica selector, and the NVM images of the UC-managed
-//! persistent variables (log entries, `completedTail`, `p_activePReplica`).
-//! It is shared between the worker-side hooks and the persistence thread.
+//! [`HookState`] is the shared persistence state: the published checkpoint's
+//! tail (the flush boundary is that plus ε), the persistent replicas'
+//! localTails (mirrored as atomics for the logMin scan), the active-replica
+//! selector, and the NVM images of the UC-managed persistent variables (log
+//! entries, `completedTail`, `p_activePReplica`). It is shared between the
+//! worker-side hooks and whichever thread runs the persistence cycle.
+//!
+//! One function forces an early checkpoint,
+//! [`HookState::request_checkpoint`], and it has three callers: a combiner
+//! refused at the gate (a checkpoint raises the boundary), the logMin scan
+//! when its straggler is a persistent replica (Algorithm 3's help), and
+//! `PrepUc::nudge_checkpoint` (the §2.2 sync point). Each posts a standing
+//! request and runs the cycle itself if it is free.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -65,8 +73,9 @@ pub(crate) struct HookState<O: Clone> {
     /// Seeded ordering bug for sanitizer-validation tests (always `None`
     /// outside those tests).
     pub(crate) psan_fault: Option<PsanFault>,
-    /// Monotone-except-for-helping flush boundary (Algorithm 2/4).
-    pub(crate) flush_boundary: CachePadded<AtomicU64>,
+    /// ε: how far past the published checkpoint the gate admits
+    /// reservations.
+    pub(crate) epsilon: u64,
     /// Volatile mirror of the persistent replicas' localTails, read by the
     /// logMin scan.
     pub(crate) p_tails: [CachePadded<AtomicU64>; 2],
@@ -79,19 +88,21 @@ pub(crate) struct HookState<O: Clone> {
     /// `p_tails` — which track *applied* state and can run ahead of any
     /// checkpoint on the active replica — this only advances after the
     /// swap, so it is a crash-survivability watermark in both modes.
+    /// The flush boundary (Algorithm 2/4) is `durable_tail + ε`
+    /// ([`HookState::flush_boundary`]), so `flushBoundary ≤ stableTail + ε`,
+    /// the invariant the ε + β − 1 loss bound rests on, holds by
+    /// definition.
     pub(crate) durable_tail: CachePadded<AtomicU64>,
     /// Largest `completedTail` somebody has asked to have checkpointed now
-    /// rather than at the flush boundary (`PrepUc::nudge_checkpoint`). The
-    /// request stands until `durable_tail` reaches it, so a nudge that
+    /// rather than at the flush boundary ([`HookState::request_checkpoint`]).
+    /// The request stands until `durable_tail` reaches it, so one that
     /// lands while a checkpoint is in flight is served by the next one.
     pub(crate) sync_request: CachePadded<AtomicU64>,
-    /// Where the idle persistence thread parks. Five events wake it, each
+    /// Where the idle persistence thread parks. Three events wake it, each
     /// after a `SeqCst` publish of the word its ready check reads: a
     /// combiner's `completedTail` advance that reaches `wake_at`, a
-    /// `nudge_checkpoint` request or a reservation refused at the gate that
-    /// found the task busy (when it is free, that thread runs the cycle
-    /// itself, see [`HookState::cycle_or_wake`]), a straggler helper
-    /// lowering the boundary, and `Drop`'s stop.
+    /// checkpoint request that found the task busy (when it is free, the
+    /// requesting thread runs the cycle itself), and `Drop`'s stop.
     pub(crate) persist_wake: WakeSlot,
     /// The `completedTail` at which a combiner wakes the parked
     /// persistence thread for background apply: halfway from the active
@@ -135,7 +146,7 @@ impl<O: Clone> HookState<O> {
             fence_per_entry,
             psan,
             psan_fault,
-            flush_boundary: CachePadded::new(AtomicU64::new(epsilon)),
+            epsilon,
             p_tails: [
                 CachePadded::new(AtomicU64::new(0)),
                 CachePadded::new(AtomicU64::new(0)),
@@ -156,19 +167,36 @@ impl<O: Clone> HookState<O> {
         })
     }
 
-    /// Runs the persistence cycle on the calling thread if nobody else is
-    /// running it; otherwise wakes the persistence thread, which then finds
-    /// the cycle due (the caller has published why with a `SeqCst` store
-    /// or RMW, as [`WakeSlot`] requires). Returns whether the cycle ran
-    /// here. The thread that wants a checkpoint (a nudger, or a combiner
-    /// refused at the gate) does it itself rather than wait to be
-    /// scheduled after the persistence thread.
-    pub(crate) fn cycle_or_wake(&self) -> bool {
-        let ran = self.try_cycle.get().is_some_and(|cycle| cycle());
-        if !ran {
+    /// The flush boundary: ε past the published checkpoint. The gate
+    /// admits reservations that start below it.
+    pub(crate) fn flush_boundary(&self) -> u64 {
+        // ord: Acquire pairs with the cycle's SeqCst watermark publish,
+        // which follows the selector's CLFLUSH: admitting tail t implies the
+        // checkpoint that justified boundary > t is durable.
+        self.durable_tail.load(Ordering::Acquire) + self.epsilon
+    }
+
+    /// Asks for every entry below `ct` to be checkpointed now, and runs the
+    /// persistence cycle on the calling thread if nobody else is running
+    /// it; otherwise wakes the persistence thread, which finds the request
+    /// standing. The thread that wants a checkpoint (a nudger, a combiner
+    /// refused at the gate, a logMin scan stuck on a persistent replica)
+    /// writes it itself rather than wait to be scheduled after the
+    /// persistence thread. Checkpointing before the boundary is reached
+    /// only tightens the loss bound. The cycle also applies the active
+    /// replica up to `completedTail`, which is the help a logMin scan
+    /// needs when the active replica is its straggler.
+    pub(crate) fn request_checkpoint(&self, ct: u64) {
+        self.sync_request
+            // ord: SeqCst — Release so the cycle's Acquire load of the
+            // request sees the completions that motivated it; Acquire
+            // orders racing requests (fetch_max keeps only the furthest);
+            // SeqCst because it is the publish half of the WakeSlot pair the
+            // wake below completes.
+            .fetch_max(ct, Ordering::SeqCst);
+        if !self.try_cycle.get().is_some_and(|cycle| cycle()) {
             self.persist_wake.wake();
         }
-        ran
     }
 
     /// PREP-Durable's half of `ensure_completed_tail_durable`: make a
@@ -263,32 +291,22 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // boundary. Strictly (`tail >= boundary`, not `>`), which is what
         // makes the ε + β − 1 loss bound tight: reservation starts stay
         // ≤ boundary − 1, so at most (boundary − 1) + β entries ever exist
-        // beyond the last persisted localTail (≥ boundary − ε).
+        // beyond the published checkpoint (= boundary − ε).
         //
         // On shutdown the persistence thread no longer advances the
         // boundary; admit rather than hang (loss bounds are only claimed
         // for non-shut-down instances).
-        let st = &self.state;
-        // ord: Acquire pairs with the checkpointing thread's boundary
-        // Release — admitting tail t implies we saw the replica/image state
-        // that justified boundary > t.
-        if tail < st.flush_boundary.load(Ordering::Acquire)
+        tail < self.state.flush_boundary()
             // ord: Acquire pairs with shutdown's stop Release: once seen,
             // the final persist pass has already been ordered before it.
-            || st.stop.load(Ordering::Acquire)
-        {
-            return true;
-        }
-        // The gate is closed, and a persistence cycle is what reopens it
-        // (its backstop trigger checkpoints while the gate is closed). Run
-        // it here if the task is free, the way a combiner helps a
-        // straggling replica (Algorithm 3), and answer from the boundary
-        // it left; if the task is busy, wake the persistence thread. The
-        // tail we were refused at was published by a SeqCst reservation
-        // CAS, so that wake keeps the WakeSlot contract.
-        // ord: Acquire, as above; the cycle's boundary store, on this
-        // thread or another holder's, is a Release.
-        st.cycle_or_wake() && tail < st.flush_boundary.load(Ordering::Acquire)
+            || self.state.stop.load(Ordering::Acquire)
+    }
+
+    fn checkpoint_now(&self, completed_tail: u64) {
+        // Not `durable_watermark()`: in durable mode the persisted
+        // `completedTail` covers everything, and a request skipped on its
+        // strength would never raise the boundary.
+        self.state.request_checkpoint(completed_tail);
     }
 
     fn persist_batch_payload(&self, range: Range<u64>) {
@@ -377,8 +395,8 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // The combiner's completedTail CAS (SeqCst) came first. Wake a
         // parked persistence thread only once a batch of entries has
         // gathered for it to apply: a checkpoint that is due wakes it
-        // through its own source (the gate, a nudge, a helper), so this
-        // wake is never what the loss bound or an ack waits for.
+        // through its own source (a checkpoint request), so this wake is
+        // never what the loss bound or an ack waits for.
         // ord: SeqCst — the load of the store→load pair with the parking
         // thread's `wake_at` store and its re-read of completedTail.
         if ct >= self.state.wake_at.load(Ordering::SeqCst) {
@@ -386,46 +404,12 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         }
     }
 
-    fn persistent_tails(&self) -> Vec<u64> {
-        vec![
-            // ord: Acquire pairs with the persistence thread's tail Release
-            // stores; a tail t implies the replica image covers [0, t).
-            self.state.p_tails[0].load(Ordering::Acquire),
-            // ord: see above.
-            self.state.p_tails[1].load(Ordering::Acquire),
-        ]
-    }
-
-    fn help_persistent_straggler(&self, idx: usize, low_mark: u64) {
-        // Algorithm 3: only the *stable* replica can be a stuck straggler
-        // (the active one is being driven forward by the persistence
-        // thread). Lower the flush boundary to force an early
-        // persist-and-swap so the stable replica becomes active.
-        //
-        // Deadlock subtlety the paper's pseudocode glosses over: the
-        // persist trigger is `flushBoundary <= activeReplica.localTail`,
-        // and the active tail cannot pass completedTail — which is *frozen*
-        // here (reserves are gated at the boundary and the blocked
-        // combiners hold unfinished log entries). Lowering only to
-        // `lowMark − 1` can therefore still leave the boundary unreachable.
-        // We lower to the active replica's current tail as well, which the
-        // persistence thread can always reach; persisting earlier than ε
-        // only tightens the loss bound.
-        // ord: Acquire pairs with the persistence thread's swap Release so
-        // the tail we read below belongs to the replica we think is active.
-        let active = self.state.p_active.load(Ordering::Acquire) as usize;
-        // ord: Acquire — only lower a boundary we have actually observed.
-        if active != idx && self.state.flush_boundary.load(Ordering::Acquire) >= low_mark {
-            // ord: Acquire pairs with the tail's Release store.
-            let active_tail = self.state.p_tails[active].load(Ordering::Acquire);
-            let target = low_mark.saturating_sub(1).min(active_tail).max(1);
-            // ord: SeqCst — Release so the persistence thread's Acquire of
-            // the new boundary also sees why it was lowered, SeqCst because
-            // it is the publish half of the WakeSlot pair: the parked
-            // thread's re-check loads the boundary after announcing itself.
-            self.state.flush_boundary.store(target, Ordering::SeqCst);
-            self.state.persist_wake.wake();
-        }
+    fn min_persistent_tail(&self) -> u64 {
+        // ord: Acquire pairs with the cycle's tail Release stores; a tail t
+        // implies the replica covers [0, t).
+        let first = self.state.p_tails[0].load(Ordering::Acquire);
+        // ord: see above.
+        first.min(self.state.p_tails[1].load(Ordering::Acquire))
     }
 }
 
@@ -460,8 +444,10 @@ mod tests {
         assert!(h.reserve_admitted(15));
         assert!(!h.reserve_admitted(16), "tail at the boundary must wait");
         assert!(!h.reserve_admitted(17));
-        h.state.flush_boundary.store(32, Ordering::Release);
-        assert!(h.reserve_admitted(16));
+        // A checkpoint published at 16 raises the boundary to 16 + ε.
+        h.state.durable_tail.store(16, Ordering::Release);
+        assert!(h.reserve_admitted(31));
+        assert!(!h.reserve_admitted(32));
     }
 
     #[test]
@@ -536,35 +522,10 @@ mod tests {
     }
 
     #[test]
-    fn straggler_help_lowers_boundary_only_for_stable_replica() {
+    fn min_persistent_tail_is_the_lower_mirror() {
         let h = mk(DurabilityLevel::Buffered);
-        h.state.flush_boundary.store(100, Ordering::Release);
-        // The active replica (0) has applied up to 80.
-        h.state.p_tails[0].store(80, Ordering::Release);
-        // active = 0 → helping replica 0 (the active one) is a no-op.
-        h.help_persistent_straggler(0, 50);
-        assert_eq!(h.state.flush_boundary.load(Ordering::Relaxed), 100);
-        // Helping replica 1 (stable) lowers the boundary to
-        // min(lowMark − 1, active tail): here lowMark − 1 = 49 binds.
-        h.help_persistent_straggler(1, 50);
-        assert_eq!(h.state.flush_boundary.load(Ordering::Relaxed), 49);
-        // Already below lowMark → no further lowering.
-        h.help_persistent_straggler(1, 60);
-        assert_eq!(h.state.flush_boundary.load(Ordering::Relaxed), 49);
-        // When the active replica's tail is below lowMark − 1, the tail
-        // binds instead — the persistence thread must be able to reach the
-        // boundary (deadlock backstop).
-        h.state.flush_boundary.store(100, Ordering::Release);
-        h.state.p_tails[0].store(20, Ordering::Release);
-        h.help_persistent_straggler(1, 50);
-        assert_eq!(h.state.flush_boundary.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn persistent_tails_mirror_atomics() {
-        let h = mk(DurabilityLevel::Buffered);
-        h.state.p_tails[0].store(3, Ordering::Release);
-        h.state.p_tails[1].store(9, Ordering::Release);
-        assert_eq!(h.persistent_tails(), vec![3, 9]);
+        h.state.p_tails[0].store(9, Ordering::Release);
+        h.state.p_tails[1].store(3, Ordering::Release);
+        assert_eq!(h.min_persistent_tail(), 3);
     }
 }

@@ -5,23 +5,23 @@
 //! cycle replays newly completed log entries onto the **active** replica
 //! (through the thread-local allocator swap, so the sequential object's
 //! allocations land in the persistent arena, §5.1). When the flush boundary
-//! is reached it writes the active replica back (WBINVD, or one CLFLUSHOPT
-//! per dirty line) + SFENCE, advances the boundary by ε, and swaps the
-//! active/stable roles by persisting `p_activePReplica`.
+//! is reached, or a checkpoint request stands, it writes the active replica
+//! back (WBINVD, or one CLFLUSHOPT per dirty line) + SFENCE, swaps the
+//! active/stable roles by persisting `p_activePReplica`, and publishes the
+//! checkpoint's tail, which also raises the flush boundary to that tail
+//! + ε.
 //!
 //! The task sits behind one [`TryLock`], and there is one cycle function,
 //! [`PersistenceTask::cycle`], run by whichever thread holds it: the
-//! dedicated persistence thread, a thread in
-//! [`crate::PrepUc::nudge_checkpoint`] that wants a checkpoint *now* (a
-//! `prep-serve` conn thread holding a durable ack), or a combiner whose
-//! reservation the gate refused at the flush boundary (Algorithm 4) — each
-//! of the last two only if it finds the task free. A nudger writes the
-//! checkpoint itself and returns with the watermark covering its op, so
-//! the ack costs no hand-off; a refused combiner's cycle checkpoints
-//! through the closed-gate backstop below and raises the boundary, so the
-//! combiner reserves at once instead of waiting for the persistence thread
-//! to be scheduled. Either one, finding the task busy, wakes the
-//! persistence thread instead (a nudger leaves a standing request first).
+//! dedicated persistence thread, or a thread that asked for a checkpoint
+//! through `HookState::request_checkpoint` and found the task free — a
+//! nudger that wants its durable ack now, a combiner whose reservation the
+//! gate refused at the flush boundary (Algorithm 4), or a logMin scan whose
+//! straggler is a persistent replica (Algorithm 3). That thread writes the
+//! checkpoint itself and returns with the watermark covering its request,
+//! so none of them waits for the persistence thread to be scheduled. One
+//! that finds the task busy leaves its request standing and wakes the
+//! persistence thread instead.
 //!
 //! With crash simulation on, the checkpoint's NVM image is updated one way
 //! whatever the write-back: the ops applied since the replica's last
@@ -31,17 +31,15 @@
 //!
 //! When a cycle finds nothing to do the persistence thread spins, then
 //! yields, through a [`Waiter`], looking for work without holding the
-//! task (so a nudge finds it free). Once that ladder is spent it stores
-//! its wake threshold `HookState::wake_at` — halfway from the active
-//! replica's applied tail to the flush boundary (ε/2 right after a
+//! task (so a checkpoint request finds it free). Once that ladder is spent
+//! it stores its wake threshold `HookState::wake_at` — halfway from the
+//! active replica's applied tail to the flush boundary (ε/2 right after a
 //! checkpoint), at most `MAX_WAKE_BATCH` entries on — and parks on
 //! `HookState::persist_wake` for at most [`IDLE_PARK`] at a time. A
 //! combiner wakes it only once `completedTail` reaches the threshold, so
-//! background apply runs in batches; every event that makes a checkpoint
-//! due wakes it at once — a `nudge_checkpoint` request or a reservation
-//! refused at the gate that found the task busy, a straggler helper
-//! lowering the boundary, `Drop`'s stop. A park that times out with no
-//! cycle due parks again, without taking the task or re-running the
+//! background apply runs in batches; a checkpoint request that found the
+//! task busy and `Drop`'s stop wake it at once. A park that times out with
+//! no cycle due parks again, without taking the task or re-running the
 //! ladder. The loss bound does not rest on any of these wake-ups: the gate
 //! enforces it.
 
@@ -94,14 +92,12 @@ pub(crate) struct PReplica<T: SequentialObject> {
 }
 
 /// Everything a persistence cycle needs. It lives behind a [`TryLock`]
-/// shared by the persistence thread, `PrepUc::nudge_checkpoint` and the
-/// reservation gate (`HookState::cycle_or_wake`).
+/// shared by the persistence thread and `HookState::request_checkpoint`.
 pub(crate) struct PersistenceTask<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,
     images: Arc<[ReplicaImage<T>; 2]>,
     replicas: [PReplica<T>; 2],
-    epsilon: u64,
     flush_strategy: FlushStrategy,
 }
 
@@ -111,7 +107,6 @@ impl<T: SequentialObject> PersistenceTask<T> {
         state: Arc<HookState<T::Op>>,
         images: Arc<[ReplicaImage<T>; 2]>,
         replicas: [PReplica<T>; 2],
-        epsilon: u64,
         flush_strategy: FlushStrategy,
     ) -> Self {
         let mut task = PersistenceTask {
@@ -119,7 +114,6 @@ impl<T: SequentialObject> PersistenceTask<T> {
             state,
             images,
             replicas,
-            epsilon,
             flush_strategy,
         };
         // Precise dirty tracking is enabled only on the persistence
@@ -144,29 +138,28 @@ impl<T: SequentialObject> PersistenceTask<T> {
         // the task lock orders the holders.
         let active = self.state.p_active.load(Ordering::Relaxed) as usize;
         let local_tail = self.replicas[active].local_tail;
-        // ord: Acquire, as the cycle's boundary load.
-        let boundary = self.state.flush_boundary.load(Ordering::Acquire);
+        let boundary = self.state.flush_boundary();
         let step = (boundary.saturating_sub(local_tail) / 2).clamp(1, MAX_WAKE_BATCH);
         (local_tail, local_tail + step)
     }
 
     /// One cycle of Algorithm 2: apply the active replica up to
-    /// `completedTail`, and checkpoint it if the boundary, the closed gate
-    /// or a standing `sync_request` asks for it. Returns whether the cycle
-    /// did anything. A request at or below the `completedTail` read here
-    /// is covered by the time the cycle returns.
+    /// `completedTail`, and checkpoint it if it has reached the flush
+    /// boundary or a standing `sync_request` asks for it. Returns whether
+    /// the cycle did anything. A request at or below the `completedTail`
+    /// read here is covered by the time the cycle returns.
     pub(crate) fn cycle(&mut self) -> bool {
         let rt = Arc::clone(&self.state.rt);
         let op_bytes = std::mem::size_of::<T::Op>() as u64;
         let buffer_delta = rt.crash_sim_enabled();
         let dirty_lines = self.flush_strategy == FlushStrategy::DirtyLines;
-        // ord: Relaxed — see `active_tail`.
+        // ord: Relaxed — see `wake_threshold`.
         let active = self.state.p_active.load(Ordering::Relaxed) as usize;
         // The standing request is read before `completedTail`: `want` is a
-        // `completedTail` its nudger read before the `fetch_max` this load
-        // synchronizes with, so the tail read next is at least `want`, and
-        // this cycle meets the request whoever runs it.
-        // ord: Acquire pairs with nudge_checkpoint's SeqCst fetch_max.
+        // `completedTail` its requester read before the `fetch_max` this
+        // load synchronizes with, so the tail read next is at least `want`,
+        // and this cycle meets the request whoever runs it.
+        // ord: Acquire pairs with request_checkpoint's SeqCst fetch_max.
         let want = self.state.sync_request.load(Ordering::Acquire);
         let tail = self.nr.completed_tail();
         let rep = &mut self.replicas[active];
@@ -192,44 +185,25 @@ impl<T: SequentialObject> PersistenceTask<T> {
             });
             rep.local_tail = tail;
             // ord: Release publishes the replica state just applied to
-            // persistent_tails()'s Acquire readers.
+            // the logMin scan's (min_persistent_tail) Acquire readers.
             self.state.p_tails[active].store(tail, Ordering::Release);
             progressed = true;
         }
 
-        // Flush trigger (Algorithm 2): checked even when no new entries
-        // arrived this cycle — a helping combiner may have *lowered* the
-        // boundary below our already-applied tail, and the gate then
-        // depends on us persisting and swapping.
-        //
-        // Second trigger (deadlock backstop): if the reservation gate is
-        // closed (boundary ≤ logTail) and we have applied everything
-        // completed so far, completedTail may be unable to reach the
-        // boundary at all (blocked combiners hold unfinished entries).
-        // Persist-and-swap now: each swap raises the boundary by ≥ ε,
-        // so the gate provably reopens, and persisting early only
-        // tightens the ε + β − 1 loss bound.
-        // ord: Acquire pairs with help_persistent_straggler's Release —
-        // a lowered boundary arrives with the state that motivated it.
-        let boundary = self.state.flush_boundary.load(Ordering::Acquire);
-        let gate_closed = boundary <= self.nr.log().log_tail();
-        // The backstop only fires when the resulting boundary
-        // (persistedTail + ε) would actually rise — otherwise a cycle
-        // with an in-flight operation would re-persist the same state
-        // every loop iteration.
-        let backstop =
-            gate_closed && rep.local_tail == tail && rep.local_tail + self.epsilon > boundary;
-        // Third trigger (the §2.2 sync point): somebody asked for the
-        // prefix below `want` to be made crash-survivable now
-        // (`nudge_checkpoint`), and the published checkpoint does not
-        // cover it yet. This replica has applied it (see `want` above).
-        // Persisting early only tightens the loss bound, as above.
+        // Flush trigger (Algorithm 2): the boundary is ε past the
+        // published checkpoint.
+        let boundary = self.state.flush_boundary();
+        // Second trigger (the §2.2 sync point, and the help for a closed
+        // gate or a persistent logMin straggler): somebody asked for the
+        // prefix below `want` to be made crash-survivable now, and the
+        // published checkpoint does not cover it yet. This replica has
+        // applied it (see `want` above). Persisting early only tightens
+        // the loss bound.
         debug_assert!(want <= rep.local_tail, "the request was read first");
         // ord: Relaxed — only the task's holder writes the watermark, and
         // the task lock orders the holders.
-        let published = self.state.durable_tail.load(Ordering::Relaxed);
-        let requested = published < want;
-        if boundary <= rep.local_tail || backstop || requested {
+        let requested = self.state.durable_tail.load(Ordering::Relaxed) < want;
+        if boundary <= rep.local_tail || requested {
             // Write the active replica back to NVM, making it durable
             // and consistent: WBINVD (paper default), or — the
             // incremental path — one CLFLUSHOPT per distinct line
@@ -302,11 +276,11 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 rep.ds.clear_dirty();
             }
             // Swap active/stable; persist the selector (CLFLUSH, §5.1)
-            // BEFORE raising the boundary: the boundary admits new
-            // completions against the *new* stable checkpoint, so the
-            // selector naming that checkpoint must be durable first (a
-            // crash in between would otherwise recover the old stable
-            // replica against a window sized for the new one).
+            // BEFORE the watermark publish raises the boundary: the
+            // boundary admits new completions against the *new* stable
+            // checkpoint, so the selector naming that checkpoint must be
+            // durable first (a crash in between would otherwise recover the
+            // old stable replica against a window sized for the new one).
             let new_active = 1 - active as u64;
             // ord: Release publishes the checkpoint written above before
             // the selector that names it becomes visible.
@@ -325,37 +299,28 @@ impl<T: SequentialObject> PersistenceTask<T> {
             self.state.p_active_cell.record(&rt, new_active);
             // The checkpoint just published covers [0, local_tail): any
             // crash from here on recovers at least this prefix. This is
-            // the watermark durable-ack release points wait on.
+            // the watermark durable-ack release points wait on, and the
+            // flush boundary becomes exactly ε past it: completed entries
+            // (≤ boundary − 1 + β) never outrun the stable checkpoint by
+            // more than ε + β − 1. (The paper's `flushBoundary += ε` is
+            // equivalent on its trigger, where localTail ≥ boundary; an
+            // early checkpoint, at a request, lands below the boundary,
+            // where `+= ε` would widen the window beyond ε.)
             self.state
                 .durable_tail
                 // ord: SeqCst — publishes the checkpoint behind the
-                // watermark to durable_watermark()'s readers, and is the
-                // store of the waiters' store→load pair: a waiter that
-                // announced itself before this lands is seen by the
-                // quiescer's slot or the listener below, one that
-                // announces after sees the new watermark in its
-                // re-check. (Only the task's holder writes it; fetch_max
-                // is how it stays monotone.)
+                // watermark to durable_watermark()'s readers and to the
+                // gate's Acquire, and is the store of the waiters'
+                // store→load pair: a waiter that announced itself before
+                // this lands is seen by the quiescer's slot or the listener
+                // below, one that announces after sees the new watermark in
+                // its re-check. (Only the task's holder writes it;
+                // fetch_max is how it stays monotone.)
                 .fetch_max(rep.local_tail, Ordering::SeqCst);
             self.state.quiesce_wake.wake();
             if let Some(listener) = self.state.checkpoint_listener.get() {
                 listener();
             }
-            // Advance the boundary to exactly ε past what was just
-            // persisted. This is the invariant the ε + β − 1 loss bound
-            // rests on: `flushBoundary ≤ stableTail + ε` at all times,
-            // so completed entries (≤ boundary − 1 + β) never outrun the
-            // stable checkpoint by more than ε + β − 1. (The paper's
-            // `flushBoundary += ε` is equivalent on its trigger, where
-            // localTail ≥ boundary always; our early-persist backstop
-            // can fire below the boundary, where `+= ε` would widen the
-            // window beyond ε.)
-            let new_boundary = rep.local_tail + self.epsilon;
-            self.state
-                .flush_boundary
-                // ord: Release — reserve_admitted's Acquire must see the
-                // durable checkpoint this boundary is sized against.
-                .store(new_boundary, Ordering::Release);
             // Entries below both persistent tails can never be needed by
             // recovery again; let the durable log image reclaim them.
             if self.state.durability == DurabilityLevel::Durable {
@@ -370,12 +335,11 @@ impl<T: SequentialObject> PersistenceTask<T> {
 }
 
 /// The persistence thread's body: run cycles until `state.stop`, parking
-/// when there is nothing to do. `epsilon` is the task's ε.
+/// when there is nothing to do.
 fn run<T: SequentialObject>(
     task: &TryLock<PersistenceTask<T>>,
     state: &HookState<T::Op>,
     nr: &NrInner<T>,
-    epsilon: u64,
 ) {
     let mut w = Waiter::new();
     loop {
@@ -384,7 +348,7 @@ fn run<T: SequentialObject>(
         if state.stop.load(Ordering::Acquire) {
             return;
         }
-        // A nudging thread holds the task for one cycle: wait it out.
+        // A requesting thread holds the task for one cycle: wait it out.
         let Some(mut t) = task.try_lock() else {
             w.wait();
             continue;
@@ -397,9 +361,9 @@ fn run<T: SequentialObject>(
         drop(t);
         if !w.is_sleeping() {
             // The ladder: look for any entry to apply, or a checkpoint
-            // due, without holding the task, so that a nudge meanwhile
-            // finds it free and runs its own cycle.
-            while !w.is_sleeping() && !has_work(state, nr, epsilon, local_tail, local_tail + 1) {
+            // request, without holding the task, so that a request
+            // meanwhile finds it free and runs its own cycle.
+            while !w.is_sleeping() && !has_work(state, nr, local_tail + 1) {
                 w.wait();
             }
         } else {
@@ -410,7 +374,7 @@ fn run<T: SequentialObject>(
             state.wake_at.store(wake_at, Ordering::SeqCst);
             // A park that times out with no cycle due parks again: below
             // `wake_at` the active replica is left behind on purpose.
-            let due = || has_work(state, nr, epsilon, local_tail, wake_at);
+            let due = || has_work(state, nr, wake_at);
             while !due() {
                 state.persist_wake.wait_until_or(due, IDLE_PARK);
             }
@@ -418,37 +382,22 @@ fn run<T: SequentialObject>(
     }
 }
 
-/// The park's ready check: would a cycle be due, given that the active
-/// replica has applied up to `local_tail`? Background apply is due once
-/// `completedTail` reaches `wake_at`; a checkpoint is due at once when
-/// the boundary is reached, when the gate is closed and a cycle would
-/// apply or persist-and-swap (the backstop), or when a `sync_request`
-/// stands; and `stop` ends the thread. Every word it reads is published
-/// with a `SeqCst` store or RMW before its writer calls
-/// `persist_wake.wake()`, and is read here with a `SeqCst` load, as
-/// [`prep_sync::WakeSlot`] requires.
-fn has_work<T: SequentialObject>(
-    st: &HookState<T::Op>,
-    nr: &NrInner<T>,
-    epsilon: u64,
-    local_tail: u64,
-    wake_at: u64,
-) -> bool {
+/// The park's ready check: would a cycle be due? Background apply is due
+/// once `completedTail` reaches `wake_at`; a checkpoint is due at once when
+/// a `sync_request` stands; and `stop` ends the thread. (The flush boundary
+/// needs no clause: the boundary only rises, and a cycle that found the
+/// active replica short of it parks with `wake_at` at or below it.) Every
+/// word it reads is published with a `SeqCst` store or RMW before its
+/// writer calls `persist_wake.wake()`, and is read here with a `SeqCst`
+/// load, as [`prep_sync::WakeSlot`] requires.
+fn has_work<T: SequentialObject>(st: &HookState<T::Op>, nr: &NrInner<T>, wake_at: u64) -> bool {
     use std::sync::atomic::Ordering::SeqCst;
 
-    let log = nr.log();
-    // ord: SeqCst — the re-check's load against a straggler helper's
-    // lowering store (WakeSlot's store→load pair).
-    let boundary = st.flush_boundary.load(SeqCst);
-    let completed = log.completed_tail_seqcst();
     // ord: SeqCst — against Drop's stop store.
     st.stop.load(SeqCst)
-        || completed >= wake_at
-        || boundary <= local_tail
-        || (boundary <= log.log_tail_seqcst()
-            && (completed > local_tail || local_tail + epsilon > boundary))
-        // ord: SeqCst — against nudge_checkpoint's fetch_max, and against
-        // the watermark publish of a nudger's cycle.
+        || nr.log().completed_tail_seqcst() >= wake_at
+        // ord: SeqCst — against request_checkpoint's fetch_max, and
+        // against the watermark publish of a requester's cycle.
         || st.sync_request.load(SeqCst) > st.durable_tail.load(SeqCst)
 }
 
@@ -458,11 +407,10 @@ pub(crate) fn spawn_persistence_thread<T: SequentialObject>(
     task: Arc<TryLock<PersistenceTask<T>>>,
     state: Arc<HookState<T::Op>>,
     nr: Arc<NrInner<T>>,
-    epsilon: u64,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("prep-persistence".into())
-        .spawn(move || run(&task, &state, &nr, epsilon))
+        .spawn(move || run(&task, &state, &nr))
         .expect("failed to spawn persistence thread")
 }
 

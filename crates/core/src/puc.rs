@@ -32,10 +32,9 @@ pub struct PrepUc<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,
     images: Arc<[ReplicaImage<T>; 2]>,
-    /// The persistence cycle's state, shared by the persistence thread,
-    /// [`PrepUc::nudge_checkpoint`] and the reservation gate (through
-    /// `HookState::try_cycle`, which holds it weakly): whoever holds it runs
-    /// the cycle.
+    /// The persistence cycle's state, shared by the persistence thread and
+    /// every checkpoint request (through `HookState::try_cycle`, which holds
+    /// it weakly): whoever holds it runs the cycle.
     task: Arc<TryLock<PersistenceTask<T>>>,
     config: PrepConfig,
     beta: u64,
@@ -59,13 +58,13 @@ impl<T: SequentialObject> PrepUc<T> {
             Arc::clone(&prep.task),
             Arc::clone(&prep.state),
             Arc::clone(&prep.nr),
-            prep.config.epsilon,
         ));
         prep
     }
 
-    /// [`PrepUc::new`] without the persistence thread: only a nudger or a
-    /// combiner refused at the gate runs the persistence cycle.
+    /// [`PrepUc::new`] without the persistence thread: only a checkpoint
+    /// request (a nudger, a combiner refused at the gate, a logMin scan
+    /// stuck on a persistent replica) runs the persistence cycle.
     fn without_persistence_thread(
         obj: T,
         assignment: ThreadAssignment,
@@ -112,7 +111,6 @@ impl<T: SequentialObject> PrepUc<T> {
             Arc::clone(&state),
             Arc::clone(&images),
             p_replicas,
-            config.epsilon,
             config.flush_strategy,
         )));
         let weak = Arc::downgrade(&task);
@@ -219,11 +217,10 @@ impl<T: SequentialObject> PrepUc<T> {
         self.state.p_active.load(Ordering::Acquire)
     }
 
-    /// Current flush boundary (diagnostic).
+    /// Current flush boundary, ε past the published checkpoint
+    /// (diagnostic).
     pub fn flush_boundary(&self) -> u64 {
-        // ord: Acquire pairs with the boundary's Release stores; diagnostic
-        // readers see a boundary consistent with the checkpoint behind it.
-        self.state.flush_boundary.load(Ordering::Acquire)
+        self.state.flush_boundary()
     }
 
     /// Largest log index `w` such that every completed operation at index
@@ -267,26 +264,17 @@ impl<T: SequentialObject> PrepUc<T> {
     /// woken. If the cycle is busy (the persistence thread, or another
     /// caller, is running it), it wakes the persistence thread and returns
     /// at once: the request is met by the running cycle or the next.
-    /// Checkpointing earlier than ε is safe for the reason
-    /// `help_persistent_straggler` is: it only tightens the loss bound.
-    /// No-op when the watermark already covers `completedTail`. Durable-ack
-    /// release points call this once per service round on each shard they
-    /// hold acks for, so a lightly loaded server does not hold durable
-    /// responses for a full ε window.
+    /// Checkpointing earlier than ε is safe: it only tightens the loss
+    /// bound. No-op when the watermark already covers `completedTail`.
+    /// Durable-ack release points call this once per service round on each
+    /// shard they hold acks for, so a lightly loaded server does not hold
+    /// durable responses for a full ε window.
     pub fn nudge_checkpoint(&self) {
         let ct = self.completed_tail();
         if self.durable_watermark() >= ct {
             return;
         }
-        self.state
-            .sync_request
-            // ord: SeqCst — Release so the cycle's Acquire load of the
-            // request sees the completions that motivated it; Acquire
-            // orders racing requests (fetch_max keeps only the furthest);
-            // SeqCst because it is the publish half of the WakeSlot pair the
-            // wake below completes.
-            .fetch_max(ct, Ordering::SeqCst);
-        self.state.cycle_or_wake();
+        self.state.request_checkpoint(ct);
     }
 
     /// Installs `listener`, which is called right after the `SeqCst`
@@ -297,8 +285,8 @@ impl<T: SequentialObject> PrepUc<T> {
     /// store→load pair of [`prep_sync::WakeSlot`]). The listener runs
     /// mid-checkpoint on the thread that wrote the checkpoint — the
     /// persistence thread, a caller of [`PrepUc::nudge_checkpoint`], or a
-    /// worker whose update the gate refused at the flush boundary — so it
-    /// must not block.
+    /// worker whose update the gate refused at the flush boundary or whose
+    /// logMin scan found a persistent straggler — so it must not block.
     ///
     /// # Panics
     /// Panics if a listener is already installed.
@@ -531,33 +519,27 @@ mod tests {
         assert_eq!(recovered.execute(&t, MapOp::Len), MapResp::Len(10));
     }
 
-    /// A combiner refused at the flush boundary runs the persistence cycle
-    /// itself. With no persistence thread, that is the only way the gate
-    /// reopens: a single worker's 10·ε updates complete only if each
-    /// refusal checkpoints on the worker. A watchdog fails the test rather
-    /// than letting a closed gate hang it.
-    #[test]
-    fn a_refused_reservation_checkpoints_on_the_combiner() {
-        const EPS: u64 = 4;
-        const UPDATES: u64 = 10 * EPS;
+    /// Runs `updates` updates from one worker on a store with no
+    /// persistence thread, so only the worker's own checkpoint requests
+    /// reopen the gate and advance `logMin`. A watchdog fails the test,
+    /// naming where the worker stopped, rather than letting a stall hang
+    /// it.
+    fn one_worker_without_persistence_thread(
+        config: PrepConfig,
+        updates: u64,
+    ) -> Arc<PrepUc<Recorder>> {
         let asg = Topology::small().assign_workers(1);
-        let config = || {
-            PrepConfig::new(DurabilityLevel::Buffered)
-                .with_log_size(16)
-                .with_epsilon(EPS)
-                .with_runtime(PmemRuntime::for_crash_tests())
-        };
         let prep = Arc::new(PrepUc::without_persistence_thread(
             Recorder::new(),
-            asg.clone(),
-            config(),
+            asg,
+            config,
         ));
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = {
             let prep = Arc::clone(&prep);
             std::thread::spawn(move || {
                 let t = prep.register(0);
-                for i in 0..UPDATES {
+                for i in 0..updates {
                     prep.execute(&t, RecorderOp::Record(i));
                 }
                 let _ = tx.send(());
@@ -565,28 +547,73 @@ mod tests {
         };
         if rx.recv_timeout(std::time::Duration::from_secs(10)).is_err() {
             panic!(
-                "the worker is stuck at the closed gate after {} of {UPDATES} updates \
-                 (flush boundary {}, watermark {})",
+                "the worker stalled after {} of {updates} updates (log {}, ε {}, flush \
+                 boundary {}, watermark {}, persistent tails {:?}, logMin {})",
                 prep.completed_tail(),
+                prep.config().log_size,
+                prep.config().epsilon,
                 prep.flush_boundary(),
-                prep.durable_watermark()
+                prep.durable_watermark(),
+                prep.persistent_tails(),
+                prep.inner().log().log_min()
             );
         }
         worker.join().expect("the worker finishes");
-        assert!(
-            prep.durable_watermark() >= 9 * EPS,
-            "watermark {} passed fewer than 9 boundaries of ε = {EPS}",
-            prep.durable_watermark()
-        );
-        assert!(prep.runtime().stats().snapshot_count() >= 9);
-        let (token, image) = prep.simulate_crash();
-        let recovered = PrepUc::recover(token, image, asg, config());
-        let hist = recovered.with_replica(0, |r| r.history().to_vec());
-        let completed: Vec<u64> = (0..UPDATES).collect();
-        let kept = prep_seqds::recorder::assert_prefix(&hist, &completed);
-        let lost = UPDATES - kept as u64;
-        let bound = EPS + prep.beta() - 1;
-        assert!(lost <= bound, "lost {lost} > bound {bound}");
+        prep
+    }
+
+    /// A combiner refused at the flush boundary asks for a checkpoint, and
+    /// runs the cycle itself. With no persistence thread, that is the only
+    /// way the gate reopens: a single worker's 10·ε updates complete only
+    /// if each refusal checkpoints on the worker. In durable mode the
+    /// watermark covers every op without a checkpoint, and the request
+    /// must still be made.
+    #[test]
+    fn a_refused_reservation_checkpoints_on_the_combiner() {
+        const EPS: u64 = 4;
+        const UPDATES: u64 = 10 * EPS;
+        for level in [DurabilityLevel::Buffered, DurabilityLevel::Durable] {
+            let config = || {
+                PrepConfig::new(level)
+                    .with_log_size(16)
+                    .with_epsilon(EPS)
+                    .with_runtime(PmemRuntime::for_crash_tests())
+            };
+            let prep = one_worker_without_persistence_thread(config(), UPDATES);
+            let published = prep.hook_state().durable_tail.load(Ordering::Acquire);
+            assert!(
+                published >= 9 * EPS,
+                "{level:?}: checkpoint {published} passed fewer than 9 boundaries of ε = {EPS}"
+            );
+            assert!(prep.runtime().stats().snapshot_count() >= 9);
+            let (token, image) = prep.simulate_crash();
+            let recovered =
+                PrepUc::recover(token, image, Topology::small().assign_workers(1), config());
+            let hist = recovered.with_replica(0, |r| r.history().to_vec());
+            let completed: Vec<u64> = (0..UPDATES).collect();
+            let kept = prep_seqds::recorder::assert_prefix(&hist, &completed);
+            let lost = UPDATES - kept as u64;
+            let bound = prep.loss_bound();
+            assert!(lost <= bound, "{level:?}: lost {lost} > bound {bound}");
+        }
+    }
+
+    /// A logMin scan whose straggler is a persistent replica asks for a
+    /// checkpoint, which runs on the scanning worker when the cycle is
+    /// free: it applies the active persistent replica, and swaps the stable
+    /// one into the active role. With no persistence thread nothing else
+    /// moves them, so the log wraps only if that help runs. Each (log, ε)
+    /// puts the first checkpoint at the end of the log's first lap.
+    #[test]
+    fn a_persistent_log_min_straggler_is_helped_on_the_combiner() {
+        for (log_size, eps) in [(16, 14), (16, 12), (32, 30), (64, 60)] {
+            let config = PrepConfig::new(DurabilityLevel::Buffered)
+                .with_log_size(log_size)
+                .with_epsilon(eps)
+                .with_runtime(PmemRuntime::for_crash_tests());
+            let prep = one_worker_without_persistence_thread(config, 10 * eps);
+            assert_eq!(prep.completed_tail(), 10 * eps);
+        }
     }
 
     #[test]

@@ -514,135 +514,3 @@ fn batched_wake_relaxed_threshold_is_caught() {
         "expected a parked persistence thread: {f:?}"
     );
 }
-
-// ---------------------------------------------------------------------------
-// Miniature gate backstop: the persistence thread has applied everything
-// completed (tail 1) and parks with threshold 1 + 2; a reserver takes the
-// entries up to the flush boundary (4, = ε) and is then refused at the
-// gate, wakes the thread once and waits for the boundary to rise. The
-// entries it took never complete (a combiner blocked with them), so only
-// `has_work`'s closed-gate clause — the gate is closed and a cycle would
-// persist-and-swap — makes the backstop checkpoint due
-// (crates/core/src/persistence.rs's `has_work`, `reserve_admitted`'s wake).
-// A refused reserver that finds the persistence task free runs the cycle
-// itself (`HookState::cycle_or_wake`); this models the other branch, the
-// task busy when it was refused, where the wake is all it does.
-// ---------------------------------------------------------------------------
-
-const GATE_EPSILON: u64 = 4;
-
-struct MiniGate {
-    idle: AtomicU64,
-    completed: AtomicU64,
-    log_tail: AtomicU64,
-    boundary: AtomicU64,
-    stop: AtomicU64,
-}
-
-impl MiniGate {
-    /// Reserves one entry at the current tail, waiting at the gate.
-    fn reserve(&self) {
-        let mut woke = false;
-        loop {
-            let tail = self.log_tail.load(SeqCst);
-            if tail < self.boundary.load(Acquire) {
-                if self
-                    .log_tail
-                    .compare_exchange(tail, tail + 1, SeqCst, Relaxed)
-                    .is_ok()
-                {
-                    return;
-                }
-            } else if !woke && self.idle.load(SeqCst) != 0 {
-                woke = self.idle.swap(0, SeqCst) != 0;
-            }
-            thread::yield_now();
-        }
-    }
-
-    /// The persistence thread, applied up to `completedTail` = 1.
-    fn run(&self, gate_clause: bool) {
-        let local = 1;
-        loop {
-            if self.stop.load(Acquire) != 0 {
-                return;
-            }
-            // The cycle's backstop: everything completed is applied, the
-            // gate is closed, and a checkpoint would raise the boundary.
-            let boundary = self.boundary.load(Acquire);
-            if boundary <= self.log_tail.load(Acquire)
-                && local == self.completed.load(Acquire)
-                && local + GATE_EPSILON > boundary
-            {
-                self.boundary.store(local + GATE_EPSILON, SeqCst);
-                continue;
-            }
-            let wake_at = local + GATE_EPSILON / 2;
-            let due = || {
-                let boundary = self.boundary.load(SeqCst);
-                let completed = self.completed.load(SeqCst);
-                self.stop.load(SeqCst) != 0
-                    || completed >= wake_at
-                    || boundary <= local
-                    || (gate_clause
-                        && boundary <= self.log_tail.load(SeqCst)
-                        && (completed > local || local + GATE_EPSILON > boundary))
-            };
-            while !due() {
-                self.idle.store(1, SeqCst);
-                if due() {
-                    self.idle.store(0, Relaxed);
-                    break;
-                }
-                while self.idle.load(SeqCst) != 0 {
-                    thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-fn gate_backstop_scenario(gate_clause: bool) {
-    let g = Arc::new(MiniGate {
-        idle: AtomicU64::new(0),
-        completed: AtomicU64::new(1),
-        log_tail: AtomicU64::new(1),
-        boundary: AtomicU64::new(GATE_EPSILON),
-        stop: AtomicU64::new(0),
-    });
-    let g2 = Arc::clone(&g);
-    let persistence = thread::spawn(move || g2.run(gate_clause));
-    // Entries 1..4 up to the boundary, then one the gate refuses until the
-    // backstop checkpoint raises it.
-    for _ in 1..=GATE_EPSILON {
-        g.reserve();
-    }
-    g.stop.store(1, SeqCst);
-    if g.idle.load(SeqCst) != 0 {
-        g.idle.swap(0, SeqCst);
-    }
-    persistence.join().unwrap();
-}
-
-/// Baseline: the closed-gate clause makes the refused reserver's wake end
-/// the park, and the backstop reopens the gate.
-#[test]
-fn gate_backstop_clean_protocol_passes() {
-    expect_clean("gate-backstop-clean", || gate_backstop_scenario(true));
-}
-
-/// Mutant 12 (`persistence::has_work`): the closed-gate clause deleted.
-/// `completedTail` stays below the threshold and the boundary above the
-/// applied tail, so the woken thread finds no cycle due and parks again;
-/// the refused reserver waits on a boundary nobody raises.
-#[test]
-fn gate_backstop_without_the_gate_clause_is_caught() {
-    let f = expect_caught("gate-backstop-no-gate-clause", || {
-        gate_backstop_scenario(false)
-    });
-    assert_eq!(
-        f.kind,
-        FailureKind::Livelock,
-        "expected a reserver stuck at the gate: {f:?}"
-    );
-}

@@ -21,14 +21,12 @@ pub trait NrHooks<O>: Send + Sync + 'static {
     /// the active persistent replica has been persisted, which is what
     /// bounds post-crash loss to `ε + β − 1`.
     ///
-    /// Deliberately **non-blocking**: the caller is a combiner holding its
-    /// replica's combiner lock, and while it waits it must stay responsive
-    /// to `updateReplicaNow` helping requests (a blocked-combiner gate was
-    /// observed to deadlock log-space reclamation — see DESIGN.md). A
-    /// refusing implementation may do bounded work that reopens the gate
-    /// (PREP runs its persistence cycle here if nobody else is), but it
-    /// must not wait, and must take no blocking lock: the caller holds its
-    /// combiner lock, and in `StarvationFree` mode the reservation gate.
+    /// A pure check. On a refusal the caller asks for the checkpoint that
+    /// reopens the gate ([`NrHooks::checkpoint_now`]) and checks again; it
+    /// does not block here: it is a combiner holding its replica's
+    /// combiner lock, and while it waits it must stay responsive to
+    /// `updateReplicaNow` helping requests (a blocked-combiner gate was
+    /// observed to deadlock log-space reclamation — see DESIGN.md).
     fn reserve_admitted(&self, _tail: u64) -> bool {
         true
     }
@@ -63,19 +61,25 @@ pub trait NrHooks<O>: Send + Sync + 'static {
     /// tail is durable.
     fn ensure_completed_tail_durable(&self, _ct: u64) {}
 
-    /// localTails of the persistence-only replicas, consulted by the logMin
-    /// scan (§5.1: worker threads "need to know about the localTails of the
-    /// two persistent replicas in order to correctly reuse log entries").
-    /// Empty for volatile NR.
-    fn persistent_tails(&self) -> Vec<u64> {
-        Vec::new()
+    /// The lower of the persistence-only replicas' localTails, consulted
+    /// by the logMin scan (§5.1: worker threads "need to know about the
+    /// localTails of the two persistent replicas in order to correctly
+    /// reuse log entries"). `u64::MAX` for volatile NR, which has none.
+    fn min_persistent_tail(&self) -> u64 {
+        u64::MAX
     }
 
-    /// The logMin straggler is persistence-only replica `idx` (an index
-    /// into [`NrHooks::persistent_tails`]). PREP lowers the flushBoundary
-    /// to `low_mark - 1` if `idx` is the *stable* replica, forcing an early
-    /// persist-and-swap so it catches up (Algorithm 3).
-    fn help_persistent_straggler(&self, _idx: usize, _low_mark: u64) {}
+    /// Asks for every entry below `completed_tail` to be applied to the
+    /// persistent replicas and checkpointed now, and runs the persistence
+    /// cycle on the calling thread if nobody else is running it. Called by
+    /// a combiner refused at the gate (a checkpoint raises the flush
+    /// boundary) and by the logMin scan when its straggler is a
+    /// persistent replica (the cycle applies the active one, and a
+    /// checkpoint swaps the stable one into the active role, Algorithm 3).
+    /// Bounded: it must not wait, and must take no blocking lock — the
+    /// caller holds its combiner lock, and in `StarvationFree` mode may
+    /// hold the reservation gate.
+    fn checkpoint_now(&self, _completed_tail: u64) {}
 }
 
 /// The volatile instantiation: every hook is a no-op. `NodeReplicated`
@@ -96,7 +100,7 @@ mod tests {
         NrHooks::<u64>::persist_batch_payload(&h, 0..3);
         NrHooks::<u64>::persist_batch_published(&h, 0..3, &|i| i + 1);
         NrHooks::<u64>::ensure_completed_tail_durable(&h, 3);
-        assert!(NrHooks::<u64>::persistent_tails(&h).is_empty());
-        NrHooks::<u64>::help_persistent_straggler(&h, 0, 10);
+        assert_eq!(NrHooks::<u64>::min_persistent_tail(&h), u64::MAX);
+        NrHooks::<u64>::checkpoint_now(&h, 10);
     }
 }

@@ -210,20 +210,11 @@ impl<O: Clone> Log<O> {
         self.completed_tail.load(Ordering::Acquire)
     }
 
-    /// Current `logTail`, read with the `SeqCst` load a
-    /// [`prep_sync::WakeSlot`] ready check needs: the reservation CAS is
-    /// the `SeqCst` publish of that protocol, so a thread that announced
-    /// itself idle before this load cannot miss a reservation whose
-    /// reserver then found nobody idle.
-    #[inline]
-    pub fn log_tail_seqcst(&self) -> u64 {
-        // ord: SeqCst — the ready check's load against try_reserve's
-        // SeqCst CAS (WakeSlot's store→load pair).
-        self.log_tail.load(Ordering::SeqCst)
-    }
-
-    /// Current `completedTail`, read with `SeqCst` for a
-    /// [`prep_sync::WakeSlot`] ready check (see [`Log::log_tail_seqcst`]).
+    /// Current `completedTail`, read with the `SeqCst` load a
+    /// [`prep_sync::WakeSlot`] ready check needs: the `completedTail` CAS
+    /// is the `SeqCst` publish of that protocol, so a thread that announced
+    /// itself idle before this load cannot miss an advance whose combiner
+    /// then found nobody idle.
     #[inline]
     pub fn completed_tail_seqcst(&self) -> u64 {
         // ord: SeqCst — the ready check's load against
@@ -255,17 +246,15 @@ impl<O: Clone> Log<O> {
     #[inline]
     pub(crate) fn try_reserve(&self, expected_tail: u64, n: u64) -> bool {
         self.log_tail
-            // ord: SeqCst — Release publishes our view of logMin checks to
+            // ord: AcqRel — Release publishes our view of logMin checks to
             // later reservers; Acquire orders our writes into the reserved
-            // slots after earlier reservations; SeqCst because a gate
-            // refusal wakes the persistence thread on the strength of this
-            // tail (the publish half of its WakeSlot's store→load pair; on
-            // x86 the same `lock cmpxchg` as AcqRel). Failure re-reads the
-            // tail (Acquire) for the caller's retry.
+            // slots after earlier reservations. No ready check reads the
+            // tail, so no SeqCst pair needs it. Failure re-reads the tail
+            // (Acquire) for the caller's retry.
             .compare_exchange(
                 expected_tail,
                 expected_tail + n,
-                Ordering::SeqCst,
+                Ordering::AcqRel,
                 Ordering::Acquire,
             )
             .is_ok()

@@ -343,26 +343,30 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
         let tail = loop {
             let tail = self.log.log_tail();
             // Gate: PREP refuses admission while no checkpoint has yet
-            // raised the flush boundary past `tail`; a refusal has already
-            // run the persistence cycle on this thread if it was free, so
-            // it stands only while the checkpoint cannot yet be written or
-            // another thread is writing it. While waiting we hold our
-            // replica's combiner lock, so we must keep servicing
-            // updateReplicaNow requests — a logMin updater may need *our*
-            // replica to advance before the boundary can move.
+            // raised the flush boundary past `tail`. A refused combiner asks
+            // for that checkpoint, which runs on this thread if the cycle
+            // is free, and checks again; the refusal stands only while the
+            // checkpoint cannot yet be written or another thread is writing
+            // it. While waiting we hold our replica's combiner lock, so we
+            // must keep servicing updateReplicaNow requests — a logMin
+            // updater may need *our* replica to advance before the boundary
+            // can move.
             if !self.hooks.reserve_admitted(tail) {
-                // ord: Acquire/Release handshake on updateReplicaNow — see
-                // advance_log_min's straggler help protocol.
-                if self.replicas[node].update_now.load(Ordering::Acquire) {
-                    self.update_replica_to(node, self.log.completed_tail());
-                    self.replicas[node]
-                        .update_now
-                        // ord: Release acknowledges the help request with
-                        // the catch-up visible.
-                        .store(false, Ordering::Release);
+                self.hooks.checkpoint_now(self.log.completed_tail());
+                if !self.hooks.reserve_admitted(tail) {
+                    // ord: Acquire/Release handshake on updateReplicaNow —
+                    // see advance_log_min's straggler help protocol.
+                    if self.replicas[node].update_now.load(Ordering::Acquire) {
+                        self.update_replica_to(node, self.log.completed_tail());
+                        self.replicas[node]
+                            .update_now
+                            // ord: Release acknowledges the help request
+                            // with the catch-up visible.
+                            .store(false, Ordering::Release);
+                    }
+                    w.wait();
+                    continue;
                 }
-                w.wait();
-                continue;
             }
             if self.log.try_reserve(tail, n) {
                 break tail;
@@ -419,7 +423,6 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             if log_min.saturating_sub(self.beta) >= new_tail {
                 return;
             }
-            let low_mark = log_min.saturating_sub(self.beta);
             // Scan every localTail: volatile replicas then persistent ones.
             let mut lowest = u64::MAX;
             let mut who = 0usize;
@@ -430,22 +433,22 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
                     who = i;
                 }
             }
-            let ptails = self.hooks.persistent_tails();
-            for (j, &lt) in ptails.iter().enumerate() {
-                if lt < lowest {
-                    lowest = lt;
-                    who = self.replicas.len() + j;
-                }
+            // Then the persistent ones: only their minimum is needed, since
+            // the help for either is the same checkpoint request.
+            let ptail = self.hooks.min_persistent_tail();
+            let persistent = ptail < lowest;
+            if persistent {
+                lowest = ptail;
             }
 
             if lowest + size - 1 == log_min {
                 // The straggler hasn't moved since logMin was last advanced:
                 // help it (Algorithm 3).
-                if who >= self.replicas.len() {
-                    // A persistence-only replica: ask PREP to persist-and-
-                    // swap early by lowering the flush boundary.
-                    self.hooks
-                        .help_persistent_straggler(who - self.replicas.len(), low_mark);
+                if persistent {
+                    // A persistence-only replica: the cycle applies the
+                    // active one, and a checkpoint swaps the stable one into
+                    // the active role.
+                    self.hooks.checkpoint_now(self.log.completed_tail());
                     outer.wait();
                 } else if who == node {
                     // Our own replica is the straggler; we hold its combiner
