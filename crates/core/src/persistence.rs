@@ -1,7 +1,7 @@
 //! The persistence cycle (Algorithm 2: `UpdatePersistentReplicas`) and
 //! the thread that runs it in the background.
 //!
-//! One [`PersistenceTask`] owns both persistence-only replicas. Each
+//! One [`PersistenceTask`] drives both persistence-only replicas. Each
 //! cycle replays newly completed log entries onto the **active** replica
 //! (through the thread-local allocator swap, so the sequential object's
 //! allocations land in the persistent arena, §5.1). When the flush boundary
@@ -23,11 +23,17 @@
 //! that finds the task busy leaves its request standing and wakes the
 //! persistence thread instead.
 //!
-//! With crash simulation on, the checkpoint's NVM image is updated one way
-//! whatever the write-back: the ops applied since the replica's last
-//! checkpoint are replayed onto its stored image
-//! (`ReplicaImage::apply_delta`). By the `SequentialObject` determinism
-//! contract that is the state the write-back made durable.
+//! Each persistent replica is its own crash image
+//! ([`prep_pmem::PersistentReplica`]): the stable one is never mutated until
+//! a checkpoint makes it active again, so what it holds is its last
+//! checkpoint, and a crash cut copies it. The cycle holds the active
+//! replica's lock while it applies ops and writes the replica back, and
+//! lets go before it persists the selector that names the replica stable
+//! (the lock rule is in DESIGN.md § "Key design decisions", under crash
+//! testing via consistent cuts).
+//! With crash simulation on, the first mutation after a checkpoint marks
+//! the replica torn and the checkpoint's `sfence` clears it; each op is
+//! applied once per persistent replica, whatever the write-back.
 //!
 //! When a cycle finds nothing to do the persistence thread spins, then
 //! yields, through a [`Waiter`], looking for work without holding the
@@ -47,7 +53,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prep_pmem::ReplicaImage;
+use prep_pmem::PersistentReplica;
 use prep_seqds::SequentialObject;
 use prep_sync::{TryLock, Waiter};
 
@@ -76,28 +82,15 @@ pub const IDLE_PARK: Duration = Duration::from_micros(125);
 /// replica, as a store with a small ε does.
 const MAX_WAKE_BATCH: u64 = 64;
 
-/// A persistence-only replica (the paper's `PReplica`): just the object and
-/// its localTail — no locks, no batch, no response array (§5.1: "the
-/// persistent replicas are only accessed by the persistence thread"; here,
-/// by whichever thread holds the [`PersistenceTask`]).
-pub(crate) struct PReplica<T: SequentialObject> {
-    pub(crate) ds: T,
-    pub(crate) local_tail: u64,
-    /// Ops applied since this replica's last checkpoint, buffered for the
-    /// crash-sim image update (only when crash simulation is on). Buffered
-    /// at apply time because log slots below the persistent tails may be
-    /// recycled (logMin, §5.1) before the checkpoint runs — the log cannot
-    /// be re-read for the delta.
-    pub(crate) pending: Vec<T::Op>,
-}
-
 /// Everything a persistence cycle needs. It lives behind a [`TryLock`]
 /// shared by the persistence thread and `HookState::request_checkpoint`.
 pub(crate) struct PersistenceTask<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,
-    images: Arc<[ReplicaImage<T>; 2]>,
-    replicas: [PReplica<T>; 2],
+    /// The two persistence-only replicas (§5.1: "the persistent replicas
+    /// are only accessed by the persistence thread"; here, by whichever
+    /// thread holds the task, and by a crash cut copying the stable one).
+    replicas: Arc<[PersistentReplica<T>; 2]>,
     flush_strategy: FlushStrategy,
 }
 
@@ -105,26 +98,23 @@ impl<T: SequentialObject> PersistenceTask<T> {
     pub(crate) fn new(
         nr: Arc<NrInner<T>>,
         state: Arc<HookState<T::Op>>,
-        images: Arc<[ReplicaImage<T>; 2]>,
-        replicas: [PReplica<T>; 2],
+        replicas: Arc<[PersistentReplica<T>; 2]>,
         flush_strategy: FlushStrategy,
     ) -> Self {
-        let mut task = PersistenceTask {
-            nr,
-            state,
-            images,
-            replicas,
-            flush_strategy,
-        };
         // Precise dirty tracking is enabled only on the persistence
         // replicas (the volatile NR replicas keep the zero-cost fallback),
         // and only when the flush strategy will consume it.
         if flush_strategy == FlushStrategy::DirtyLines {
-            for rep in &mut task.replicas {
-                rep.ds.clear_dirty();
+            for rep in replicas.iter() {
+                rep.lock().object_mut().clear_dirty();
             }
         }
-        task
+        PersistenceTask {
+            nr,
+            state,
+            replicas,
+            flush_strategy,
+        }
     }
 
     /// The applied tail of the active replica, and the `completedTail` at
@@ -134,10 +124,11 @@ impl<T: SequentialObject> PersistenceTask<T> {
     /// Halving the distance leaves a closed gate, or a nudge, next to
     /// nothing to apply before its checkpoint.
     fn wake_threshold(&self) -> (u64, u64) {
-        // ord: Relaxed — only the task's holder stores the selector, and
-        // the task lock orders the holders.
+        // ord: Relaxed — only the task's holder stores the selector and the
+        // tails, and the task lock orders the holders.
         let active = self.state.p_active.load(Ordering::Relaxed) as usize;
-        let local_tail = self.replicas[active].local_tail;
+        // ord: Relaxed — see above.
+        let local_tail = self.state.p_tails[active].load(Ordering::Relaxed);
         let boundary = self.state.flush_boundary();
         let step = (boundary.saturating_sub(local_tail) / 2).clamp(1, MAX_WAKE_BATCH);
         (local_tail, local_tail + step)
@@ -151,7 +142,6 @@ impl<T: SequentialObject> PersistenceTask<T> {
     pub(crate) fn cycle(&mut self) -> bool {
         let rt = Arc::clone(&self.state.rt);
         let op_bytes = std::mem::size_of::<T::Op>() as u64;
-        let buffer_delta = rt.crash_sim_enabled();
         let dirty_lines = self.flush_strategy == FlushStrategy::DirtyLines;
         // ord: Relaxed — see `wake_threshold`.
         let active = self.state.p_active.load(Ordering::Relaxed) as usize;
@@ -162,28 +152,25 @@ impl<T: SequentialObject> PersistenceTask<T> {
         // ord: Acquire pairs with request_checkpoint's SeqCst fetch_max.
         let want = self.state.sync_request.load(Ordering::Acquire);
         let tail = self.nr.completed_tail();
-        let rep = &mut self.replicas[active];
+        let mut rep = self.replicas[active].lock();
 
         let mut progressed = false;
-        if tail > rep.local_tail {
-            // First mutation after a snapshot leaves the active
-            // replica's NVM image torn until the next WBINVD (§4.1's
-            // background-flush hazard).
-            self.images[active].mark_torn(&rt);
-            let ds = &mut rep.ds;
-            let pending = &mut rep.pending;
-            self.nr.log().for_each_op(rep.local_tail, tail, |_, op| {
-                // Stores to the NVM-resident replica are slower than
-                // DRAM stores; charge them.
-                rt.nvm_write(op_bytes);
-                if buffer_delta {
-                    pending.push(op.clone());
-                }
-                prep_pmem::alloc::with_persistent(|| {
-                    ds.apply(op);
+        let from = rep.local_tail();
+        if tail > from {
+            // The first mutation after a checkpoint leaves the active
+            // replica torn until the next one (§4.1's background-flush
+            // hazard); `advance` marks it before applying.
+            let log = self.nr.log();
+            rep.advance(&rt, tail, |ds| {
+                log.for_each_op(from, tail, |_, op| {
+                    // Stores to the NVM-resident replica are slower than
+                    // DRAM stores; charge them.
+                    rt.nvm_write(op_bytes);
+                    prep_pmem::alloc::with_persistent(|| {
+                        ds.apply(op);
+                    });
                 });
             });
-            rep.local_tail = tail;
             // ord: Release publishes the replica state just applied to
             // the logMin scan's (min_persistent_tail) Acquire readers.
             self.state.p_tails[active].store(tail, Ordering::Release);
@@ -199,11 +186,12 @@ impl<T: SequentialObject> PersistenceTask<T> {
         // published checkpoint does not cover it yet. This replica has
         // applied it (see `want` above). Persisting early only tightens
         // the loss bound.
-        debug_assert!(want <= rep.local_tail, "the request was read first");
+        let local_tail = rep.local_tail();
+        debug_assert!(want <= local_tail, "the request was read first");
         // ord: Relaxed — only the task's holder writes the watermark, and
         // the task lock orders the holders.
         let requested = self.state.durable_tail.load(Ordering::Relaxed) < want;
-        if boundary <= rep.local_tail || requested {
+        if boundary <= local_tail || requested {
             // Write the active replica back to NVM, making it durable
             // and consistent: WBINVD (paper default), or — the
             // incremental path — one CLFLUSHOPT per distinct line
@@ -213,13 +201,13 @@ impl<T: SequentialObject> PersistenceTask<T> {
             let region = self.state.psan.replicas[active];
             let flushed_bytes = match self.flush_strategy {
                 FlushStrategy::Wbinvd => {
-                    let full_bytes = rep.ds.approx_bytes();
+                    let full_bytes = rep.object().approx_bytes();
                     rt.trace_store(region.base, full_bytes, SITE);
                     rt.wbinvd(full_bytes);
                     full_bytes
                 }
                 FlushStrategy::DirtyLines => {
-                    let dirty = rep.ds.dirty_bytes_since_checkpoint();
+                    let dirty = rep.object().dirty_bytes_since_checkpoint();
                     if dirty > 0 {
                         // With the sanitizer on and precise lines
                         // available, give each flushed line its exact
@@ -227,7 +215,7 @@ impl<T: SequentialObject> PersistenceTask<T> {
                         // cost and stats are identical to the batched
                         // range flush (one CLFLUSHOPT per line).
                         let lines = if rt.psan_enabled() {
-                            rep.ds.dirty_lines_since_checkpoint()
+                            rep.object().dirty_lines_since_checkpoint()
                         } else {
                             None
                         };
@@ -260,21 +248,16 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 rt.sfence();
             }
             rt.count_checkpoint(flushed_bytes);
-            if buffer_delta {
-                // Replay exactly the ops this replica applied since its
-                // last checkpoint onto the stored image: no deep clone,
-                // and an unchanged replica checkpoints for free.
-                let pending = &rep.pending;
-                self.images[active].apply_delta(&rt, rep.local_tail, flushed_bytes, |img| {
-                    for op in pending {
-                        img.apply(op);
-                    }
-                });
-                rep.pending.clear();
-            }
+            // The fenced write-back made the replica consistent in NVM at
+            // its localTail.
+            rep.checkpointed(&rt, flushed_bytes);
             if dirty_lines {
-                rep.ds.clear_dirty();
+                rep.object_mut().clear_dirty();
             }
+            // Let go of the replica before the selector names it stable: a
+            // crash cut takes the stable replica's lock inside the cut, so
+            // a holder entering a persist effect for it would deadlock.
+            drop(rep);
             // Swap active/stable; persist the selector (CLFLUSH, §5.1)
             // BEFORE the watermark publish raises the boundary: the
             // boundary admits new completions against the *new* stable
@@ -316,7 +299,7 @@ impl<T: SequentialObject> PersistenceTask<T> {
                 // below, one that announces after sees the new watermark in
                 // its re-check. (Only the task's holder writes it;
                 // fetch_max is how it stays monotone.)
-                .fetch_max(rep.local_tail, Ordering::SeqCst);
+                .fetch_max(local_tail, Ordering::SeqCst);
             self.state.quiesce_wake.wake();
             if let Some(listener) = self.state.checkpoint_listener.get() {
                 listener();
@@ -324,7 +307,9 @@ impl<T: SequentialObject> PersistenceTask<T> {
             // Entries below both persistent tails can never be needed by
             // recovery again; let the durable log image reclaim them.
             if self.state.durability == DurabilityLevel::Durable {
-                let min_tail = self.replicas[0].local_tail.min(self.replicas[1].local_tail);
+                // ord: Relaxed — see `wake_threshold`.
+                let [a, b] = &self.state.p_tails;
+                let min_tail = a.load(Ordering::Relaxed).min(b.load(Ordering::Relaxed));
                 self.state.log_image.retain_from(&rt, min_tail);
             }
             progressed = true;
@@ -515,16 +500,56 @@ mod tests {
         );
     }
 
-    /// Deep copies of [`Counted`] made so far.
+    /// Deep copies made so far of untagged [`Counted`] objects.
     static CLONES: AtomicUsize = AtomicUsize::new(0);
 
-    /// An append-only log whose every deep copy is counted.
+    /// Ops below this are counted one by one in a [`Tally`].
+    const TALLIED_OPS: usize = 64;
+
+    /// The copies of one tagged [`Counted`] object, and the `apply` calls of
+    /// each op on any of them.
+    struct Tally {
+        clones: AtomicUsize,
+        applies: [AtomicUsize; TALLIED_OPS],
+    }
+
+    /// One tally per test that runs beside `checkpoints_never_clone_the_replica`,
+    /// so that no test counts another's copies.
+    static TALLIES: [Tally; 2] = [const {
+        Tally {
+            clones: AtomicUsize::new(0),
+            applies: [const { AtomicUsize::new(0) }; TALLIED_OPS],
+        }
+    }; 2];
+
+    /// First element of a tagged [`Counted`]: no op of these tests reaches it.
+    const TAG: u64 = 1 << 48;
+
+    /// An append-only log whose every deep copy is counted: in [`CLONES`],
+    /// or in its [`Tally`] if it is tagged, which also counts its applies.
     #[derive(Debug)]
     struct Counted(Vec<u64>);
 
+    impl Counted {
+        /// An empty log counted in `TALLIES[k]`.
+        fn tagged(k: usize) -> Self {
+            Counted(vec![TAG + k as u64])
+        }
+
+        fn tally(&self) -> Option<&'static Tally> {
+            match self.0.first() {
+                Some(&tag) if tag >= TAG => Some(&TALLIES[(tag - TAG) as usize]),
+                _ => None,
+            }
+        }
+    }
+
     impl Clone for Counted {
         fn clone(&self) -> Self {
-            CLONES.fetch_add(1, Ordering::Relaxed);
+            match self.tally() {
+                Some(tally) => tally.clones.fetch_add(1, Ordering::Relaxed),
+                None => CLONES.fetch_add(1, Ordering::Relaxed),
+            };
             Counted(self.0.clone())
         }
     }
@@ -534,6 +559,9 @@ mod tests {
         type Resp = ();
 
         fn apply(&mut self, op: &u64) {
+            if let Some(tally) = self.tally() {
+                tally.applies[*op as usize].fetch_add(1, Ordering::Relaxed);
+            }
             self.0.push(*op);
         }
 
@@ -585,5 +613,63 @@ mod tests {
             1,
             "a crash cut copied more than the stable image"
         );
+    }
+
+    /// With crash simulation on, a checkpoint writes the active replica
+    /// back and applies nothing: each op reaches each persistent replica
+    /// once, and no copy of the replica replays it. There is no persistence
+    /// thread, so every apply runs on this thread (the gate's refusals run
+    /// the cycle) and the counts are final when the loop ends.
+    #[test]
+    fn each_op_is_applied_once_per_persistent_replica() {
+        const OPS: u64 = 48;
+        let tally = &TALLIES[0];
+        let asg = Topology::small().assign_workers(1);
+        let prep = PrepUc::without_persistence_thread(
+            Counted::tagged(0),
+            asg,
+            crash_cfg(DurabilityLevel::Buffered, 4).with_flush_strategy(FlushStrategy::Wbinvd),
+        );
+        let t = prep.register(0);
+        for i in 0..OPS {
+            prep.execute(&t, i);
+        }
+        let checkpoints = prep.runtime().stats().snapshot_count();
+        assert!(checkpoints >= 8, "only {checkpoints} checkpoints");
+        // Bring every volatile replica up to completedTail.
+        let nodes = prep.inner().num_replicas();
+        for node in 0..nodes {
+            prep.with_replica(node, |_| ());
+        }
+        let [a, b] = prep.persistent_tails();
+        for op in 0..OPS {
+            let persistent = usize::from(op < a) + usize::from(op < b);
+            assert_eq!(
+                tally.applies[op as usize].load(Ordering::Relaxed),
+                nodes + persistent,
+                "op {op}: {nodes} volatile replicas and {persistent} persistent ones \
+                 (tails {a}, {b}) applied it, each once"
+            );
+        }
+    }
+
+    /// `PrepUc::new` and `PrepUc::recover` copy the object once per volatile
+    /// replica and once for a persistent replica; the other persistent
+    /// replica takes the object itself.
+    #[test]
+    fn construction_and_recovery_copy_the_object_nodes_plus_one_times() {
+        let tally = &TALLIES[1];
+        let copies = || tally.clones.load(Ordering::Relaxed);
+        let asg = Topology::small().assign_workers(1);
+        let cfg = || crash_cfg(DurabilityLevel::Buffered, 4);
+        let before = copies();
+        let prep = PrepUc::new(Counted::tagged(1), asg.clone(), cfg());
+        let nodes = prep.inner().num_replicas();
+        assert_eq!(copies() - before, nodes + 1, "PrepUc::new");
+        let (token, image) = prep.simulate_crash();
+        drop(prep);
+        let before = copies();
+        let _recovered = PrepUc::recover(token, image, asg, cfg());
+        assert_eq!(copies() - before, nodes + 1, "PrepUc::recover");
     }
 }

@@ -4,14 +4,14 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use prep_nr::{NodeReplicated, ThreadToken};
-use prep_pmem::{PmemRuntime, PmemStatsSnapshot, ReplicaImage};
+use prep_pmem::{PersistentReplica, PmemRuntime, PmemStatsSnapshot};
 use prep_seqds::SequentialObject;
 use prep_sync::TryLock;
 use prep_topology::ThreadAssignment;
 
 use crate::config::PrepConfig;
 use crate::hooks::{HookState, PrepHooks};
-use crate::persistence::{spawn_persistence_thread, PReplica, PersistenceTask};
+use crate::persistence::{spawn_persistence_thread, PersistenceTask};
 
 /// The volatile variant used as a baseline in Figure 1: PREP with all
 /// persistence removed is exactly NR-UC.
@@ -31,7 +31,8 @@ pub(crate) type NrInner<T> = NodeReplicated<T, PrepHooks<<T as SequentialObject>
 pub struct PrepUc<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
     state: Arc<HookState<T::Op>>,
-    images: Arc<[ReplicaImage<T>; 2]>,
+    /// The two persistence-only replicas, each its own crash image.
+    replicas: Arc<[PersistentReplica<T>; 2]>,
     /// The persistence cycle's state, shared by the persistence thread and
     /// every checkpoint request (through `HookState::try_cycle`, which holds
     /// it weakly): whoever holds it runs the cycle.
@@ -45,9 +46,10 @@ impl<T: SequentialObject> PrepUc<T> {
     /// Builds a PREP-UC over `obj`.
     ///
     /// `obj` becomes the initial state of every replica: the N volatile
-    /// replicas and both persistence-only replicas (whose NVM images start
-    /// consistent at localTail 0, like a freshly initialized persistent
-    /// memory file).
+    /// replicas and both persistence-only replicas (which start consistent
+    /// at localTail 0, like a freshly initialized persistent memory file).
+    /// That is `N + 1` deep copies of `obj`; the last replica takes `obj`
+    /// itself.
     ///
     /// # Panics
     /// Panics if the configuration violates `ε ≤ LOG_SIZE − β − 1` (§5.1)
@@ -65,7 +67,7 @@ impl<T: SequentialObject> PrepUc<T> {
     /// [`PrepUc::new`] without the persistence thread: only a checkpoint
     /// request (a nudger, a combiner refused at the gate, a logMin scan
     /// stuck on a persistent replica) runs the persistence cycle.
-    fn without_persistence_thread(
+    pub(crate) fn without_persistence_thread(
         obj: T,
         assignment: ThreadAssignment,
         config: PrepConfig,
@@ -90,27 +92,14 @@ impl<T: SequentialObject> PrepUc<T> {
             hooks,
             config.fairness,
         ));
-        let images = Arc::new([
-            ReplicaImage::new(obj.clone_object()),
-            ReplicaImage::new(obj.clone_object()),
+        let replicas = Arc::new([
+            PersistentReplica::new(obj.clone_object()),
+            PersistentReplica::new(obj),
         ]);
-        let p_replicas = [
-            PReplica {
-                ds: obj.clone_object(),
-                local_tail: 0,
-                pending: Vec::new(),
-            },
-            PReplica {
-                ds: obj,
-                local_tail: 0,
-                pending: Vec::new(),
-            },
-        ];
         let task = Arc::new(TryLock::new(PersistenceTask::new(
             Arc::clone(&nr),
             Arc::clone(&state),
-            Arc::clone(&images),
-            p_replicas,
+            Arc::clone(&replicas),
             config.flush_strategy,
         )));
         let weak = Arc::downgrade(&task);
@@ -128,7 +117,7 @@ impl<T: SequentialObject> PrepUc<T> {
         PrepUc {
             nr,
             state,
-            images,
+            replicas,
             task,
             config,
             beta,
@@ -206,8 +195,9 @@ impl<T: SequentialObject> PrepUc<T> {
         &self.state
     }
 
-    pub(crate) fn replica_image(&self, idx: usize) -> &ReplicaImage<T> {
-        &self.images[idx]
+    /// Persistent replica `idx`, which is its own NVM image.
+    pub(crate) fn replica_image(&self, idx: usize) -> &PersistentReplica<T> {
+        &self.replicas[idx]
     }
 
     /// Which persistent replica is currently active (0 or 1), volatile view.

@@ -92,6 +92,10 @@ impl<T: SequentialObject> PrepUc<T> {
     pub fn crash_image_in_cut(&self) -> CrashImage<T> {
         let state = self.hook_state();
         let active = state.p_active_cell.read_image();
+        // The stable replica is copied under its lock; no cycle holds it,
+        // because a cycle lets go of a replica before the selector names it
+        // stable. The active one may be held by a cycle waiting to enter a
+        // persist effect, so only its torn flag is read, without the lock.
         let image = CrashImage {
             active,
             stable: self.replica_image(1 - active as usize).read_image(),

@@ -317,30 +317,11 @@ impl<O: Clone> Log<O> {
             .store(self.full_flag(index), Ordering::Release);
     }
 
-    /// Clones the operation at `index`, spinning until it is published.
-    ///
-    /// # Safety
-    /// `index` must be protected from reuse (the caller's replica localTail
-    /// has not passed it, so the logMin protocol pins it).
-    #[cfg_attr(
-        not(test),
-        allow(dead_code, reason = "only the unit tests read a single entry")
-    )]
-    pub(crate) unsafe fn wait_and_read(&self, index: u64) -> O {
-        let mut w = Waiter::new();
-        while !self.is_full(index) {
-            w.wait();
-        }
-        // SAFETY: is_full (acquire) synchronizes with publish (release); the
-        // payload is initialized and pinned per caller contract.
-        unsafe { (*self.entry(index).op.get()).assume_init_ref().clone() }
-    }
-
     /// Clones the (possibly still unpublished) payload at `index`.
     ///
     /// # Safety
     /// The caller must own `index` via a reservation and have already
-    /// called [`Log::write_payload`] for it. Unlike [`Log::wait_and_read`]
+    /// called [`Log::write_payload`] for it. Unlike [`Log::for_each_op`]
     /// this does not wait for the emptyBit, so it is only sound for the
     /// reserving combiner reading its own batch back.
     pub(crate) unsafe fn read_own_payload(&self, index: u64) -> O {
@@ -386,8 +367,9 @@ impl<O: Clone> Log<O> {
             while !self.is_full(idx) {
                 w.wait();
             }
-            // SAFETY: published + pinned per caller contract (same as
-            // `wait_and_read`).
+            // SAFETY: is_full (acquire) synchronizes with publish
+            // (release), so the payload is initialized; the caller's
+            // localTail pins the index against reuse.
             let op = unsafe { (*self.entry(idx).op.get()).assume_init_ref() };
             f(idx, op);
         }
@@ -425,6 +407,14 @@ mod tests {
                 return t;
             }
         }
+    }
+
+    /// Clones the op at `index` through the engine's one waiting reader,
+    /// spinning until it is published.
+    fn read<O: Clone>(log: &Log<O>, index: u64) -> O {
+        let mut op = None;
+        log.for_each_op(index, index + 1, |_, o| op = Some(o.clone()));
+        op.expect("for_each_op visits every index in its range")
     }
 
     #[test]
@@ -497,8 +487,7 @@ mod tests {
             log.publish(0);
         }
         assert!(log.is_full(0));
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-        assert_eq!(unsafe { log.wait_and_read(0) }, 7);
+        assert_eq!(read(&log, 0), 7);
         // The lap-0 publish must not make the slot read full on lap 1.
         assert!(!log.is_full(size), "lap-1 view of a lap-0 entry reads full");
         assert!(!log.is_full(1), "neighbour of a published slot reads full");
@@ -525,9 +514,7 @@ mod tests {
         assert_eq!(Arc::strong_count(&payload), 1 + size as usize);
         for i in [0, size - 1] {
             assert!(log.is_full(i));
-            // SAFETY: the slot is published and nothing reserves past it while the test reads.
-            let read = unsafe { log.wait_and_read(i) };
-            assert!(Arc::ptr_eq(&read, &payload));
+            assert!(Arc::ptr_eq(&read(&log, i), &payload));
         }
         // Lap 1 over the first slot drops the lap-0 payload it replaces.
         let s = reserve(&log, 1);
@@ -579,16 +566,14 @@ mod tests {
         }
         // Payload written but not published: still empty.
         assert!(!log.is_full(i));
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
+        // SAFETY: both indices were reserved and written above, and each is published once.
         unsafe {
             log.publish(i);
             log.publish(i + 1);
         }
         assert!(log.is_full(i));
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-        assert_eq!(unsafe { log.wait_and_read(i) }, "a");
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-        assert_eq!(unsafe { log.wait_and_read(i + 1) }, "b");
+        assert_eq!(read(&log, i), "a");
+        assert_eq!(read(&log, i + 1), "b");
     }
 
     #[test]
@@ -620,8 +605,7 @@ mod tests {
             log.publish(4);
         }
         assert!(log.is_full(4));
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-        assert_eq!(unsafe { log.wait_and_read(4) }, 44);
+        assert_eq!(read(&log, 4), 44);
         // Lap-2 view of the same slot is empty again.
         assert!(!log.is_full(8));
     }
@@ -643,13 +627,12 @@ mod tests {
     }
 
     #[test]
-    fn wait_and_read_blocks_until_published() {
+    fn for_each_op_blocks_until_published() {
         use std::sync::Arc;
         let log: Arc<Log<u64>> = Arc::new(Log::new(4));
         let s = reserve(&*log, 1);
         let l2 = Arc::clone(&log);
-        // SAFETY: the main thread publishes `s` below, and nothing reserves past it.
-        let reader = std::thread::spawn(move || unsafe { l2.wait_and_read(s) });
+        let reader = std::thread::spawn(move || read(&l2, s));
         std::thread::sleep(std::time::Duration::from_millis(10));
         // SAFETY: the test reserved these indices and writes, then publishes, each once.
         unsafe {
@@ -740,8 +723,7 @@ mod tests {
                     // Apply the contiguous published prefix, in order.
                     while published.remove(&applied) {
                         assert!(log.is_full(applied));
-                        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-                        assert_eq!(unsafe { log.wait_and_read(applied) }, applied * 3);
+                        assert_eq!(read(&log, applied), applied * 3);
                         applied += 1;
                     }
                 }
@@ -764,9 +746,7 @@ mod tests {
                 }
             }
         }
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-        assert_eq!(unsafe { log.wait_and_read(4) }, "v4");
-        // SAFETY: the slot is published and nothing reserves past it while the test reads.
-        assert_eq!(unsafe { log.wait_and_read(5) }, "v5");
+        assert_eq!(read(&log, 4), "v4");
+        assert_eq!(read(&log, 5), "v5");
     }
 }

@@ -1,26 +1,31 @@
 //! Crash-store images: what recovery can read after a simulated power
 //! failure.
 //!
-//! Three image kinds mirror the three things PREP-UC persists (§4.1):
+//! PREP-UC persists three things (§4.1). Two of them get an image here,
+//! kept beside the volatile state they mirror:
 //!
 //! * [`PersistentCell`] — a single NVM variable such as `p_activePReplica`
 //!   or (durable mode) `d_completedTail`;
 //! * [`LogImage`] — the persisted subset of the shared operation log
-//!   (durable mode only);
-//! * [`ReplicaImage`] — a persistent replica's NVM image, including the
-//!   paper's background-flush hazard: from the first mutation after a
-//!   snapshot until the next checkpoint the image is **torn**, and recovery code
-//!   that reads a torn image gets an error. This is what makes the paper's
-//!   two-replica design testable: the *stable* replica is never mutated, so
-//!   its image is never torn.
+//!   (durable mode only).
 //!
-//! All mutators take the runtime's persist-effect guard, so a crash captured
-//! with [`crate::PmemRuntime::capture_cut`] observes a consistent cut. When
-//! crash simulation is off every mutator is a no-op (cost is charged by the
-//! caller through the runtime's flush/fence methods regardless).
+//! The third, a persistent replica, needs no image beside it: the object
+//! lives in NVM, so [`PersistentReplica`] is its own image. It carries the
+//! paper's background-flush hazard: from the first mutation after a
+//! checkpoint until the next, the replica is **torn**, and recovery code
+//! that reads a torn replica gets an error. This is what makes the paper's
+//! two-replica design testable: the *stable* replica is never mutated, so
+//! it is never torn, and what it holds is its last checkpoint.
+//!
+//! All image mutators, and the replica's torn flag, take the runtime's
+//! persist-effect guard, so a crash captured with
+//! [`crate::PmemRuntime::capture_cut`] observes a consistent cut. When
+//! crash simulation is off every such update is a no-op (cost is charged
+//! by the caller through the runtime's flush/fence methods regardless).
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::runtime::PmemRuntime;
 
@@ -183,96 +188,131 @@ pub struct ReplicaSnapshot<T: Clone> {
 }
 
 #[derive(Debug)]
-struct ReplicaImageState<T: Clone> {
-    snapshot: ReplicaSnapshot<T>,
-    torn: bool,
+struct Live<T> {
+    object: T,
+    local_tail: u64,
 }
 
-/// The NVM image of one persistent replica.
+/// A persistence-only replica (the paper's `PReplica`): the sequential
+/// object, its `localTail`, and whether its NVM image is torn. The object
+/// lives in NVM, so it is its own crash image: a cut reads the replica
+/// itself.
+///
+/// The object and its `localTail` sit behind one lock, taken by the thread
+/// running the persistence cycle to apply ops and write the replica back,
+/// and by a crash cut to copy the stable replica. The torn flag is written
+/// only under that lock and inside a persist effect, so a cut, which
+/// excludes persist effects, reads it without the lock: the cut never
+/// waits for the active replica, whose holder may itself be waiting to
+/// enter a persist effect.
 #[derive(Debug)]
-pub struct ReplicaImage<T: Clone> {
-    state: Mutex<ReplicaImageState<T>>,
+pub struct PersistentReplica<T: Clone> {
+    live: Mutex<Live<T>>,
+    // shared-line: written only by the lock's holder, and only with crash
+    // simulation on; the one other reader is a crash cut.
+    torn: AtomicBool,
 }
 
-impl<T: Clone> ReplicaImage<T> {
-    /// Creates the image with `initial` persisted and consistent (localTail
-    /// 0): a freshly initialized persistent memory file.
-    pub fn new(initial: T) -> Self {
-        ReplicaImage {
-            state: Mutex::new(ReplicaImageState {
-                snapshot: ReplicaSnapshot {
-                    state: initial,
-                    local_tail: 0,
-                },
-                torn: false,
+impl<T: Clone> PersistentReplica<T> {
+    /// Creates the replica over `object`, persisted and consistent at
+    /// localTail 0: a freshly initialized persistent memory file.
+    pub fn new(object: T) -> Self {
+        PersistentReplica {
+            live: Mutex::new(Live {
+                object,
+                local_tail: 0,
             }),
+            torn: AtomicBool::new(false),
         }
     }
 
-    /// Marks the image torn: the in-DRAM replica has been mutated since the
-    /// last snapshot, so background cache evictions may have written an
-    /// inconsistent mixture back to NVM (§4.1). Idempotent.
-    pub fn mark_torn(&self, rt: &PmemRuntime) {
-        let Some(_guard) = rt.persist_effect() else {
-            return;
-        };
-        self.state.lock().expect("replica image poisoned").torn = true;
+    /// Locks the replica for the persistence cycle.
+    pub fn lock(&self) -> ReplicaGuard<'_, T> {
+        ReplicaGuard {
+            live: self.live.lock().expect("persistent replica poisoned"),
+            torn: &self.torn,
+        }
     }
 
-    /// Installs a consistent snapshot (the effect of a checkpoint's
-    /// write-back + SFENCE over this replica): `mutate` replays the delta
-    /// (the log range `[image's local_tail, local_tail)`) directly onto the
-    /// stored state, and the image becomes consistent at `local_tail`. The
-    /// replica is deterministic, so the image ends equal to the replica the
-    /// write-back made durable, without copying it; an empty delta is a
-    /// pure metadata update.
-    ///
-    /// `flushed_bytes` is the modelled write-back volume (the whole
-    /// structure under WBINVD, the dirty set under dirty-line flushing);
-    /// the caller charges the corresponding flush cost.
-    pub fn apply_delta(
-        &self,
-        rt: &PmemRuntime,
-        local_tail: u64,
-        flushed_bytes: u64,
-        mutate: impl FnOnce(&mut T),
-    ) {
+    /// Reads the replica as recovery would: a copy of the object and its
+    /// localTail. [`TornImage`] means recovering it would hand back
+    /// possibly-inconsistent state. PREP-UC never does this (it recovers
+    /// the *stable* replica, and a crash cut reads only that one).
+    pub fn read_image(&self) -> Result<ReplicaSnapshot<T>, TornImage> {
+        let live = self.live.lock().expect("persistent replica poisoned");
+        if self.is_torn() {
+            Err(TornImage)
+        } else {
+            Ok(ReplicaSnapshot {
+                state: live.object.clone(),
+                local_tail: live.local_tail,
+            })
+        }
+    }
+
+    /// True if the replica's image is currently torn. A crash cut records
+    /// this, not the contents, for the active replica: the
+    /// one-persistent-replica ablation test shows that a design without
+    /// the stable replica would have recovered a torn image.
+    pub fn is_torn(&self) -> bool {
+        // ord: Relaxed — written only inside a persist effect, and a cut
+        // reads it under the cut lock, which orders it after every effect.
+        self.torn.load(Ordering::Relaxed)
+    }
+}
+
+/// A locked [`PersistentReplica`].
+#[derive(Debug)]
+pub struct ReplicaGuard<'a, T: Clone> {
+    live: MutexGuard<'a, Live<T>>,
+    torn: &'a AtomicBool,
+}
+
+impl<T: Clone> ReplicaGuard<'_, T> {
+    /// The replica's `localTail`: the first log index not applied to it.
+    pub fn local_tail(&self) -> u64 {
+        self.live.local_tail
+    }
+
+    /// The object, for reads that size or locate its write-back.
+    pub fn object(&self) -> &T {
+        &self.live.object
+    }
+
+    /// The object, for bookkeeping that leaves its logical state alone
+    /// (resetting its dirty-line tracker). Ops go through
+    /// [`ReplicaGuard::advance`].
+    pub fn object_mut(&mut self) -> &mut T {
+        &mut self.live.object
+    }
+
+    /// Applies ops to the replica with `mutate`, which brings it to
+    /// `local_tail`. The image is marked torn first: from the first
+    /// mutation after a checkpoint until the next, background cache
+    /// evictions may write an inconsistent mixture of the replica back to
+    /// NVM (§4.1).
+    pub fn advance(&mut self, rt: &PmemRuntime, local_tail: u64, mutate: impl FnOnce(&mut T)) {
+        if let Some(_guard) = rt.persist_effect() {
+            // ord: Relaxed — see `PersistentReplica::is_torn`.
+            self.torn.store(true, Ordering::Relaxed);
+        }
+        mutate(&mut self.live.object);
+        self.live.local_tail = local_tail;
+    }
+
+    /// The effect of a checkpoint's write-back + SFENCE over this replica:
+    /// the image becomes consistent at its `localTail`. `flushed_bytes` is
+    /// the modelled write-back volume (the whole structure under WBINVD,
+    /// the dirty set under dirty-line flushing); the caller charges the
+    /// corresponding flush cost.
+    pub fn checkpointed(&self, rt: &PmemRuntime, flushed_bytes: u64) {
         let Some(_guard) = rt.persist_effect() else {
             return;
         };
         rt.stats().count_bytes(flushed_bytes);
         rt.stats().count_snapshot();
-        let mut s = self.state.lock().expect("replica image poisoned");
-        debug_assert!(
-            local_tail >= s.snapshot.local_tail,
-            "delta would rewind image from {} to {}",
-            s.snapshot.local_tail,
-            local_tail,
-        );
-        mutate(&mut s.snapshot.state);
-        s.snapshot.local_tail = local_tail;
-        s.torn = false;
-    }
-
-    /// Reads the image as recovery would. [`TornImage`] means recovering it
-    /// would hand back possibly-inconsistent state. PREP-UC never does this
-    /// (it recovers the *stable* replica, and a crash cut reads only that
-    /// one).
-    pub fn read_image(&self) -> Result<ReplicaSnapshot<T>, TornImage> {
-        let s = self.state.lock().expect("replica image poisoned");
-        if s.torn {
-            Err(TornImage)
-        } else {
-            Ok(s.snapshot.clone())
-        }
-    }
-
-    /// True if the image is currently torn. A crash cut records this, not
-    /// the contents, for the active replica: the one-persistent-replica
-    /// ablation test shows that a design without the stable replica would
-    /// have recovered a torn image.
-    pub fn is_torn(&self) -> bool {
-        self.state.lock().expect("replica image poisoned").torn
+        // ord: Relaxed — see `PersistentReplica::is_torn`.
+        self.torn.store(false, Ordering::Relaxed);
     }
 }
 
@@ -325,61 +365,48 @@ mod tests {
     #[test]
     fn replica_image_torn_lifecycle() {
         let rt = PmemRuntime::for_crash_tests();
-        let img = ReplicaImage::new(vec![0u32; 2]);
-        // Fresh image is consistent and empty.
-        let snap = img.read_image().unwrap();
-        assert_eq!(snap.local_tail, 0);
+        let rep = PersistentReplica::new(vec![0u32; 3]);
+        // Fresh replica is consistent at localTail 0.
+        let snap = rep.read_image().unwrap();
+        assert_eq!((snap.state, snap.local_tail), (vec![0, 0, 0], 0));
         // Mutation in progress → torn → unreadable.
-        img.mark_torn(&rt);
-        assert!(img.is_torn());
-        assert!(img.read_image().is_err());
-        // The checkpoint's delta makes it consistent again.
-        img.apply_delta(&rt, 5, 8, |v| *v = vec![1, 2]);
-        let snap = img.read_image().unwrap();
-        assert_eq!(snap.state, vec![1, 2]);
-        assert_eq!(snap.local_tail, 5);
-        assert!(!img.is_torn());
-        assert_eq!(rt.stats().snapshot_count(), 1);
-    }
-
-    #[test]
-    fn apply_delta_matches_full_clone_install() {
-        let rt = PmemRuntime::for_crash_tests();
-        let img = ReplicaImage::new(vec![0u32; 3]);
-        // Three ops since the last checkpoint, one overwriting another: the
-        // image must end at the state the replica reached.
-        img.mark_torn(&rt);
-        img.apply_delta(&rt, 3, 8, |v| {
+        rep.lock().advance(&rt, 3, |v| {
             v[1] = 7;
             v[2] = 9;
             v[1] = 8;
         });
-        let snap = img.read_image().unwrap();
-        assert_eq!(snap.state, vec![0, 8, 9]);
-        assert_eq!(snap.local_tail, 3);
-        assert!(!img.is_torn());
+        assert!(rep.is_torn());
+        assert!(rep.read_image().is_err());
+        // The checkpoint makes it consistent again, at the state the ops
+        // reached and the tail they brought it to.
+        rep.lock().checkpointed(&rt, 8);
+        let snap = rep.read_image().unwrap();
+        assert_eq!((snap.state, snap.local_tail), (vec![0, 8, 9], 3));
+        assert!(!rep.is_torn());
         assert_eq!(rt.stats().snapshot_count(), 1);
-        // Empty delta: pure metadata update, image stays readable.
-        img.apply_delta(&rt, 3, 0, |_| {});
-        assert_eq!(img.read_image().unwrap().state, vec![0, 8, 9]);
-    }
-
-    #[test]
-    fn apply_delta_is_skipped_without_crash_sim() {
-        let rt = PmemRuntime::for_benchmarks(crate::LatencyModel::off());
-        let img = ReplicaImage::new(0u64);
-        img.apply_delta(&rt, 9, 8, |v| *v = 1);
-        let snap = img.read_image().unwrap();
-        assert_eq!(snap.state, 0, "bench runtime must not touch the image");
-        assert_eq!(snap.local_tail, 0);
+        assert_eq!(rt.stats().snapshot().bytes_persisted, 8);
+        // A checkpoint with no op since the last one: still readable.
+        rep.lock().checkpointed(&rt, 0);
+        assert_eq!(rep.read_image().unwrap().state, vec![0, 8, 9]);
+        assert_eq!(rt.stats().snapshot_count(), 2);
     }
 
     #[test]
     fn torn_marking_is_skipped_without_crash_sim() {
         let rt = PmemRuntime::for_benchmarks(crate::LatencyModel::off());
-        let img = ReplicaImage::new(0u8);
-        img.mark_torn(&rt);
-        assert!(!img.is_torn());
+        let rep = PersistentReplica::new(0u8);
+        rep.lock().advance(&rt, 1, |v| *v = 1);
+        assert!(!rep.is_torn());
+        rep.lock().checkpointed(&rt, 8);
+        assert_eq!(
+            rt.stats().snapshot_count(),
+            0,
+            "bench runtime counts no snapshot"
+        );
+        // The ops still reach the object; only the crash-store effects are
+        // skipped.
+        let snap = rep.read_image().unwrap();
+        assert_eq!((snap.state, snap.local_tail), (1, 1));
     }
 
     #[test]

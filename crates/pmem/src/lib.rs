@@ -7,15 +7,18 @@
 //! actually depend on (see DESIGN.md "Hardware substitutions"):
 //!
 //! 1. **What survives a crash.** A [`PmemRuntime`] owns a *crash store*: the
-//!    set of values that have genuinely reached "NVM". Persist operations
-//!    ([`PersistentCell::record`], [`ReplicaImage::apply_delta`],
-//!    [`LogImage::persist_entry`]) update it; a simulated power failure is a
-//!    *consistent cut* of the store captured via
+//!    set of values that have genuinely reached "NVM": two image kinds,
+//!    [`PersistentCell`] and [`LogImage`], kept beside the variables they
+//!    mirror, plus the persistent replicas ([`PersistentReplica`]), whose
+//!    objects live in NVM and are their own image. Persist operations
+//!    ([`PersistentCell::record`], [`LogImage::persist_entry`], a
+//!    checkpoint's [`ReplicaGuard::checkpointed`]) update it; a simulated
+//!    power failure is a *consistent cut* of the store captured via
 //!    [`PmemRuntime::capture_cut`], from which recovery code rebuilds the
-//!    object. The active persistent replica's image is marked **torn**
-//!    between its first post-snapshot mutation and the next checkpoint —
-//!    modelling the paper's background-flush hazard (§4.1): recovering a torn
-//!    image is a detectable bug.
+//!    object. The active persistent replica is marked **torn** between its
+//!    first post-checkpoint mutation and the next checkpoint — modelling
+//!    the paper's background-flush hazard (§4.1): recovering a torn replica
+//!    is a detectable bug.
 //!
 //! 2. **What persistence costs.** Every flush/fence/WBINVD spins for a
 //!    configurable latency ([`LatencyModel`]) and bumps counters
@@ -42,13 +45,13 @@ pub mod alloc;
 pub mod arena;
 mod image;
 mod latency;
-mod namespace;
 mod runtime;
 mod stats;
 
-pub use image::{LogImage, PersistentCell, ReplicaImage, ReplicaSnapshot, TornImage};
+pub use image::{
+    LogImage, PersistentCell, PersistentReplica, ReplicaGuard, ReplicaSnapshot, TornImage,
+};
 pub use latency::LatencyModel;
-pub use namespace::PersistentDirectory;
 pub use runtime::{CrashToken, PmemRuntime, Traced};
 pub use stats::{PmemStats, PmemStatsSnapshot};
 

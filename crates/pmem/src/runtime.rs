@@ -217,25 +217,6 @@ impl PmemRuntime {
             .record(EventKind::FlushLine { addr, sync: false }, site);
     }
 
-    /// A store of `len` bytes at logical address `addr` followed by a
-    /// synchronous `CLFLUSH` of its line, issued as one atomic persist
-    /// (the pattern for rarely-written metadata cells: the bytes are
-    /// durable when this returns). Identical cost and stats to one
-    /// [`PmemRuntime::clflush`].
-    #[inline]
-    pub fn persist_clflush_at(&self, addr: u64, len: u64, site: &'static str) {
-        charge_ns(self.latency.clflush_ns);
-        self.stats.count_clflush();
-        self.tracer.record(
-            EventKind::Store {
-                addr,
-                len,
-                durable: true,
-            },
-            site,
-        );
-    }
-
     /// A *publish* store of `len` bytes at `addr` plus its synchronous
     /// `CLFLUSH`, as one atomic persist: once durable it makes the `deps`
     /// byte ranges reachable by recovery, so the sanitizer requires every

@@ -19,9 +19,9 @@
 //!   a caller-supplied key function, and [`ShardToken`] carries one
 //!   registered NR thread token *per shard* so any worker can hit any
 //!   shard without re-registration;
-//! * a **cross-shard recovery orchestrator**: all shards (and a
-//!   [`prep_pmem::PersistentDirectory`] of namespaced metadata roots)
-//!   share one [`prep_pmem::PmemRuntime`], so
+//! * a **cross-shard recovery orchestrator**: all shards (and the store's
+//!   two persistent roots, its shard count and recovery epoch) share one
+//!   [`prep_pmem::PmemRuntime`], so
 //!   [`ShardedStore::simulate_crash`] freezes a **single consistent cut**
 //!   across every shard's NVM images at once, and
 //!   [`ShardedStore::recover`] rebuilds all N shards from that one cut —

@@ -1,9 +1,8 @@
 //! The sharded store and its cross-shard recovery orchestrator.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use prep_pmem::{CrashToken, PersistentDirectory, PmemRuntime};
+use prep_pmem::{CrashToken, PersistentCell, PmemRuntime};
 use prep_seqds::SequentialObject;
 use prep_topology::ThreadAssignment;
 use prep_uc::{CrashImage, PrepConfig, PrepUc, ThreadToken};
@@ -11,10 +10,48 @@ use prep_uc::{CrashImage, PrepConfig, PrepUc, ThreadToken};
 use crate::metrics::{ShardMetrics, StoreMetrics};
 use crate::router::ShardRouter;
 
-/// Directory root naming the persisted shard count.
-const ROOT_SHARDS: &str = "prep-shard/shards";
-/// Directory root counting completed recoveries (crash epochs survived).
-const ROOT_EPOCH: &str = "prep-shard/epoch";
+/// The store's two persistent roots: the shard count, which recovery
+/// checks against the shard images it is handed, and the recovery epoch.
+/// Each has its own NVM line.
+struct Roots {
+    shards: PersistentCell<u64>,
+    epoch: PersistentCell<u64>,
+    /// Sanitizer address of the shard count; the epoch is one line on.
+    addr: u64,
+}
+
+impl Roots {
+    const SITE: &'static str = "ShardedStore::roots";
+    const LEN: u64 = std::mem::size_of::<u64>() as u64;
+
+    /// Writes both roots and makes them durable, with one fence: they are
+    /// written once per store lifetime.
+    fn persist(runtime: &PmemRuntime, shards: u64, epoch: u64) -> Self {
+        let roots = Roots {
+            shards: PersistentCell::new(0),
+            epoch: PersistentCell::new(0),
+            addr: runtime.psan_region("shardRoots", 128).base,
+        };
+        for addr in [roots.addr, roots.addr + 64] {
+            let traced = runtime.trace_store(addr, Self::LEN, Self::SITE);
+            runtime.clflushopt_at(addr, Self::SITE, &traced);
+        }
+        runtime.sfence();
+        roots.shards.record(runtime, shards);
+        roots.epoch.record(runtime, epoch);
+        roots
+    }
+
+    /// Reads both roots as recovery does: call inside a frozen cut.
+    fn read_in_cut(&self, runtime: &PmemRuntime) -> (u64, u64) {
+        if runtime.psan_enabled() {
+            for addr in [self.addr, self.addr + 64] {
+                runtime.trace_recovery_read(addr, Self::LEN, Self::SITE);
+            }
+        }
+        (self.shards.read_image(), self.epoch.read_image())
+    }
+}
 
 /// A worker's registration across every shard: one thread token per
 /// shard, so the router can dispatch any operation without registering on
@@ -40,28 +77,16 @@ impl ShardToken {
 }
 
 /// Everything durable at the instant of a sharded power failure: one
-/// consistent cut spanning the metadata directory and every shard's NVM
-/// images. Produced by [`ShardedStore::simulate_crash`]; consumed by
+/// consistent cut spanning the store's roots and every shard's NVM images.
+/// Produced by [`ShardedStore::simulate_crash`]; consumed by
 /// [`ShardedStore::recover`].
 pub struct ShardedCrashImage<T: SequentialObject> {
-    /// The persisted metadata namespace (shard count, recovery epoch,
-    /// per-shard roots).
-    pub directory: BTreeMap<String, u64>,
+    /// The persisted shard count (0 if none was persisted).
+    pub shard_count: u64,
+    /// The persisted recovery epoch (0 for a store that never crashed).
+    pub epoch: u64,
     /// Per-shard crash images, indexed by shard.
     pub shards: Vec<CrashImage<T>>,
-}
-
-impl<T: SequentialObject> ShardedCrashImage<T> {
-    /// The shard count recorded in the persisted directory, if present.
-    pub fn persisted_shards(&self) -> Option<u64> {
-        self.directory.get(ROOT_SHARDS).copied()
-    }
-
-    /// The recovery epoch recorded in the persisted directory (0 for a
-    /// store that never crashed).
-    pub fn epoch(&self) -> u64 {
-        self.directory.get(ROOT_EPOCH).copied().unwrap_or(0)
-    }
 }
 
 /// A hash-partitioned persistent store: N independent PREP-UC shards
@@ -75,7 +100,7 @@ pub struct ShardedStore<T: SequentialObject> {
     shards: Vec<PrepUc<T>>,
     router: ShardRouter<T::Op>,
     assignment: ThreadAssignment,
-    directory: Arc<PersistentDirectory>,
+    roots: Roots,
     /// The one runtime every shard persists through.
     runtime: Arc<PmemRuntime>,
     epoch: u64,
@@ -114,21 +139,12 @@ impl<T: SequentialObject> ShardedStore<T> {
     ) -> Self {
         let shards = shard_instances.len();
         assert!(shards > 0, "a sharded store needs at least one shard");
-        // Persist the metadata roots recovery will validate. One fence
-        // after the batch: the roots are written once per store lifetime.
-        let directory = Arc::new(PersistentDirectory::new());
-        directory.persist_clflush(&runtime, ROOT_SHARDS, shards as u64);
-        directory.persist_clflush(&runtime, ROOT_EPOCH, epoch);
-        for s in 0..shards {
-            let ns = format!("prep-shard/shard/{s}");
-            directory.persist_clflush(&runtime, &PersistentDirectory::scope(&ns, "root"), s as u64);
-        }
-        runtime.sfence();
+        let roots = Roots::persist(&runtime, shards as u64, epoch);
         ShardedStore {
             shards: shard_instances,
             router,
             assignment,
-            directory,
+            roots,
             runtime,
             epoch,
         }
@@ -189,11 +205,6 @@ impl<T: SequentialObject> ShardedStore<T> {
     /// The thread assignment every shard was built with.
     pub fn assignment(&self) -> &ThreadAssignment {
         &self.assignment
-    }
-
-    /// The persisted metadata directory.
-    pub fn directory(&self) -> &PersistentDirectory {
-        &self.directory
     }
 
     /// Recovery epoch: how many crash→recover cycles produced this
@@ -268,25 +279,32 @@ impl<T: SequentialObject> ShardedStore<T> {
     }
 
     /// Simulates a full-system power failure: one consistent cut frozen
-    /// across the metadata directory and **all** shards' NVM images
+    /// across the store's roots and **all** shards' NVM images
     /// simultaneously. No shard-by-shard skew is possible — this is the
     /// orchestrator's reason to exist.
     ///
     /// # Panics
     /// Panics if the runtime was not created with crash simulation enabled.
     pub fn simulate_crash(&self) -> (CrashToken, ShardedCrashImage<T>) {
-        self.runtime.capture_cut(|| ShardedCrashImage {
-            directory: self.directory.snapshot_for_recovery(&self.runtime),
+        self.runtime.capture_cut(|| self.image_in_cut())
+    }
+
+    /// The store's crash image; call inside a frozen cut.
+    fn image_in_cut(&self) -> ShardedCrashImage<T> {
+        let (shard_count, epoch) = self.roots.read_in_cut(&self.runtime);
+        ShardedCrashImage {
+            shard_count,
+            epoch,
             shards: self.shards.iter().map(PrepUc::crash_image_in_cut).collect(),
-        })
+        }
     }
 
     /// The cross-shard recovery procedure: rebuilds every shard from one
     /// [`ShardedCrashImage`].
     ///
-    /// 1. Validate the persisted layout: the directory's shard count must
-    ///    exist and match the number of captured shard images (a mismatch
-    ///    means the image is not a cut of one store — refusing is the
+    /// 1. Validate the persisted layout: the persisted shard count must
+    ///    match the number of captured shard images (a mismatch means the
+    ///    image is not a cut of one store — refusing is the
     ///    recovery-safety property).
     /// 2. Recover each shard independently via [`PrepUc::recover`] (§5.1 /
     ///    §5.2 per shard), all sharing `config.runtime` again — in
@@ -308,9 +326,7 @@ impl<T: SequentialObject> ShardedStore<T> {
         config: PrepConfig,
         key_fn: impl Fn(&T::Op) -> u64 + Send + Sync + 'static,
     ) -> Self {
-        let persisted = image
-            .persisted_shards()
-            .expect("crash image has no persisted shard count: not a prep-shard pool");
+        let persisted = image.shard_count;
         assert_eq!(
             persisted as usize,
             image.shards.len(),
@@ -319,7 +335,7 @@ impl<T: SequentialObject> ShardedStore<T> {
             persisted,
             image.shards.len()
         );
-        let epoch = image.epoch() + 1;
+        let epoch = image.epoch + 1;
         let router = ShardRouter::new(persisted as usize, key_fn);
         // Shards share nothing but the runtime (own image, log, replicas and
         // persistence thread), so they are rebuilt side by side: shard 0 on
@@ -583,16 +599,15 @@ mod tests {
         let asg = Topology::small().assign_workers(1);
         let config = cfg(DurabilityLevel::Buffered);
         let store = ShardedStore::new(Recorder::new(), 2, asg.clone(), config.clone(), record_key);
-        assert_eq!(store.directory().read(ROOT_SHARDS), Some(2));
-        assert_eq!(store.directory().read(ROOT_EPOCH), Some(0));
-        assert_eq!(store.directory().read("prep-shard/shard/1/root"), Some(1));
+        assert_eq!(store.roots.shards.read_image(), 2);
+        assert_eq!(store.roots.epoch.read_image(), 0);
         let (token, image) = store.simulate_crash();
-        assert_eq!(image.persisted_shards(), Some(2));
-        assert_eq!(image.epoch(), 0);
+        assert_eq!(image.shard_count, 2);
+        assert_eq!(image.epoch, 0);
         drop(store);
         let rec = ShardedStore::recover(token, image, asg.clone(), config.clone(), record_key);
         assert_eq!(rec.epoch(), 1);
-        assert_eq!(rec.directory().read(ROOT_EPOCH), Some(1));
+        assert_eq!(rec.roots.epoch.read_image(), 1);
         // A second crash epoch keeps counting.
         let (token, image) = rec.simulate_crash();
         drop(rec);
@@ -644,11 +659,7 @@ mod tests {
                             .map(PrepUc::crash_image_in_cut)
                             .collect()
                     };
-                    let image = ShardedCrashImage {
-                        directory: store.directory.snapshot_for_recovery(runtime),
-                        shards: images(),
-                    };
-                    (image, images())
+                    (store.image_in_cut(), images())
                 });
                 drop(store);
                 let rec = ShardedStore::recover(token, image, asg.clone(), config.clone(), map_key);

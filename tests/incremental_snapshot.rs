@@ -1,12 +1,12 @@
 //! Crash-equivalence properties for the checkpoint's crash-sim image.
 //!
-//! Every checkpoint, whatever its write-back strategy, updates the image by
-//! replaying the ops the replica applied since its last checkpoint onto the
-//! stored snapshot (`ReplicaImage::apply_delta`), never by copying the
-//! replica. These properties hold that one path to the observable a copy
-//! would give: every crash, at any point, under both strategies and both
-//! durability levels, must expose a stable snapshot equal to the sequential
-//! replay of the completed-op prefix `[0, localTail)`.
+//! The persistent replicas are their own crash image: a checkpoint,
+//! whatever its write-back strategy, makes the active replica consistent
+//! after its fence, and a crash cut copies the stable replica itself. These
+//! properties hold that to the observable a sequential run gives: every
+//! crash, at any point, under both strategies and both durability levels,
+//! must expose a stable snapshot equal to the sequential replay of the
+//! completed-op prefix `[0, localTail)`.
 
 use proptest::prelude::*;
 
