@@ -17,9 +17,9 @@ pub enum DurabilityLevel {
     Durable,
 }
 
-/// How the persistence thread writes the active replica back to NVM at a
+/// How a checkpoint writes the active replica back to NVM at a
 /// flush boundary (§6, "Stack": "In practice if the data structure is very
-/// small [one] could flush the entire address space of a replica rather than
+/// small \[one\] could flush the entire address space of a replica rather than
 /// using WBINVD").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushStrategy {
@@ -54,9 +54,13 @@ pub enum PsanFault {
 pub struct PrepConfig {
     /// Durability level.
     pub durability: DurabilityLevel,
-    /// Flush-boundary step ε: the active persistent replica is written back
-    /// (WBINVD) every ε log entries. Smaller ε → tighter loss bound and more
-    /// frequent (expensive) write-backs; the paper sweeps this in Figure 3.
+    /// Flush-boundary step ε: the gate admits reservations up to ε entries
+    /// past the published checkpoint, so the active persistent replica is
+    /// written back (by [`PrepConfig::flush_strategy`]) at least every ε log
+    /// entries, and earlier when a checkpoint is requested. Smaller ε →
+    /// tighter loss bound and more frequent write-backs; the paper sweeps
+    /// this in Figure 3. The library default is 10 000; `prep-serve` runs
+    /// 64 by default.
     pub epsilon: u64,
     /// Shared-log capacity in entries (paper §6 uses 1M).
     pub log_size: u64,
@@ -64,8 +68,10 @@ pub struct PrepConfig {
     /// cost-only Optane-calibrated runtime; tests inject
     /// `PmemRuntime::for_crash_tests()`.
     pub runtime: Arc<PmemRuntime>,
-    /// How replica write-backs are performed (ablation; paper default
-    /// WBINVD).
+    /// How replica write-backs are performed: the paper's WBINVD (the
+    /// library default), or one flush per dirty line, which `prep-serve`
+    /// runs, since a checkpoint taken for one durable ack then flushes
+    /// only what changed since the last one.
     pub flush_strategy: FlushStrategy,
     /// Durable mode ablation: fence after **every** log entry instead of
     /// once per batch. The paper's single-fence-per-batch scheme (§4.1) is

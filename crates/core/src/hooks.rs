@@ -1,14 +1,15 @@
 //! PREP's implementation of the NR persistence hook points.
 //!
-//! [`HookState`] is the shared persistence state: the published checkpoint's
-//! tail (the flush boundary is that plus ε), the persistent replicas'
-//! localTails (mirrored as atomics for the logMin scan), the active-replica
-//! selector, and the NVM images of the UC-managed persistent variables (log
-//! entries, `completedTail`, `p_activePReplica`). It is shared between the
-//! worker-side hooks and whichever thread runs the persistence cycle.
+//! [`PrepHooks`] is PREP's whole persistence side, owned by value by the
+//! `NodeReplicated` it hooks: the published checkpoint's tail (the flush
+//! boundary is that plus ε), the persistent replicas' localTails (mirrored
+//! as atomics for the logMin scan), the active-replica selector, the NVM
+//! images of the UC-managed persistent variables (log entries,
+//! `completedTail`, `p_activePReplica`), the two persistent replicas
+//! themselves, and the lock whoever runs the persistence cycle holds.
 //!
 //! One function forces an early checkpoint,
-//! [`HookState::request_checkpoint`], and it has three callers: a combiner
+//! [`PrepHooks::request_checkpoint`], and it has three callers: a combiner
 //! refused at the gate (a checkpoint raises the boundary), the logMin scan
 //! when its straggler is a persistent replica (Algorithm 3's help), and
 //! `PrepUc::nudge_checkpoint` (the §2.2 sync point). Each posts a standing
@@ -19,12 +20,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crossbeam_utils::CachePadded;
-use prep_nr::NrHooks;
+use prep_nr::{Log, NrHooks};
 use prep_pmem::psan::{PublishTag, Region};
-use prep_pmem::{LogImage, PersistentCell, PmemRuntime, Traced};
-use prep_sync::WakeSlot;
+use prep_pmem::{LogImage, PersistentCell, PersistentReplica, PmemRuntime, Traced};
+use prep_seqds::SequentialObject;
+use prep_sync::{TryLock, WakeSlot};
 
-use crate::config::{DurabilityLevel, PsanFault};
+use crate::config::{DurabilityLevel, FlushStrategy, PrepConfig, PsanFault};
 
 /// Logical NVM addresses of everything this construction persists, used by
 /// the persistence-ordering sanitizer (`prep-psan`) to give stores and
@@ -34,9 +36,9 @@ use crate::config::{DurabilityLevel, PsanFault};
 ///
 /// Log addressing is by **monotonic log index**, never by recycled
 /// physical slot: entry `idx` occupies bytes `[idx·eb, (idx+1)·eb)` with
-/// its emptyBit last, where `eb = size_of::<O>() + 1` matches the packed
-/// layout `span_lines` charges for. Recycling a slot (logMin) gets a fresh
-/// logical address, so laps never alias.
+/// its emptyBit last, where `eb = size_of::<T::Op>() + 1` matches the
+/// packed layout the flush accounting charges for. Recycling a slot
+/// (logMin) gets a fresh logical address, so laps never alias.
 pub(crate) struct PsanLayout {
     /// Base of the log's logical address space.
     pub(crate) log_base: u64,
@@ -63,11 +65,14 @@ impl PsanLayout {
     }
 }
 
-/// Shared persistence state (see module docs).
-pub(crate) struct HookState<O: Clone> {
+/// The [`NrHooks`] implementation PREP plugs into `NodeReplicated`, and
+/// the owner of all of PREP's persistence state (see module docs).
+pub struct PrepHooks<T: SequentialObject> {
     pub(crate) rt: Arc<PmemRuntime>,
     pub(crate) durability: DurabilityLevel,
     pub(crate) fence_per_entry: bool,
+    /// How a checkpoint writes the active replica back.
+    pub(crate) flush_strategy: FlushStrategy,
     /// Sanitizer address layout for the UC-managed persistent variables.
     pub(crate) psan: PsanLayout,
     /// Seeded ordering bug for sanitizer-validation tests (always `None`
@@ -89,19 +94,19 @@ pub(crate) struct HookState<O: Clone> {
     /// checkpoint on the active replica — this only advances after the
     /// swap, so it is a crash-survivability watermark in both modes.
     /// The flush boundary (Algorithm 2/4) is `durable_tail + ε`
-    /// ([`HookState::flush_boundary`]), so `flushBoundary ≤ stableTail + ε`,
+    /// ([`PrepHooks::flush_boundary`]), so `flushBoundary ≤ stableTail + ε`,
     /// the invariant the ε + β − 1 loss bound rests on, holds by
     /// definition.
     pub(crate) durable_tail: CachePadded<AtomicU64>,
     /// Largest `completedTail` somebody has asked to have checkpointed now
-    /// rather than at the flush boundary ([`HookState::request_checkpoint`]).
+    /// rather than at the flush boundary ([`PrepHooks::request_checkpoint`]).
     /// The request stands until `durable_tail` reaches it, so one that
     /// lands while a checkpoint is in flight is served by the next one.
     pub(crate) sync_request: CachePadded<AtomicU64>,
     /// Where the idle persistence thread parks. Three events wake it, each
     /// after a `SeqCst` publish of the word its ready check reads: a
     /// combiner's `completedTail` advance that reaches `wake_at`, a
-    /// checkpoint request that found the task busy (when it is free, the
+    /// checkpoint request that found the cycle busy (when it is free, the
     /// requesting thread runs the cycle itself), and `Drop`'s stop.
     pub(crate) persist_wake: WakeSlot,
     /// The `completedTail` at which a combiner wakes the parked
@@ -111,42 +116,62 @@ pub(crate) struct HookState<O: Clone> {
     /// park.
     pub(crate) wake_at: CachePadded<AtomicU64>,
     /// Where `quiesce_persistence` parks until `durable_tail` covers it.
-    /// The persistence thread wakes it after every published checkpoint.
+    /// The cycle wakes it after every published checkpoint.
     pub(crate) quiesce_wake: WakeSlot,
     /// Called after every published checkpoint, by the thread that wrote
     /// it (`PrepUc::set_checkpoint_listener`).
     pub(crate) checkpoint_listener: OnceLock<Box<dyn Fn() + Send + Sync>>,
-    /// Runs one persistence cycle on the calling thread if the task is
-    /// free, and says whether it did. `PrepUc` installs it at construction,
-    /// over a `Weak` of its `PersistenceTask` (which holds this state, so a
-    /// strong reference would be a cycle).
-    pub(crate) try_cycle: OnceLock<Box<dyn Fn() -> bool + Send + Sync>>,
+    /// Held by whichever thread runs the persistence cycle: the persistence
+    /// thread, or a checkpoint requester that found it free. It guards no
+    /// data; it orders the cycle's runs, which are the only writers of the
+    /// selector, the persistent tails and the watermark.
+    pub(crate) cycle_lock: TryLock<()>,
     /// Shutdown flag for the persistence thread and the reserve gate.
+    // shared-line: written once, at shutdown; the gate reads it only after
+    // a refusal, the persistence thread once per loop.
     pub(crate) stop: AtomicBool,
     /// NVM image of `d_completedTail` (durable mode).
     pub(crate) ct_cell: PersistentCell<u64>,
     /// NVM image of `p_activePReplica`.
     pub(crate) p_active_cell: PersistentCell<u64>,
     /// NVM image of the persisted log entries (durable mode).
-    pub(crate) log_image: LogImage<O>,
+    pub(crate) log_image: LogImage<T::Op>,
+    /// The two persistence-only replicas, each its own crash image (§5.1:
+    /// "the persistent replicas are only accessed by the persistence
+    /// thread"; here, by whichever thread holds `cycle_lock`, and by a
+    /// crash cut copying the stable one). Padded: the cycle writes their
+    /// locks and objects, and the words beside them (ε, the durability
+    /// level) are read by every combiner.
+    pub(crate) replicas: CachePadded<[PersistentReplica<T>; 2]>,
 }
 
-impl<O: Clone> HookState<O> {
-    pub(crate) fn new(
-        rt: Arc<PmemRuntime>,
-        durability: DurabilityLevel,
-        epsilon: u64,
-        fence_per_entry: bool,
-        psan_fault: Option<PsanFault>,
-    ) -> Arc<Self> {
+impl<T: SequentialObject> PrepHooks<T> {
+    /// The persistence state of a fresh construction whose persistent
+    /// replicas start as `obj` (one copy and `obj` itself), consistent at
+    /// localTail 0.
+    pub(crate) fn new(config: &PrepConfig, obj: T) -> Self {
+        let rt = Arc::clone(&config.runtime);
         let psan = PsanLayout::new(&rt);
-        Arc::new(HookState {
+        let replicas = CachePadded::new([
+            PersistentReplica::new(obj.clone_object()),
+            PersistentReplica::new(obj),
+        ]);
+        // Precise dirty tracking is enabled only on the persistence
+        // replicas (the volatile NR replicas keep the zero-cost fallback),
+        // and only when the flush strategy will consume it.
+        if config.flush_strategy == FlushStrategy::DirtyLines {
+            for rep in replicas.iter() {
+                rep.lock().object_mut().clear_dirty();
+            }
+        }
+        PrepHooks {
             rt,
-            durability,
-            fence_per_entry,
+            durability: config.durability,
+            fence_per_entry: config.fence_per_entry,
+            flush_strategy: config.flush_strategy,
             psan,
-            psan_fault,
-            epsilon,
+            psan_fault: config.psan_fault,
+            epsilon: config.epsilon,
             p_tails: [
                 CachePadded::new(AtomicU64::new(0)),
                 CachePadded::new(AtomicU64::new(0)),
@@ -159,12 +184,13 @@ impl<O: Clone> HookState<O> {
             wake_at: CachePadded::new(AtomicU64::new(u64::MAX)),
             quiesce_wake: WakeSlot::new(),
             checkpoint_listener: OnceLock::new(),
-            try_cycle: OnceLock::new(),
+            cycle_lock: TryLock::new(()),
             stop: AtomicBool::new(false),
             ct_cell: PersistentCell::new(0),
             p_active_cell: PersistentCell::new(0),
             log_image: LogImage::new(),
-        })
+            replicas,
+        }
     }
 
     /// The flush boundary: ε past the published checkpoint. The gate
@@ -176,17 +202,17 @@ impl<O: Clone> HookState<O> {
         self.durable_tail.load(Ordering::Acquire) + self.epsilon
     }
 
-    /// Asks for every entry below `ct` to be checkpointed now, and runs the
-    /// persistence cycle on the calling thread if nobody else is running
-    /// it; otherwise wakes the persistence thread, which finds the request
-    /// standing. The thread that wants a checkpoint (a nudger, a combiner
-    /// refused at the gate, a logMin scan stuck on a persistent replica)
-    /// writes it itself rather than wait to be scheduled after the
+    /// Asks for every entry of `log` below `ct` to be checkpointed now, and
+    /// runs the persistence cycle on the calling thread if nobody else is
+    /// running it; otherwise wakes the persistence thread, which finds the
+    /// request standing. The thread that wants a checkpoint (a nudger, a
+    /// combiner refused at the gate, a logMin scan stuck on a persistent
+    /// replica) writes it itself rather than wait to be scheduled after the
     /// persistence thread. Checkpointing before the boundary is reached
     /// only tightens the loss bound. The cycle also applies the active
     /// replica up to `completedTail`, which is the help a logMin scan
     /// needs when the active replica is its straggler.
-    pub(crate) fn request_checkpoint(&self, ct: u64) {
+    pub(crate) fn request_checkpoint(&self, log: &Log<T::Op>, ct: u64) {
         self.sync_request
             // ord: SeqCst — Release so the cycle's Acquire load of the
             // request sees the completions that motivated it; Acquire
@@ -194,7 +220,9 @@ impl<O: Clone> HookState<O> {
             // SeqCst because it is the publish half of the WakeSlot pair the
             // wake below completes.
             .fetch_max(ct, Ordering::SeqCst);
-        if !self.try_cycle.get().is_some_and(|cycle| cycle()) {
+        if let Some(held) = self.cycle_lock.try_lock() {
+            self.cycle(&held, log);
+        } else {
             self.persist_wake.wake();
         }
     }
@@ -232,25 +260,7 @@ impl<O: Clone> HookState<O> {
     /// emptyBit), for flush accounting.
     #[inline]
     fn entry_bytes() -> u64 {
-        std::mem::size_of::<O>() as u64 + 1
-    }
-
-    /// Distinct cachelines spanned by entries `[from, to)` of the packed
-    /// NVM log. Adjacent small entries share lines, so flushing a batch
-    /// costs one `CLFLUSHOPT` per *spanned* line — not one per entry.
-    /// ([`HookState::flush_entry_span`] issues exactly this many flushes;
-    /// tests assert the arithmetic directly.)
-    #[cfg_attr(
-        not(test),
-        allow(
-            dead_code,
-            reason = "the unit tests assert the flush arithmetic through it"
-        )
-    )]
-    #[inline]
-    fn span_lines(from: u64, to: u64) -> u64 {
-        let eb = Self::entry_bytes();
-        ((to * eb).div_ceil(64) - (from * eb) / 64).max(1)
+        std::mem::size_of::<T::Op>() as u64 + 1
     }
 
     /// Logical NVM address of entry `idx`'s first payload byte.
@@ -266,8 +276,9 @@ impl<O: Clone> HookState<O> {
     }
 
     /// Asynchronously flushes each distinct cacheline spanned by entries
-    /// `[from, to)` — exactly [`HookState::span_lines`] many `CLFLUSHOPT`s
-    /// (the log region base is line-aligned), each carrying its line
+    /// `[from, to)` of the packed NVM log — one `CLFLUSHOPT` per *spanned*
+    /// line, not one per entry, since adjacent small entries share lines
+    /// (the log region base is line-aligned) — each carrying its line
     /// address for the sanitizer. `traced` is the caller's trace of the
     /// stores the span holds.
     fn flush_entry_span(&self, from: u64, to: u64, site: &'static str, traced: &Traced) {
@@ -280,12 +291,7 @@ impl<O: Clone> HookState<O> {
     }
 }
 
-/// The [`NrHooks`] implementation PREP plugs into `NodeReplicated`.
-pub struct PrepHooks<O: Clone + Send + 'static> {
-    pub(crate) state: Arc<HookState<O>>,
-}
-
-impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
+impl<T: SequentialObject> NrHooks<T::Op> for PrepHooks<T> {
     fn reserve_admitted(&self, tail: u64) -> bool {
         // Algorithm 4: refuse while the reservation would pass the flush
         // boundary. Strictly (`tail >= boundary`, not `>`), which is what
@@ -296,21 +302,21 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // On shutdown the persistence thread no longer advances the
         // boundary; admit rather than hang (loss bounds are only claimed
         // for non-shut-down instances).
-        tail < self.state.flush_boundary()
+        tail < self.flush_boundary()
             // ord: Acquire pairs with shutdown's stop Release: once seen,
             // the final persist pass has already been ordered before it.
-            || self.state.stop.load(Ordering::Acquire)
+            || self.stop.load(Ordering::Acquire)
     }
 
-    fn checkpoint_now(&self, completed_tail: u64) {
+    fn checkpoint_now(&self, log: &Log<T::Op>) {
         // Not `durable_watermark()`: in durable mode the persisted
         // `completedTail` covers everything, and a request skipped on its
         // strength would never raise the boundary.
-        self.state.request_checkpoint(completed_tail);
+        self.request_checkpoint(log, log.completed_tail());
     }
 
     fn persist_batch_payload(&self, range: Range<u64>) {
-        if self.state.durability != DurabilityLevel::Durable {
+        if self.durability != DurabilityLevel::Durable {
             return;
         }
         if range.is_empty() {
@@ -323,32 +329,31 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // batching saves; an intervening fence re-dirties shared boundary
         // lines, so there each entry flushes its own span.)
         const SITE: &str = "PrepHooks::persist_batch_payload";
-        let st = &self.state;
-        let eb = HookState::<O>::entry_bytes();
-        let skip_fence = st.psan_fault == Some(PsanFault::SkipLogPayloadFence);
-        if st.fence_per_entry {
+        let eb = Self::entry_bytes();
+        let skip_fence = self.psan_fault == Some(PsanFault::SkipLogPayloadFence);
+        if self.fence_per_entry {
             for idx in range {
-                let traced = st.rt.trace_store(st.payload_addr(idx), eb - 1, SITE);
-                st.flush_entry_span(idx, idx + 1, SITE, &traced);
+                let traced = self.rt.trace_store(self.payload_addr(idx), eb - 1, SITE);
+                self.flush_entry_span(idx, idx + 1, SITE, &traced);
                 if !skip_fence {
-                    st.rt.sfence();
+                    self.rt.sfence();
                 }
             }
         } else {
-            let traced = st.rt.trace_store(
-                st.payload_addr(range.start),
+            let traced = self.rt.trace_store(
+                self.payload_addr(range.start),
                 (range.end - range.start) * eb,
                 SITE,
             );
-            st.flush_entry_span(range.start, range.end, SITE, &traced);
+            self.flush_entry_span(range.start, range.end, SITE, &traced);
             if !skip_fence {
-                st.rt.sfence();
+                self.rt.sfence();
             }
         }
     }
 
-    fn persist_batch_published(&self, range: Range<u64>, op_at: &dyn Fn(u64) -> O) {
-        if self.state.durability != DurabilityLevel::Durable {
+    fn persist_batch_published(&self, range: Range<u64>, op_at: &dyn Fn(u64) -> T::Op) {
+        if self.durability != DurabilityLevel::Durable {
             return;
         }
         // Flush the emptyBit image lines and fence again; only after this
@@ -358,39 +363,38 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // not become visible to other combiners — who can cover it with a
         // durably-published completedTail — until its image is fenced.
         const SITE: &str = "PrepHooks::persist_batch_published";
-        let st = &self.state;
-        let eb = HookState::<O>::entry_bytes();
+        let eb = Self::entry_bytes();
         // Publish each emptyBit, and flush each *distinct* emptyBit line
         // once, after the last emptyBit on it. Flushing per entry (as this
         // used to) re-flushes a line for every further emptyBit on it with
         // no intervening store — the sanitizer's redundant-flush lint
         // flagged exactly that, and for small ops it is ~7× the flushes.
         for idx in range.clone() {
-            let addr = st.empty_bit_addr(idx);
-            let traced = st.rt.trace_publish(
+            let addr = self.empty_bit_addr(idx);
+            let traced = self.rt.trace_publish(
                 addr,
                 1,
-                &[(st.payload_addr(idx), eb - 1)],
+                &[(self.payload_addr(idx), eb - 1)],
                 PublishTag::LogEntry,
                 SITE,
             );
             let line = addr / 64;
-            if idx + 1 == range.end || st.empty_bit_addr(idx + 1) / 64 != line {
-                st.rt.clflushopt_at(line * 64, SITE, &traced);
+            if idx + 1 == range.end || self.empty_bit_addr(idx + 1) / 64 != line {
+                self.rt.clflushopt_at(line * 64, SITE, &traced);
             }
         }
-        st.rt.sfence();
+        self.rt.sfence();
         // The crash image needs the op values themselves: read each entry
         // back from the published log (the only clone of an op the durable
         // path performs — the combiner no longer keeps a batch vector).
         for idx in range {
-            st.log_image.persist_entry(&st.rt, idx, op_at(idx));
+            self.log_image.persist_entry(&self.rt, idx, op_at(idx));
         }
     }
 
     fn ensure_completed_tail_durable(&self, ct: u64) {
-        if self.state.durability == DurabilityLevel::Durable {
-            self.state.persist_completed_tail(ct);
+        if self.durability == DurabilityLevel::Durable {
+            self.persist_completed_tail(ct);
         }
         // The combiner's completedTail CAS (SeqCst) came first. Wake a
         // parked persistence thread only once a batch of entries has
@@ -399,17 +403,17 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
         // never what the loss bound or an ack waits for.
         // ord: SeqCst — the load of the store→load pair with the parking
         // thread's `wake_at` store and its re-read of completedTail.
-        if ct >= self.state.wake_at.load(Ordering::SeqCst) {
-            self.state.persist_wake.wake();
+        if ct >= self.wake_at.load(Ordering::SeqCst) {
+            self.persist_wake.wake();
         }
     }
 
     fn min_persistent_tail(&self) -> u64 {
         // ord: Acquire pairs with the cycle's tail Release stores; a tail t
         // implies the replica covers [0, t).
-        let first = self.state.p_tails[0].load(Ordering::Acquire);
+        let first = self.p_tails[0].load(Ordering::Acquire);
         // ord: see above.
-        first.min(self.state.p_tails[1].load(Ordering::Acquire))
+        first.min(self.p_tails[1].load(Ordering::Acquire))
     }
 }
 
@@ -417,25 +421,53 @@ impl<O: Clone + Send + Sync + 'static> NrHooks<O> for PrepHooks<O> {
 mod tests {
     use super::*;
 
-    fn mk(durability: DurabilityLevel) -> PrepHooks<u64> {
-        PrepHooks {
-            state: HookState::new(PmemRuntime::for_crash_tests(), durability, 16, false, None),
+    /// A sequential object whose ops are bare `u64`s, so a packed log
+    /// entry is 9 bytes (payload + emptyBit).
+    #[derive(Clone)]
+    struct Words;
+
+    impl SequentialObject for Words {
+        type Op = u64;
+        type Resp = ();
+
+        fn apply(&mut self, _: &u64) {}
+
+        fn apply_readonly(&self, _: &u64) {}
+
+        fn is_read_only(_: &u64) -> bool {
+            false
         }
+
+        fn approx_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    fn mk_with(config: PrepConfig) -> PrepHooks<Words> {
+        PrepHooks::new(
+            &config
+                .with_epsilon(16)
+                .with_runtime(PmemRuntime::for_crash_tests()),
+            Words,
+        )
+    }
+
+    fn mk(durability: DurabilityLevel) -> PrepHooks<Words> {
+        mk_with(PrepConfig::new(durability))
+    }
+
+    /// Distinct cachelines spanned by entries `[from, to)` of the packed
+    /// NVM log, `entry_bytes` each: the flush count the payload hook's
+    /// coalescing must reach.
+    fn span_lines(entry_bytes: u64, from: u64, to: u64) -> u64 {
+        ((to * entry_bytes).div_ceil(64) - (from * entry_bytes) / 64).max(1)
     }
 
     #[test]
     fn fence_per_entry_ablation_fences_each_entry() {
-        let h = PrepHooks::<u64> {
-            state: HookState::new(
-                PmemRuntime::for_crash_tests(),
-                DurabilityLevel::Durable,
-                16,
-                true,
-                None,
-            ),
-        };
+        let h = mk_with(PrepConfig::new(DurabilityLevel::Durable).with_fence_per_entry());
         h.persist_batch_payload(0..4);
-        assert_eq!(h.state.rt.stats().snapshot().sfence, 4);
+        assert_eq!(h.rt.stats().snapshot().sfence, 4);
     }
 
     #[test]
@@ -445,7 +477,7 @@ mod tests {
         assert!(!h.reserve_admitted(16), "tail at the boundary must wait");
         assert!(!h.reserve_admitted(17));
         // A checkpoint published at 16 raises the boundary to 16 + ε.
-        h.state.durable_tail.store(16, Ordering::Release);
+        h.durable_tail.store(16, Ordering::Release);
         assert!(h.reserve_admitted(31));
         assert!(!h.reserve_admitted(32));
     }
@@ -453,7 +485,7 @@ mod tests {
     #[test]
     fn gate_admits_everything_after_stop() {
         let h = mk(DurabilityLevel::Buffered);
-        h.state.stop.store(true, Ordering::Release);
+        h.stop.store(true, Ordering::Release);
         assert!(h.reserve_admitted(1_000_000)); // must not wedge shutdown
     }
 
@@ -463,32 +495,32 @@ mod tests {
         h.persist_batch_payload(0..4);
         h.persist_batch_published(0..4, &|i| i + 1);
         h.ensure_completed_tail_durable(4);
-        let s = h.state.rt.stats().snapshot();
+        let s = h.rt.stats().snapshot();
         assert_eq!(s.total_flushes(), 0);
         assert_eq!(s.sfence, 0);
-        assert!(h.state.log_image.is_empty());
-        assert_eq!(h.state.ct_cell.read_image(), 0);
+        assert!(h.log_image.is_empty());
+        assert_eq!(h.ct_cell.read_image(), 0);
     }
 
     #[test]
     fn durable_persists_batch_with_one_fence_per_phase() {
         let h = mk(DurabilityLevel::Durable);
         h.persist_batch_payload(0..4);
-        let s = h.state.rt.stats().snapshot();
+        let s = h.rt.stats().snapshot();
         // Four 9-byte entries (u64 payload + emptyBit) span bytes [0, 36):
         // one cacheline, so one coalesced async flush.
         assert_eq!(s.clflushopt, 1, "one async flush per spanned line");
         assert_eq!(s.sfence, 1, "a single fence per batch (§4.1)");
         assert!(
-            h.state.log_image.is_empty(),
+            h.log_image.is_empty(),
             "payload-only persistence must not make entries recoverable"
         );
         h.persist_batch_published(0..4, &|i| i + 1);
-        let s = h.state.rt.stats().snapshot();
+        let s = h.rt.stats().snapshot();
         assert_eq!(s.sfence, 2);
-        assert_eq!(h.state.log_image.len(), 4);
+        assert_eq!(h.log_image.len(), 4);
         assert_eq!(
-            h.state.log_image.persisted_range(0, 4),
+            h.log_image.persisted_range(0, 4),
             vec![(0, 1), (1, 2), (2, 3), (3, 4)]
         );
     }
@@ -497,12 +529,14 @@ mod tests {
     fn payload_flushes_coalesce_by_spanned_lines() {
         // Entries are 9 bytes; lines hold 64. A batch of 16 entries spans
         // 144 bytes; start offset matters for the line count.
-        assert_eq!(HookState::<u64>::span_lines(0, 16), 3); // [0, 144)
-        assert_eq!(HookState::<u64>::span_lines(7, 8), 2); // [63, 72) straddles
-        assert_eq!(HookState::<u64>::span_lines(6, 8), 2); // [54, 72)
+        let eb = PrepHooks::<Words>::entry_bytes();
+        assert_eq!(eb, 9);
+        assert_eq!(span_lines(eb, 0, 16), 3); // [0, 144)
+        assert_eq!(span_lines(eb, 7, 8), 2); // [63, 72) straddles
+        assert_eq!(span_lines(eb, 6, 8), 2); // [54, 72)
         let h = mk(DurabilityLevel::Durable);
         h.persist_batch_payload(6..8);
-        let s = h.state.rt.stats().snapshot();
+        let s = h.rt.stats().snapshot();
         assert_eq!(s.clflushopt, 2);
         assert_eq!(s.sfence, 1);
     }
@@ -513,19 +547,19 @@ mod tests {
         h.ensure_completed_tail_durable(10);
         h.ensure_completed_tail_durable(10);
         h.ensure_completed_tail_durable(7); // already covered
-        let s = h.state.rt.stats().snapshot();
+        let s = h.rt.stats().snapshot();
         assert_eq!(s.clflush, 1, "covered values must not re-flush");
-        assert_eq!(h.state.ct_cell.read_image(), 10);
+        assert_eq!(h.ct_cell.read_image(), 10);
         h.ensure_completed_tail_durable(20);
-        assert_eq!(h.state.ct_cell.read_image(), 20);
-        assert_eq!(h.state.rt.stats().snapshot().clflush, 2);
+        assert_eq!(h.ct_cell.read_image(), 20);
+        assert_eq!(h.rt.stats().snapshot().clflush, 2);
     }
 
     #[test]
     fn min_persistent_tail_is_the_lower_mirror() {
         let h = mk(DurabilityLevel::Buffered);
-        h.state.p_tails[0].store(9, Ordering::Release);
-        h.state.p_tails[1].store(3, Ordering::Release);
+        h.p_tails[0].store(9, Ordering::Release);
+        h.p_tails[1].store(3, Ordering::Release);
         assert_eq!(h.min_persistent_tail(), 3);
     }
 }

@@ -12,12 +12,16 @@
 //! * the **shared operation log** doubles as a redo log: its order is the
 //!   linearization order, and (durable mode) it is flushed to NVM batch by
 //!   batch;
-//! * two **persistence-only replicas** live in NVM. A dedicated
-//!   *persistence thread* replays the log onto the **active** one; the
-//!   **stable** one is quiescent and consistent in NVM. When the log
-//!   approaches the flush boundary the active replica is written back with
-//!   WBINVD, the roles swap (persisted `p_activePReplica` flag), and the
-//!   flush boundary advances by **ε**;
+//! * two **persistence-only replicas** live in NVM, owned with the rest of
+//!   the persistence state by [`PrepHooks`], the hooks NR runs. Whichever
+//!   thread holds the *persistence cycle* — the background persistence
+//!   thread, or a thread that asked for a checkpoint and found the cycle
+//!   free — replays the log onto the **active** one; the **stable** one is
+//!   quiescent and consistent in NVM. When the log reaches the flush
+//!   boundary, or a checkpoint is requested, that thread writes the active
+//!   replica back (WBINVD, or one flush per dirty line,
+//!   [`FlushStrategy`]), the roles swap (persisted `p_activePReplica`
+//!   flag), and the flush boundary moves to ε past the new checkpoint;
 //! * reservations on the log are **gated** at the flush boundary
 //!   (Algorithm 4), which is what bounds post-crash loss.
 //!

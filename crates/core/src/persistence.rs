@@ -1,8 +1,9 @@
 //! The persistence cycle (Algorithm 2: `UpdatePersistentReplicas`) and
 //! the thread that runs it in the background.
 //!
-//! One [`PersistenceTask`] drives both persistence-only replicas. Each
-//! cycle replays newly completed log entries onto the **active** replica
+//! The cycle is code over [`PrepHooks`], which owns both persistence-only
+//! replicas and every word the cycle reads or writes, plus the shared log
+//! it replays, which each caller passes in. Each cycle replays newly completed log entries onto the **active** replica
 //! (through the thread-local allocator swap, so the sequential object's
 //! allocations land in the persistent arena, §5.1). When the flush boundary
 //! is reached, or a checkpoint request stands, it writes the active replica
@@ -11,17 +12,20 @@
 //! checkpoint's tail, which also raises the flush boundary to that tail
 //! + ε.
 //!
-//! The task sits behind one [`TryLock`], and there is one cycle function,
-//! [`PersistenceTask::cycle`], run by whichever thread holds it: the
-//! dedicated persistence thread, or a thread that asked for a checkpoint
-//! through `HookState::request_checkpoint` and found the task free — a
-//! nudger that wants its durable ack now, a combiner whose reservation the
-//! gate refused at the flush boundary (Algorithm 4), or a logMin scan whose
-//! straggler is a persistent replica (Algorithm 3). That thread writes the
-//! checkpoint itself and returns with the watermark covering its request,
-//! so none of them waits for the persistence thread to be scheduled. One
-//! that finds the task busy leaves its request standing and wakes the
-//! persistence thread instead.
+//! There is one cycle function, [`PrepHooks::cycle`], run by whichever
+//! thread holds `PrepHooks::cycle_lock` (a `TryLock` that guards no data):
+//! the dedicated
+//! persistence thread, or a thread that asked for a checkpoint through
+//! `PrepHooks::request_checkpoint` and found the cycle free — a nudger that
+//! wants its durable ack now, a combiner whose reservation the gate refused
+//! at the flush boundary (Algorithm 4), or a logMin scan whose straggler is
+//! a persistent replica (Algorithm 3). That thread writes the checkpoint
+//! itself and returns with the watermark covering its request, so none of
+//! them waits for the persistence thread to be scheduled. One that finds
+//! the cycle busy leaves its request standing and wakes the persistence
+//! thread instead. The persistence thread holds the one `Arc` of the
+//! `NodeReplicated` it serves and reaches the hooks through it; nothing
+//! holds the construction from inside it.
 //!
 //! Each persistent replica is its own crash image
 //! ([`prep_pmem::PersistentReplica`]): the stable one is never mutated until
@@ -37,15 +41,15 @@
 //!
 //! When a cycle finds nothing to do the persistence thread spins, then
 //! yields, through a [`Waiter`], looking for work without holding the
-//! task (so a checkpoint request finds it free). Once that ladder is spent
-//! it stores its wake threshold `HookState::wake_at` — halfway from the
+//! cycle (so a checkpoint request finds it free). Once that ladder is spent
+//! it stores its wake threshold `PrepHooks::wake_at` — halfway from the
 //! active replica's applied tail to the flush boundary (ε/2 right after a
 //! checkpoint), at most `MAX_WAKE_BATCH` entries on — and parks on
-//! `HookState::persist_wake` for at most [`IDLE_PARK`] at a time. A
+//! `PrepHooks::persist_wake` for at most [`IDLE_PARK`] at a time. A
 //! combiner wakes it only once `completedTail` reaches the threshold, so
 //! background apply runs in batches; a checkpoint request that found the
-//! task busy and `Drop`'s stop wake it at once. A park that times out with
-//! no cycle due parks again, without taking the task or re-running the
+//! cycle busy and `Drop`'s stop wake it at once. A park that times out with
+//! no cycle due parks again, without taking the cycle or re-running the
 //! ladder. The loss bound does not rest on any of these wake-ups: the gate
 //! enforces it.
 
@@ -53,14 +57,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
-use prep_pmem::PersistentReplica;
-use prep_seqds::SequentialObject;
-use prep_sync::{TryLock, Waiter};
-
+use prep_nr::Log;
 use prep_pmem::psan::PublishTag;
+use prep_seqds::SequentialObject;
+use prep_sync::{TryLockGuard, Waiter};
 
 use crate::config::{DurabilityLevel, FlushStrategy, PsanFault};
-use crate::hooks::HookState;
+use crate::hooks::PrepHooks;
 use crate::puc::NrInner;
 
 /// Longest one idle park of the persistence thread lasts, so an idle store
@@ -82,76 +85,43 @@ pub const IDLE_PARK: Duration = Duration::from_micros(125);
 /// replica, as a store with a small ε does.
 const MAX_WAKE_BATCH: u64 = 64;
 
-/// Everything a persistence cycle needs. It lives behind a [`TryLock`]
-/// shared by the persistence thread and `HookState::request_checkpoint`.
-pub(crate) struct PersistenceTask<T: SequentialObject> {
-    nr: Arc<NrInner<T>>,
-    state: Arc<HookState<T::Op>>,
-    /// The two persistence-only replicas (§5.1: "the persistent replicas
-    /// are only accessed by the persistence thread"; here, by whichever
-    /// thread holds the task, and by a crash cut copying the stable one).
-    replicas: Arc<[PersistentReplica<T>; 2]>,
-    flush_strategy: FlushStrategy,
-}
-
-impl<T: SequentialObject> PersistenceTask<T> {
-    pub(crate) fn new(
-        nr: Arc<NrInner<T>>,
-        state: Arc<HookState<T::Op>>,
-        replicas: Arc<[PersistentReplica<T>; 2]>,
-        flush_strategy: FlushStrategy,
-    ) -> Self {
-        // Precise dirty tracking is enabled only on the persistence
-        // replicas (the volatile NR replicas keep the zero-cost fallback),
-        // and only when the flush strategy will consume it.
-        if flush_strategy == FlushStrategy::DirtyLines {
-            for rep in replicas.iter() {
-                rep.lock().object_mut().clear_dirty();
-            }
-        }
-        PersistenceTask {
-            nr,
-            state,
-            replicas,
-            flush_strategy,
-        }
-    }
-
+impl<T: SequentialObject> PrepHooks<T> {
     /// The applied tail of the active replica, and the `completedTail` at
     /// which a combiner should wake the parked persistence thread to apply
     /// more: halfway from that tail to the flush boundary (ε/2 right after
     /// a checkpoint), at most [`MAX_WAKE_BATCH`] entries on, at least one.
     /// Halving the distance leaves a closed gate, or a nudge, next to
     /// nothing to apply before its checkpoint.
-    fn wake_threshold(&self) -> (u64, u64) {
-        // ord: Relaxed — only the task's holder stores the selector and the
-        // tails, and the task lock orders the holders.
-        let active = self.state.p_active.load(Ordering::Relaxed) as usize;
+    fn wake_threshold(&self, _held: &TryLockGuard<'_, ()>) -> (u64, u64) {
+        // ord: Relaxed — only the cycle's holder stores the selector and the
+        // tails, and `cycle_lock` orders the holders.
+        let active = self.p_active.load(Ordering::Relaxed) as usize;
         // ord: Relaxed — see above.
-        let local_tail = self.state.p_tails[active].load(Ordering::Relaxed);
-        let boundary = self.state.flush_boundary();
+        let local_tail = self.p_tails[active].load(Ordering::Relaxed);
+        let boundary = self.flush_boundary();
         let step = (boundary.saturating_sub(local_tail) / 2).clamp(1, MAX_WAKE_BATCH);
         (local_tail, local_tail + step)
     }
 
-    /// One cycle of Algorithm 2: apply the active replica up to
-    /// `completedTail`, and checkpoint it if it has reached the flush
-    /// boundary or a standing `sync_request` asks for it. Returns whether
-    /// the cycle did anything. A request at or below the `completedTail`
-    /// read here is covered by the time the cycle returns.
-    pub(crate) fn cycle(&mut self) -> bool {
-        let rt = Arc::clone(&self.state.rt);
+    /// One cycle of Algorithm 2, run by the holder of `cycle_lock`: apply
+    /// the active replica up to `log`'s `completedTail`, and checkpoint it
+    /// if it has reached the flush boundary or a standing `sync_request`
+    /// asks for it. Returns whether the cycle did anything. A request at or
+    /// below the `completedTail` read here is covered by the time the cycle
+    /// returns.
+    pub(crate) fn cycle(&self, _held: &TryLockGuard<'_, ()>, log: &Log<T::Op>) -> bool {
+        let rt = &*self.rt;
         let op_bytes = std::mem::size_of::<T::Op>() as u64;
         let dirty_lines = self.flush_strategy == FlushStrategy::DirtyLines;
         // ord: Relaxed — see `wake_threshold`.
-        let active = self.state.p_active.load(Ordering::Relaxed) as usize;
+        let active = self.p_active.load(Ordering::Relaxed) as usize;
         // The standing request is read before `completedTail`: `want` is a
         // `completedTail` its requester read before the `fetch_max` this
         // load synchronizes with, so the tail read next is at least `want`,
         // and this cycle meets the request whoever runs it.
         // ord: Acquire pairs with request_checkpoint's SeqCst fetch_max.
-        let want = self.state.sync_request.load(Ordering::Acquire);
-        let tail = self.nr.completed_tail();
+        let want = self.sync_request.load(Ordering::Acquire);
+        let tail = log.completed_tail();
         let mut rep = self.replicas[active].lock();
 
         let mut progressed = false;
@@ -160,8 +130,7 @@ impl<T: SequentialObject> PersistenceTask<T> {
             // The first mutation after a checkpoint leaves the active
             // replica torn until the next one (§4.1's background-flush
             // hazard); `advance` marks it before applying.
-            let log = self.nr.log();
-            rep.advance(&rt, tail, |ds| {
+            rep.advance(rt, tail, |ds| {
                 log.for_each_op(from, tail, |_, op| {
                     // Stores to the NVM-resident replica are slower than
                     // DRAM stores; charge them.
@@ -173,13 +142,13 @@ impl<T: SequentialObject> PersistenceTask<T> {
             });
             // ord: Release publishes the replica state just applied to
             // the logMin scan's (min_persistent_tail) Acquire readers.
-            self.state.p_tails[active].store(tail, Ordering::Release);
+            self.p_tails[active].store(tail, Ordering::Release);
             progressed = true;
         }
 
         // Flush trigger (Algorithm 2): the boundary is ε past the
         // published checkpoint.
-        let boundary = self.state.flush_boundary();
+        let boundary = self.flush_boundary();
         // Second trigger (the §2.2 sync point, and the help for a closed
         // gate or a persistent logMin straggler): somebody asked for the
         // prefix below `want` to be made crash-survivable now, and the
@@ -188,17 +157,17 @@ impl<T: SequentialObject> PersistenceTask<T> {
         // the loss bound.
         let local_tail = rep.local_tail();
         debug_assert!(want <= local_tail, "the request was read first");
-        // ord: Relaxed — only the task's holder writes the watermark, and
-        // the task lock orders the holders.
-        let requested = self.state.durable_tail.load(Ordering::Relaxed) < want;
+        // ord: Relaxed — only the cycle's holder writes the watermark, and
+        // `cycle_lock` orders the holders.
+        let requested = self.durable_tail.load(Ordering::Relaxed) < want;
         if boundary <= local_tail || requested {
             // Write the active replica back to NVM, making it durable
             // and consistent: WBINVD (paper default), or — the
             // incremental path — one CLFLUSHOPT per distinct line
             // dirtied since this replica's last checkpoint (the whole
             // range, §6's alternative, for an untracked object).
-            const SITE: &str = "PersistenceTask::checkpoint";
-            let region = self.state.psan.replicas[active];
+            const SITE: &str = "PrepHooks::checkpoint";
+            let region = self.psan.replicas[active];
             let flushed_bytes = match self.flush_strategy {
                 FlushStrategy::Wbinvd => {
                     let full_bytes = rep.object().approx_bytes();
@@ -244,13 +213,13 @@ impl<T: SequentialObject> PersistenceTask<T> {
                     dirty
                 }
             };
-            if self.state.psan_fault != Some(PsanFault::SkipCheckpointFence) {
+            if self.psan_fault != Some(PsanFault::SkipCheckpointFence) {
                 rt.sfence();
             }
             rt.count_checkpoint(flushed_bytes);
             // The fenced write-back made the replica consistent in NVM at
             // its localTail.
-            rep.checkpointed(&rt, flushed_bytes);
+            rep.checkpointed(rt, flushed_bytes);
             if dirty_lines {
                 rep.object_mut().clear_dirty();
             }
@@ -267,19 +236,19 @@ impl<T: SequentialObject> PersistenceTask<T> {
             let new_active = 1 - active as u64;
             // ord: Release publishes the checkpoint written above before
             // the selector that names it becomes visible.
-            self.state.p_active.store(new_active, Ordering::Release);
+            self.p_active.store(new_active, Ordering::Release);
             // Store + CLFLUSH as one atomic persist. The selector is a
             // *publish*: once durable, recovery trusts the checkpoint
             // it names, so every byte of the just-checkpointed replica
             // must already be durable.
             rt.publish_clflush(
-                self.state.psan.p_active_addr,
+                self.psan.p_active_addr,
                 std::mem::size_of::<u64>() as u64,
                 &[(region.base, region.len)],
                 PublishTag::CheckpointMarker,
-                "PersistenceTask::swap",
+                "PrepHooks::swap",
             );
-            self.state.p_active_cell.record(&rt, new_active);
+            self.p_active_cell.record(rt, new_active);
             // The checkpoint just published covers [0, local_tail): any
             // crash from here on recovers at least this prefix. This is
             // the watermark durable-ack release points wait on, and the
@@ -289,66 +258,82 @@ impl<T: SequentialObject> PersistenceTask<T> {
             // equivalent on its trigger, where localTail ≥ boundary; an
             // early checkpoint, at a request, lands below the boundary,
             // where `+= ε` would widen the window beyond ε.)
-            self.state
-                .durable_tail
+            self.durable_tail
                 // ord: SeqCst — publishes the checkpoint behind the
                 // watermark to durable_watermark()'s readers and to the
                 // gate's Acquire, and is the store of the waiters'
                 // store→load pair: a waiter that announced itself before
                 // this lands is seen by the quiescer's slot or the listener
                 // below, one that announces after sees the new watermark in
-                // its re-check. (Only the task's holder writes it;
+                // its re-check. (Only the cycle's holder writes it;
                 // fetch_max is how it stays monotone.)
                 .fetch_max(local_tail, Ordering::SeqCst);
-            self.state.quiesce_wake.wake();
-            if let Some(listener) = self.state.checkpoint_listener.get() {
+            self.quiesce_wake.wake();
+            if let Some(listener) = self.checkpoint_listener.get() {
                 listener();
             }
             // Entries below both persistent tails can never be needed by
             // recovery again; let the durable log image reclaim them.
-            if self.state.durability == DurabilityLevel::Durable {
+            if self.durability == DurabilityLevel::Durable {
                 // ord: Relaxed — see `wake_threshold`.
-                let [a, b] = &self.state.p_tails;
+                let [a, b] = &self.p_tails;
                 let min_tail = a.load(Ordering::Relaxed).min(b.load(Ordering::Relaxed));
-                self.state.log_image.retain_from(&rt, min_tail);
+                self.log_image.retain_from(rt, min_tail);
             }
             progressed = true;
         }
 
         progressed
     }
+
+    /// The park's ready check: would a cycle be due? Background apply is
+    /// due once `log`'s `completedTail` reaches `wake_at`; a checkpoint is
+    /// due at once when a `sync_request` stands; and `stop` ends the
+    /// thread. (The flush boundary needs no clause: the boundary only
+    /// rises, and a cycle that found the active replica short of it parks
+    /// with `wake_at` at or below it.) Every word it reads is published
+    /// with a `SeqCst` store or RMW before its writer calls
+    /// `persist_wake.wake()`, and is read here with a `SeqCst` load, as
+    /// [`prep_sync::WakeSlot`] requires.
+    fn has_work(&self, log: &Log<T::Op>, wake_at: u64) -> bool {
+        use std::sync::atomic::Ordering::SeqCst;
+
+        // ord: SeqCst — against Drop's stop store.
+        self.stop.load(SeqCst)
+            || log.completed_tail_seqcst() >= wake_at
+            // ord: SeqCst — against request_checkpoint's fetch_max, and
+            // against the watermark publish of a requester's cycle.
+            || self.sync_request.load(SeqCst) > self.durable_tail.load(SeqCst)
+    }
 }
 
-/// The persistence thread's body: run cycles until `state.stop`, parking
-/// when there is nothing to do.
-fn run<T: SequentialObject>(
-    task: &TryLock<PersistenceTask<T>>,
-    state: &HookState<T::Op>,
-    nr: &NrInner<T>,
-) {
+/// The persistence thread's body: run cycles until the hooks' `stop`,
+/// parking when there is nothing to do.
+fn run<T: SequentialObject>(nr: &NrInner<T>) {
+    let (hooks, log) = (nr.hooks(), nr.log());
     let mut w = Waiter::new();
     loop {
         // ord: Acquire pairs with shutdown's stop Release so the final
         // state we leave behind covers everything shut-down code wrote.
-        if state.stop.load(Ordering::Acquire) {
+        if hooks.stop.load(Ordering::Acquire) {
             return;
         }
-        // A requesting thread holds the task for one cycle: wait it out.
-        let Some(mut t) = task.try_lock() else {
+        // A requesting thread holds the cycle for one run: wait it out.
+        let Some(held) = hooks.cycle_lock.try_lock() else {
             w.wait();
             continue;
         };
-        if t.cycle() {
+        if hooks.cycle(&held, log) {
             w.reset();
             continue;
         }
-        let (local_tail, wake_at) = t.wake_threshold();
-        drop(t);
+        let (local_tail, wake_at) = hooks.wake_threshold(&held);
+        drop(held);
         if !w.is_sleeping() {
             // The ladder: look for any entry to apply, or a checkpoint
-            // request, without holding the task, so that a request
-            // meanwhile finds it free and runs its own cycle.
-            while !w.is_sleeping() && !has_work(state, nr, local_tail + 1) {
+            // request, without holding the cycle, so that a request
+            // meanwhile finds it free and runs its own.
+            while !w.is_sleeping() && !hooks.has_work(log, local_tail + 1) {
                 w.wait();
             }
         } else {
@@ -356,46 +341,25 @@ fn run<T: SequentialObject>(
             // with `ensure_completed_tail_durable`: a combiner whose
             // completedTail CAS the re-check below misses reads this
             // threshold (or a later one), and wakes us if it is reached.
-            state.wake_at.store(wake_at, Ordering::SeqCst);
+            hooks.wake_at.store(wake_at, Ordering::SeqCst);
             // A park that times out with no cycle due parks again: below
             // `wake_at` the active replica is left behind on purpose.
-            let due = || has_work(state, nr, wake_at);
+            let due = || hooks.has_work(log, wake_at);
             while !due() {
-                state.persist_wake.wait_until_or(due, IDLE_PARK);
+                hooks.persist_wake.wait_until_or(due, IDLE_PARK);
             }
         }
     }
 }
 
-/// The park's ready check: would a cycle be due? Background apply is due
-/// once `completedTail` reaches `wake_at`; a checkpoint is due at once when
-/// a `sync_request` stands; and `stop` ends the thread. (The flush boundary
-/// needs no clause: the boundary only rises, and a cycle that found the
-/// active replica short of it parks with `wake_at` at or below it.) Every
-/// word it reads is published with a `SeqCst` store or RMW before its
-/// writer calls `persist_wake.wake()`, and is read here with a `SeqCst`
-/// load, as [`prep_sync::WakeSlot`] requires.
-fn has_work<T: SequentialObject>(st: &HookState<T::Op>, nr: &NrInner<T>, wake_at: u64) -> bool {
-    use std::sync::atomic::Ordering::SeqCst;
-
-    // ord: SeqCst — against Drop's stop store.
-    st.stop.load(SeqCst)
-        || nr.log().completed_tail_seqcst() >= wake_at
-        // ord: SeqCst — against request_checkpoint's fetch_max, and
-        // against the watermark publish of a requester's cycle.
-        || st.sync_request.load(SeqCst) > st.durable_tail.load(SeqCst)
-}
-
-/// Spawns the persistence thread over the shared `task`. Returns its join
-/// handle; it exits when the hook state's `stop` is raised.
+/// Spawns the persistence thread over `nr`'s hooks and log. Returns its
+/// join handle; it exits when the hooks' `stop` is raised.
 pub(crate) fn spawn_persistence_thread<T: SequentialObject>(
-    task: Arc<TryLock<PersistenceTask<T>>>,
-    state: Arc<HookState<T::Op>>,
     nr: Arc<NrInner<T>>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name("prep-persistence".into())
-        .spawn(move || run(&task, &state, &nr))
+        .spawn(move || run(&nr))
         .expect("failed to spawn persistence thread")
 }
 
@@ -429,7 +393,7 @@ mod tests {
         }
         // The active replica must eventually reach completedTail = 20.
         prep_sync::spin_until(|| {
-            let s = prep.hook_state();
+            let s = prep.hooks();
             s.p_tails[0]
                 .load(Ordering::Acquire)
                 .max(s.p_tails[1].load(Ordering::Acquire))
@@ -454,12 +418,11 @@ mod tests {
         prep_sync::spin_until(|| rt.stats().snapshot_count() >= 3);
         assert!(rt.stats().wbinvd_count() >= 3);
         // p_activePReplica was persisted at least once per swap.
-        let active_img = prep.hook_state().p_active_cell.read_image();
+        let active_img = prep.hooks().p_active_cell.read_image();
         assert!(active_img <= 1);
         // The stable replica image is a consistent (non-torn) prefix.
-        let stable = (1 - prep.hook_state().p_active.load(Ordering::Acquire)) as usize;
-        let snap = prep
-            .replica_image(stable)
+        let stable = (1 - prep.hooks().p_active.load(Ordering::Acquire)) as usize;
+        let snap = prep.hooks().replicas[stable]
             .read_image()
             .expect("stable image torn");
         assert!(snap.local_tail >= 4);
@@ -485,7 +448,7 @@ mod tests {
             prep.execute(&t, RecorderOp::Record(i));
         }
         prep.quiesce_persistence();
-        let replicas = prep.hook_state().psan.replicas;
+        let replicas = prep.hooks().psan.replicas;
         let events = rt.psan_events();
         let wbinvd = events
             .iter()
@@ -600,8 +563,8 @@ mod tests {
             "a checkpoint deep-cloned the replica"
         );
         // The image the checkpoints built by replay is the ops' prefix.
-        let stable = (1 - prep.hook_state().p_active.load(Ordering::Acquire)) as usize;
-        let snap = prep.replica_image(stable).read_image().expect("torn");
+        let stable = (1 - prep.hooks().p_active.load(Ordering::Acquire)) as usize;
+        let snap = prep.hooks().replicas[stable].read_image().expect("torn");
         let want: Vec<u64> = (0..snap.local_tail).collect();
         assert_eq!(snap.state.0, want);
         // A crash cut copies the stable image, the one recovery reads, and

@@ -4,21 +4,21 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use prep_nr::{NodeReplicated, ThreadToken};
-use prep_pmem::{PersistentReplica, PmemRuntime, PmemStatsSnapshot};
+use prep_pmem::{PmemRuntime, PmemStatsSnapshot};
 use prep_seqds::SequentialObject;
-use prep_sync::TryLock;
 use prep_topology::ThreadAssignment;
 
 use crate::config::PrepConfig;
-use crate::hooks::{HookState, PrepHooks};
-use crate::persistence::{spawn_persistence_thread, PersistenceTask};
+use crate::hooks::PrepHooks;
+use crate::persistence::spawn_persistence_thread;
 
 /// The volatile variant used as a baseline in Figure 1: PREP with all
 /// persistence removed is exactly NR-UC.
 pub type PrepVolatile<T> = NodeReplicated<T>;
 
-/// The inner node-replicated construction with PREP's hooks installed.
-pub(crate) type NrInner<T> = NodeReplicated<T, PrepHooks<<T as SequentialObject>::Op>>;
+/// The inner node-replicated construction with PREP's hooks installed:
+/// the hooks own every persistent replica and all persistence state.
+pub(crate) type NrInner<T> = NodeReplicated<T, PrepHooks<T>>;
 
 /// A replicated persistent universal construction (PREP-Buffered or
 /// PREP-Durable, per [`PrepConfig::durability`]).
@@ -30,15 +30,7 @@ pub(crate) type NrInner<T> = NodeReplicated<T, PrepHooks<<T as SequentialObject>
 /// Interface").
 pub struct PrepUc<T: SequentialObject> {
     nr: Arc<NrInner<T>>,
-    state: Arc<HookState<T::Op>>,
-    /// The two persistence-only replicas, each its own crash image.
-    replicas: Arc<[PersistentReplica<T>; 2]>,
-    /// The persistence cycle's state, shared by the persistence thread and
-    /// every checkpoint request (through `HookState::try_cycle`, which holds
-    /// it weakly): whoever holds it runs the cycle.
-    task: Arc<TryLock<PersistenceTask<T>>>,
     config: PrepConfig,
-    beta: u64,
     persistence: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -56,11 +48,7 @@ impl<T: SequentialObject> PrepUc<T> {
     /// or the log is too small for the assignment.
     pub fn new(obj: T, assignment: ThreadAssignment, config: PrepConfig) -> Self {
         let mut prep = Self::without_persistence_thread(obj, assignment, config);
-        prep.persistence = Some(spawn_persistence_thread(
-            Arc::clone(&prep.task),
-            Arc::clone(&prep.state),
-            Arc::clone(&prep.nr),
-        ));
+        prep.persistence = Some(spawn_persistence_thread(Arc::clone(&prep.nr)));
         prep
     }
 
@@ -72,55 +60,18 @@ impl<T: SequentialObject> PrepUc<T> {
         assignment: ThreadAssignment,
         config: PrepConfig,
     ) -> Self {
-        let beta = assignment.beta() as u64;
-        config.validate(beta);
-
-        let state = HookState::new(
-            Arc::clone(&config.runtime),
-            config.durability,
-            config.epsilon,
-            config.fence_per_entry,
-            config.psan_fault,
-        );
-        let hooks = PrepHooks {
-            state: Arc::clone(&state),
-        };
+        config.validate(assignment.beta() as u64);
+        let hooks = PrepHooks::new(&config, obj.clone_object());
         let nr = Arc::new(NodeReplicated::with_hooks_and_fairness(
-            obj.clone_object(),
+            obj,
             assignment,
             config.log_size,
             hooks,
             config.fairness,
         ));
-        let replicas = Arc::new([
-            PersistentReplica::new(obj.clone_object()),
-            PersistentReplica::new(obj),
-        ]);
-        let task = Arc::new(TryLock::new(PersistenceTask::new(
-            Arc::clone(&nr),
-            Arc::clone(&state),
-            Arc::clone(&replicas),
-            config.flush_strategy,
-        )));
-        let weak = Arc::downgrade(&task);
-        let fresh = state.try_cycle.set(Box::new(move || {
-            let Some(task) = weak.upgrade() else {
-                return false;
-            };
-            let Some(mut held) = task.try_lock() else {
-                return false;
-            };
-            held.cycle();
-            true
-        }));
-        assert!(fresh.is_ok(), "a fresh hook state has no cycle yet");
         PrepUc {
             nr,
-            state,
-            replicas,
-            task,
             config,
-            beta,
             persistence: None,
         }
     }
@@ -167,13 +118,13 @@ impl<T: SequentialObject> PrepUc<T> {
 
     /// β for this instance (threads on the most-loaded node).
     pub fn beta(&self) -> u64 {
-        self.beta
+        self.nr.beta()
     }
 
     /// Worst-case completed-update loss per crash: `ε + β − 1` buffered,
     /// 0 durable (§5.1 "Worst Case Execution").
     pub fn loss_bound(&self) -> u64 {
-        self.config.loss_bound(self.beta)
+        self.config.loss_bound(self.beta())
     }
 
     /// The persistence runtime (stats, crash capture).
@@ -191,26 +142,22 @@ impl<T: SequentialObject> PrepUc<T> {
         &self.nr
     }
 
-    pub(crate) fn hook_state(&self) -> &Arc<HookState<T::Op>> {
-        &self.state
-    }
-
-    /// Persistent replica `idx`, which is its own NVM image.
-    pub(crate) fn replica_image(&self, idx: usize) -> &PersistentReplica<T> {
-        &self.replicas[idx]
+    /// PREP's persistence state, which the inner construction owns.
+    pub(crate) fn hooks(&self) -> &PrepHooks<T> {
+        self.nr.hooks()
     }
 
     /// Which persistent replica is currently active (0 or 1), volatile view.
     pub fn active_persistent_replica(&self) -> u64 {
         // ord: Acquire pairs with the persistence thread's swap Release —
         // the named checkpoint is durable by the time callers see its id.
-        self.state.p_active.load(Ordering::Acquire)
+        self.hooks().p_active.load(Ordering::Acquire)
     }
 
     /// Current flush boundary, ε past the published checkpoint
     /// (diagnostic).
     pub fn flush_boundary(&self) -> u64 {
-        self.state.flush_boundary()
+        self.hooks().flush_boundary()
     }
 
     /// Largest log index `w` such that every completed operation at index
@@ -230,12 +177,12 @@ impl<T: SequentialObject> PrepUc<T> {
         // covering [0, w) is durable), and is the load a waiter re-checks
         // with after announcing itself (`quiesce_persistence`, a checkpoint
         // listener's owner).
-        let ckpt = self.state.durable_tail.load(Ordering::SeqCst);
+        let ckpt = self.hooks().durable_tail.load(Ordering::SeqCst);
         match self.config.durability {
             crate::config::DurabilityLevel::Durable => {
                 // ord: Acquire pairs with ensure_completed_tail_durable's
                 // AcqRel fetch_max — ct durable implies its log prefix is too.
-                ckpt.max(self.state.persisted_ct.load(Ordering::Acquire))
+                ckpt.max(self.hooks().persisted_ct.load(Ordering::Acquire))
             }
             crate::config::DurabilityLevel::Buffered => ckpt,
         }
@@ -264,7 +211,7 @@ impl<T: SequentialObject> PrepUc<T> {
         if self.durable_watermark() >= ct {
             return;
         }
-        self.state.request_checkpoint(ct);
+        self.hooks().request_checkpoint(self.nr.log(), ct);
     }
 
     /// Installs `listener`, which is called right after the `SeqCst`
@@ -281,7 +228,7 @@ impl<T: SequentialObject> PrepUc<T> {
     /// # Panics
     /// Panics if a listener is already installed.
     pub fn set_checkpoint_listener(&self, listener: impl Fn() + Send + Sync + 'static) {
-        let fresh = self.state.checkpoint_listener.set(Box::new(listener));
+        let fresh = self.hooks().checkpoint_listener.set(Box::new(listener));
         assert!(fresh.is_ok(), "a checkpoint listener is installed once");
     }
 
@@ -297,7 +244,7 @@ impl<T: SequentialObject> PrepUc<T> {
     pub fn quiesce_persistence(&self) {
         let ct = self.completed_tail();
         self.nudge_checkpoint();
-        self.state
+        self.hooks()
             .quiesce_wake
             .wait_until(|| self.durable_watermark() >= ct);
     }
@@ -307,9 +254,9 @@ impl<T: SequentialObject> PrepUc<T> {
         [
             // ord: Acquire pairs with the persistence thread's tail Release
             // stores; tail t implies entries below t were applied.
-            self.state.p_tails[0].load(Ordering::Acquire),
+            self.hooks().p_tails[0].load(Ordering::Acquire),
             // ord: see above.
-            self.state.p_tails[1].load(Ordering::Acquire),
+            self.hooks().p_tails[1].load(Ordering::Acquire),
         ]
     }
 }
@@ -320,8 +267,8 @@ impl<T: SequentialObject> Drop for PrepUc<T> {
         // Acquire (everything this instance wrote is visible to its final
         // pass); SeqCst because a parked thread re-checks it after the
         // wake below (the WakeSlot pair).
-        self.state.stop.store(true, Ordering::SeqCst);
-        self.state.persist_wake.wake();
+        self.hooks().stop.store(true, Ordering::SeqCst);
+        self.hooks().persist_wake.wake();
         if let Some(h) = self.persistence.take() {
             let _ = h.join();
         }
@@ -339,6 +286,7 @@ mod tests {
     use prep_seqds::hashmap::{HashMap, MapOp, MapResp};
     use prep_seqds::recorder::{Recorder, RecorderOp};
     use prep_topology::Topology;
+    use std::thread::ThreadId;
 
     fn cfg(level: DurabilityLevel) -> PrepConfig {
         PrepConfig::new(level)
@@ -513,17 +461,23 @@ mod tests {
     /// persistence thread, so only the worker's own checkpoint requests
     /// reopen the gate and advance `logMin`. A watchdog fails the test,
     /// naming where the worker stopped, rather than letting a stall hang
-    /// it.
+    /// it. Returns the store, the thread of every checkpoint listener call
+    /// (the listener is installed before the worker starts), and the
+    /// worker's thread.
     fn one_worker_without_persistence_thread(
         config: PrepConfig,
         updates: u64,
-    ) -> Arc<PrepUc<Recorder>> {
+    ) -> (Arc<PrepUc<Recorder>>, Vec<ThreadId>, ThreadId) {
         let asg = Topology::small().assign_workers(1);
         let prep = Arc::new(PrepUc::without_persistence_thread(
             Recorder::new(),
             asg,
             config,
         ));
+        let (called_tx, called) = std::sync::mpsc::channel();
+        prep.set_checkpoint_listener(move || {
+            let _ = called_tx.send(std::thread::current().id());
+        });
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = {
             let prep = Arc::clone(&prep);
@@ -548,16 +502,17 @@ mod tests {
                 prep.inner().log().log_min()
             );
         }
+        let worker_thread = worker.thread().id();
         worker.join().expect("the worker finishes");
-        prep
+        (prep, called.try_iter().collect(), worker_thread)
     }
 
     /// A combiner refused at the flush boundary asks for a checkpoint, and
     /// runs the cycle itself. With no persistence thread, that is the only
     /// way the gate reopens: a single worker's 10·ε updates complete only
-    /// if each refusal checkpoints on the worker. In durable mode the
-    /// watermark covers every op without a checkpoint, and the request
-    /// must still be made.
+    /// if each refusal checkpoints on the worker, which also calls the
+    /// checkpoint listener there. In durable mode the watermark covers
+    /// every op without a checkpoint, and the request must still be made.
     #[test]
     fn a_refused_reservation_checkpoints_on_the_combiner() {
         const EPS: u64 = 4;
@@ -569,13 +524,23 @@ mod tests {
                     .with_epsilon(EPS)
                     .with_runtime(PmemRuntime::for_crash_tests())
             };
-            let prep = one_worker_without_persistence_thread(config(), UPDATES);
-            let published = prep.hook_state().durable_tail.load(Ordering::Acquire);
+            let (prep, listener_calls, worker) =
+                one_worker_without_persistence_thread(config(), UPDATES);
+            let published = prep.hooks().durable_tail.load(Ordering::Acquire);
             assert!(
                 published >= 9 * EPS,
                 "{level:?}: checkpoint {published} passed fewer than 9 boundaries of ε = {EPS}"
             );
             assert!(prep.runtime().stats().snapshot_count() >= 9);
+            assert!(
+                listener_calls.len() >= 9,
+                "{level:?}: the listener ran {} times for 9 or more checkpoints",
+                listener_calls.len()
+            );
+            assert!(
+                listener_calls.iter().all(|&called_on| called_on == worker),
+                "{level:?}: the listener ran off the refused worker's thread"
+            );
             let (token, image) = prep.simulate_crash();
             let recovered =
                 PrepUc::recover(token, image, Topology::small().assign_workers(1), config());
@@ -601,7 +566,7 @@ mod tests {
                 .with_log_size(log_size)
                 .with_epsilon(eps)
                 .with_runtime(PmemRuntime::for_crash_tests());
-            let prep = one_worker_without_persistence_thread(config, 10 * eps);
+            let (prep, _, _) = one_worker_without_persistence_thread(config, 10 * eps);
             assert_eq!(prep.completed_tail(), 10 * eps);
         }
     }

@@ -90,7 +90,7 @@ impl<T: SequentialObject> PrepUc<T> {
     /// Calling this *outside* a frozen cut yields an image that is not a
     /// consistent cut of the persist order.
     pub fn crash_image_in_cut(&self) -> CrashImage<T> {
-        let state = self.hook_state();
+        let state = self.hooks();
         let active = state.p_active_cell.read_image();
         // The stable replica is copied under its lock; no cycle holds it,
         // because a cycle lets go of a replica before the selector names it
@@ -98,8 +98,8 @@ impl<T: SequentialObject> PrepUc<T> {
         // persist effect, so only its torn flag is read, without the lock.
         let image = CrashImage {
             active,
-            stable: self.replica_image(1 - active as usize).read_image(),
-            active_torn: self.replica_image(active as usize).is_torn(),
+            stable: state.replicas[1 - active as usize].read_image(),
+            active_torn: state.replicas[active as usize].is_torn(),
             completed_tail: state.ct_cell.read_image(),
             log_entries: state.log_image.persisted_range(0, u64::MAX),
         };

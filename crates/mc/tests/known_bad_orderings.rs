@@ -451,7 +451,7 @@ fn checkpoint_listener_relaxed_announce_is_caught() {
     );
 }
 
-/// Mutant 10 (`PersistenceTask::run`): the listener call after the
+/// Mutant 10 (`PrepHooks::cycle`): the listener call after the
 /// `durable_tail` publish dropped; nothing else wakes the conn thread.
 #[test]
 fn checkpoint_listener_without_the_call_is_caught() {
@@ -472,7 +472,7 @@ fn checkpoint_listener_without_the_call_is_caught() {
 // threshold is reached (crates/core/src/persistence.rs's `run`,
 // crates/core/src/hooks.rs's `ensure_completed_tail_durable`). The owner
 // side is `MiniSlot::wait` with `work` standing for `completedTail`, and
-// `wake_at` starts at `u64::MAX` ("never parked"), as `HookState` keeps it.
+// `wake_at` starts at `u64::MAX` ("never parked"), as `PrepHooks` keeps it.
 // ---------------------------------------------------------------------------
 
 fn batched_wake_scenario(threshold: Ordering) {

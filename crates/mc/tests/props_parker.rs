@@ -117,9 +117,10 @@ fn the_slot_is_reusable_across_waits() {
 /// `completedTail`, `nudge_checkpoint`'s standing request, the published
 /// checkpoint's tail (the durable watermark), the applied tail the park
 /// last saw and its wake threshold, and the stop flag, plus its park slot
-/// and the watermark waiter's. The persistence task — the active
-/// replica's applied tail — sits behind a [`TryLock`] shared by the
-/// persistence thread and a nudger, as `PrepUc` keeps it.
+/// and the watermark waiter's. The active replica's applied tail sits
+/// behind a [`TryLock`] shared by the persistence thread and a nudger; in
+/// `crates/core` that lock is `PrepHooks::cycle_lock`, which guards no data
+/// and orders the cycle's runs over a replica with its own lock.
 struct Persist {
     park: WakeSlot,
     watermark: WakeSlot,
@@ -150,10 +151,10 @@ fn fetch_max(cell: &AtomicU64, v: u64) {
 }
 
 impl Persist {
-    /// `PersistenceTask::cycle`, cut down to what the park protocol reads:
-    /// read the standing request, then apply up to `completedTail`, and
-    /// checkpoint when a request is not yet covered. Runs under the task
-    /// lock, whoever holds it.
+    /// `PrepHooks::cycle`, cut down to what the park protocol reads: read
+    /// the standing request, then apply up to `completedTail`, and
+    /// checkpoint when a request is not yet covered. Runs under the cycle's
+    /// lock (`task`), whoever holds it.
     fn cycle(&self, local: &mut u64) -> bool {
         // ord: Acquire pairs with the nudger's request; read first, so the
         // tail read next covers it.

@@ -9,6 +9,8 @@
 
 use std::ops::Range;
 
+use crate::log::Log;
+
 /// Hook points the universal construction invokes around the shared log.
 ///
 /// All methods have no-op defaults; implementations override the subset
@@ -69,17 +71,18 @@ pub trait NrHooks<O>: Send + Sync + 'static {
         u64::MAX
     }
 
-    /// Asks for every entry below `completed_tail` to be applied to the
-    /// persistent replicas and checkpointed now, and runs the persistence
-    /// cycle on the calling thread if nobody else is running it. Called by
-    /// a combiner refused at the gate (a checkpoint raises the flush
-    /// boundary) and by the logMin scan when its straggler is a
-    /// persistent replica (the cycle applies the active one, and a
-    /// checkpoint swaps the stable one into the active role, Algorithm 3).
+    /// Asks for every entry of `log` below its `completedTail` to be
+    /// applied to the persistent replicas and checkpointed now, and runs
+    /// the persistence cycle (which replays `log`) on the calling thread if
+    /// nobody else is running it. Called by a combiner refused at the gate
+    /// (a checkpoint raises the flush boundary) and by the logMin scan when
+    /// its straggler is a persistent replica (the cycle applies the active
+    /// one, and a checkpoint swaps the stable one into the active role,
+    /// Algorithm 3).
     /// Bounded: it must not wait, and must take no blocking lock — the
     /// caller holds its combiner lock, and in `StarvationFree` mode may
     /// hold the reservation gate.
-    fn checkpoint_now(&self, _completed_tail: u64) {}
+    fn checkpoint_now(&self, _log: &Log<O>) {}
 }
 
 /// The volatile instantiation: every hook is a no-op. `NodeReplicated`
@@ -101,6 +104,6 @@ mod tests {
         NrHooks::<u64>::persist_batch_published(&h, 0..3, &|i| i + 1);
         NrHooks::<u64>::ensure_completed_tail_durable(&h, 3);
         assert_eq!(NrHooks::<u64>::min_persistent_tail(&h), u64::MAX);
-        NrHooks::<u64>::checkpoint_now(&h, 10);
+        NrHooks::<u64>::checkpoint_now(&h, &Log::new(4));
     }
 }

@@ -352,7 +352,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
             // updater may need *our* replica to advance before the boundary
             // can move.
             if !self.hooks.reserve_admitted(tail) {
-                self.hooks.checkpoint_now(self.log.completed_tail());
+                self.hooks.checkpoint_now(&self.log);
                 if !self.hooks.reserve_admitted(tail) {
                     // ord: Acquire/Release handshake on updateReplicaNow —
                     // see advance_log_min's straggler help protocol.
@@ -448,7 +448,7 @@ impl<T: SequentialObject, H: NrHooks<T::Op>> NodeReplicated<T, H> {
                     // A persistence-only replica: the cycle applies the
                     // active one, and a checkpoint swaps the stable one into
                     // the active role.
-                    self.hooks.checkpoint_now(self.log.completed_tail());
+                    self.hooks.checkpoint_now(&self.log);
                     outer.wait();
                 } else if who == node {
                     // Our own replica is the straggler; we hold its combiner

@@ -107,7 +107,7 @@ fn saturated_dirty_tracker_flushes_the_whole_range_cleanly() {
     }
     drop(recovered);
     let whole_range = rt.psan_events().iter().any(|e| {
-        e.site == "PersistenceTask::checkpoint" && matches!(e.kind, EventKind::FlushRange { .. })
+        e.site == "PrepHooks::checkpoint" && matches!(e.kind, EventKind::FlushRange { .. })
     });
     assert!(whole_range, "no checkpoint flushed a whole range");
     if let Err(report) = check_persistence_ordering(&rt) {
