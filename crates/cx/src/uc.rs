@@ -1,12 +1,13 @@
 //! The CX universal construction proper.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam_utils::CachePadded;
 use prep_pmem::PmemRuntime;
 use prep_seqds::SequentialObject;
-use prep_sync::{StrongTryRwLock, Waiter};
+use prep_sync::{DistRwLock, ReaderId, Waiter};
 
 use crate::queue::OpQueue;
 
@@ -20,10 +21,12 @@ pub struct CxConfig {
     /// flush the **whole replica** (one async flush per live cache line +
     /// fence) after every update session. `None` → volatile CX-UC.
     pub persistence: Option<Arc<PmemRuntime>>,
-    /// Read-indicator stripes per replica lock, matching the reference CX's
-    /// per-thread read indicators: readers of the same replica land on
-    /// distinct cachelines instead of funneling through one counter.
-    /// [`CxConfig::volatile`]/[`CxConfig::persistent`] set one per thread.
+    /// Reader slots per replica lock, matching the reference CX's
+    /// per-thread read indicators: a reader counts on slot
+    /// `thread_ordinal() % reader_slots`, so readers of the same replica
+    /// land on distinct cachelines instead of funneling through one
+    /// counter. [`CxConfig::volatile`]/[`CxConfig::persistent`] set one per
+    /// thread.
     pub reader_slots: usize,
 }
 
@@ -51,18 +54,32 @@ impl CxConfig {
         self.replicas = replicas.max(2);
         self
     }
+}
 
-    /// Overrides the read-indicator stripe count (builder style).
-    pub fn with_reader_slots(mut self, slots: usize) -> Self {
-        self.reader_slots = slots.max(1);
-        self
+/// This thread's ordinal: threads are numbered round-robin on first use.
+/// A reader counts on its replica lock's slot `ordinal % slots`.
+fn thread_ordinal() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static ORDINAL: Cell<usize> = const { Cell::new(usize::MAX) };
     }
+    ORDINAL.with(|c| {
+        let mut v = c.get();
+        if v == usize::MAX {
+            // ord: unique-id dispenser; atomicity of the RMW is all that
+            // matters, nothing else is published with it.
+            v = NEXT.fetch_add(1, Ordering::Relaxed);
+            c.set(v);
+        }
+        v
+    })
 }
 
 struct CxReplica<T: SequentialObject> {
     /// The object plus how many queue positions it has applied. Both live
-    /// under the strong try lock.
-    state: StrongTryRwLock<ReplicaState<T>>,
+    /// under the replica lock: a writer claims it with the strong
+    /// `try_write`, readers stripe over its `reader_slots` slots.
+    state: DistRwLock<ReplicaState<T>>,
     /// Logical NVM address range this replica occupies (sanitizer identity;
     /// allocated only when persistence is on).
     psan_region: Option<prep_pmem::psan::Region>,
@@ -89,12 +106,12 @@ impl<T: SequentialObject> CxUc<T> {
         assert!(config.replicas >= 2, "CX needs at least two replicas");
         let replicas: Box<[CxReplica<T>]> = (0..config.replicas)
             .map(|_| CxReplica {
-                state: StrongTryRwLock::with_reader_slots(
+                state: DistRwLock::new(
                     ReplicaState {
                         ds: obj.clone_object(),
                         applied: 0,
                     },
-                    config.reader_slots,
+                    config.reader_slots.max(1),
                 ),
                 psan_region: config
                     .persistence
@@ -246,8 +263,9 @@ impl<T: SequentialObject> CxUc<T> {
             // ord: Acquire — the routed-to replica's replayed state is
             // visible (with the lock's own ordering as a second fence).
             let packed = self.latest.load(Ordering::Acquire);
-            let replica = (packed & 0xffff) as usize;
-            if let Some(guard) = self.replicas[replica].state.try_read() {
+            let state = &self.replicas[(packed & 0xffff) as usize].state;
+            let slot = ReaderId::Slot(thread_ordinal() % state.reader_slots());
+            if let Some(guard) = state.try_read(slot) {
                 if guard.applied >= floor {
                     return f(&guard.ds);
                 }

@@ -198,8 +198,8 @@ impl MiniDistRw {
     }
 
     /// Reader: mark, then recheck the writer flag (SeqCst on both sides
-    /// in the correct protocol; `recheck = false` skips the recheck the
-    /// way the StrongTryRwLock mutant does).
+    /// in the correct protocol; `recheck = false` skips the recheck, as a
+    /// `DistRwLock::try_read` without its post-mark writer load would).
     fn try_read(&self, recheck: bool) -> bool {
         self.reader.fetch_add(1, SeqCst);
         if recheck && self.writer.load(SeqCst) != 0 {
@@ -242,12 +242,12 @@ fn dist_rw_relaxed_writer_publish_is_caught() {
     assert_eq!(f.kind, FailureKind::DataRace, "expected overlap: {f:?}");
 }
 
-/// Mutant 4 (StrongTryRwLock::try_read): removing the post-mark SeqCst
+/// Mutant 4 (DistRwLock::try_read): removing the post-mark SeqCst
 /// writer recheck lets a reader that marked after the writer's scan sail
 /// into the critical section.
 #[test]
-fn strong_try_missing_recheck_is_caught() {
-    let f = expect_caught("strong-try-no-recheck", || dist_rw_scenario(SeqCst, false));
+fn dist_rw_missing_recheck_is_caught() {
+    let f = expect_caught("dist-rw-no-recheck", || dist_rw_scenario(SeqCst, false));
     assert_eq!(f.kind, FailureKind::DataRace, "expected overlap: {f:?}");
 }
 

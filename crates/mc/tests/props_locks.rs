@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use prep_mc::cell::PeekCell;
 use prep_mc::{thread, Builder};
-use prep_sync::{DistRwLock, ReaderId, RwSpinLock, StrongTryRwLock, TryLock};
+use prep_sync::{DistRwLock, ReaderId, TryLock};
 
 /// `TryLock`: two successful `try_lock`s can never overlap. Each holder
 /// stores into the oracle without consent — any interleaving where both
@@ -66,30 +66,6 @@ fn trylock_combiner_election_loses_no_updates() {
     });
 }
 
-/// `RwSpinLock`: a reader holding the lock observes a stable value even
-/// while a writer makes a deliberately non-atomic two-step update.
-#[test]
-fn rw_spin_read_write_exclusion() {
-    Builder::new("rw-spin-exclusion").check(|| {
-        let l = Arc::new(RwSpinLock::new(()));
-        let oracle = Arc::new(PeekCell::new(0u64));
-        let (l2, o2) = (Arc::clone(&l), Arc::clone(&oracle));
-        let w = thread::spawn(move || {
-            let _g = l2.write();
-            unsafe { o2.write(1) };
-            unsafe { o2.write(2) };
-        });
-        {
-            let _g = l.read();
-            let x = unsafe { oracle.read() };
-            let y = unsafe { oracle.read() };
-            assert_eq!(x, y, "reader saw a half-done write under the read lock");
-            assert_ne!(x, 1, "reader observed the writer mid-critical-section");
-        }
-        w.join().unwrap();
-    });
-}
-
 /// `DistRwLock`: a slot reader that wins `try_read` excludes the writer
 /// (and vice versa), including the PR 7 SeqCst writer-recheck path.
 #[test]
@@ -135,41 +111,52 @@ fn dist_rw_shared_reader_excludes_writer() {
     });
 }
 
-/// `StrongTryRwLock`: `try_read` vs `try_write` exclusion through the
-/// striped reader marks and the post-mark SeqCst writer recheck.
+/// `DistRwLock::try_write` (CX's replay claim) against a reader of each
+/// kind, a slot reader and a shared one: the strong try's flag CAS and
+/// its scan of every reader line exclude through the post-mark SeqCst
+/// writer recheck.
 #[test]
-fn strong_try_read_write_exclusion() {
-    Builder::new("strong-try-exclusion").check(|| {
-        let l = Arc::new(StrongTryRwLock::with_reader_slots((), 2));
-        let oracle = Arc::new(PeekCell::new(0u64));
-        let (l2, o2) = (Arc::clone(&l), Arc::clone(&oracle));
-        let w = thread::spawn(move || {
-            if let Some(_g) = l2.try_write() {
-                unsafe { o2.write(1) };
-                unsafe { o2.write(2) };
+fn dist_rw_try_write_excludes_readers() {
+    for (name, id) in [
+        ("dist-rw-try-write-slot", ReaderId::Slot(0)),
+        ("dist-rw-try-write-shared", ReaderId::Shared),
+    ] {
+        Builder::new(name).check(move || {
+            let l = Arc::new(DistRwLock::new((), 1));
+            let oracle = Arc::new(PeekCell::new(0u64));
+            let (l2, o2) = (Arc::clone(&l), Arc::clone(&oracle));
+            let w = thread::spawn(move || {
+                if let Some(_g) = l2.try_write() {
+                    unsafe { o2.write(1) };
+                    unsafe { o2.write(2) };
+                }
+            });
+            if let Some(_g) = l.try_read(id) {
+                let x = unsafe { oracle.read() };
+                let y = unsafe { oracle.read() };
+                assert_eq!(x, y, "{id:?} reader overlapped try_write");
+                assert_ne!(x, 1, "{id:?} reader saw the writer mid-update");
             }
+            w.join().unwrap();
         });
-        if let Some(_g) = l.try_read() {
-            let x = unsafe { oracle.read() };
-            let y = unsafe { oracle.read() };
-            assert_eq!(x, y, "try_read overlapped try_write");
-            assert_ne!(x, 1, "try_read saw the writer mid-update");
-        }
-        w.join().unwrap();
-    });
+    }
 }
 
-/// `StrongTryRwLock`: two blocking writers never interleave their
-/// read-modify-write on the oracle, so no increment is lost.
+/// `DistRwLock::try_write`: two writers retrying `try_write` never
+/// interleave their read-modify-write on the oracle, so no increment is
+/// lost.
 #[test]
-fn strong_try_writers_exclude_each_other() {
-    Builder::new("strong-try-writers").check(|| {
-        let l = Arc::new(StrongTryRwLock::new(()));
+fn dist_rw_try_writers_exclude_each_other() {
+    Builder::new("dist-rw-try-writers").check(|| {
+        let l = Arc::new(DistRwLock::new((), 1));
         let counter = Arc::new(PeekCell::new(0u64));
-        let bump = |l: &StrongTryRwLock<()>, c: &PeekCell<u64>| {
-            let _g = l.write();
-            let v = unsafe { c.read() };
-            unsafe { c.write(v + 1) };
+        let bump = |l: &DistRwLock<()>, c: &PeekCell<u64>| loop {
+            if let Some(_g) = l.try_write() {
+                let v = unsafe { c.read() };
+                unsafe { c.write(v + 1) };
+                return;
+            }
+            thread::yield_now();
         };
         let (l2, c2) = (Arc::clone(&l), Arc::clone(&counter));
         let t = thread::spawn(move || bump(&l2, &c2));

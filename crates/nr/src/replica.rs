@@ -4,7 +4,7 @@ use prep_sync::cell::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::cell::UnsafeCell;
 
 use crossbeam_utils::CachePadded;
-use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, ReplicaLock, TryLock};
+use prep_sync::{DistRwLock, PhaseFairRwLock, ReaderId, TryLock};
 
 use crate::FairnessMode;
 
@@ -57,16 +57,25 @@ pub(crate) struct CombineBuf<O> {
     pub(crate) ops: Vec<O>,
 }
 
+/// The reader-writer lock protecting a replica's sequential object, as
+/// [`FairnessMode`] selects: the NR §3 distributed lock (one padded reader
+/// slot per worker on the node) for `Throughput`, the phase-fair lock for
+/// §4.2's `StarvationFree` variant. Both sit at level 3. The phase-fair
+/// lock is boxed: its four padded counters would otherwise make the
+/// default mode's replica pay for them too.
+pub(crate) enum ReplicaRw<T> {
+    Dist(DistRwLock<T>),
+    PhaseFair(Box<PhaseFairRwLock<T>>),
+}
+
 /// A volatile replica: the sequential object plus its coordination state.
 pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
     /// The combiner lock (paper: a trylock; winning it makes a thread the
     /// combiner for this node), guarding the combiner's batch buffers.
     pub(crate) combiner: TryLock<CombineBuf<T::Op>>,
-    /// Reader-writer lock protecting the sequential object. Which lock is
-    /// behind the trait object is [`FairnessMode`]'s choice: the NR §3
-    /// distributed lock (one padded reader slot per worker on this node) by
-    /// default, the phase-fair lock for §4.2's starvation-free variant.
-    pub(crate) rw: Box<dyn ReplicaLock<T>>,
+    /// Reader-writer lock protecting the sequential object; the
+    /// `DistRwLock` is held inline.
+    pub(crate) rw: ReplicaRw<T>,
     /// First log index not yet applied to this replica.
     pub(crate) local_tail: CachePadded<AtomicU64>,
     /// Flat-combining batch: one slot per worker on this node.
@@ -87,9 +96,11 @@ pub(crate) struct Replica<T: prep_seqds::SequentialObject> {
 
 impl<T: prep_seqds::SequentialObject> Replica<T> {
     pub(crate) fn new(ds: T, beta: usize, fairness: FairnessMode) -> Self {
-        let rw: Box<dyn ReplicaLock<T>> = match fairness {
-            FairnessMode::Throughput => Box::new(DistRwLock::new(ds, beta)),
-            FairnessMode::StarvationFree => Box::new(PhaseFairRwLock::new(ds)),
+        let rw = match fairness {
+            FairnessMode::Throughput => ReplicaRw::Dist(DistRwLock::new(ds, beta)),
+            FairnessMode::StarvationFree => {
+                ReplicaRw::PhaseFair(Box::new(PhaseFairRwLock::new(ds)))
+            }
         };
         Replica {
             combiner: TryLock::new(CombineBuf {
@@ -115,29 +126,25 @@ impl<T: prep_seqds::SequentialObject> Replica<T> {
     }
 
     /// Runs `f` with shared access to the sequential object, acquiring the
-    /// replica lock as reader `id`. (`FnOnce`-over-`FnMut` adapter for the
-    /// dyn-compatible [`ReplicaLock`] interface.)
+    /// replica lock as reader `id` (the phase-fair lock has no reader
+    /// slots and ignores it).
     #[inline]
     #[cfg_attr(debug_assertions, track_caller)]
     pub(crate) fn read_with<R>(&self, id: ReaderId, f: impl FnOnce(&T) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.rw.with_read(id, &mut |ds| {
-            out = Some((f.take().expect("with_read runs f once"))(ds));
-        });
-        out.expect("with_read ran f")
+        match &self.rw {
+            ReplicaRw::Dist(l) => f(&l.read(id)),
+            ReplicaRw::PhaseFair(l) => f(&l.read()),
+        }
     }
 
     /// Runs `f` with exclusive access to the sequential object.
     #[inline]
     #[cfg_attr(debug_assertions, track_caller)]
     pub(crate) fn write_with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut f = Some(f);
-        let mut out = None;
-        self.rw.with_write(&mut |ds| {
-            out = Some((f.take().expect("with_write runs f once"))(ds));
-        });
-        out.expect("with_write ran f")
+        match &self.rw {
+            ReplicaRw::Dist(l) => f(&mut l.write()),
+            ReplicaRw::PhaseFair(l) => f(&mut l.write()),
+        }
     }
 
     /// Counts one caught-up read by the owner of reader slot `rslot`: a
@@ -177,6 +184,30 @@ mod tests {
         assert!(gap >= 64, "adjacent counters are {gap} bytes apart");
     }
 
+    /// Layout pin: the words every reader loads — the lock enum's tag, the
+    /// `DistRwLock`'s writer word and `readers` pointer, the sequential
+    /// object's inline header (in `StarvationFree` mode the tag and the
+    /// box pointer), all inside `rw` — share no cache line with the
+    /// combiner's `CombineBuf`, whose `Vec` lengths every combine round
+    /// writes.
+    #[test]
+    fn reader_words_never_share_a_cache_line_with_the_combine_buffers() {
+        use prep_seqds::hashmap::HashMap;
+        fn lines(start: usize, len: usize) -> std::ops::Range<usize> {
+            start / 64..(start + len).div_ceil(64)
+        }
+        for mode in [FairnessMode::Throughput, FairnessMode::StarvationFree] {
+            let r: Replica<HashMap> = Replica::new(HashMap::new(), 2, mode);
+            let rw = lines(&r.rw as *const _ as usize, std::mem::size_of_val(&r.rw));
+            let buf = r.combiner.try_lock().expect("free lock");
+            let buf = lines(&*buf as *const _ as usize, std::mem::size_of_val(&*buf));
+            assert!(
+                rw.end <= buf.start || buf.end <= rw.start,
+                "{mode:?}: lock lines {rw:?} overlap combine-buffer lines {buf:?}"
+            );
+        }
+    }
+
     #[test]
     fn replica_initial_state() {
         let r: Replica<Recorder> = Replica::new(Recorder::new(), 4, FairnessMode::Throughput);
@@ -193,10 +224,10 @@ mod tests {
     #[test]
     fn fairness_selects_reader_slot_layout() {
         let dist: Replica<Recorder> = Replica::new(Recorder::new(), 4, FairnessMode::Throughput);
-        assert_eq!(dist.rw.reader_slots(), 4);
+        assert!(matches!(&dist.rw, ReplicaRw::Dist(l) if l.reader_slots() == 4));
         let fair: Replica<Recorder> =
             Replica::new(Recorder::new(), 4, FairnessMode::StarvationFree);
-        assert_eq!(fair.rw.reader_slots(), 0);
+        assert!(matches!(fair.rw, ReplicaRw::PhaseFair(_)));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * **read-only operations perform no flushes or fences at all**.
 //!
 //! Deviation (documented in DESIGN.md): the original is lock-free; here each
-//! bucket is protected by a reader-writer spin lock. Figure 6's comparison
-//! is about flush counts and NVM traffic, which are reproduced exactly;
+//! bucket is protected by a centralized writer-preference reader-writer
+//! spin lock (`prep_sync::DistRwLock` built with no dedicated reader slots,
+//! so every reader counts on one shared line). Figure 6's comparison is
+//! about flush counts and NVM traffic, which are reproduced exactly;
 //! lock-freedom affects progress guarantees, not the flush economics.
 
 #![warn(missing_docs)]
@@ -31,10 +33,12 @@ use std::collections::HashMap as StdHashMap;
 use std::sync::{Arc, Mutex};
 
 use prep_pmem::PmemRuntime;
-use prep_sync::RwSpinLock;
+use prep_sync::{DistRwLock, ReaderId};
 
-/// One bucket: a chain of (key, value) pairs under a reader-writer lock.
-type Bucket = RwSpinLock<Vec<(u64, u64)>>;
+/// One bucket: a chain of (key, value) pairs under a reader-writer lock
+/// with no dedicated reader slots, so a centralized writer-preference spin
+/// lock: every reader counts on its one shared line.
+type Bucket = DistRwLock<Vec<(u64, u64)>>;
 
 /// A persistent, fixed-bucket concurrent hash set with values (a map with
 /// SOFT set semantics: `insert` fails on a present key).
@@ -55,7 +59,9 @@ impl SoftHashMap {
     pub fn new(buckets: usize, rt: Arc<PmemRuntime>) -> Self {
         assert!(buckets > 0, "need at least one bucket");
         SoftHashMap {
-            buckets: (0..buckets).map(|_| RwSpinLock::new(Vec::new())).collect(),
+            buckets: (0..buckets)
+                .map(|_| DistRwLock::new(Vec::new(), 0))
+                .collect(),
             rt,
             image: Mutex::new(StdHashMap::new()),
         }
@@ -120,14 +126,17 @@ impl SoftHashMap {
     /// fence**.
     pub fn contains(&self, key: u64) -> bool {
         let b = self.bucket_of(key);
-        self.buckets[b].read().iter().any(|&(k, _)| k == key)
+        self.buckets[b]
+            .read(ReaderId::Shared)
+            .iter()
+            .any(|&(k, _)| k == key)
     }
 
     /// Looks up `key` (flush-free, like `contains`).
     pub fn get(&self, key: u64) -> Option<u64> {
         let b = self.bucket_of(key);
         self.buckets[b]
-            .read()
+            .read(ReaderId::Shared)
             .iter()
             .find(|&&(k, _)| k == key)
             .map(|&(_, v)| v)
@@ -135,7 +144,10 @@ impl SoftHashMap {
 
     /// Entry count (O(buckets); diagnostic).
     pub fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.read().len()).sum()
+        self.buckets
+            .iter()
+            .map(|b| b.read(ReaderId::Shared).len())
+            .sum()
     }
 
     /// True if the table is empty.

@@ -9,18 +9,34 @@
 //! traffic between readers. The writer pays instead: it raises the writer
 //! flag and then scans every reader line until all are free.
 //!
-//! Compare [`crate::RwSpinLock`], which funnels every reader through one
-//! shared `fetch_add`/`fetch_sub` cacheline — a bottleneck at 90%+ reads
-//! (the paper's headline workloads).
+//! Built with zero dedicated slots it is a centralized writer-preference
+//! lock: every reader counts on the one shared line with a
+//! `fetch_add`/`fetch_sub` pair, a bottleneck at 90%+ reads (the paper's
+//! headline workloads) but the right shape for a lock that is rarely
+//! contended, such as the SOFT baseline's per-bucket lock.
 //!
 //! Reader identity is a [`ReaderId`]:
 //!
-//! * [`ReaderId::Slot`]`(i)` — a registered reader that owns dedicated slot
-//!   `i`. At most one thread may use a given slot at a time (in NR, the
-//!   `ThreadToken` allocated at registration is that exclusive capability).
+//! * [`ReaderId::Slot`]`(i)` — a reader counting on dedicated slot `i`.
+//!   Marks are counting RMWs, so several threads may share a slot and stay
+//!   correct (the CX baseline stripes its readers over the slots by thread
+//!   ordinal). A slot only stays contention-free when one thread owns it,
+//!   as in NR, where the `ThreadToken` allocated at registration is that
+//!   exclusive capability.
 //! * [`ReaderId::Shared`] — an unregistered reader (diagnostics, the
 //!   persistence thread's `with_replica` accesses, tests). All shared
 //!   readers count on one overflow line; correct, but not contention-free.
+//!
+//! [`DistRwLock::try_write`] is a *strong* try, as the CX universal
+//! construction of Correia et al. (the paper's baseline, §2.3) needs to
+//! scan its replicas and take the first free one: it fails only if a
+//! writer held or waited for the lock, or a reader indicator was raised, at
+//! some instant during the call — never spuriously on a free lock.
+//! Precision note, inherited from the reader-indicator design: a
+//! `try_read` that overlaps a `try_write` *probe* (one that raises the
+//! writer flag, finds a reader on some line, and backs out) fails as if
+//! against a real writer. `try_write` failures stay genuine; CX retries its
+//! read loop regardless, so a probe costs a reader at most a re-poll.
 //!
 //! Memory-ordering note: reader acquire (mark own slot, then load the writer
 //! word) and writer acquire (set the writer flag, then load every slot) form
@@ -40,12 +56,10 @@ const WRITER: u64 = 1 << 63;
 const WAITING_MASK: u64 = WRITER - 1;
 
 /// Identity of a reader for slot-distributed locks ([`DistRwLock`]).
-///
-/// Locks without per-reader state ([`crate::PhaseFairRwLock`]) accept and
-/// ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReaderId {
-    /// A registered reader with exclusive use of dedicated slot `i`.
+    /// A reader counting on dedicated slot `i`: contention-free when one
+    /// thread owns the slot, still correct when several share it.
     Slot(usize),
     /// An unregistered reader; counts on the shared overflow line.
     Shared,
@@ -66,12 +80,15 @@ pub enum ReaderId {
 /// }
 /// lock.write().push(4);
 /// assert_eq!(lock.read(ReaderId::Shared).len(), 4);
+/// let w = lock.try_write().expect("free lock: a strong try succeeds");
+/// assert!(lock.try_read(ReaderId::Slot(0)).is_none());
+/// drop(w);
 /// ```
 pub struct DistRwLock<T> {
     /// Bit 63: a writer holds the lock. Low bits: writers waiting to
-    /// acquire (readers defer to both — writer preference, as in
-    /// [`crate::RwSpinLock`]). Readers only *load* this word; in a read-only
-    /// phase its cacheline stays Shared in every reader's cache.
+    /// acquire (readers defer to both — writer preference). Readers only
+    /// *load* this word; in a read-only phase its cacheline stays Shared in
+    /// every reader's cache.
     writer: CachePadded<AtomicU64>,
     /// One line per dedicated reader slot, plus the shared overflow line at
     /// index `len - 1`. Nonzero = that slot's reader(s) hold the lock.
@@ -92,7 +109,8 @@ impl<T> DistRwLock<T> {
     /// combiner election (level 1) and the reservation gate (level 2);
     /// nothing is acquired under it. Every NR read takes it in read mode
     /// with nothing held: a read that must catch its replica up first
-    /// releases the election before it reads.
+    /// releases the election before it reads. CX's replica locks and
+    /// SOFT's bucket locks are this type at the same level.
     pub const LEVEL: u8 = 3;
 
     /// Creates an unlocked lock around `value` with `slots` dedicated
@@ -155,9 +173,10 @@ impl<T> DistRwLock<T> {
             return None;
         }
         let slot = self.slot(id);
-        // Mark our own line. fetch_add (not store) so the shared overflow
-        // line counts its multiple concurrent readers; for a dedicated slot
-        // it is an uncontended 0 → 1 transition on a line only we write.
+        // Mark our line. fetch_add (not store) so a line several readers
+        // share (the overflow line, or a slot CX stripes its threads over)
+        // counts them all; for an owned slot it is an uncontended 0 → 1
+        // transition on a line only we write.
         // ord: SeqCst store side of the store-buffering pair: mark-then-
         // check here vs flag-then-scan in `write`. With anything weaker,
         // both sides can read the other's old value and admit a reader
@@ -222,6 +241,41 @@ impl<T> DistRwLock<T> {
         }
         held::acquired(self, Self::LEVEL);
         DistWriteGuard { lock: self }
+    }
+
+    /// Attempts to acquire the lock in write mode without blocking.
+    ///
+    /// Strong semantics: returns `None` only if, at some instant during
+    /// the call, a writer held or waited for the lock or a reader indicator
+    /// (a dedicated slot or the shared line) was raised.
+    #[inline]
+    #[cfg_attr(debug_assertions, track_caller)]
+    pub fn try_write(&self) -> Option<DistWriteGuard<'_, T>> {
+        if self
+            .writer
+            // ord: SeqCst store side of the store-buffering pair (flag-
+            // then-scan vs the readers' mark-then-check); also
+            // Acquire-pairs with the previous writer's Release drop.
+            // Failure returns None, no ordering needed.
+            .compare_exchange(0, WRITER, Ordering::SeqCst, Ordering::Relaxed)
+            .is_err()
+        {
+            return None;
+        }
+        // Flag is up: new readers back off. Any line still marked is a
+        // reader that acquired before our flag — a genuine conflict.
+        for slot in self.readers.iter() {
+            // ord: SeqCst load side of the SB pair -- must not hoist above
+            // the flag CAS, or we could miss a reader whose mark missed our
+            // flag.
+            if slot.load(Ordering::SeqCst) != 0 {
+                // ord: Release backs the flag out without leaking the probe.
+                self.writer.fetch_and(!WRITER, Ordering::Release);
+                return None;
+            }
+        }
+        held::acquired(self, Self::LEVEL);
+        Some(DistWriteGuard { lock: self })
     }
 
     /// Number of writers currently waiting or holding (advisory, for
@@ -521,6 +575,130 @@ mod tests {
             panic!("all clones joined");
         };
         assert_eq!(lock.into_inner(), 1000);
+    }
+
+    #[test]
+    fn try_write_fails_against_reader_and_writer() {
+        let lock = DistRwLock::new((), 1);
+        for id in [ReaderId::Slot(0), ReaderId::Shared] {
+            let r = lock.try_read(id).unwrap();
+            assert!(lock.try_write().is_none(), "{id:?} reader");
+            drop(r);
+        }
+        let w = lock.try_write().unwrap();
+        assert!(lock.try_write().is_none());
+        assert!(lock.try_read(ReaderId::Slot(0)).is_none());
+        assert!(lock.try_read(ReaderId::Shared).is_none());
+        drop(w);
+        assert_eq!(lock.writer_word(), 0, "a failed try_write left its flag up");
+    }
+
+    /// Readers never conflict with readers, even when more threads than
+    /// slots share them: with no writer present every `try_read` succeeds,
+    /// and once all are done every line has drained and a writer gets in.
+    #[test]
+    fn try_read_retries_through_reader_interference() {
+        const THREADS: usize = 8;
+        const SLOTS: usize = 3;
+        let lock = Arc::new(DistRwLock::new((), SLOTS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let lock = Arc::clone(&lock);
+                thread::spawn(move || {
+                    let id = if t == THREADS - 1 {
+                        ReaderId::Shared
+                    } else {
+                        ReaderId::Slot(t % SLOTS)
+                    };
+                    for _ in 0..2000 {
+                        let g = lock
+                            .try_read(id)
+                            .expect("try_read failed with no writer present");
+                        drop(g);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        for i in 0..=SLOTS {
+            assert_eq!(lock.reader_line(i), 0, "line {i} not drained");
+        }
+        assert!(lock.try_write().is_some());
+    }
+
+    /// Readers striped over shared slots (CX's use) against a `try_write`
+    /// writer keeping a two-word invariant.
+    #[test]
+    fn striped_readers_exclude_writers_without_tearing() {
+        const SLOTS: usize = 2;
+        let lock = Arc::new(DistRwLock::new((0u64, 0u64), SLOTS));
+        let stop = Arc::new(AtomicBool::new(false));
+        let wl = Arc::clone(&lock);
+        let ws = Arc::clone(&stop);
+        let writer = thread::spawn(move || {
+            let mut i = 0u64;
+            while !ws.load(Ordering::Relaxed) {
+                if let Some(mut g) = wl.try_write() {
+                    i += 1;
+                    g.0 = i;
+                    g.1 = i;
+                }
+            }
+        });
+        let readers: Vec<_> = (0..4)
+            .map(|t| {
+                let lock = Arc::clone(&lock);
+                thread::spawn(move || {
+                    for _ in 0..2000 {
+                        let g = lock.read(ReaderId::Slot(t % SLOTS));
+                        assert_eq!(g.0, g.1, "torn read through a shared slot");
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+    }
+
+    /// Writers exclude each other whichever way they acquire: `try_write`
+    /// retry loops (CX's replay claim) alongside blocking `write`s, whose
+    /// waiting mark makes a concurrent `try_write` fail.
+    #[test]
+    fn writes_are_mutually_exclusive() {
+        const THREADS: usize = 8;
+        const ITERS: usize = 500;
+        let lock = Arc::new(DistRwLock::new(0usize, 4));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let lock = Arc::clone(&lock);
+                thread::spawn(move || {
+                    for _ in 0..ITERS {
+                        let mut g = if t % 2 == 0 {
+                            let mut w = Waiter::new();
+                            loop {
+                                match lock.try_write() {
+                                    Some(g) => break g,
+                                    None => w.wait(),
+                                }
+                            }
+                        } else {
+                            lock.write()
+                        };
+                        let v = *g;
+                        *g = v + 1;
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(*lock.read(ReaderId::Shared), THREADS * ITERS);
     }
 
     #[test]

@@ -118,7 +118,7 @@ mod unchecked {
 #[cfg(all(test, debug_assertions))]
 mod tests {
     use super::checked::held_count;
-    use crate::{DistRwLock, PhaseFairRwLock, ReaderId, RwSpinLock, TicketLock, TryLock};
+    use crate::{DistRwLock, PhaseFairRwLock, ReaderId, TicketLock, TryLock};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Runs `f`, which must panic, and returns its panic message.
@@ -154,10 +154,10 @@ mod tests {
         });
         assert!(msg.contains("holding a level-0 lock"), "{msg}");
         // The same lock re-read is the writer-preference self-deadlock.
-        let lock = RwSpinLock::new(());
+        let lock = DistRwLock::new((), 0);
         panic_message(|| {
-            let _r1 = lock.read();
-            let _r2 = lock.read();
+            let _r1 = lock.read(ReaderId::Shared);
+            let _r2 = lock.read(ReaderId::Shared);
         });
         assert_eq!(held_count(), 0);
     }

@@ -10,17 +10,15 @@
 //!   cacheline-padded slot per registered reader, so read acquisition makes
 //!   no store to any line shared with another reader ([`DistRwLock`]; NR §3
 //!   calls for exactly this "writer-preference variant of the distributed
-//!   reader-writer lock");
-//! * a **centralized writer-preference reader-writer lock**, the per-bucket
-//!   lock of the SOFT baseline ([`RwSpinLock`]);
+//!   reader-writer lock"). It is the one writer-flag/reader-indicator lock
+//!   here: its strong `try_write` and readers striped over shared slots
+//!   serve the CX-UC/CX-PUC baselines of Correia et al., and built with no
+//!   dedicated slots it is the centralized per-bucket lock of the SOFT
+//!   baseline;
 //! * a **starvation-free reader-writer lock**, the drop-in the paper suggests
 //!   for starvation-free read-only operations (§4.2 "Liveness")
-//!   ([`PhaseFairRwLock`]);
-//! * the [`ReplicaLock`] trait abstracting over the distributed and the
-//!   starvation-free lock, so the replica holds whichever one the fairness
-//!   mode selects;
-//! * a **strong try reader-writer lock**, required by the CX-UC/CX-PUC
-//!   baselines of Correia et al. ([`StrongTryRwLock`]);
+//!   ([`PhaseFairRwLock`]); NR's replica holds one of the two, as the
+//!   fairness mode selects;
 //! * a **seqlock-style version cell** ([`SeqVersion`]) that no engine path
 //!   uses any more — kept only because the repo benchmark's
 //!   `sync.seqversion_read_ns` probe compiles against it;
@@ -42,8 +40,8 @@
 //! it holds: 0 for a region [`TicketLock`], 1 for the combiner
 //! [`TryLock`], 2 for §4.2's reservation gate (a `TicketLock` built with
 //! [`TicketLock::with_level`]), 3 for the replica and data locks
-//! ([`DistRwLock`], [`PhaseFairRwLock`], [`StrongTryRwLock`],
-//! [`RwSpinLock`]). Debug builds check the rule at every blocking acquire
+//! ([`DistRwLock`] — NR's and CX's replicas, SOFT's buckets — and
+//! [`PhaseFairRwLock`]). Debug builds check the rule at every blocking acquire
 //! and panic before the thread waits, naming both acquire sites; `try_*`
 //! acquires are recorded but never checked. Release builds carry no
 //! check. The flat-combining slot states in `prep-nr` are not guards and
@@ -60,10 +58,7 @@ pub mod cell;
 mod dist_rw;
 mod held;
 mod phase_fair;
-mod replica_lock;
-mod rw_spin;
 mod seq_version;
-mod strong_try;
 mod ticket;
 mod trylock;
 mod waiter;
@@ -71,10 +66,7 @@ mod wake_slot;
 
 pub use dist_rw::{DistReadGuard, DistRwLock, DistWriteGuard, ReaderId};
 pub use phase_fair::{PhaseFairReadGuard, PhaseFairRwLock, PhaseFairWriteGuard};
-pub use replica_lock::ReplicaLock;
-pub use rw_spin::{RwSpinLock, RwSpinReadGuard, RwSpinWriteGuard};
 pub use seq_version::SeqVersion;
-pub use strong_try::{StrongTryReadGuard, StrongTryRwLock, StrongTryWriteGuard};
 pub use ticket::{TicketGuard, TicketLock};
 pub use trylock::{TryLock, TryLockGuard};
 pub use waiter::{spin_until, Waiter};
